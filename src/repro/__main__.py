@@ -745,6 +745,7 @@ def _serve_http_until_signal(service, host, port, drain_s) -> dict:
 
 def _cmd_serve(args) -> int:
     """Run the bind service (in-process threads or a sharded fleet)."""
+    from repro.errors import ValidationError
     from repro.plancache import PlanCache
     from repro.service import JsonlSink, PlanService, ServiceConfig, Telemetry
 
@@ -823,15 +824,24 @@ def _cmd_serve(args) -> int:
             cache_dir = (
                 str(probe.disk.directory) if probe.disk is not None else None
             )
-        overload = args.overload
-        if overload == "shed-oldest":
-            # Fleet flights run in caller threads; there is no parked
-            # queue to shed from, so the nearest policy is reject.
-            overload = "reject"
+        # The fleet has no worker threads and no coalescing switch:
+        # a flag it would drop is an error, not a silent no-op.  (An
+        # overload policy it lacks is rejected by FleetConfig itself.)
+        for flag, given in (
+            ("--workers", args.workers is not None),
+            ("--no-coalesce", args.no_coalesce),
+        ):
+            if given:
+                raise ValidationError(
+                    f"{flag} does not apply with --shards",
+                    stage="serve",
+                    hint="fleet flights run on the shard processes and "
+                    "always coalesce; drop the flag or drop --shards",
+                )
         config = FleetConfig(
             shards=args.shards,
             queue_depth=args.queue_depth,
-            overload=overload,
+            overload=args.overload,
             cache_dir=cache_dir,
             default_scale=args.scale,
             chaos=ChaosPlan.from_env(),
@@ -849,11 +859,10 @@ def _cmd_serve(args) -> int:
             else PlanCache(directory=args.cache_dir)
         )
         config = ServiceConfig(
-            workers=args.workers,
+            workers=args.workers if args.workers is not None else 4,
             queue_depth=args.queue_depth,
             overload=args.overload,
             coalesce=not args.no_coalesce,
-            executor=args.executor,
             default_scale=args.scale,
         )
         service = PlanService(config, cache=cache, telemetry=telemetry)
@@ -1151,7 +1160,12 @@ def main(argv=None) -> int:
         action="store_true",
         help="serve line-delimited JSON on stdin/stdout instead of HTTP",
     )
-    p.add_argument("--workers", type=int, default=4, help="bind worker threads")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="bind worker threads (default 4; in-process serving only)",
+    )
     p.add_argument(
         "--shards",
         type=int,
@@ -1173,13 +1187,8 @@ def main(argv=None) -> int:
         "--overload",
         choices=["block", "reject", "shed-oldest"],
         default="block",
-        help="policy when the queue is full",
-    )
-    p.add_argument(
-        "--executor",
-        choices=["threads", "processes"],
-        default="threads",
-        help="where binds run (processes degrade to threads if the pool dies)",
+        help="policy when the queue is full (a fleet has no parked queue "
+        "to shed from: --shards takes block or reject)",
     )
     p.add_argument(
         "--no-coalesce",

@@ -56,14 +56,20 @@ STEP_FUNCTIONS: Dict[str, Callable] = {
 
 
 def run_steps(
-    data: KernelData, num_steps: int, backend: Optional[str] = None
+    data: KernelData,
+    num_steps: int,
+    backend: Optional[str] = None,
+    sanitize: Optional[bool] = None,
 ) -> KernelData:
     """Run the kernel's time loop in place; returns ``data`` for chaining.
 
     ``backend`` selects the executor tier (``library`` | ``numpy`` | ``c``,
     resolved like every backend switch: argument >
     ``REPRO_EXECUTOR_BACKEND`` > the library default); all tiers are
-    bit-identical.
+    bit-identical.  ``sanitize`` (argument > ``REPRO_EXECUTOR_SANITIZE``)
+    selects a compiled tier's bounds-guarded build.  This is the one
+    backend-dispatching body: :func:`repro.runtime.executor.run_numeric`
+    is a call to it.
     """
     from repro.lowering.executor import resolve_executor_backend
 
@@ -71,7 +77,9 @@ def run_steps(
     if resolved != "library":
         from repro.lowering.executor import compile_executor
 
-        compiled = compile_executor(data.kernel_name, backend=resolved)
+        compiled = compile_executor(
+            data.kernel_name, backend=resolved, sanitize=sanitize
+        )
         compiled.run(data.arrays, data.left, data.right, num_steps=num_steps)
         return data
     step = STEP_FUNCTIONS[data.kernel_name]

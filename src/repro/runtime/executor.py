@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.cachesim.trace import AccessTrace, TraceBuilder
 from repro.kernels.data import KernelData
-from repro.kernels.executors import STEP_FUNCTIONS
+from repro.kernels.executors import run_steps
 
 NODES_REGION = "nodes"
 INTERS_REGION = "inters"
@@ -154,21 +154,7 @@ def run_numeric(
     traps corrupted index arrays as :class:`~repro.errors.
     ExecutorBoundsError` instead of corrupting memory.
     """
-    from repro.lowering.executor import resolve_executor_backend
-
-    resolved = resolve_executor_backend(backend).backend
-    if resolved != "library":
-        from repro.lowering.executor import compile_executor
-
-        compiled = compile_executor(
-            data.kernel_name, backend=resolved, sanitize=sanitize
-        )
-        compiled.run(data.arrays, data.left, data.right, num_steps=num_steps)
-        return data
-    step = STEP_FUNCTIONS[data.kernel_name]
-    for _ in range(num_steps):
-        step(data.arrays, data.left, data.right)
-    return data
+    return run_steps(data, num_steps, backend=backend, sanitize=sanitize)
 
 
 def run_numeric_wavefront(
@@ -237,7 +223,7 @@ def run_numeric_wavefront(
 
     resolved = resolve_executor_backend(backend).backend
     sched = resolve_scheduler(scheduler).backend
-    if resolved != "library":
+    if resolved != "library" or sched == "dynamic":
         from repro.lowering.executor import compile_executor
 
         compiled = compile_executor(
@@ -249,6 +235,8 @@ def run_numeric_wavefront(
         )
         kwargs = {}
         if sched == "dynamic":
+            if resolved == "library" and not parallel:
+                num_threads = 1
             kwargs = {"dag": dag, "num_threads": num_threads}
         compiled.run(
             data.arrays,
@@ -260,17 +248,6 @@ def run_numeric_wavefront(
             **kwargs,
         )
         return data
-
-    if sched == "dynamic":
-        return _run_wavefront_dynamic(
-            data,
-            schedule,
-            waves,
-            phases,
-            dag=dag,
-            num_threads=1 if not parallel else num_threads,
-            num_steps=num_steps,
-        )
 
     if waves is None:
         wave_groups = [np.array([t], dtype=np.int64) for t in range(len(schedule))]
@@ -310,86 +287,4 @@ def run_numeric_wavefront(
     finally:
         if pool is not None:
             pool.shutdown()
-    return data
-
-
-def _run_wavefront_dynamic(
-    data: KernelData,
-    schedule,
-    waves,
-    phases,
-    dag=None,
-    num_threads: Optional[int] = None,
-    num_steps: int = 1,
-) -> KernelData:
-    """Library-tier counter-scheduled execution (bit-identical to waves).
-
-    Each tile is the three-stage task of
-    :func:`repro.lowering.schedule.run_dynamic`: pre-interaction node
-    phases + payload gather into the tile's private buffer (counter
-    gated, parallel), commit of the *raw* buffered payloads at the
-    tile's turn in the wave commit order (serial), then post-interaction
-    node phases (parallel, releasing successors).  The buffers hold the
-    un-summed payload vectors — pre-summing would regroup the reduction
-    and change the rounding, breaking bit-identity.
-    """
-    from repro.errors import ValidationError
-    from repro.lowering.schedule import run_dynamic, tile_dag_from_waves
-
-    inter_positions = [
-        pos for pos, phase in enumerate(phases) if phase.domain != "nodes"
-    ]
-    if len(inter_positions) != 1:
-        raise ValidationError(
-            f"dynamic scheduler supports exactly one interaction phase, "
-            f"{data.kernel_name} has {len(inter_positions)}"
-        )
-    ip = inter_positions[0]
-    inter = phases[ip]
-    pre = [(pos, phases[pos]) for pos in range(ip)]
-    post = [(pos, phases[pos]) for pos in range(ip + 1, len(phases))]
-
-    if dag is None:
-        dag = tile_dag_from_waves(
-            None if waves is None else waves.groups(), len(schedule)
-        )
-
-    arrays, left, right = data.arrays, data.left, data.right
-    payloads: List[Optional[np.ndarray]] = [None] * len(schedule)
-    endpoints: List[Optional[tuple]] = [None] * len(schedule)
-
-    def stage_gather(t: int) -> None:
-        tile = schedule[t]
-        for pos, phase in pre:
-            iters = tile[pos]
-            if len(iters):
-                phase.apply(arrays, iters)
-        iters = tile[ip]
-        if len(iters):
-            l, r = left[iters], right[iters]
-            endpoints[t] = (l, r)
-            payloads[t] = inter.gather(arrays, l, r)
-
-    def stage_commit(t: int) -> None:
-        if payloads[t] is not None:
-            l, r = endpoints[t]
-            inter.commit(arrays, l, r, payloads[t])
-            payloads[t] = None
-            endpoints[t] = None
-
-    def stage_post(t: int) -> None:
-        tile = schedule[t]
-        for pos, phase in post:
-            iters = tile[pos]
-            if len(iters):
-                phase.apply(arrays, iters)
-
-    run_dynamic(
-        dag,
-        stage_gather,
-        stage_commit,
-        stage_post,
-        num_threads=num_threads,
-        num_steps=num_steps,
-    )
     return data

@@ -2,7 +2,12 @@
 
 The ROADMAP's serving layer: a thread-safe front door that lets many
 concurrent clients submit bind/inspect requests (plan spec + dataset
-handle) against shared datasets, with
+handle) against shared datasets.  There is **one front end**
+(:mod:`repro.service.core`: preparation, single-flight, admission,
+epochs, deadlines, responses, stats) and **two binders** — where a
+flight binds is the only thing the two services disagree about:
+:class:`PlanService` binds in-thread off a parked queue,
+:class:`FleetService` on supervised worker processes.  Both give
 
 * **single-flight coalescing** — N concurrent identical requests cost
   one inspector run (keyed by the plan cache's content fingerprint);
@@ -11,6 +16,8 @@ handle) against shared datasets, with
   per-request deadlines;
 * **built-in telemetry** — counters (every request accounted), latency
   histograms (p50/p95/p99), and per-stage JSON-line tracing spans.
+
+Beside them:
 
 * **a supervised worker fleet** (:mod:`repro.service.fleet`) — the same
   request surface sharded across N worker *processes* by plan-cache

@@ -1,42 +1,46 @@
 """The sharded, supervised bind fleet (PlanService grown into a fleet).
 
 :class:`~repro.service.server.PlanService` serves binds from one
-process; its failure modes are all-or-nothing.  :class:`FleetService`
-shards the same request surface across N worker *processes* and makes
-worker death a routine, accounted, **invisible** event:
+process; its failure modes are all-or-nothing.  :class:`FleetService` is
+the same front end (:class:`~repro.service.core.ServiceCore` — the
+request pipeline is drawn there) over a different binder: a flight binds
+on one of N worker *processes*, and worker death is a routine,
+accounted, **invisible** event.
 
-Architecture (one request, end to end)::
+The binder (one admitted flight, run by its lead caller)::
 
-    bind ──> route key (plan fingerprint x dataset handle x bind opts)
-      │                         │
-      │   ┌─ identical flight in flight? ── yes: attach (coalesced)
-      │   no                    │
-      │   ▼                    ▼
-      │  admission      consistent-hash ring ──> shard S
-      │  (bounded,              │    (vnodes; each shard's memory LRU
-      │   block/reject)         │     stays hot on its own key range)
-      │                         ▼
-      │        circuit breaker S closed/half-open? ──no──> next shard
-      │                         │yes          (all dark: in-process
-      │                         ▼                  single-flight bind)
-      │            worker process S: PlanCache bind
-      │            (shared DiskStore L2 — a respawned
-      │             worker warm-starts from disk)
-      │                         │
-      │        crash / wedge / timeout?  ──> breaker.record_failure,
-      │                         │            backoff (exponential +
-      │                         │            deterministic jitter),
-      │                         │            retry on surviving shard
-      │                         │            (deadline budget inherited,
-      │                         │             never refreshed)
-      ▼                         ▼
-    wait(deadline) <── digests + report (SHA-256 bit-identity contract)
+    flight key ──> consistent-hash ring ──> shard S
+                        │    (vnodes; each shard's memory LRU
+                        │     stays hot on its own key range)
+                        ▼
+       circuit breaker S closed/half-open? ──no──> next shard
+                        │yes          (all dark: the in-thread
+                        ▼               binder, in this process)
+           worker process S: PlanCache bind
+           (shared DiskStore L2 — a respawned
+            worker warm-starts from disk)
+                        │
+       crash / wedge / timeout?  ──> breaker.record_failure,
+                        │            backoff (exponential +
+                        │            deterministic jitter),
+                        │            retry on surviving shard
+                        │            (deadline budget inherited,
+                        ▼             never refreshed)
+          digests + report (SHA-256 bit-identity contract)
+
+There is no parked queue: the lead caller's thread runs the flight, so
+``queue_depth`` bounds the flights *running* and there is nothing to
+shed.  The flight key names the dataset (``dataset/scale/epoch``)
+instead of hashing it, so the parent never materializes a dataset; each
+shard keeps only the newest epoch, so a read pinned to an older one is
+served from the newest.
 
 The supervisor (:mod:`repro.service.supervisor`) restarts crashed and
 wedged workers under a per-shard restart budget; a shard past its budget
 goes *dark* (breaker latched open) and the ring routes around it.  When
-every shard is dark the fleet degrades to in-process single-flight
-binding — accepted requests are never dropped because the fleet died.
+every shard is dark the flight binds on the same
+:class:`~repro.service.binder.LocalBinder` the single-process service
+uses — accepted requests are never dropped because the fleet died.
 
 Responses carry the same SHA-256 content digests as the single-process
 service: a request recovered across a worker SIGKILL must produce
@@ -60,12 +64,12 @@ from repro.errors import (
     DeadlineExceededError,
     ReproError,
     RetryExhaustedError,
-    ServiceOverloadError,
     ValidationError,
     WorkerCrashError,
 )
+from repro.service.binder import LocalBinder, result_body
 from repro.service.chaos import CacheCorruptor, ChaosPlan
-from repro.service.request import BindRequest, BindResponse, result_digests
+from repro.service.core import ServiceCore, _Flight, counted
 from repro.service.supervisor import (
     CircuitBreaker,
     Supervisor,
@@ -212,52 +216,28 @@ class HashRing:
         return None
 
 
-class _FleetFlight:
-    """One distinct dispatch (1 lead + N coalesced followers)."""
-
-    def __init__(self, key: str, request: BindRequest, submitted_at: float):
-        self.key = key
-        self.request = request
-        self.submitted_at = submitted_at
-        self.event = threading.Event()
-        self.body: Optional[dict] = None
-        self.error: Optional[BaseException] = None
-        self.attempts = 0
-        self.shard: Optional[int] = None
-        self.fallback = False
-        self.bind_ms = 0.0
-        self.kernel = ""  # resolved at routing time
-        self.epoch = 0  # dataset epoch the flight binds against
-
-
-class _Waiter:
-    __slots__ = ("request", "submitted_at", "lead")
-
-    def __init__(self, request: BindRequest, submitted_at: float, lead: bool):
-        self.request = request
-        self.submitted_at = submitted_at
-        self.lead = lead
-
-
-class FleetService:
+class FleetService(ServiceCore):
     """Supervised sharded bind fleet with the ``PlanService`` surface.
 
-    ``bind``/``stats``/``describe``/``preload_handle`` match
-    :class:`~repro.service.server.PlanService`, so the HTTP/stdio front
-    ends, the load generator, and the benchmarks drive either service
-    unchanged.  Use as a context manager::
+    ``bind``/``stats``/``describe``/``preload_handle``/``advance_epoch``
+    match :class:`~repro.service.server.PlanService`, so the HTTP/stdio
+    front ends, the load generator, and the benchmarks drive either
+    service unchanged.  Use as a context manager::
 
         with FleetService(FleetConfig(shards=4, cache_dir=dir)) as fleet:
             response = fleet.bind(BindRequest(spec=spec, dataset="mol1"))
     """
+
+    NAME = "fleet"
 
     def __init__(
         self,
         config: Optional[FleetConfig] = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        self.config = config if config is not None else FleetConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        super().__init__(
+            config if config is not None else FleetConfig(), telemetry
+        )
         self.ring = HashRing(self.config.shards, self.config.virtual_nodes)
         self.breakers = [
             CircuitBreaker(
@@ -284,84 +264,16 @@ class FleetService:
             and self.config.cache_dir
         ):
             self.corruptor = CacheCorruptor(chaos, self.config.cache_dir)
-        self._lock = threading.Lock()
-        self._capacity = threading.Condition(self._lock)
-        self._flights: Dict[str, _FleetFlight] = {}
-        self._active = 0  # admitted (lead) flights currently running
-        self._ids = itertools.count(1)
         self._dispatch_seq = itertools.count(0)  # chaos decision points
-        self._started = False
-        self._draining = False
-        #: Parent-side dataset handles (the in-process fallback path);
-        #: always the epoch-0 base — epochs replay from the chain.
-        self._handles: Dict[Tuple[str, str, int], Tuple[object, str]] = {}
-        #: (kernel, dataset, scale) -> newest published epoch.
-        self._epochs: Dict[Tuple[str, str, int], int] = {}
-        #: (kernel, dataset, scale) -> ordered deltas; ``chain[i]`` maps
-        #: epoch i to epoch i+1.  The single source of truth a respawned
-        #: (epoch-0) worker replays to catch up.
-        self._epoch_chains: Dict[Tuple[str, str, int], List[object]] = {}
-        #: Parent-side memo of the newest materialized epoch (fallback).
-        self._epoch_cache: Dict[Tuple[str, str, int], Tuple[int, object, str]] = {}
-        self._handles_lock = threading.Lock()
-        self._fallback_cache = None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> "FleetService":
-        with self._lock:
-            if self._started:
-                return self
-            self._started = True
-            self._draining = False
-        self.supervisor.start()
-        return self
-
-    def stop(self) -> None:
-        with self._lock:
-            if not self._started:
-                return
-            self._started = False
-            self._capacity.notify_all()
-        self.supervisor.stop()
-
-    def drain(self, deadline_s: Optional[float] = None) -> dict:
-        """Graceful shutdown: stop admitting, finish in-flight, stop.
-
-        New submissions are rejected the moment draining starts; flights
-        already admitted run to completion, bounded by ``deadline_s``
-        (``None``: wait for all of them).  Telemetry is flushed either
-        way.  Returns what happened: flights drained vs still running at
-        the deadline.
-        """
-        with self._lock:
-            self._draining = True
-            self._capacity.notify_all()
-        deadline = (
-            self.telemetry.now() + deadline_s if deadline_s is not None
-            else None
-        )
-        while True:
-            with self._lock:
-                remaining = self._active
-            if remaining == 0:
-                break
-            if deadline is not None and self.telemetry.now() >= deadline:
-                break
-            time.sleep(0.005)
-        with self._lock:
-            abandoned = self._active
-        self.stop()
-        self.telemetry.flush()
-        return {"drained": abandoned == 0, "abandoned_flights": abandoned}
-
-    def __enter__(self) -> "FleetService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        self._local: Optional[LocalBinder] = None  # built on first need
 
     # -- worker spawning -------------------------------------------------------
+
+    def _start_binder(self) -> None:
+        self.supervisor.start()
+
+    def _stop_binder(self, drain: bool) -> None:
+        self.supervisor.stop()
 
     def _start_worker(self, index: int, generation: int):
         ctx = mp_context()
@@ -392,204 +304,64 @@ class FleetService:
     def _breaker_transition(self, old: str, new: str) -> None:
         self.telemetry.counter(f"breaker_{new.replace('-', '_')}").add()
 
-    # -- routing ---------------------------------------------------------------
+    def _broadcast(self, payload: dict) -> List[dict]:
+        """One op to every live shard; the bodies of those that answered
+        ``ok``.  Shards that crash mid-call are skipped — the supervisor
+        respawns them and they catch up lazily."""
+        bodies = []
+        for handle in self.supervisor.handles:
+            message = dict(payload, seq=next(self._dispatch_seq))
+            try:
+                status, body = handle.call(
+                    message, self.config.attempt_timeout_s
+                )
+            except WorkerCrashError:
+                continue
+            if status == "ok":
+                bodies.append(body)
+        return bodies
 
-    def _route_key(self, request: BindRequest) -> Tuple[str, int, int, str]:
-        """(route key, scale, epoch, kernel) — the sharding identity.
+    # -- dispatch: no parked queue, the lead caller runs the flight ------------
 
-        Built from the plan-cache *plan* fingerprint plus the dataset
-        handle, the dataset epoch the request will be served from, and
-        the bind options.  The dataset's own content fingerprint is
+    def _backlog_locked(self) -> int:
+        return self._active
+
+    def _await(self, flight: _Flight, waiter):
+        if waiter.lead:
+            self._execute(flight)
+        return super()._await(flight, waiter)
+
+    def _dataset_identity(self, kernel, request, epoch, chain) -> str:
+        """The handle by *name*.  The dataset's content fingerprint is
         intentionally not materialized here (that would generate the
         dataset in the parent); handles are deterministic and the epoch
         chain is the single mutation log, so name+scale+epoch identifies
-        the content.
-        """
-        from repro.plancache.fingerprint import combine, plan_fingerprint
-        from repro.runtime.planspec import plan_from_spec
+        the content."""
+        return f"dataset={request.dataset};scale={request.scale};epoch={epoch}"
 
-        plan = plan_from_spec(request.spec)
-        scale = request.scale
-        if scale is None:
-            scale = self.config.default_scale
-        if scale is None:
-            from repro.kernels.datasets import DEFAULT_SCALE
+    # -- the binder: ring + breaker + retry + backoff --------------------------
 
-            scale = DEFAULT_SCALE
-        with self._handles_lock:
-            current = self._epochs.get(
-                (plan.kernel.name, request.dataset, int(scale)), 0
-            )
-        serve_epoch = self._epoch_decision(request, current)
-        key = combine(
-            plan_fingerprint(plan),
-            f"dataset={request.dataset}",
-            f"scale={int(scale)}",
-            f"epoch={serve_epoch}",
-            f"num_steps={request.num_steps}",
-            f"verify={request.verify}",
-        )
-        return key, int(scale), serve_epoch, plan.kernel.name
-
-    def _epoch_decision(self, request: BindRequest, current: int) -> int:
-        """The epoch one request is served from (fleet semantics).
-
-        The fleet retains only the newest epoch per shard, so every
-        request — including one pinned to an older epoch — is served
-        from the newest published epoch.  A request *ahead* of it is
-        served stale when the gap fits ``max_staleness`` (the response
-        is marked) and rejected past it; :meth:`advance_epoch` is how
-        epochs move.
-        """
-        requested = request.epoch
-        if requested is None or requested <= current:
-            return current
-        gap = requested - current
-        if gap <= request.max_staleness:
-            return current
-        raise ValidationError(
-            f"requested epoch {requested} is {gap} ahead of the published "
-            f"epoch {current}, past max_staleness={request.max_staleness}",
-            stage="fleet",
-            hint="advance_epoch() publishes new epochs; raise "
-            "max_staleness to accept stale answers",
-        )
-
-    # -- the client surface ----------------------------------------------------
-
-    def bind(self, request: BindRequest) -> BindResponse:
-        """Submit, (maybe) dispatch, and wait — every outcome a response."""
-        telemetry = self.telemetry
-        submitted_at = telemetry.now()
-        try:
-            flight, lead = self._attach(request, submitted_at)
-        except ReproError as exc:
-            telemetry.counter("failed").add()
-            return self._error_response(request, submitted_at, exc, lead=True)
-        waiter = _Waiter(request, submitted_at, lead)
-        if lead:
-            try:
-                self._run_flight(flight)
-            finally:
-                with self._lock:
-                    self._flights.pop(flight.key, None)
-                    self._active -= 1
-                    self._capacity.notify()
-                flight.event.set()
-            return self._respond(flight, waiter)
-        return self._wait(flight, waiter)
-
-    def _attach(
-        self, request: BindRequest, submitted_at: float
-    ) -> Tuple[_FleetFlight, bool]:
-        """Coalesce onto an in-flight dispatch or admit a new one."""
-        if not self._started:
-            raise ServiceOverloadError(
-                "fleet is not running",
-                stage="fleet",
-                hint="use `with FleetService(...) as fleet:` or call start()",
-            )
-        self.telemetry.counter("submitted").add()
-        if not request.request_id:
-            request.request_id = f"f{next(self._ids)}"
-        try:
-            key, scale, serve_epoch, kernel = self._route_key(request)
-        except ReproError:
-            self.telemetry.counter("rejected").add()
-            raise
-        request.scale = scale
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is not None and not flight.event.is_set():
-                self.telemetry.counter("coalesced").add()
-                self.telemetry.emit_span(
-                    "coalesce", request.request_id, 0.0,
-                    flight=flight.request.request_id,
-                )
-                return flight, False
-            self._admit_locked()
-            flight = _FleetFlight(key, request, submitted_at)
-            flight.epoch = serve_epoch
-            flight.kernel = kernel
-            self._flights[key] = flight
-            self._active += 1
-            self.telemetry.counter("accepted").add()
-            return flight, True
-
-    def _admit_locked(self) -> None:
-        config = self.config
-        if self._draining:
-            self.telemetry.counter("rejected").add()
-            raise ServiceOverloadError(
-                "fleet is draining (graceful shutdown in progress)",
-                stage="fleet",
-                hint="resubmit to another instance",
-            )
-        if self._active < config.queue_depth:
-            return
-        if config.overload == "reject":
-            self.telemetry.counter("rejected").add()
-            raise ServiceOverloadError(
-                f"fleet admission full ({config.queue_depth} flights active)",
-                stage="fleet",
-                hint="retry later, raise queue_depth, or use the block "
-                "policy",
-            )
-        deadline = (
-            self.telemetry.now() + config.admission_timeout_s
-            if config.admission_timeout_s is not None
-            else None
-        )
-        while self._active >= config.queue_depth and self._started:
-            if self._draining:
-                break
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - self.telemetry.now()
-                if remaining <= 0:
-                    self.telemetry.counter("rejected").add()
-                    raise ServiceOverloadError(
-                        "fleet admission blocked longer than "
-                        f"{config.admission_timeout_s}s",
-                        stage="fleet",
-                    )
-            self._capacity.wait(timeout=remaining)
-        if not self._started or self._draining:
-            self.telemetry.counter("rejected").add()
-            raise ServiceOverloadError(
-                "fleet is shutting down", stage="fleet"
-            )
-
-    # -- dispatch with retry / backoff / breaker -------------------------------
-
-    def _remaining_budget(self, flight: _FleetFlight) -> Optional[float]:
+    def _remaining_budget(self, flight: _Flight) -> Optional[float]:
         """The lead request's *remaining* deadline budget.
 
         Retries inherit this — a retry never gets a fresh deadline, so a
         request that crashes its way past its deadline fails with one
-        :class:`DeadlineExceededError`, not a late success.
+        :class:`DeadlineExceededError`, not a late success.  A lead that
+        asked for ``on_deadline='degrade'`` has no budget to run out of:
+        its late answer is served and marked, as on the single-process
+        service.
         """
-        deadline_s = flight.request.deadline_s
-        if deadline_s is None:
+        request = flight.request
+        if request.deadline_s is None or request.on_deadline != "raise":
             return None
-        return deadline_s - (self.telemetry.now() - flight.submitted_at)
+        lead = flight.waiters[0]
+        return request.deadline_s - (self.telemetry.now() - lead.submitted_at)
 
-    def _run_flight(self, flight: _FleetFlight) -> None:
-        telemetry = self.telemetry
-        start = telemetry.now()
-        try:
-            body = self._dispatch_with_retries(flight)
-            flight.body = body
-            flight.bind_ms = (telemetry.now() - start) * 1e3
-            telemetry.histogram("bind_ms").observe(flight.bind_ms)
-            telemetry.counter("binds_executed").add()
-        except BaseException as exc:  # noqa: BLE001 - resolved, not leaked
-            flight.error = exc
-            telemetry.counter("bind_failures").add()
-
-    def _dispatch_with_retries(self, flight: _FleetFlight) -> dict:
+    def _bind_flight(self, flight: _Flight) -> dict:
         config = self.config
         request = flight.request
+        tags = flight.tags
+        tags.update(shard=None, attempts=0, fallback=False)
         excluded: Set[int] = set()
         last_error: Optional[BaseException] = None
         attempt = 0
@@ -598,7 +370,7 @@ class FleetService:
             if remaining is not None and remaining <= 0:
                 raise DeadlineExceededError(
                     f"deadline of {request.deadline_s}s expired after "
-                    f"{flight.attempts} dispatch attempt(s) — retries "
+                    f"{attempt} dispatch attempt(s) — retries "
                     "inherit the original budget",
                     stage="fleet",
                 )
@@ -610,8 +382,7 @@ class FleetService:
                     continue
                 return self._fallback_bind(flight)
             attempt += 1
-            flight.attempts = attempt
-            flight.shard = shard
+            tags.update(shard=shard, attempts=attempt)
             sequence = next(self._dispatch_seq)
             if self.corruptor is not None:
                 self.corruptor.maybe_corrupt(sequence)
@@ -628,18 +399,11 @@ class FleetService:
                 "num_steps": request.num_steps,
                 "verify": request.verify,
                 "epoch": flight.epoch,
-            }
-            if flight.epoch:
                 # Carry the delta chain so a respawned (epoch-0) worker
                 # self-heals by replaying what it missed — no catch-up
                 # round trip, no stampede back onto the parent.
-                with self._handles_lock:
-                    payload["chain"] = list(
-                        self._epoch_chains.get(
-                            (flight.kernel, request.dataset, request.scale),
-                            (),
-                        )
-                    )[: flight.epoch]
+                "chain": list(flight.chain),
+            }
             handle = self.supervisor.handles[shard]
             try:
                 with self.telemetry.span(
@@ -664,11 +428,7 @@ class FleetService:
                         config.backoff_cap_s,
                         request.request_id,
                         attempt,
-                        seed=(
-                            self.config.chaos.seed
-                            if self.config.chaos is not None
-                            else 0
-                        ),
+                        seed=config.chaos.seed if config.chaos is not None else 0,
                     )
                     if remaining is not None:
                         delay = min(delay, max(remaining, 0.0))
@@ -683,9 +443,9 @@ class FleetService:
             raise _rebuild_error(body)
         raise RetryExhaustedError(
             f"request {request.request_id} failed on every attempt "
-            f"({flight.attempts} dispatches across the fleet)",
+            f"({attempt} dispatches across the fleet)",
             stage="fleet",
-            attempts=flight.attempts,
+            attempts=attempt,
             last_error=last_error,
             hint="raise max_retries, or check why shards keep dying "
             "(see stats()['shards'])",
@@ -693,353 +453,101 @@ class FleetService:
 
     # -- in-process degradation ------------------------------------------------
 
-    def _resolve_handle(self, kernel: str, dataset: str, scale: int):
-        key = (kernel, dataset, int(scale))
-        with self._handles_lock:
-            cached = self._handles.get(key)
-            if cached is not None:
-                return cached
-            from repro.kernels.data import make_kernel_data
-            from repro.kernels.datasets import generate_dataset
-            from repro.plancache.fingerprint import dataset_fingerprint
+    def _local_binder(self) -> LocalBinder:
+        """The in-thread binder over the shared disk cache (the
+        all-shards-dark path, and the fingerprint of last resort)."""
+        with self._lock:
+            if self._local is None:
+                cache = None
+                if self.config.cache_dir:
+                    from repro.plancache import PlanCache
 
-            data = make_kernel_data(
-                kernel, generate_dataset(dataset, scale=scale)
-            )
-            fingerprint = dataset_fingerprint(data)
-            self._handles[key] = (data, fingerprint)
-            return data, fingerprint
+                    cache = PlanCache(directory=self.config.cache_dir)
+                self._local = LocalBinder(cache, self.telemetry)
+            return self._local
 
-    def _resolve_handle_at(
-        self, kernel: str, dataset: str, scale: int, epoch: int
-    ):
-        """Parent-side dataset at one epoch (the fallback path): the
-        epoch-0 base handle plus a replay of the epoch chain, memoized
-        at the newest epoch materialized so a streaming workload pays
-        one incremental ``delta.apply`` per advance, not a replay."""
-        data, fingerprint = self._resolve_handle(kernel, dataset, scale)
-        if not epoch:
-            return data, fingerprint
-        key = (kernel, dataset, int(scale))
-        with self._handles_lock:
-            cached = self._epoch_cache.get(key)
-            if cached is not None and cached[0] == epoch:
-                return cached[1], cached[2]
-            chain = list(self._epoch_chains.get(key, ()))
-        if len(chain) < epoch:
-            raise ValidationError(
-                f"epoch {epoch} of handle {kernel}:{dataset}@{scale} has "
-                f"no published delta chain (chain length {len(chain)})",
-                stage="fleet",
-            )
-        start = 0
-        if cached is not None and cached[0] < epoch:
-            start, data = cached[0], cached[1]
-        for delta in chain[start:epoch]:
-            data = delta.apply(data)
-        from repro.plancache.fingerprint import dataset_fingerprint
-
-        fingerprint = dataset_fingerprint(data)
-        with self._handles_lock:
-            self._epoch_cache[key] = (epoch, data, fingerprint)
-        return data, fingerprint
-
-    def advance_epoch(self, kernel: str, dataset: str, scale: int, delta) -> int:
-        """Publish the next dataset epoch and fan the invalidation out
-        to every live shard; returns the new epoch.
-
-        The parent appends the delta to the handle's epoch chain under
-        the handles lock — ``preload_handle``-style single-flight, so
-        concurrent advances serialize into one ledger instead of
-        stampeding — then pushes a catch-up op to each shard.  Shards
-        that crash during the fan-out are skipped: every epoch'd bind
-        dispatch carries the chain, so a respawned worker replays the
-        deltas it missed lazily rather than hammering the parent.
-        """
-        scale = int(scale)
-        handle_key = (kernel, dataset, scale)
-        with self._handles_lock:
-            chain = self._epoch_chains.setdefault(handle_key, [])
-            chain.append(delta)
-            new_epoch = self._epochs.get(handle_key, 0) + 1
-            self._epochs[handle_key] = new_epoch
-            chain_copy = list(chain)
-        self.telemetry.counter("epochs_advanced").add()
-        payload = {
-            "op": "epoch",
-            "kernel": kernel,
-            "dataset": dataset,
-            "scale": scale,
-            "epoch": new_epoch,
-            "chain": chain_copy,
-        }
-        for handle in self.supervisor.handles:
-            message = dict(payload, seq=next(self._dispatch_seq))
-            try:
-                handle.call(message, self.config.attempt_timeout_s)
-            except WorkerCrashError:
-                continue
-        return new_epoch
-
-    def current_epoch(self, kernel: str, dataset: str, scale: int) -> int:
-        """The newest published epoch for one handle (0: never advanced)."""
-        with self._handles_lock:
-            return self._epochs.get((kernel, dataset, int(scale)), 0)
-
-    def _fallback_bind(self, flight: _FleetFlight) -> dict:
-        """Every shard dark: bind in-process (single-flight via the
-        flight itself) so accepted requests survive total fleet loss."""
+    def _fallback_bind(self, flight: _Flight) -> dict:
+        """Every shard dark: swap binders — the flight binds in this
+        process (single-flight via the flight itself) so accepted
+        requests survive total fleet loss."""
         if self.config.fallback != "inprocess":
             raise RetryExhaustedError(
                 "every shard is dark and in-process fallback is disabled",
                 stage="fleet",
-                attempts=flight.attempts,
+                attempts=flight.tags["attempts"],
             )
         self.telemetry.counter("fallback_binds").add()
-        flight.fallback = True
-        from repro.runtime.planspec import plan_from_spec
+        flight.tags.update(shard=None, fallback=True)
+        return self._local_binder().bind(flight)
 
-        request = flight.request
-        plan = plan_from_spec(request.spec)
-        data, _ = self._resolve_handle_at(
-            plan.kernel.name, request.dataset, request.scale, flight.epoch
-        )
-        if self._fallback_cache is None and self.config.cache_dir:
-            from repro.plancache import PlanCache
+    # -- epochs / warmup -------------------------------------------------------
 
-            self._fallback_cache = PlanCache(directory=self.config.cache_dir)
-        start = self.telemetry.now()
-        result = plan.bind(
-            data,
-            num_steps=request.num_steps,
-            verify=request.verify,
-            cache=self._fallback_cache,
-        )
-        report = result.report
-        return {
-            "fingerprints": result_digests(result),
-            "cache": report.cache if report is not None else None,
-            "overhead": dict(result.overhead),
-            "data_moves": result.data_moves,
-            "report": report.to_dict() if report is not None else None,
-            "bind_ms": (self.telemetry.now() - start) * 1e3,
-            "shard": None,
-            "fallback": True,
-            "epoch": flight.epoch,
-        }
-
-    # -- responses -------------------------------------------------------------
-
-    def _wait(self, flight: _FleetFlight, waiter: _Waiter) -> BindResponse:
-        request = waiter.request
-        if request.deadline_s is not None and request.on_deadline == "raise":
-            remaining = request.deadline_s - (
-                self.telemetry.now() - waiter.submitted_at
-            )
-            if not flight.event.wait(timeout=max(0.0, remaining)):
-                self.telemetry.counter("deadline_raised").add()
-                self.telemetry.counter("failed").add()
-                return self._error_response(
-                    request,
-                    waiter.submitted_at,
-                    DeadlineExceededError(
-                        f"deadline of {request.deadline_s}s expired before "
-                        "the coalesced flight resolved",
-                        stage="fleet",
-                    ),
-                    lead=False,
-                )
-        else:
-            flight.event.wait()
-        return self._respond(flight, waiter)
-
-    def _respond(self, flight: _FleetFlight, waiter: _Waiter) -> BindResponse:
-        telemetry = self.telemetry
-        request = waiter.request
-        elapsed = telemetry.now() - waiter.submitted_at
-        if flight.error is not None:
-            telemetry.counter("failed").add()
-            if isinstance(flight.error, DeadlineExceededError):
-                telemetry.counter("deadline_raised").add()
-            return self._error_response(
-                request, waiter.submitted_at, flight.error, waiter.lead
-            )
-        deadline_missed = False
-        if request.deadline_s is not None and elapsed > request.deadline_s:
-            if request.on_deadline == "raise":
-                telemetry.counter("deadline_raised").add()
-                telemetry.counter("failed").add()
-                return self._error_response(
-                    request,
-                    waiter.submitted_at,
-                    DeadlineExceededError(
-                        f"deadline of {request.deadline_s}s expired while "
-                        "the flight was being served",
-                        stage="fleet",
-                    ),
-                    waiter.lead,
-                )
-            deadline_missed = True
-            telemetry.counter("deadline_degraded").add()
-        body = flight.body
-        total_ms = elapsed * 1e3
-        stale = request.epoch is not None and request.epoch > flight.epoch
-        if stale:
-            telemetry.counter("stale_served").add()
-        telemetry.histogram("total_ms").observe(total_ms)
-        telemetry.counter("completed").add()
-        telemetry.emit_span(
-            "respond", request.request_id, total_ms,
-            coalesced=not waiter.lead, shard=flight.shard,
-            attempts=flight.attempts, fallback=flight.fallback,
-        )
-        return BindResponse(
-            request_id=request.request_id,
-            status="ok",
-            coalesced=not waiter.lead,
-            cache=body.get("cache"),
-            fingerprints=dict(body.get("fingerprints", {})),
-            overhead=dict(body.get("overhead", {})),
-            data_moves=body.get("data_moves", 0),
-            report=body.get("report"),
-            timing={
-                "bind_ms": body.get("bind_ms", 0.0) if waiter.lead else 0.0,
-                "total_ms": total_ms,
-            },
-            deadline_missed=deadline_missed,
-            epoch=body.get("epoch", flight.epoch),
-            stale=stale,
-        )
-
-    def _error_response(
-        self,
-        request: BindRequest,
-        submitted_at: float,
-        error: BaseException,
-        lead: bool,
-    ) -> BindResponse:
-        total_ms = (self.telemetry.now() - submitted_at) * 1e3
-        return BindResponse(
-            request_id=request.request_id,
-            status="error",
-            coalesced=not lead,
-            timing={"total_ms": total_ms},
-            error={
-                "type": type(error).__name__,
-                "message": str(error),
-                "shed": bool(getattr(error, "shed", False)),
-                "attempts": int(getattr(error, "attempts", 0) or 0),
-            },
-        )
-
-    # -- warmup ----------------------------------------------------------------
+    def _epoch_advanced(self, handle, chain) -> None:
+        """Fan the invalidation out: push a catch-up op to every live
+        shard.  A shard that misses it is not behind for long — every
+        epoch'd bind dispatch carries the chain, so a respawned worker
+        replays the deltas it missed lazily rather than hammering the
+        parent."""
+        kernel, dataset, scale = handle
+        self._broadcast({
+            "op": "epoch",
+            "kernel": kernel,
+            "dataset": dataset,
+            "scale": scale,
+            "epoch": len(chain),
+            "chain": list(chain),
+        })
 
     def preload_handle(self, kernel: str, dataset: str, scale: int) -> str:
-        """Materialize one dataset handle on every live shard (and note
-        the fingerprint).  Shards that crash during preload are skipped —
-        the supervisor respawns them and they warm lazily."""
-        fingerprint = ""
-        payload = {
+        """Materialize one dataset handle on every live shard; returns
+        its content fingerprint (from this process when no shard
+        answered)."""
+        bodies = self._broadcast({
             "op": "preload",
             "kernel": kernel,
             "dataset": dataset,
             "scale": int(scale),
-        }
-        for handle in self.supervisor.handles:
-            message = dict(payload, seq=next(self._dispatch_seq))
-            try:
-                status, body = handle.call(
-                    message, self.config.attempt_timeout_s
-                )
-            except WorkerCrashError:
-                continue
-            if status == "ok":
-                fingerprint = body.get("fingerprint", fingerprint)
-        if not fingerprint:
-            _, fingerprint = self._resolve_handle(kernel, dataset, int(scale))
-        return fingerprint
+        })
+        if bodies:
+            return bodies[-1]["fingerprint"]
+        return self._local_binder().resolve(kernel, dataset, int(scale))[1]
 
     # -- stats -----------------------------------------------------------------
 
-    def health(self) -> dict:
+    def _binder_health(self) -> dict:
         shards = self.supervisor.stats()
-        alive = sum(1 for s in shards if s["alive"])
-        dark = sum(1 for s in shards if s["dark"])
         return {
-            "ok": self._started and not self._draining,
-            "draining": self._draining,
             "shards": len(shards),
-            "alive": alive,
-            "dark": dark,
+            "alive": sum(1 for s in shards if s["alive"]),
+            "dark": sum(1 for s in shards if s["dark"]),
         }
 
-    def stats(self) -> dict:
-        snap = self.telemetry.snapshot()
-        counters = snap["counters"]
-        submitted = counters.get("submitted", 0)
-        accounted = (
-            counters.get("accepted", 0)
-            + counters.get("coalesced", 0)
-            + counters.get("rejected", 0)
-            + counters.get("shed", 0)
-        )
+    def _binder_config(self) -> dict:
+        config = self.config
+        return {
+            "shards": config.shards,
+            "max_retries": config.max_retries,
+            "failure_threshold": config.failure_threshold,
+            "restart_budget": config.restart_budget,
+            "cache_dir": config.cache_dir,
+            "chaos": config.chaos.to_dict() if config.chaos is not None else None,
+        }
+
+    def _binder_stats(self) -> dict:
         shards = self.supervisor.stats()
         for entry, breaker in zip(shards, self.breakers):
             entry["breaker"] = breaker.state
             entry["consecutive_failures"] = breaker.consecutive_failures
-        with self._lock:
-            active = self._active
-        return {
-            "config": {
-                "shards": self.config.shards,
-                "queue_depth": self.config.queue_depth,
-                "overload": self.config.overload,
-                "max_retries": self.config.max_retries,
-                "failure_threshold": self.config.failure_threshold,
-                "restart_budget": self.config.restart_budget,
-                "cache_dir": self.config.cache_dir,
-                "chaos": (
-                    self.config.chaos.to_dict()
-                    if self.config.chaos is not None
-                    else None
-                ),
-            },
-            "queue_len": active,
-            "inflight": active,
-            "shards": shards,
-            "counters": counters,
-            "histograms": snap["histograms"],
-            "accounting_ok": submitted == accounted,
-        }
+        return {"shards": shards}
 
-    def describe(self) -> str:
-        stats = self.stats()
+    def _binder_describe(self, stats: dict) -> List[str]:
         counters = stats["counters"]
         lines = [
-            "fleet stats:",
-            f"  shards: {stats['config']['shards']}  "
-            f"active flights: {stats['queue_len']}/"
-            f"{stats['config']['queue_depth']} "
-            f"({stats['config']['overload']})",
-            "  requests: "
-            + "  ".join(
-                f"{name}={counters.get(name, 0)}"
-                for name in (
-                    "submitted", "accepted", "coalesced", "rejected",
-                    "shed", "completed", "failed",
-                )
-            ),
             "  resilience: "
-            + "  ".join(
-                f"{name}={counters.get(name, 0)}"
-                for name in (
-                    "retries", "worker_crashes", "worker_restarts",
-                    "workers_wedged", "fallback_binds", "shards_dark",
-                )
-            ),
-            "  accounting invariant "
-            "(accepted+coalesced+rejected+shed == submitted): "
-            + ("ok" if stats["accounting_ok"] else "VIOLATED"),
+            + counted(
+                counters, "retries", "worker_crashes", "worker_restarts",
+                "workers_wedged", "fallback_binds", "shards_dark",
+            )
         ]
         for shard in stats["shards"]:
             lines.append(
@@ -1050,7 +558,7 @@ class FleetService:
                 f"restarts={shard['restarts']}  served={shard['served']}  "
                 f"breaker={shard['breaker']}"
             )
-        return "\n".join(lines)
+        return lines
 
 
 def _rebuild_error(body: dict) -> ReproError:
@@ -1132,8 +640,6 @@ def _fleet_worker_main(index, generation, conn, heartbeat, options):
             return data
         chain = chain if chain is not None else []
         if len(chain) < epoch:
-            from repro.errors import ValidationError
-
             raise ValidationError(
                 f"epoch {epoch} requested but the dispatch carried only "
                 f"{len(chain)} delta(s)",
@@ -1192,24 +698,15 @@ def _fleet_worker_main(index, generation, conn, heartbeat, options):
                     verify=message["verify"],
                     cache=cache,
                 )
-                report = result.report
                 reply = (
                     "ok",
-                    {
-                        "fingerprints": result_digests(result),
-                        "cache": (
-                            report.cache if report is not None else None
-                        ),
-                        "overhead": dict(result.overhead),
-                        "data_moves": result.data_moves,
-                        "report": (
-                            report.to_dict() if report is not None else None
-                        ),
-                        "bind_ms": (time.monotonic() - start) * 1e3,
-                        "shard": index,
-                        "generation": generation,
-                        "epoch": message.get("epoch", 0),
-                    },
+                    result_body(
+                        result,
+                        (time.monotonic() - start) * 1e3,
+                        shard=index,
+                        generation=generation,
+                        epoch=message.get("epoch", 0),
+                    ),
                 )
             else:
                 reply = (

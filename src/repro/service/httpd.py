@@ -7,7 +7,8 @@ A thin :mod:`http.server` layer — no framework, no dependency — exposing
   code per :data:`~repro.service.protocol.HTTP_STATUS_BY_ERROR`);
 * ``GET  /stats``   the service's telemetry snapshot (counters,
   histograms, queue depth, accounting invariant);
-* ``GET  /healthz`` liveness (``{"ok": true}``).
+* ``GET  /healthz`` liveness (``{"ok": true, "draining": false, ...}``;
+  503 once the service is draining or stopped).
 
 The server is a ``ThreadingHTTPServer``: each connection gets a handler
 thread that calls ``service.bind`` — so HTTP concurrency maps directly
@@ -25,14 +26,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.service.protocol import (
     decode_request,
-    encode_response,
     error_response,
     http_status_for,
 )
-from repro.service.server import PlanService
+from repro.service.request import BindResponse
+from repro.service.core import ServiceCore
 
 #: Default localhost endpoint for ``repro serve``.
 DEFAULT_HOST = "127.0.0.1"
@@ -49,7 +50,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     @property
-    def service(self) -> PlanService:
+    def service(self) -> ServiceCore:
         return self.server.service  # type: ignore[attr-defined]
 
     def _reply(self, status: int, payload: dict) -> None:
@@ -60,14 +61,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _reply_response(self, response: BindResponse) -> None:
+        self._reply(http_status_for(response), response.to_dict())
+
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/healthz":
-            # Fleet services report shard liveness; a draining or
-            # stopped fleet answers 503 so load balancers stop routing
-            # to it while in-flight requests finish.
-            health_fn = getattr(self.service, "health", None)
-            health = health_fn() if callable(health_fn) else {"ok": True}
-            self._reply(200 if health.get("ok", False) else 503, health)
+            health = self.service.health()
+            self._reply(200 if health["ok"] else 503, health)
         elif self.path == "/stats":
             self._reply(200, self.service.stats())
         else:
@@ -79,7 +79,23 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": {"type": "NotFound",
                                         "message": self.path}})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative length would reach ``rfile.read(-1)`` and pin
+            # this handler thread until the client hangs up.
+            self._reply_response(
+                error_response(
+                    ValidationError(
+                        "Content-Length must be a non-negative integer, got "
+                        f"{self.headers.get('Content-Length')!r}",
+                        stage="service",
+                    )
+                )
+            )
+            return
         if length > MAX_BODY_BYTES:
             self._reply(413, {"error": {"type": "ValidationError",
                                         "message": "request body too large"}})
@@ -88,19 +104,14 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = decode_request(body)
         except ReproError as exc:
-            response = error_response(exc)
-            self._reply(
-                http_status_for(response), json.loads(encode_response(response))
-            )
+            self._reply_response(error_response(exc))
             return
-        response = self.service.bind(request)
-        self._reply(
-            http_status_for(response), json.loads(encode_response(response))
-        )
+        self._reply_response(self.service.bind(request))
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`PlanService`."""
+    """A threading HTTP server bound to one bind service (either one:
+    both are a :class:`~repro.service.core.ServiceCore`)."""
 
     daemon_threads = True
     #: The socketserver default backlog (5) drops simultaneous connects
@@ -109,13 +120,13 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     #: smoke gate's 50-way burst with headroom.
     request_queue_size = 128
 
-    def __init__(self, address: Tuple[str, int], service: PlanService):
+    def __init__(self, address: Tuple[str, int], service: ServiceCore):
         super().__init__(address, _Handler)
         self.service = service
 
 
 def serve_http(
-    service: PlanService,
+    service: ServiceCore,
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     background: bool = False,

@@ -1,7 +1,8 @@
 """Closed-loop load generator for the bind service.
 
-Drives a :class:`~repro.service.server.PlanService` the way a fleet of
-clients would: ``clients`` threads each submit one request, wait for its
+Drives a bind service (either one — both are a
+:class:`~repro.service.core.ServiceCore`) the way a fleet of clients
+would: ``clients`` threads each submit one request, wait for its
 response, and immediately submit the next (closed loop — the outstanding
 request count is bounded by the client count, so the generator measures
 the service's latency under a fixed concurrency, not an unbounded
@@ -20,8 +21,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
+from repro.service.core import ServiceCore
 from repro.service.request import BindRequest, BindResponse
-from repro.service.server import PlanService
 from repro.service.telemetry import Histogram
 
 
@@ -47,7 +48,7 @@ def duplicate_heavy_requests(
 
 
 def run_load(
-    service: PlanService,
+    service: ServiceCore,
     requests: List[BindRequest],
     clients: int = 8,
 ) -> dict:

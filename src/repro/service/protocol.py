@@ -12,7 +12,7 @@ Every failure is a *typed* error object, never a traceback::
 
     {"status": "error",
      "error": {"type": "ServiceOverloadError", "message": "...",
-               "shed": false}}
+               "shed": false, "attempts": 0}}
 
 and the HTTP layer maps the types onto status codes
 (:data:`HTTP_STATUS_BY_ERROR`): overload -> 503, deadline -> 504,
@@ -25,8 +25,8 @@ import json
 from typing import Optional
 
 from repro.errors import ReproError, ValidationError
-from repro.service.request import BindRequest, BindResponse
-from repro.service.server import PlanService
+from repro.service.core import ServiceCore
+from repro.service.request import BindRequest, BindResponse, error_body
 
 #: Typed-error name -> HTTP status code.
 HTTP_STATUS_BY_ERROR = {
@@ -74,15 +74,11 @@ def error_response(exc: BaseException, request_id: str = "") -> BindResponse:
     return BindResponse(
         request_id=request_id,
         status="error",
-        error={
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "shed": bool(getattr(exc, "shed", False)),
-        },
+        error=error_body(exc),
     )
 
 
-def handle_line(service: PlanService, line: str) -> Optional[str]:
+def handle_line(service: ServiceCore, line: str) -> Optional[str]:
     """Serve one stdio line; ``None`` for blank lines."""
     line = line.strip()
     if not line:
@@ -95,7 +91,7 @@ def handle_line(service: PlanService, line: str) -> Optional[str]:
     return encode_response(response)
 
 
-def serve_stdio(service: PlanService, stdin, stdout) -> int:
+def serve_stdio(service: ServiceCore, stdin, stdout) -> int:
     """Closed loop over stdin/stdout until EOF; returns requests served."""
     served = 0
     for line in stdin:

@@ -187,7 +187,7 @@ class BindResponse:
     #: under its ``max_staleness`` tolerance (mirrors
     #: ``deadline_missed`` for the degrade-to-stale mode).
     stale: bool = False
-    error: Optional[dict] = None  # {"type": ..., "message": ...}
+    error: Optional[dict] = None  # see :func:`error_body`
 
     def to_dict(self) -> dict:
         return {
@@ -225,6 +225,19 @@ class BindResponse:
         )
 
 
+def error_body(error: BaseException) -> dict:
+    """The wire form of one typed error (``BindResponse.error``):
+    ``shed`` marks a request dropped by the shed-oldest policy,
+    ``attempts`` the dispatches a fleet spent before giving up (0 where
+    nothing was retried)."""
+    return {
+        "type": type(error).__name__,
+        "message": str(error),
+        "shed": bool(getattr(error, "shed", False)),
+        "attempts": int(getattr(error, "attempts", 0) or 0),
+    }
+
+
 def result_digests(result) -> Dict[str, str]:
     """Content digests of everything a bind's executor state comprises.
 
@@ -250,5 +263,6 @@ __all__ = [
     "BindRequest",
     "BindResponse",
     "DEADLINE_POLICIES",
+    "error_body",
     "result_digests",
 ]

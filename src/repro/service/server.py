@@ -1,83 +1,58 @@
-"""The concurrent inspector-compilation service (the front door).
+"""The single-process bind service (the front door).
 
 :class:`PlanService` turns the batch pipeline into a system that takes
 traffic: many concurrent clients submit :class:`BindRequest`s (plan spec
 + dataset handle) and receive :class:`BindResponse`s, with the inspector
 work shared, bounded, and observable.
 
-Architecture (one request, end to end)::
+It is the shared front end (:class:`~repro.service.core.ServiceCore` —
+preparation, single-flight coalescing, admission control, the epoch
+ledger, deadlines, responses, stats; the request pipeline is drawn
+there) plus what only a service that *parks* flights has:
 
-    submit ──> parse spec ──> resolve dataset handle ──> fingerprint
-        │                                                    │
-        │            ┌── identical flight in-flight? ────────┤
-        │            │yes: attach (coalesced — single-flight)│no
-        │            ▼                                       ▼
-        │         waiters                        admission control
-        │            │                      (bounded queue; block /
-        │            │                       reject / shed-oldest)
-        │            │                                       │
-        │            └───────────┬───────────────────────────┘
-        │                        ▼
-        │              worker threads dequeue ──> CompositionPlan.bind
-        │              (optionally on the PR-4-style process pool)
-        ▼                        │
-    wait(deadline) <── flight resolves: result + content digests
+* **a bounded queue and worker threads.**  An admitted flight waits on
+  the queue until one of ``workers`` threads dequeues it; ``queue_depth``
+  bounds the parked flights, not the running ones.  NumPy releases the
+  GIL across the hot gathers, so in-thread binds overlap.
+* **shed-oldest.**  With flights parked there is something to shed: the
+  policy drops the oldest *queued* flight to admit the new one (its
+  waiters get the typed error with ``shed=True``).
+* **tickets.**  :meth:`PlanService.submit` returns before the bind runs;
+  :meth:`PlanService.wait` redeems the :class:`Ticket`, and
+  :meth:`PlanService.bind_result` hands in-process callers the live
+  :class:`~repro.runtime.inspector.InspectorResult`.
 
-* **Single-flight coalescing.**  Requests are keyed by the plan cache's
-  content fingerprint (plan x dataset x bind options).  N concurrent
-  identical binds cost **one** inspector run; followers attach to the
-  in-flight entry and receive the same
-  :class:`~repro.runtime.inspector.InspectorResult` — bit-identity is
-  structural, not re-verified per follower.
-* **Admission control.**  The flight queue is bounded.  ``block`` makes
-  submitters wait (optionally up to ``admission_timeout_s``); ``reject``
-  raises a typed :class:`~repro.errors.ServiceOverloadError`;
-  ``shed-oldest`` drops the oldest *queued* flight to admit the new one
-  (its waiters get the typed error with ``shed=True``).
-* **Deadlines.**  Per-request, relative to submission, applied by the
-  waiter: ``on_deadline='raise'`` stops waiting at the deadline and
-  returns a typed :class:`~repro.errors.DeadlineExceededError`;
-  ``'degrade'`` mirrors the stage-failure degradation policies — the
-  late result is served, marked ``deadline_missed``, and counted.
-* **Telemetry.**  Every request is accounted: the admission counters
-  satisfy ``accepted + coalesced + rejected + shed == submitted``
-  (shed waiters are *re-classified* from their admission bucket when
-  dropped, so the invariant is exact at every instant the lock is not
-  held).  Latency histograms (``queue_ms``/``bind_ms``/``total_ms``)
-  and per-stage spans complete the picture.
-
-Executors: ``"threads"`` binds in the worker thread (NumPy releases the
-GIL across the hot gathers); ``"processes"`` dispatches distinct flights
-onto a ``ProcessPoolExecutor`` — the same pool machinery, degradation
-policy, and per-worker plan-cache reuse as the PR-4 parallel grid runner
-(:mod:`repro.eval.parallel`) — and falls back to in-thread execution on
-any pool-level failure rather than failing requests.
+Flights bind in-thread (:class:`~repro.service.binder.LocalBinder`)
+against the service's :class:`~repro.plancache.PlanCache`, keyed by the
+dataset's *content* fingerprint; every published epoch stays
+materialized, so reads pinned to an older epoch are exact.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import (
     DeadlineExceededError,
-    ReproError,
     ServiceOverloadError,
     ValidationError,
 )
+from repro.service.binder import LocalBinder
+from repro.service.core import ServiceCore, _Flight, _Waiter
 from repro.service.request import BindRequest, BindResponse, result_digests
 from repro.service.telemetry import Telemetry
 
 #: Recognized backpressure policies for a full admission queue.
 OVERLOAD_POLICIES = ("block", "reject", "shed-oldest")
 
-#: Recognized flight executors.
-EXECUTORS = ("threads", "processes")
+#: Where flights run.  One value: the process-pool executor was removed
+#: (``repro serve --shards N`` supersedes it), and the field survives
+#: only because the frozen ``benchmarks/e2e/workloads.py`` passes
+#: ``executor="threads"`` — drop both with the next benchmark PR.
+EXECUTORS = ("threads",)
 
 
 @dataclass
@@ -119,43 +94,6 @@ class ServiceConfig:
             )
 
 
-class _Waiter:
-    """One submitted request attached to a flight."""
-
-    __slots__ = ("request", "submitted_at", "lead", "epoch", "stale")
-
-    def __init__(self, request: BindRequest, submitted_at: float, lead: bool):
-        self.request = request
-        self.submitted_at = submitted_at
-        self.lead = lead  # admitted the flight (False: coalesced follower)
-        self.epoch = 0  # dataset epoch this waiter is served from
-        self.stale = False  # served behind the epoch it asked for
-
-
-class _Flight:
-    """One distinct unit of inspector work (1..N waiters)."""
-
-    QUEUED, RUNNING, DONE, SHED = "queued", "running", "done", "shed"
-
-    def __init__(self, key: str, request: BindRequest, enqueued_at: float):
-        self.key = key
-        self.spec = request.spec
-        self.dataset = request.dataset
-        self.scale = request.scale
-        self.num_steps = request.num_steps
-        self.verify = request.verify
-        self.epoch = 0  # dataset epoch the flight binds against
-        self.state = _Flight.QUEUED
-        self.waiters: List[_Waiter] = []
-        self.event = threading.Event()
-        self.enqueued_at = enqueued_at
-        self.started_at: Optional[float] = None
-        self.bind_s: float = 0.0
-        self.result = None
-        self.digests: Dict[str, str] = {}
-        self.error: Optional[BaseException] = None
-
-
 @dataclass
 class Ticket:
     """Handle returned by :meth:`PlanService.submit`; redeem via ``wait``."""
@@ -168,7 +106,7 @@ class Ticket:
         self.request = self.waiter.request
 
 
-class PlanService:
+class PlanService(ServiceCore):
     """Thread-safe, queue-based plan-compilation and inspection service.
 
     Use as a context manager (workers start on entry, drain on exit), or
@@ -178,48 +116,54 @@ class PlanService:
             response = svc.bind(BindRequest(spec=spec, dataset="mol1"))
     """
 
+    PINNED_READS = True
+
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         cache=None,
         telemetry: Optional[Telemetry] = None,
     ):
-        self.config = config if config is not None else ServiceConfig()
+        config = config if config is not None else ServiceConfig()
+        super().__init__(config, telemetry, coalesce=config.coalesce)
         self.cache = cache
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
+        self._local = LocalBinder(cache, self.telemetry)
         self._work_ready = threading.Condition(self._lock)
         self._queue: "deque[_Flight]" = deque()
-        self._inflight: Dict[str, _Flight] = {}
         self._threads: List[threading.Thread] = []
-        self._stopping = False
-        self._started = False
-        self._draining = False
-        self._ids = itertools.count(1)
-        #: (kernel, dataset, scale, epoch) -> (KernelData, fingerprint).
-        #: Epoch 0 is the generated dataset; higher epochs are published
-        #: by :meth:`advance_epoch` and retained for pinned reads.
-        self._handles: Dict[Tuple[str, str, int, int], Tuple[object, str]] = {}
-        #: (kernel, dataset, scale) -> newest published epoch.
-        self._epochs: Dict[Tuple[str, str, int], int] = {}
-        #: (kernel, dataset, scale, epoch) -> (parent data, delta): the
-        #: provenance an epoch'd flight needs to take the incremental
-        #: delta-bind path instead of a cold inspector run.
-        self._epoch_meta: Dict[Tuple[str, str, int, int], Tuple[object, object]] = {}
-        self._handles_lock = threading.Lock()
-        self._pool = None
-        self._pool_broken = False
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- the binder: in-thread, against the service's cache --------------------
 
-    def start(self) -> "PlanService":
-        with self._lock:
-            if self._started:
-                return self
-            self._started = True
-            self._stopping = False
-            self._draining = False
+    def _bind_flight(self, flight: _Flight) -> dict:
+        return self._local.bind(flight)
+
+    def _dataset_identity(self, kernel, request, epoch, chain) -> str:
+        """Content fingerprint: two handles with equal bytes coalesce."""
+        _, fingerprint = self._local.resolve(
+            kernel, request.dataset, request.scale, epoch, chain
+        )
+        return fingerprint
+
+    def _epoch_advancing(self, handle, chain) -> None:
+        """Materialize the new epoch before it is published — under the
+        binder's lock, the same single-flight discipline as
+        :meth:`preload_handle` — so a delta that does not apply raises
+        here and publishes nothing, and the parent epoch stays retained
+        for pinned reads and the delta-bind path."""
+        self._local.resolve(*handle, len(chain), chain)
+
+    def preload_handle(self, kernel: str, dataset: str, scale: int) -> str:
+        """Materialize one dataset handle ahead of traffic; returns its
+        content fingerprint.  Servers call this at startup so the first
+        real request doesn't pay dataset generation (``repro serve``
+        does, and the benchmarks preload so they measure steady-state
+        serving rather than one cold materialization per mode)."""
+        _, fingerprint = self._local.resolve(kernel, dataset, int(scale))
+        return fingerprint
+
+    # -- the parked queue and its workers --------------------------------------
+
+    def _start_binder(self) -> None:
         for index in range(self.config.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -228,491 +172,80 @@ class PlanService:
             )
             thread.start()
             self._threads.append(thread)
-        return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the workers; queued flights are shed unless ``drain``."""
+    def _stop_binder(self, drain: bool) -> None:
+        """Join the workers; queued flights are shed unless ``drain``."""
         with self._lock:
-            if not self._started:
-                return
             if not drain:
                 while self._queue:
-                    self._shed_locked(self._queue.popleft())
-            self._stopping = True
+                    self._shed_oldest_locked()
             self._work_ready.notify_all()
-            self._not_full.notify_all()
         for thread in self._threads:
             thread.join()
         self._threads = []
         with self._lock:
             # Anything a worker never picked up (stop raced submit).
             while self._queue:
-                self._shed_locked(self._queue.popleft())
-            self._started = False
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
+                self._shed_oldest_locked()
 
-    def drain(self, deadline_s: Optional[float] = None) -> dict:
-        """Graceful shutdown: stop admitting, finish in-flight, stop.
+    def _backlog_locked(self) -> int:
+        return len(self._queue)
 
-        The moment draining starts new submissions are rejected (so the
-        accounting invariant still holds for late arrivals); flights
-        already queued or running are given ``deadline_s`` seconds to
-        finish (``None``: wait for all of them), anything still pending
-        at the deadline is shed with exact accounting, and telemetry is
-        flushed either way.  Returns ``{"drained": bool,
-        "abandoned_flights": int}`` so callers (the ``repro serve``
-        signal handler) can report what the shutdown left behind.
-        """
-        with self._lock:
-            if not self._started:
-                return {"drained": True, "abandoned_flights": 0}
-            self._draining = True
-            self._not_full.notify_all()
-        deadline = (
-            self.telemetry.now() + deadline_s if deadline_s is not None
-            else None
+    def _admitted_locked(self, flight: _Flight) -> None:
+        self._queue.append(flight)
+        self.telemetry.emit_span(
+            "enqueue", flight.request.request_id, 0.0,
+            queue_len=len(self._queue),
         )
-        while True:
-            with self._lock:
-                pending = len(self._queue) + len(self._inflight)
-            if pending == 0:
-                break
-            if deadline is not None and self.telemetry.now() >= deadline:
-                break
-            time.sleep(0.005)
-        with self._lock:
-            abandoned = len(self._queue) + len(self._inflight)
-        self.stop(drain=abandoned == 0)
-        self.telemetry.flush()
-        return {"drained": abandoned == 0, "abandoned_flights": abandoned}
+        self._work_ready.notify()
 
-    def __enter__(self) -> "PlanService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    # -- dataset handles -------------------------------------------------------
-
-    def _resolve_handle(
-        self, kernel: str, dataset: str, scale: int, epoch: int = 0
-    ):
-        """Shared, memoized (dataset, fingerprint) for one handle epoch.
-
-        Binds never mutate their input (``ComposedInspector`` copies it),
-        so one :class:`~repro.kernels.data.KernelData` instance safely
-        serves every concurrent flight over the same handle — and its
-        content fingerprint is hashed once, not per request.
-
-        Resolution is single-flighted like binds are: generating a cold
-        dataset while holding ``_handles_lock`` makes concurrent callers
-        wait for the one materialization instead of each redundantly
-        regenerating it (a thundering herd of N identical generations is
-        N times the work and, under the GIL, far more than N times the
-        wall clock).  Distinct handles briefly serialize on a cold start
-        — resolution is rare and memoized, so that is the cheap side of
-        the trade.
-        """
-        with self._handles_lock:
-            return self._resolve_handle_locked(
-                kernel, dataset, int(scale), int(epoch)
-            )
-
-    def _resolve_handle_locked(
-        self, kernel: str, dataset: str, scale: int, epoch: int
-    ):
-        key = (kernel, dataset, scale, epoch)
-        cached = self._handles.get(key)
-        if cached is not None:
-            return cached
-        if epoch != 0:
-            raise ValidationError(
-                f"epoch {epoch} of handle {kernel}:{dataset}@{scale} was "
-                "never published",
-                stage="service",
-                hint="advance_epoch() publishes epochs; epoch 0 is the "
-                "generated dataset",
-            )
-        from repro.kernels.data import make_kernel_data
-        from repro.kernels.datasets import generate_dataset
-        from repro.plancache.fingerprint import dataset_fingerprint
-
-        data = make_kernel_data(kernel, generate_dataset(dataset, scale=scale))
-        fingerprint = dataset_fingerprint(data)
-        self._handles[key] = (data, fingerprint)
-        return data, fingerprint
-
-    def current_epoch(self, kernel: str, dataset: str, scale: int) -> int:
-        """The newest published epoch for one handle (0: never advanced)."""
-        with self._handles_lock:
-            return self._epochs.get((kernel, dataset, int(scale)), 0)
-
-    def advance_epoch(self, kernel: str, dataset: str, scale: int, delta) -> int:
-        """Publish the next dataset epoch for one handle; returns it.
-
-        Applies the :class:`~repro.incremental.DatasetDelta` to the
-        handle's newest epoch under the handles lock — the same
-        single-flight discipline as :meth:`preload_handle` — so N
-        concurrent advances (or an advance racing a cold resolve) never
-        stampede into N materializations: one caller does the work, the
-        rest observe the published epoch.  The parent epoch stays
-        retained, which keeps pinned reads at older epochs exact and
-        gives epoch'd flights the (parent data, delta) provenance the
-        incremental delta-bind path needs.
-        """
-        scale = int(scale)
-        handle_key = (kernel, dataset, scale)
-        with self._handles_lock:
-            current = self._epochs.get(handle_key, 0)
-            parent_data, _ = self._resolve_handle_locked(
-                kernel, dataset, scale, current
-            )
-            child = delta.apply(parent_data)
-            from repro.plancache.fingerprint import dataset_fingerprint
-
-            new_epoch = current + 1
-            self._handles[handle_key + (new_epoch,)] = (
-                child, dataset_fingerprint(child),
-            )
-            self._epoch_meta[handle_key + (new_epoch,)] = (parent_data, delta)
-            self._epochs[handle_key] = new_epoch
-        self.telemetry.counter("epochs_advanced").add()
-        return new_epoch
-
-    def _epoch_decision(self, current: int, request: BindRequest):
-        """(epoch to serve, stale?) for one request against one handle.
-
-        ``None`` and up-to-date requests serve the newest epoch; an
-        older explicit epoch is a pinned read of the retained version; a
-        request *ahead* of the published epoch is served stale from the
-        newest epoch when the gap fits ``max_staleness`` (the
-        degrade-to-stale twin of ``on_deadline='degrade'``) and rejected
-        past it.
-        """
-        requested = request.epoch
-        if requested is None or requested <= current:
-            return (current if requested is None else requested), False
-        gap = requested - current
-        if gap <= request.max_staleness:
-            return current, True
-        raise ValidationError(
-            f"requested epoch {requested} is {gap} ahead of the published "
-            f"epoch {current}, past max_staleness={request.max_staleness}",
-            stage="service",
-            hint="advance_epoch() publishes new epochs; raise "
-            "max_staleness to accept stale answers",
-        )
-
-    def preload_handle(self, kernel: str, dataset: str, scale: int) -> str:
-        """Materialize one dataset handle ahead of traffic; returns its
-        content fingerprint.  Servers call this at startup so the first
-        real request doesn't pay dataset generation (``repro serve``
-        does, and the benchmarks preload so they measure steady-state
-        serving rather than one cold materialization per mode)."""
-        _, fingerprint = self._resolve_handle(kernel, dataset, int(scale))
-        return fingerprint
-
-    def _flight_key(self, plan, dataset_fp: str, request: BindRequest) -> str:
-        from repro.plancache.fingerprint import combine, plan_fingerprint
-
-        return combine(
-            plan_fingerprint(plan),
-            dataset_fp,
-            f"num_steps={request.num_steps}",
-            f"verify={request.verify}",
-        )
-
-    # -- submission ------------------------------------------------------------
-
-    def submit(self, request: BindRequest) -> Ticket:
-        """Admit one request; returns a :class:`Ticket` to wait on.
-
-        Raises :class:`~repro.errors.ServiceOverloadError` under the
-        ``reject`` policy (or a ``block`` timeout) and propagates typed
-        validation errors for malformed specs/handles — both count as
-        ``rejected`` so every submitted request lands in exactly one
-        admission bucket.
-        """
-        if not self._started:
-            raise ServiceOverloadError(
-                "service is not running",
-                stage="service",
-                hint="use `with PlanService(...) as svc:` or call start()",
-            )
-        telemetry = self.telemetry
-        telemetry.counter("submitted").add()
-        submitted_at = telemetry.now()
-        if not request.request_id:
-            request.request_id = f"r{next(self._ids)}"
-
-        try:
-            from repro.runtime.planspec import plan_from_spec
-
-            plan = plan_from_spec(request.spec)
-            scale = request.scale
-            if scale is None:
-                scale = self.config.default_scale
-            if scale is None:
-                from repro.kernels.datasets import DEFAULT_SCALE
-
-                scale = DEFAULT_SCALE
-            with self._handles_lock:
-                current = self._epochs.get(
-                    (plan.kernel.name, request.dataset, int(scale)), 0
-                )
-            serve_epoch, stale = self._epoch_decision(current, request)
-            data, dataset_fp = self._resolve_handle(
-                plan.kernel.name, request.dataset, scale, epoch=serve_epoch
-            )
-            key = self._flight_key(plan, dataset_fp, request)
-        except ReproError:
-            telemetry.counter("rejected").add()
-            raise
-        request.scale = int(scale)
-
-        waiter = _Waiter(request, submitted_at, lead=False)
-        waiter.epoch = serve_epoch
-        waiter.stale = stale
-        with self._lock:
-            flight = self._inflight.get(key) if self.config.coalesce else None
-            if flight is not None and flight.state in (
-                _Flight.QUEUED, _Flight.RUNNING,
-            ):
-                flight.waiters.append(waiter)
-                telemetry.counter("coalesced").add()
-                telemetry.emit_span(
-                    "coalesce", request.request_id, 0.0,
-                    flight=flight.waiters[0].request.request_id,
-                )
-                return Ticket(flight=flight, waiter=waiter)
-
-            self._admit_locked(waiter)  # may block, raise, or shed a peer
-            waiter.lead = True
-            flight = _Flight(key, request, enqueued_at=telemetry.now())
-            flight.epoch = serve_epoch
-            flight.waiters.append(waiter)
-            self._queue.append(flight)
-            self._inflight[key] = flight
-            telemetry.counter("accepted").add()
-            telemetry.emit_span(
-                "enqueue", request.request_id, 0.0, queue_len=len(self._queue)
-            )
-            self._work_ready.notify()
-        return Ticket(flight=flight, waiter=waiter)
-
-    def _admit_locked(self, waiter: _Waiter) -> None:
-        """Apply the backpressure policy; caller holds the lock."""
-        config = self.config
-        if self._draining:
-            self.telemetry.counter("rejected").add()
-            raise ServiceOverloadError(
-                "service is draining (graceful shutdown in progress)",
-                stage="service",
-                hint="resubmit to another instance",
-            )
-        if len(self._queue) < config.queue_depth:
-            return
-        if config.overload == "reject":
-            self.telemetry.counter("rejected").add()
-            raise ServiceOverloadError(
-                f"admission queue full ({config.queue_depth} flights queued)",
-                stage="service",
-                hint="retry later, raise queue_depth, or use the "
-                "shed-oldest/block policies",
-            )
-        if config.overload == "shed-oldest":
-            while len(self._queue) >= config.queue_depth:
-                self._shed_locked(self._queue.popleft())
-            return
-        # block: wait for capacity (bounded by admission_timeout_s).
-        deadline = (
-            self.telemetry.now() + config.admission_timeout_s
-            if config.admission_timeout_s is not None
-            else None
-        )
-        while (
-            len(self._queue) >= config.queue_depth
-            and not self._stopping
-            and not self._draining
-        ):
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - self.telemetry.now()
-                if remaining <= 0:
-                    self.telemetry.counter("rejected").add()
-                    raise ServiceOverloadError(
-                        "admission blocked longer than "
-                        f"{config.admission_timeout_s}s",
-                        stage="service",
-                        hint="the service is saturated; retry later or "
-                        "raise queue_depth/workers",
-                    )
-            self._not_full.wait(timeout=remaining)
-        if self._stopping or self._draining:
-            self.telemetry.counter("rejected").add()
-            raise ServiceOverloadError(
-                "service is shutting down", stage="service"
-            )
-
-    def _shed_locked(self, flight: _Flight) -> None:
-        """Drop a queued flight; re-classify its waiters as shed."""
-        flight.state = _Flight.SHED
+    def _shed_oldest_locked(self) -> None:
+        """Drop the oldest queued flight; re-classify its waiters as shed."""
+        flight = self._queue.popleft()
         flight.error = ServiceOverloadError(
             "request shed from the admission queue (shed-oldest policy)",
             shed=True,
             stage="service",
             hint="resubmit, or switch the service to the block policy",
         )
-        self._inflight.pop(flight.key, None)
+        self._resolved_locked(flight)
         leads = sum(1 for w in flight.waiters if w.lead)
-        followers = len(flight.waiters) - leads
         # Exact accounting: a shed waiter moves from its admission
         # bucket into ``shed`` so the invariant
         # accepted + coalesced + rejected + shed == submitted holds.
         self.telemetry.counter("accepted").add(-leads)
-        self.telemetry.counter("coalesced").add(-followers)
+        self.telemetry.counter("coalesced").add(leads - len(flight.waiters))
         self.telemetry.counter("shed").add(len(flight.waiters))
         for w in flight.waiters:
             self.telemetry.emit_span("shed", w.request.request_id, 0.0)
         flight.event.set()
 
-    # -- waiting / responses ---------------------------------------------------
+    def _worker_loop(self) -> None:
+        while True:
+            with self._lock:
+                while not self._queue and not self._stopping:
+                    self._work_ready.wait()
+                if not self._queue:
+                    return
+                # Off the queue a flight can no longer be shed.
+                flight = self._queue.popleft()
+                self._capacity.notify()
+            self._execute(flight)
+
+    # -- tickets ---------------------------------------------------------------
+
+    def submit(self, request: BindRequest) -> Ticket:
+        """Admit one request; returns a :class:`Ticket` to wait on.
+
+        Raises the typed admission errors of
+        :meth:`~repro.service.core.ServiceCore._attach` (in-process
+        callers that prefer error *responses* use :meth:`bind`).
+        """
+        return Ticket(*self._attach(request, self.telemetry.now()))
 
     def wait(self, ticket: Ticket) -> BindResponse:
         """Block until the ticket's flight resolves (or its deadline)."""
-        telemetry = self.telemetry
-        request = ticket.request
-        flight = ticket.flight
-        timeout = None
-        deadline_missed = False
-        if request.deadline_s is not None:
-            remaining = request.deadline_s - (
-                telemetry.now() - ticket.waiter.submitted_at
-            )
-            if request.on_deadline == "raise":
-                # Stop waiting at the deadline; a late result is an error.
-                if not flight.event.wait(timeout=max(0.0, remaining)):
-                    telemetry.counter("deadline_raised").add()
-                    telemetry.counter("failed").add()
-                    return self._error_response(
-                        ticket,
-                        DeadlineExceededError(
-                            f"deadline of {request.deadline_s}s expired "
-                            "before the flight resolved",
-                            stage="service",
-                            hint="raise the deadline, or use "
-                            "on_deadline='degrade' to accept late results",
-                        ),
-                    )
-            else:
-                flight.event.wait()
-                deadline_missed = (
-                    telemetry.now() - ticket.waiter.submitted_at
-                ) > request.deadline_s
-                if deadline_missed:
-                    telemetry.counter("deadline_degraded").add()
-        else:
-            flight.event.wait()
-
-        if flight.state == _Flight.SHED or flight.error is not None:
-            telemetry.counter("failed").add()
-            return self._error_response(ticket, flight.error)
-        # Deadline may also have expired between enqueue and resolution
-        # even though wait() returned promptly (tiny deadlines).
-        if (
-            request.deadline_s is not None
-            and request.on_deadline == "raise"
-            and (telemetry.now() - ticket.waiter.submitted_at)
-            > request.deadline_s
-        ):
-            telemetry.counter("deadline_raised").add()
-            telemetry.counter("failed").add()
-            return self._error_response(
-                ticket,
-                DeadlineExceededError(
-                    f"deadline of {request.deadline_s}s expired while the "
-                    "request was queued",
-                    stage="service",
-                    hint="raise the deadline, or use on_deadline='degrade'",
-                ),
-            )
-
-        result = flight.result
-        report = result.report
-        queue_ms = (
-            (flight.started_at - ticket.waiter.submitted_at) * 1e3
-            if flight.started_at is not None
-            else 0.0
-        )
-        total_ms = (telemetry.now() - ticket.waiter.submitted_at) * 1e3
-        telemetry.histogram("queue_ms").observe(max(0.0, queue_ms))
-        telemetry.histogram("total_ms").observe(total_ms)
-        telemetry.counter("completed").add()
-        if ticket.waiter.stale:
-            telemetry.counter("stale_served").add()
-        telemetry.emit_span(
-            "respond", request.request_id, total_ms,
-            coalesced=not ticket.waiter.lead,
-            cache=report.cache if report is not None else None,
-        )
-        return BindResponse(
-            request_id=request.request_id,
-            status="ok",
-            coalesced=not ticket.waiter.lead,
-            cache=report.cache if report is not None else None,
-            fingerprints=dict(flight.digests),
-            overhead=dict(result.overhead),
-            data_moves=result.data_moves,
-            report=report.to_dict() if report is not None else None,
-            timing={
-                "queue_ms": max(0.0, queue_ms),
-                "bind_ms": 0.0 if not ticket.waiter.lead else flight.bind_s * 1e3,
-                "total_ms": total_ms,
-            },
-            deadline_missed=deadline_missed,
-            epoch=ticket.waiter.epoch,
-            stale=ticket.waiter.stale,
-        )
-
-    def _error_response(self, ticket: Ticket, error: BaseException) -> BindResponse:
-        request = ticket.request
-        total_ms = (self.telemetry.now() - ticket.waiter.submitted_at) * 1e3
-        return BindResponse(
-            request_id=request.request_id,
-            status="error",
-            coalesced=not ticket.waiter.lead,
-            timing={"total_ms": total_ms},
-            error={
-                "type": type(error).__name__,
-                "message": str(error),
-                "shed": bool(getattr(error, "shed", False)),
-            },
-        )
-
-    def bind(self, request: BindRequest) -> BindResponse:
-        """Submit and wait — the closed-loop client call.
-
-        Admission failures (reject/timeout/malformed) come back as typed
-        error *responses* rather than raising, so closed-loop clients can
-        account every outcome; in-process callers that prefer exceptions
-        use :meth:`submit`/:meth:`wait` directly.
-        """
-        try:
-            ticket = self.submit(request)
-        except ReproError as exc:
-            self.telemetry.counter("failed").add()
-            return BindResponse(
-                request_id=request.request_id or "",
-                status="error",
-                error={
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "shed": bool(getattr(exc, "shed", False)),
-                },
-            )
-        return self.wait(ticket)
+        return self._await(ticket.flight, ticket.waiter)
 
     def bind_result(self, request: BindRequest):
         """Submit, wait, and return the live ``InspectorResult``.
@@ -731,264 +264,19 @@ class PlanService:
             )
         return ticket.flight.result
 
-    # -- worker side -----------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopping:
-                    self._work_ready.wait()
-                if self._stopping and not self._queue:
-                    return
-                flight = self._queue.popleft()
-                flight.state = _Flight.RUNNING
-                self._not_full.notify()
-            self._execute(flight)
-
-    def _execute(self, flight: _Flight) -> None:
-        telemetry = self.telemetry
-        flight.started_at = telemetry.now()
-        lead_id = flight.waiters[0].request.request_id
-        start = telemetry.now()
-        try:
-            with telemetry.span(
-                "bind", lead_id, waiters=len(flight.waiters),
-                dataset=flight.dataset,
-            ):
-                result = self._bind_flight(flight)
-            flight.bind_s = telemetry.now() - start
-            telemetry.histogram("bind_ms").observe(flight.bind_s * 1e3)
-            telemetry.counter("binds_executed").add()
-            flight.result = result
-            flight.digests = result_digests(result)
-        except BaseException as exc:  # noqa: BLE001 - resolved, not leaked
-            flight.bind_s = telemetry.now() - start
-            telemetry.counter("bind_failures").add()
-            flight.error = exc
-        finally:
-            with self._lock:
-                # A running flight can no longer be shed (shedding only
-                # pops queued flights), so DONE is unconditional.
-                flight.state = _Flight.DONE
-                self._inflight.pop(flight.key, None)
-            flight.event.set()
-
-    def _bind_flight(self, flight: _Flight):
-        """One inspector run for one flight (thread or process executor).
-
-        Epoch'd flights always bind in-thread: the worker processes
-        regenerate handles by name and have no epoch state, while the
-        thread path can hand the incremental delta-bind engine the
-        (parent data, delta) provenance :meth:`advance_epoch` retained.
-        """
-        if (
-            self.config.executor == "processes"
-            and not self._pool_broken
-            and flight.epoch == 0
-        ):
-            try:
-                return self._bind_on_pool(flight)
-            except _pool_errors() as exc:
-                # PR-4 degradation policy: a broken pool degrades the
-                # executor, it never fails the request.
-                self._pool_broken = True
-                self.telemetry.counter("executor_degraded").add()
-                warnings.warn(
-                    f"service process pool degraded to threads: {exc!r}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return _bind_in_thread(
-            flight.spec,
-            self._resolve_handle_for_flight(flight),
-            flight.num_steps,
-            flight.verify,
-            self.cache,
-            delta_ctx=self._delta_context(flight),
-            telemetry=self.telemetry,
-        )
-
-    def _delta_context(self, flight: _Flight):
-        """(parent data, delta) for an epoch'd flight's incremental bind.
-
-        ``None`` falls back to a cold bind: epoch 0 has no parent; the
-        delta-bind engine is defined against a cached parent bind, so a
-        cacheless service has nothing to patch; and a request that pins
-        ``verify`` keeps the cold path (the patched path decides
-        verification itself — it always re-verifies)."""
-        if flight.epoch == 0 or self.cache is None or flight.verify is not None:
-            return None
-        from repro.runtime.planspec import plan_from_spec
-
-        kernel = plan_from_spec(flight.spec).kernel.name
-        return self._epoch_meta.get(
-            (kernel, flight.dataset, int(flight.scale), flight.epoch)
-        )
-
-    def _resolve_handle_for_flight(self, flight: _Flight):
-        from repro.runtime.planspec import plan_from_spec
-
-        kernel = plan_from_spec(flight.spec).kernel.name
-        data, _ = self._resolve_handle(
-            kernel, flight.dataset, flight.scale, epoch=flight.epoch
-        )
-        return data
-
-    def _bind_on_pool(self, flight: _Flight):
-        from concurrent.futures import ProcessPoolExecutor
-
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.config.workers,
-                        initializer=_init_bind_worker,
-                    )
-        future = self._pool.submit(
-            _bind_in_process,
-            flight.spec,
-            flight.dataset,
-            flight.scale,
-            flight.num_steps,
-            flight.verify,
-        )
-        return future.result()
-
     # -- stats -----------------------------------------------------------------
 
-    def stats(self) -> dict:
-        """JSON-able service statistics (``GET /stats``, ``doctor``)."""
-        snap = self.telemetry.snapshot()
-        counters = snap["counters"]
-        submitted = counters.get("submitted", 0)
-        accounted = (
-            counters.get("accepted", 0)
-            + counters.get("coalesced", 0)
-            + counters.get("rejected", 0)
-            + counters.get("shed", 0)
-        )
-        with self._lock:
-            queue_len = len(self._queue)
-            inflight = len(self._inflight)
+    def _binder_config(self) -> dict:
         return {
-            "config": {
-                "workers": self.config.workers,
-                "queue_depth": self.config.queue_depth,
-                "overload": self.config.overload,
-                "coalesce": self.config.coalesce,
-                "executor": self.config.executor,
-            },
-            "queue_len": queue_len,
-            "inflight": inflight,
-            "counters": counters,
-            "histograms": snap["histograms"],
-            "accounting_ok": submitted == accounted,
+            "workers": self.config.workers,
+            "coalesce": self.config.coalesce,
         }
 
-    def describe(self) -> str:
-        stats = self.stats()
-        counters = stats["counters"]
-        lines = [
-            "service stats:",
-            f"  workers: {stats['config']['workers']}  "
-            f"queue: {stats['queue_len']}/{stats['config']['queue_depth']} "
-            f"({stats['config']['overload']})  "
-            f"executor: {stats['config']['executor']}",
-            "  requests: "
-            + "  ".join(
-                f"{name}={counters.get(name, 0)}"
-                for name in (
-                    "submitted", "accepted", "coalesced", "rejected",
-                    "shed", "completed", "failed",
-                )
-            ),
-            f"  accounting invariant "
-            f"(accepted+coalesced+rejected+shed == submitted): "
-            + ("ok" if stats["accounting_ok"] else "VIOLATED"),
+    def _binder_describe(self, stats: dict) -> List[str]:
+        return [
+            f"  workers: {self.config.workers}  coalesce: "
+            f"{'on' if self.config.coalesce else 'off'}"
         ]
-        if counters.get("epochs_advanced"):
-            lines.append(
-                "  streaming: "
-                + "  ".join(
-                    f"{name}={counters.get(name, 0)}"
-                    for name in (
-                        "epochs_advanced", "stale_served", "delta_patched",
-                        "delta_hit", "delta_fallback",
-                    )
-                )
-            )
-        for name in ("queue_ms", "bind_ms", "total_ms"):
-            summary = stats["histograms"].get(name)
-            if summary and summary["count"]:
-                lines.append(
-                    f"  {name}: n={summary['count']} "
-                    f"p50={summary['p50_ms']:.2f} p95={summary['p95_ms']:.2f} "
-                    f"p99={summary['p99_ms']:.2f}"
-                )
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Executor plumbing (module-level so the process executor pickles by
-# reference, mirroring repro.eval.parallel).
-
-
-def _bind_in_thread(spec, data, num_steps, verify, cache, delta_ctx=None,
-                    telemetry=None):
-    from repro.runtime.planspec import plan_from_spec
-
-    plan = plan_from_spec(spec)
-    if delta_ctx is not None:
-        parent_data, delta = delta_ctx
-        result = plan.rebind(
-            parent_data, delta, cache=cache, num_steps=num_steps,
-            child_data=data,
-        )
-        if telemetry is not None:
-            info = getattr(result, "delta_info", None) or {}
-            telemetry.counter(
-                f"delta_{info.get('mode', 'unknown')}"
-            ).add()
-        return result
-    return plan.bind(data, num_steps=num_steps, verify=verify, cache=cache)
-
-
-def _init_bind_worker() -> None:
-    """Per-process initialization: a worker-local memory-tier plan cache."""
-    global _WORKER_CACHE
-    try:
-        from repro.plancache import PlanCache
-
-        _WORKER_CACHE = PlanCache(use_disk=False)
-    except Exception:  # pragma: no cover - cache reuse is best-effort
-        _WORKER_CACHE = None
-
-
-_WORKER_CACHE = None
-_WORKER_HANDLES: Dict[Tuple[str, str, int], object] = {}
-
-
-def _bind_in_process(spec, dataset, scale, num_steps, verify):
-    """Worker-process flight execution (memoized dataset handles)."""
-    from repro.kernels.data import make_kernel_data
-    from repro.kernels.datasets import generate_dataset
-    from repro.runtime.planspec import plan_from_spec
-
-    plan = plan_from_spec(spec)
-    key = (plan.kernel.name, dataset, int(scale))
-    data = _WORKER_HANDLES.get(key)
-    if data is None:
-        data = make_kernel_data(
-            plan.kernel.name, generate_dataset(dataset, scale=scale)
-        )
-        _WORKER_HANDLES[key] = data
-    return plan.bind(data, num_steps=num_steps, verify=verify, cache=_WORKER_CACHE)
-
-
-def _pool_errors():
-    from repro.eval.parallel import _POOL_ERRORS
-
-    return _POOL_ERRORS
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +309,7 @@ def service_self_check(scale: Optional[int] = None) -> dict:
         ]
         responses = [svc.wait(t) for t in tickets]
         stats = svc.stats()
-        data, _ = svc._resolve_handle("moldyn", "mol1", scale)
+        data, _ = svc._local.resolve("moldyn", "mol1", scale)
     direct = plan_from_spec(spec).bind(data)
     expected = result_digests(direct)
     bit_identical = all(

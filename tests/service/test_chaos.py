@@ -159,7 +159,10 @@ class TestStallRecovery:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 counters = fleet.stats()["counters"]
-                if counters.get("workers_wedged", 0) >= 1:
+                # The restart is counted after the kill and the respawn.
+                if counters.get("workers_wedged", 0) >= 1 and counters.get(
+                    "worker_restarts", 0
+                ):
                     break
                 time.sleep(0.05)
             counters = fleet.stats()["counters"]

@@ -15,7 +15,7 @@ import pytest
 from repro.service import PlanService, ServiceConfig
 
 from tests.service.conftest import make_request
-from tests.service.test_server import (
+from tests.service.contract import (
     distinct_spec,
     invariant_holds,
     stall_binds,
@@ -102,22 +102,20 @@ class TestPlanServiceDrain:
 
 
 class TestHttpHealthWhileDraining:
-    def test_healthz_degrades_to_503_when_fleet_drains(self, tmp_path):
-        from repro.service import FleetConfig, FleetService
+    def healthz_degrades_to_503(self, service, expect):
         from repro.service.httpd import serve_http
 
-        fleet = FleetService(
-            FleetConfig(shards=1, cache_dir=str(tmp_path / "cache"))
-        ).start()
-        server = serve_http(fleet, port=0, background=True)
+        service.start()
+        server = serve_http(service, port=0, background=True)
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
         try:
             health = json.loads(
                 urllib.request.urlopen(base + "/healthz").read()
             )
-            assert health["ok"] and health["shards"] == 1
-            fleet.drain(deadline_s=2.0)
+            assert health["ok"] and health["draining"] is False
+            assert {key: health[key] for key in expect} == expect
+            service.drain(deadline_s=2.0)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(base + "/healthz")
             assert excinfo.value.code == 503
@@ -125,4 +123,19 @@ class TestHttpHealthWhileDraining:
         finally:
             server.shutdown()
             server.server_close()
-            fleet.stop()
+            service.stop()
+
+    def test_healthz_degrades_to_503_when_fleet_drains(self, tmp_path):
+        from repro.service import FleetConfig, FleetService
+
+        self.healthz_degrades_to_503(
+            FleetService(
+                FleetConfig(shards=1, cache_dir=str(tmp_path / "cache"))
+            ),
+            expect={"shards": 1},
+        )
+
+    def test_healthz_degrades_to_503_when_service_drains(self):
+        self.healthz_degrades_to_503(
+            PlanService(ServiceConfig(workers=1), cache=None), expect={}
+        )

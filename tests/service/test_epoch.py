@@ -9,7 +9,12 @@ from repro.plancache import PlanCache
 from repro.runtime.faults import make_drift_delta
 from repro.service import BindRequest, PlanService, ServiceConfig
 
-from tests.service.conftest import SCALE, SPEC, direct_digests, make_request
+from tests.service.conftest import SCALE, SPEC, make_request
+from tests.service.contract import (
+    OnFleetService,
+    OnPlanService,
+    StalenessContract,
+)
 
 pytestmark = pytest.mark.service
 
@@ -68,7 +73,7 @@ class TestRequestFields:
         assert "epoch" not in payload and "max_staleness" not in payload
 
 
-class TestServiceEpochs:
+class TestServiceEpochs(StalenessContract, OnPlanService):
     def test_advance_then_fresh_bind_is_bit_identical(self, epoch_service):
         svc, cache = epoch_service
         digests, deltas = _epoch_truths(2)
@@ -82,24 +87,6 @@ class TestServiceEpochs:
         assert svc.current_epoch("moldyn", "mol1", SCALE) == 2
         # The epoch'd binds went through the incremental engine.
         assert cache.stats.delta_patched + cache.stats.delta_fallbacks == 2
-
-    def test_stale_within_tolerance_served_and_counted(self, epoch_service):
-        svc, _ = epoch_service
-        digests, _ = _epoch_truths(0)
-        response = svc.bind(make_request(epoch=1, max_staleness=1))
-        assert response.status == "ok", response.error
-        assert response.stale is True and response.epoch == 0
-        # Stale answers are exact, just old.
-        assert response.fingerprints == digests[0]
-        assert svc.stats()["counters"].get("stale_served", 0) == 1
-
-    def test_past_tolerance_rejected(self, epoch_service):
-        svc, _ = epoch_service
-        response = svc.bind(make_request(epoch=3, max_staleness=1))
-        assert response.status == "error"
-        assert "max_staleness" in response.error["message"]
-        assert svc.stats()["counters"].get("rejected", 0) == 1
-        assert svc.stats()["accounting_ok"]
 
     def test_pinned_read_of_retained_epoch(self, epoch_service):
         svc, _ = epoch_service
@@ -122,7 +109,7 @@ class TestServiceEpochs:
         assert response.status == "error"
 
 
-class TestFleetEpochs:
+class TestFleetEpochs(StalenessContract, OnFleetService):
     def test_fanout_then_bind_and_stale_probe(self, tmp_path):
         from repro.service.fleet import FleetConfig, FleetService
 

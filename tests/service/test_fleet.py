@@ -1,6 +1,10 @@
-"""Fleet core: routing, breakers, crash recovery, deadline inheritance.
+"""Fleet: the shared front-end contract on ``FleetService(shards=1)``,
+plus what only the sharded binder has — routing, breakers, crash
+recovery, deadline inheritance across retries.
 
-Chaos here is deterministic (``ChaosPlan`` seeds chosen so the schedule
+The contract bodies live in ``tests/service/contract.py``
+(``test_server.py`` runs the same ones on ``PlanService``).  Chaos here
+is deterministic (``ChaosPlan`` seeds chosen so the schedule
 is known ahead of time), so every recovery path is exercised on purpose
 rather than by luck — and each recovered response is checked
 bit-identical to a direct ``CompositionPlan.bind()``.
@@ -18,16 +22,25 @@ from repro.errors import (
     ValidationError,
 )
 from repro.service import (
-    BindRequest,
     ChaosPlan,
     CircuitBreaker,
     FleetConfig,
     FleetService,
     HashRing,
+    PlanService,
+    ServiceConfig,
     backoff_delay,
 )
 
-from tests.service.conftest import SCALE, SPEC, direct_digests, make_request
+from tests.service.conftest import direct_digests, make_request
+from tests.service.contract import (
+    AdmissionContract,
+    CoalescingContract,
+    DeadlinesContract,
+    OnFleetService,
+    check_accounting_under_load,
+    invariant_holds,
+)
 
 pytestmark = pytest.mark.service
 
@@ -37,16 +50,6 @@ def fleet_config(tmp_path, **overrides):
     overrides.setdefault("cache_dir", str(tmp_path / "fleet-cache"))
     overrides.setdefault("attempt_timeout_s", 30.0)
     return FleetConfig(**overrides)
-
-
-def invariant_holds(fleet):
-    counters = fleet.stats()["counters"]
-    return counters.get("submitted", 0) == (
-        counters.get("accepted", 0)
-        + counters.get("coalesced", 0)
-        + counters.get("rejected", 0)
-        + counters.get("shed", 0)
-    )
 
 
 class TestHashRing:
@@ -136,6 +139,45 @@ class TestCircuitBreaker:
         assert not breaker.allow()
         breaker.record_success()
         assert breaker.state == "open" and not breaker.allow()
+
+
+class TestFleetCoalescing(CoalescingContract, OnFleetService):
+    pass
+
+
+class TestFleetAdmissionControl(AdmissionContract, OnFleetService):
+    pass
+
+
+class TestFleetDeadlines(DeadlinesContract, OnFleetService):
+    pass
+
+
+class TestWireShape:
+    def test_both_services_answer_with_the_same_keys(self, tmp_path):
+        """One wire format: the same request gets the same keys back
+        from either service, for an answer and for a typed error."""
+
+        def shape(payload):
+            return {
+                key: shape(value) if isinstance(value, dict) else None
+                for key, value in payload.items()
+                if key not in ("report", "fingerprints", "overhead")
+            }
+
+        shapes = []
+        for service in (
+            PlanService(ServiceConfig(workers=2), cache=None),
+            FleetService(fleet_config(tmp_path, shards=1)),
+        ):
+            with service:
+                ok = service.bind(make_request()).to_dict()
+                late = service.bind(make_request(deadline_s=0.0)).to_dict()
+            assert ok["status"] == "ok" and late["status"] == "error"
+            assert "queue_ms" in ok["timing"]
+            assert "attempts" in late["error"]
+            shapes.append((shape(ok), shape(late)))
+        assert shapes[0] == shapes[1]
 
 
 class TestFleetServing:
@@ -335,55 +377,26 @@ class TestAccountingInvariantProperty:
         self, tmp_path_factory, clients, requests, kill_seed, kill_rate,
         queue_depth,
     ):
-        """accepted + coalesced + rejected + shed == submitted, under
-        concurrent writers, mid-flight worker crashes, and a reject
-        admission policy — every submission lands in exactly one
-        bucket no matter how the fleet fails."""
+        """The shared accounting property, plus mid-flight worker
+        crashes — every submission lands in exactly one bucket no matter
+        how the fleet fails."""
         tmp_path = tmp_path_factory.mktemp("fleet-prop")
         chaos = (
             ChaosPlan(seed=kill_seed, kill_rate=kill_rate, kill_delay_s=0.0)
             if kill_rate > 0
             else None
         )
-        config = fleet_config(
-            tmp_path,
+
+        def make(**overrides):
+            return FleetService(fleet_config(tmp_path, **overrides)).start()
+
+        check_accounting_under_load(
+            make,
+            clients,
+            requests,
+            queue_depth,
             chaos=chaos,
-            queue_depth=queue_depth,
-            overload="reject",
             backoff_base_s=0.005,
             max_retries=4,
             attempt_timeout_s=10.0,
         )
-        with FleetService(config) as fleet:
-            workload = [
-                make_request(
-                    spec={
-                        "kernel": "moldyn",
-                        "steps": [
-                            {"type": "cpack"},
-                            {"type": "fst", "seed_block_size": 16 * (i % 3 + 1)},
-                        ],
-                    }
-                )
-                for i in range(requests)
-            ]
-            threads = []
-            for i in range(clients):
-                chunk = workload[i::clients]
-
-                def run(chunk=chunk):
-                    for request in chunk:
-                        fleet.bind(request)
-
-                threads.append(threading.Thread(target=run))
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            counters = fleet.stats()["counters"]
-            assert counters["submitted"] == requests
-            assert invariant_holds(fleet)
-            # Every submission also resolved: completed + failed
-            # covers the admitted + coalesced + rejected population.
-            resolved = counters.get("completed", 0) + counters.get("failed", 0)
-            assert resolved == requests

@@ -57,7 +57,7 @@ class TestEndpoints:
     def test_healthz(self, server):
         status, payload = get(endpoint(server), "/healthz")
         assert status == 200
-        assert payload == {"ok": True}
+        assert payload == {"ok": True, "draining": False}
 
     def test_bind_round_trip(self, server):
         status, payload = post_bind(
@@ -78,6 +78,39 @@ class TestEndpoints:
         assert json.loads(excinfo.value.read())["error"]["type"] == (
             "ValidationError"
         )
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        """A non-numeric length used to kill the handler with a
+        traceback; a negative one reached ``rfile.read(-1)`` and pinned
+        the handler thread until the client hung up."""
+        import socket
+
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /bind HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk, f"connection closed after {reply!r}"
+                reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 400") or head.startswith(
+                b"HTTP/1.1 400"
+            )
+            size = int(
+                [
+                    line.split(b":")[1]
+                    for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length")
+                ][0]
+            )
+            while len(body) < size:
+                body += sock.recv(4096)
+        assert json.loads(body)["error"]["type"] == "ValidationError"
 
     def test_unknown_request_key_is_400(self, server):
         status, payload = post_bind(

@@ -1,14 +1,17 @@
-"""PlanService core: coalescing, admission control, deadlines, stats.
+"""PlanService: the shared front-end contract, plus what only a service
+with a parked queue has — tickets, shed-oldest, coalescing switched off.
 
-Overload shapes are made deterministic by stalling the bind stage on an
-event (the worker parks inside ``_bind_flight``), filling the admission
-queue with *distinct* specs (identical ones would coalesce instead of
-queueing), and only then releasing the stall.
+The contract bodies (coalescing, admission control, deadlines, the
+accounting property) live in ``tests/service/contract.py`` and run here
+on ``PlanService(workers=2)``; ``test_fleet.py`` runs the same bodies on
+``FleetService(shards=1)``.
 """
 
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DeadlineExceededError,
@@ -24,90 +27,21 @@ from repro.service import (
 )
 
 from tests.service.conftest import SCALE, SPEC, direct_digests, make_request
+from tests.service.contract import (
+    AdmissionContract,
+    CoalescingContract,
+    DeadlinesContract,
+    OnPlanService,
+    check_accounting_under_load,
+    distinct_spec,
+    invariant_holds,
+    stall_binds,
+)
 
 pytestmark = pytest.mark.service
 
 
-def distinct_spec(index):
-    spec = dict(SPEC)
-    spec["steps"] = [
-        {"type": "cpack"},
-        {"type": "fst", "seed_block_size": 16 * (index + 1)},
-    ]
-    return spec
-
-
-def stall_binds(service):
-    """Park every bind on an event; returns the release event."""
-    release = threading.Event()
-    original = service._bind_flight
-
-    def stalled(flight):
-        release.wait()
-        return original(flight)
-
-    service._bind_flight = stalled
-    return release
-
-
-def invariant_holds(service):
-    counters = service.stats()["counters"]
-    return counters.get("submitted", 0) == (
-        counters.get("accepted", 0)
-        + counters.get("coalesced", 0)
-        + counters.get("rejected", 0)
-        + counters.get("shed", 0)
-    )
-
-
-class TestCoalescing:
-    def test_identical_concurrent_requests_cost_one_bind(self, service):
-        release = stall_binds(service)
-        responses = [None] * 8
-
-        def client(i):
-            responses[i] = service.bind(make_request())
-
-        threads = [
-            threading.Thread(target=client, args=(i,)) for i in range(8)
-        ]
-        for t in threads:
-            t.start()
-        # Wait until every request has attached to the stalled flight.
-        deadline = threading.Event()
-        for _ in range(200):
-            if service.stats()["counters"].get("coalesced", 0) == 7:
-                break
-            deadline.wait(0.01)
-        release.set()
-        for t in threads:
-            t.join()
-
-        counters = service.stats()["counters"]
-        assert counters["binds_executed"] == 1
-        assert counters["accepted"] == 1
-        assert counters["coalesced"] == 7
-        assert invariant_holds(service)
-        expected = direct_digests()
-        leads = [r for r in responses if not r.coalesced]
-        assert len(leads) == 1
-        for r in responses:
-            assert r.status == "ok"
-            assert r.fingerprints == expected
-
-    def test_distinct_specs_do_not_coalesce(self, service):
-        release = stall_binds(service)
-        tickets = [
-            service.submit(make_request(distinct_spec(0))),
-            service.submit(make_request(distinct_spec(1))),
-        ]
-        # Two concurrent but *distinct* specs: two flights, no sharing.
-        assert tickets[0].flight is not tickets[1].flight
-        assert service.stats()["counters"].get("coalesced", 0) == 0
-        release.set()
-        assert all(service.wait(t).status == "ok" for t in tickets)
-        assert service.stats()["counters"]["binds_executed"] == 2
-
+class TestCoalescing(CoalescingContract, OnPlanService):
     def test_coalescing_can_be_disabled(self):
         with PlanService(
             ServiceConfig(workers=2, queue_depth=32, coalesce=False),
@@ -134,13 +68,56 @@ class TestCoalescing:
             assert counters.get("coalesced", 0) == 0
             assert counters["binds_executed"] == 4
 
-    def test_sequential_identical_requests_rebind(self, service):
-        first = service.bind(make_request())
-        second = service.bind(make_request())
-        # No flight in progress the second time: nothing to coalesce.
-        assert not first.coalesced and not second.coalesced
-        assert first.fingerprints == second.fingerprints
-        assert service.stats()["counters"]["binds_executed"] == 2
+
+class TestTickets:
+    """``submit``/``wait``: the admission outcomes the contract reads off
+    ``bind`` responses, raised as the typed errors they wrap."""
+
+    def test_distinct_specs_are_distinct_flights(self, service):
+        release = stall_binds(service)
+        tickets = [
+            service.submit(make_request(distinct_spec(0))),
+            service.submit(make_request(distinct_spec(1))),
+        ]
+        assert tickets[0].flight is not tickets[1].flight
+        release.set()
+        assert all(service.wait(t).status == "ok" for t in tickets)
+
+    def test_full_queue_raises_typed_overload(self):
+        service = PlanService(
+            ServiceConfig(
+                workers=1,
+                queue_depth=1,
+                overload="block",
+                admission_timeout_s=0.05,
+            ),
+            cache=None,
+        ).start()
+        release = stall_binds(service)
+        try:
+            running = service.submit(make_request(distinct_spec(0)))
+            for _ in range(200):
+                if service.stats()["queue_len"] == 0:
+                    break
+                threading.Event().wait(0.01)
+            queued = service.submit(make_request(distinct_spec(1)))
+            with pytest.raises(
+                ServiceOverloadError, match="blocked longer"
+            ) as excinfo:
+                service.submit(make_request(distinct_spec(2)))
+            assert not excinfo.value.shed
+            release.set()
+            assert service.wait(running).status == "ok"
+            assert service.wait(queued).status == "ok"
+            assert invariant_holds(service)
+        finally:
+            release.set()
+            service.stop()
+
+    def test_submit_without_start_raises(self):
+        service = PlanService(ServiceConfig(workers=1), cache=None)
+        with pytest.raises(ServiceOverloadError, match="not running"):
+            service.submit(make_request())
 
 
 class TestBitIdentity:
@@ -170,7 +147,7 @@ class TestBitIdentity:
         assert result_digests(result) == direct_digests()
 
 
-class TestAdmissionControl:
+class TestAdmissionControl(AdmissionContract, OnPlanService):
     def overloaded_service(self, overload, queue_depth=2):
         service = PlanService(
             ServiceConfig(
@@ -190,25 +167,6 @@ class TestAdmissionControl:
             for i in range(queue_depth)
         ]
         return service, release, [running] + queued
-
-    def test_reject_policy_raises_typed_overload(self):
-        service, release, tickets = self.overloaded_service("reject")
-        try:
-            with pytest.raises(ServiceOverloadError) as excinfo:
-                service.submit(make_request(distinct_spec(9)))
-            assert not excinfo.value.shed
-            # bind() wraps the same failure as a typed error response.
-            response = service.bind(make_request(distinct_spec(8)))
-            assert response.status == "error"
-            assert response.error["type"] == "ServiceOverloadError"
-            release.set()
-            for ticket in tickets:
-                assert service.wait(ticket).status == "ok"
-            assert service.stats()["counters"]["rejected"] == 2
-            assert invariant_holds(service)
-        finally:
-            release.set()
-            service.stop()
 
     def test_shed_oldest_reclassifies_the_victim(self):
         service, release, tickets = self.overloaded_service("shed-oldest")
@@ -230,88 +188,8 @@ class TestAdmissionControl:
             release.set()
             service.stop()
 
-    def test_block_policy_times_out_with_typed_error(self):
-        service = PlanService(
-            ServiceConfig(
-                workers=1,
-                queue_depth=1,
-                overload="block",
-                admission_timeout_s=0.05,
-            ),
-            cache=None,
-        ).start()
-        release = stall_binds(service)
-        try:
-            running = service.submit(make_request(distinct_spec(0)))
-            for _ in range(200):
-                if service.stats()["queue_len"] == 0:
-                    break
-                threading.Event().wait(0.01)
-            queued = service.submit(make_request(distinct_spec(1)))
-            with pytest.raises(ServiceOverloadError, match="blocked longer"):
-                service.submit(make_request(distinct_spec(2)))
-            release.set()
-            assert service.wait(running).status == "ok"
-            assert service.wait(queued).status == "ok"
-            assert invariant_holds(service)
-        finally:
-            release.set()
-            service.stop()
 
-    def test_block_policy_admits_once_capacity_frees(self):
-        with PlanService(
-            ServiceConfig(workers=2, queue_depth=1, overload="block"),
-            cache=None,
-        ) as service:
-            responses = [
-                service.bind(make_request(distinct_spec(i))) for i in range(4)
-            ]
-            assert all(r.status == "ok" for r in responses)
-            assert invariant_holds(service)
-
-    def test_malformed_spec_counts_as_rejected(self, service):
-        response = service.bind(
-            make_request({"kernel": "no-such-kernel", "steps": ["cpack"]})
-        )
-        assert response.status == "error"
-        assert response.error["type"] == "BindError"
-        assert service.stats()["counters"]["rejected"] == 1
-        assert invariant_holds(service)
-
-    def test_unknown_dataset_is_typed(self, service):
-        response = service.bind(make_request(dataset="no-such-dataset"))
-        assert response.status == "error"
-        assert invariant_holds(service)
-
-    def test_submit_without_start_is_overload(self):
-        service = PlanService(ServiceConfig(workers=1), cache=None)
-        with pytest.raises(ServiceOverloadError, match="not running"):
-            service.submit(make_request())
-
-
-class TestDeadlines:
-    def test_zero_deadline_raise_policy_is_deterministic(self, service):
-        response = service.bind(
-            make_request(deadline_s=0.0, on_deadline="raise")
-        )
-        assert response.status == "error"
-        assert response.error["type"] == "DeadlineExceededError"
-
-    def test_zero_deadline_degrade_serves_late_and_marks(self, service):
-        response = service.bind(
-            make_request(deadline_s=0.0, on_deadline="degrade")
-        )
-        assert response.status == "ok"
-        assert response.deadline_missed is True
-        assert response.fingerprints == direct_digests()
-
-    def test_generous_deadline_is_met(self, service):
-        response = service.bind(
-            make_request(deadline_s=60.0, on_deadline="raise")
-        )
-        assert response.status == "ok"
-        assert response.deadline_missed is False
-
+class TestDeadlines(DeadlinesContract, OnPlanService):
     def test_unknown_deadline_policy_rejected_at_request_build(self):
         with pytest.raises(ValidationError):
             BindRequest(spec=dict(SPEC), dataset="mol1", on_deadline="panic")
@@ -374,3 +252,26 @@ class TestStatsAndSelfCheck:
         service.stop()
         with pytest.raises(ServiceOverloadError):
             service.submit(make_request())
+
+
+class TestAccountingInvariantProperty(OnPlanService):
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            # The factory hands every example a fresh service.
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        clients=st.integers(min_value=1, max_value=4),
+        requests=st.integers(min_value=1, max_value=10),
+        queue_depth=st.integers(min_value=1, max_value=4),
+    )
+    def test_invariant_under_concurrency_and_rejection(
+        self, service_factory, clients, requests, queue_depth
+    ):
+        check_accounting_under_load(
+            service_factory, clients, requests, queue_depth
+        )
