@@ -7,7 +7,8 @@ Two subsystems now pick an engine at run time — the cache simulator
 * **precedence** — an explicit argument beats the environment variable
   beats the subsystem default; the literal ``"auto"`` (from either the
   argument or the environment) means "best available";
-* **validation** — an unknown name raises ``ValueError`` naming the
+* **validation** — an unknown name raises
+  :class:`~repro.errors.ValidationError` (a ``ValueError``) naming the
   subsystem and the valid choices (typos must not silently default);
 * **fallback** — when the chosen backend is *unavailable* (e.g. the C
   executor on a machine with no C toolchain), resolution walks down the
@@ -18,6 +19,11 @@ Two subsystems now pick an engine at run time — the cache simulator
 :func:`resolve` returns a :class:`Resolution` carrying the resolved name,
 where it came from, and any fallback taken, so callers that only want the
 string can take ``.backend`` while ``doctor`` can report the whole story.
+
+The non-selector knobs follow the same argument > environment > default
+precedence through :func:`resolve_flag` (on/off switches) and
+:func:`resolve_count` (positive integers), so this module is the only
+place a ``REPRO_*`` executor knob is read from ``os.environ``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.errors import ValidationError
 
 
 class BackendFallbackWarning(UserWarning):
@@ -104,7 +112,7 @@ def resolve(
             requested = default
             source = "default"
     if requested != "auto" and requested not in choices:
-        raise ValueError(
+        raise ValidationError(
             f"unknown {subsystem} backend {requested!r}; "
             f"choose from {tuple(choices)}"
         )
@@ -136,7 +144,7 @@ def resolve(
                     backend = name
                     break
             else:  # pragma: no cover - ladders end in an always-on rung
-                raise ValueError(
+                raise ValidationError(
                     f"no available {subsystem} backend below {backend!r}"
                 )
 
@@ -162,9 +170,42 @@ def resolve(
     return resolution
 
 
+_TRUTHY = frozenset({"1", "true", "on", "yes"})
+
+
+def resolve_flag(value: Optional[bool], *, env_var: str) -> bool:
+    """An on/off switch: argument > ``env_var`` (1/true/on/yes) > off."""
+    if value is None:
+        value = os.environ.get(env_var, "").strip().lower() in _TRUTHY
+    return bool(value)
+
+
+def resolve_count(
+    value: Optional[int], *, env_var: str, default: Callable[[], int], what: str
+) -> int:
+    """A positive integer: argument > ``env_var`` > ``default()``."""
+    if value is None:
+        env = os.environ.get(env_var) or None
+        if env is None:
+            value = default()
+        else:
+            try:
+                value = int(env)
+            except ValueError:
+                raise ValidationError(
+                    f"{env_var} must be an integer, got {env!r}"
+                ) from None
+    value = int(value)
+    if value < 1:
+        raise ValidationError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 __all__ = [
     "BackendFallbackWarning",
     "Resolution",
     "resolve",
+    "resolve_count",
+    "resolve_flag",
     "reset_fallback_announcements",
 ]

@@ -134,14 +134,16 @@ class ExecutorFault(ReproError, AssertionError):
 
 
 class ExecutorBoundsError(ReproError, IndexError):
-    """A sanitized compiled executor trapped an out-of-bounds index.
+    """An executor trapped operands that would address out of bounds.
 
     Raised by the sanitizer prologue of the guarded NumPy/C executors
     (see :mod:`repro.lowering.emit_numpy` / :mod:`repro.lowering.emit_c`)
     when an index array or tile-schedule entry would address outside its
-    target array.  The guard scans *before* any data mutation, so the
-    arrays are untouched when this raises — a corrupted dataset becomes a
-    typed error instead of silent memory corruption.
+    target array, and by every executor's entry — sanitized or not
+    (``stage="executor"``) — when operand lengths disagree.  Both check
+    *before* any data mutation, so the arrays are untouched when this
+    raises — a corrupted dataset becomes a typed error instead of silent
+    memory corruption.
 
     ``array`` names the offending index source (``left``, ``right``, a
     schedule position, or a wave group); ``bound`` is the exclusive upper

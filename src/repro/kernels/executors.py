@@ -63,28 +63,20 @@ def run_steps(
 ) -> KernelData:
     """Run the kernel's time loop in place; returns ``data`` for chaining.
 
-    ``backend`` selects the executor tier (``library`` | ``numpy`` | ``c``,
-    resolved like every backend switch: argument >
-    ``REPRO_EXECUTOR_BACKEND`` > the library default); all tiers are
-    bit-identical.  ``sanitize`` (argument > ``REPRO_EXECUTOR_SANITIZE``)
-    selects a compiled tier's bounds-guarded build.  This is the one
-    backend-dispatching body: :func:`repro.runtime.executor.run_numeric`
-    is a call to it.
+    ``backend`` selects the executor tier (``library`` | ``numpy`` | ``c``)
+    and ``sanitize`` a compiled tier's bounds-guarded build; both pass
+    unresolved to :func:`~repro.lowering.executor.compile_executor`
+    (argument > ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_SANITIZE``
+    > the library default), whose ``library`` tier runs
+    :data:`STEP_FUNCTIONS`.  All tiers are bit-identical.
+    :func:`repro.runtime.executor.run_numeric` is a call to this.
     """
-    from repro.lowering.executor import resolve_executor_backend
+    from repro.lowering.executor import compile_executor
 
-    resolved = resolve_executor_backend(backend).backend
-    if resolved != "library":
-        from repro.lowering.executor import compile_executor
-
-        compiled = compile_executor(
-            data.kernel_name, backend=resolved, sanitize=sanitize
-        )
-        compiled.run(data.arrays, data.left, data.right, num_steps=num_steps)
-        return data
-    step = STEP_FUNCTIONS[data.kernel_name]
-    for _ in range(num_steps):
-        step(data.arrays, data.left, data.right)
+    compiled = compile_executor(
+        data.kernel_name, backend=backend, sanitize=sanitize
+    )
+    compiled.run(data.arrays, data.left, data.right, num_steps=num_steps)
     return data
 
 

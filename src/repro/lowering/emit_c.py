@@ -23,8 +23,10 @@ operation sequence* ``numpy`` performs, not from tolerances:
   ``j`` order, one full pass per commit — which is exactly what the
   fissioned gather/commit loops below do (payload materialized into
   ``scratch`` first, then one commit pass per statement);
-* the tiled form follows ``run_numeric_wavefront``: per wave, all tile
-  gathers, then per tile **in the wave's order** both commit passes.
+* the tiled form is the wave driver's loop
+  (:func:`repro.lowering.schedule.run_wave_phases`) rendered in C: per
+  wave, all tile gathers, then per tile **in the wave's order** both
+  commit passes.
 
 Float constants are emitted with Python ``repr`` (shortest round-trip
 decimal); C's correctly-rounded parse recovers the identical binary64.
@@ -34,9 +36,11 @@ keeps the compiler from fusing the emitted ``a*b + c`` shapes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List
 
 from repro.codegen.emit import SourceWriter
+from repro.errors import ValidationError
 from repro.lowering.ir import (
     BinOp,
     Const,
@@ -131,8 +135,85 @@ def _emit_inter_scalar_body(w: SourceWriter, loop: LoopIR, ivar: str) -> None:
         w.line(f"{target} = {target} + {inc};")
 
 
-def _data_params(program: Program) -> List[str]:
-    return [f"double *{name}" for name in program.data_arrays]
+def _commit_stmt(commit, ivar: str, payload: str) -> str:
+    """``array[via[i]] += sign * payload`` as one explicit C assignment."""
+    end = f"{commit.via}[{ivar}]"
+    val = payload if commit.sign > 0 else f"(-{payload})"
+    return f"{commit.array}[{end}] = {commit.array}[{end}] + {val};"
+
+
+@contextmanager
+def _wave_tiles(w: SourceWriter):
+    """Loop ``_t`` over the tiles of wave ``_w``, in the wave's order."""
+    with w.block(
+        "for (int64_t _g = wave_off[_w]; _g < wave_off[_w + 1]; ++_g) {"
+    ):
+        w.line("int64_t _t = wave_tiles[_g];")
+        yield
+    w.line("}")
+
+
+@contextmanager
+def _tile_iters(w: SourceWriter, pos: int, ivar: str, ctx: str = ""):
+    """Loop ``ivar`` over tile ``_t``'s iterations of loop ``pos``; ``_k``
+    is the global CSR position (``ctx`` prefixes the CSR arrays)."""
+    with w.block(
+        f"for (int64_t _k = {ctx}off{pos}[_t]; "
+        f"_k < {ctx}off{pos}[_t + 1]; ++_k) {{"
+    ):
+        w.line(f"int64_t {ivar} = {ctx}iters{pos}[_k];")
+        yield
+    w.line("}")
+
+
+def _emit_unit_header(
+    w: SourceWriter, title: str, program: Program, sanitize: bool, *extra: str
+) -> None:
+    w.line(f"/* {title} for '{program.kernel_name}' "
+           "(generated by repro.lowering; do not edit). */")
+    for header in ("stdint.h", *extra):
+        w.line(f"#include <{header}>")
+    w.line()
+    if sanitize:
+        _emit_guard_fn(w)
+        w.line()
+
+
+def _operand_params(program: Program, tiled: bool) -> List[str]:
+    """The parameters every entry point opens with (+ the CSR schedule)."""
+    params = [f"double *{name}" for name in program.data_arrays] + [
+        "const int64_t *left",
+        "const int64_t *right",
+        "int64_t num_nodes",
+        "int64_t num_inter",
+        "int64_t num_steps",
+    ]
+    if tiled:
+        for pos in range(len(program.loops)):
+            params += [
+                f"const int64_t *iters{pos}", f"const int64_t *off{pos}"
+            ]
+    return params
+
+
+def _emit_guard_scans(w: SourceWriter, program: Program, tiled: bool) -> None:
+    """The sanitized entry points' shared opening: clear ``err``, scan
+    ``left``/``right`` (+ every CSR iteration array of a tiled one)."""
+    w.line("err[0] = 0;")
+    w.line(
+        f"if (_guard(left, num_inter, num_nodes, {GUARD_LEFT}, err)) return;"
+    )
+    w.line(
+        f"if (_guard(right, num_inter, num_nodes, {GUARD_RIGHT}, err)) "
+        "return;"
+    )
+    if tiled:
+        for pos, loop in enumerate(program.loops):
+            extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
+            w.line(
+                f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
+                f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
+            )
 
 
 def emit_c(program: Program, sanitize: bool = False) -> str:
@@ -144,75 +225,39 @@ def emit_c(program: Program, sanitize: bool = False) -> str:
     evidence and returns before any data array is touched.  The compute
     body is unchanged, so valid datasets stay bit-identical."""
     w = SourceWriter()
-    w.line(f"/* C executor for '{program.kernel_name}' "
-           "(generated by repro.lowering; do not edit). */")
-    w.line("#include <stdint.h>")
-    w.line()
-    if sanitize:
-        _emit_guard_fn(w)
-        w.line()
-    params = _data_params(program) + [
-        "const int64_t *left",
-        "const int64_t *right",
-        "int64_t num_nodes",
-        "int64_t num_inter",
-        "int64_t num_steps",
-        "double *scratch",
-    ]
+    _emit_unit_header(w, "C executor", program, sanitize)
+    params = _operand_params(program, tiled=False) + ["double *scratch"]
     if sanitize:
         params.append("int64_t *err")
     with w.block(f"void run({', '.join(params)}) {{"):
         if sanitize:
-            w.line("err[0] = 0;")
-            w.line(
-                f"if (_guard(left, num_inter, num_nodes, {GUARD_LEFT}, err)) "
-                "return;"
-            )
-            w.line(
-                f"if (_guard(right, num_inter, num_nodes, {GUARD_RIGHT}, "
-                "err)) return;"
-            )
+            _emit_guard_scans(w, program, tiled=False)
         with w.block("for (int64_t _step = 0; _step < num_steps; ++_step) {"):
             for loop in program.loops:
                 ivar = loop.index_var
+                extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
+                sweep = (
+                    f"for (int64_t {ivar} = 0; {ivar} < {extent}; ++{ivar}) {{"
+                )
                 w.line(f"/* {loop.label} ({loop.domain}) */")
                 if loop.domain == "nodes":
-                    with w.block(
-                        f"for (int64_t {ivar} = 0; {ivar} < num_nodes; "
-                        f"++{ivar}) {{"
-                    ):
+                    with w.block(sweep):
                         _emit_node_body(w, loop, ivar)
                     w.line("}")
                 elif loop.fissioned is not None:
                     gc = loop.fissioned
                     payload = _render(gc.payload, ivar, _idx_via(ivar))
-                    with w.block(
-                        f"for (int64_t {ivar} = 0; {ivar} < num_inter; "
-                        f"++{ivar}) {{"
-                    ):
+                    with w.block(sweep):
                         w.line(f"scratch[{ivar}] = {payload};")
                     w.line("}")
                     for commit in gc.commits:
-                        end = f"{commit.via}[{ivar}]"
-                        val = (
-                            f"scratch[{ivar}]"
-                            if commit.sign > 0
-                            else f"(-scratch[{ivar}])"
-                        )
-                        with w.block(
-                            f"for (int64_t {ivar} = 0; {ivar} < num_inter; "
-                            f"++{ivar}) {{"
-                        ):
+                        with w.block(sweep):
                             w.line(
-                                f"{commit.array}[{end}] = "
-                                f"{commit.array}[{end}] + {val};"
+                                _commit_stmt(commit, ivar, f"scratch[{ivar}]")
                             )
                         w.line("}")
                 else:
-                    with w.block(
-                        f"for (int64_t {ivar} = 0; {ivar} < num_inter; "
-                        f"++{ivar}) {{"
-                    ):
+                    with w.block(sweep):
                         _emit_inter_scalar_body(w, loop, ivar)
                     w.line("}")
         w.line("}")
@@ -227,23 +272,8 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     and range-scans every CSR iteration array, the wave tile ids, and
     ``left``/``right`` before the first step (see :func:`emit_c`)."""
     w = SourceWriter()
-    w.line(f"/* Tiled C executor for '{program.kernel_name}' "
-           "(generated by repro.lowering; do not edit). */")
-    w.line("#include <stdint.h>")
-    w.line()
-    if sanitize:
-        _emit_guard_fn(w)
-        w.line()
-    params = _data_params(program) + [
-        "const int64_t *left",
-        "const int64_t *right",
-        "int64_t num_nodes",
-        "int64_t num_inter",
-        "int64_t num_steps",
-    ]
-    for pos in range(len(program.loops)):
-        params += [f"const int64_t *iters{pos}", f"const int64_t *off{pos}"]
-    params += [
+    _emit_unit_header(w, "Tiled C executor", program, sanitize)
+    params = _operand_params(program, tiled=True) + [
         "const int64_t *wave_tiles",
         "const int64_t *wave_off",
         "int64_t num_waves",
@@ -253,21 +283,7 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
         params += ["int64_t num_tiles", "int64_t *err"]
     with w.block(f"void run_tiled({', '.join(params)}) {{"):
         if sanitize:
-            w.line("err[0] = 0;")
-            w.line(
-                f"if (_guard(left, num_inter, num_nodes, {GUARD_LEFT}, err)) "
-                "return;"
-            )
-            w.line(
-                f"if (_guard(right, num_inter, num_nodes, {GUARD_RIGHT}, "
-                "err)) return;"
-            )
-            for pos, loop in enumerate(program.loops):
-                extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
-                w.line(
-                    f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
-                    f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
-                )
+            _emit_guard_scans(w, program, tiled=True)
             w.line(
                 "if (_guard(wave_tiles, wave_off[num_waves], num_tiles, "
                 f"{GUARD_WAVES}, err)) return;"
@@ -280,77 +296,27 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
                     ivar = loop.index_var
                     w.line(f"/* {loop.label} ({loop.domain}) */")
                     if loop.domain == "nodes":
-                        with w.block(
-                            "for (int64_t _g = wave_off[_w]; "
-                            "_g < wave_off[_w + 1]; ++_g) {"
-                        ):
-                            w.line("int64_t _t = wave_tiles[_g];")
-                            with w.block(
-                                f"for (int64_t _k = off{pos}[_t]; "
-                                f"_k < off{pos}[_t + 1]; ++_k) {{"
-                            ):
-                                w.line(f"int64_t {ivar} = iters{pos}[_k];")
-                                _emit_node_body(w, loop, ivar)
-                            w.line("}")
-                        w.line("}")
+                        with _wave_tiles(w), _tile_iters(w, pos, ivar):
+                            _emit_node_body(w, loop, ivar)
                     elif loop.fissioned is not None:
                         gc = loop.fissioned
                         payload = _render(gc.payload, ivar, _idx_via(ivar))
                         # Pass 1: every tile's pure gather into scratch
                         # (keyed by the global CSR position).
-                        with w.block(
-                            "for (int64_t _g = wave_off[_w]; "
-                            "_g < wave_off[_w + 1]; ++_g) {"
-                        ):
-                            w.line("int64_t _t = wave_tiles[_g];")
-                            with w.block(
-                                f"for (int64_t _k = off{pos}[_t]; "
-                                f"_k < off{pos}[_t + 1]; ++_k) {{"
-                            ):
-                                w.line(f"int64_t {ivar} = iters{pos}[_k];")
-                                w.line(f"scratch[_k] = {payload};")
-                            w.line("}")
-                        w.line("}")
+                        with _wave_tiles(w), _tile_iters(w, pos, ivar):
+                            w.line(f"scratch[_k] = {payload};")
                         # Pass 2: commits per tile, in the wave's tile
                         # order — both commit passes of a tile before the
-                        # next tile (run_numeric_wavefront's zip loop).
-                        with w.block(
-                            "for (int64_t _g = wave_off[_w]; "
-                            "_g < wave_off[_w + 1]; ++_g) {"
-                        ):
-                            w.line("int64_t _t = wave_tiles[_g];")
+                        # next tile (run_wave_phases' zip loop).
+                        with _wave_tiles(w):
                             for commit in gc.commits:
-                                end = f"{commit.via}[{ivar}]"
-                                val = (
-                                    "scratch[_k]"
-                                    if commit.sign > 0
-                                    else "(-scratch[_k])"
-                                )
-                                with w.block(
-                                    f"for (int64_t _k = off{pos}[_t]; "
-                                    f"_k < off{pos}[_t + 1]; ++_k) {{"
-                                ):
-                                    w.line(f"int64_t {ivar} = iters{pos}[_k];")
+                                with _tile_iters(w, pos, ivar):
                                     w.line(
-                                        f"{commit.array}[{end}] = "
-                                        f"{commit.array}[{end}] + {val};"
+                                        _commit_stmt(commit, ivar, "scratch[_k]")
                                     )
-                                w.line("}")
-                        w.line("}")
                     else:
-                        with w.block(
-                            "for (int64_t _g = wave_off[_w]; "
-                            "_g < wave_off[_w + 1]; ++_g) {"
-                        ):
-                            w.line("int64_t _t = wave_tiles[_g];")
-                            with w.block(
-                                f"for (int64_t _k = off{pos}[_t]; "
-                                f"_k < off{pos}[_t + 1]; ++_k) {{"
-                            ):
-                                w.line(f"int64_t {ivar} = iters{pos}[_k];")
-                                _emit_inter_scalar_body(w, loop, ivar)
-                            w.line("}")
-                        w.line("}")
+                        with _wave_tiles(w), _tile_iters(w, pos, ivar):
+                            _emit_inter_scalar_body(w, loop, ivar)
                 w.line("}")  # close the wave loop
         w.line("}")
     w.line("}")
@@ -368,6 +334,40 @@ def _emit_stage_prologue(w: SourceWriter, program: Program) -> None:
     w.line(f"{voids} (void)left; (void)right;")
 
 
+def _dynamic_loop_split(program: Program):
+    """(pre-loops, the fissioned interaction loop + position, post-loops).
+
+    The dynamic emitter needs the three-stage tile task: node loops
+    before the interaction loop run in the gather stage, the interaction
+    loop's payload is buffered per tile and committed at the tile's
+    turn, node loops after it run in the post stage.  Requires exactly
+    one interaction loop, fissioned — which is what the IRV006 static
+    obligations (and the ``dynamic_schedule`` pass gating) guarantee.
+    """
+    inter = [
+        (pos, loop)
+        for pos, loop in enumerate(program.loops)
+        if loop.domain != "nodes"
+    ]
+    if len(inter) != 1:
+        raise ValidationError(
+            f"dynamic schedule needs exactly one interaction loop, "
+            f"{program.kernel_name} has {len(inter)}"
+        )
+    ip, inter_loop = inter[0]
+    if inter_loop.fissioned is None:
+        raise ValidationError(
+            f"dynamic schedule needs the gather/commit split on "
+            f"{inter_loop.label} (run the fission pass)"
+        )
+    pre = [(pos, program.loops[pos]) for pos in range(ip)]
+    post = [
+        (pos, program.loops[pos])
+        for pos in range(ip + 1, len(program.loops))
+    ]
+    return pre, ip, inter_loop, post
+
+
 def _emit_dynamic_stages(w: SourceWriter, program: Program) -> None:
     """The three per-tile stage functions of the counter scheduler.
 
@@ -377,77 +377,44 @@ def _emit_dynamic_stages(w: SourceWriter, program: Program) -> None:
     concurrent gathers never race on ``scratch``), commit replays both
     passes in statement order at the tile's turn.
     """
-    from repro.lowering.emit_numpy import _dynamic_loop_split
-
     pre, ip, inter_loop, post = _dynamic_loop_split(program)
     gc = inter_loop.fissioned
     ivar = inter_loop.index_var
 
-    with w.block(
-        "static inline __attribute__((always_inline)) void "
-        "_stage_gather(const _ctx_t *c, int64_t _t) {"
-    ):
-        _emit_stage_prologue(w, program)
-        for pos, loop in pre:
+    def stage(name: str):
+        return w.block(
+            "static inline __attribute__((always_inline)) void "
+            f"_stage_{name}(const _ctx_t *c, int64_t _t) {{"
+        )
+
+    def node_loops(loops) -> None:
+        for pos, loop in loops:
             w.line(f"/* {loop.label} ({loop.domain}) */")
-            with w.block(
-                f"for (int64_t _k = c->off{pos}[_t]; "
-                f"_k < c->off{pos}[_t + 1]; ++_k) {{"
-            ):
-                w.line(f"int64_t {loop.index_var} = c->iters{pos}[_k];")
+            with _tile_iters(w, pos, loop.index_var, "c->"):
                 _emit_node_body(w, loop, loop.index_var)
-            w.line("}")
+
+    with stage("gather"):
+        _emit_stage_prologue(w, program)
+        node_loops(pre)
         w.line(f"/* {inter_loop.label} gather */")
         payload = _render(gc.payload, ivar, _idx_via(ivar))
-        with w.block(
-            f"for (int64_t _k = c->off{ip}[_t]; "
-            f"_k < c->off{ip}[_t + 1]; ++_k) {{"
-        ):
-            w.line(f"int64_t {ivar} = c->iters{ip}[_k];")
+        with _tile_iters(w, ip, ivar, "c->"):
             w.line(f"c->scratch[_k] = {payload};")
-        w.line("}")
     w.line("}")
     w.line()
 
-    with w.block(
-        "static inline __attribute__((always_inline)) void "
-        "_stage_commit(const _ctx_t *c, int64_t _t) {"
-    ):
+    with stage("commit"):
         _emit_stage_prologue(w, program)
         for commit in gc.commits:
-            end = f"{commit.via}[{ivar}]"
-            val = (
-                "c->scratch[_k]"
-                if commit.sign > 0
-                else "(-c->scratch[_k])"
-            )
-            with w.block(
-                f"for (int64_t _k = c->off{ip}[_t]; "
-                f"_k < c->off{ip}[_t + 1]; ++_k) {{"
-            ):
-                w.line(f"int64_t {ivar} = c->iters{ip}[_k];")
-                w.line(
-                    f"{commit.array}[{end}] = {commit.array}[{end}] + {val};"
-                )
-            w.line("}")
+            with _tile_iters(w, ip, ivar, "c->"):
+                w.line(_commit_stmt(commit, ivar, "c->scratch[_k]"))
     w.line("}")
     w.line()
 
-    with w.block(
-        "static inline __attribute__((always_inline)) void "
-        "_stage_post(const _ctx_t *c, int64_t _t) {"
-    ):
+    with stage("post"):
         _emit_stage_prologue(w, program)
         w.line("(void)_t;")
-        for pos, loop in post:
-            w.line(f"/* {loop.label} ({loop.domain}) */")
-            with w.block(
-                f"for (int64_t _k = c->off{pos}[_t]; "
-                f"_k < c->off{pos}[_t + 1]; ++_k) {{"
-            ):
-                w.line(f"int64_t {loop.index_var} = c->iters{pos}[_k];")
-                _emit_node_body(w, loop, loop.index_var)
-            w.line("}")
+        node_loops(post)
     w.line("}")
 
 
@@ -606,40 +573,23 @@ def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
     ``order`` and ``succ``) before the first step and traps via ``err``.
     """
     w = SourceWriter()
-    w.line(f"/* Dynamic-schedule C executor for '{program.kernel_name}' "
-           "(generated by repro.lowering; do not edit). */")
-    w.line("#include <stdint.h>")
-    w.line("#include <stdlib.h>")
-    w.line("#include <pthread.h>")
-    w.line()
-    if sanitize:
-        _emit_guard_fn(w)
-        w.line()
+    _emit_unit_header(
+        w, "Dynamic-schedule C executor", program, sanitize,
+        "stdlib.h", "pthread.h",
+    )
+    # The stage functions' context: every pointer the entry point takes.
+    operands = _operand_params(program, tiled=True)
+    ctx_fields = [p for p in operands if "*" in p] + ["double *scratch"]
     with w.block("typedef struct {"):
-        for name in program.data_arrays:
-            w.line(f"double *{name};")
-        w.line("const int64_t *left;")
-        w.line("const int64_t *right;")
-        for pos in range(len(program.loops)):
-            w.line(f"const int64_t *iters{pos};")
-            w.line(f"const int64_t *off{pos};")
-        w.line("double *scratch;")
+        for field in ctx_fields:
+            w.line(f"{field};")
     w.line("} _ctx_t;")
     w.line()
     _emit_dynamic_stages(w, program)
     w.line()
     _emit_scheduler_runtime(w)
     w.line()
-    params = _data_params(program) + [
-        "const int64_t *left",
-        "const int64_t *right",
-        "int64_t num_nodes",
-        "int64_t num_inter",
-        "int64_t num_steps",
-    ]
-    for pos in range(len(program.loops)):
-        params += [f"const int64_t *iters{pos}", f"const int64_t *off{pos}"]
-    params += [
+    params = operands + [
         "const int64_t *order",
         "const int64_t *wave",
         "const int64_t *indegree",
@@ -653,21 +603,7 @@ def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
         params.append("int64_t *err")
     with w.block(f"void run_tiled_dynamic({', '.join(params)}) {{"):
         if sanitize:
-            w.line("err[0] = 0;")
-            w.line(
-                f"if (_guard(left, num_inter, num_nodes, {GUARD_LEFT}, err)) "
-                "return;"
-            )
-            w.line(
-                f"if (_guard(right, num_inter, num_nodes, {GUARD_RIGHT}, "
-                "err)) return;"
-            )
-            for pos, loop in enumerate(program.loops):
-                extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
-                w.line(
-                    f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
-                    f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
-                )
+            _emit_guard_scans(w, program, tiled=True)
             w.line(
                 f"if (_guard(order, num_tiles, num_tiles, {GUARD_ORDER}, "
                 "err)) return;"
@@ -677,14 +613,9 @@ def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
                 f"{GUARD_SUCC}, err)) return;"
             )
         w.line("_ctx_t ctx;")
-        for name in program.data_arrays:
+        for field in ctx_fields:
+            name = field.rpartition("*")[2]
             w.line(f"ctx.{name} = {name};")
-        w.line("ctx.left = left;")
-        w.line("ctx.right = right;")
-        for pos in range(len(program.loops)):
-            w.line(f"ctx.iters{pos} = iters{pos};")
-            w.line(f"ctx.off{pos} = off{pos};")
-        w.line("ctx.scratch = scratch;")
         w.line("(void)num_nodes; (void)num_inter;")
         w.line("int _serial = (num_threads <= 1 || num_tiles <= 1);")
         w.line("_sched_t s;")
@@ -876,6 +807,16 @@ def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
     return w.source()
 
 
+#: Executor shape -> (emitter, the entry point its translation unit
+#: exports) — what :func:`repro.lowering.executor.compile_executor`
+#: builds and what its one ``ctypes`` marshaller calls.
+SHAPES = {
+    "untiled": (emit_c, "run"),
+    "tiled": (emit_c_tiled, "run_tiled"),
+    "dynamic": (emit_c_dynamic, "run_tiled_dynamic"),
+}
+
+
 __all__ = [
     "DYNAMIC_TAG",
     "EMITTER_VERSION",
@@ -886,6 +827,7 @@ __all__ = [
     "GUARD_SUCC",
     "GUARD_WAVES",
     "SANITIZE_TAG",
+    "SHAPES",
     "emit_c",
     "emit_c_dynamic",
     "emit_c_tiled",

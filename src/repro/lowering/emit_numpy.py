@@ -1,28 +1,34 @@
-"""Emit a vectorized-NumPy executor from the rewritten loop-nest IR.
+"""Emit a kernel's NumPy phase table from the rewritten loop-nest IR.
 
-The emitted source is ordinary Python over ``numpy`` — the compiled
-analogue of the library executor — and is **operation-identical** to it:
+The emitted module is the compiled analogue of
+:mod:`repro.kernels.executors` — ordinary Python over ``numpy`` whose
+payload is ``PHASES``, one :class:`~repro.kernels.executors.KernelPhase`
+per kernel loop, the same shape as the hand-written
+:data:`~repro.kernels.executors.PHASE_FUNCTIONS` and **operation-
+identical** to it:
 
-* vectorized node loops become the same whole-array in-place updates the
-  step functions perform (``x += 0.01 * vx + 0.0005 * fx``);
-* fissioned interaction loops become one batched gather of the payload
-  followed by one ``np.add.at`` per commit, in statement order — exactly
-  the library's gather/commit sequence, so results are bit-identical;
-* loops the pipeline left scalar are emitted as faithful Figure-13
-  scalar loops (the interpreter-speed rendering; ablation only).
+* a vectorized node loop is ``apply(arrays, iters)``: the in-place
+  update the step functions perform, over an iteration subset
+  (``x[iters] += 0.01 * vx[iters] + 0.0005 * fx[iters]``);
+* a fissioned interaction loop is ``gather(arrays, l, r)`` — one batched,
+  pure evaluation of the payload over the endpoint arrays — plus
+  ``commit(arrays, l, r, payload)``: one ``np.add.at`` per commit, in
+  statement order — exactly the library's gather/commit sequence, so
+  results are bit-identical;
+* loops the pipeline left scalar become faithful Figure-13 scalar loops
+  (the interpreter-speed rendering; ablation only) behind the same
+  signatures: an unfissioned interaction loop gathers nothing and runs
+  its interleaved statements in ``commit``, i.e. still at its tile's
+  turn in the commit order.
 
-The tiled emitter mirrors :func:`repro.runtime.executor.run_numeric_wavefront`
-structurally: per wave, node phases run tile by tile, interaction phases
-gather every tile's payload first and then commit in the wave's tile
-order — the fixed commit order that makes wavefront runs reproducible.
-
-Entry points of the generated module:
-
-* untiled — ``run(arrays, left, right, num_steps=1)``
-* tiled  — ``run(arrays, left, right, schedule, wave_groups=None,
-  num_steps=1)`` where ``schedule[t][pos]`` are loop ``pos``'s iterations
-  in tile ``t`` and ``wave_groups`` is a sequence of tile-id arrays
-  (``None`` = every tile its own wave, i.e. serial tile order).
+The module holds no schedule: *how* the table runs — wave by wave or
+under the dependence-counter scheduler — is decided by the two drivers
+of :mod:`repro.lowering.schedule`, which serve this table and the
+hand-written one alike.  The one entry point it does define,
+``run(arrays, left, right, num_steps=1)``, is the untiled executor (the
+paper's Figure 13): each phase once over its whole range per time step.
+With ``sanitize`` the module also defines ``guard(...)``, the bounds
+prologue ``run`` and the tiled drivers' entry call before any mutation.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.codegen.emit import SourceWriter
+from repro.errors import ValidationError
 from repro.lowering.ir import (
     BinOp,
     Const,
@@ -41,28 +48,30 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-EMITTER_VERSION = "numpy-1"
+#: numpy-2: the module is a phase table (no tiled/dynamic entry points).
+EMITTER_VERSION = "numpy-2"
 
 #: Appended to the artifact key when the sanitizer prologue is emitted,
 #: so guarded and unguarded modules never collide in the cache.
 SANITIZE_TAG = "san1"
 
-#: Appended to the artifact key (and the artifact suffix) for the
-#: counter-scheduled entry point, so wave and dynamic builds are
-#: distinct cache entries (`repro cache stats` reports them apart).
-DYNAMIC_TAG = "dyn1"
 
-
-def _render(expr: Expr, direct: str, via: Dict[str, str]) -> str:
+def _render(expr: Expr, direct: Optional[str], via: Dict[str, str]) -> str:
     """Render an expression; ``direct`` is the subscript text for direct
-    loads (``""`` = whole array) and ``via`` maps an index-array name to
-    the subscript text of loads through it."""
+    loads (``None`` inside interaction loops, whose phases only see the
+    endpoint arrays) and ``via`` maps an index-array name to the
+    subscript text of loads through it."""
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, Load):
-        if expr.index.direct:
-            return f"A_{expr.array}{direct}"
-        return f"A_{expr.array}[{via[expr.index.via]}]"
+        if not expr.index.direct:
+            return f"A_{expr.array}[{via[expr.index.via]}]"
+        if direct is None:
+            raise ValidationError(
+                f"interaction loops may address {expr.array!r} only "
+                "through an index array"
+            )
+        return f"A_{expr.array}[{direct}]"
     if isinstance(expr, Neg):
         return f"(-{_render(expr.operand, direct, via)})"
     if isinstance(expr, BinOp):
@@ -72,65 +81,68 @@ def _render(expr: Expr, direct: str, via: Dict[str, str]) -> str:
     raise TypeError(f"unknown expression {expr!r}")
 
 
-def _scalar_via(ivar: str) -> Dict[str, str]:
-    return {"left": f"left[{ivar}]", "right": f"right[{ivar}]"}
-
-
-def _emit_node_loop(w: SourceWriter, loop: LoopIR, subset: Optional[str]) -> None:
-    """A node sweep: whole-array (or fancy-indexed) in-place updates."""
-    if loop.vector:
-        sub = f"[{subset}]" if subset else ""
-        for stmt in loop.stmts:
-            inc = _render(stmt.increment, sub, {})
-            w.line(f"A_{stmt.array}{sub} += {inc}")
-        return
-    ivar = loop.index_var
-    bound = f"len({subset})" if subset else "_num_nodes"
-    with w.block(f"for _k in range({bound}):"):
-        w.line(f"{ivar} = {subset}[_k]" if subset else f"{ivar} = _k")
-        for stmt in loop.stmts:
-            inc = _render(stmt.increment, f"[{ivar}]", _scalar_via(ivar))
-            w.line(f"A_{stmt.array}[{ivar}] += {inc}")
-
-
-def _emit_inter_loop(w: SourceWriter, loop: LoopIR, subset: Optional[str]) -> None:
-    """An interaction loop in the untiled executor."""
-    if loop.fissioned is not None and loop.vector:
-        gc = loop.fissioned
-        l_sub = f"left[{subset}]" if subset else "left"
-        r_sub = f"right[{subset}]" if subset else "right"
-        w.line(f"_l = {l_sub}")
-        w.line(f"_r = {r_sub}")
-        payload = _render(gc.payload, "", {"left": "_l", "right": "_r"})
-        w.line(f"_g = {payload}")
-        for commit in gc.commits:
-            end = {"left": "_l", "right": "_r"}[commit.via]
-            val = "_g" if commit.sign > 0 else "-_g"
-            w.line(f"np.add.at(A_{commit.array}, {end}, {val})")
-        return
-    # Scalar Figure-13 rendering (statements interleaved per iteration).
-    ivar = loop.index_var
-    bound = f"len({subset})" if subset else "_num_inter"
-    with w.block(f"for _k in range({bound}):"):
-        w.line(f"{ivar} = {subset}[_k]" if subset else f"{ivar} = _k")
-        for stmt in loop.stmts:
-            via = _scalar_via(ivar)
-            target = f"A_{stmt.array}[{via[stmt.index.via]}]"
-            inc = _render(stmt.increment, f"[{ivar}]", via)
-            w.line(f"{target} += {inc}")
-
-
-def _emit_prologue(w: SourceWriter, program: Program) -> None:
+def _emit_arrays(w: SourceWriter, program: Program) -> None:
     for name in program.data_arrays:
         w.line(f"A_{name} = arrays[{name!r}]")
-    w.line(f"_num_nodes = A_{program.data_arrays[0]}.shape[0]")
-    w.line("_num_inter = left.shape[0]")
 
 
-def _emit_guard_helper(w: SourceWriter) -> None:
-    """The masked pre-check the sanitizer prologue calls: one vectorized
-    range scan per index source, raising the typed trap *before* any data
-    array is touched (so a corrupted dataset leaves state unmodified)."""
+def _emit_phase(w: SourceWriter, program: Program, pos: int) -> str:
+    """Emit loop ``pos``'s phase functions; returns its ``PHASES`` entry."""
+    loop: LoopIR = program.loops[pos]
+    w.line(f"# {loop.label} ({loop.domain})")
+    if loop.domain == "nodes":
+        with w.block(f"def _apply_{pos}(arrays, iters):"):
+            _emit_arrays(w, program)
+            if loop.vector:
+                for stmt in loop.stmts:
+                    inc = _render(stmt.increment, "iters", {})
+                    w.line(f"A_{stmt.array}[iters] += {inc}")
+            else:
+                ivar = loop.index_var
+                with w.block(f"for {ivar} in iters:"):
+                    for stmt in loop.stmts:
+                        inc = _render(stmt.increment, ivar, {})
+                        w.line(f"A_{stmt.array}[{ivar}] += {inc}")
+        w.line()
+        w.line()
+        return f"KernelPhase('nodes', apply=_apply_{pos})"
+    gc = loop.fissioned if loop.vector else None
+    with w.block(f"def _gather_{pos}(arrays, l, r):"):
+        if gc is None:
+            w.line("return None")
+        else:
+            _emit_arrays(w, program)
+            payload = _render(gc.payload, None, {"left": "l", "right": "r"})
+            w.line(f"return {payload}")
+    w.line()
+    w.line()
+    with w.block(f"def _commit_{pos}(arrays, l, r, g):"):
+        _emit_arrays(w, program)
+        if gc is None:
+            # Scalar Figure-13 rendering (statements interleaved per
+            # iteration).
+            via = {"left": "l[_k]", "right": "r[_k]"}
+            with w.block("for _k in range(len(l)):"):
+                for stmt in loop.stmts:
+                    target = f"A_{stmt.array}[{via[stmt.index.via]}]"
+                    w.line(f"{target} += {_render(stmt.increment, None, via)}")
+        else:
+            for commit in gc.commits:
+                end = {"left": "l", "right": "r"}[commit.via]
+                val = "g" if commit.sign > 0 else "-g"
+                w.line(f"np.add.at(A_{commit.array}, {end}, {val})")
+    w.line()
+    w.line()
+    return f"KernelPhase('inters', gather=_gather_{pos}, commit=_commit_{pos})"
+
+
+def _emit_guard(w: SourceWriter, program: Program) -> None:
+    """The sanitizer prologue — the run-time discharge of the verifier's
+    assumed facts (index-array-range, tile-partition, wave-cover): one
+    vectorized range scan per index source, raising the typed trap
+    *before* any data array is touched (so a corrupted dataset leaves
+    state unmodified).  ``run`` passes the index arrays alone; the tiled
+    drivers' entry adds the schedule, wave groups and counter DAG."""
     with w.block("def _guard(name, values, bound):"):
         w.line("values = np.asarray(values)")
         w.line("_bad = np.flatnonzero((values < 0) | (values >= bound))")
@@ -142,260 +154,85 @@ def _emit_guard_helper(w: SourceWriter) -> None:
                 " array=name, bound=int(bound), stage='sanitizer',"
                 " indices=[int(_i) for _i in _bad[:5]])"
             )
-
-
-def _emit_guard_calls(w: SourceWriter, tiled: bool) -> None:
-    """Sanitizer prologue body — the run-time discharge of the verifier's
-    assumed facts (index-array-range, tile-partition, wave-cover)."""
-    with w.block("if right.shape[0] != _num_inter:"):
-        w.line(
-            "raise ExecutorBoundsError("
-            "f'right has {right.shape[0]} entries, left has {_num_inter}',"
-            " array='right', bound=int(_num_inter), stage='sanitizer')"
-        )
-    w.line("_guard('left', left, _num_nodes)")
-    w.line("_guard('right', right, _num_nodes)")
-    if tiled:
-        w.line("_extents = " "[_num_nodes if _d == 'nodes' else _num_inter "
-               "for _d in _loop_domains]")
+    w.line()
+    w.line()
+    extents = ", ".join(
+        "_num_nodes" if loop.domain == "nodes" else "len(left)"
+        for loop in program.loops
+    )
+    with w.block(
+        "def guard(arrays, left, right, schedule=None, wave_groups=None, "
+        "dag=None):"
+    ):
+        w.line(f"_num_nodes = len(arrays[{program.data_arrays[0]!r}])")
+        w.line("_guard('left', left, _num_nodes)")
+        w.line("_guard('right', right, _num_nodes)")
+        with w.block("if schedule is None:"):
+            w.line("return")
         with w.block("for _t, _tile in enumerate(schedule):"):
-            with w.block("for _pos, _bound in enumerate(_extents):"):
+            with w.block(f"for _pos, _bound in enumerate(({extents},)):"):
                 w.line(
                     "_guard(f'schedule[{_t}][{_pos}]', _tile[_pos], _bound)"
                 )
-        with w.block("if wave_groups is not None:"):
-            with w.block("for _wv, _group in enumerate(wave_groups):"):
-                w.line(
-                    "_guard(f'wave_groups[{_wv}]', _group, len(schedule))"
-                )
+        with w.block("for _wv, _group in enumerate(wave_groups or ()):"):
+            w.line("_guard(f'wave_groups[{_wv}]', _group, len(schedule))")
+        with w.block("if dag is not None:"):
+            w.line(
+                "_guard('dag.succ_indices', dag.succ_indices, len(schedule))"
+            )
+            w.line("_guard('dag.order', dag.order, len(schedule))")
+    w.line()
+    w.line()
 
 
 def emit_numpy(program: Program, sanitize: bool = False) -> str:
-    """Source of the untiled NumPy executor for a rewritten program.
+    """Source of the NumPy phase-table module for a rewritten program.
 
-    With ``sanitize`` the module opens with a masked range pre-check of
-    ``left``/``right`` that raises :class:`~repro.errors.
-    ExecutorBoundsError` before any data array is read or written; the
-    compute body is unchanged, so valid datasets stay bit-identical."""
+    With ``sanitize`` the module carries ``guard``: a masked range
+    pre-check of ``left``/``right`` (and, when given, every tile-schedule
+    iteration list, wave group and counter-DAG index array) that raises
+    :class:`~repro.errors.ExecutorBoundsError` before any data array is
+    read or written; the phases are unchanged, so valid datasets stay
+    bit-identical."""
     w = SourceWriter()
-    w.line(f'"""NumPy executor for {program.kernel_name!r} '
+    w.line(f'"""NumPy phase table for {program.kernel_name!r} '
            '(generated by repro.lowering; do not edit)."""')
     w.line("import numpy as np")
     if sanitize:
         w.line("from repro.errors import ExecutorBoundsError")
+    w.line("from repro.kernels.executors import KernelPhase")
+    w.line()
     w.line()
     if sanitize:
-        _emit_guard_helper(w)
-        w.line()
+        _emit_guard(w, program)
+    entries = [
+        _emit_phase(w, program, pos) for pos in range(len(program.loops))
+    ]
+    with w.block("PHASES = ["):
+        for entry in entries:
+            w.line(f"{entry},")
+    w.line("]")
+    w.line()
+    w.line()
     with w.block("def run(arrays, left, right, num_steps=1):"):
-        _emit_prologue(w, program)
         if sanitize:
-            _emit_guard_calls(w, tiled=False)
+            w.line("guard(arrays, left, right)")
         with w.block("for _step in range(num_steps):"):
-            for loop in program.loops:
-                w.line(f"# {loop.label} ({loop.domain})")
-                if loop.domain == "nodes":
-                    _emit_node_loop(w, loop, None)
+            for pos, loop in enumerate(program.loops):
+                if loop.domain != "nodes":
+                    w.line(
+                        f"_commit_{pos}(arrays, left, right, "
+                        f"_gather_{pos}(arrays, left, right))"
+                    )
+                elif loop.vector:
+                    w.line(f"_apply_{pos}(arrays, slice(None))")
                 else:
-                    _emit_inter_loop(w, loop, None)
+                    first = program.data_arrays[0]
+                    w.line(
+                        f"_apply_{pos}(arrays, range(len(arrays[{first!r}])))"
+                    )
         w.line("return arrays")
     return w.source()
 
 
-def emit_numpy_tiled(program: Program, sanitize: bool = False) -> str:
-    """Source of the tiled wave executor (mirrors ``run_numeric_wavefront``:
-    per wave, gathers for every tile, then commits in the wave's tile
-    order).  ``sanitize`` additionally range-checks every tile-schedule
-    iteration list and wave group before the first step."""
-    w = SourceWriter()
-    w.line(f'"""Tiled NumPy executor for {program.kernel_name!r} '
-           '(generated by repro.lowering; do not edit)."""')
-    w.line("import numpy as np")
-    if sanitize:
-        w.line("from repro.errors import ExecutorBoundsError")
-    w.line()
-    if sanitize:
-        _emit_guard_helper(w)
-        w.line()
-    with w.block(
-        "def run(arrays, left, right, schedule, wave_groups=None, num_steps=1):"
-    ):
-        _emit_prologue(w, program)
-        if sanitize:
-            domains = [loop.domain for loop in program.loops]
-            w.line(f"_loop_domains = {domains!r}")
-            _emit_guard_calls(w, tiled=True)
-        with w.block("if wave_groups is None:"):
-            w.line("wave_groups = [[_t] for _t in range(len(schedule))]")
-        with w.block("for _step in range(num_steps):"):
-            with w.block("for _group in wave_groups:"):
-                w.line("_tiles = [schedule[int(_t)] for _t in _group]")
-                for pos, loop in enumerate(program.loops):
-                    w.line(f"# {loop.label} ({loop.domain})")
-                    if loop.domain == "nodes":
-                        with w.block("for _tile in _tiles:"):
-                            w.line(f"_it = _tile[{pos}]")
-                            with w.block("if len(_it):"):
-                                _emit_node_loop(w, loop, "_it")
-                    elif loop.fissioned is not None and loop.vector:
-                        gc = loop.fissioned
-                        payload = _render(
-                            gc.payload, "", {"left": "_l", "right": "_r"}
-                        )
-                        w.line(
-                            f"_work = [(left[_t[{pos}]], right[_t[{pos}]]) "
-                            f"for _t in _tiles if len(_t[{pos}])]"
-                        )
-                        w.line(
-                            f"_payloads = [{payload} for (_l, _r) in _work]"
-                        )
-                        with w.block(
-                            "for (_l, _r), _g in zip(_work, _payloads):"
-                        ):
-                            for commit in gc.commits:
-                                end = {"left": "_l", "right": "_r"}[commit.via]
-                                val = "_g" if commit.sign > 0 else "-_g"
-                                w.line(
-                                    f"np.add.at(A_{commit.array}, {end}, {val})"
-                                )
-                    else:
-                        with w.block("for _tile in _tiles:"):
-                            w.line(f"_it = _tile[{pos}]")
-                            with w.block("if len(_it):"):
-                                _emit_inter_loop(w, loop, "_it")
-        w.line("return arrays")
-    return w.source()
-
-
-def _dynamic_loop_split(program: Program):
-    """(pre-loops, the fissioned interaction loop + position, post-loops).
-
-    The dynamic emitters need the three-stage tile task: node loops
-    before the interaction loop run in the gather stage, the interaction
-    loop's payload is buffered per tile and committed at the tile's
-    turn, node loops after it run in the post stage.  Requires exactly
-    one interaction loop, fissioned — which is what the IRV006 static
-    obligations (and the ``dynamic_schedule`` pass gating) guarantee.
-    """
-    from repro.errors import ValidationError
-
-    inter = [
-        (pos, loop)
-        for pos, loop in enumerate(program.loops)
-        if loop.domain != "nodes"
-    ]
-    if len(inter) != 1:
-        raise ValidationError(
-            f"dynamic schedule needs exactly one interaction loop, "
-            f"{program.kernel_name} has {len(inter)}"
-        )
-    ip, inter_loop = inter[0]
-    if inter_loop.fissioned is None:
-        raise ValidationError(
-            f"dynamic schedule needs the gather/commit split on "
-            f"{inter_loop.label} (run the fission pass)"
-        )
-    pre = [(pos, program.loops[pos]) for pos in range(ip)]
-    post = [
-        (pos, program.loops[pos])
-        for pos in range(ip + 1, len(program.loops))
-    ]
-    return pre, ip, inter_loop, post
-
-
-def emit_numpy_dynamic(program: Program, sanitize: bool = False) -> str:
-    """Source of the counter-scheduled NumPy executor.
-
-    The generated module builds the three tile-stage closures from the
-    IR and hands them to :func:`repro.lowering.schedule.run_dynamic`
-    (work-stealing pool, commit token): gathers buffer each tile's *raw*
-    payload vector, commits replay them with the same ``np.add.at``
-    calls the wave emitter issues, in the wave executor's commit order —
-    bit-identical at any thread count.  Entry point::
-
-        run(arrays, left, right, schedule, wave_groups=None,
-            num_steps=1, dag=None, num_threads=None)
-
-    ``dag`` is a :class:`~repro.lowering.schedule.TileDAG` (``None``
-    degrades to the conservative barrier DAG from ``wave_groups``).
-    """
-    pre, ip, inter_loop, post = _dynamic_loop_split(program)
-    gc = inter_loop.fissioned
-    w = SourceWriter()
-    w.line(f'"""Dynamic-schedule NumPy executor for '
-           f'{program.kernel_name!r} '
-           '(generated by repro.lowering; do not edit)."""')
-    w.line("import numpy as np")
-    w.line("from repro.lowering.schedule import run_dynamic, "
-           "tile_dag_from_waves")
-    if sanitize:
-        w.line("from repro.errors import ExecutorBoundsError")
-    w.line()
-    if sanitize:
-        _emit_guard_helper(w)
-        w.line()
-    with w.block(
-        "def run(arrays, left, right, schedule, wave_groups=None, "
-        "num_steps=1, dag=None, num_threads=None):"
-    ):
-        _emit_prologue(w, program)
-        if sanitize:
-            domains = [loop.domain for loop in program.loops]
-            w.line(f"_loop_domains = {domains!r}")
-            _emit_guard_calls(w, tiled=True)
-            with w.block("if dag is not None:"):
-                w.line("_guard('dag.succ_indices', dag.succ_indices, "
-                       "len(schedule))")
-                w.line("_guard('dag.order', dag.order, len(schedule))")
-        with w.block("if dag is None:"):
-            w.line("dag = tile_dag_from_waves(wave_groups, len(schedule))")
-        w.line("_payloads = [None] * len(schedule)")
-        w.line("_ends = [None] * len(schedule)")
-        with w.block("def _stage_gather(_t):"):
-            w.line("_tile = schedule[_t]")
-            for pos, loop in pre:
-                w.line(f"# {loop.label} ({loop.domain})")
-                w.line(f"_it = _tile[{pos}]")
-                with w.block("if len(_it):"):
-                    _emit_node_loop(w, loop, "_it")
-            w.line(f"# {inter_loop.label} gather")
-            w.line(f"_it = _tile[{ip}]")
-            with w.block("if len(_it):"):
-                w.line("_l = left[_it]")
-                w.line("_r = right[_it]")
-                payload = _render(gc.payload, "", {"left": "_l", "right": "_r"})
-                w.line("_ends[_t] = (_l, _r)")
-                w.line(f"_payloads[_t] = {payload}")
-        with w.block("def _stage_commit(_t):"):
-            with w.block("if _payloads[_t] is not None:"):
-                w.line("_l, _r = _ends[_t]")
-                w.line("_g = _payloads[_t]")
-                for commit in gc.commits:
-                    end = {"left": "_l", "right": "_r"}[commit.via]
-                    val = "_g" if commit.sign > 0 else "-_g"
-                    w.line(f"np.add.at(A_{commit.array}, {end}, {val})")
-                w.line("_payloads[_t] = None")
-                w.line("_ends[_t] = None")
-        with w.block("def _stage_post(_t):"):
-            w.line("_tile = schedule[_t]")
-            if not post:
-                w.line("pass")
-            for pos, loop in post:
-                w.line(f"# {loop.label} ({loop.domain})")
-                w.line(f"_it = _tile[{pos}]")
-                with w.block("if len(_it):"):
-                    _emit_node_loop(w, loop, "_it")
-        w.line("run_dynamic(dag, _stage_gather, _stage_commit, "
-               "_stage_post, num_threads=num_threads, num_steps=num_steps)")
-        w.line("return arrays")
-    return w.source()
-
-
-__all__ = [
-    "DYNAMIC_TAG",
-    "EMITTER_VERSION",
-    "SANITIZE_TAG",
-    "emit_numpy",
-    "emit_numpy_dynamic",
-    "emit_numpy_tiled",
-]
+__all__ = ["EMITTER_VERSION", "SANITIZE_TAG", "emit_numpy"]

@@ -2,12 +2,19 @@
 
 Three backends implement the same executor contract:
 
-* ``library`` — the hand-written NumPy step/phase functions of
-  :mod:`repro.kernels.executors` (the default; zero compilation);
-* ``numpy``  — generated vectorized-NumPy source from
-  :mod:`repro.lowering.emit_numpy`, exec'd at bind time;
+* ``library`` — the hand-written NumPy step/phase tables of
+  :mod:`repro.kernels.executors` (the default; zero compilation; the
+  reference the identity suites compare against);
+* ``numpy``  — the phase table :mod:`repro.lowering.emit_numpy` emits
+  from the rewritten IR, exec'd at bind time;
 * ``c``      — generated C from :mod:`repro.lowering.emit_c`, compiled
   to a shared object at bind time and driven through ``ctypes``.
+
+The two Python tiers differ only in where their table comes from: a
+tiled bind of either runs it under the wave driver or the dynamic
+adapter of :mod:`repro.lowering.schedule`.  The C tier's three entry
+points share one marshaller (:func:`_c_call`), and every tier sits
+behind one entry (:func:`_entry`) that checks its outside input.
 
 Selection follows the shared policy of :func:`repro.backends.resolve`
 (argument > ``REPRO_EXECUTOR_BACKEND`` > default ``library``); asking
@@ -31,7 +38,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -65,14 +71,7 @@ EXECUTOR_SANITIZE_ENV = "REPRO_EXECUTOR_SANITIZE"
 
 def sanitize_enabled(sanitize: Optional[bool] = None) -> bool:
     """Resolve the sanitizer switch (argument > environment > off)."""
-    if sanitize is not None:
-        return bool(sanitize)
-    return os.environ.get(EXECUTOR_SANITIZE_ENV, "").strip().lower() in {
-        "1",
-        "true",
-        "on",
-        "yes",
-    }
+    return backends.resolve_flag(sanitize, env_var=EXECUTOR_SANITIZE_ENV)
 
 
 def resolve_executor_backend(
@@ -105,7 +104,11 @@ class CompiledExecutor:
 
     * untiled: ``run(arrays, left, right, num_steps=1)``
     * tiled:   ``run(arrays, left, right, schedule, wave_groups=None,
-      num_steps=1)``
+      num_steps=1, dag=None, num_threads=None)`` — ``dag`` is the
+      dynamic scheduler's counter DAG; ``num_threads`` (argument >
+      ``REPRO_EXECUTOR_THREADS`` > visible cores) bounds the workers of
+      either Python driver and of the C dynamic pool (the C wave entry
+      point is serial).
     """
 
     kernel_name: str
@@ -185,65 +188,125 @@ def _flatten_csr(chunks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(flat), off
 
 
-def _library_runner(kernel_name: str, tiled: bool) -> Callable:
-    """The library backend behind the compiled-executor signature."""
-    from repro.kernels.executors import PHASE_FUNCTIONS, STEP_FUNCTIONS
+def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
+    """``call`` behind the public ``run`` signature of its shape, after
+    the O(1) checks every tier owes its outside input, sanitized or not:
+    the C tier would read (and commit) past a short ``right`` or a short
+    data array, the NumPy tiers would fail with an untyped broadcast
+    error.  (A sanitized bind reports every trap, these included, as
+    ``stage="sanitizer"``.)"""
+    names = program.data_arrays
+    n_loops = len(program.loops)
+    stage = "sanitizer" if sanitized else "executor"
 
-    if not tiled:
-        step = STEP_FUNCTIONS[kernel_name]
+    def check(arrays, left, right) -> None:
+        num_nodes = len(arrays[names[0]])
+        for name in names[1:]:
+            if len(arrays[name]) != num_nodes:
+                raise ExecutorBoundsError(
+                    f"{name} has {len(arrays[name])} entries, {names[0]} "
+                    f"has {num_nodes}",
+                    array=name,
+                    bound=num_nodes,
+                    stage=stage,
+                )
+        if len(right) != len(left):
+            raise ExecutorBoundsError(
+                f"right has {len(right)} entries, left has {len(left)}",
+                array="right",
+                bound=len(left),
+                stage=stage,
+            )
 
-        def run(arrays, left, right, num_steps=1):
-            for _ in range(num_steps):
-                step(arrays, left, right)
-            return arrays
-
-        return run
-
-    phases = PHASE_FUNCTIONS[kernel_name]
-
-    def run_tiled(arrays, left, right, schedule, wave_groups=None, num_steps=1):
-        if wave_groups is None:
-            wave_groups = [[t] for t in range(len(schedule))]
-        for _ in range(num_steps):
-            for group in wave_groups:
-                tiles = [schedule[int(t)] for t in group]
-                for pos, phase in enumerate(phases):
-                    work = [t[pos] for t in tiles if len(t[pos])]
-                    if not work:
-                        continue
-                    if phase.domain == "nodes":
-                        for it in work:
-                            phase.apply(arrays, it)
-                    else:
-                        ends = [(left[it], right[it]) for it in work]
-                        payloads = [
-                            phase.gather(arrays, l, r) for l, r in ends
-                        ]
-                        for (l, r), payload in zip(ends, payloads):
-                            phase.commit(arrays, l, r, payload)
+    def run(arrays, left, right, num_steps=1):
+        check(arrays, left, right)
+        call(arrays, left, right, num_steps)
         return arrays
 
-    return run_tiled
+    def run_tiled(
+        arrays,
+        left,
+        right,
+        schedule,
+        wave_groups=None,
+        num_steps=1,
+        dag=None,
+        num_threads=None,
+    ):
+        check(arrays, left, right)
+        if any(len(tile) != n_loops for tile in schedule):
+            raise ValidationError(
+                f"schedule tiles must cover {n_loops} loops of "
+                f"{program.kernel_name}"
+            )
+        call(
+            arrays, left, right, num_steps, schedule, wave_groups, dag,
+            num_threads,
+        )
+        return arrays
+
+    return run_tiled if tiled else run
+
+
+def _python_call(table: dict, tiled: bool, dynamic: bool) -> Callable:
+    """A Python tier: ``table`` is what it computes — ``run`` (whole-
+    range time steps), ``PHASES`` (the per-loop phase table) and, when
+    sanitized, ``guard`` — hand-written for ``library``, the emitted
+    module's namespace for ``numpy``.  How a tiled bind runs the table
+    is one of the two drivers of :mod:`repro.lowering.schedule`."""
+    from repro.lowering.schedule import run_dynamic_phases, run_wave_phases
+
+    if not tiled:
+        return table["run"]
+    phases = table["PHASES"]
+    guard = table.get("guard")
+
+    def call(
+        arrays, left, right, num_steps, schedule, wave_groups, dag, num_threads
+    ):
+        if guard is not None:
+            guard(arrays, left, right, schedule, wave_groups, dag)
+        if dynamic:
+            run_dynamic_phases(
+                phases, arrays, left, right, schedule, wave_groups,
+                num_steps, dag, num_threads,
+            )
+        else:
+            run_wave_phases(
+                phases, arrays, left, right, schedule, wave_groups,
+                num_steps, num_threads,
+            )
+
+    return call
+
+
+def _library_table(kernel_name: str) -> dict:
+    """The hand-written reference tables, in the emitted module's shape."""
+    from repro.kernels.executors import PHASE_FUNCTIONS, STEP_FUNCTIONS
+
+    step = STEP_FUNCTIONS[kernel_name]
+
+    def run(arrays, left, right, num_steps):
+        for _ in range(num_steps):
+            step(arrays, left, right)
+
+    return {"run": run, "PHASES": PHASE_FUNCTIONS[kernel_name]}
 
 
 def _guard_source_name(code: int, program: Program) -> str:
     """Map a sanitized executor's ``err[0]`` code to an index source."""
     from repro.lowering import emit_c
 
-    if code == emit_c.GUARD_LEFT:
-        return "left"
-    if code == emit_c.GUARD_RIGHT:
-        return "right"
-    if code == emit_c.GUARD_WAVES:
-        return "wave_tiles"
-    if code == emit_c.GUARD_ORDER:
-        return "dag.order"
-    if code == emit_c.GUARD_SUCC:
-        return "dag.succ_indices"
     pos = code - emit_c.GUARD_SCHEDULE_BASE
     if 0 <= pos < len(program.loops):
         return f"schedule[{program.loops[pos].label}]"
-    return f"guard#{code}"  # pragma: no cover - unknown codes never emitted
+    return {
+        emit_c.GUARD_LEFT: "left",
+        emit_c.GUARD_RIGHT: "right",
+        emit_c.GUARD_WAVES: "wave_tiles",
+        emit_c.GUARD_ORDER: "dag.order",
+        emit_c.GUARD_SUCC: "dag.succ_indices",
+    }[code]
 
 
 def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
@@ -258,287 +321,126 @@ def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
     )
 
 
-def _c_runner(
-    so_path: str, program: Program, tiled: bool, sanitize: bool = False
+def _counter_dag(dag, wave_groups, num_tiles: int, sanitize: bool):
+    """The DAG ``run_tiled_dynamic`` executes, legality-checked
+    (:func:`~repro.lowering.schedule.ensure_runnable`, IRV006) before
+    the foreign call — a cyclic or under-counted graph would deadlock or
+    race inside C where we cannot raise."""
+    from repro.lowering.schedule import ensure_runnable, tile_dag_from_waves
+
+    if dag is None:
+        # The wave entry point guards wave groups inside the emitted
+        # code; here the groups are consumed Python-side (they only seed
+        # the barrier DAG), so the sanitizer contract — typed trap,
+        # arrays untouched — is honored before construction.
+        if sanitize and wave_groups is not None:
+            for wv, group in enumerate(wave_groups):
+                g = np.asarray(group, dtype=np.int64).ravel()
+                bad = np.flatnonzero((g < 0) | (g >= num_tiles))
+                if len(bad):
+                    pos = int(bad[0])
+                    raise ExecutorBoundsError(
+                        f"wave_groups[{wv}][{pos}] = {int(g[pos])} "
+                        f"outside [0, {num_tiles})",
+                        array=f"wave_groups[{wv}]",
+                        bound=num_tiles,
+                        stage="sanitizer",
+                    )
+        dag = tile_dag_from_waves(wave_groups, num_tiles)
+    ensure_runnable(dag)
+    return dag
+
+
+def _c_call(
+    so_path: str, program: Program, entry: str, sanitize: bool
 ) -> Callable:
-    lib = ctypes.CDLL(so_path)
+    """The one ``ctypes`` marshaller, parameterised by entry point.
+
+    ``run`` takes the operands alone; ``run_tiled`` adds the CSR tile
+    schedule and the CSR wave grouping; ``run_tiled_dynamic`` adds the
+    CSR tile schedule, the counter DAG (commit order, static levels,
+    indegree seeds, successor CSR) and the resolved worker count.  Dtype
+    checks, CSR flattening, scratch/err allocation and guard-trap
+    decoding are shared."""
+    from repro.lowering.schedule import resolve_num_threads, static_levels
+
+    fn = getattr(ctypes.CDLL(so_path), entry)
+    fn.restype = None
     names = program.data_arrays
     n_loops = len(program.loops)
+    i64 = ctypes.c_longlong
 
-    if not tiled:
-        fn = lib.run
-        fn.restype = None
-
-        def run(arrays, left, right, num_steps=1):
-            datas = _as_f64(arrays, names)
-            left = _as_i64(left, "left")
-            right = _as_i64(right, "right")
-            num_nodes = datas[0].shape[0]
-            num_inter = left.shape[0]
-            if sanitize and right.shape[0] != num_inter:
-                raise ExecutorBoundsError(
-                    f"right has {right.shape[0]} entries, left has "
-                    f"{num_inter}",
-                    array="right",
-                    bound=num_inter,
-                    stage="sanitizer",
-                )
-            scratch = np.empty(max(num_inter, 1), dtype=np.float64)
-            err = np.zeros(4, dtype=np.int64)
-            fn(
-                *[_dptr(d) for d in datas],
-                _iptr(left),
-                _iptr(right),
-                ctypes.c_longlong(num_nodes),
-                ctypes.c_longlong(num_inter),
-                ctypes.c_longlong(num_steps),
-                _dptr(scratch),
-                *([_iptr(err)] if sanitize else []),
-            )
-            if sanitize and err[0]:
-                _raise_guard_trap(err, program)
-            return arrays
-
-        return run
-
-    fn = lib.run_tiled
-    fn.restype = None
-
-    def run_tiled(arrays, left, right, schedule, wave_groups=None, num_steps=1):
+    def call(
+        arrays,
+        left,
+        right,
+        num_steps,
+        schedule=None,
+        wave_groups=None,
+        dag=None,
+        num_threads=None,
+    ):
         datas = _as_f64(arrays, names)
         left = _as_i64(left, "left")
         right = _as_i64(right, "right")
-        num_nodes = datas[0].shape[0]
-        num_inter = left.shape[0]
-        if sanitize and right.shape[0] != num_inter:
-            raise ExecutorBoundsError(
-                f"right has {right.shape[0]} entries, left has {num_inter}",
-                array="right",
-                bound=num_inter,
-                stage="sanitizer",
+        # Every array behind a pointer must outlive the foreign call.
+        keepalive: List[np.ndarray] = []
+
+        def pointers(*index_arrays):
+            keepalive.extend(index_arrays)
+            return [_iptr(a) for a in index_arrays]
+
+        graph: list = []  # between num_steps and scratch
+        tail: list = []  # after scratch
+        if entry != "run":
+            num_tiles = i64(len(schedule))
+            for pos in range(n_loops):
+                graph += pointers(
+                    *_flatten_csr([tile[pos] for tile in schedule])
+                )
+        if entry == "run_tiled":
+            if wave_groups is None:
+                wave_groups = [[t] for t in range(len(schedule))]
+            graph += pointers(
+                *_flatten_csr(
+                    [np.asarray(g, dtype=np.int64) for g in wave_groups]
+                )
             )
-        if wave_groups is None:
-            wave_groups = [
-                np.array([t], dtype=np.int64) for t in range(len(schedule))
-            ]
-        keepalive = []  # the CSR arrays must outlive the foreign call
-        csr_ptrs = []
-        for pos in range(n_loops):
-            iters, off = _flatten_csr([tile[pos] for tile in schedule])
-            keepalive += [iters, off]
-            csr_ptrs += [_iptr(iters), _iptr(off)]
-        wave_tiles, wave_off = _flatten_csr(
-            [np.asarray(g, dtype=np.int64) for g in wave_groups]
-        )
-        scratch = np.empty(max(num_inter, 1), dtype=np.float64)
+            graph.append(i64(len(wave_groups)))
+            if sanitize:
+                tail.append(num_tiles)
+        elif entry == "run_tiled_dynamic":
+            dag = _counter_dag(dag, wave_groups, len(schedule), sanitize)
+            # The serial fast path replays the static wave schedule, so
+            # the engine needs each tile's level; recomputed only for
+            # hand-built DAGs that omitted it.
+            graph += pointers(
+                _as_i64(dag.order, "dag.order"),
+                _as_i64(static_levels(dag), "dag.wave"),
+                _as_i64(dag.indegree, "dag.indegree"),
+                _as_i64(dag.succ_indptr, "dag.succ_indptr"),
+                _as_i64(dag.succ_indices, "dag.succ_indices"),
+            )
+            graph += [num_tiles, i64(resolve_num_threads(num_threads))]
+        scratch = np.empty(max(len(left), 1), dtype=np.float64)
         err = np.zeros(4, dtype=np.int64)
-        tail = (
-            [ctypes.c_longlong(len(schedule)), _iptr(err)] if sanitize else []
-        )
+        if sanitize:
+            tail.append(_iptr(err))
         fn(
             *[_dptr(d) for d in datas],
             _iptr(left),
             _iptr(right),
-            ctypes.c_longlong(num_nodes),
-            ctypes.c_longlong(num_inter),
-            ctypes.c_longlong(num_steps),
-            *csr_ptrs,
-            _iptr(wave_tiles),
-            _iptr(wave_off),
-            ctypes.c_longlong(len(wave_groups)),
+            i64(len(datas[0])),
+            i64(len(left)),
+            i64(num_steps),
+            *graph,
             _dptr(scratch),
             *tail,
         )
-        del keepalive
-        if sanitize and err[0]:
+        if err[0]:
             _raise_guard_trap(err, program)
-        return arrays
 
-    return run_tiled
-
-
-def _library_runner_dynamic(kernel_name: str) -> Callable:
-    """The library backend behind the dynamic-scheduler signature.
-
-    Same three-stage tile task as the compiled dynamic backends, driven
-    by :func:`repro.lowering.schedule.run_dynamic` over the hand-written
-    phase functions — the cross-backend identity reference."""
-    from repro.kernels.executors import PHASE_FUNCTIONS
-    from repro.lowering.schedule import run_dynamic, tile_dag_from_waves
-
-    phases = PHASE_FUNCTIONS[kernel_name]
-    inter_pos = [i for i, p in enumerate(phases) if p.domain != "nodes"]
-    if len(inter_pos) != 1:
-        raise ValidationError(
-            f"dynamic scheduler supports exactly one interaction phase, "
-            f"{kernel_name} has {len(inter_pos)}"
-        )
-    ip = inter_pos[0]
-    pre, inter, post = phases[:ip], phases[ip], phases[ip + 1 :]
-
-    def run_tiled(
-        arrays,
-        left,
-        right,
-        schedule,
-        wave_groups=None,
-        num_steps=1,
-        dag=None,
-        num_threads=None,
-    ):
-        if dag is None:
-            dag = tile_dag_from_waves(wave_groups, len(schedule))
-        payloads: List = [None] * len(schedule)
-        ends: List = [None] * len(schedule)
-
-        def stage_gather(t):
-            tile = schedule[t]
-            for pos, phase in enumerate(pre):
-                it = tile[pos]
-                if len(it):
-                    phase.apply(arrays, it)
-            it = tile[ip]
-            if len(it):
-                l, r = left[it], right[it]
-                ends[t] = (l, r)
-                payloads[t] = inter.gather(arrays, l, r)
-
-        def stage_commit(t):
-            if payloads[t] is not None:
-                l, r = ends[t]
-                inter.commit(arrays, l, r, payloads[t])
-            payloads[t] = None
-            ends[t] = None
-
-        def stage_post(t):
-            tile = schedule[t]
-            for off, phase in enumerate(post):
-                it = tile[ip + 1 + off]
-                if len(it):
-                    phase.apply(arrays, it)
-
-        run_dynamic(
-            dag,
-            stage_gather,
-            stage_commit,
-            stage_post,
-            num_threads=num_threads,
-            num_steps=num_steps,
-        )
-        return arrays
-
-    return run_tiled
-
-
-def _c_runner_dynamic(
-    so_path: str, program: Program, sanitize: bool = False
-) -> Callable:
-    """Drive the ``run_tiled_dynamic`` entry point through ``ctypes``.
-
-    Marshals the CSR tile schedule exactly like the wave runner, plus
-    the counter DAG (commit order, indegree seeds, successor CSR) and
-    the resolved worker count.  The DAG is legality-checked
-    (:func:`~repro.lowering.schedule.ensure_runnable`, IRV006) before
-    the foreign call — a cyclic or under-counted graph would deadlock
-    or race inside C where we cannot raise."""
-    lib = ctypes.CDLL(so_path)
-    fn = lib.run_tiled_dynamic
-    fn.restype = None
-    names = program.data_arrays
-    n_loops = len(program.loops)
-
-    def run_tiled(
-        arrays,
-        left,
-        right,
-        schedule,
-        wave_groups=None,
-        num_steps=1,
-        dag=None,
-        num_threads=None,
-    ):
-        from repro.lowering.schedule import (
-            ensure_runnable,
-            resolve_num_threads,
-            static_levels,
-            tile_dag_from_waves,
-        )
-
-        datas = _as_f64(arrays, names)
-        left = _as_i64(left, "left")
-        right = _as_i64(right, "right")
-        num_nodes = datas[0].shape[0]
-        num_inter = left.shape[0]
-        if sanitize and right.shape[0] != num_inter:
-            raise ExecutorBoundsError(
-                f"right has {right.shape[0]} entries, left has {num_inter}",
-                array="right",
-                bound=num_inter,
-                stage="sanitizer",
-            )
-        if dag is None:
-            # The wave executors guard wave groups inside the emitted
-            # code; here the groups are consumed Python-side (they only
-            # seed the barrier DAG), so the sanitizer contract — typed
-            # trap, arrays untouched — is honored before construction.
-            if sanitize and wave_groups is not None:
-                num_tiles = len(schedule)
-                for wv, group in enumerate(wave_groups):
-                    g = np.asarray(group, dtype=np.int64).ravel()
-                    bad = np.flatnonzero((g < 0) | (g >= num_tiles))
-                    if len(bad):
-                        pos = int(bad[0])
-                        raise ExecutorBoundsError(
-                            f"wave_groups[{wv}][{pos}] = {int(g[pos])} "
-                            f"outside [0, {num_tiles})",
-                            array=f"wave_groups[{wv}]",
-                            bound=num_tiles,
-                            stage="sanitizer",
-                        )
-            dag = tile_dag_from_waves(wave_groups, len(schedule))
-        ensure_runnable(dag)
-        nthreads = resolve_num_threads(num_threads)
-        keepalive = []  # the CSR arrays must outlive the foreign call
-        csr_ptrs = []
-        for pos in range(n_loops):
-            iters, off = _flatten_csr([tile[pos] for tile in schedule])
-            keepalive += [iters, off]
-            csr_ptrs += [_iptr(iters), _iptr(off)]
-        order = _as_i64(dag.order, "dag.order")
-        # The serial fast path replays the static wave schedule, so the
-        # engine needs each tile's level; recomputed only for hand-built
-        # DAGs that omitted it (the constructors always populate it).
-        wave = _as_i64(static_levels(dag), "dag.wave")
-        indegree = _as_i64(dag.indegree, "dag.indegree")
-        succ_off = _as_i64(dag.succ_indptr, "dag.succ_indptr")
-        succ = _as_i64(dag.succ_indices, "dag.succ_indices")
-        keepalive += [order, wave, indegree, succ_off, succ]
-        scratch = np.empty(max(num_inter, 1), dtype=np.float64)
-        err = np.zeros(4, dtype=np.int64)
-        fn(
-            *[_dptr(d) for d in datas],
-            _iptr(left),
-            _iptr(right),
-            ctypes.c_longlong(num_nodes),
-            ctypes.c_longlong(num_inter),
-            ctypes.c_longlong(num_steps),
-            *csr_ptrs,
-            _iptr(order),
-            _iptr(wave),
-            _iptr(indegree),
-            _iptr(succ_off),
-            _iptr(succ),
-            ctypes.c_longlong(len(schedule)),
-            ctypes.c_longlong(nthreads),
-            _dptr(scratch),
-            *([_iptr(err)] if sanitize else []),
-        )
-        del keepalive
-        if sanitize and err[0]:
-            _raise_guard_trap(err, program)
-        return arrays
-
-    return run_tiled
+    return call
 
 
 def _rewritten(kernel_name: str, tiled: bool, config: PassConfig) -> RewriteState:
@@ -595,13 +497,14 @@ def compile_executor(
     came from the content-addressed cache.
 
     ``scheduler`` (argument > ``REPRO_EXECUTOR_SCHEDULER`` > ``wave``)
-    selects the tiled entry point: the level-synchronous wave executor,
-    or the dependence-counter dynamic scheduler whose ``run`` addition-
-    ally accepts ``dag``/``num_threads``.  Dynamic builds flip the
+    selects how a tiled bind orders its tiles: level-synchronous waves,
+    or the dependence-counter dynamic scheduler over ``run``'s ``dag``
+    argument.  Dynamic builds flip the
     ``dynamic_schedule`` pass on, are cached under distinct artifact
     suffixes (``dyn.py``/``dyn.c``/``dyn.so``), and stay bit-identical
-    to the wave executor at any thread count.  Untiled executors ignore
-    the knob (there is no tile graph to schedule).
+    to the wave executor at any thread count.  Untiled executors
+    validate the name and then ignore it (there is no tile graph to
+    schedule).
 
     Compiled backends (``numpy``/``c``) are **gated on proof**: the IR
     verifier (:mod:`repro.analysis.irverify`) must prove the rewritten
@@ -614,13 +517,14 @@ def compile_executor(
     binds skip re-verification.  ``verify=False`` skips the gate
     entirely (test/ablation hook).
     """
-    from repro.codegen.emit import compile_source
     from repro.lowering import emit_c, emit_numpy
     from repro.lowering.schedule import resolve_scheduler
     from repro.plancache.artifacts import ArtifactStore
 
     resolved = resolve_executor_backend(backend).backend
-    sched = resolve_scheduler(scheduler).backend if tiled else "wave"
+    sched = resolve_scheduler(scheduler).backend
+    if not tiled:  # validated, then ignored: no tile graph to schedule
+        sched = "wave"
     dynamic = sched == "dynamic"
     config = config or PassConfig()
     if dynamic:
@@ -645,7 +549,6 @@ def compile_executor(
 
     state = _rewritten(kernel_name, tiled, config)
     program = state.program
-    digest = ir_hash(program)
 
     verified = None
     proof_path = None
@@ -668,94 +571,59 @@ def compile_executor(
                 ),
             )
 
+    artifact_path = None
+    from_cache = False
     if resolved == "library":
-        runner = (
-            _library_runner_dynamic(kernel_name)
-            if dynamic
-            else _library_runner(kernel_name, tiled)
-        )
-        compiled = CompiledExecutor(
-            kernel_name=kernel_name,
-            backend="library",
-            tiled=tiled,
-            run=runner,
-            ir_digest=digest,
-            state=state,
-        )
-    elif resolved == "numpy":
-        store = ArtifactStore(cache_dir)
-        if dynamic:
-            emit = emit_numpy.emit_numpy_dynamic
-        elif tiled:
-            emit = emit_numpy.emit_numpy_tiled
+        call = _python_call(_library_table(kernel_name), tiled, dynamic)
+    else:
+        # One build recipe for both emitted tiers: content-addressed
+        # source text, then (C only) the shared object built from it.
+        if resolved == "c":
+            shape = "dynamic" if dynamic else "tiled" if tiled else "untiled"
+            emitter, suffix = emit_c, "c"
+            emit, entry = emit_c.SHAPES[shape]
         else:
+            emitter, suffix = emit_numpy, "py"
             emit = emit_numpy.emit_numpy
-        version = emit_numpy.EMITTER_VERSION
-        if dynamic:
-            version += "+" + emit_numpy.DYNAMIC_TAG
-        if sanitized:
-            version += "+" + emit_numpy.SANITIZE_TAG
-        key = artifact_key(program, config, version)
-        path, hit = store.get_or_build_text(
-            key,
-            "dyn.py" if dynamic else "py",
-            lambda: emit(program, sanitize=sanitized),
-        )
-        fn = compile_source(path.read_text(), "run")
-        compiled = CompiledExecutor(
-            kernel_name=kernel_name,
-            backend="numpy",
-            tiled=tiled,
-            run=fn,
-            ir_digest=digest,
-            artifact_path=str(path),
-            from_cache=hit,
-            state=state,
-        )
-    else:  # "c"
-        store = ArtifactStore(cache_dir)
-        if dynamic:
-            emit = emit_c.emit_c_dynamic
-        elif tiled:
-            emit = emit_c.emit_c_tiled
-        else:
-            emit = emit_c.emit_c
-        version = emit_c.EMITTER_VERSION
-        if dynamic:
+        version = emitter.EMITTER_VERSION
+        if dynamic and resolved == "c":  # run_tiled_dynamic's ABI tag
             version += "+" + emit_c.DYNAMIC_TAG
         if sanitized:
-            version += "+" + emit_c.SANITIZE_TAG
+            version += "+" + emitter.SANITIZE_TAG
         key = artifact_key(program, config, version)
-        src_path, _ = store.get_or_build_text(
-            key,
-            "dyn.c" if dynamic else "c",
-            lambda: emit(program, sanitize=sanitized),
+        prefix = "dyn." if dynamic else ""
+        store = ArtifactStore(cache_dir)
+        path, from_cache = store.get_or_build_text(
+            key, prefix + suffix, lambda: emit(program, sanitize=sanitized)
         )
-        so_path, hit = store.get_or_build_file(
-            key,
-            "dyn.so" if dynamic else "so",
-            lambda tmp: toolchain.compile_shared(src_path, tmp),
-        )
-        runner = (
-            _c_runner_dynamic(str(so_path), program, sanitize=sanitized)
-            if dynamic
-            else _c_runner(str(so_path), program, tiled, sanitize=sanitized)
-        )
-        compiled = CompiledExecutor(
-            kernel_name=kernel_name,
-            backend="c",
-            tiled=tiled,
-            run=runner,
-            ir_digest=digest,
-            artifact_path=str(so_path),
-            from_cache=hit,
-            state=state,
-        )
-    compiled.verified = verified
-    compiled.sanitized = sanitized
-    compiled.proof_path = proof_path
-    compiled.proof_from_cache = proof_cached
-    compiled.scheduler = sched
+        if resolved == "c":
+            src_path = path
+            path, from_cache = store.get_or_build_file(
+                key,
+                prefix + "so",
+                lambda tmp: toolchain.compile_shared(src_path, tmp),
+            )
+            call = _c_call(str(path), program, entry, sanitized)
+        else:
+            table: dict = {}
+            exec(compile(path.read_text(), str(path), "exec"), table)
+            call = _python_call(table, tiled, dynamic)
+        artifact_path = str(path)
+    compiled = CompiledExecutor(
+        kernel_name=kernel_name,
+        backend=resolved,
+        tiled=tiled,
+        run=_entry(call, program, tiled, sanitized),
+        ir_digest=ir_hash(program),
+        artifact_path=artifact_path,
+        from_cache=from_cache,
+        state=state,
+        verified=verified,
+        sanitized=sanitized,
+        proof_path=proof_path,
+        proof_from_cache=proof_cached,
+        scheduler=sched,
+    )
 
     if memo:
         with _MEMO_LOCK:

@@ -26,11 +26,12 @@ application recorded in the :class:`RewriteState` log.
   directly, and on fissioned interaction loops.
 * **parallelize** — enable wavefront grouping on tiled programs: the
   executor accepts the static wave schedule and runs each wave
-  phase-by-phase (all gathers, then commits in ascending tile order),
-  mirroring ``run_numeric_wavefront``.  The static wavefront stays the
-  legality skeleton ("Hybrid Static/Dynamic Schedules for Tiled
-  Polyhedral Programs"): dynamic timing may change *when* a tile's pure
-  gather runs, never the commit order.
+  phase-by-phase (all gathers, then commits in the wave's tile order)
+  — the loop :func:`repro.lowering.schedule.run_wave_phases` runs over a
+  phase table and ``emit_c_tiled`` renders in C.  The static wavefront
+  stays the legality skeleton ("Hybrid Static/Dynamic Schedules for
+  Tiled Polyhedral Programs"): dynamic timing may change *when* a tile's
+  pure gather runs, never the commit order.
 
 ``PassConfig`` toggles individual passes (the benchmark's ablation
 knob); its digest is part of the compiled-artifact fingerprint.

@@ -38,10 +38,16 @@ float-by-float.  The commit buffers hold the *raw per-interaction
 payloads*, not pre-summed partials — pre-summing would regroup the
 reduction and change the rounding.
 
-Knobs: ``REPRO_EXECUTOR_SCHEDULER`` (``wave`` | ``dynamic``, resolved
-through the shared :mod:`repro.backends` policy) and
-``REPRO_EXECUTOR_THREADS`` (worker count; ``1`` short-circuits to a
-serial loop over the commit order with zero scheduling overhead).
+Both orders are written once over a *phase table* (one
+``KernelPhase`` per kernel loop): :func:`run_wave_phases` is the
+level-synchronous wave driver, :func:`run_dynamic_phases` adapts a table
+to :func:`run_dynamic`'s three stages.  The ``library`` and ``numpy``
+tiers differ only in the table they hand these two.
+
+Knobs: ``REPRO_EXECUTOR_SCHEDULER`` (``wave`` | ``dynamic``) and
+``REPRO_EXECUTOR_THREADS`` (worker count of either driver; ``1`` is a
+plain serial loop with zero scheduling overhead), both resolved through
+:mod:`repro.backends`.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 import collections
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -59,7 +66,7 @@ from repro.errors import LegalityError, ValidationError
 
 #: Environment variable selecting the tile scheduler.
 SCHEDULER_ENV = "REPRO_EXECUTOR_SCHEDULER"
-#: Environment variable bounding the dynamic scheduler's worker count.
+#: Environment variable bounding a tiled executor's worker count.
 THREADS_ENV = "REPRO_EXECUTOR_THREADS"
 #: Valid scheduler names.
 EXECUTOR_SCHEDULERS = ("wave", "dynamic")
@@ -84,28 +91,21 @@ def resolve_scheduler(
     )
 
 
+def _visible_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def resolve_num_threads(num_threads: Optional[int] = None) -> int:
     """Worker count: argument > ``REPRO_EXECUTOR_THREADS`` > visible cores."""
-    if num_threads is None:
-        env = os.environ.get(THREADS_ENV) or None
-        if env is not None:
-            try:
-                num_threads = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"{THREADS_ENV} must be an integer, got {env!r}"
-                )
-    if num_threads is None:
-        try:
-            num_threads = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            num_threads = os.cpu_count() or 1
-    num_threads = int(num_threads)
-    if num_threads < 1:
-        raise ValidationError(
-            f"scheduler thread count must be >= 1, got {num_threads}"
-        )
-    return num_threads
+    return backends.resolve_count(
+        num_threads,
+        env_var=THREADS_ENV,
+        default=_visible_cores,
+        what="scheduler thread count",
+    )
 
 
 @dataclass(frozen=True)
@@ -546,6 +546,128 @@ def run_dynamic(
         ).run()
 
 
+# ---------------------------------------------------------------------------
+# The two drivers of a phase table
+#
+# A phase table is one :class:`~repro.kernels.executors.KernelPhase` per
+# kernel loop — hand-written (``PHASE_FUNCTIONS``, the ``library`` tier)
+# or emitted (:mod:`repro.lowering.emit_numpy`, the ``numpy`` tier).  The
+# table says what a loop computes over an iteration subset; these two
+# functions are the only Python that says in which order tiles run it.
+
+
+def run_wave_phases(
+    phases: Sequence,
+    arrays,
+    left,
+    right,
+    schedule,
+    wave_groups=None,
+    num_steps: int = 1,
+    num_threads: Optional[int] = None,
+) -> None:
+    """The level-synchronous wave driver (Figure 14 under a wavefront).
+
+    Tiles within a wave share no dependences, so each kernel phase runs
+    as a stage across the whole wave: node phases update disjoint
+    iteration subsets; interaction phases compute the pure gathers of
+    all the wave's tiles first, then apply the reduction commits **in
+    the wave's tile order**, serially.  With more than one worker the
+    node updates and the gathers are mapped over a thread pool; the
+    commit order is fixed by the schedule — never by thread timing — so
+    every worker count produces bit-identical arrays.
+    ``wave_groups=None`` is every tile its own wave: serial tile order.
+    """
+    if wave_groups is None:
+        wave_groups = [[t] for t in range(len(schedule))]
+    threads = resolve_num_threads(num_threads)
+    # Singleton waves (serial tile order) have nothing to overlap.
+    pooled = threads > 1 and any(len(group) > 1 for group in wave_groups)
+    pool = ThreadPoolExecutor(max_workers=threads) if pooled else None
+    run_all = map if pool is None else pool.map
+    try:
+        for _step in range(num_steps):
+            for group in wave_groups:
+                tiles = [schedule[int(t)] for t in group]
+                for pos, phase in enumerate(phases):
+                    work = [t[pos] for t in tiles if len(t[pos])]
+                    if phase.domain == "nodes":
+                        # list(): drain the map, surfacing worker errors.
+                        list(run_all(lambda it: phase.apply(arrays, it), work))
+                        continue
+                    ends = [(left[it], right[it]) for it in work]
+                    payloads = list(
+                        run_all(lambda lr: phase.gather(arrays, *lr), ends)
+                    )
+                    for (l, r), payload in zip(ends, payloads):
+                        phase.commit(arrays, l, r, payload)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def run_dynamic_phases(
+    phases: Sequence,
+    arrays,
+    left,
+    right,
+    schedule,
+    wave_groups=None,
+    num_steps: int = 1,
+    dag: Optional[TileDAG] = None,
+    num_threads: Optional[int] = None,
+) -> None:
+    """The dynamic adapter: a phase table as :func:`run_dynamic` stages.
+
+    Node phases before the interaction phase run in the gather stage,
+    the interaction payload is buffered per tile (raw, never pre-summed)
+    and committed at the tile's turn, node phases after it run in the
+    post stage.  ``dag=None`` degrades to the conservative barrier DAG
+    built from ``wave_groups``.
+    """
+    inter = [pos for pos, p in enumerate(phases) if p.domain != "nodes"]
+    if len(inter) != 1:
+        raise ValidationError(
+            f"dynamic scheduler supports exactly one interaction phase, "
+            f"got {len(inter)}"
+        )
+    ip = inter[0]
+    if dag is None:
+        dag = tile_dag_from_waves(wave_groups, len(schedule))
+    # Per tile: (l, r, payload) between its gather and its commit.
+    buffered: List = [None] * len(schedule)
+
+    def apply_nodes(tile, positions) -> None:
+        for pos in positions:
+            if len(tile[pos]):
+                phases[pos].apply(arrays, tile[pos])
+
+    def stage_gather(t: int) -> None:
+        tile = schedule[t]
+        apply_nodes(tile, range(ip))
+        it = tile[ip]
+        if len(it):
+            l, r = left[it], right[it]
+            buffered[t] = (l, r, phases[ip].gather(arrays, l, r))
+
+    def stage_commit(t: int) -> None:
+        if buffered[t] is not None:
+            phases[ip].commit(arrays, *buffered[t])
+            buffered[t] = None
+
+    def stage_post(t: int) -> None:
+        apply_nodes(schedule[t], range(ip + 1, len(phases)))
+
+    run_dynamic(
+        dag,
+        stage_gather,
+        stage_commit,
+        stage_post,
+        num_threads=num_threads,
+        num_steps=num_steps,
+    )
+
+
 def scheduler_report() -> dict:
     """Doctor payload: how the scheduler knobs currently resolve."""
     resolution = resolve_scheduler(warn=False)
@@ -575,5 +697,7 @@ __all__ = [
     "resolve_scheduler",
     "resolve_num_threads",
     "run_dynamic",
+    "run_dynamic_phases",
+    "run_wave_phases",
     "scheduler_report",
 ]

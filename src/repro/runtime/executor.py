@@ -19,6 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cachesim.trace import AccessTrace, TraceBuilder
+from repro.errors import ValidationError
 from repro.kernels.data import KernelData
 from repro.kernels.executors import run_steps
 
@@ -49,7 +50,7 @@ class ExecutionPlan:
             return np.arange(size, dtype=np.int64)
         order = self.loop_orders[pos]
         if len(order) != size:
-            raise ValueError(
+            raise ValidationError(
                 f"loop {pos} order has {len(order)} entries, expected {size}"
             )
         return order
@@ -61,7 +62,7 @@ class ExecutionPlan:
         for pos, size in enumerate(sizes):
             count = sum(len(tile[pos]) for tile in self.schedule)
             if count != size:
-                raise ValueError(
+                raise ValidationError(
                     f"schedule covers {count} iterations of loop {pos}, "
                     f"expected {size}"
                 )
@@ -176,115 +177,49 @@ def run_numeric_wavefront(
     ``t`` (a :meth:`TilingFunction.schedule`); ``waves`` is a
     :class:`~repro.transforms.parallel.WavefrontSchedule` over the tiles
     (``None`` treats every tile as its own wave — plain sequential tile
-    order).  Tiles within a wave share no dependences, so the executor
-    runs each kernel phase as a stage across the whole wave:
+    order).  This is one bind and one call: ``backend`` / ``sanitize`` /
+    ``scheduler`` pass unresolved to
+    :func:`~repro.lowering.executor.compile_executor` (argument > the
+    ``REPRO_EXECUTOR_*`` variable > default), which pairs the tier's
+    phase table with a driver of :mod:`repro.lowering.schedule` —
+    ``"wave"`` (the default) is the level-synchronous
+    :func:`~repro.lowering.schedule.run_wave_phases`; ``"dynamic"``
+    releases a tile as soon as its dependence counter, derived from
+    ``dag`` (a :class:`~repro.lowering.schedule.TileDAG`; defaults to
+    the conservative barrier DAG built from ``waves``), reaches zero.
 
-    * node phases update disjoint iteration subsets — fully parallel;
-    * interaction phases split gather/commit: the pure gathers of all
-      tiles run concurrently, then the reduction commits apply **in
-      ascending tile order**, serially.
+    Either way the reduction commits apply in one order, fixed by the
+    schedule — never by thread timing — so every tier, scheduler and
+    worker count produces bit-identical payloads (asserted by the test
+    suite).  Cross-step dependences are covered by the barrier between
+    time steps.  Returns ``data``.
 
-    Floating-point reductions reassociate with application *order*, and
-    the order here is fixed by tile id — never by thread timing — so
-    ``parallel=True`` and ``parallel=False`` produce bit-identical
-    payloads (asserted by the test suite).  Cross-step dependences are
-    covered by the barrier between time steps.  Returns ``data``.
-
-    ``backend`` selects the executor tier; the compiled backends mirror
-    this wave/phase structure exactly (same fixed commit order) and are
-    bit-identical, so ``parallel``/``max_workers`` do not apply to them.
-
-    ``scheduler`` selects ``"wave"`` (level-synchronous, the default) or
-    ``"dynamic"`` (argument > ``REPRO_EXECUTOR_SCHEDULER`` > wave): the
-    dynamic scheduler drops the wave barrier and releases a tile as soon
-    as its dependence counter — derived from ``dag`` (a
-    :class:`~repro.lowering.schedule.TileDAG`; defaults to the
-    conservative barrier DAG built from ``waves``) — reaches zero, while
-    committing reductions in the wave executor's exact order, so the
-    result stays bit-identical at any ``num_threads``.
+    ``parallel=False`` runs on one thread; otherwise ``num_threads``
+    (else ``max_workers``, else ``REPRO_EXECUTOR_THREADS``, else the
+    visible cores) bounds the workers.  The C wave entry point is serial
+    either way.
     """
-    from repro.kernels.executors import PHASE_FUNCTIONS
-    from repro.lowering.schedule import resolve_scheduler
+    from repro.lowering.executor import compile_executor
 
-    phases = PHASE_FUNCTIONS[data.kernel_name]
-    if any(len(tile) != len(phases) for tile in schedule):
-        raise ValueError(
-            f"schedule tiles must cover {len(phases)} loops of "
-            f"{data.kernel_name}"
-        )
-    for pos, (phase, desc) in enumerate(zip(phases, data.loops)):
-        if phase.domain != desc.domain:
-            raise ValueError(
-                f"phase {pos} domain {phase.domain!r} does not match "
-                f"loop domain {desc.domain!r}"
-            )
-
-    from repro.lowering.executor import resolve_executor_backend
-
-    resolved = resolve_executor_backend(backend).backend
-    sched = resolve_scheduler(scheduler).backend
-    if resolved != "library" or sched == "dynamic":
-        from repro.lowering.executor import compile_executor
-
-        compiled = compile_executor(
-            data.kernel_name,
-            backend=resolved,
-            tiled=True,
-            sanitize=sanitize,
-            scheduler=sched,
-        )
-        kwargs = {}
-        if sched == "dynamic":
-            if resolved == "library" and not parallel:
-                num_threads = 1
-            kwargs = {"dag": dag, "num_threads": num_threads}
-        compiled.run(
-            data.arrays,
-            data.left,
-            data.right,
-            schedule,
-            None if waves is None else waves.groups(),
-            num_steps=num_steps,
-            **kwargs,
-        )
-        return data
-
-    if waves is None:
-        wave_groups = [np.array([t], dtype=np.int64) for t in range(len(schedule))]
-    else:
-        wave_groups = waves.groups()
-
-    pool = None
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=max_workers)
-
-    def _map(fn, items):
-        if pool is None:
-            return [fn(item) for item in items]
-        return list(pool.map(fn, items))
-
-    arrays, left, right = data.arrays, data.left, data.right
-    try:
-        for _step in range(num_steps):
-            for group in wave_groups:
-                tiles = [schedule[int(t)] for t in group]
-                for pos, phase in enumerate(phases):
-                    work = [t[pos] for t in tiles if len(t[pos])]
-                    if not work:
-                        continue
-                    if phase.domain == "nodes":
-                        _map(lambda it: phase.apply(arrays, it), work)
-                    else:
-                        ends = [(left[it], right[it]) for it in work]
-                        payloads = _map(
-                            lambda lr: phase.gather(arrays, lr[0], lr[1]),
-                            ends,
-                        )
-                        for (l, r), payload in zip(ends, payloads):
-                            phase.commit(arrays, l, r, payload)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    compiled = compile_executor(
+        data.kernel_name,
+        backend=backend,
+        tiled=True,
+        sanitize=sanitize,
+        scheduler=scheduler,
+    )
+    if not parallel:
+        num_threads = 1
+    elif num_threads is None:
+        num_threads = max_workers
+    compiled.run(
+        data.arrays,
+        data.left,
+        data.right,
+        schedule,
+        None if waves is None else waves.groups(),
+        num_steps=num_steps,
+        dag=dag,
+        num_threads=num_threads,
+    )
     return data

@@ -32,6 +32,7 @@ pytestmark = pytest.mark.compiled
 
 HAVE_CC = toolchain.have_toolchain()[0]
 COMPILED_BACKENDS = ("numpy", "c") if HAVE_CC else ("numpy",)
+ALL_BACKENDS = ("library",) + COMPILED_BACKENDS
 
 CASES = [("moldyn", "mol1"), ("irreg", "foil"), ("nbf", "foil")]
 THREADS = (1, 2, 4)
@@ -63,14 +64,16 @@ def _tiled_case(kernel, dataset):
 
 
 def _reference(kernel, d, schedule, groups):
-    ex = compile_executor(kernel, backend="library", tiled=True)
+    ex = compile_executor(
+        kernel, backend="library", tiled=True, scheduler="wave"
+    )
     ref = {k: v.copy() for k, v in d.arrays.items()}
-    ex.run(ref, d.left, d.right, schedule, groups, num_steps=3)
+    ex.run(ref, d.left, d.right, schedule, groups, num_steps=3, num_threads=1)
     return ref
 
 
 @pytest.mark.parametrize("kernel,dataset", CASES)
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 @pytest.mark.parametrize("sanitize", [False, True])
 def test_dynamic_bit_identical_to_waves(kernel, dataset, backend, sanitize):
     d, schedule, waves, dag = _tiled_case(kernel, dataset)
@@ -100,9 +103,17 @@ def test_dynamic_bit_identical_to_waves(kernel, dataset, backend, sanitize):
             assert ref[name].tobytes() == out[name].tobytes(), (
                 kernel, backend, sanitize, num_threads, name,
             )
+    # No wavefront grouping and no DAG: the serial tile chain.
+    ref = _reference(kernel, d, schedule, None)
+    out = {k: v.copy() for k, v in d.arrays.items()}
+    ex.run(out, d.left, d.right, schedule, None, num_steps=3, num_threads=2)
+    for name in ref:
+        assert ref[name].tobytes() == out[name].tobytes(), (
+            kernel, backend, sanitize, "serial", name,
+        )
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_dispatcher_scheduler_identity(backend):
     """run_numeric_wavefront(scheduler="dynamic") matches the wave path."""
     kernel, dataset = "moldyn", "mol1"
@@ -127,7 +138,7 @@ def test_dispatcher_scheduler_identity(backend):
             )
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_dynamic_rejects_cyclic_dag(backend):
     """IRV006 at the executor boundary: a cyclic counter graph raises
     before the compiled engine runs (it would deadlock inside)."""

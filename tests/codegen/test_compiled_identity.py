@@ -132,27 +132,39 @@ def _tiled_case(kernel, dataset):
     "kernel,dataset",
     [("moldyn", "mol1"), ("irreg", "foil"), ("nbf", "foil")],
 )
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
 def test_wavefront_executor_identity(kernel, dataset, backend):
-    """The tiled wave executor: same wave/phase structure, same fixed
-    commit order, bit-identical across backends — with and without a
-    wavefront grouping."""
+    """The tiled executor: same wave/phase structure, same fixed commit
+    order, bit-identical to the library wave reference on every tier
+    under every driver (wave, dynamic on 1 and 2 threads) — with and
+    without a wavefront grouping."""
     d, schedule, waves = _tiled_case(kernel, dataset)
     ref = run_numeric_wavefront(
-        d.copy(), schedule, waves, num_steps=3, parallel=False
+        d.copy(), schedule, waves, num_steps=3, parallel=False,
+        backend="library", scheduler="wave",
     )
-    got = run_numeric_wavefront(
-        d.copy(), schedule, waves, num_steps=3, backend=backend
-    )
-    _assert_identical(ref, got, (kernel, backend, "waves"))
-
     ref_serial = run_numeric_wavefront(
-        d.copy(), schedule, None, num_steps=2, parallel=False
+        d.copy(), schedule, None, num_steps=2, parallel=False,
+        backend="library", scheduler="wave",
     )
-    got_serial = run_numeric_wavefront(
-        d.copy(), schedule, None, num_steps=2, backend=backend
-    )
-    _assert_identical(ref_serial, got_serial, (kernel, backend, "serial"))
+    for scheduler, num_threads in (
+        ("wave", None), ("dynamic", 1), ("dynamic", 2),
+    ):
+        got = run_numeric_wavefront(
+            d.copy(), schedule, waves, num_steps=3, backend=backend,
+            scheduler=scheduler, num_threads=num_threads,
+        )
+        _assert_identical(
+            ref, got, (kernel, backend, scheduler, num_threads, "waves")
+        )
+        got_serial = run_numeric_wavefront(
+            d.copy(), schedule, None, num_steps=2, backend=backend,
+            scheduler=scheduler, num_threads=num_threads,
+        )
+        _assert_identical(
+            ref_serial, got_serial,
+            (kernel, backend, scheduler, num_threads, "serial"),
+        )
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,38 @@ def test_tiled_sanitizer_wave_group_trap(backend):
     assert info.value.stage == "sanitizer"
 
 
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
+@pytest.mark.parametrize("shape", ["short-right", "short-data-array"])
+def test_mis_shaped_operands_trap_on_every_tier(shape, backend, sanitize):
+    """Operand lengths are outside input, not sanitizer work: a short
+    ``right`` (the unsanitized C tier used to read past its end) or a
+    short data array is a typed trap on every tier, guarded or not,
+    untiled and tiled, before any mutation."""
+    data = _random_data("moldyn", 16, 32, seed=11)
+    schedule = _two_tile_schedule(data)
+    if shape == "short-right":
+        data.right = data.right[:-5]
+        culprit = "right"
+    else:
+        data.arrays["fx"] = data.arrays["fx"][:-3].copy()
+        culprit = "fx"
+    before = {k: v.copy() for k, v in data.arrays.items()}
+    for run in (
+        lambda: run_numeric(data, backend=backend, sanitize=sanitize),
+        lambda: run_numeric_wavefront(
+            data, schedule, None, backend=backend, sanitize=sanitize
+        ),
+    ):
+        with pytest.raises(ExecutorBoundsError) as info:
+            run()
+        assert info.value.array == culprit
+        guarded = sanitize and backend != "library"
+        assert info.value.stage == ("sanitizer" if guarded else "executor")
+        for k in before:
+            assert np.array_equal(before[k], data.arrays[k]), k
+
+
 def test_sanitize_env_switch(monkeypatch):
     monkeypatch.setenv("REPRO_EXECUTOR_SANITIZE", "1")
     compiled = compile_executor("moldyn", backend="numpy", memo=False)

@@ -1,14 +1,22 @@
-"""Backend binding: selection, artifact caching, and the no-toolchain path."""
+"""Backend binding: selection, artifact caching, the no-toolchain path,
+the emitted phase table, and the frozen emitted-C sources."""
 
+import hashlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import backends
 from repro.backends import BackendFallbackWarning
+from repro.errors import ValidationError
 from repro.kernels import generate_dataset, make_kernel_data
-from repro.lowering import toolchain
+from repro.kernels.executors import PHASE_FUNCTIONS
+from repro.lowering import emit_c, toolchain
 from repro.lowering.executor import (
     artifact_key,
     clear_executor_memo,
@@ -17,7 +25,7 @@ from repro.lowering.executor import (
     resolve_executor_backend,
 )
 from repro.lowering.ir import lower_kernel
-from repro.lowering.passes import PassConfig
+from repro.lowering.passes import LoweringRewriter, PassConfig
 from repro.kernels.specs import kernel_by_name
 
 pytestmark = pytest.mark.compiled
@@ -53,6 +61,22 @@ class TestResolution:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             resolve_executor_backend("fortran")
+
+    def test_unknown_names_are_typed_errors(self):
+        """The contract is "bit-identical or a typed ReproError": a typo
+        in any selector, through any entry point, is a ValidationError —
+        the scheduler's even where an untiled bind ignores it."""
+        from repro.runtime.executor import run_numeric, run_numeric_wavefront
+
+        with pytest.raises(ValidationError, match="unknown executor backend"):
+            run_numeric(_data(), backend="bogus")
+        with pytest.raises(ValidationError, match="unknown scheduler backend"):
+            compile_executor("moldyn", tiled=False, scheduler="bogus")
+        data = _data()
+        with pytest.raises(ValidationError, match="must cover 3 loops"):
+            run_numeric_wavefront(data, [[np.arange(3)]], None)
+        with pytest.raises(ValidationError, match="unknown scheduler backend"):
+            run_numeric_wavefront(data, [], None, scheduler="bogus")
 
     def test_auto_prefers_c_with_a_toolchain(self):
         res = resolve_executor_backend("auto")
@@ -153,3 +177,109 @@ class TestArtifactCache:
                 np.testing.assert_allclose(
                     d.arrays[name], ref.arrays[name], rtol=1e-9, atol=1e-12
                 )
+
+
+KERNELS = ("moldyn", "nbf", "irreg")
+
+
+def _emitted_table(kernel):
+    """The ``PHASES`` of the module a tiled numpy bind stores."""
+    bound = compile_executor(kernel, backend="numpy", tiled=True)
+    namespace = {}
+    exec(Path(bound.artifact_path).read_text(), namespace)
+    return namespace["PHASES"], bound.state.program.data_arrays
+
+
+@settings(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kernel=st.sampled_from(KERNELS),
+    num_nodes=st.integers(min_value=1, max_value=40),
+    subset=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_emitted_phase_table_matches_reference(kernel, num_nodes, subset, seed):
+    """Each entry of the emitted NumPy table is bit-identical to the
+    matching hand-written ``PHASE_FUNCTIONS`` entry — on random arrays
+    and random iteration subsets, empty and repeated-endpoint ones
+    included.  (The drivers are shared, so this is the whole difference
+    between the ``numpy`` and ``library`` tiers.)"""
+    emitted, names = _emitted_table(kernel)
+    reference = PHASE_FUNCTIONS[kernel]
+    assert [p.domain for p in emitted] == [p.domain for p in reference]
+    rng = np.random.default_rng(seed)
+    base = {name: rng.standard_normal(num_nodes) for name in names}
+    for ours, theirs in zip(emitted, reference):
+        a = {k: v.copy() for k, v in base.items()}
+        b = {k: v.copy() for k, v in base.items()}
+        if ours.domain == "nodes":
+            iters = rng.permutation(num_nodes)[:subset]
+            ours.apply(a, iters)
+            theirs.apply(b, iters)
+        else:
+            l = rng.integers(0, num_nodes, subset)
+            r = rng.integers(0, num_nodes, subset)
+            l[::3] = l[:1]  # pile contributions onto one endpoint
+            r[1::4] = l[1::4]  # and some self-interactions
+            payload_a = ours.gather(a, l, r)
+            payload_b = theirs.gather(b, l, r)
+            assert np.array_equal(payload_a, payload_b)
+            ours.commit(a, l, r, payload_a)
+            theirs.commit(b, l, r, payload_b)
+        for name in names:
+            assert np.array_equal(a[name], b[name]), (kernel, name)
+
+
+# ---------------------------------------------------------------------------
+# Emitted C is frozen per emitter version: a warm artifact store keys the
+# ``.so`` on ``EMITTER_VERSION`` (+ ``DYNAMIC_TAG`` / ``SANITIZE_TAG``),
+# so source text that moves under an unmoved version would be served a
+# stale object.  ``python tests/lowering/test_executor.py`` rewrites the
+# list after a deliberate bump.
+
+EMITTED_C = Path(__file__).with_name("emitted_c_sha256.json")
+
+
+def _emitted_c():
+    entries = {}
+    for kernel in KERNELS:
+        for shape, (emit, _entry) in emit_c.SHAPES.items():
+            dynamic = shape == "dynamic"
+            program = LoweringRewriter(
+                config=PassConfig(dynamic_schedule=dynamic),
+                tiled=shape != "untiled",
+            ).run(lower_kernel(kernel_by_name(kernel))).program
+            for sanitize in (False, True):
+                tags = [emit_c.EMITTER_VERSION]
+                tags += [emit_c.DYNAMIC_TAG] if dynamic else []
+                tags += [emit_c.SANITIZE_TAG] if sanitize else []
+                source = emit(program, sanitize=sanitize)
+                name = f"{kernel}/{shape}/{'sanitize' if sanitize else 'plain'}"
+                entries[name] = {
+                    "version": "+".join(tags),
+                    "sha256": hashlib.sha256(source.encode()).hexdigest(),
+                }
+    return entries
+
+
+def test_emitted_c_is_frozen_per_emitter_version():
+    recorded = json.loads(EMITTED_C.read_text())
+    current = _emitted_c()
+    assert sorted(recorded) == sorted(current)
+    for name, entry in current.items():
+        assert entry["version"] == recorded[name]["version"], (
+            f"{name}: emitter version moved; regenerate {EMITTED_C.name} "
+            "(python tests/lowering/test_executor.py)"
+        )
+        assert entry["sha256"] == recorded[name]["sha256"], (
+            f"{name}: emitted C changed under version {entry['version']}; "
+            "bump emit_c.EMITTER_VERSION (or the tag that covers the "
+            "change) so warm .so stores miss, then regenerate the list"
+        )
+
+
+if __name__ == "__main__":
+    EMITTED_C.write_text(json.dumps(_emitted_c(), indent=2) + "\n")

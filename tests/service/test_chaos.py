@@ -115,7 +115,17 @@ class TestKillRecovery:
         assert plan.schedule("kill", 0, 4) == [0]
         config = fleet_config(tmp_path, chaos=plan)
         with FleetService(config) as fleet:
-            responses = [fleet.bind(make_request()) for _ in range(3)]
+            responses = [fleet.bind(make_request())]
+            # "Run clean" needs the killed shard respawned first: a warm
+            # forked worker serves the retry faster than one supervisor
+            # poll, and a bind routed to the still-dead shard counts as a
+            # crash and pushes later requests onto dispatches 4 and 5.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not fleet.stats()[
+                "counters"
+            ].get("worker_restarts", 0):
+                time.sleep(0.01)
+            responses += [fleet.bind(make_request()) for _ in range(2)]
             counters = fleet.stats()["counters"]
         assert [r.status for r in responses] == ["ok"] * 3
         assert all(r.fingerprints == expected for r in responses)
