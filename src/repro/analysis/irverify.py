@@ -846,8 +846,10 @@ def _assumed_facts(program: Program, facts: _KernelFacts) -> List[AssumedFact]:
                     "each iteration appears exactly once across tiles"
                 ),
                 discharged_by=(
-                    "TilingFunction.schedule() construction and the "
-                    "sanitizer prologue"
+                    "TileSchedule construction (a counting sort for "
+                    "TilingFunction.schedule(), a permutation check for a "
+                    "hand-built list of tiles) plus the executor entry's "
+                    "per-call extent comparison, on every tier"
                 ),
             )
         )
@@ -870,8 +872,11 @@ def _assumed_facts(program: Program, facts: _KernelFacts) -> List[AssumedFact]:
                     "wave groups partition tile ids and respect the tile "
                     "dependence graph (tile_wavefronts)"
                 ),
-                discharged_by="wavefront constructor and the sanitizer "
-                "prologue",
+                discharged_by=(
+                    "CSRLists construction at the executor entry (the "
+                    "groups partition the tile ids, on every tier); "
+                    "dependence order by the wavefront constructor"
+                ),
             )
         )
     if program.dynamic_schedule:

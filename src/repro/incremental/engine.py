@@ -168,8 +168,8 @@ def repair_tile_dag(parent_dag, tiling, data, counter: Optional[dict] = None):
         src,
         dst,
         (
-            np.concatenate(waves.groups()).astype(np.int64)
-            if waves is not None and waves.groups()
+            waves.groups().flat
+            if waves is not None
             else np.arange(num_tiles, dtype=np.int64)
         ),
         waves.wave.astype(np.int64) if waves is not None else None,

@@ -9,10 +9,15 @@ The generated translation unit exports one function:
                double *scratch)
 
 * tiled (``run_tiled``) additionally takes, per kernel loop ``p``, the
-  CSR-flattened tile schedule (``iters_p`` concatenated iterations +
-  ``off_p`` tile offsets, ``num_tiles + 1`` entries) and the wavefront
-  grouping (``wave_tiles`` concatenated tile ids + ``wave_off``,
-  ``num_waves + 1`` entries).
+  marshalled tile schedule (``iters_p`` concatenated iterations +
+  ``off_p`` tile offsets, ``num_tiles + 1`` entries — pointers into the
+  :class:`~repro.transforms.tile_schedule.TileSchedule` built at bind
+  time) and the wavefront grouping (``wave_tiles`` concatenated tile ids
+  + ``wave_off``, ``num_waves + 1`` entries).  ``iters_p`` may be
+  ``NULL``: the loop is then in *range form* — tile ``t`` runs the
+  contiguous iterations ``off_p[t] .. off_p[t + 1] - 1``, Figure 14's
+  plain blocked loop over tile-packed data — and every tile loop is
+  emitted in both forms under one ``if (iters_p)``.
 
 Bit-identity with the library executor comes from emitting the *same
 operation sequence* ``numpy`` performs, not from tolerances:
@@ -37,7 +42,7 @@ keeps the compiler from fusing the emitted ``a*b + c`` shapes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.codegen.emit import SourceWriter
 from repro.errors import ValidationError
@@ -52,7 +57,7 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-EMITTER_VERSION = "c-1"
+EMITTER_VERSION = "c-2"
 
 #: Appended to the artifact key when the sanitizer guard is emitted, so
 #: guarded and unguarded shared objects never collide in the cache.
@@ -73,6 +78,7 @@ DYNAMIC_TAG = "dyn2"
 GUARD_LEFT = 1
 GUARD_RIGHT = 2
 GUARD_SCHEDULE_BASE = 10  # + loop position
+GUARD_OFFSETS_BASE = 50  # + loop position (range form: no iters to scan)
 GUARD_WAVES = 100
 GUARD_ORDER = 101
 GUARD_SUCC = 102
@@ -95,6 +101,32 @@ def _emit_guard_fn(w: SourceWriter) -> None:
                 w.line("err[3] = bound;")
                 w.line("return 1;")
             w.line("}")
+        w.line("}")
+        w.line("return 0;")
+    w.line("}")
+
+
+def _emit_offsets_guard_fn(w: SourceWriter) -> None:
+    """The scan a range-form loop gets instead of :func:`_emit_guard_fn`'s:
+    with no iteration array to check, the tile offsets *are* the index
+    source — they must start at 0, never decrease, and end at the loop
+    extent, or a tile would run iterations outside ``[0, extent)``."""
+    with w.block(
+        "static int64_t _guard_offsets(const int64_t *off, int64_t n, "
+        "int64_t extent, int64_t code, int64_t *err) {"
+    ):
+        w.line("int64_t _prev = 0;")
+        with w.block("for (int64_t _i = 0; _i <= n; ++_i) {"):
+            w.line("int64_t _lo = (_i == n) ? extent : _prev;")
+            w.line("int64_t _hi = (_i == 0) ? 0 : extent;")
+            with w.block("if (off[_i] < _lo || off[_i] > _hi) {"):
+                w.line("err[0] = code;")
+                w.line("err[1] = _i;")
+                w.line("err[2] = off[_i];")
+                w.line("err[3] = extent + 1;")
+                w.line("return 1;")
+            w.line("}")
+            w.line("_prev = off[_i];")
         w.line("}")
         w.line("return 0;")
     w.line("}")
@@ -153,16 +185,32 @@ def _wave_tiles(w: SourceWriter):
     w.line("}")
 
 
-@contextmanager
-def _tile_iters(w: SourceWriter, pos: int, ivar: str, ctx: str = ""):
-    """Loop ``ivar`` over tile ``_t``'s iterations of loop ``pos``; ``_k``
-    is the global CSR position (``ctx`` prefixes the CSR arrays)."""
-    with w.block(
-        f"for (int64_t _k = {ctx}off{pos}[_t]; "
-        f"_k < {ctx}off{pos}[_t + 1]; ++_k) {{"
-    ):
-        w.line(f"int64_t {ivar} = {ctx}iters{pos}[_k];")
-        yield
+def _tile_iters(
+    w: SourceWriter, pos: int, ivar: str, body: Callable[[str], None],
+    ctx: str = "",
+) -> None:
+    """Tile ``_t``'s iterations of loop ``pos``, in both schedule forms
+    (``ctx`` prefixes the schedule arrays).  Index form walks the CSR
+    positions ``_k`` and loads ``ivar`` from ``iters``; range form
+    (``iters == NULL``) is the plain blocked loop, where the position
+    *is* the iteration.  ``body(k)`` emits the loop body given the
+    expression of the global CSR position; it is called once per form,
+    before this returns."""
+    off = f"{ctx}off{pos}"
+    with w.block(f"if ({ctx}iters{pos}) {{"):
+        with w.block(
+            f"for (int64_t _k = {off}[_t]; _k < {off}[_t + 1]; ++_k) {{"
+        ):
+            w.line(f"int64_t {ivar} = {ctx}iters{pos}[_k];")
+            body("_k")
+        w.line("}")
+    with w.block("} else {"):
+        with w.block(
+            f"for (int64_t {ivar} = {off}[_t]; {ivar} < {off}[_t + 1]; "
+            f"++{ivar}) {{"
+        ):
+            body(ivar)
+        w.line("}")
     w.line("}")
 
 
@@ -177,10 +225,14 @@ def _emit_unit_header(
     if sanitize:
         _emit_guard_fn(w)
         w.line()
+        if program.tiled:
+            _emit_offsets_guard_fn(w)
+            w.line()
 
 
 def _operand_params(program: Program, tiled: bool) -> List[str]:
-    """The parameters every entry point opens with (+ the CSR schedule)."""
+    """The parameters every entry point opens with (+ the marshalled
+    schedule; a loop's ``iters`` is ``NULL`` in range form)."""
     params = [f"double *{name}" for name in program.data_arrays] + [
         "const int64_t *left",
         "const int64_t *right",
@@ -198,7 +250,8 @@ def _operand_params(program: Program, tiled: bool) -> List[str]:
 
 def _emit_guard_scans(w: SourceWriter, program: Program, tiled: bool) -> None:
     """The sanitized entry points' shared opening: clear ``err``, scan
-    ``left``/``right`` (+ every CSR iteration array of a tiled one)."""
+    ``left``/``right`` (+ per loop of a tiled one its iteration array,
+    or in range form its tile offsets)."""
     w.line("err[0] = 0;")
     w.line(
         f"if (_guard(left, num_inter, num_nodes, {GUARD_LEFT}, err)) return;"
@@ -210,10 +263,17 @@ def _emit_guard_scans(w: SourceWriter, program: Program, tiled: bool) -> None:
     if tiled:
         for pos, loop in enumerate(program.loops):
             extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
-            w.line(
-                f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
-                f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
-            )
+            with w.block(f"if (iters{pos}) {{"):
+                w.line(
+                    f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
+                    f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
+                )
+            with w.block("} else {"):
+                w.line(
+                    f"if (_guard_offsets(off{pos}, num_tiles, {extent}, "
+                    f"{GUARD_OFFSETS_BASE + pos}, err)) return;"
+                )
+            w.line("}")
 
 
 def emit_c(program: Program, sanitize: bool = False) -> str:
@@ -266,11 +326,13 @@ def emit_c(program: Program, sanitize: bool = False) -> str:
 
 
 def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
-    """C source of the tiled wave executor (CSR schedule + wave order).
+    """C source of the tiled wave executor (marshalled schedule + wave
+    order), every tile loop in index and range form.
 
     The sanitized variant gains ``int64_t num_tiles`` and ``int64_t *err``
-    and range-scans every CSR iteration array, the wave tile ids, and
-    ``left``/``right`` before the first step (see :func:`emit_c`)."""
+    and scans every iteration array (or, in range form, the tile
+    offsets), the wave tile ids, and ``left``/``right`` before the first
+    step (see :func:`emit_c`)."""
     w = SourceWriter()
     _emit_unit_header(w, "Tiled C executor", program, sanitize)
     params = _operand_params(program, tiled=True) + [
@@ -296,27 +358,42 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
                     ivar = loop.index_var
                     w.line(f"/* {loop.label} ({loop.domain}) */")
                     if loop.domain == "nodes":
-                        with _wave_tiles(w), _tile_iters(w, pos, ivar):
-                            _emit_node_body(w, loop, ivar)
+                        with _wave_tiles(w):
+                            _tile_iters(
+                                w, pos, ivar,
+                                lambda k: _emit_node_body(w, loop, ivar),
+                            )
                     elif loop.fissioned is not None:
                         gc = loop.fissioned
                         payload = _render(gc.payload, ivar, _idx_via(ivar))
                         # Pass 1: every tile's pure gather into scratch
                         # (keyed by the global CSR position).
-                        with _wave_tiles(w), _tile_iters(w, pos, ivar):
-                            w.line(f"scratch[_k] = {payload};")
+                        with _wave_tiles(w):
+                            _tile_iters(
+                                w, pos, ivar,
+                                lambda k: w.line(f"scratch[{k}] = {payload};"),
+                            )
                         # Pass 2: commits per tile, in the wave's tile
                         # order — both commit passes of a tile before the
                         # next tile (run_wave_phases' zip loop).
                         with _wave_tiles(w):
                             for commit in gc.commits:
-                                with _tile_iters(w, pos, ivar):
-                                    w.line(
-                                        _commit_stmt(commit, ivar, "scratch[_k]")
-                                    )
+                                _tile_iters(
+                                    w, pos, ivar,
+                                    lambda k: w.line(
+                                        _commit_stmt(
+                                            commit, ivar, f"scratch[{k}]"
+                                        )
+                                    ),
+                                )
                     else:
-                        with _wave_tiles(w), _tile_iters(w, pos, ivar):
-                            _emit_inter_scalar_body(w, loop, ivar)
+                        with _wave_tiles(w):
+                            _tile_iters(
+                                w, pos, ivar,
+                                lambda k: _emit_inter_scalar_body(
+                                    w, loop, ivar
+                                ),
+                            )
                 w.line("}")  # close the wave loop
         w.line("}")
     w.line("}")
@@ -390,24 +467,35 @@ def _emit_dynamic_stages(w: SourceWriter, program: Program) -> None:
     def node_loops(loops) -> None:
         for pos, loop in loops:
             w.line(f"/* {loop.label} ({loop.domain}) */")
-            with _tile_iters(w, pos, loop.index_var, "c->"):
-                _emit_node_body(w, loop, loop.index_var)
+            _tile_iters(
+                w, pos, loop.index_var,
+                lambda k: _emit_node_body(w, loop, loop.index_var),
+                "c->",
+            )
 
     with stage("gather"):
         _emit_stage_prologue(w, program)
         node_loops(pre)
         w.line(f"/* {inter_loop.label} gather */")
         payload = _render(gc.payload, ivar, _idx_via(ivar))
-        with _tile_iters(w, ip, ivar, "c->"):
-            w.line(f"c->scratch[_k] = {payload};")
+        _tile_iters(
+            w, ip, ivar,
+            lambda k: w.line(f"c->scratch[{k}] = {payload};"),
+            "c->",
+        )
     w.line("}")
     w.line()
 
     with stage("commit"):
         _emit_stage_prologue(w, program)
         for commit in gc.commits:
-            with _tile_iters(w, ip, ivar, "c->"):
-                w.line(_commit_stmt(commit, ivar, "c->scratch[_k]"))
+            _tile_iters(
+                w, ip, ivar,
+                lambda k: w.line(
+                    _commit_stmt(commit, ivar, f"c->scratch[{k}]")
+                ),
+                "c->",
+            )
     w.line("}")
     w.line()
 
@@ -821,6 +909,7 @@ __all__ = [
     "DYNAMIC_TAG",
     "EMITTER_VERSION",
     "GUARD_LEFT",
+    "GUARD_OFFSETS_BASE",
     "GUARD_ORDER",
     "GUARD_RIGHT",
     "GUARD_SCHEDULE_BASE",

@@ -14,7 +14,12 @@ The two Python tiers differ only in where their table comes from: a
 tiled bind of either runs it under the wave driver or the dynamic
 adapter of :mod:`repro.lowering.schedule`.  The C tier's three entry
 points share one marshaller (:func:`_c_call`), and every tier sits
-behind one entry (:func:`_entry`) that checks its outside input.
+behind one entry (:func:`_entry`) that checks its outside input — and
+is where a tile schedule becomes its one representation
+(:class:`~repro.transforms.tile_schedule.TileSchedule`): the object
+``TilingFunction.schedule()`` returns passes through after an O(1)
+check and is handed to C by pointer; a hand-built list of tiles is
+marshalled and fully checked on each call.
 
 Selection follows the shared policy of :func:`repro.backends.resolve`
 (argument > ``REPRO_EXECUTOR_BACKEND`` > default ``library``); asking
@@ -40,7 +45,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +54,11 @@ from repro.errors import ExecutorBoundsError, LegalityError, ValidationError
 from repro.lowering import toolchain
 from repro.lowering.ir import Program, ir_hash, lower_kernel
 from repro.lowering.passes import LoweringRewriter, PassConfig, RewriteState
+from repro.transforms.tile_schedule import (
+    CSRLists,
+    as_tile_schedule,
+    as_wave_groups,
+)
 
 #: Valid selector values for the executor switch (``auto`` = best
 #: available: ``c`` with a toolchain, else ``numpy``).
@@ -108,7 +118,10 @@ class CompiledExecutor:
       dynamic scheduler's counter DAG; ``num_threads`` (argument >
       ``REPRO_EXECUTOR_THREADS`` > visible cores) bounds the workers of
       either Python driver and of the C dynamic pool (the C wave entry
-      point is serial).
+      point is serial).  ``schedule`` and ``wave_groups`` are what
+      ``TilingFunction.schedule()`` and ``WavefrontSchedule.groups()``
+      return (marshalled once) or plain lists (marshalled and checked
+      on every call).
     """
 
     kernel_name: str
@@ -177,26 +190,19 @@ def _iptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
 
 
-def _flatten_csr(chunks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    off = np.zeros(len(chunks) + 1, dtype=np.int64)
-    for i, chunk in enumerate(chunks):
-        off[i + 1] = off[i] + len(chunk)
-    if chunks:
-        flat = np.concatenate([_as_i64(c, "schedule") for c in chunks])
-    else:  # pragma: no cover - empty schedules are rejected upstream
-        flat = np.zeros(0, dtype=np.int64)
-    return np.ascontiguousarray(flat), off
-
-
 def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
     """``call`` behind the public ``run`` signature of its shape, after
-    the O(1) checks every tier owes its outside input, sanitized or not:
-    the C tier would read (and commit) past a short ``right`` or a short
+    the checks every tier owes its outside input, sanitized or not: the
+    C tier would read (and commit) past a short ``right`` or a short
     data array, the NumPy tiers would fail with an untyped broadcast
-    error.  (A sanitized bind reports every trap, these included, as
-    ``stage="sanitizer"``.)"""
+    error; a schedule or a wave grouping that is not a partition would
+    return a silently wrong answer on every tier.  Operand lengths are
+    O(1); a marshalled schedule proved the partition when it was built
+    and owes one length comparison per loop, a hand-built one is
+    marshalled and checked here.  (A sanitized bind reports every trap,
+    these included, as ``stage="sanitizer"``.)"""
     names = program.data_arrays
-    n_loops = len(program.loops)
+    labels = [loop.label for loop in program.loops]
     stage = "sanitizer" if sanitized else "executor"
 
     def check(arrays, left, right) -> None:
@@ -234,11 +240,13 @@ def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
         num_threads=None,
     ):
         check(arrays, left, right)
-        if any(len(tile) != n_loops for tile in schedule):
-            raise ValidationError(
-                f"schedule tiles must cover {n_loops} loops of "
-                f"{program.kernel_name}"
-            )
+        extents = [
+            len(arrays[names[0]]) if loop.domain == "nodes" else len(left)
+            for loop in program.loops
+        ]
+        schedule = as_tile_schedule(schedule, extents, labels, stage)
+        if wave_groups is not None:
+            wave_groups = as_wave_groups(wave_groups, len(schedule), stage)
         call(
             arrays, left, right, num_steps, schedule, wave_groups, dag,
             num_threads,
@@ -297,9 +305,12 @@ def _guard_source_name(code: int, program: Program) -> str:
     """Map a sanitized executor's ``err[0]`` code to an index source."""
     from repro.lowering import emit_c
 
-    pos = code - emit_c.GUARD_SCHEDULE_BASE
-    if 0 <= pos < len(program.loops):
-        return f"schedule[{program.loops[pos].label}]"
+    for base, what in (
+        (emit_c.GUARD_SCHEDULE_BASE, "schedule"),
+        (emit_c.GUARD_OFFSETS_BASE, "schedule.offsets"),
+    ):
+        if 0 <= code - base < len(program.loops):
+            return f"{what}[{program.loops[code - base].label}]"
     return {
         emit_c.GUARD_LEFT: "left",
         emit_c.GUARD_RIGHT: "right",
@@ -321,7 +332,7 @@ def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
     )
 
 
-def _counter_dag(dag, wave_groups, num_tiles: int, sanitize: bool):
+def _counter_dag(dag, wave_groups, num_tiles: int):
     """The DAG ``run_tiled_dynamic`` executes, legality-checked
     (:func:`~repro.lowering.schedule.ensure_runnable`, IRV006) before
     the foreign call — a cyclic or under-counted graph would deadlock or
@@ -329,23 +340,6 @@ def _counter_dag(dag, wave_groups, num_tiles: int, sanitize: bool):
     from repro.lowering.schedule import ensure_runnable, tile_dag_from_waves
 
     if dag is None:
-        # The wave entry point guards wave groups inside the emitted
-        # code; here the groups are consumed Python-side (they only seed
-        # the barrier DAG), so the sanitizer contract — typed trap,
-        # arrays untouched — is honored before construction.
-        if sanitize and wave_groups is not None:
-            for wv, group in enumerate(wave_groups):
-                g = np.asarray(group, dtype=np.int64).ravel()
-                bad = np.flatnonzero((g < 0) | (g >= num_tiles))
-                if len(bad):
-                    pos = int(bad[0])
-                    raise ExecutorBoundsError(
-                        f"wave_groups[{wv}][{pos}] = {int(g[pos])} "
-                        f"outside [0, {num_tiles})",
-                        array=f"wave_groups[{wv}]",
-                        bound=num_tiles,
-                        stage="sanitizer",
-                    )
         dag = tile_dag_from_waves(wave_groups, num_tiles)
     ensure_runnable(dag)
     return dag
@@ -356,18 +350,20 @@ def _c_call(
 ) -> Callable:
     """The one ``ctypes`` marshaller, parameterised by entry point.
 
-    ``run`` takes the operands alone; ``run_tiled`` adds the CSR tile
-    schedule and the CSR wave grouping; ``run_tiled_dynamic`` adds the
-    CSR tile schedule, the counter DAG (commit order, static levels,
-    indegree seeds, successor CSR) and the resolved worker count.  Dtype
-    checks, CSR flattening, scratch/err allocation and guard-trap
-    decoding are shared."""
+    ``run`` takes the operands alone; ``run_tiled`` adds the tile
+    schedule and the wave grouping; ``run_tiled_dynamic`` adds the tile
+    schedule, the counter DAG (commit order, static levels, indegree
+    seeds, successor CSR) and the resolved worker count.  Schedule and
+    grouping arrive marshalled (:func:`_entry`), so nothing is flattened
+    here: each loop passes the two pointers its
+    :class:`~repro.transforms.tile_schedule.CSRLists` already holds,
+    with ``NULL`` for the iteration array of a range-form loop.  Dtype
+    checks, scratch/err allocation and guard-trap decoding are shared."""
     from repro.lowering.schedule import resolve_num_threads, static_levels
 
     fn = getattr(ctypes.CDLL(so_path), entry)
     fn.restype = None
     names = program.data_arrays
-    n_loops = len(program.loops)
     i64 = ctypes.c_longlong
 
     def call(
@@ -394,23 +390,21 @@ def _c_call(
         tail: list = []  # after scratch
         if entry != "run":
             num_tiles = i64(len(schedule))
-            for pos in range(n_loops):
-                graph += pointers(
-                    *_flatten_csr([tile[pos] for tile in schedule])
-                )
+            # ``schedule`` (the caller's reference) keeps these alive.
+            for loop in schedule.loops:
+                graph += [
+                    None if loop.is_range else _iptr(loop.flat),
+                    _iptr(loop.offsets),
+                ]
         if entry == "run_tiled":
             if wave_groups is None:
-                wave_groups = [[t] for t in range(len(schedule))]
-            graph += pointers(
-                *_flatten_csr(
-                    [np.asarray(g, dtype=np.int64) for g in wave_groups]
-                )
-            )
+                wave_groups = CSRLists.singletons(len(schedule))
+            graph += pointers(wave_groups.flat, wave_groups.offsets)
             graph.append(i64(len(wave_groups)))
             if sanitize:
                 tail.append(num_tiles)
         elif entry == "run_tiled_dynamic":
-            dag = _counter_dag(dag, wave_groups, len(schedule), sanitize)
+            dag = _counter_dag(dag, wave_groups, len(schedule))
             # The serial fast path replays the static wave schedule, so
             # the engine needs each tile's level; recomputed only for
             # hand-built DAGs that omitted it.

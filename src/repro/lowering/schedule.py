@@ -63,6 +63,7 @@ import numpy as np
 
 from repro import backends
 from repro.errors import LegalityError, ValidationError
+from repro.transforms.tile_schedule import CSRLists, as_wave_groups
 
 #: Environment variable selecting the tile scheduler.
 SCHEDULER_ENV = "REPRO_EXECUTOR_SCHEDULER"
@@ -231,12 +232,7 @@ def tile_dag(
             return _build_dag(
                 num_tiles, src, dst, np.arange(num_tiles, dtype=np.int64), None
             )
-    groups = waves.groups()
-    order = (
-        np.concatenate(groups).astype(np.int64)
-        if groups
-        else np.empty(0, dtype=np.int64)
-    )
+    order = as_wave_groups(waves.groups(), num_tiles).flat
     return _build_dag(num_tiles, src, dst, order, waves.wave.astype(np.int64))
 
 
@@ -264,42 +260,23 @@ def tile_dag_from_waves(wave_groups, num_tiles: int) -> TileDAG:
     :func:`tile_dag_from_tiling`.
     """
     if wave_groups is None:
-        groups = [
-            np.asarray([t], dtype=np.int64) for t in range(num_tiles)
-        ]
+        groups = CSRLists.singletons(num_tiles)
     else:
-        groups = [np.asarray(g, dtype=np.int64) for g in wave_groups]
-    wave = np.zeros(num_tiles, dtype=np.int64)
+        groups = as_wave_groups(wave_groups, num_tiles)
+    order = groups.flat
+    wave = np.empty(num_tiles, dtype=np.int64)
+    wave[order] = np.repeat(np.arange(len(groups)), groups.sizes())
     src_parts: List[np.ndarray] = []
     dst_parts: List[np.ndarray] = []
-    for w, group in enumerate(groups):
-        if len(group) and (
-            int(group.min()) < 0 or int(group.max()) >= num_tiles
-        ):
-            raise ValidationError(
-                f"wave group {w} references tile ids outside "
-                f"[0, {num_tiles})"
-            )
-        wave[group] = w
-        if w:
-            prev = groups[w - 1]
-            src_parts.append(np.repeat(prev, len(group)))
-            dst_parts.append(np.tile(group, len(prev)))
+    for prev, group in zip(groups, groups[1:]):
+        src_parts.append(np.repeat(prev, len(group)))
+        dst_parts.append(np.tile(group, len(prev)))
     src = (
         np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     )
     dst = (
         np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
     )
-    order = (
-        np.concatenate(groups).astype(np.int64)
-        if groups
-        else np.empty(0, dtype=np.int64)
-    )
-    if len(order) != num_tiles:
-        raise ValidationError(
-            f"wave groups cover {len(order)} tiles, expected {num_tiles}"
-        )
     return _build_dag(num_tiles, src, dst, order, wave)
 
 

@@ -14,7 +14,7 @@ sched(t,l)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from repro.cachesim.trace import AccessTrace, TraceBuilder
 from repro.errors import ValidationError
 from repro.kernels.data import KernelData
 from repro.kernels.executors import run_steps
+from repro.transforms.tile_schedule import as_tile_schedule
 
 NODES_REGION = "nodes"
 INTERS_REGION = "inters"
@@ -38,7 +39,7 @@ class ExecutionPlan:
     """
 
     loop_orders: Optional[List[Optional[np.ndarray]]] = None
-    schedule: Optional[List[List[np.ndarray]]] = None
+    schedule: Optional[Sequence[Sequence[np.ndarray]]] = None
 
     @staticmethod
     def identity() -> "ExecutionPlan":
@@ -56,16 +57,11 @@ class ExecutionPlan:
         return order
 
     def validate_schedule(self, data: KernelData) -> None:
-        if self.schedule is None:
-            return
-        sizes = data.loop_sizes()
-        for pos, size in enumerate(sizes):
-            count = sum(len(tile[pos]) for tile in self.schedule)
-            if count != size:
-                raise ValidationError(
-                    f"schedule covers {count} iterations of loop {pos}, "
-                    f"expected {size}"
-                )
+        """The schedule partitions every loop of ``data``: one offset
+        comparison per loop for a marshalled schedule, the full check
+        for a hand-built list of tiles."""
+        if self.schedule is not None:
+            as_tile_schedule(self.schedule, data.loop_sizes())
 
 
 def _loop_writes_nodes(data: KernelData, pos: int) -> bool:
@@ -160,7 +156,7 @@ def run_numeric(
 
 def run_numeric_wavefront(
     data: KernelData,
-    schedule: List[List[np.ndarray]],
+    schedule: Sequence[Sequence[np.ndarray]],
     waves=None,
     num_steps: int = 1,
     parallel: bool = True,
@@ -174,7 +170,9 @@ def run_numeric_wavefront(
     """Execute the kernel arithmetic tile by tile, wave by wave.
 
     ``schedule[t][pos]`` are the iterations of loop ``pos`` inside tile
-    ``t`` (a :meth:`TilingFunction.schedule`); ``waves`` is a
+    ``t`` — a :meth:`TilingFunction.schedule` (marshalled once, passed
+    by pointer on every call) or a hand-built list of tiles (marshalled
+    and checked on every call); ``waves`` is a
     :class:`~repro.transforms.parallel.WavefrontSchedule` over the tiles
     (``None`` treats every tile as its own wave — plain sequential tile
     order).  This is one bind and one call: ``backend`` / ``sanitize`` /

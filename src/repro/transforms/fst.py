@@ -34,6 +34,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.transforms.tile_schedule import TileSchedule
+
 EdgeSet = Tuple[np.ndarray, np.ndarray]
 
 
@@ -51,30 +53,17 @@ class TilingFunction:
     def __call__(self, loop: int, iteration: int) -> int:
         return int(self.tiles[loop][iteration])
 
-    def schedule(self) -> List[List[np.ndarray]]:
+    def schedule(self) -> TileSchedule:
         """``schedule[t][l]``: iterations of loop ``l`` in tile ``t``,
         in increasing iteration order (the paper's ``sched(t, l)``).
 
-        Built by one stable counting-sort per loop instead of one full
-        scan per (tile, loop) pair, so the cost is
-        ``O(sum loop sizes)`` rather than ``O(num_tiles * sum sizes)``.
+        One read-only marshalled object
+        (:class:`~repro.transforms.tile_schedule.TileSchedule`): per loop
+        a flat iteration array + tile offsets from one stable counting
+        sort — ``O(sum loop sizes)``, no per-tile work — in range form
+        wherever the loop is already ordered by tile.
         """
-        per_tile: List[List[np.ndarray]] = [
-            [None] * len(self.tiles) for _ in range(self.num_tiles)
-        ]
-        if self.num_tiles == 0:
-            return per_tile
-        for l, loop_tiles in enumerate(self.tiles):
-            order = np.argsort(loop_tiles, kind="stable").astype(np.int64)
-            counts = np.bincount(loop_tiles, minlength=self.num_tiles)
-            # Direct boundary slicing: np.split pays two swapaxes calls
-            # per piece, which dominates at tens of thousands of tiles.
-            bounds = np.concatenate(
-                ([0], np.cumsum(counts, dtype=np.int64))
-            ).tolist()
-            for t in range(self.num_tiles):
-                per_tile[t][l] = order[bounds[t]:bounds[t + 1]]
-        return per_tile
+        return TileSchedule.from_tiling(self.tiles, self.num_tiles)
 
     def tile_sizes(self) -> np.ndarray:
         """Total iterations per tile (across all loops)."""

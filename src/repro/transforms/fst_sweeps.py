@@ -36,6 +36,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.transforms.tile_schedule import TileSchedule
+
 
 @dataclass(frozen=True)
 class CSRGraph:
@@ -83,16 +85,10 @@ class SweepTiling:
     def num_sweeps(self) -> int:
         return len(self.tiles)
 
-    def schedule(self) -> List[List[np.ndarray]]:
+    def schedule(self) -> TileSchedule:
         """``schedule[t][s]``: nodes of sweep ``s`` in tile ``t``,
         ascending — the executor order."""
-        return [
-            [
-                np.flatnonzero(self.tiles[s] == t).astype(np.int64)
-                for s in range(self.num_sweeps)
-            ]
-            for t in range(self.num_tiles)
-        ]
+        return TileSchedule.from_tiling(self.tiles, self.num_tiles)
 
 
 def full_sparse_tiling_sweeps(

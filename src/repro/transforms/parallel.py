@@ -24,12 +24,13 @@ Two inspectors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.transforms.fst import EdgeSet, TilingFunction
+from repro.transforms.tile_schedule import CSRLists
 
 
 @dataclass
@@ -38,25 +39,25 @@ class WavefrontSchedule:
 
     wave: np.ndarray
     num_waves: int
+    _groups: Optional[CSRLists] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def groups(self) -> List[np.ndarray]:
-        """``groups()[w]``: the iterations of wave ``w`` (parallel set).
-
-        One stable sort + one split instead of one full scan per wave
-        (``O(n log n)`` total rather than ``O(n * num_waves)``); each
-        group lists its iterations in ascending order.
-        """
-        if self.num_waves == 0:
-            return []
-        order = np.argsort(self.wave, kind="stable").astype(np.int64)
-        counts = np.bincount(self.wave, minlength=self.num_waves)
-        return np.split(order, np.cumsum(counts[:-1]))
+    def groups(self) -> CSRLists:
+        """``groups()[w]``: the iterations of wave ``w`` (parallel set),
+        ascending — views of one CSR (concatenated iterations + wave
+        offsets) built by a stable counting sort on first use."""
+        if self._groups is None:
+            self._groups = CSRLists.from_labels(
+                self.wave, self.num_waves, "wave"
+            )
+        return self._groups
 
     @property
     def max_parallelism(self) -> int:
         if not len(self.wave):
             return 0
-        return int(np.bincount(self.wave, minlength=self.num_waves).max())
+        return int(self.groups().sizes().max())
 
     @property
     def average_parallelism(self) -> float:

@@ -31,6 +31,7 @@ from repro.runtime.inspector import (
     CPackStep,
     FullSparseTilingStep,
     LexGroupStep,
+    TilePackStep,
 )
 from repro.runtime.planspec import load_plan_spec
 from repro.transforms import tile_wavefronts
@@ -106,14 +107,14 @@ def test_run_numeric_dispatch_identity(kernel, backend):
     _assert_identical(ref, got, (kernel, backend))
 
 
-def _tiled_case(kernel, dataset):
+def _tiled_case(kernel, dataset, pack=False):
     machine = machine_by_name("pentium4")
     data = make_kernel_data(kernel, generate_dataset(dataset, scale=128))
     steps = [
         CPackStep(),
         LexGroupStep(),
         FullSparseTilingStep(fst_seed_block(data, machine)),
-    ]
+    ] + ([TilePackStep()] if pack else [])
     result = ComposedInspector(steps).run(data)
     d = result.transformed
     j = np.arange(d.num_inter, dtype=np.int64)
@@ -164,6 +165,39 @@ def test_wavefront_executor_identity(kernel, dataset, backend):
         _assert_identical(
             ref_serial, got_serial,
             (kernel, backend, scheduler, num_threads, "serial"),
+        )
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+@pytest.mark.parametrize(
+    "kernel,dataset",
+    [("moldyn", "mol1"), ("irreg", "foil"), ("nbf", "foil")],
+)
+@pytest.mark.parametrize(
+    "scheduler,num_threads", [("wave", None), ("dynamic", 1), ("dynamic", 2)]
+)
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_range_form_and_index_form_are_bit_identical(
+    kernel, dataset, scheduler, num_threads, sanitize
+):
+    """One schedule, both C loop forms: the marshalled object runs its
+    tile-packed loops as ranges (``iters == NULL``), its list form runs
+    every loop through an index array — same bits as the library wave
+    reference either way, under both schedulers, guarded or not."""
+    d, schedule, waves = _tiled_case(kernel, dataset, pack=True)
+    assert any(schedule.is_range)
+    as_lists = [list(tile) for tile in schedule]
+    ref = run_numeric_wavefront(
+        d.copy(), schedule, waves, num_steps=3, parallel=False,
+        backend="library", scheduler="wave",
+    )
+    for form, tiles in (("range", schedule), ("index", as_lists)):
+        got = run_numeric_wavefront(
+            d.copy(), tiles, waves, num_steps=3, backend="c",
+            scheduler=scheduler, num_threads=num_threads, sanitize=sanitize,
+        )
+        _assert_identical(
+            ref, got, (kernel, scheduler, num_threads, sanitize, form)
         )
 
 

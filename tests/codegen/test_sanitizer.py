@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutorBoundsError
+from repro.errors import ExecutorBoundsError, ValidationError
 from repro.kernels import generate_dataset, make_kernel_data
 from repro.kernels.data import make_kernel_data as _mk
 from repro.kernels.datasets import Dataset
@@ -26,6 +26,8 @@ from repro.lowering import toolchain
 from repro.lowering.executor import clear_executor_memo, compile_executor
 from repro.runtime.executor import run_numeric, run_numeric_wavefront
 from repro.runtime.faults import CORRUPTORS
+from repro.transforms.fst import TilingFunction
+from repro.transforms.tile_schedule import CSRLists, TileSchedule
 
 pytestmark = pytest.mark.compiled
 
@@ -177,6 +179,84 @@ def test_tiled_sanitizer_identity_and_schedule_trap(backend):
     assert "schedule" in (info.value.array or "")
 
 
+def _remarshalled(data, corrupt, index_form=False):
+    """The marshalled two-tile schedule (range form in every loop, or its
+    list form re-marshalled: index form) rebuilt around ``corrupt(flat,
+    offsets)`` of loop 0 through the bare, trusting constructor — the
+    only way a marshalled schedule can break its own invariant."""
+    schedule = TilingFunction(
+        [np.arange(n, dtype=np.int64) * 2 // n for n in data.loop_sizes()], 2
+    ).schedule()
+    if index_form:
+        schedule = TileSchedule.from_tiles(list(schedule))
+    loops = list(schedule.loops)
+    flat, offsets = loops[0].flat.copy(), loops[0].offsets.copy()
+    corrupt(flat, offsets)
+    loops[0] = CSRLists(flat, offsets, loops[0].is_range)
+    return TileSchedule(loops, 2)
+
+
+def _set(which, index, value):
+    def corrupt(flat, offsets):
+        {"flat": flat, "offsets": offsets}[which][index] = value
+
+    return corrupt
+
+
+#: Corruptions of an already-marshalled schedule and what a sanitized
+#: bind owes each: ``trap`` (typed error before any mutation), or
+#: ``benign`` (memory-safe, output equal to the library executor's on the
+#: same schedule).  Range form has no iteration array for the C guard to
+#: scan, so it scans the tile offsets; the Python tiers slice ``flat``
+#: with them, which clips instead of addressing out of bounds.
+#: name -> (corruptor, index form?, {backend: verdict}).
+SCHEDULE_FAULTS = {
+    "iters-entry-out-of-range": (
+        _set("flat", 0, 10**6), True, {"c": "trap", "numpy": "trap"},
+    ),
+    "offsets-boundary-shifted": (
+        _set("offsets", 1, 3), False, {"c": "benign", "numpy": "benign"},
+    ),
+    "offsets-boundary-past-extent": (
+        _set("offsets", 1, 10**6), False, {"c": "trap", "numpy": "benign"},
+    ),
+    "offsets-boundary-negative": (
+        _set("offsets", 1, -5), False, {"c": "trap", "numpy": "benign"},
+    ),
+    "offsets-first-nonzero": (
+        _set("offsets", 0, 2), False, {"c": "trap", "numpy": "benign"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault_name", sorted(SCHEDULE_FAULTS))
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_marshalled_schedule_corruptors_trap_or_stay_safe(fault_name, backend):
+    corrupt, index_form, verdicts = SCHEDULE_FAULTS[fault_name]
+    data = _random_data("moldyn", 16, 32, seed=11)
+    schedule = _remarshalled(data, corrupt, index_form)
+    if verdicts[backend] == "trap":
+        before = {k: v.copy() for k, v in data.arrays.items()}
+        with pytest.raises(ExecutorBoundsError) as info:
+            run_numeric_wavefront(
+                data, schedule, None, backend=backend, sanitize=True
+            )
+        assert info.value.stage == "sanitizer"
+        assert "schedule" in info.value.array
+        for k in before:
+            assert np.array_equal(before[k], data.arrays[k]), k
+    else:
+        ref = run_numeric_wavefront(
+            data.copy(), schedule, None, backend="library"
+        )
+        for sanitize in (True, False):
+            got = run_numeric_wavefront(
+                data.copy(), schedule, None, backend=backend,
+                sanitize=sanitize,
+            )
+            _assert_identical(ref, got, (fault_name, backend, sanitize))
+
+
 class _Waves:
     """Minimal stand-in for a WavefrontSchedule: just .groups()."""
 
@@ -197,6 +277,76 @@ def test_tiled_sanitizer_wave_group_trap(backend):
             data.copy(), schedule, bad, backend=backend, sanitize=True
         )
     assert info.value.stage == "sanitizer"
+
+
+def _half(schedule, data):
+    return [schedule[0]]
+
+
+def _repeated(schedule, data):
+    tiles = [[it.copy() for it in tile] for tile in schedule]
+    tiles[1][0][:3] = tiles[0][0][:3]  # three listed twice, three never
+    return tiles
+
+
+def _last_offset_short(schedule, data):
+    return _remarshalled(data, lambda flat, off: off.__setitem__(-1, off[-1] - 2))
+
+
+#: Schedules (and one wave grouping) that are not partitions: each used
+#: to run to completion on every tier and return arrays != the untiled
+#: result.  name -> (schedule builder, wave groups).
+NON_PARTITIONS = {
+    "no-tiles": (lambda schedule, data: [], None),
+    "half-of-each-loop": (_half, None),
+    "three-iterations-twice": (_repeated, None),
+    "wave-skips-a-tile": (lambda schedule, data: schedule, [[1]]),
+    "last-offset-short": (_last_offset_short, None),
+}
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
+@pytest.mark.parametrize("name", sorted(NON_PARTITIONS))
+def test_non_partition_schedules_are_typed_errors_on_every_tier(
+    name, backend, sanitize
+):
+    data = _random_data("moldyn", 16, 32, seed=11)
+    build, groups = NON_PARTITIONS[name]
+    schedule = build(_two_tile_schedule(data), data)
+    waves = None if groups is None else _Waves(groups)
+    before = {k: v.copy() for k, v in data.arrays.items()}
+    with pytest.raises(ValidationError, match="cover|more than once"):
+        run_numeric_wavefront(
+            data, schedule, waves, backend=backend, sanitize=sanitize
+        )
+    for k in before:
+        assert np.array_equal(before[k], data.arrays[k]), k
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
+def test_out_of_range_schedule_entry_traps_on_every_tier(backend, sanitize):
+    """What the sanitizer alone used to catch: now a typed trap on every
+    tier (an unsanitized C bind would have read out of bounds)."""
+    data = _random_data("moldyn", 16, 32, seed=11)
+    schedule = _two_tile_schedule(data)
+    broken = [[it.copy() for it in tile] for tile in schedule]
+    broken[1][1][0] = -1
+    before = {k: v.copy() for k, v in data.arrays.items()}
+    for tiles, waves, culprit in (
+        (broken, None, "schedule[Lj]"),
+        (schedule, _Waves([[0], [2]]), "wave_groups"),
+    ):
+        with pytest.raises(ExecutorBoundsError) as info:
+            run_numeric_wavefront(
+                data, tiles, waves, backend=backend, sanitize=sanitize
+            )
+        guarded = sanitize and backend != "library"
+        assert info.value.stage == ("sanitizer" if guarded else "executor")
+        assert info.value.array == culprit
+    for k in before:
+        assert np.array_equal(before[k], data.arrays[k]), k
 
 
 @pytest.mark.parametrize("sanitize", [False, True])

@@ -179,6 +179,52 @@ class TestArtifactCache:
                 )
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+@pytest.mark.parametrize("scheduler", ["wave", "dynamic"])
+def test_marshalled_schedule_is_not_remarshalled_per_call(
+    monkeypatch, scheduler
+):
+    """The schedule is a bind-time artifact: calls that reuse the object
+    ``TilingFunction.schedule()`` returned (and a wavefront's groups)
+    build no CSR at all — the C marshaller passes the pointers they
+    hold.  A hand-built list of tiles is marshalled on every call, one
+    CSR per loop, through the same constructor."""
+    from repro.runtime.executor import run_numeric_wavefront
+    from repro.transforms.fst import TilingFunction
+    from repro.transforms.parallel import WavefrontSchedule
+    from repro.transforms.tile_schedule import CSRLists
+
+    data = _data()
+    tiling = TilingFunction(
+        [np.arange(n, dtype=np.int64) * 2 // n for n in data.loop_sizes()], 2
+    )
+    schedule = tiling.schedule()
+    waves = WavefrontSchedule(np.array([0, 1], dtype=np.int64), 2)
+
+    def run(tiles):
+        return run_numeric_wavefront(
+            data.copy(), tiles, waves, backend="c", scheduler=scheduler,
+            num_threads=1,
+        )
+
+    ref = run(schedule)  # warm-up: compiles, builds the wave CSR once
+    built = []
+    real_init = CSRLists.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CSRLists, "__init__", counting_init)
+    for _ in range(3):
+        run(schedule)
+    assert built == []
+    got = run([list(tile) for tile in schedule])
+    assert len(built) == len(data.loops)
+    for name in ref.arrays:
+        assert np.array_equal(ref.arrays[name], got.arrays[name]), name
+
+
 KERNELS = ("moldyn", "nbf", "irreg")
 
 

@@ -116,6 +116,28 @@ class TestSparseTilingSteps:
         e12 = (e01[1], e01[0])
         assert verify_tiling(res.tiling, {(0, 1): e01, (1, 2): e12})
 
+    @pytest.mark.parametrize("kernel", ["moldyn", "nbf", "irreg"])
+    def test_tilepack_leaves_packed_loops_in_range_form(self, kernel, request):
+        """After ``cpack+lexgroup+fst+tilepack`` a tile's iterations of
+        the seed loop and of the packed node loop are a contiguous range
+        (Figure 14's blocked loops): the schedule says so per loop, from
+        the data.  moldyn's ``Lk`` shares the node order ``Li`` was
+        packed in, under another tiling, and stays an index list."""
+        data = request.getfixturevalue(f"{kernel}_data")
+        steps = [CPackStep(), LexGroupStep(), FullSparseTilingStep(10)]
+        unpacked = run_composition(data, steps).plan.schedule
+        packed = run_composition(data, steps + [TilePackStep()]).plan.schedule
+        p_j = data.interaction_loop_position()
+        first_nodes = data.node_loop_positions()[0]
+        want = tuple(pos in (p_j, first_nodes) for pos in range(len(data.loops)))
+        assert packed.is_range == want
+        assert unpacked.is_range == tuple(
+            pos == p_j for pos in range(len(data.loops))
+        )
+        for pos, is_range in enumerate(packed.is_range):
+            flat = packed.loops[pos].flat
+            assert is_range == np.array_equal(flat, np.arange(len(flat)))
+
     def test_tilepack_requires_tiling(self, moldyn_data):
         with pytest.raises(ValueError, match="requires a prior sparse tiling"):
             run_composition(moldyn_data, [TilePackStep()])
