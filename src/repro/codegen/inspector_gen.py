@@ -62,6 +62,7 @@ def generate_inspector_source(
         "bucket_tiling, reverse_cuthill_mckee, block_partition, "
         "full_sparse_tiling, cache_block_tiling, tilepack, AccessMap)"
     )
+    w.line("from repro.transforms.fst import TilingFunction")
     if needs_coords:
         w.line("from repro.transforms.spacefill import space_filling_order")
     w.line("from repro.errors import ValidationError")
@@ -261,8 +262,10 @@ def _emit_step(
         data_loop = node_loops[0]
         var = f"tp{index}"
         w.comment("tilePack traverses the tiling function (Section 5.4)")
-        w.line("_order = np.argsort(tiling[%d], kind='stable')" % data_loop)
-        w.line(f"{var} = cpack(_order, num_nodes).array")
+        w.line(
+            f"{var} = tilepack(TilingFunction(tiling, num_tiles), "
+            f"{data_loop}, num_nodes).array"
+        )
         _emit_data_reordering(w, var, node_loops, remap)
     else:
         raise TypeError(f"no code generator for step {step!r}")

@@ -77,39 +77,6 @@ class DeltaContext:
 # TileDAG repair.
 
 
-def _cross_tile_keys(tiling, data, counter: Optional[dict] = None) -> np.ndarray:
-    """Strict cross-tile dependence pairs as ``src*num_tiles + dst`` keys.
-
-    Vectorized equivalent of
-    :func:`repro.transforms.parallel.tile_graph_edges` over the kernel's
-    concrete dependence edge sets — same strict (``t_src != t_dst``)
-    filter, same dedup, so the edge *set* is identical and the DAG
-    constructors' canonical ordering makes the result array-identical.
-    """
-    from repro.runtime.inspector import dependence_edges
-
-    num_tiles = np.int64(tiling.num_tiles)
-    parts = []
-    touches = 0
-    for (la, lb), (src, dst) in dependence_edges(data).items():
-        t_src = tiling.tiles[la][src]
-        t_dst = tiling.tiles[lb][dst]
-        crossing = t_src != t_dst
-        parts.append(t_src[crossing] * num_tiles + t_dst[crossing])
-        touches += 2 * len(src)
-    if counter is not None:
-        counter["touches"] = counter.get("touches", 0) + touches
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    # Sort-based dedup: np.unique's hash path is far slower than a sort
-    # on multi-million-key arrays, and the DAG constructors want sorted
-    # keys anyway.
-    keys = np.sort(np.concatenate(parts))
-    if len(keys):
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys
-
-
 def repair_tile_dag(parent_dag, tiling, data, counter: Optional[dict] = None):
     """Repair (or rebuild) the counter DAG for a patched tiling.
 
@@ -126,15 +93,15 @@ def repair_tile_dag(parent_dag, tiling, data, counter: Optional[dict] = None):
     before any dynamic pool runs.
     """
     from repro.lowering.schedule import _build_dag, tile_dag
+    from repro.runtime.inspector import dependence_edges
     from repro.transforms.parallel import (
         CyclicDependenceError,
+        tile_graph_edges,
         wavefront_schedule,
     )
 
     num_tiles = int(tiling.num_tiles)
-    keys = _cross_tile_keys(tiling, data, counter=counter)
-    src = keys // num_tiles
-    dst = keys % num_tiles
+    src, dst = tile_graph_edges(tiling, dependence_edges(data), counter)
     if (
         parent_dag is None
         or int(getattr(parent_dag, "num_tiles", -1)) != num_tiles
@@ -145,8 +112,10 @@ def repair_tile_dag(parent_dag, tiling, data, counter: Optional[dict] = None):
     counts = np.diff(parent_dag.succ_indptr)
     parent_src = np.repeat(np.arange(num_tiles, dtype=np.int64), counts)
     # Both key sets are sorted and duplicate-free (the CSR stores each
-    # edge once with sorted rows; ``_cross_tile_keys`` dedups), so the
-    # set difference can skip np.unique's slow re-canonicalization.
+    # edge once with sorted rows; ``tile_graph_edges`` returns distinct
+    # sorted pairs), so the set difference can skip np.unique's slow
+    # re-canonicalization.
+    keys = src * num_tiles + dst
     parent_keys = parent_src * num_tiles + parent_dag.succ_indices
     removed = np.setdiff1d(parent_keys, keys, assume_unique=True)
     added = np.setdiff1d(keys, parent_keys, assume_unique=True)

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.transforms.base import ReorderingFunction
+from repro.transforms.sorting import stable_argsort
 
 #: Largest composite sort key the int64 merge may build.
 _KEY_LIMIT = np.int64(2) ** 62
@@ -82,9 +83,15 @@ def _patch_cpack(ctx, state, step, index) -> None:
     untouched nodes share the sentinel — one stable argsort over the
     *node* space reproduces the cold order without touching the edge
     stream beyond the O(E) masked key refresh the engine already paid.
+    Occurrence keys stay below twice the chain's row count, so the sort
+    is the same bounded radix the cold inspectors use (the sentinel is
+    clamped to the first key past them).
     """
     aux = ctx.require_child_aux()
-    order = np.argsort(aux.first_key, kind="stable")
+    upper = 2 * (int(aux.row_key[-1]) + 1) if len(aux.row_key) else 0
+    order = stable_argsort(
+        np.minimum(aux.first_key, upper), upper + 1, "first-touch keys"
+    )
     sigma_arr = np.empty(len(order), dtype=np.int64)
     sigma_arr[order] = np.arange(len(order), dtype=np.int64)
     state.charge(step.name, 2 * len(order))

@@ -57,12 +57,13 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro import backends
 from repro.errors import LegalityError, ValidationError
+from repro.transforms.sorting import distinct_edges, group_by
 from repro.transforms.tile_schedule import CSRLists, as_wave_groups
 
 #: Environment variable selecting the tile scheduler.
@@ -155,32 +156,6 @@ class TileDAG:
         }
 
 
-def _dedupe_edges(
-    num_tiles: int, src: np.ndarray, dst: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
-    if src.shape != dst.shape:
-        raise ValidationError("tile edge endpoint arrays must align")
-    if len(src):
-        if src.min() < 0 or dst.min() < 0 or (
-            max(int(src.max()), int(dst.max())) >= num_tiles
-        ):
-            raise ValidationError(
-                f"tile edge endpoints out of range for {num_tiles} tiles"
-            )
-    strict = src != dst
-    src, dst = src[strict], dst[strict]
-    if len(src):
-        # Sort-based dedup: equivalent to np.unique (sorted, duplicate
-        # free) but avoids its hash path, which is far slower on the
-        # multi-million-key arrays dense tile graphs produce.
-        keys = np.sort(src * np.int64(num_tiles) + dst)
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        src, dst = keys // num_tiles, keys % num_tiles
-    return src, dst
-
-
 def _build_dag(
     num_tiles: int,
     src: np.ndarray,
@@ -188,17 +163,12 @@ def _build_dag(
     order: np.ndarray,
     wave: Optional[np.ndarray],
 ) -> TileDAG:
-    indegree = np.bincount(dst, minlength=num_tiles).astype(np.int64)
-    csr_order = np.argsort(src, kind="stable")
-    succ_indices = dst[csr_order].astype(np.int64)
-    succ_indptr = np.zeros(num_tiles + 1, dtype=np.int64)
-    np.add.at(succ_indptr[1:], src, 1)
-    succ_indptr = np.cumsum(succ_indptr)
+    csr_order, succ_indptr = group_by(src, num_tiles, "tile edge sources")
     return TileDAG(
         num_tiles=num_tiles,
-        indegree=indegree,
+        indegree=np.bincount(dst, minlength=num_tiles).astype(np.int64),
         succ_indptr=succ_indptr,
-        succ_indices=succ_indices,
+        succ_indices=dst[csr_order].astype(np.int64),
         order=np.asarray(order, dtype=np.int64),
         wave=wave,
     )
@@ -224,7 +194,9 @@ def tile_dag(
         wavefront_schedule,
     )
 
-    src, dst = _dedupe_edges(num_tiles, tile_src, tile_dst)
+    src, dst = distinct_edges(tile_src, tile_dst, num_tiles, "tile edge")
+    strict = src != dst
+    src, dst = src[strict], dst[strict]
     if waves is None:
         try:
             waves = wavefront_schedule(num_tiles, src, dst)

@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.transforms.sorting import stable_argsort
 
 #: Recognised validation policies.
 POLICIES = ("strict", "permissive")
@@ -274,18 +275,23 @@ def validate_kernel_data(
         ri = right.astype(np.int64, copy=False)
         lo = np.minimum(li, ri)
         hi = np.maximum(li, ri)
-        key = lo * max(num_nodes, 1) + hi
-        _, first_pos, counts = np.unique(
-            key, return_index=True, return_counts=True
-        )
-        if (counts > 1).any():
-            dup_first = np.sort(first_pos[counts > 1])[:MAX_REPORTED]
+        # Sort the unordered pairs (stable, so a run of equal pairs
+        # starts at its earliest interaction) and compare neighbours.
+        upper = max(num_nodes, 1)
+        key = lo * upper + hi
+        order = stable_argsort(key, upper * upper, "interaction pairs")
+        sorted_key = key[order]
+        repeats = sorted_key[1:] == sorted_key[:-1]
+        if repeats.any():
+            run_starts = repeats & ~np.concatenate(([False], repeats[:-1]))
+            first_of_run = np.zeros(len(key), dtype=bool)
+            first_of_run[order[:-1][run_starts]] = True
             report.findings.append(
                 Finding(
                     "duplicate-edges", "warning",
-                    f"{int((counts - 1).sum())} duplicate interactions "
+                    f"{int(repeats.sum())} duplicate interactions "
                     "(same endpoint pair)",
-                    "left/right", dup_first.tolist(),
+                    "left/right", _positions(first_of_run),
                 )
             )
         loops = li == ri

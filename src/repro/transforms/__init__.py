@@ -13,6 +13,8 @@ cited related work) as a pure algorithm over index arrays:
 :mod:`.fst`               full sparse tiling (Strout et al.) — iteration
 :mod:`.cache_block`       cache blocking (Douglas et al.) — iteration
 :mod:`.tilepack`          tile packing — data (+ matching iteration reorder)
+:mod:`.sorting`           the bounded-key sort / group / first-touch passes
+                          every inspector above is built from
 ========================  =====================================================
 
 The shared vocabulary lives in :mod:`.base`: a :class:`ReorderingFunction`

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.transforms.base import AccessMap, ReorderingFunction
+from repro.transforms.base import (
+    AccessMap,
+    ReorderingFunction,
+    permutation_from_order,
+)
 from repro.transforms.lexgroup import _first_locations
+from repro.transforms.sorting import stable_argsort
 
 
 def bucket_tiling(
@@ -30,11 +33,10 @@ def bucket_tiling(
     """
     if bucket_size < 1:
         raise ValueError("bucket_size must be positive")
-    first = _first_locations(access_map)
-    buckets = first // bucket_size
-    order = np.argsort(buckets, kind="stable")
-    delta = np.empty(access_map.num_iterations, dtype=np.int64)
-    delta[order] = np.arange(access_map.num_iterations, dtype=np.int64)
+    order = stable_argsort(
+        _first_locations(access_map) // bucket_size,
+        access_map.num_locations // bucket_size + 1,
+    )
     if counter is not None:
         counter["touches"] = counter.get("touches", 0) + 3 * access_map.num_iterations
-    return ReorderingFunction(name, delta)
+    return permutation_from_order(name, order)

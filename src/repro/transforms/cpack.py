@@ -4,6 +4,11 @@ The inspector walks the data mapping in iteration order and packs each
 location the first time it is touched (paper Figure 10).  Locations never
 touched keep their relative order at the end.  The result is the data
 reordering function ``sigma_cp`` with ``sigma_cp[old] = new``.
+
+Like the figure it is linear in the length of the walk — two scatters
+over the access stream (:func:`~repro.transforms.sorting.first_touch_order`,
+the ``alreadyOrdered`` bit vector in array form) and one pass over the
+data space — which is what the ``touches`` it charges have always said.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.transforms.base import AccessMap, ReorderingFunction
+from repro.transforms.sorting import first_touch_order
 
 
 def cpack(
@@ -36,13 +42,8 @@ def cpack(
 
     Returns the permutation ``sigma_cp`` (old location -> new location).
     """
-    accesses = np.asarray(accesses, dtype=np.int64)
-    if accesses.size and (accesses.min() < 0 or accesses.max() >= num_locations):
-        raise ValueError("access out of range of the data space")
-
-    # First-touch order: unique locations ordered by first occurrence.
-    uniq, first_pos = np.unique(accesses, return_index=True)
-    touched_in_order = uniq[np.argsort(first_pos)]
+    accesses = np.asarray(accesses)
+    touched_in_order = first_touch_order(accesses, num_locations, "accesses")
 
     sigma = np.full(num_locations, -1, dtype=np.int64)
     sigma[touched_in_order] = np.arange(len(touched_in_order), dtype=np.int64)

@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.transforms.sorting import group_by
 from repro.transforms.tile_schedule import TileSchedule
 
 
@@ -67,11 +68,8 @@ class CSRGraph:
         left, right = left[keep], right[keep]
         src = np.concatenate([left, right])
         dst = np.concatenate([right, left])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(offsets[1:], src, 1)
-        return CSRGraph(np.cumsum(offsets), dst)
+        order, offsets = group_by(src, num_nodes, "edge endpoints")
+        return CSRGraph(offsets, dst[order])
 
 
 @dataclass

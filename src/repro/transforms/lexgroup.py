@@ -6,8 +6,9 @@ iterations touching the same or adjacent data execute consecutively
 (paper Figure 4).
 
 * ``lexgroup`` (Ding & Kennedy's lexicographic grouping): stable sort of
-  iterations by the *first* location each touches.  Cheap (one counting
-  sort) and the paper's consistent best performer.
+  iterations by the *first* location each touches.  Cheap — one counting
+  sort, :func:`~repro.transforms.sorting.stable_argsort` over keys below
+  ``num_locations + 1`` — and the paper's consistent best performer.
 * ``lexsort`` (Han & Tseng's lexicographic sorting): full lexicographic
   sort over every location the iteration touches.
 
@@ -21,11 +22,19 @@ from typing import Optional
 
 import numpy as np
 
-from repro.transforms.base import AccessMap, ReorderingFunction
+from repro.transforms.base import (
+    AccessMap,
+    ReorderingFunction,
+    permutation_from_order,
+)
+from repro.transforms.sorting import bounded_keys, stable_argsort
 
 
 def _first_locations(access_map: AccessMap) -> np.ndarray:
     """First touched location per iteration (num_locations if none)."""
+    bounded_keys(
+        access_map.locations, access_map.num_locations, "access map locations"
+    )
     n_it = access_map.num_iterations
     first = np.full(n_it, access_map.num_locations, dtype=np.int64)
     has_any = np.diff(access_map.offsets) > 0
@@ -44,13 +53,12 @@ def lexgroup(
     The sort is stable, so iterations sharing a first location keep their
     relative order.
     """
-    first = _first_locations(access_map)
-    order = np.argsort(first, kind="stable")  # order[new] = old
-    delta = np.empty(access_map.num_iterations, dtype=np.int64)
-    delta[order] = np.arange(access_map.num_iterations, dtype=np.int64)
+    order = stable_argsort(  # order[new] = old
+        _first_locations(access_map), access_map.num_locations + 1
+    )
     if counter is not None:
         counter["touches"] = counter.get("touches", 0) + 3 * access_map.num_iterations
-    return ReorderingFunction(name, delta)
+    return permutation_from_order(name, order)
 
 
 def lexsort(
@@ -66,18 +74,19 @@ def lexsort(
     n_it = access_map.num_iterations
     widths = np.diff(access_map.offsets)
     max_w = int(widths.max()) if n_it else 0
-    keys = np.full((n_it, max_w), access_map.num_locations, dtype=np.int64)
-    for it in range(n_it):
-        row = access_map.row(it)
-        keys[it, : len(row)] = row
+    if n_it and int(widths.min()) == max_w:
+        keys = access_map.locations.reshape(n_it, max_w)
+    else:
+        keys = np.full((n_it, max_w), access_map.num_locations, dtype=np.int64)
+        for it in range(n_it):
+            row = access_map.row(it)
+            keys[it, : len(row)] = row
     # np.lexsort sorts by the last key first: feed columns reversed.
     order = (
         np.lexsort(tuple(keys[:, c] for c in range(max_w - 1, -1, -1)))
         if max_w
         else np.arange(n_it, dtype=np.int64)
     )
-    delta = np.empty(n_it, dtype=np.int64)
-    delta[order] = np.arange(n_it, dtype=np.int64)
     if counter is not None:
         counter["touches"] = counter.get("touches", 0) + int(widths.sum()) + 2 * n_it
-    return ReorderingFunction(name, delta)
+    return permutation_from_order(name, order)

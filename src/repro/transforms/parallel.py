@@ -30,6 +30,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from repro.transforms.fst import EdgeSet, TilingFunction
+from repro.transforms.sorting import bounded_keys, distinct_edges, group_by
 from repro.transforms.tile_schedule import CSRLists
 
 
@@ -136,14 +137,10 @@ def wavefront_schedule(
     if src.shape != dst.shape:
         raise ValueError("dependence endpoint arrays must align")
 
-    indegree = np.zeros(num_iterations, dtype=np.int64)
-    np.add.at(indegree, dst, 1)
-
-    order = np.argsort(src, kind="stable")
-    sorted_src, sorted_dst = src[order], dst[order]
-    offsets = np.zeros(num_iterations + 1, dtype=np.int64)
-    np.add.at(offsets[1:], sorted_src, 1)
-    offsets = np.cumsum(offsets)
+    order, offsets = group_by(src, num_iterations, "dependence sources")
+    dst = bounded_keys(dst, num_iterations, "dependence targets")
+    sorted_dst = dst[order]
+    indegree = np.bincount(dst, minlength=num_iterations)
 
     # Level-synchronous Kahn: retire the whole zero-indegree frontier per
     # round, relaxing all of its out-edges with bulk scatter-reductions.
@@ -152,6 +149,7 @@ def wavefront_schedule(
     # one-node-at-a-time worklist, without the per-edge Python loop.
     wave = np.zeros(num_iterations, dtype=np.int64)
     frontier = np.flatnonzero(indegree == 0)
+    stamp = np.empty(num_iterations, dtype=np.int64)
     processed = 0
     while frontier.size:
         processed += frontier.size
@@ -170,9 +168,13 @@ def wavefront_schedule(
         targets = sorted_dst[idx]
         np.maximum.at(wave, targets, np.repeat(wave[frontier] + 1, counts))
         np.subtract.at(indegree, targets, 1)
-        # ``targets`` repeats nodes fed by several frontier edges; unique
-        # keeps the new frontier sorted and duplicate-free.
-        frontier = np.unique(targets[indegree[targets] == 0])
+        # ``targets`` repeats nodes fed by several frontier edges: each
+        # writes its position into the node's stamp, one write survives,
+        # and that occurrence alone enters the new frontier.
+        ready = targets[indegree[targets] == 0]
+        position = np.arange(len(ready), dtype=np.int64)
+        stamp[ready] = position
+        frontier = ready[stamp[ready] == position]
     if processed != num_iterations:
         raise CyclicDependenceError(
             f"{num_iterations - processed} iterations sit on dependence cycles"
@@ -193,27 +195,29 @@ def tile_graph_edges(
     """The strict cross-tile dependence edges induced by ``edges``.
 
     Maps every iteration-level dependence through the tiling function and
-    keeps the deduplicated ``tile(src) != tile(dst)`` pairs.  This is the
+    keeps the distinct ``tile(src) != tile(dst)`` pairs, sorted by
+    ``(src, dst)`` — the irredundant inter-tile flows.  This is the
     single source of the inter-tile graph: :func:`tile_wavefronts` levels
     it, and :func:`repro.lowering.schedule.tile_dag` turns it into the
     dependence-counter DAG the dynamic scheduler runs from — both views
     must agree or the hybrid scheduler's legality argument collapses.
     """
-    pairs = set()
+    src_parts = [np.empty(0, dtype=np.int64)]
+    dst_parts = [np.empty(0, dtype=np.int64)]
     for (la, lb), (src, dst) in edges.items():
         t_src = tiling.tiles[la][np.asarray(src, dtype=np.int64)]
         t_dst = tiling.tiles[lb][np.asarray(dst, dtype=np.int64)]
         strict = t_src != t_dst
-        pairs.update(zip(t_src[strict].tolist(), t_dst[strict].tolist()))
+        src_parts.append(t_src[strict])
+        dst_parts.append(t_dst[strict])
         if counter is not None:
             counter["touches"] = counter.get("touches", 0) + 2 * len(t_src)
-    if pairs:
-        tile_src = np.fromiter((p[0] for p in pairs), dtype=np.int64)
-        tile_dst = np.fromiter((p[1] for p in pairs), dtype=np.int64)
-    else:
-        tile_src = np.empty(0, dtype=np.int64)
-        tile_dst = np.empty(0, dtype=np.int64)
-    return tile_src, tile_dst
+    return distinct_edges(
+        np.concatenate(src_parts),
+        np.concatenate(dst_parts),
+        tiling.num_tiles,
+        "tile edge",
+    )
 
 
 def tile_wavefronts(

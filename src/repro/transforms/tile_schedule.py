@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ExecutorBoundsError, ValidationError
+from repro.transforms.sorting import group_by
 
 
 def _frozen(values) -> np.ndarray:
@@ -79,23 +80,11 @@ class CSRLists(Sequence):
     @classmethod
     def from_labels(cls, labels, num_lists: int, what: str) -> "CSRLists":
         """Counting sort: list ``i`` holds the positions labelled ``i``,
-        ascending.  Sorted labels need no sort at all — the range form."""
+        ascending.  Sorted labels leave ``flat == arange`` — the range
+        form."""
+        flat, offsets = group_by(labels, num_lists, what)
         labels = np.asarray(labels)
-        if len(labels) and int(labels.min()) < 0:
-            raise ValidationError(f"{what} holds negative ids")
-        counts = np.bincount(labels, minlength=num_lists)
-        if len(counts) != num_lists:
-            raise ValidationError(
-                f"{what} holds ids outside [0, {num_lists})"
-            )
-        offsets = np.zeros(num_lists + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        is_range = bool(np.all(labels[1:] >= labels[:-1]))
-        if is_range:
-            flat = np.arange(len(labels), dtype=np.int64)
-        else:
-            flat = np.argsort(labels, kind="stable")
-        return cls(flat, offsets, is_range)
+        return cls(flat, offsets, bool(np.all(labels[1:] >= labels[:-1])))
 
     @classmethod
     def from_lists(

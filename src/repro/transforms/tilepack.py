@@ -7,20 +7,19 @@ Section 2.3 example: ordering 4,2,5,6,3,1 for the highlighted tile).
 
 The inspector traverses the *tiling function*: it visits ``sched(t, l)``
 for the loop whose iterations identity-map to the data (the i loop in
-moldyn) and CPACKs the locations in that order.  Loops that identity-map
-to data are then reordered by the same function (``T_{I3->I4}`` applies
-``Otp`` to the i and k loops but leaves j fixed).
+moldyn) and CPACKs the locations in that order — one counting sort by
+tile id, since the walk mentions every location once.  Loops that
+identity-map to data are then reordered by the same function
+(``T_{I3->I4}`` applies ``Otp`` to the i and k loops but leaves j fixed).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from repro.transforms.base import ReorderingFunction
-from repro.transforms.cpack import cpack
+from repro.transforms.base import ReorderingFunction, permutation_from_order
 from repro.transforms.fst import TilingFunction
+from repro.transforms.sorting import stable_argsort
 
 
 def tilepack(
@@ -51,8 +50,11 @@ def tilepack(
             f"({len(loop_tiles)} iterations vs {num_locations} locations)"
         )
     # Visit order: stable sort by tile — within a tile, current iteration
-    # order (== sched(t, data_loop) concatenated over t).
-    order = np.argsort(loop_tiles, kind="stable")
+    # order (== sched(t, data_loop) concatenated over t).  It mentions
+    # every location once, so first-touch packing it is inverting it.
+    order = stable_argsort(
+        loop_tiles, tiling.num_tiles, f"tiles[{data_loop}]"
+    )
     if counter is not None:
         counter["touches"] = counter.get("touches", 0) + 2 * num_locations
-    return cpack(order, num_locations, name=name)
+    return permutation_from_order(name, order)

@@ -29,6 +29,23 @@ def fleet_config(tmp_path, **overrides):
     return FleetConfig(**overrides)
 
 
+def await_respawns(fleet, timeout_s=5.0):
+    """Wait until every crashed worker is back, so the next bind meets a
+    full fleet.  A warm forked worker serves a retry faster than one
+    supervisor poll; a bind routed to the still-dead shard counts a
+    crash the schedule did not inject and shifts every later request
+    onto other dispatch numbers — whether that happens depends on how
+    fast the retry was, not on the seed."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        counters = fleet.stats()["counters"]
+        if counters.get("worker_restarts", 0) >= counters.get(
+            "worker_crashes", 0
+        ):
+            return
+        time.sleep(0.01)
+
+
 class TestChaosPlanDeterminism:
     def test_fires_is_a_pure_function(self):
         plan = ChaosPlan(seed=11, kill_rate=0.3)
@@ -116,15 +133,8 @@ class TestKillRecovery:
         config = fleet_config(tmp_path, chaos=plan)
         with FleetService(config) as fleet:
             responses = [fleet.bind(make_request())]
-            # "Run clean" needs the killed shard respawned first: a warm
-            # forked worker serves the retry faster than one supervisor
-            # poll, and a bind routed to the still-dead shard counts as a
-            # crash and pushes later requests onto dispatches 4 and 5.
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and not fleet.stats()[
-                "counters"
-            ].get("worker_restarts", 0):
-                time.sleep(0.01)
+            # "Run clean" needs the killed shard respawned first.
+            await_respawns(fleet)
             responses += [fleet.bind(make_request()) for _ in range(2)]
             counters = fleet.stats()["counters"]
         assert [r.status for r in responses] == ["ok"] * 3
@@ -139,9 +149,10 @@ class TestKillRecovery:
             with FleetService(
                 fleet_config(directory, chaos=plan)
             ) as fleet:
-                statuses = [
-                    fleet.bind(make_request()).status for _ in range(3)
-                ]
+                statuses = []
+                for _ in range(3):
+                    statuses.append(fleet.bind(make_request()).status)
+                    await_respawns(fleet)
                 counters = fleet.stats()["counters"]
             return statuses, counters.get("worker_crashes", 0)
 
