@@ -606,28 +606,21 @@ def _cmd_cache(args) -> int:
             print(line)
         cache = PlanCache(directory=args.cache_dir)
         print(cache.describe())
-        # Compiled executors, split by tile scheduler: wave builds use
-        # the plain py/c/so suffixes, dynamic builds the dyn.* salted
-        # ones, so the two never collide and can be counted apart.
+        # Compiled executors by artifact kind (the last suffix component:
+        # a ``dyn.so`` an older version left behind is never loaded, and
+        # is an ordinary ``so`` entry here and to ``cache gc``).
         usage = ArtifactStore(args.cache_dir).health()["by_suffix"]
-
-        def _tally(pred):
-            slots = [s for sfx, s in usage.items() if pred(sfx)]
-            return (
-                sum(s["files"] for s in slots),
-                sum(s["bytes"] for s in slots),
-            )
-
-        dyn_files, dyn_bytes = _tally(lambda s: s.startswith("dyn."))
-        wave_files, wave_bytes = _tally(
-            lambda s: not s.startswith("dyn.") and s != "proof"
-        )
-        proof_files, proof_bytes = _tally(lambda s: s == "proof")
+        kinds = dict.fromkeys(("py", "c", "so", "proof"), (0, 0))
+        for suffix, slot in usage.items():
+            kind = suffix.rpartition(".")[2]
+            files, size = kinds.get(kind, (0, 0))
+            kinds[kind] = (files + slot["files"], size + slot["bytes"])
         print(
-            f"executor artifacts by scheduler: "
-            f"wave {wave_files} ({wave_bytes} B)  "
-            f"dynamic {dyn_files} ({dyn_bytes} B)  "
-            f"proofs {proof_files} ({proof_bytes} B)"
+            "executor artifacts by kind: "
+            + "  ".join(
+                f"{kind} {files} ({size} B)"
+                for kind, (files, size) in kinds.items()
+            )
         )
         return 0
 

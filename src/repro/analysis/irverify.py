@@ -61,7 +61,7 @@ from repro.presburger.terms import AffineExpr, var
 
 #: Bumped whenever the verifier's rules or proof format change; part of
 #: the proof-artifact content address, so stale proofs never match.
-IRVERIFY_VERSION = "irverify-2"
+IRVERIFY_VERSION = "irverify-3"
 
 #: Stable rule codes (the ``repro lint --ir`` contract).
 IRV_BOUNDS = "IRV001"
@@ -561,56 +561,58 @@ def _check_parallel_safety(program: Program) -> List[Diagnostic]:
 # Counter-DAG obligations (IRV006)
 
 
-def _check_dynamic_schedule(program: Program) -> List[Diagnostic]:
-    """Static obligations of the dynamic (counter-scheduled) shape.
+def counter_schedule_obligations(program: Program) -> List[Diagnostic]:
+    """Static obligations of running ``program`` under dependence
+    counters; empty means *counter-schedulable*.
 
     The hybrid scheduler's whole legality argument leans on the static
     skeleton: dependence counters are derived *from* the wavefront tile
     graph, and the deterministic combine replays the wave executor's
-    commit order.  A program flagged ``dynamic_schedule`` without that
-    skeleton has no source for its counters — refuse it here rather
-    than deadlock (or race) at run time.
+    commit order, buffering each tile's payload between its gather and
+    its turn.  This is a property of the rewritten program, not a flag:
+    :func:`repro.lowering.emit_c.emit_c_tiled` compiles the counter pool
+    into a tiled unit exactly when it holds, and
+    :func:`repro.lowering.executor.compile_executor` refuses
+    ``scheduler="dynamic"`` with these diagnostics when it does not —
+    rather than deadlock (or race) at run time.
     """
-    diagnostics: List[Diagnostic] = []
-    if not program.dynamic_schedule:
-        return diagnostics
+
+    def problem(message: str, hint: str) -> List[Diagnostic]:
+        return [
+            Diagnostic(
+                code=IRV_COUNTER_DAG,
+                severity=ERROR,
+                message=message,
+                stage_index=None,
+                stage_name="program",
+                hint=hint,
+            )
+        ]
+
     if not (program.tiled and program.wave_parallel):
-        diagnostics.append(
-            Diagnostic(
-                code=IRV_COUNTER_DAG,
-                severity=ERROR,
-                message=(
-                    "dynamic_schedule without a tiled wave-parallel "
-                    "skeleton: dependence counters have no static wavefront "
-                    "to derive from, so tile release order is unprovable"
-                ),
-                stage_index=None,
-                stage_name="program",
-                hint="run blocking + parallelize before dynamic_schedule",
-            )
+        return problem(
+            "dynamic scheduler without a tiled wave-parallel "
+            "skeleton: dependence counters have no static wavefront "
+            "to derive from, so tile release order is unprovable",
+            "bind tiled, with the blocking and parallelize passes on",
         )
-        return diagnostics
-    unfissioned = [
-        loop.label
-        for loop in program.loops
-        if loop.domain != "nodes" and loop.fissioned is None
-    ]
+    inter = [loop for loop in program.loops if loop.domain != "nodes"]
+    unfissioned = [loop.label for loop in inter if loop.fissioned is None]
     if unfissioned:
-        diagnostics.append(
-            Diagnostic(
-                code=IRV_COUNTER_DAG,
-                severity=ERROR,
-                message=(
-                    f"dynamic_schedule with scalar interaction loop(s) "
-                    f"{unfissioned}: the deterministic combine needs the "
-                    "gather/commit split to buffer per-tile payloads"
-                ),
-                stage_index=None,
-                stage_name="program",
-                hint="the fission pass must split gather/commit first",
-            )
+        return problem(
+            f"dynamic scheduler with scalar interaction loop(s) "
+            f"{unfissioned}: the deterministic combine needs the "
+            "gather/commit split to buffer per-tile payloads",
+            "the fission pass must split gather/commit first",
         )
-    return diagnostics
+    if len(inter) != 1:
+        return problem(
+            f"dynamic scheduler needs exactly one interaction loop "
+            f"(the commit stage between its gather and post stages), "
+            f"{program.kernel_name} has {len(inter)}",
+            'bind with scheduler="wave"',
+        )
+    return []
 
 
 def verify_counter_dag(dag) -> List[Diagnostic]:
@@ -730,8 +732,6 @@ def _pass_assumptions(name: str, program: Program) -> List[str]:
         return ["tile-partition", "schedule-legality"]
     if name == "parallelize" and program.wave_parallel:
         return ["wave-cover", "schedule-legality"]
-    if name == "dynamic_schedule" and program.dynamic_schedule:
-        return ["counter-dag", "wave-cover", "schedule-legality"]
     return []
 
 
@@ -879,7 +879,7 @@ def _assumed_facts(program: Program, facts: _KernelFacts) -> List[AssumedFact]:
                 ),
             )
         )
-    if program.dynamic_schedule:
+    if not counter_schedule_obligations(program):
         assumed.append(
             AssumedFact(
                 name="counter-dag",
@@ -930,7 +930,6 @@ def verify_state(state: RewriteState) -> IRVerificationReport:
     report.obligations = obligations
     report.diagnostics.extend(bound_diags)
     report.diagnostics.extend(_check_parallel_safety(program))
-    report.diagnostics.extend(_check_dynamic_schedule(program))
     if not report.by_code(IRV_MALFORMED):
         proofs, tv_diags = _validate_passes(state)
         report.pass_proofs = proofs
@@ -974,6 +973,7 @@ __all__ = [
     "AssumedFact",
     "BoundsObligation",
     "IRVerificationReport",
+    "counter_schedule_obligations",
     "proof_key",
     "verification_diagnostics",
     "verify_counter_dag",

@@ -4,9 +4,10 @@ Lowers each kernel's executor loop nest into a small IR
 (:mod:`repro.lowering.ir`), rewrites it with an ordered Devito-style
 pass pipeline (:mod:`repro.lowering.passes`: fission -> blocking ->
 vectorize -> parallelize), and emits either a NumPy phase table
-(:mod:`repro.lowering.emit_numpy`, run by the wave driver / dynamic
-adapter of :mod:`repro.lowering.schedule`) or C compiled at bind time
-(:mod:`repro.lowering.emit_c` + :mod:`repro.lowering.toolchain`).
+(:mod:`repro.lowering.emit_numpy`, run by the wave driver of
+:mod:`repro.lowering.schedule`) or C compiled at bind time
+(:mod:`repro.lowering.emit_c` + :mod:`repro.lowering.toolchain`: one
+tiled unit holding the wave loop and the counter pool).
 :mod:`repro.lowering.executor` binds the chosen backend, content-
 addresses the artifacts in the plan cache, and guarantees bit-identity
 with the library executor.

@@ -1,6 +1,6 @@
 """Emit a C executor from the rewritten loop-nest IR.
 
-The generated translation unit exports one function:
+One translation unit per program shape, one exported function each:
 
 * untiled::
 
@@ -8,16 +8,39 @@ The generated translation unit exports one function:
                int64_t num_nodes, int64_t num_inter, int64_t num_steps,
                double *scratch)
 
-* tiled (``run_tiled``) additionally takes, per kernel loop ``p``, the
-  marshalled tile schedule (``iters_p`` concatenated iterations +
-  ``off_p`` tile offsets, ``num_tiles + 1`` entries — pointers into the
-  :class:`~repro.transforms.tile_schedule.TileSchedule` built at bind
-  time) and the wavefront grouping (``wave_tiles`` concatenated tile ids
-  + ``wave_off``, ``num_waves + 1`` entries).  ``iters_p`` may be
-  ``NULL``: the loop is then in *range form* — tile ``t`` runs the
-  contiguous iterations ``off_p[t] .. off_p[t + 1] - 1``, Figure 14's
-  plain blocked loop over tile-packed data — and every tile loop is
-  emitted in both forms under one ``if (iters_p)``.
+* tiled (``run_tiled``) is a *phase table plus drivers*, the C analogue
+  of :mod:`repro.lowering.schedule`'s Python side.  Per kernel loop its
+  phase bodies — node ``apply``, fissioned ``gather`` + ``commit``,
+  scalar ``apply`` — are rendered exactly once, as functions of
+  ``(context, tile)``.  The *wave loop* over them is
+  :func:`~repro.lowering.schedule.run_wave_phases` in C: per wave, per
+  loop, every gather of the wave, then per tile **in the wave's order**
+  every commit pass.  When the program is counter-schedulable (a
+  property of the rewritten program:
+  :func:`repro.analysis.irverify.counter_schedule_obligations` is empty)
+  the unit also carries the *counter pool* — a pthread work-stealing
+  scheduler whose three per-tile stages are compositions of the same
+  phase bodies.  Which driver runs is decided per call, not per build:
+  ``run_tiled`` takes, after the operands,
+
+  - per loop ``p`` the marshalled tile schedule (``iters_p``
+    concatenated iterations + ``off_p`` tile offsets, ``num_tiles + 1``
+    entries — pointers into the
+    :class:`~repro.transforms.tile_schedule.TileSchedule` built at bind
+    time).  ``iters_p`` may be ``NULL``: the loop is then in *range
+    form* — tile ``t`` runs the contiguous iterations ``off_p[t] ..
+    off_p[t + 1] - 1``, Figure 14's plain blocked loop over tile-packed
+    data — and every phase body is emitted in both forms under one
+    ``if (iters_p)``;
+  - the commit order, once: ``wave_tiles`` (concatenated tile ids, waves
+    outermost) + ``wave_off`` (``num_waves + 1`` entries);
+  - the counter graph ``indegree`` / ``succ_off`` / ``succ`` (all
+    ``NULL`` under ``scheduler="wave"``), ``num_tiles`` and
+    ``num_threads``.
+
+  ``num_threads <= 1``, one tile, no graph, or a failed allocation run
+  the wave loop; otherwise the pool, which commits in ``wave_tiles``
+  order and so stays bit-identical at any thread count.
 
 Bit-identity with the library executor comes from emitting the *same
 operation sequence* ``numpy`` performs, not from tolerances:
@@ -26,12 +49,9 @@ operation sequence* ``numpy`` performs, not from tolerances:
   ``x[i] = x[i] + e[i]`` in index order;
 * ``np.add.at(a, idx, g)`` is per-element ``a[idx[j]] += g[j]`` in
   ``j`` order, one full pass per commit — which is exactly what the
-  fissioned gather/commit loops below do (payload materialized into
-  ``scratch`` first, then one commit pass per statement);
-* the tiled form is the wave driver's loop
-  (:func:`repro.lowering.schedule.run_wave_phases`) rendered in C: per
-  wave, all tile gathers, then per tile **in the wave's order** both
-  commit passes.
+  fissioned gather/commit phases below do (payload materialized into
+  ``scratch`` at the global CSR position first, then one commit pass
+  per statement).
 
 Float constants are emitted with Python ``repr`` (shortest round-trip
 decimal); C's correctly-rounded parse recovers the identical binary64.
@@ -41,11 +61,9 @@ keeps the compiler from fusing the emitted ``a*b + c`` shapes.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, List
 
 from repro.codegen.emit import SourceWriter
-from repro.errors import ValidationError
 from repro.lowering.ir import (
     BinOp,
     Const,
@@ -57,20 +75,13 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-EMITTER_VERSION = "c-2"
+#: c-3: one tiled translation unit (phase functions + wave loop + counter
+#: pool behind one ``run_tiled``); a stale ``c-2`` object has another ABI.
+EMITTER_VERSION = "c-3"
 
 #: Appended to the artifact key when the sanitizer guard is emitted, so
 #: guarded and unguarded shared objects never collide in the cache.
 SANITIZE_TAG = "san1"
-
-#: Appended to the artifact key (and the artifact suffix) for the
-#: counter-scheduled entry point, so wave and dynamic builds are
-#: distinct cache entries (`repro cache stats` reports them apart).
-#: Bump on any ABI change to ``run_tiled_dynamic`` — a stale shared
-#: object with a different parameter list would be called with
-#: mismatched arguments.  dyn2: added the ``wave`` level array (the
-#: serial fast path replays the static wave schedule).
-DYNAMIC_TAG = "dyn2"
 
 #: ``err[0]`` codes of the sanitized executors (0 = clean run).  The
 #: runner maps these back to index-source names when raising the typed
@@ -80,8 +91,7 @@ GUARD_RIGHT = 2
 GUARD_SCHEDULE_BASE = 10  # + loop position
 GUARD_OFFSETS_BASE = 50  # + loop position (range form: no iters to scan)
 GUARD_WAVES = 100
-GUARD_ORDER = 101
-GUARD_SUCC = 102
+GUARD_SUCC = 101
 
 
 def _emit_guard_fn(w: SourceWriter) -> None:
@@ -174,34 +184,21 @@ def _commit_stmt(commit, ivar: str, payload: str) -> str:
     return f"{commit.array}[{end}] = {commit.array}[{end}] + {val};"
 
 
-@contextmanager
-def _wave_tiles(w: SourceWriter):
-    """Loop ``_t`` over the tiles of wave ``_w``, in the wave's order."""
-    with w.block(
-        "for (int64_t _g = wave_off[_w]; _g < wave_off[_w + 1]; ++_g) {"
-    ):
-        w.line("int64_t _t = wave_tiles[_g];")
-        yield
-    w.line("}")
-
-
 def _tile_iters(
-    w: SourceWriter, pos: int, ivar: str, body: Callable[[str], None],
-    ctx: str = "",
+    w: SourceWriter, pos: int, ivar: str, body: Callable[[str], None]
 ) -> None:
-    """Tile ``_t``'s iterations of loop ``pos``, in both schedule forms
-    (``ctx`` prefixes the schedule arrays).  Index form walks the CSR
-    positions ``_k`` and loads ``ivar`` from ``iters``; range form
-    (``iters == NULL``) is the plain blocked loop, where the position
-    *is* the iteration.  ``body(k)`` emits the loop body given the
-    expression of the global CSR position; it is called once per form,
-    before this returns."""
-    off = f"{ctx}off{pos}"
-    with w.block(f"if ({ctx}iters{pos}) {{"):
+    """Tile ``_t``'s iterations of loop ``pos``, in both schedule forms.
+    Index form walks the CSR positions ``_k`` and loads ``ivar`` from
+    ``iters``; range form (``iters == NULL``) is the plain blocked loop,
+    where the position *is* the iteration.  ``body(k)`` emits the loop
+    body given the expression of the global CSR position; it is called
+    once per form, before this returns."""
+    off = f"off{pos}"
+    with w.block(f"if (iters{pos}) {{"):
         with w.block(
             f"for (int64_t _k = {off}[_t]; _k < {off}[_t + 1]; ++_k) {{"
         ):
-            w.line(f"int64_t {ivar} = {ctx}iters{pos}[_k];")
+            w.line(f"int64_t {ivar} = iters{pos}[_k];")
             body("_k")
         w.line("}")
     with w.block("} else {"):
@@ -325,185 +322,117 @@ def emit_c(program: Program, sanitize: bool = False) -> str:
     return w.source()
 
 
-def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
-    """C source of the tiled wave executor (marshalled schedule + wave
-    order), every tile loop in index and range form.
+#: A phase body or a pool stage: inlined into every driver that calls it.
+_TILE_FN = "static inline __attribute__((always_inline)) void"
 
-    The sanitized variant gains ``int64_t num_tiles`` and ``int64_t *err``
-    and scans every iteration array (or, in range form, the tile
-    offsets), the wave tile ids, and ``left``/``right`` before the first
-    step (see :func:`emit_c`)."""
-    w = SourceWriter()
-    _emit_unit_header(w, "Tiled C executor", program, sanitize)
-    params = _operand_params(program, tiled=True) + [
-        "const int64_t *wave_tiles",
-        "const int64_t *wave_off",
-        "int64_t num_waves",
-        "double *scratch",
-    ]
-    if sanitize:
-        params += ["int64_t num_tiles", "int64_t *err"]
-    with w.block(f"void run_tiled({', '.join(params)}) {{"):
-        if sanitize:
-            _emit_guard_scans(w, program, tiled=True)
-            w.line(
-                "if (_guard(wave_tiles, wave_off[num_waves], num_tiles, "
-                f"{GUARD_WAVES}, err)) return;"
-            )
-        with w.block("for (int64_t _step = 0; _step < num_steps; ++_step) {"):
+
+def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
+    """The phase table in C: per kernel loop its phase bodies, each a
+    function of ``(context, tile)`` rendered once through
+    :func:`_tile_iters`.  Returns, per loop, the function names in the
+    order a wave runs them (``apply``, or ``gather`` then ``commit`` —
+    one commit function runs every commit pass of its tile)."""
+    table: List[List[str]] = []
+    for pos, loop in enumerate(program.loops):
+        ivar = loop.index_var
+        if loop.domain == "nodes":
+            phases = {"apply": [lambda k: _emit_node_body(w, loop, ivar)]}
+        elif loop.fissioned is not None:
+            gc = loop.fissioned
+            payload = _render(gc.payload, ivar, _idx_via(ivar))
+            # The payload is keyed by the global CSR position: tile slots
+            # are disjoint, so concurrent gathers never race on scratch.
+            phases = {
+                "gather": [lambda k: w.line(f"scratch[{k}] = {payload};")],
+                "commit": [
+                    lambda k, commit=commit: w.line(
+                        _commit_stmt(commit, ivar, f"scratch[{k}]")
+                    )
+                    for commit in gc.commits
+                ],
+            }
+        else:
+            phases = {
+                "apply": [lambda k: _emit_inter_scalar_body(w, loop, ivar)]
+            }
+        names = []
+        for phase, bodies in phases.items():
+            names.append(f"_{phase}_{pos}")
+            w.line(f"/* {loop.label} ({loop.domain}) {phase} */")
             with w.block(
-                "for (int64_t _w = 0; _w < num_waves; ++_w) {"
+                f"{_TILE_FN} {names[-1]}(const _ctx_t *c, int64_t _t) {{"
             ):
-                for pos, loop in enumerate(program.loops):
-                    ivar = loop.index_var
-                    w.line(f"/* {loop.label} ({loop.domain}) */")
-                    if loop.domain == "nodes":
-                        with _wave_tiles(w):
-                            _tile_iters(
-                                w, pos, ivar,
-                                lambda k: _emit_node_body(w, loop, ivar),
-                            )
-                    elif loop.fissioned is not None:
-                        gc = loop.fissioned
-                        payload = _render(gc.payload, ivar, _idx_via(ivar))
-                        # Pass 1: every tile's pure gather into scratch
-                        # (keyed by the global CSR position).
-                        with _wave_tiles(w):
-                            _tile_iters(
-                                w, pos, ivar,
-                                lambda k: w.line(f"scratch[{k}] = {payload};"),
-                            )
-                        # Pass 2: commits per tile, in the wave's tile
-                        # order — both commit passes of a tile before the
-                        # next tile (run_wave_phases' zip loop).
-                        with _wave_tiles(w):
-                            for commit in gc.commits:
-                                _tile_iters(
-                                    w, pos, ivar,
-                                    lambda k: w.line(
-                                        _commit_stmt(
-                                            commit, ivar, f"scratch[{k}]"
-                                        )
-                                    ),
-                                )
-                    else:
-                        with _wave_tiles(w):
-                            _tile_iters(
-                                w, pos, ivar,
-                                lambda k: _emit_inter_scalar_body(
-                                    w, loop, ivar
-                                ),
-                            )
-                w.line("}")  # close the wave loop
+                # Local aliases so the bodies read like the untiled ones.
+                # Not every phase touches every array; the casts silence
+                # -Wunused.
+                for name in program.data_arrays:
+                    w.line(f"double *{name} = c->{name};")
+                w.line("const int64_t *left = c->left;")
+                w.line("const int64_t *right = c->right;")
+                w.line("double *scratch = c->scratch;")
+                w.line(f"const int64_t *iters{pos} = c->iters{pos};")
+                w.line(f"const int64_t *off{pos} = c->off{pos};")
+                voids = " ".join(f"(void){n};" for n in program.data_arrays)
+                w.line(f"{voids} (void)left; (void)right; (void)scratch;")
+                for body in bodies:
+                    _tile_iters(w, pos, ivar, body)
+            w.line("}")
+            w.line()
+        table.append(names)
+    return table
+
+
+def _emit_wave_step(
+    w: SourceWriter, program: Program, table: List[List[str]]
+) -> None:
+    """One time step of the wave driver: per wave, per loop, each phase
+    across the wave's tiles in the wave's order — so all of a wave's
+    gathers precede its commits, and a tile's commit passes run together
+    at the tile's turn."""
+    with w.block(
+        "static void _wave_step(const _ctx_t *c, const int64_t *wave_tiles, "
+        "const int64_t *wave_off, int64_t num_waves) {"
+    ):
+        with w.block("for (int64_t _w = 0; _w < num_waves; ++_w) {"):
+            for loop, names in zip(program.loops, table):
+                w.line(f"/* {loop.label} ({loop.domain}) */")
+                for name in names:
+                    with w.block(
+                        "for (int64_t _g = wave_off[_w]; "
+                        "_g < wave_off[_w + 1]; ++_g) {"
+                    ):
+                        w.line(f"{name}(c, wave_tiles[_g]);")
+                    w.line("}")
         w.line("}")
     w.line("}")
-    return w.source()
 
 
-def _emit_stage_prologue(w: SourceWriter, program: Program) -> None:
-    """Local aliases so the stage bodies reuse the shared renderers.
-    Not every stage touches every array; the casts silence -Wunused."""
-    for name in program.data_arrays:
-        w.line(f"double *{name} = c->{name};")
-    w.line("const int64_t *left = c->left;")
-    w.line("const int64_t *right = c->right;")
-    voids = " ".join(f"(void){name};" for name in program.data_arrays)
-    w.line(f"{voids} (void)left; (void)right;")
-
-
-def _dynamic_loop_split(program: Program):
-    """(pre-loops, the fissioned interaction loop + position, post-loops).
-
-    The dynamic emitter needs the three-stage tile task: node loops
-    before the interaction loop run in the gather stage, the interaction
-    loop's payload is buffered per tile and committed at the tile's
-    turn, node loops after it run in the post stage.  Requires exactly
-    one interaction loop, fissioned — which is what the IRV006 static
-    obligations (and the ``dynamic_schedule`` pass gating) guarantee.
-    """
-    inter = [
-        (pos, loop)
-        for pos, loop in enumerate(program.loops)
-        if loop.domain != "nodes"
-    ]
-    if len(inter) != 1:
-        raise ValidationError(
-            f"dynamic schedule needs exactly one interaction loop, "
-            f"{program.kernel_name} has {len(inter)}"
-        )
-    ip, inter_loop = inter[0]
-    if inter_loop.fissioned is None:
-        raise ValidationError(
-            f"dynamic schedule needs the gather/commit split on "
-            f"{inter_loop.label} (run the fission pass)"
-        )
-    pre = [(pos, program.loops[pos]) for pos in range(ip)]
-    post = [
-        (pos, program.loops[pos])
-        for pos in range(ip + 1, len(program.loops))
-    ]
-    return pre, ip, inter_loop, post
-
-
-def _emit_dynamic_stages(w: SourceWriter, program: Program) -> None:
-    """The three per-tile stage functions of the counter scheduler.
-
-    Bodies are the tiled emitter's own loop shapes, so a tile's operation
-    sequence is identical to its wave-executor rendering: gather writes
-    the payload at the *global* CSR position (tile slots are disjoint, so
-    concurrent gathers never race on ``scratch``), commit replays both
-    passes in statement order at the tile's turn.
-    """
-    pre, ip, inter_loop, post = _dynamic_loop_split(program)
-    gc = inter_loop.fissioned
-    ivar = inter_loop.index_var
-
-    def stage(name: str):
-        return w.block(
-            "static inline __attribute__((always_inline)) void "
-            f"_stage_{name}(const _ctx_t *c, int64_t _t) {{"
-        )
-
-    def node_loops(loops) -> None:
-        for pos, loop in loops:
-            w.line(f"/* {loop.label} ({loop.domain}) */")
-            _tile_iters(
-                w, pos, loop.index_var,
-                lambda k: _emit_node_body(w, loop, loop.index_var),
-                "c->",
-            )
-
-    with stage("gather"):
-        _emit_stage_prologue(w, program)
-        node_loops(pre)
-        w.line(f"/* {inter_loop.label} gather */")
-        payload = _render(gc.payload, ivar, _idx_via(ivar))
-        _tile_iters(
-            w, ip, ivar,
-            lambda k: w.line(f"c->scratch[{k}] = {payload};"),
-            "c->",
-        )
-    w.line("}")
-    w.line()
-
-    with stage("commit"):
-        _emit_stage_prologue(w, program)
-        for commit in gc.commits:
-            _tile_iters(
-                w, ip, ivar,
-                lambda k: w.line(
-                    _commit_stmt(commit, ivar, f"c->scratch[{k}]")
-                ),
-                "c->",
-            )
-    w.line("}")
-    w.line()
-
-    with stage("post"):
-        _emit_stage_prologue(w, program)
-        w.line("(void)_t;")
-        node_loops(post)
-    w.line("}")
+def _emit_stages(
+    w: SourceWriter, program: Program, table: List[List[str]]
+) -> None:
+    """The pool's three per-tile stages as compositions of the phase
+    bodies: node loops before the interaction loop run in the gather
+    stage, the buffered payload is committed at the tile's turn, node
+    loops after it run in the post stage.  (Counter-schedulable programs
+    have exactly one interaction loop, fissioned.)"""
+    ip = next(
+        pos for pos, loop in enumerate(program.loops) if loop.domain != "nodes"
+    )
+    gather, commit = table[ip]
+    stages = {
+        "gather": [n for names in table[:ip] for n in names] + [gather],
+        "commit": [commit],
+        "post": [n for names in table[ip + 1:] for n in names],
+    }
+    for stage, names in stages.items():
+        with w.block(
+            f"{_TILE_FN} _stage_{stage}(const _ctx_t *c, int64_t _t) {{"
+        ):
+            w.line("(void)c; (void)_t;")
+            for name in names:
+                w.line(f"{name}(c, _t);")
+        w.line("}")
+        w.line()
 
 
 def _emit_scheduler_runtime(w: SourceWriter) -> None:
@@ -646,40 +575,169 @@ def _emit_scheduler_runtime(w: SourceWriter) -> None:
     w.line("}")
 
 
-def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
-    """C source of the counter-scheduled executor (``run_tiled_dynamic``).
+def _emit_pool(w: SourceWriter) -> None:
+    """``_run_pool``: every time step under the counter scheduler.
+    Returns 0 — having touched nothing — when a scheduler allocation
+    fails, so the caller degrades to the wave loop rather than fail the
+    run."""
+    with w.block(
+        "static int _run_pool(const _ctx_t *ctx, const int64_t *wave_tiles, "
+        "const int64_t *wave_off, int64_t num_waves, "
+        "const int64_t *indegree, const int64_t *succ_off, "
+        "const int64_t *succ, int64_t num_tiles, int64_t num_threads, "
+        "int64_t num_steps) {"
+    ):
+        w.line("_sched_t s;")
+        w.line("s.ctx = ctx;")
+        w.line("s.num_tiles = num_tiles;")
+        w.line("s.num_threads = num_threads;")
+        w.line("s.order = wave_tiles;")
+        w.line("s.succ_off = succ_off;")
+        w.line("s.succ = succ;")
+        w.line(
+            "s.counters = (int64_t *)malloc("
+            "(size_t)num_tiles * sizeof(int64_t));"
+        )
+        w.line("s.gathered = (unsigned char *)malloc((size_t)num_tiles);")
+        w.line(
+            "s.deq = (int64_t **)calloc("
+            "(size_t)num_threads, sizeof(int64_t *));"
+        )
+        w.line(
+            "s.deq_head = (int64_t *)malloc("
+            "(size_t)num_threads * sizeof(int64_t));"
+        )
+        w.line(
+            "s.deq_tail = (int64_t *)malloc("
+            "(size_t)num_threads * sizeof(int64_t));"
+        )
+        w.line(
+            "pthread_t *threads = (pthread_t *)malloc("
+            "(size_t)num_threads * sizeof(pthread_t));"
+        )
+        w.line(
+            "_worker_arg_t *args = (_worker_arg_t *)malloc("
+            "(size_t)num_threads * sizeof(_worker_arg_t));"
+        )
+        w.line(
+            "int _ok = s.counters && s.gathered && s.deq && "
+            "s.deq_head && s.deq_tail && threads && args;"
+        )
+        with w.block(
+            "for (int64_t _w = 0; _ok && _w < num_threads; ++_w) {"
+        ):
+            w.line(
+                "s.deq[_w] = (int64_t *)malloc("
+                "(size_t)(2 * num_tiles + 1) * sizeof(int64_t));"
+            )
+            w.line("if (!s.deq[_w]) _ok = 0;")
+        w.line("}")
+        with w.block("if (_ok) {"):
+            w.line("pthread_mutex_init(&s.m, 0);")
+            w.line("pthread_cond_init(&s.cv, 0);")
+            with w.block(
+                "for (int64_t _step = 0; _step < num_steps; ++_step) {"
+            ):
+                with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
+                    w.line("s.counters[_t] = indegree[_t];")
+                    w.line("s.gathered[_t] = 0;")
+                w.line("}")
+                w.line("s.commit_next = 0;")
+                w.line("s.completed = 0;")
+                w.line("s.committing = 0;")
+                with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
+                    w.line("s.deq_head[_w] = 0;")
+                    w.line("s.deq_tail[_w] = 0;")
+                w.line("}")
+                w.line("int64_t _seeded = 0;")
+                with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
+                    with w.block("if (indegree[_t] == 0) {"):
+                        w.line("_push(&s, _seeded % num_threads, _t);")
+                        w.line("_seeded += 1;")
+                    w.line("}")
+                w.line("}")
+                # A full barrier between steps: workers are joined per step,
+                # which also publishes every write before the next spawn.
+                with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
+                    w.line("args[_w].s = &s;")
+                    w.line("args[_w].wid = _w;")
+                    with w.block(
+                        "if (pthread_create(&threads[_w], 0, _worker, "
+                        "&args[_w])) {"
+                    ):
+                        # Spawn failure: this worker simply doesn't join the
+                        # pool; mark it so join skips it.  The protocol only
+                        # needs one live worker to finish every tile.
+                        w.line("args[_w].wid = -1;")
+                    w.line("}")
+                w.line("}")
+                w.line("int64_t _live = 0;")
+                with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
+                    w.line("if (args[_w].wid >= 0) { "
+                           "pthread_join(threads[_w], 0); _live += 1; }")
+                w.line("}")
+                # Every spawn failed, so nothing of this step ran: run it
+                # on this thread.
+                w.line(
+                    "if (_live == 0) _wave_step(ctx, wave_tiles, wave_off, "
+                    "num_waves);"
+                )
+            w.line("}")
+            w.line("pthread_mutex_destroy(&s.m);")
+            w.line("pthread_cond_destroy(&s.cv);")
+        w.line("}")
+        with w.block(
+            "for (int64_t _w = 0; s.deq && _w < num_threads; ++_w) {"
+        ):
+            w.line("free(s.deq[_w]);")
+        w.line("}")
+        w.line("free(s.counters); free(s.gathered); free(s.deq);")
+        w.line("free(s.deq_head); free(s.deq_tail);")
+        w.line("free(threads); free(args);")
+        w.line("return _ok;")
+    w.line("}")
 
-    Takes the tiled executor's CSR schedule plus the counter DAG
-    (``order`` — the wave commit sequence, ``indegree`` seed counts,
-    ``succ_off``/``succ`` successor CSR) and ``num_threads``.  At one
-    thread (or one tile, or if any scheduler allocation fails) it runs
-    the static path: a serial loop over ``order`` with the same
-    three-stage bodies — zero scheduling overhead, trivially
-    bit-identical.  Otherwise an OpenMP-style pthread pool executes the
-    work-stealing protocol of :func:`repro.lowering.schedule.run_dynamic`.
-    The sanitized variant range-scans every index source (including
-    ``order`` and ``succ``) before the first step and traps via ``err``.
-    """
+
+def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
+    """C source of the tiled executor: the phase functions, the wave
+    loop and — for a counter-schedulable program — the counter pool,
+    behind the one entry point ``run_tiled`` (see the module docstring
+    for its parameters and for which driver a call runs).
+
+    The sanitized variant gains ``int64_t *err`` and, before the first
+    step, range-scans every index source the unit dereferences: per loop
+    the iteration array (or, in range form, the tile offsets), the wave
+    tile ids, the successor ids when a graph is passed, and
+    ``left``/``right`` (see :func:`emit_c`)."""
+    from repro.analysis.irverify import counter_schedule_obligations
+
+    pool = not counter_schedule_obligations(program)
     w = SourceWriter()
     _emit_unit_header(
-        w, "Dynamic-schedule C executor", program, sanitize,
-        "stdlib.h", "pthread.h",
+        w, "Tiled C executor", program, sanitize,
+        *(("stdlib.h", "pthread.h") if pool else ()),
     )
-    # The stage functions' context: every pointer the entry point takes.
     operands = _operand_params(program, tiled=True)
+    # The phase functions' context: every pointer the entry point takes.
     ctx_fields = [p for p in operands if "*" in p] + ["double *scratch"]
     with w.block("typedef struct {"):
         for field in ctx_fields:
             w.line(f"{field};")
     w.line("} _ctx_t;")
     w.line()
-    _emit_dynamic_stages(w, program)
+    table = _emit_phases(w, program)
+    _emit_wave_step(w, program, table)
     w.line()
-    _emit_scheduler_runtime(w)
-    w.line()
+    if pool:
+        _emit_stages(w, program, table)
+        _emit_scheduler_runtime(w)
+        w.line()
+        _emit_pool(w)
+        w.line()
     params = operands + [
-        "const int64_t *order",
-        "const int64_t *wave",
+        "const int64_t *wave_tiles",
+        "const int64_t *wave_off",
+        "int64_t num_waves",
         "const int64_t *indegree",
         "const int64_t *succ_off",
         "const int64_t *succ",
@@ -689,208 +747,34 @@ def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
     ]
     if sanitize:
         params.append("int64_t *err")
-    with w.block(f"void run_tiled_dynamic({', '.join(params)}) {{"):
+    with w.block(f"void run_tiled({', '.join(params)}) {{"):
         if sanitize:
             _emit_guard_scans(w, program, tiled=True)
             w.line(
-                f"if (_guard(order, num_tiles, num_tiles, {GUARD_ORDER}, "
-                "err)) return;"
+                "if (_guard(wave_tiles, wave_off[num_waves], num_tiles, "
+                f"{GUARD_WAVES}, err)) return;"
             )
-            w.line(
-                f"if (_guard(succ, succ_off[num_tiles], num_tiles, "
-                f"{GUARD_SUCC}, err)) return;"
-            )
+            if pool:
+                w.line(
+                    "if (succ && _guard(succ, succ_off[num_tiles], "
+                    f"num_tiles, {GUARD_SUCC}, err)) return;"
+                )
         w.line("_ctx_t ctx;")
         for field in ctx_fields:
             name = field.rpartition("*")[2]
             w.line(f"ctx.{name} = {name};")
-        w.line("(void)num_nodes; (void)num_inter;")
-        w.line("int _serial = (num_threads <= 1 || num_tiles <= 1);")
-        w.line("_sched_t s;")
-        w.line("pthread_t *threads = 0;")
-        w.line("_worker_arg_t *args = 0;")
-        with w.block("if (!_serial) {"):
-            w.line("s.ctx = &ctx;")
-            w.line("s.num_tiles = num_tiles;")
-            w.line("s.num_threads = num_threads;")
-            w.line("s.order = order;")
-            w.line("s.succ_off = succ_off;")
-            w.line("s.succ = succ;")
+        w.line("(void)num_nodes; (void)num_inter; (void)num_tiles;")
+        w.line("(void)num_threads; (void)indegree; (void)succ_off;")
+        w.line("(void)succ;")
+        if pool:
             w.line(
-                "s.counters = (int64_t *)malloc("
-                "(size_t)num_tiles * sizeof(int64_t));"
+                "if (num_threads > 1 && num_tiles > 1 && indegree && "
+                "_run_pool(&ctx, wave_tiles, wave_off, num_waves, indegree, "
+                "succ_off, succ, num_tiles, num_threads, num_steps)) return;"
             )
-            w.line(
-                "s.gathered = (unsigned char *)malloc((size_t)num_tiles);"
-            )
-            w.line(
-                "s.deq = (int64_t **)malloc("
-                "(size_t)num_threads * sizeof(int64_t *));"
-            )
-            w.line(
-                "s.deq_head = (int64_t *)malloc("
-                "(size_t)num_threads * sizeof(int64_t));"
-            )
-            w.line(
-                "s.deq_tail = (int64_t *)malloc("
-                "(size_t)num_threads * sizeof(int64_t));"
-            )
-            w.line(
-                "threads = (pthread_t *)malloc("
-                "(size_t)num_threads * sizeof(pthread_t));"
-            )
-            w.line(
-                "args = (_worker_arg_t *)malloc("
-                "(size_t)num_threads * sizeof(_worker_arg_t));"
-            )
-            w.line(
-                "int _ok = s.counters && s.gathered && s.deq && "
-                "s.deq_head && s.deq_tail && threads && args;"
-            )
-            with w.block("if (_ok) {"):
-                with w.block(
-                    "for (int64_t _w = 0; _w < num_threads; ++_w) {"
-                ):
-                    w.line(
-                        "s.deq[_w] = (int64_t *)malloc("
-                        "(size_t)(2 * num_tiles + 1) * sizeof(int64_t));"
-                    )
-                    w.line("if (!s.deq[_w]) _ok = 0;")
-                w.line("}")
-            with w.block("} else if (s.deq) {"):
-                with w.block(
-                    "for (int64_t _w = 0; _w < num_threads; ++_w) {"
-                ):
-                    w.line("s.deq[_w] = 0;")
-                w.line("}")
-            w.line("}")
-            with w.block("if (!_ok) {"):
-                # Degrade to the static path rather than fail the run.
-                with w.block("if (s.deq) {"):
-                    with w.block(
-                        "for (int64_t _w = 0; _w < num_threads; ++_w) {"
-                    ):
-                        w.line("free(s.deq[_w]);")
-                    w.line("}")
-                w.line("}")
-                w.line("free(s.counters); free(s.gathered); free(s.deq);")
-                w.line("free(s.deq_head); free(s.deq_tail);")
-                w.line("free(threads); free(args);")
-                w.line("_serial = 1;")
-            with w.block("} else {"):
-                w.line("pthread_mutex_init(&s.m, 0);")
-                w.line("pthread_cond_init(&s.cv, 0);")
-            w.line("}")
-        w.line("}")
-        with w.block("if (_serial) {"):
-            # The *hybrid* half of the scheduler: with one worker there is
-            # nothing to steal, so replay the static wave schedule itself —
-            # phase-batched runs over each wave's contiguous span of
-            # ``order`` (``order`` is waves-outermost, so equal ``wave``
-            # values are adjacent).  This is the level-synchronous
-            # executor's own loop structure, which keeps the 1-thread
-            # dynamic bind at parity with the wave bind instead of paying
-            # per-tile stage switching.  ``wave`` values are only compared
-            # for equality (never used as indices), so the sanitizer does
-            # not need to range-scan them.
-            with w.block(
-                "for (int64_t _step = 0; _step < num_steps; ++_step) {"
-            ):
-                with w.block("for (int64_t _lo = 0; _lo < num_tiles; ) {"):
-                    w.line("int64_t _wv = wave[order[_lo]];")
-                    w.line("int64_t _hi = _lo;")
-                    w.line(
-                        "while (_hi < num_tiles && wave[order[_hi]] == _wv) "
-                        "++_hi;"
-                    )
-                    with w.block(
-                        "for (int64_t _i = _lo; _i < _hi; ++_i) {"
-                    ):
-                        w.line("_stage_gather(&ctx, order[_i]);")
-                    w.line("}")
-                    with w.block(
-                        "for (int64_t _i = _lo; _i < _hi; ++_i) {"
-                    ):
-                        w.line("_stage_commit(&ctx, order[_i]);")
-                    w.line("}")
-                    with w.block(
-                        "for (int64_t _i = _lo; _i < _hi; ++_i) {"
-                    ):
-                        w.line("_stage_post(&ctx, order[_i]);")
-                    w.line("}")
-                    w.line("_lo = _hi;")
-                w.line("}")
-            w.line("}")
-            w.line("return;")
-        w.line("}")
         with w.block("for (int64_t _step = 0; _step < num_steps; ++_step) {"):
-            with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
-                w.line("s.counters[_t] = indegree[_t];")
-                w.line("s.gathered[_t] = 0;")
-            w.line("}")
-            w.line("s.commit_next = 0;")
-            w.line("s.completed = 0;")
-            w.line("s.committing = 0;")
-            with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-                w.line("s.deq_head[_w] = 0;")
-                w.line("s.deq_tail[_w] = 0;")
-            w.line("}")
-            w.line("int64_t _seeded = 0;")
-            with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
-                with w.block("if (indegree[_t] == 0) {"):
-                    w.line("_push(&s, _seeded % num_threads, _t);")
-                    w.line("_seeded += 1;")
-                w.line("}")
-            w.line("}")
-            # A full barrier between steps: workers are joined per step,
-            # which also publishes every write before the next spawn.
-            with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-                w.line("args[_w].s = &s;")
-                w.line("args[_w].wid = _w;")
-                with w.block(
-                    "if (pthread_create(&threads[_w], 0, _worker, "
-                    "&args[_w])) {"
-                ):
-                    # Spawn failure: this worker simply doesn't join the
-                    # pool; mark it so join skips it.  The protocol only
-                    # needs one live worker to finish every tile.
-                    w.line("args[_w].wid = -1;")
-                w.line("}")
-            w.line("}")
-            w.line("int64_t _live = 0;")
-            with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-                w.line("if (args[_w].wid >= 0) { "
-                       "pthread_join(threads[_w], 0); _live += 1; }")
-            w.line("}")
-            with w.block("if (_live == 0) {"):
-                # Every spawn failed: finish the step on this thread.
-                with w.block(
-                    "for (int64_t _i = 0; _i < num_tiles; ++_i) {"
-                ):
-                    w.line("int64_t _t = order[_i];")
-                    w.line("if (!s.gathered[_t]) _stage_gather(&ctx, _t);")
-                w.line("}")
-                with w.block(
-                    "for (int64_t _i = s.commit_next; _i < num_tiles; "
-                    "++_i) {"
-                ):
-                    w.line("_stage_commit(&ctx, order[_i]);")
-                w.line("}")
-                with w.block(
-                    "for (int64_t _i = 0; _i < num_tiles; ++_i) {"
-                ):
-                    w.line("_stage_post(&ctx, order[_i]);")
-                w.line("}")
-            w.line("}")
+            w.line("_wave_step(&ctx, wave_tiles, wave_off, num_waves);")
         w.line("}")
-        with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-            w.line("free(s.deq[_w]);")
-        w.line("}")
-        w.line("free(s.counters); free(s.gathered); free(s.deq);")
-        w.line("free(s.deq_head); free(s.deq_tail);")
-        w.line("free(threads); free(args);")
-        w.line("pthread_mutex_destroy(&s.m);")
-        w.line("pthread_cond_destroy(&s.cv);")
     w.line("}")
     return w.source()
 
@@ -901,16 +785,13 @@ def emit_c_dynamic(program: Program, sanitize: bool = False) -> str:
 SHAPES = {
     "untiled": (emit_c, "run"),
     "tiled": (emit_c_tiled, "run_tiled"),
-    "dynamic": (emit_c_dynamic, "run_tiled_dynamic"),
 }
 
 
 __all__ = [
-    "DYNAMIC_TAG",
     "EMITTER_VERSION",
     "GUARD_LEFT",
     "GUARD_OFFSETS_BASE",
-    "GUARD_ORDER",
     "GUARD_RIGHT",
     "GUARD_SCHEDULE_BASE",
     "GUARD_SUCC",
@@ -918,6 +799,5 @@ __all__ = [
     "SANITIZE_TAG",
     "SHAPES",
     "emit_c",
-    "emit_c_dynamic",
     "emit_c_tiled",
 ]

@@ -21,9 +21,9 @@ identical** to it:
   its interleaved statements in ``commit``, i.e. still at its tile's
   turn in the commit order.
 
-The module holds no schedule: *how* the table runs — wave by wave or
-under the dependence-counter scheduler — is decided by the two drivers
-of :mod:`repro.lowering.schedule`, which serve this table and the
+The module holds no schedule: *how* the table runs — over which wave
+groups — is decided by the wave driver of
+:mod:`repro.lowering.schedule`, which serves this table and the
 hand-written one alike.  The one entry point it does define,
 ``run(arrays, left, right, num_steps=1)``, is the untiled executor (the
 paper's Figure 13): each phase once over its whole range per time step.

@@ -11,15 +11,24 @@ Three backends implement the same executor contract:
   to a shared object at bind time and driven through ``ctypes``.
 
 The two Python tiers differ only in where their table comes from: a
-tiled bind of either runs it under the wave driver or the dynamic
-adapter of :mod:`repro.lowering.schedule`.  The C tier's three entry
-points share one marshaller (:func:`_c_call`), and every tier sits
-behind one entry (:func:`_entry`) that checks its outside input — and
-is where a tile schedule becomes its one representation
+tiled bind of either runs it under the wave driver of
+:mod:`repro.lowering.schedule`.  The C tier's two entry points (``run``,
+``run_tiled``) share one marshaller (:func:`_c_call`), and every tier
+sits behind one entry (:func:`_entry`) that checks its outside input —
+and is where a tile schedule becomes its one representation
 (:class:`~repro.transforms.tile_schedule.TileSchedule`): the object
 ``TilingFunction.schedule()`` returns passes through after an O(1)
 check and is handed to C by pointer; a hand-built list of tiles is
 marshalled and fully checked on each call.
+
+``scheduler`` is not part of what gets built: wave and dynamic binds of
+one program share one artifact, and the name picks a driver at run time.
+A dynamic call passes its counter DAG through the IRV006 gate and runs
+the DAG's own commit order (:func:`~repro.lowering.schedule.
+counter_schedule`, in :func:`_entry`, the same on every tier); the C
+tier then hands ``run_tiled`` the counter graph and a worker count, and
+the counter pool compiled into the unit takes over above one thread.
+The Python tiers are level-synchronous under either name.
 
 Selection follows the shared policy of :func:`repro.backends.resolve`
 (argument > ``REPRO_EXECUTOR_BACKEND`` > default ``library``); asking
@@ -44,7 +53,7 @@ import ctypes
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -117,8 +126,8 @@ class CompiledExecutor:
       num_steps=1, dag=None, num_threads=None)`` — ``dag`` is the
       dynamic scheduler's counter DAG; ``num_threads`` (argument >
       ``REPRO_EXECUTOR_THREADS`` > visible cores) bounds the workers of
-      either Python driver and of the C dynamic pool (the C wave entry
-      point is serial).  ``schedule`` and ``wave_groups`` are what
+      the Python wave driver and of the C counter pool (the C wave
+      loop is serial).  ``schedule`` and ``wave_groups`` are what
       ``TilingFunction.schedule()`` and ``WavefrontSchedule.groups()``
       return (marshalled once) or plain lists (marshalled and checked
       on every call).
@@ -143,9 +152,10 @@ class CompiledExecutor:
     #: ``True`` when the proof came from the artifact store (warm bind —
     #: the verifier itself did not run).
     proof_from_cache: bool = False
-    #: Which tile scheduler the bound entry point implements:
-    #: ``"wave"`` (level-synchronous) or ``"dynamic"`` (dependence
-    #: counters + work stealing).  Untiled executors are always "wave".
+    #: Which driver ``run`` picks over the (shared) tiled artifact:
+    #: ``"wave"`` (level-synchronous) or ``"dynamic"`` (the counter DAG's
+    #: commit order; in the C tier, dependence counters + work stealing
+    #: above one thread).  Untiled executors are always "wave".
     scheduler: str = "wave"
 
 
@@ -190,7 +200,13 @@ def _iptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
 
 
-def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
+def _entry(
+    call: Callable,
+    program: Program,
+    tiled: bool,
+    sanitized: bool,
+    dynamic: bool,
+):
     """``call`` behind the public ``run`` signature of its shape, after
     the checks every tier owes its outside input, sanitized or not: the
     C tier would read (and commit) past a short ``right`` or a short
@@ -200,7 +216,11 @@ def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
     O(1); a marshalled schedule proved the partition when it was built
     and owes one length comparison per loop, a hand-built one is
     marshalled and checked here.  (A sanitized bind reports every trap,
-    these included, as ``stage="sanitizer"``.)"""
+    these included, as ``stage="sanitizer"``.)  A ``dynamic`` entry then
+    resolves the one commit order of the call — the gated counter DAG's —
+    and a wave entry drops any ``dag`` it was handed."""
+    from repro.lowering.schedule import counter_schedule
+
     names = program.data_arrays
     labels = [loop.label for loop in program.loops]
     stage = "sanitizer" if sanitized else "executor"
@@ -247,6 +267,12 @@ def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
         schedule = as_tile_schedule(schedule, extents, labels, stage)
         if wave_groups is not None:
             wave_groups = as_wave_groups(wave_groups, len(schedule), stage)
+        if dynamic:
+            dag, wave_groups = counter_schedule(
+                dag, wave_groups, len(schedule), stage
+            )
+        else:
+            dag = None
         call(
             arrays, left, right, num_steps, schedule, wave_groups, dag,
             num_threads,
@@ -256,13 +282,14 @@ def _entry(call: Callable, program: Program, tiled: bool, sanitized: bool):
     return run_tiled if tiled else run
 
 
-def _python_call(table: dict, tiled: bool, dynamic: bool) -> Callable:
+def _python_call(table: dict, tiled: bool) -> Callable:
     """A Python tier: ``table`` is what it computes — ``run`` (whole-
     range time steps), ``PHASES`` (the per-loop phase table) and, when
     sanitized, ``guard`` — hand-written for ``library``, the emitted
-    module's namespace for ``numpy``.  How a tiled bind runs the table
-    is one of the two drivers of :mod:`repro.lowering.schedule`."""
-    from repro.lowering.schedule import run_dynamic_phases, run_wave_phases
+    module's namespace for ``numpy``.  A tiled bind runs the table under
+    the wave driver of :mod:`repro.lowering.schedule`, whichever
+    scheduler named the wave groups."""
+    from repro.lowering.schedule import run_wave_phases
 
     if not tiled:
         return table["run"]
@@ -274,16 +301,10 @@ def _python_call(table: dict, tiled: bool, dynamic: bool) -> Callable:
     ):
         if guard is not None:
             guard(arrays, left, right, schedule, wave_groups, dag)
-        if dynamic:
-            run_dynamic_phases(
-                phases, arrays, left, right, schedule, wave_groups,
-                num_steps, dag, num_threads,
-            )
-        else:
-            run_wave_phases(
-                phases, arrays, left, right, schedule, wave_groups,
-                num_steps, num_threads,
-            )
+        run_wave_phases(
+            phases, arrays, left, right, schedule, wave_groups,
+            num_steps, num_threads,
+        )
 
     return call
 
@@ -315,7 +336,6 @@ def _guard_source_name(code: int, program: Program) -> str:
         emit_c.GUARD_LEFT: "left",
         emit_c.GUARD_RIGHT: "right",
         emit_c.GUARD_WAVES: "wave_tiles",
-        emit_c.GUARD_ORDER: "dag.order",
         emit_c.GUARD_SUCC: "dag.succ_indices",
     }[code]
 
@@ -332,34 +352,21 @@ def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
     )
 
 
-def _counter_dag(dag, wave_groups, num_tiles: int):
-    """The DAG ``run_tiled_dynamic`` executes, legality-checked
-    (:func:`~repro.lowering.schedule.ensure_runnable`, IRV006) before
-    the foreign call — a cyclic or under-counted graph would deadlock or
-    race inside C where we cannot raise."""
-    from repro.lowering.schedule import ensure_runnable, tile_dag_from_waves
-
-    if dag is None:
-        dag = tile_dag_from_waves(wave_groups, num_tiles)
-    ensure_runnable(dag)
-    return dag
-
-
 def _c_call(
     so_path: str, program: Program, entry: str, sanitize: bool
 ) -> Callable:
     """The one ``ctypes`` marshaller, parameterised by entry point.
 
     ``run`` takes the operands alone; ``run_tiled`` adds the tile
-    schedule and the wave grouping; ``run_tiled_dynamic`` adds the tile
-    schedule, the counter DAG (commit order, static levels, indegree
-    seeds, successor CSR) and the resolved worker count.  Schedule and
-    grouping arrive marshalled (:func:`_entry`), so nothing is flattened
-    here: each loop passes the two pointers its
+    schedule, the commit order as wave groups, the counter graph of a
+    dynamic call (in-degree seeds + successor CSR; ``NULL`` selects the
+    wave loop) and the resolved worker count.  Schedule, grouping and
+    DAG arrive marshalled and checked (:func:`_entry`), so nothing is
+    flattened here: each loop passes the two pointers its
     :class:`~repro.transforms.tile_schedule.CSRLists` already holds,
     with ``NULL`` for the iteration array of a range-form loop.  Dtype
     checks, scratch/err allocation and guard-trap decoding are shared."""
-    from repro.lowering.schedule import resolve_num_threads, static_levels
+    from repro.lowering.schedule import resolve_num_threads
 
     fn = getattr(ctypes.CDLL(so_path), entry)
     fn.restype = None
@@ -387,39 +394,30 @@ def _c_call(
             return [_iptr(a) for a in index_arrays]
 
         graph: list = []  # between num_steps and scratch
-        tail: list = []  # after scratch
-        if entry != "run":
-            num_tiles = i64(len(schedule))
+        if entry == "run_tiled":
             # ``schedule`` (the caller's reference) keeps these alive.
             for loop in schedule.loops:
                 graph += [
                     None if loop.is_range else _iptr(loop.flat),
                     _iptr(loop.offsets),
                 ]
-        if entry == "run_tiled":
             if wave_groups is None:
                 wave_groups = CSRLists.singletons(len(schedule))
             graph += pointers(wave_groups.flat, wave_groups.offsets)
             graph.append(i64(len(wave_groups)))
-            if sanitize:
-                tail.append(num_tiles)
-        elif entry == "run_tiled_dynamic":
-            dag = _counter_dag(dag, wave_groups, len(schedule))
-            # The serial fast path replays the static wave schedule, so
-            # the engine needs each tile's level; recomputed only for
-            # hand-built DAGs that omitted it.
-            graph += pointers(
-                _as_i64(dag.order, "dag.order"),
-                _as_i64(static_levels(dag), "dag.wave"),
-                _as_i64(dag.indegree, "dag.indegree"),
-                _as_i64(dag.succ_indptr, "dag.succ_indptr"),
-                _as_i64(dag.succ_indices, "dag.succ_indices"),
-            )
-            graph += [num_tiles, i64(resolve_num_threads(num_threads))]
+            if dag is None:
+                graph += [None, None, None]
+            else:
+                graph += pointers(
+                    _as_i64(dag.indegree, "dag.indegree"),
+                    _as_i64(dag.succ_indptr, "dag.succ_indptr"),
+                    _as_i64(dag.succ_indices, "dag.succ_indices"),
+                )
+            graph += [
+                i64(len(schedule)), i64(resolve_num_threads(num_threads))
+            ]
         scratch = np.empty(max(len(left), 1), dtype=np.float64)
         err = np.zeros(4, dtype=np.int64)
-        if sanitize:
-            tail.append(_iptr(err))
         fn(
             *[_dptr(d) for d in datas],
             _iptr(left),
@@ -429,7 +427,7 @@ def _c_call(
             i64(num_steps),
             *graph,
             _dptr(scratch),
-            *tail,
+            *([_iptr(err)] if sanitize else []),
         )
         if err[0]:
             _raise_guard_trap(err, program)
@@ -491,14 +489,16 @@ def compile_executor(
     came from the content-addressed cache.
 
     ``scheduler`` (argument > ``REPRO_EXECUTOR_SCHEDULER`` > ``wave``)
-    selects how a tiled bind orders its tiles: level-synchronous waves,
-    or the dependence-counter dynamic scheduler over ``run``'s ``dag``
-    argument.  Dynamic builds flip the
-    ``dynamic_schedule`` pass on, are cached under distinct artifact
-    suffixes (``dyn.py``/``dyn.c``/``dyn.so``), and stay bit-identical
-    to the wave executor at any thread count.  Untiled executors
-    validate the name and then ignore it (there is no tile graph to
-    schedule).
+    selects how a tiled bind's ``run`` orders its tiles: the wave groups
+    it is handed, or the commit order of the dependence-counter DAG in
+    its ``dag`` argument (run by the C tier's counter pool above one
+    thread).  It selects nothing about the build — both names bind the
+    same artifact — and both stay bit-identical at any thread count.
+    ``"dynamic"`` on a program that is not counter-schedulable (no
+    wave-parallel skeleton, an unfissioned interaction loop) raises
+    :class:`~repro.errors.LegalityError` with the IRV006 diagnostics.
+    Untiled executors validate the name and then ignore it (there is no
+    tile graph to schedule).
 
     Compiled backends (``numpy``/``c``) are **gated on proof**: the IR
     verifier (:mod:`repro.analysis.irverify`) must prove the rewritten
@@ -521,8 +521,6 @@ def compile_executor(
         sched = "wave"
     dynamic = sched == "dynamic"
     config = config or PassConfig()
-    if dynamic:
-        config = replace(config, dynamic_schedule=True)
     sanitized = sanitize_enabled(sanitize) and resolved != "library"
 
     memo_key = (
@@ -543,6 +541,18 @@ def compile_executor(
 
     state = _rewritten(kernel_name, tiled, config)
     program = state.program
+    if dynamic:
+        from repro.analysis.irverify import counter_schedule_obligations
+
+        problems = counter_schedule_obligations(program)
+        if problems:
+            raise LegalityError(
+                f"executor {kernel_name!r} cannot run under the dynamic "
+                "scheduler: "
+                + "; ".join(f"{d.code}: {d.message}" for d in problems),
+                stage="irverify",
+                hint=problems[0].hint,
+            )
 
     verified = None
     proof_path = None
@@ -568,46 +578,42 @@ def compile_executor(
     artifact_path = None
     from_cache = False
     if resolved == "library":
-        call = _python_call(_library_table(kernel_name), tiled, dynamic)
+        call = _python_call(_library_table(kernel_name), tiled)
     else:
         # One build recipe for both emitted tiers: content-addressed
         # source text, then (C only) the shared object built from it.
         if resolved == "c":
-            shape = "dynamic" if dynamic else "tiled" if tiled else "untiled"
             emitter, suffix = emit_c, "c"
-            emit, entry = emit_c.SHAPES[shape]
+            emit, entry = emit_c.SHAPES["tiled" if tiled else "untiled"]
         else:
             emitter, suffix = emit_numpy, "py"
             emit = emit_numpy.emit_numpy
         version = emitter.EMITTER_VERSION
-        if dynamic and resolved == "c":  # run_tiled_dynamic's ABI tag
-            version += "+" + emit_c.DYNAMIC_TAG
         if sanitized:
             version += "+" + emitter.SANITIZE_TAG
         key = artifact_key(program, config, version)
-        prefix = "dyn." if dynamic else ""
         store = ArtifactStore(cache_dir)
         path, from_cache = store.get_or_build_text(
-            key, prefix + suffix, lambda: emit(program, sanitize=sanitized)
+            key, suffix, lambda: emit(program, sanitize=sanitized)
         )
         if resolved == "c":
             src_path = path
             path, from_cache = store.get_or_build_file(
                 key,
-                prefix + "so",
+                "so",
                 lambda tmp: toolchain.compile_shared(src_path, tmp),
             )
             call = _c_call(str(path), program, entry, sanitized)
         else:
             table: dict = {}
             exec(compile(path.read_text(), str(path), "exec"), table)
-            call = _python_call(table, tiled, dynamic)
+            call = _python_call(table, tiled)
         artifact_path = str(path)
     compiled = CompiledExecutor(
         kernel_name=kernel_name,
         backend=resolved,
         tiled=tiled,
-        run=_entry(call, program, tiled, sanitized),
+        run=_entry(call, program, tiled, sanitized, dynamic),
         ir_digest=ir_hash(program),
         artifact_path=artifact_path,
         from_cache=from_cache,

@@ -196,10 +196,6 @@ class Program:
     tiled: bool = False
     #: Set by the parallelize pass: honor a wavefront grouping of tiles.
     wave_parallel: bool = False
-    #: Set by the dynamic_schedule pass: execute tiles from a
-    #: dependence-counter DAG (work-stealing pool) instead of wave
-    #: barriers, committing in the wave executor's deterministic order.
-    dynamic_schedule: bool = False
 
     def to_dict(self):
         return {
@@ -210,7 +206,6 @@ class Program:
             "extents": list(self.extents),
             "tiled": self.tiled,
             "wave_parallel": self.wave_parallel,
-            "dynamic_schedule": self.dynamic_schedule,
         }
 
 

@@ -30,8 +30,15 @@ application recorded in the :class:`RewriteState` log.
   — the loop :func:`repro.lowering.schedule.run_wave_phases` runs over a
   phase table and ``emit_c_tiled`` renders in C.  The static wavefront
   stays the legality skeleton ("Hybrid Static/Dynamic Schedules for
-  Tiled Polyhedral Programs"): dynamic timing may change *when* a tile's
-  pure gather runs, never the commit order.
+  Tiled Polyhedral Programs"): the C tier's counter pool may change
+  *when* a tile's pure gather runs, never the commit order.
+
+There is no scheduler pass: whether tiles run under the wave loop or
+the dependence-counter pool is a run-time choice of driver over one
+emitted artifact (``scheduler=`` / ``REPRO_EXECUTOR_SCHEDULER``), and
+whether a program *can* run under counters is computed from what these
+four passes left (:func:`repro.analysis.irverify.
+counter_schedule_obligations`), not configured.
 
 ``PassConfig`` toggles individual passes (the benchmark's ablation
 knob); its digest is part of the compiled-artifact fingerprint.
@@ -63,9 +70,6 @@ class PassConfig:
     blocking: bool = True
     vectorize: bool = True
     parallelize: bool = True
-    #: Replace the wave barrier with dependence-counter scheduling
-    #: (commits stay in the wave executor's deterministic order).
-    dynamic_schedule: bool = False
 
     def to_dict(self):
         return {
@@ -73,7 +77,6 @@ class PassConfig:
             "blocking": self.blocking,
             "vectorize": self.vectorize,
             "parallelize": self.parallelize,
-            "dynamic_schedule": self.dynamic_schedule,
         }
 
     def digest(self) -> str:
@@ -158,7 +161,6 @@ class LoweringRewriter:
         self._loop_blocking(state)
         self._vectorize(state)
         self._parallelize(state)
-        self._dynamic_schedule(state)
 
     # -- passes ---------------------------------------------------------------
 
@@ -246,30 +248,6 @@ class LoweringRewriter:
             [
                 "wavefront grouping honored; commits stay in ascending "
                 "tile order (static legality skeleton)"
-            ],
-        )
-
-    @rewrite_pass
-    def _dynamic_schedule(self, state: RewriteState):
-        if not self.config.dynamic_schedule:
-            return state.program, False, ["disabled by config"]
-        if not state.program.wave_parallel:
-            return (
-                state.program,
-                False,
-                [
-                    "no wave-parallel skeleton: dependence counters have "
-                    "nothing to derive from, kept level-synchronous"
-                ],
-            )
-        return (
-            replace(state.program, dynamic_schedule=True),
-            True,
-            [
-                "wave barrier replaced by per-tile dependence counters "
-                "(work-stealing pool); commits serialized in the wave "
-                "executor's (wave, tile) order, payloads buffered "
-                "per tile — bit-identical combine"
             ],
         )
 

@@ -1,48 +1,53 @@
-"""Hybrid static/dynamic tile scheduling: dependence-counter work stealing.
+"""Tile schedules for the tiled executors: the wave driver and the counter DAG.
 
 The wavefront executors run tiles in level-synchronous waves: every tile
 of wave ``w`` finishes before any tile of wave ``w+1`` starts, and the
-reduction commits inside a wave are applied serially in ascending tile
+reduction commits inside a wave are applied serially in the wave's tile
 order so parallel runs stay bit-identical to serial ones.  Correct — but
 one oversized tile stalls the whole wave behind the barrier, and no
 cross-wave progress is possible.
 
-This module keeps the static wave structure as the *legality skeleton*
-(the hybrid static/dynamic recipe from "Hybrid Static/Dynamic Schedules
-for Tiled Polyhedral Programs") and replaces the barrier with per-tile
-dependence counters derived from the FST tile graph:
+The hybrid static/dynamic recipe ("Hybrid Static/Dynamic Schedules for
+Tiled Polyhedral Programs") keeps the static wave structure as the
+*legality skeleton* and replaces the barrier with per-tile dependence
+counters derived from the FST tile graph.  What this module holds of it:
 
 * :class:`TileDAG` — the counter DAG: successor CSR, seed in-degrees,
   and the *deterministic commit order* (the exact sequence in which the
   level-synchronous executor applies tile commits: waves outermost,
-  ascending tile id within a wave).
-* :func:`run_dynamic` — the execution engine.  Each tile is a
-  three-stage task: **gather** (pre-interaction node phases + payload
-  gather into the tile's private partial buffer; released when the
-  tile's counter hits zero, runs in parallel), **commit** (apply the
-  buffered contributions; serialized in the commit order by a
-  cooperatively-drained commit token), and **post** (post-interaction
-  node phases; parallel, then decrement successor counters).  Workers
-  own a deque each (LIFO pop of their own work, FIFO steal from
-  victims) so a stalled wave never idles a core that has runnable
-  tiles elsewhere in the DAG.
+  ascending tile id within a wave), its constructors, and the IRV006
+  gate :func:`ensure_runnable` every tier passes a DAG through before
+  running it.
+* :func:`run_wave_phases` — the one Python loop over wave groups, written
+  over a *phase table* (one ``KernelPhase`` per kernel loop).  The
+  ``library`` and ``numpy`` tiers differ only in the table they hand it.
+* :func:`counter_schedule` — what a ``scheduler="dynamic"`` call runs on
+  any tier: the legality-checked DAG plus its commit order as wave
+  groups (``dag.order`` split at level changes).
 
-Why this is bit-identical to the wave executor at any thread count:
-every contribution to an element read or written by tile ``t`` comes
-from ``t`` itself or a DAG predecessor of ``t`` (an interaction with an
-endpoint in ``t`` induces a tile-graph edge into ``t`` — the atomic-tile
-condition), so gating stage-gather on the counter reproduces exactly the
-values the wave executor would read; and applying commits in the wave
-executor's own total order makes the reduction fold identical
-float-by-float.  The commit buffers hold the *raw per-interaction
-payloads*, not pre-summed partials — pre-summing would regroup the
-reduction and change the rounding.
+``scheduler`` picks a *driver at run time* over one compiled artifact.
+The counter pool — each tile a three-stage task: **gather**
+(pre-interaction node phases + payload gather, released when the tile's
+counter hits zero, parallel), **commit** (apply the buffered
+contributions, serialized in the commit order by a cooperatively-drained
+commit token) and **post** (post-interaction node phases, parallel, then
+decrement successor counters), over per-worker deques (LIFO pop, FIFO
+steal) — exists in the C tier only (:mod:`repro.lowering.emit_c`).  The
+Python tiers are level-synchronous under either name: a dynamic bind
+gates the DAG and runs :func:`run_wave_phases` over the DAG's own wave
+grouping.  (A Python-thread rendering of the pool measured 0.12-0.15x
+of the serial wave loop at 2-4 threads and was deleted; see ROADMAP.)
 
-Both orders are written once over a *phase table* (one
-``KernelPhase`` per kernel loop): :func:`run_wave_phases` is the
-level-synchronous wave driver, :func:`run_dynamic_phases` adapts a table
-to :func:`run_dynamic`'s three stages.  The ``library`` and ``numpy``
-tiers differ only in the table they hand these two.
+Why any of this is bit-identical to the wave executor at any thread
+count: every contribution to an element read or written by tile ``t``
+comes from ``t`` itself or a DAG predecessor of ``t`` (an interaction
+with an endpoint in ``t`` induces a tile-graph edge into ``t`` — the
+atomic-tile condition), so gating a tile's gather on its counter — or on
+its wave — reproduces exactly the values the wave executor would read;
+and applying commits in the wave executor's own total order makes the
+reduction fold identical float-by-float.  The commit buffers hold the
+*raw per-interaction payloads*, not pre-summed partials — pre-summing
+would regroup the reduction and change the rounding.
 
 Knobs: ``REPRO_EXECUTOR_SCHEDULER`` (``wave`` | ``dynamic``) and
 ``REPRO_EXECUTOR_THREADS`` (worker count of either driver; ``1`` is a
@@ -52,12 +57,10 @@ plain serial loop with zero scheduling overhead), both resolved through
 
 from __future__ import annotations
 
-import collections
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,7 +258,7 @@ def tile_dag_from_waves(wave_groups, num_tiles: int) -> TileDAG:
 def ensure_runnable(dag: TileDAG) -> None:
     """The IRV006 gate: refuse to execute a broken counter graph.
 
-    A cycle deadlocks the engine; an under-counted in-degree releases a
+    A cycle deadlocks the C pool; an under-counted in-degree releases a
     tile before its predecessors committed (a silent race).  Both are
     cheap to check (one vectorized Kahn pass) relative to a bind, but
     not relative to a single executor call, so the verdict is cached on
@@ -280,8 +283,8 @@ def static_levels(dag: TileDAG) -> np.ndarray:
     """Per-tile wavefront levels, recomputed when ``dag.wave`` is absent.
 
     The public constructors always populate ``wave`` for acyclic graphs;
-    this covers hand-built DAGs so the C engine's serial fast path (which
-    replays the static wave schedule) never needs a caller-supplied
+    this covers hand-built DAGs so :func:`counter_schedule` (which
+    splits the commit order into waves) never needs a caller-supplied
     level assignment.  Raises :class:`LegalityError` on a cycle.
     """
     if dag.wave is not None:
@@ -313,196 +316,68 @@ def static_levels(dag: TileDAG) -> np.ndarray:
     return level
 
 
-# ---------------------------------------------------------------------------
-# The engine
+def counter_schedule(
+    dag: Optional[TileDAG],
+    wave_groups: Optional[CSRLists],
+    num_tiles: int,
+    stage: str = "executor",
+) -> Tuple[TileDAG, CSRLists]:
+    """What a ``scheduler="dynamic"`` call runs, on every tier.
 
+    The DAG — the caller's, or the conservative barrier DAG of
+    ``wave_groups`` — past the IRV006 gate, and its commit order as wave
+    groups: ``dag.order`` split where the static level changes (tiles of
+    one level share no edge, so every group is an antichain; computed
+    once per ``TileDAG``, like the gate's verdict).  The groups are the
+    ``(wave_tiles, wave_off)`` the C entry point receives and what the
+    Python tiers hand :func:`run_wave_phases`.
 
-class _DynamicStep:
-    """One time-step of the counter-scheduled execution.
-
-    Shared state lives under one condition variable (tile counts are
-    modest — contention is not the bottleneck; the stage bodies run
-    outside the lock).  The commit token (``committing``) guarantees a
-    single drainer applies commits strictly in ``dag.order``; whoever
-    finishes a gather and finds the token free takes commit duty, so
-    commits never wait for an idle worker to be scheduled.
+    There is one commit order per call: ``wave_groups`` passed beside a
+    ``dag`` built from another wavefront would have the two schedulers
+    fold the reduction differently, so it is a :class:`ValidationError`
+    naming the first position where the two orders part.
     """
-
-    def __init__(
-        self,
-        dag: TileDAG,
-        stage_gather: Callable[[int], None],
-        stage_commit: Callable[[int], None],
-        stage_post: Callable[[int], None],
-        num_threads: int,
-    ) -> None:
-        self.dag = dag
-        self.stage_gather = stage_gather
-        self.stage_commit = stage_commit
-        self.stage_post = stage_post
-        self.num_threads = num_threads
-        self.order = [int(t) for t in dag.order]
-        self.counters = dag.indegree.copy()
-        self.gathered = [False] * dag.num_tiles
-        self.commit_next = 0
-        self.completed = 0
-        self.committing = False
-        self.failure: Optional[BaseException] = None
-        self.idle = threading.Condition()
-        self.deques: List[collections.deque] = [
-            collections.deque() for _ in range(num_threads)
-        ]
-        for i, t in enumerate(np.flatnonzero(self.counters == 0)):
-            self.deques[i % num_threads].append(("g", int(t)))
-
-    # -- task acquisition (caller holds the lock) ----------------------
-
-    def _pop(self, wid: int):
-        own = self.deques[wid]
-        if own:
-            return own.pop()  # LIFO on our own deque: hot caches first
-        for step in range(1, self.num_threads):
-            victim = self.deques[(wid + step) % self.num_threads]
-            if victim:
-                return victim.popleft()  # FIFO steal: oldest, coldest
-        return None
-
-    def _commit_ready(self) -> bool:
-        return (
-            self.commit_next < self.dag.num_tiles
-            and self.gathered[self.order[self.commit_next]]
-        )
-
-    # -- the serial commit drain (token held, lock not held) ------------
-
-    def _drain_commits(self, wid: int) -> None:
-        while True:
-            with self.idle:
-                if not self._commit_ready():
-                    self.committing = False
-                    self.idle.notify_all()
-                    return
-                tile = self.order[self.commit_next]
-            self.stage_commit(tile)
-            with self.idle:
-                self.commit_next += 1
-                self.deques[wid].append(("p", tile))
-                self.idle.notify_all()
-
-    # -- worker loop -----------------------------------------------------
-
-    def _worker(self, wid: int) -> None:
-        try:
-            while True:
-                with self.idle:
-                    task = None
-                    while task is None:
-                        if (
-                            self.completed == self.dag.num_tiles
-                            or self.failure is not None
-                        ):
-                            return
-                        task = self._pop(wid)
-                        if task is None:
-                            if not self.committing and self._commit_ready():
-                                self.committing = True
-                                task = ("c", -1)
-                            else:
-                                self.idle.wait()
-                kind, tile = task
-                if kind == "c":
-                    self._drain_commits(wid)
-                elif kind == "g":
-                    self.stage_gather(tile)
-                    with self.idle:
-                        self.gathered[tile] = True
-                        take_token = (
-                            not self.committing and self._commit_ready()
-                        )
-                        if take_token:
-                            self.committing = True
-                    if take_token:
-                        self._drain_commits(wid)
-                else:  # post
-                    self.stage_post(tile)
-                    with self.idle:
-                        for succ in self.dag.successors(tile):
-                            succ = int(succ)
-                            self.counters[succ] -= 1
-                            if self.counters[succ] == 0:
-                                self.deques[wid].append(("g", succ))
-                        self.completed += 1
-                        self.idle.notify_all()
-        except BaseException as exc:  # propagate to the caller, wake all
-            with self.idle:
-                if self.failure is None:
-                    self.failure = exc
-                self.idle.notify_all()
-
-    def run(self) -> None:
-        workers = [
-            threading.Thread(
-                target=self._worker, args=(wid,), daemon=True
-            )
-            for wid in range(self.num_threads)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        if self.failure is not None:
-            raise self.failure
-
-
-def run_dynamic(
-    dag: TileDAG,
-    stage_gather: Callable[[int], None],
-    stage_commit: Callable[[int], None],
-    stage_post: Callable[[int], None],
-    num_threads: Optional[int] = None,
-    num_steps: int = 1,
-) -> None:
-    """Execute ``num_steps`` time-steps under the counter scheduler.
-
-    ``stage_gather(t)`` must run tile ``t``'s pre-interaction node
-    phases and gather its interaction payloads into a private buffer;
-    ``stage_commit(t)`` must apply the buffered commits exactly as the
-    wave executor would at ``t``'s turn; ``stage_post(t)`` runs the
-    post-interaction node phases.  The engine guarantees stage-gather
-    starts only after every DAG predecessor fully finished, commits run
-    serially in ``dag.order``, and a full barrier separates time-steps
-    (cross-step dependences are not in the tile graph).
-
-    ``num_threads == 1`` is the static path: a plain serial loop over
-    the commit order — the same operation sequence with zero scheduling
-    overhead, which is what keeps the 1-thread overhead within noise.
-    """
-    threads = resolve_num_threads(num_threads)
+    if dag is None:  # the barrier DAG's waves are the groups it is built from
+        if wave_groups is None:
+            wave_groups = CSRLists.singletons(num_tiles)
+        dag = tile_dag_from_waves(wave_groups, num_tiles)
+        ensure_runnable(dag)
+        return dag, wave_groups
     ensure_runnable(dag)
-    if dag.num_tiles == 0:
-        return
-    if threads == 1 or dag.num_tiles == 1:
-        order = [int(t) for t in dag.order]
-        for _step in range(num_steps):
-            for tile in order:
-                stage_gather(tile)
-                stage_commit(tile)
-                stage_post(tile)
-        return
-    for _step in range(num_steps):
-        _DynamicStep(
-            dag, stage_gather, stage_commit, stage_post, threads
-        ).run()
+    groups = getattr(dag, "_wave_groups", None)
+    if groups is None:
+        order = np.array(dag.order, dtype=np.int64)
+        levels = static_levels(dag)[order]
+        starts = np.flatnonzero(np.diff(levels, prepend=-1))
+        groups = CSRLists(order, np.append(starts, len(order)))
+        object.__setattr__(dag, "_wave_groups", groups)
+    groups.check_extent(
+        num_tiles, "counter DAG covers {count} tiles, expected {extent}"
+    )
+    if wave_groups is not None:
+        differs = np.flatnonzero(wave_groups.flat != groups.flat)
+        if len(differs):
+            pos = int(differs[0])
+            raise ValidationError(
+                f"wave_groups and dag disagree on the commit order: position "
+                f"{pos} is tile {int(wave_groups.flat[pos])} in wave_groups, "
+                f"tile {int(groups.flat[pos])} in dag.order",
+                stage=stage,
+                indices=[pos],
+                hint="build the dag with waves= the same wavefront schedule, "
+                "or pass only one of the two",
+            )
+    return dag, groups
 
 
 # ---------------------------------------------------------------------------
-# The two drivers of a phase table
+# The driver of a phase table
 #
 # A phase table is one :class:`~repro.kernels.executors.KernelPhase` per
 # kernel loop — hand-written (``PHASE_FUNCTIONS``, the ``library`` tier)
 # or emitted (:mod:`repro.lowering.emit_numpy`, the ``numpy`` tier).  The
-# table says what a loop computes over an iteration subset; these two
-# functions are the only Python that says in which order tiles run it.
+# table says what a loop computes over an iteration subset; this function
+# is the only Python that says in which order tiles run it.
 
 
 def run_wave_phases(
@@ -555,68 +430,6 @@ def run_wave_phases(
             pool.shutdown()
 
 
-def run_dynamic_phases(
-    phases: Sequence,
-    arrays,
-    left,
-    right,
-    schedule,
-    wave_groups=None,
-    num_steps: int = 1,
-    dag: Optional[TileDAG] = None,
-    num_threads: Optional[int] = None,
-) -> None:
-    """The dynamic adapter: a phase table as :func:`run_dynamic` stages.
-
-    Node phases before the interaction phase run in the gather stage,
-    the interaction payload is buffered per tile (raw, never pre-summed)
-    and committed at the tile's turn, node phases after it run in the
-    post stage.  ``dag=None`` degrades to the conservative barrier DAG
-    built from ``wave_groups``.
-    """
-    inter = [pos for pos, p in enumerate(phases) if p.domain != "nodes"]
-    if len(inter) != 1:
-        raise ValidationError(
-            f"dynamic scheduler supports exactly one interaction phase, "
-            f"got {len(inter)}"
-        )
-    ip = inter[0]
-    if dag is None:
-        dag = tile_dag_from_waves(wave_groups, len(schedule))
-    # Per tile: (l, r, payload) between its gather and its commit.
-    buffered: List = [None] * len(schedule)
-
-    def apply_nodes(tile, positions) -> None:
-        for pos in positions:
-            if len(tile[pos]):
-                phases[pos].apply(arrays, tile[pos])
-
-    def stage_gather(t: int) -> None:
-        tile = schedule[t]
-        apply_nodes(tile, range(ip))
-        it = tile[ip]
-        if len(it):
-            l, r = left[it], right[it]
-            buffered[t] = (l, r, phases[ip].gather(arrays, l, r))
-
-    def stage_commit(t: int) -> None:
-        if buffered[t] is not None:
-            phases[ip].commit(arrays, *buffered[t])
-            buffered[t] = None
-
-    def stage_post(t: int) -> None:
-        apply_nodes(schedule[t], range(ip + 1, len(phases)))
-
-    run_dynamic(
-        dag,
-        stage_gather,
-        stage_commit,
-        stage_post,
-        num_threads=num_threads,
-        num_steps=num_steps,
-    )
-
-
 def scheduler_report() -> dict:
     """Doctor payload: how the scheduler knobs currently resolve."""
     resolution = resolve_scheduler(warn=False)
@@ -645,8 +458,7 @@ __all__ = [
     "static_levels",
     "resolve_scheduler",
     "resolve_num_threads",
-    "run_dynamic",
-    "run_dynamic_phases",
+    "counter_schedule",
     "run_wave_phases",
     "scheduler_report",
 ]

@@ -100,24 +100,18 @@ def _executor_backend_tag() -> str:
     the C backend must never rehydrate into a mismatched interpreter-
     backend bind (their executors are bit-identical by construction, but
     the bind carries backend-specific artifacts and provenance).  The
-    tile scheduler (``REPRO_EXECUTOR_SCHEDULER``) joins the tag for the
-    same reason: a wave bind and a dynamic bind carry different artifact
-    suffixes and run-time provenance, so flipping the scheduler must
-    miss, never rehydrate the other scheduler's bind.
+    tile scheduler is *not* in the tag: ``REPRO_EXECUTOR_SCHEDULER``
+    picks a run-time driver over one artifact, so a plan bound under one
+    scheduler is a hit under the other.
     """
     from repro.lowering.executor import resolve_executor_backend
-    from repro.lowering.schedule import resolve_scheduler
 
     backend = resolve_executor_backend(warn=False).backend
-    scheduler = resolve_scheduler(warn=False).backend
     if backend == "c":
         from repro.lowering import toolchain
 
-        return (
-            f"executor:{backend}:{toolchain.toolchain_fingerprint()}"
-            f"|scheduler:{scheduler}"
-        )
-    return f"executor:{backend}|scheduler:{scheduler}"
+        return f"executor:{backend}:{toolchain.toolchain_fingerprint()}"
+    return f"executor:{backend}"
 
 
 def code_version_salt() -> str:

@@ -178,13 +178,15 @@ def run_numeric_wavefront(
     order).  This is one bind and one call: ``backend`` / ``sanitize`` /
     ``scheduler`` pass unresolved to
     :func:`~repro.lowering.executor.compile_executor` (argument > the
-    ``REPRO_EXECUTOR_*`` variable > default), which pairs the tier's
-    phase table with a driver of :mod:`repro.lowering.schedule` —
-    ``"wave"`` (the default) is the level-synchronous
-    :func:`~repro.lowering.schedule.run_wave_phases`; ``"dynamic"``
-    releases a tile as soon as its dependence counter, derived from
-    ``dag`` (a :class:`~repro.lowering.schedule.TileDAG`; defaults to
-    the conservative barrier DAG built from ``waves``), reaches zero.
+    ``REPRO_EXECUTOR_*`` variable > default).  ``scheduler`` picks the
+    driver at run time over one compiled artifact: ``"wave"`` (the
+    default) runs the groups of ``waves`` level-synchronously; under
+    ``"dynamic"`` the commit order is the one of ``dag`` (a
+    :class:`~repro.lowering.schedule.TileDAG`; defaults to the
+    conservative barrier DAG built from ``waves``), which the C tier's
+    counter pool runs by releasing a tile as soon as its dependence
+    counter reaches zero, and the Python tiers run wave by wave.  A
+    ``dag`` whose order contradicts ``waves`` is a ``ValidationError``.
 
     Either way the reduction commits apply in one order, fixed by the
     schedule — never by thread timing — so every tier, scheduler and
@@ -194,8 +196,8 @@ def run_numeric_wavefront(
 
     ``parallel=False`` runs on one thread; otherwise ``num_threads``
     (else ``max_workers``, else ``REPRO_EXECUTOR_THREADS``, else the
-    visible cores) bounds the workers.  The C wave entry point is serial
-    either way.
+    visible cores) bounds the workers.  The C wave loop is serial either
+    way.
     """
     from repro.lowering.executor import compile_executor
 

@@ -375,12 +375,18 @@ class FleetService(ServiceCore):
                     stage="fleet",
                 )
             shard = self.ring.route(flight.key, exclude=excluded)
-            if shard is None or not self.breakers[shard].allow():
-                if shard is not None:
-                    # Breaker refused (open / probe taken): route past it.
-                    excluded.add(shard)
-                    continue
+            if shard is None:
                 return self._fallback_bind(flight)
+            if (
+                not self.supervisor.handles[shard].alive
+                or not self.breakers[shard].allow()
+            ):
+                # No live worker (crashed, not yet respawned) or the
+                # breaker refused (open / probe taken): route past it.  A
+                # dispatch that never reached a worker is not an attempt,
+                # a crash or a retry.
+                excluded.add(shard)
+                continue
             attempt += 1
             tags.update(shard=shard, attempts=attempt)
             sequence = next(self._dispatch_seq)

@@ -45,8 +45,8 @@ class TestCleanPrograms:
         assert summary["obligations"] > 0
         assert summary["discharged"] == summary["obligations"]
         # Every pipeline pass carries a validation proof (fission,
-        # blocking, vectorize, parallelize, dynamic-schedule).
-        assert len(report.pass_proofs) == 5
+        # blocking, vectorize, parallelize).
+        assert len(report.pass_proofs) == 4
         assert all(p["equivalent"] for p in report.pass_proofs)
 
     def test_pass_records_carry_proof_artifacts(self):
@@ -164,6 +164,37 @@ class TestBrokenFixtures:
         state.program = replace(state.program, kernel_name="nope")
         report = iv.verify_state(state)
         assert report.by_code(iv.IRV_MALFORMED)
+
+    def test_irv006_static_obligations_of_counter_scheduling(self):
+        """Computed from the rewritten program: the gate of
+        ``compile_executor(scheduler="dynamic")`` and the condition under
+        which ``emit_c_tiled`` carries the pool."""
+        program = _rewritten("moldyn", True, PassConfig()).program
+        assert iv.counter_schedule_obligations(program) == []
+        scalar = replace(
+            program,
+            loops=tuple(
+                replace(loop, fissioned=None, vector=False)
+                if loop.domain == "inters"
+                else loop
+                for loop in program.loops
+            ),
+        )
+        two_inter = replace(
+            program,
+            loops=program.loops
+            + tuple(l for l in program.loops if l.domain == "inters"),
+        )
+        for broken, needle in (
+            (_rewritten("moldyn", False, PassConfig()).program, "skeleton"),
+            (replace(program, wave_parallel=False), "skeleton"),
+            (scalar, "scalar interaction loop(s) ['Lj']"),
+            (two_inter, "exactly one interaction loop"),
+        ):
+            (diag,) = iv.counter_schedule_obligations(broken)
+            assert diag.code == iv.IRV_COUNTER_DAG == "IRV006"
+            assert diag.severity == ERROR
+            assert needle in diag.message
 
 
 class TestProofCache:

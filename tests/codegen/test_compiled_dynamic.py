@@ -8,15 +8,19 @@ sanitizer, through both the ``compile_executor`` API and the
 absent: the contract is byte equality.
 """
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
 from repro.cachesim.machines import machine_by_name
-from repro.errors import LegalityError
+from repro.errors import LegalityError, ValidationError
 from repro.eval.compositions import fst_seed_block
 from repro.kernels import generate_dataset, make_kernel_data
 from repro.lowering import toolchain
 from repro.lowering.executor import clear_executor_memo, compile_executor
+from repro.lowering.passes import PassConfig
 from repro.lowering.schedule import tile_dag, tile_dag_from_tiling
 from repro.runtime.executor import run_numeric_wavefront
 from repro.runtime.inspector import (
@@ -165,31 +169,115 @@ def test_dynamic_rejects_cyclic_dag(backend):
         )
 
 
-def test_dynamic_artifacts_use_dyn_suffixes(tmp_path, monkeypatch):
-    """Wave and dynamic binds are distinct artifacts — ``dyn.*``
-    suffixes — so ``repro cache stats`` can report them apart."""
+def test_wave_and_dynamic_share_one_artifact(tmp_path, monkeypatch):
+    """``scheduler`` picks a driver at run time, not a build: both names
+    bind the same artifact, and a fresh store holds no ``dyn.*`` file."""
     monkeypatch.setenv("REPRO_PLANCACHE_DIR", str(tmp_path / "cache2"))
     clear_executor_memo()
-    compile_executor("moldyn", backend="numpy", tiled=True)
-    compile_executor(
-        "moldyn", backend="numpy", tiled=True, scheduler="dynamic"
-    )
-    suffixes = sorted(
-        ".".join(p.name.split(".", 1)[1:])
-        for p in (tmp_path / "cache2").rglob("*.py")
-    )
-    assert any(s == "py" for s in suffixes)
-    assert any(s == "dyn.py" for s in suffixes)
-    if HAVE_CC:
-        compile_executor("moldyn", backend="c", tiled=True)
+    for backend in COMPILED_BACKENDS:
+        wave = compile_executor(
+            "moldyn", backend=backend, tiled=True, scheduler="wave"
+        )
+        dynamic = compile_executor(
+            "moldyn", backend=backend, tiled=True, scheduler="dynamic"
+        )
+        assert (wave.scheduler, dynamic.scheduler) == ("wave", "dynamic")
+        assert wave.artifact_path == dynamic.artifact_path
+        assert dynamic.from_cache and not wave.from_cache
+    files = [p for p in (tmp_path / "cache2").rglob("*") if p.is_file()]
+    assert files and not [p for p in files if ".dyn." in p.name]
+
+
+@pytest.mark.skipif(
+    not HAVE_CC or shutil.which("nm") is None, reason="needs cc and nm"
+)
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_tiled_shared_object_exports_one_entry_point(sanitize):
+    ex = compile_executor("moldyn", backend="c", tiled=True, sanitize=sanitize)
+    listing = subprocess.run(
+        ["nm", "-D", "--defined-only", ex.artifact_path],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    exported = [line.split()[-1] for line in listing.splitlines() if line]
+    assert [name for name in exported if not name.startswith("_")] == [
+        "run_tiled"
+    ]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize(
+    "config,needle",
+    [
+        (PassConfig(parallelize=False), "wave-parallel skeleton"),
+        (PassConfig(fission=False, vectorize=False), "scalar interaction"),
+    ],
+)
+def test_dynamic_refuses_a_program_that_is_not_counter_schedulable(
+    backend, config, needle
+):
+    """The static IRV006 obligations gate ``scheduler="dynamic"`` on every
+    tier, computed from the rewritten program; the wave bind of the same
+    ablation still builds (``verify=False``: a wave-parallel scalar loop
+    is the verifier's IRV002, which is not what this test is about)."""
+    with pytest.raises(LegalityError, match="IRV006") as info:
         compile_executor(
-            "moldyn", backend="c", tiled=True, scheduler="dynamic"
+            "moldyn", backend=backend, tiled=True, config=config,
+            scheduler="dynamic",
         )
-        so = sorted(
-            ".".join(p.name.split(".", 1)[1:])
-            for p in (tmp_path / "cache2").rglob("*.so")
+    assert needle in str(info.value)
+    assert info.value.stage == "irverify"
+    compile_executor(
+        "moldyn", backend=backend, tiled=True, config=config,
+        scheduler="wave", verify=False,
+    )
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_wave_groups_that_contradict_the_dag_are_rejected(backend, sanitize):
+    """One commit order per call.  ``wave_groups`` from one wavefront and
+    a ``dag`` built from another used to run the groups under ``wave``
+    and silently ignore them under ``dynamic`` — two different folds of
+    the reduction, no error."""
+    kernel, dataset = "moldyn", "mol1"
+    d, schedule, waves, dag = _tiled_case(kernel, dataset)
+    num_tiles = len(schedule)
+    # A legal DAG over the same tiles with another commit order: levels
+    # recomputed from the edges alone order ties by tile id, the serial
+    # chain below does not.
+    other = tile_dag(
+        num_tiles,
+        np.arange(num_tiles - 1, dtype=np.int64),
+        np.arange(1, num_tiles, dtype=np.int64),
+    )
+    assert not np.array_equal(other.order, waves.groups().flat)
+    first = int(np.flatnonzero(other.order != waves.groups().flat)[0])
+    ex = compile_executor(
+        kernel, backend=backend, tiled=True, sanitize=sanitize,
+        scheduler="dynamic",
+    )
+    arrays = {k: v.copy() for k, v in d.arrays.items()}
+    with pytest.raises(ValidationError, match=f"position {first} ") as info:
+        ex.run(
+            arrays, d.left, d.right, schedule, waves.groups(), dag=other,
+            num_threads=2,
         )
-        assert "so" in so and "dyn.so" in so
+    guarded = sanitize and backend != "library"
+    assert info.value.stage == ("sanitizer" if guarded else "executor")
+    for name, before in d.arrays.items():
+        assert arrays[name].tobytes() == before.tobytes(), name
+    # A dag for fewer tiles than the schedule has is as wrong.
+    small = tile_dag(2, np.array([0]), np.array([1]))
+    with pytest.raises(ValidationError, match="covers 2 tiles"):
+        ex.run(arrays, d.left, d.right, schedule, dag=small, num_threads=2)
+    # The matching pair keeps working, and equals the wave bind.
+    ref = _reference(kernel, d, schedule, waves.groups())
+    ex.run(
+        arrays, d.left, d.right, schedule, waves.groups(), num_steps=3,
+        dag=dag, num_threads=2,
+    )
+    for name in ref:
+        assert ref[name].tobytes() == arrays[name].tobytes(), name
 
 
 def test_untiled_executor_ignores_scheduler():

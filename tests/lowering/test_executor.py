@@ -281,34 +281,70 @@ def test_emitted_phase_table_matches_reference(kernel, num_nodes, subset, seed):
 
 # ---------------------------------------------------------------------------
 # Emitted C is frozen per emitter version: a warm artifact store keys the
-# ``.so`` on ``EMITTER_VERSION`` (+ ``DYNAMIC_TAG`` / ``SANITIZE_TAG``),
-# so source text that moves under an unmoved version would be served a
-# stale object.  ``python tests/lowering/test_executor.py`` rewrites the
-# list after a deliberate bump.
+# ``.so`` on ``EMITTER_VERSION`` (+ ``SANITIZE_TAG``), so source text that
+# moves under an unmoved version would be served a stale object.
+# ``python tests/lowering/test_executor.py`` rewrites the list after a
+# deliberate bump.
 
 EMITTED_C = Path(__file__).with_name("emitted_c_sha256.json")
 
 
-def _emitted_c():
-    entries = {}
+def _emitted_sources():
+    """(kernel, shape, sanitize) -> (version tag, emitted C text)."""
+    sources = {}
     for kernel in KERNELS:
         for shape, (emit, _entry) in emit_c.SHAPES.items():
-            dynamic = shape == "dynamic"
-            program = LoweringRewriter(
-                config=PassConfig(dynamic_schedule=dynamic),
-                tiled=shape != "untiled",
-            ).run(lower_kernel(kernel_by_name(kernel))).program
+            program = LoweringRewriter(tiled=shape != "untiled").run(
+                lower_kernel(kernel_by_name(kernel))
+            ).program
             for sanitize in (False, True):
                 tags = [emit_c.EMITTER_VERSION]
-                tags += [emit_c.DYNAMIC_TAG] if dynamic else []
                 tags += [emit_c.SANITIZE_TAG] if sanitize else []
-                source = emit(program, sanitize=sanitize)
-                name = f"{kernel}/{shape}/{'sanitize' if sanitize else 'plain'}"
-                entries[name] = {
-                    "version": "+".join(tags),
-                    "sha256": hashlib.sha256(source.encode()).hexdigest(),
-                }
-    return entries
+                sources[kernel, shape, sanitize] = (
+                    "+".join(tags), emit(program, sanitize=sanitize)
+                )
+    return sources
+
+
+def _emitted_c():
+    return {
+        f"{kernel}/{shape}/{'sanitize' if sanitize else 'plain'}": {
+            "version": version,
+            "sha256": hashlib.sha256(source.encode()).hexdigest(),
+        }
+        for (kernel, shape, sanitize), (version, source)
+        in _emitted_sources().items()
+    }
+
+
+def test_tiled_unit_renders_every_statement_body_once_per_form():
+    """One translation unit, one rendering: the wave loop and the pool's
+    stages call the same phase functions, so each statement body appears
+    once per schedule form (index: position ``_k`` + loaded iteration;
+    range: the iteration is the position) — which the concatenation of a
+    wave emitter and a stage emitter would fail."""
+    assert sorted(emit_c.SHAPES) == ["tiled", "untiled"]
+    for (kernel, shape, sanitize), (_, source) in _emitted_sources().items():
+        if shape != "tiled":
+            continue
+        program = LoweringRewriter(tiled=True).run(
+            lower_kernel(kernel_by_name(kernel))
+        ).program
+        for loop in program.loops:
+            ivar = loop.index_var
+            if loop.domain == "nodes":
+                for stmt in loop.stmts:
+                    body = f"{stmt.array}[{ivar}] = {stmt.array}[{ivar}] + "
+                    assert source.count(body) == 2, (kernel, sanitize, body)
+                continue
+            assert source.count("scratch[_k] = ") == 1, (kernel, sanitize)
+            assert source.count(f"scratch[{ivar}] = ") == 1, (kernel, sanitize)
+            for commit in loop.fissioned.commits:
+                end = f"{commit.array}[{commit.via}[{ivar}]]"
+                assert source.count(f"{end} = {end} + ") == 2, (kernel, end)
+        assert source.count("void run_tiled(") == 1
+        assert source.count("pthread_create(") == 1
+        assert "run_tiled_dynamic" not in source
 
 
 def test_emitted_c_is_frozen_per_emitter_version():

@@ -34,7 +34,6 @@ class TestPipeline:
         state = _rewrite(name)
         assert [rec.name for rec in state.log] == [
             "loop_fission", "loop_blocking", "vectorize", "parallelize",
-            "dynamic_schedule",
         ]
 
     @pytest.mark.parametrize("name", sorted(KERNELS))

@@ -96,3 +96,44 @@ def test_health_reports_by_suffix(tmp_path):
     assert health["total_bytes"] == 2 * 1500
     assert health["by_suffix"]["c"] == {"files": 2, "bytes": 2000}
     assert health["by_suffix"]["proof"] == {"files": 2, "bytes": 1000}
+
+
+def test_legacy_dyn_files_are_never_loaded_and_age_out(
+    tmp_path, monkeypatch, capsys
+):
+    """Older versions stored the dynamic scheduler's builds under
+    ``dyn.*`` suffixes.  There is one artifact family now: a bind never
+    reads such a file, ``cache stats`` counts it by kind like any other,
+    and ``cache gc`` evicts it as an ordinary LRU entry."""
+    from repro.__main__ import main
+    from repro.lowering.executor import clear_executor_memo, compile_executor
+
+    monkeypatch.setenv("REPRO_PLANCACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_EXECUTOR_SCHEDULER", raising=False)
+    clear_executor_memo()
+    wave = compile_executor("moldyn", backend="numpy", tiled=True)
+    key = os.path.basename(wave.artifact_path).split(".", 1)[0]
+    store = ArtifactStore(tmp_path)
+    # A poisoned legacy artifact under the very key a bind resolves to.
+    legacy = store.put_text(key, "dyn.py", "raise SystemExit('loaded')\n")
+    os.utime(legacy, (1_000_000, 1_000_000))
+    clear_executor_memo()
+    dynamic = compile_executor(
+        "moldyn", backend="numpy", tiled=True, scheduler="dynamic"
+    )
+    clear_executor_memo()
+    assert dynamic.artifact_path == wave.artifact_path != str(legacy)
+
+    assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "by scheduler" not in out
+    (line,) = [l for l in out.splitlines() if "artifacts by kind" in l]
+    assert "py 2 (" in line and "proof 1 (" in line and "so 0 (0 B)" in line
+
+    # Its own key group: evicted first, the live build untouched.
+    other = store.put_text("ff99", "dyn.so", "z" * 64)
+    os.utime(other, (1_000_001, 1_000_001))
+    budget = store.total_bytes() - 1
+    summary = store.gc(max_bytes=budget)
+    assert summary["removed_files"] == 1 and not other.exists()
+    assert os.path.exists(wave.artifact_path)

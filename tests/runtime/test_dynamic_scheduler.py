@@ -5,11 +5,16 @@ Three layers of guarantee, each tested directly:
 * **bit identity** (property-based) — on random kernel instances, the
   dynamic executor produces byte-for-byte the level-synchronous wave
   executor's arrays at every thread count;
-* **engine protocol** — commits run serially in ``dag.order``, each
-  tile's stages run in gather → commit → post order, and no tile
-  gathers before every DAG predecessor posted;
+* **schedule protocol** — what a dynamic call runs on the Python tiers
+  (the wave driver over the DAG's own wave grouping): commits run
+  serially in ``dag.order``, each tile's phases run in gather → commit
+  → post order, and no tile gathers before every DAG predecessor
+  posted.  (The C tier's counter pool cannot be observed from outside;
+  the same three properties are what keep its 2/4-thread runs
+  ``tobytes``-equal in ``tests/codegen/test_compiled_dynamic.py``.);
 * **the IRV006 gate** — cyclic or mis-counted counter graphs are named
-  by the verifier and refused by the engine instead of deadlocking.
+  by the verifier and refused before any tile runs instead of
+  deadlocking.
 """
 
 import dataclasses
@@ -23,13 +28,14 @@ from hypothesis import given, settings
 from repro.analysis import irverify as iv
 from repro.errors import LegalityError
 from repro.kernels import make_kernel_data
+from repro.kernels.executors import KernelPhase
 from repro.kernels.datasets import Dataset
 from repro.lowering import schedule as sched
 from repro.lowering.executor import compile_executor
 from repro.lowering.schedule import (
-    TileDAG,
+    counter_schedule,
     ensure_runnable,
-    run_dynamic,
+    run_wave_phases,
     static_levels,
     tile_dag,
     tile_dag_from_tiling,
@@ -144,24 +150,31 @@ class TestBitIdentity:
 
 
 def _record_run(dag, num_threads, num_steps=1):
-    """Run the engine with recording stages; returns the event log."""
+    """Run a recording phase table (node / interaction / node, one
+    iteration of each per tile) the way a dynamic bind of a Python tier
+    does; returns the event log."""
     events = []
     lock = threading.Lock()
 
-    def stage(name):
-        def record(tile):
-            with lock:
-                events.append((name, tile))
+    def record(name, tiles):
+        with lock:
+            events.extend((name, int(t)) for t in tiles)
 
-        return record
-
-    run_dynamic(
-        dag,
-        stage("gather"),
-        stage("commit"),
-        stage("post"),
-        num_threads=num_threads,
-        num_steps=num_steps,
+    phases = [
+        KernelPhase("nodes", apply=lambda arrays, it: record("gather", it)),
+        KernelPhase(
+            "inters",
+            gather=lambda arrays, l, r: None,
+            commit=lambda arrays, l, r, payload: record("commit", l),
+        ),
+        KernelPhase("nodes", apply=lambda arrays, it: record("post", it)),
+    ]
+    tiles = np.arange(dag.num_tiles, dtype=np.int64)
+    schedule = [(tiles[t:t + 1],) * 3 for t in range(dag.num_tiles)]
+    dag, groups = counter_schedule(dag, None, dag.num_tiles)
+    run_wave_phases(
+        phases, {}, tiles, tiles, schedule, groups,
+        num_steps=num_steps, num_threads=num_threads,
     )
     return events
 
@@ -175,6 +188,9 @@ def _random_dag(rng, num_tiles=24, num_edges=40):
 
 
 class TestEngineProtocol:
+    """The class name predates the deletion of the Python work-stealing
+    engine; the protocol it pins is the surviving drivers'."""
+
     @pytest.mark.parametrize("num_threads", [2, 4])
     def test_commits_replay_order_exactly(self, num_threads):
         rng = np.random.default_rng(7)
@@ -231,10 +247,7 @@ class TestIRV006Gate:
 
     def test_engine_refuses_to_run_it(self, cyclic_dag):
         with pytest.raises(LegalityError, match="IRV006"):
-            run_dynamic(
-                cyclic_dag, lambda t: None, lambda t: None, lambda t: None,
-                num_threads=2,
-            )
+            counter_schedule(cyclic_dag, None, cyclic_dag.num_tiles)
 
     def test_static_levels_refuses_it(self, cyclic_dag):
         bare = dataclasses.replace(cyclic_dag, wave=None)
@@ -301,11 +314,22 @@ class TestDagHelpers:
         assert np.array_equal(dag.wave, [0, 1, 0, 1])
 
     def test_empty_dag_runs(self):
-        dag = tile_dag_from_waves([], 0)
-        run_dynamic(
-            dag, lambda t: None, lambda t: None, lambda t: None,
-            num_threads=4,
-        )
+        dag, groups = counter_schedule(None, None, 0)
+        assert dag.num_tiles == 0 and len(groups) == 0
+        assert _record_run(dag, 4) == []
+
+    def test_wave_grouping_splits_the_order_at_level_changes(self):
+        rng = np.random.default_rng(5)
+        dag = _random_dag(rng)
+        _, groups = counter_schedule(dag, None, dag.num_tiles)
+        assert np.array_equal(groups.flat, dag.order)
+        assert [len(set(dag.wave[g])) for g in groups] == [1] * len(groups)
+        assert len(groups) == dag.stats()["num_waves"]
+        # Computed once per TileDAG, like the gate's verdict.
+        assert counter_schedule(dag, None, dag.num_tiles)[1] is groups
+        # A hand-built DAG without levels gets the same grouping.
+        bare = dataclasses.replace(dag, wave=None)
+        assert counter_schedule(bare, None, dag.num_tiles)[1] == groups
 
     def test_scheduler_report_shape(self):
         report = sched.scheduler_report()

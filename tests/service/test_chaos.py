@@ -30,12 +30,9 @@ def fleet_config(tmp_path, **overrides):
 
 
 def await_respawns(fleet, timeout_s=5.0):
-    """Wait until every crashed worker is back, so the next bind meets a
-    full fleet.  A warm forked worker serves a retry faster than one
-    supervisor poll; a bind routed to the still-dead shard counts a
-    crash the schedule did not inject and shifts every later request
-    onto other dispatch numbers — whether that happens depends on how
-    fast the retry was, not on the seed."""
+    """Wait until every crashed worker is back — for asserting on the
+    restart counters, never before a bind: a bind that meets a shard
+    whose worker is dead but not yet respawned routes past it."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         counters = fleet.stats()["counters"]
@@ -132,15 +129,51 @@ class TestKillRecovery:
         assert plan.schedule("kill", 0, 4) == [0]
         config = fleet_config(tmp_path, chaos=plan)
         with FleetService(config) as fleet:
-            responses = [fleet.bind(make_request())]
-            # "Run clean" needs the killed shard respawned first.
+            responses = [fleet.bind(make_request()) for _ in range(3)]
             await_respawns(fleet)
-            responses += [fleet.bind(make_request()) for _ in range(2)]
             counters = fleet.stats()["counters"]
         assert [r.status for r in responses] == ["ok"] * 3
         assert all(r.fingerprints == expected for r in responses)
         assert counters["worker_crashes"] == 1
         assert counters["worker_restarts"] >= 1
+
+    def test_bind_inside_the_respawn_window_routes_past_the_dead_shard(
+        self, tmp_path
+    ):
+        """A shard whose worker died and is not respawned yet (the
+        supervisor polls; here it is made to poll late) never receives
+        the dispatch: no attempt burnt, no crash counted, no retry, no
+        backoff — the next shard serves, bit-identically."""
+        import json
+
+        from repro.service.telemetry import Telemetry
+
+        spans = []
+        config = fleet_config(tmp_path, supervisor_poll_s=30.0)
+        telemetry = Telemetry(sink=spans.append)
+        with FleetService(config, telemetry) as fleet:
+            first = fleet.bind(make_request())
+
+            def responded():
+                return [
+                    span for span in map(json.loads, spans)
+                    if span["stage"] == "respond"
+                ]
+
+            home = responded()[-1]["shard"]
+            handle = fleet.supervisor.handles[home]
+            handle.kill()
+            handle.process.join(timeout=5.0)
+            assert not handle.alive
+            second = fleet.bind(make_request())
+            counters = fleet.stats()["counters"]
+            served = responded()[-1]
+        assert (first.status, second.status) == ("ok", "ok")
+        assert second.fingerprints == first.fingerprints == direct_digests()
+        assert served["attempts"] == 1 and served["shard"] != home
+        assert not served["fallback"]
+        assert counters.get("worker_crashes", 0) == 0
+        assert counters.get("retries", 0) == 0
 
     def test_two_campaign_runs_inject_identically(self, tmp_path):
         plan = ChaosPlan(seed=13, kill_rate=0.4, kill_delay_s=0.0)
@@ -152,7 +185,6 @@ class TestKillRecovery:
                 statuses = []
                 for _ in range(3):
                     statuses.append(fleet.bind(make_request()).status)
-                    await_respawns(fleet)
                 counters = fleet.stats()["counters"]
             return statuses, counters.get("worker_crashes", 0)
 

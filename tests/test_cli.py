@@ -223,7 +223,7 @@ class TestLintIR:
         assert set(payload["irverify"]) == {"untiled", "tiled"}
         for shape in payload["irverify"].values():
             assert shape["proven"] is True
-            assert shape["version"] == "irverify-2"
+            assert shape["version"] == "irverify-3"
         assert "IRV001" in payload["rules_run"]
 
     def test_lint_reads_spec_from_stdin(self, capsys, monkeypatch):
