@@ -393,6 +393,20 @@ def _engine_health_lines():
     return lines, payload
 
 
+def _artifact_kinds_text(by_suffix) -> str:
+    """Compiled executors by artifact kind — the last suffix component:
+    a ``dyn.so`` an older version left behind is never loaded, and is an
+    ordinary ``so`` entry here and to ``cache gc``."""
+    kinds = dict.fromkeys(("py", "c", "so", "proof"), (0, 0))
+    for suffix, slot in by_suffix.items():
+        kind = suffix.rpartition(".")[2]
+        files, size = kinds.get(kind, (0, 0))
+        kinds[kind] = (files + slot["files"], size + slot["bytes"])
+    return "  ".join(
+        f"{kind} {files} ({size} B)" for kind, (files, size) in kinds.items()
+    )
+
+
 def _executor_backend_lines():
     """Executor-backend selection + toolchain probe + IR-verifier status
     (for ``doctor``)."""
@@ -401,14 +415,7 @@ def _executor_backend_lines():
 
     report = executor_backend_report()
     tool = report["toolchain"]
-    usage = report["artifacts"].get("by_suffix", {})
-    usage_text = (
-        "  ".join(
-            f"{suffix}: {slot['files']} ({slot['bytes']} B)"
-            for suffix, slot in sorted(usage.items())
-        )
-        or "empty"
-    )
+    usage_text = _artifact_kinds_text(report["artifacts"]["by_suffix"])
     sched = report["scheduler"]
     lines = [
         f"executor backend: {report['backend']} ({report['source']})",
@@ -601,27 +608,14 @@ def _cmd_cache(args) -> int:
     if args.cache_command == "stats":
         from repro.plancache.artifacts import ArtifactStore
 
+        # One walk of the plan directory (``describe`` does none).
         lines, _health = _cache_health_lines(args.cache_dir)
-        for line in lines:
-            print(line)
-        cache = PlanCache(directory=args.cache_dir)
-        print(cache.describe())
-        # Compiled executors by artifact kind (the last suffix component:
-        # a ``dyn.so`` an older version left behind is never loaded, and
-        # is an ordinary ``so`` entry here and to ``cache gc``).
+        lines.append(PlanCache(directory=args.cache_dir).describe())
         usage = ArtifactStore(args.cache_dir).health()["by_suffix"]
-        kinds = dict.fromkeys(("py", "c", "so", "proof"), (0, 0))
-        for suffix, slot in usage.items():
-            kind = suffix.rpartition(".")[2]
-            files, size = kinds.get(kind, (0, 0))
-            kinds[kind] = (files + slot["files"], size + slot["bytes"])
-        print(
-            "executor artifacts by kind: "
-            + "  ".join(
-                f"{kind} {files} ({size} B)"
-                for kind, (files, size) in kinds.items()
-            )
+        lines.append(
+            "executor artifacts by kind: " + _artifact_kinds_text(usage)
         )
+        print("\n".join(lines))
         return 0
 
     if args.cache_command == "clear":
@@ -632,21 +626,25 @@ def _cmd_cache(args) -> int:
 
     if args.cache_command == "gc":
         from repro.plancache.artifacts import ArtifactStore
+        from repro.plancache.filestore import evict, eviction_summary
         from repro.plancache.store import DiskStore
 
-        # Plan artifacts first, chain-aware: epoch chains (delta-bind
-        # lineages) leave the store only as a whole, so gc never strands
-        # a child epoch without its parent.
-        plan_result = DiskStore(args.cache_dir).gc(args.max_bytes)
+        # One budget for the directory: epoch chains (delta-bind
+        # lineages) and builds, interleaved by newest-member mtime,
+        # leave oldest first and only as a whole — gc never strands a
+        # child epoch without its parent or a ``.so`` without its proof.
+        chains = DiskStore(args.cache_dir).chain_groups()["groups"]
+        builds = list(ArtifactStore(args.cache_dir).file_groups().values())
+        evict(chains + builds, args.max_bytes)
+        plans = eviction_summary(chains, args.max_bytes)
         print(
-            f"plan gc: removed {plan_result['removed_files']} artifact(s) / "
-            f"{plan_result['removed_bytes']} bytes in "
-            f"{plan_result['removed_chains']} chain(s); "
-            f"{plan_result['remaining_entries']} plan(s) / "
-            f"{plan_result['remaining_bytes']} bytes remain"
+            f"plan gc: removed {plans['removed_files']} artifact(s) / "
+            f"{plans['removed_bytes']} bytes in "
+            f"{plans['removed_chains']} chain(s); "
+            f"{plans['remaining_entries']} plan(s) / "
+            f"{plans['remaining_bytes']} bytes remain"
         )
-        store = ArtifactStore(args.cache_dir)
-        result = store.gc(args.max_bytes)
+        result = eviction_summary(builds, args.max_bytes)
         print(
             f"artifact gc: removed {result['removed_files']} file(s) / "
             f"{result['removed_bytes']} bytes; "
@@ -1362,14 +1360,14 @@ def main(argv=None) -> int:
         cp.set_defaults(func=_cmd_cache)
     cp = cache_sub.add_parser(
         "gc",
-        help="evict least-recently-used compiled/proof artifacts down to "
-        "a disk budget",
+        help="evict least-recently-used plans and compiled/proof artifacts "
+        "down to one disk budget",
     )
     cp.add_argument(
         "--max-bytes",
         type=int,
         required=True,
-        help="disk budget for the artifact store (0 = evict everything)",
+        help="disk budget for the cache directory (0 = evict everything)",
     )
     cp.add_argument("--cache-dir", default=None)
     cp.set_defaults(func=_cmd_cache)

@@ -8,8 +8,8 @@ stages against the canonical mutated dataset with each stage's
 incremental patch (:mod:`repro.incremental.rules`) in place of the cold
 inspector, then proves the result before anyone may run it:
 
-1. a patched tile schedule's counter DAG is repaired from the parent
-   epoch's DAG and re-verified by the scheduler verifier (IRV006) via
+1. a patched tile schedule's counter DAG is rebuilt (when the parent
+   epoch had one) and re-verified by the scheduler verifier (IRV006) via
    :func:`~repro.lowering.schedule.ensure_runnable`;
 2. the whole bind is re-verified against the runtime numeric verifier —
    **mandatory**, not only-when-degraded as on the cold path;
@@ -78,75 +78,22 @@ class DeltaContext:
 
 
 def repair_tile_dag(parent_dag, tiling, data, counter: Optional[dict] = None):
-    """Repair (or rebuild) the counter DAG for a patched tiling.
+    """The counter DAG of a (patched) tiling: a fresh
+    :func:`~repro.lowering.schedule.tile_dag` over the tiling's edges.
 
-    With a parent DAG over the same tile count, the dependence counters
-    are *patched*: ``indegree' = indegree - removed-edge sinks +
-    added-edge sinks`` (two bincounts over the edge diff), the successor
-    CSR is rebuilt from the new edge set, and the wavefront levels are
-    recomputed.  Without one (first epoch, or the tile count changed) it
-    builds fresh.  Either way the result is bit-identical to
-    :func:`~repro.lowering.schedule.tile_dag_from_tiling` on the same
-    tiling — callers MUST still pass it through
-    :func:`~repro.lowering.schedule.ensure_runnable`, whose IRV006 check
-    independently recomputes every counter and rejects a bad patch
-    before any dynamic pool runs.
+    ``parent_dag`` is accepted and unused: counters patched from the
+    parent's are by contract bit-identical to fresh ones, and deriving
+    them needs the fresh edge set anyway.  Callers MUST still pass the
+    result through :func:`~repro.lowering.schedule.ensure_runnable`,
+    whose IRV006 check independently recomputes every counter before any
+    dynamic pool runs.
     """
-    from repro.lowering.schedule import _build_dag, tile_dag
+    from repro.lowering.schedule import tile_dag
     from repro.runtime.inspector import dependence_edges
-    from repro.transforms.parallel import (
-        CyclicDependenceError,
-        tile_graph_edges,
-        wavefront_schedule,
-    )
+    from repro.transforms.parallel import tile_graph_edges
 
-    num_tiles = int(tiling.num_tiles)
     src, dst = tile_graph_edges(tiling, dependence_edges(data), counter)
-    if (
-        parent_dag is None
-        or int(getattr(parent_dag, "num_tiles", -1)) != num_tiles
-    ):
-        return tile_dag(num_tiles, src, dst)
-
-    # Parent edge keys from the CSR (indices within a row are the dst ids).
-    counts = np.diff(parent_dag.succ_indptr)
-    parent_src = np.repeat(np.arange(num_tiles, dtype=np.int64), counts)
-    # Both key sets are sorted and duplicate-free (the CSR stores each
-    # edge once with sorted rows; ``tile_graph_edges`` returns distinct
-    # sorted pairs), so the set difference can skip np.unique's slow
-    # re-canonicalization.
-    keys = src * num_tiles + dst
-    parent_keys = parent_src * num_tiles + parent_dag.succ_indices
-    removed = np.setdiff1d(parent_keys, keys, assume_unique=True)
-    added = np.setdiff1d(keys, parent_keys, assume_unique=True)
-    indegree = (
-        parent_dag.indegree.astype(np.int64)
-        - np.bincount(removed % num_tiles, minlength=num_tiles)
-        + np.bincount(added % num_tiles, minlength=num_tiles)
-    )
-    if counter is not None:
-        counter["touches"] = counter.get("touches", 0) + 2 * (
-            len(removed) + len(added)
-        )
-    try:
-        waves = wavefront_schedule(num_tiles, src, dst)
-    except CyclicDependenceError:
-        waves = None
-    dag = _build_dag(
-        num_tiles,
-        src,
-        dst,
-        (
-            waves.groups().flat
-            if waves is not None
-            else np.arange(num_tiles, dtype=np.int64)
-        ),
-        waves.wave.astype(np.int64) if waves is not None else None,
-    )
-    # Splice the patched counters in: IRV006 (ensure_runnable) is what
-    # re-proves them against the CSR, so a bad patch is caught there.
-    object.__setattr__(dag, "indegree", indegree)
-    return dag
+    return tile_dag(int(tiling.num_tiles), src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +205,7 @@ def _patched_replay(
     if state.tiling is not None:
         if parent_aux.tile_dag is not None:
             # The parent epoch ran (or prepared) a dynamic pool, so the
-            # child must hand one back too: repair the counters and
+            # child must hand one back too: rebuild the counters and
             # re-prove them (IRV006) before any pool may consume them.
             # A parent without a DAG skips this entirely — the dynamic
             # tier builds one on demand, exactly as after a cold bind.

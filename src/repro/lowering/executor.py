@@ -126,8 +126,8 @@ class CompiledExecutor:
       num_steps=1, dag=None, num_threads=None)`` — ``dag`` is the
       dynamic scheduler's counter DAG; ``num_threads`` (argument >
       ``REPRO_EXECUTOR_THREADS`` > visible cores) bounds the workers of
-      the Python wave driver and of the C counter pool (the C wave
-      loop is serial).  ``schedule`` and ``wave_groups`` are what
+      the C counter pool (the C wave loop and the Python wave driver
+      are serial).  ``schedule`` and ``wave_groups`` are what
       ``TilingFunction.schedule()`` and ``WavefrontSchedule.groups()``
       return (marshalled once) or plain lists (marshalled and checked
       on every call).
@@ -467,7 +467,7 @@ def _verify_with_proof_cache(state: RewriteState, store, tiled: bool):
         return bool(json.loads(path.read_text())["proven"]), str(path), True
     except (OSError, ValueError, KeyError):  # corrupted proof: re-verify
         report = verify_state(state)
-        path.write_text(report.to_json())
+        store.put_text(key, "proof", report.to_json())
         return report.proven, str(path), False
 
 
@@ -557,8 +557,8 @@ def compile_executor(
     verified = None
     proof_path = None
     proof_cached = False
+    store = ArtifactStore(cache_dir)
     if verify and resolved != "library":
-        store = ArtifactStore(cache_dir)
         verified, proof_path, proof_cached = _verify_with_proof_cache(
             state, store, tiled
         )
@@ -592,7 +592,6 @@ def compile_executor(
         if sanitized:
             version += "+" + emitter.SANITIZE_TAG
         key = artifact_key(program, config, version)
-        store = ArtifactStore(cache_dir)
         path, from_cache = store.get_or_build_text(
             key, suffix, lambda: emit(program, sanitize=sanitized)
         )

@@ -50,15 +50,15 @@ reduction fold identical float-by-float.  The commit buffers hold the
 would regroup the reduction and change the rounding.
 
 Knobs: ``REPRO_EXECUTOR_SCHEDULER`` (``wave`` | ``dynamic``) and
-``REPRO_EXECUTOR_THREADS`` (worker count of either driver; ``1`` is a
-plain serial loop with zero scheduling overhead), both resolved through
+``REPRO_EXECUTOR_THREADS`` (worker count of the C counter pool; ``1`` is
+a plain serial loop with zero scheduling overhead — and the only thing
+the Python wave driver ever is), both resolved through
 :mod:`repro.backends`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -289,31 +289,19 @@ def static_levels(dag: TileDAG) -> np.ndarray:
     """
     if dag.wave is not None:
         return np.asarray(dag.wave, dtype=np.int64)
-    indegree = dag.indegree.astype(np.int64).copy()
-    level = np.zeros(dag.num_tiles, dtype=np.int64)
-    frontier = np.flatnonzero(indegree == 0)
-    done = 0
-    depth = 0
-    while len(frontier):
-        level[frontier] = depth
-        done += len(frontier)
-        released: List[np.ndarray] = []
-        for tile in frontier:
-            succ = dag.successors(int(tile))
-            indegree[succ] -= 1
-            released.append(succ[indegree[succ] == 0])
-        frontier = (
-            np.concatenate(released)
-            if released
-            else np.empty(0, dtype=np.int64)
-        )
-        depth += 1
-    if done != dag.num_tiles:
-        raise LegalityError(
-            f"counter DAG is cyclic: only {done} of {dag.num_tiles} tiles "
-            "reachable from the roots"
-        )
-    return level
+    from repro.transforms.parallel import (
+        CyclicDependenceError,
+        wavefront_schedule,
+    )
+
+    src = np.repeat(
+        np.arange(dag.num_tiles, dtype=np.int64), np.diff(dag.succ_indptr)
+    )
+    try:
+        waves = wavefront_schedule(dag.num_tiles, src, dag.succ_indices)
+    except CyclicDependenceError as exc:
+        raise LegalityError(f"counter DAG is cyclic: {exc}") from None
+    return waves.wave.astype(np.int64)
 
 
 def counter_schedule(
@@ -396,38 +384,27 @@ def run_wave_phases(
     as a stage across the whole wave: node phases update disjoint
     iteration subsets; interaction phases compute the pure gathers of
     all the wave's tiles first, then apply the reduction commits **in
-    the wave's tile order**, serially.  With more than one worker the
-    node updates and the gathers are mapped over a thread pool; the
-    commit order is fixed by the schedule — never by thread timing — so
-    every worker count produces bit-identical arrays.
+    the wave's tile order**.  One thread, under every setting:
+    ``num_threads`` is accepted for parity with the C entry point, whose
+    counter pool it bounds, and changes nothing here (NumPy calls this
+    small do not overlap under the GIL; see ROADMAP for the numbers).
     ``wave_groups=None`` is every tile its own wave: serial tile order.
     """
     if wave_groups is None:
         wave_groups = [[t] for t in range(len(schedule))]
-    threads = resolve_num_threads(num_threads)
-    # Singleton waves (serial tile order) have nothing to overlap.
-    pooled = threads > 1 and any(len(group) > 1 for group in wave_groups)
-    pool = ThreadPoolExecutor(max_workers=threads) if pooled else None
-    run_all = map if pool is None else pool.map
-    try:
-        for _step in range(num_steps):
-            for group in wave_groups:
-                tiles = [schedule[int(t)] for t in group]
-                for pos, phase in enumerate(phases):
-                    work = [t[pos] for t in tiles if len(t[pos])]
-                    if phase.domain == "nodes":
-                        # list(): drain the map, surfacing worker errors.
-                        list(run_all(lambda it: phase.apply(arrays, it), work))
-                        continue
-                    ends = [(left[it], right[it]) for it in work]
-                    payloads = list(
-                        run_all(lambda lr: phase.gather(arrays, *lr), ends)
-                    )
-                    for (l, r), payload in zip(ends, payloads):
-                        phase.commit(arrays, l, r, payload)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for _step in range(num_steps):
+        for group in wave_groups:
+            tiles = [schedule[int(t)] for t in group]
+            for pos, phase in enumerate(phases):
+                work = [t[pos] for t in tiles if len(t[pos])]
+                if phase.domain == "nodes":
+                    for it in work:
+                        phase.apply(arrays, it)
+                    continue
+                ends = [(left[it], right[it]) for it in work]
+                payloads = [phase.gather(arrays, l, r) for l, r in ends]
+                for (l, r), payload in zip(ends, payloads):
+                    phase.commit(arrays, l, r, payload)
 
 
 def scheduler_report() -> dict:

@@ -9,56 +9,39 @@ warm bind loads a cached ``.so``/``.py`` byte-for-byte instead of
 recompiling, and any change to the IR, the pass pipeline, an emitter, or
 the system compiler silently addresses a fresh slot.
 
-Writes are crash-safe the same way the plan store's are: build into a
-``.tmp-`` sibling, ``os.replace`` into place (atomic on POSIX), so a
-concurrent reader sees either nothing or a complete artifact, and two
-racing builders of the same key both succeed (last rename wins with
-identical content).
+Paths, the crash-safe commit, scans and eviction are
+:class:`~repro.plancache.filestore.FileStore`'s, shared with the plan
+store: two racing builders of one key both succeed, with identical
+content.
 """
 
 from __future__ import annotations
 
 import os
-import uuid
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from repro.errors import CacheError
+from repro.plancache.filestore import FileStore, evict, eviction_summary
 from repro.plancache.store import resolve_cache_dir
 
 #: Subdirectory of the plan-cache root holding compiled artifacts.
 ARTIFACT_SUBDIR = "artifacts"
 
 
-class ArtifactStore:
+class ArtifactStore(FileStore):
     """Filesystem store mapping ``(key, suffix)`` to one artifact file."""
 
     def __init__(self, directory: Optional[os.PathLike] = None):
-        self.root = resolve_cache_dir(directory) / ARTIFACT_SUBDIR
-
-    def path(self, key: str, suffix: str) -> Path:
-        """Where ``(key, suffix)`` lives (two-level fan-out like git)."""
-        return self.root / key[:2] / f"{key}.{suffix}"
+        super().__init__(resolve_cache_dir(directory) / ARTIFACT_SUBDIR)
 
     def get(self, key: str, suffix: str) -> Optional[Path]:
         path = self.path(key, suffix)
         return path if path.exists() else None
 
-    def _commit(self, tmp: Path, final: Path) -> Path:
-        final.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(tmp, final)
-        return final
-
     def put_text(self, key: str, suffix: str, text: str) -> Path:
-        final = self.path(key, suffix)
-        final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.parent / f".tmp-{uuid.uuid4().hex}"
-        try:
-            tmp.write_text(text)
-            return self._commit(tmp, final)
-        finally:
-            if tmp.exists():  # commit failed
-                tmp.unlink()
+        return self.commit(
+            self.path(key, suffix), lambda tmp: tmp.write_text(text)
+        )
 
     def get_or_build_text(
         self, key: str, suffix: str, build: Callable[[], str]
@@ -74,68 +57,18 @@ class ArtifactStore:
     ) -> Tuple[Path, bool]:
         """Return ``(path, hit)``; on miss, ``build(tmp_path)`` must write
         the artifact to ``tmp_path``, which is then committed atomically."""
-        final = self.path(key, suffix)
-        if final.exists():
-            return final, True
-        final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.parent / f".tmp-{uuid.uuid4().hex}"
-        try:
+        existing = self.get(key, suffix)
+        if existing is not None:
+            return existing, True
+
+        def write(tmp: Path) -> None:
             build(tmp)
             if not tmp.exists():
                 raise RuntimeError(
                     f"artifact builder produced no file for {key}.{suffix}"
                 )
-            return self._commit(tmp, final), False
-        finally:
-            if tmp.exists():
-                tmp.unlink()
 
-    def keys(self) -> List[str]:
-        if not self.root.exists():
-            return []
-        return sorted(
-            p.name.split(".", 1)[0]
-            for shard in self.root.iterdir()
-            if shard.is_dir()
-            for p in shard.iterdir()
-            if not p.name.startswith(".tmp-")
-        )
-
-    def total_bytes(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(
-            p.stat().st_size
-            for shard in self.root.iterdir()
-            if shard.is_dir()
-            for p in shard.iterdir()
-            if p.is_file()
-        )
-
-    def clear(self) -> int:
-        """Delete every artifact; returns how many files were removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for p in sorted(shard.iterdir()):
-                p.unlink()
-                removed += 1
-            shard.rmdir()
-        return removed
-
-    def _files(self) -> List[Path]:
-        if not self.root.exists():
-            return []
-        return [
-            p
-            for shard in self.root.iterdir()
-            if shard.is_dir()
-            for p in shard.iterdir()
-            if p.is_file() and not p.name.startswith(".tmp-")
-        ]
+        return self.commit(self.path(key, suffix), write), False
 
     def gc(self, max_bytes: int) -> dict:
         """Evict least-recently-used artifacts until the store fits a
@@ -150,62 +83,25 @@ class ArtifactStore:
 
         Returns a summary dict (files/bytes removed, bytes remaining).
         """
-        if max_bytes < 0:
-            raise CacheError(
-                f"gc budget must be >= 0, got {max_bytes}",
-                hint="pass --max-bytes 0 to clear the store entirely",
-            )
-        files = self._files()
-        groups: dict = {}
-        for p in files:
-            key = p.name.split(".", 1)[0]
-            stat = p.stat()
-            entry = groups.setdefault(key, {"files": [], "bytes": 0, "mtime": 0.0})
-            entry["files"].append(p)
-            entry["bytes"] += stat.st_size
-            entry["mtime"] = max(entry["mtime"], stat.st_mtime)
-        total = sum(g["bytes"] for g in groups.values())
-        removed_files = 0
-        removed_bytes = 0
-        # Oldest key group first (ties broken by key for determinism).
-        for key, group in sorted(
-            groups.items(), key=lambda kv: (kv[1]["mtime"], kv[0])
-        ):
-            if total <= max_bytes:
-                break
-            for p in group["files"]:
-                try:
-                    p.unlink()
-                    removed_files += 1
-                except OSError:  # pragma: no cover - concurrent eviction
-                    continue
-            total -= group["bytes"]
-            removed_bytes += group["bytes"]
-        # Drop emptied shard directories.
-        if self.root.exists():
-            for shard in self.root.iterdir():
-                if shard.is_dir() and not any(shard.iterdir()):
-                    shard.rmdir()
-        return {
-            "budget_bytes": max_bytes,
-            "removed_files": removed_files,
-            "removed_bytes": removed_bytes,
-            "remaining_bytes": total,
-            "remaining_keys": len(set(self.keys())),
-        }
+        groups = list(self.file_groups().values())
+        evict(groups, max_bytes)
+        return eviction_summary(groups, max_bytes)
 
     def health(self) -> dict:
-        files = self._files()
         by_suffix: dict = {}
-        for p in files:
-            suffix = p.name.split(".", 1)[1] if "." in p.name else "?"
-            slot = by_suffix.setdefault(suffix, {"files": 0, "bytes": 0})
+        keys = set()
+        for path, stat in self.scan():
+            key, _, suffix = path.name.partition(".")
+            keys.add(key)
+            slot = by_suffix.setdefault(
+                suffix or "?", {"files": 0, "bytes": 0}
+            )
             slot["files"] += 1
-            slot["bytes"] += p.stat().st_size
+            slot["bytes"] += stat.st_size
         return {
             "directory": str(self.root),
-            "artifacts": len({p.name.split(".", 1)[0] for p in files}),
-            "total_bytes": sum(p.stat().st_size for p in files),
+            "artifacts": len(keys),
+            "total_bytes": sum(slot["bytes"] for slot in by_suffix.values()),
             "by_suffix": by_suffix,
         }
 

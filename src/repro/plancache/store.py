@@ -5,39 +5,18 @@
   exceed the budget (inspector results are mostly ``int64`` arrays, so
   bytes — not entry counts — are the right unit).
 * :class:`DiskStore` — a persistent tier of ``.npz`` artifacts under a
-  configurable cache directory, one file per key, written via
-  atomic-rename so a crashed writer can never leave a half-written entry
-  under a live key.  Unreadable or mismatched artifacts are a *safe
-  miss*: they are counted, **quarantined** (moved to a ``quarantine/``
-  sibling with a reason file, so injected or real corruption stays
-  observable and diagnosable), and the inspectors simply re-run.
+  configurable cache directory, one file per key: the plan codec over
+  :mod:`repro.plancache.filestore` (paths, atomic commit, scans,
+  eviction, and the concurrency contract of the shared directory).
+  Unreadable or mismatched artifacts are a *safe miss*: they are
+  counted, **quarantined** (moved to a ``quarantine/`` sibling with a
+  reason file, so injected or real corruption stays observable and
+  diagnosable), and the inspectors simply re-run.
 * :class:`PlanCache` — the facade composing both tiers (disk optional),
   promoting disk hits into memory, and carrying the
-  :class:`~repro.plancache.stats.CacheStats` counters.
-
-Concurrency contract
---------------------
-
-The disk tier is shared state: the bind service's worker threads — and
-any number of *processes* (parallel grid workers, a second service) —
-may hammer one cache directory at once.  Every path is therefore written
-to tolerate racing peers, with no cross-process lock:
-
-* writes stay atomic (``mkstemp`` + ``os.replace``): concurrent writers
-  of the same key each publish a complete artifact and the last rename
-  wins; readers only ever observe a complete file;
-* a file that *vanishes* between the existence check and ``np.load``
-  (a peer's eviction, ``clear()``, or corrupt-entry quarantine) is a
-  plain miss — it is **not** counted corrupt and not re-quarantined;
-* the optional disk byte budget (``max_bytes``) is enforced *after* the
-  atomic rename, never from a pre-write size check (that ordering is the
-  classic TOCTOU: a stale size check would let N racing writers each
-  conclude there is room).  Eviction is oldest-first, never touches the
-  key just written, and treats every ``stat``/``unlink`` of a vanished
-  file as a peer having won the race;
-* :class:`PlanCache` additionally serializes its in-process tier behind
-  an ``RLock`` so service threads can share one facade.
-
+  :class:`~repro.plancache.stats.CacheStats` counters; it serializes its
+  in-process tier behind an ``RLock`` so service threads can share one
+  facade.
 
 Artifacts are self-describing: every ``.npz`` carries a ``__meta__``
 JSON member recording the format version and its own key, which the
@@ -48,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -58,6 +36,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import CacheError
+from repro.plancache.filestore import (
+    QUARANTINE_DIR,
+    FileStore,
+    evict,
+    eviction_summary,
+    move,
+    remove,
+)
 from repro.plancache.stats import CacheStats
 
 #: Bump when the artifact layout changes; old artifacts become safe misses.
@@ -71,9 +57,6 @@ CACHE_DIR_ENV = "REPRO_PLANCACHE_DIR"
 
 #: Environment override for the disk tier's byte budget (0 = unlimited).
 MAX_BYTES_ENV = "REPRO_PLANCACHE_MAX_BYTES"
-
-#: Sibling directory (under the cache dir) where corrupt artifacts land.
-QUARANTINE_DIR = "quarantine"
 
 #: In-process epoch-aux slots kept per :class:`PlanCache` (small: each
 #: aux holds two int64 arrays over rows/occurrences plus a tile DAG).
@@ -173,7 +156,11 @@ class MemoryLRU:
         return count
 
 
-class DiskStore:
+def _meta(npz) -> dict:
+    return json.loads(bytes(npz["__meta__"]).decode("utf-8"))
+
+
+class DiskStore(FileStore):
     """Persistent tier: one atomic-rename ``.npz`` artifact per key."""
 
     def __init__(
@@ -182,29 +169,20 @@ class DiskStore:
         stats: Optional[CacheStats] = None,
         max_bytes=None,
     ):
-        self.directory = resolve_cache_dir(directory)
+        super().__init__(resolve_cache_dir(directory), suffix=".npz")
+        self.directory = self.root
+        self.quarantine_dir = self.root / QUARANTINE_DIR
         self.stats = stats if stats is not None else CacheStats()
         self.max_bytes = resolve_max_bytes(max_bytes)
 
     def _path(self, key: str) -> Path:
-        # Two-level fan-out keeps directories small under heavy use.
-        return self.directory / key[:2] / f"{key}.npz"
-
-    def _artifacts(self):
-        """Live artifacts under the fan-out dirs (quarantine excluded)."""
-        for path in self.directory.glob("*/*.npz"):
-            if path.parent.name != QUARANTINE_DIR:
-                yield path
-
-    # -- read ------------------------------------------------------------------
+        return self.path(key, "npz")
 
     def get(self, key: str) -> Optional[CacheEntry]:
         path = self._path(key)
-        if not path.exists():
-            return None
         try:
             with np.load(path, allow_pickle=False) as npz:
-                meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
+                meta = _meta(npz)
                 if (
                     meta.get("format") != FORMAT_VERSION
                     or meta.get("key") != key
@@ -214,8 +192,8 @@ class DiskStore:
                     name: npz[name] for name in npz.files if name != "__meta__"
                 }
         except FileNotFoundError:
-            # Vanished between exists() and load(): a concurrent peer
-            # evicted or cleared it.  A plain miss, not corruption.
+            # Never stored — or a concurrent peer evicted or cleared it
+            # under us.  A plain miss either way, not corruption.
             return None
         except Exception as exc:
             # Truncated, tampered, wrong-format, or foreign file: a safe
@@ -225,12 +203,6 @@ class DiskStore:
             self._quarantine(path, key, exc)
             return None
         return CacheEntry(meta=meta, arrays=arrays)
-
-    # -- quarantine ------------------------------------------------------------
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.directory / QUARANTINE_DIR
 
     def _quarantine(self, path: Path, key: str, reason: BaseException) -> None:
         """Move a corrupt artifact into ``quarantine/`` with a reason file.
@@ -243,20 +215,15 @@ class DiskStore:
         """
         target = self.quarantine_dir / path.name
         try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
+            move(path, target)
         except FileNotFoundError:
-            return  # a racing peer quarantined/evicted it first
+            return
         except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            remove([path])
             return
         self.stats.corrupt_quarantined += 1
-        reason_path = target.with_suffix(".reason.txt")
         try:
-            reason_path.write_text(
+            target.with_suffix(".reason.txt").write_text(
                 f"key: {key}\n"
                 f"error: {type(reason).__name__}: {reason}\n",
                 encoding="utf-8",
@@ -266,41 +233,18 @@ class DiskStore:
 
     def quarantined(self) -> List[str]:
         """Keys currently sitting in quarantine (sorted)."""
-        if not self.quarantine_dir.exists():
-            return []
-        return sorted(p.stem for p in self.quarantine_dir.glob("*.npz"))
-
-    # -- write -----------------------------------------------------------------
+        return sorted(p.stem for p, _ in self.scan(quarantined=True))
 
     def put(self, key: str, entry: CacheEntry) -> Path:
-        path = self._path(key)
+        meta = dict(entry.meta, format=FORMAT_VERSION, key=key)
+        blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+        def write(tmp: Path) -> None:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, __meta__=blob, **entry.arrays)
+
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            meta = dict(entry.meta)
-            meta["format"] = FORMAT_VERSION
-            meta["key"] = key
-            blob = np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            )
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, __meta__=blob, **entry.arrays)
-                try:
-                    os.replace(tmp_name, path)
-                except FileNotFoundError:
-                    # A racing clear() removed the fan-out directory
-                    # between mkdir and rename; re-create and retry once.
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            path = self.commit(self._path(key), write)
         except OSError as exc:
             raise CacheError(
                 f"cannot write cache artifact under {self.directory}: {exc}",
@@ -309,169 +253,66 @@ class DiskStore:
                 "writable directory, or disable the disk tier",
             ) from exc
         # Budget enforcement runs *after* the atomic rename (a pre-write
-        # size check would be a TOCTOU against racing writers) and never
-        # evicts the artifact just published.
+        # size check would be a TOCTOU against racing writers), artifact
+        # by artifact, and never evicts the one just published.
         if self.max_bytes is not None:
-            self._evict_to_budget(keep=path)
+            self.stats.evictions += evict(
+                self.file_groups().values(), self.max_bytes, keep=path
+            )
         return path
 
-    def _evict_to_budget(self, keep: Optional[Path] = None) -> int:
-        """Best-effort oldest-first eviction down to ``max_bytes``.
-
-        Every ``stat``/``unlink`` tolerates a vanished file (a racing
-        peer evicted it first); sizes are re-measured at eviction time,
-        not carried over from a stale scan.  Returns artifacts removed.
-        """
-        if self.max_bytes is None:
-            return 0
-        entries = []
-        total = 0
-        for path in self._artifacts():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # lost the race to a peer: already gone
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        removed = 0
-        for _, size, path in sorted(entries, key=lambda e: (e[0], str(e[2]))):
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                pass  # a peer removed it; its bytes are gone either way
-            else:
-                removed += 1
-                self.stats.evictions += 1
-            total -= size
-        return removed
-
-    # -- maintenance -----------------------------------------------------------
-
-    def keys(self) -> List[str]:
-        if not self.directory.exists():
-            return []
-        return sorted(p.stem for p in self._artifacts())
-
-    def total_bytes(self) -> int:
-        if not self.directory.exists():
-            return 0
-        total = 0
-        for p in self._artifacts():
-            try:
-                total += p.stat().st_size
-            except OSError:
-                pass  # vanished mid-scan (racing eviction/clear)
-        return total
-
-    def clear(self) -> int:
-        count = 0
-        if self.directory.exists():
-            for path in self._artifacts():
-                try:
-                    path.unlink()
-                    count += 1
-                except OSError:
-                    pass
-        return count
-
     def health(self) -> dict:
-        """Cache-dir health for ``doctor``/``cache stats``.
-
-        Checks existence, writability (by touching a probe file), entry
-        count and size, and counts artifacts that fail to load.
-        """
-        exists = self.directory.exists()
-        writable = False
-        if exists:
-            try:
-                fd, probe = tempfile.mkstemp(
-                    prefix=".probe-", dir=self.directory
-                )
-                os.close(fd)
-                os.unlink(probe)
-                writable = True
-            except OSError:
-                writable = False
-        else:
-            try:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                writable = True
-                exists = True
-            except OSError:
-                pass
-        unreadable = 0
-        entries = 0
-        if exists:
-            for path in self._artifacts():
-                try:
-                    with np.load(path, allow_pickle=False) as npz:
-                        json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-                except FileNotFoundError:
-                    continue  # vanished mid-scan: neither entry nor corrupt
-                except Exception:
-                    unreadable += 1
-                entries += 1
+        """Cache-dir health for ``doctor``/``cache stats``: writability
+        (by touching a probe file) and what one :meth:`chain_groups`
+        pass saw — one ``stat`` and one ``__meta__`` read per artifact."""
+        writable = self.writable()
         chains = self.chain_groups()
+        groups = chains["groups"]
         return {
             "path": str(self.directory),
-            "exists": exists,
+            "exists": self.directory.exists(),
             "writable": writable,
-            "entries": entries,
-            "total_bytes": self.total_bytes(),
-            "unreadable": unreadable,
+            "entries": sum(len(g["keys"]) for g in groups),
+            "total_bytes": sum(g["bytes"] for g in groups),
+            "unreadable": chains["unreadable"],
             "quarantined": len(self.quarantined()),
             # Epoch-chain observability (delta-binds link child epochs to
             # their parents via ``parent_key`` metadata).  Orphans are
             # reported distinctly: a child whose recorded parent artifact
             # is gone can no longer be walked back to its cold root.
-            "epoch_chains": sum(
-                1 for g in chains["groups"] if len(g["keys"]) > 1
-            ),
-            "epoch_children": sum(
-                max(0, len(g["keys"]) - 1) for g in chains["groups"]
-            ) + len(chains["orphans"]),
+            "epoch_chains": sum(len(g["keys"]) > 1 for g in groups),
+            "epoch_children": sum(len(g["keys"]) - 1 for g in groups)
+            + len(chains["orphans"]),
             "epoch_orphans": len(chains["orphans"]),
         }
-
-    # -- epoch chains ----------------------------------------------------------
-
-    def _read_meta(self, path: Path) -> Optional[dict]:
-        """Best-effort ``__meta__`` of one artifact (``None`` if unreadable)."""
-        try:
-            with np.load(path, allow_pickle=False) as npz:
-                return json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-        except Exception:
-            return None
 
     def chain_groups(self) -> dict:
         """Group live artifacts into epoch chains via ``parent_key`` links.
 
-        Returns ``{"groups": [...], "orphans": [...]}``.  Each group is
-        ``{"root", "keys", "bytes", "mtime"}`` — ``keys`` sorted by
-        epoch (root first), ``mtime`` the *newest* member's (a chain
-        recently extended counts as recently used), ``root`` the highest
-        ancestor still on disk.  ``orphans`` lists keys whose recorded
-        parent artifact is missing: the chain below the break is grouped
-        under the highest *surviving* ancestor, but flagged because it
-        can no longer be walked back to a cold bind.
+        Returns ``{"groups": [...], "orphans": [...], "unreadable": n}``.
+        Each group is ``{"root", "keys", "files", "bytes", "mtime"}`` —
+        ``keys`` (and their ``files``) sorted by epoch (root first),
+        ``mtime`` the *newest* member's (a chain recently extended counts
+        as recently used), ``root`` the highest ancestor still on disk.
+        ``orphans`` lists keys whose recorded parent artifact is missing:
+        the chain below the break is grouped under the highest
+        *surviving* ancestor, but flagged because it can no longer be
+        walked back to a cold bind.  An artifact whose ``__meta__``
+        cannot be read is ``unreadable`` and a chain of its own; one that
+        vanishes mid-pass (racing eviction/clear) is neither.
         """
+        survey = self.file_groups()
         metas: Dict[str, dict] = {}
-        sizes: Dict[str, int] = {}
-        mtimes: Dict[str, float] = {}
-        for path in self._artifacts():
+        unreadable = 0
+        for key, group in survey.items():
             try:
-                stat = path.stat()
-            except OSError:
-                continue  # vanished mid-scan (racing eviction/clear)
-            meta = self._read_meta(path)
-            key = path.stem
-            metas[key] = meta if meta is not None else {}
-            sizes[key] = stat.st_size
-            mtimes[key] = stat.st_mtime
+                with np.load(group["files"][0], allow_pickle=False) as npz:
+                    metas[key] = _meta(npz)
+            except FileNotFoundError:
+                continue
+            except Exception:
+                metas[key] = {}
+                unreadable += 1
         members: Dict[str, List[str]] = {}
         orphans: List[str] = []
         for key in metas:
@@ -496,12 +337,17 @@ class DiskStore:
                 {
                     "root": root,
                     "keys": keys,
-                    "bytes": sum(sizes[k] for k in keys),
-                    "mtime": max(mtimes[k] for k in keys),
+                    "files": [survey[k]["files"][0] for k in keys],
+                    "bytes": sum(survey[k]["bytes"] for k in keys),
+                    "mtime": max(survey[k]["mtime"] for k in keys),
                 }
             )
         groups.sort(key=lambda g: (g["mtime"], g["root"]))
-        return {"groups": groups, "orphans": sorted(orphans)}
+        return {
+            "groups": groups,
+            "orphans": sorted(orphans),
+            "unreadable": unreadable,
+        }
 
     def gc(self, max_bytes: int) -> dict:
         """Evict down to ``max_bytes`` — whole epoch chains at a time.
@@ -511,33 +357,9 @@ class DiskStore:
         chain leaves the store only as a group, oldest newest-member
         first, so a live child always keeps its ancestry.
         """
-        budget = int(max_bytes)
-        chains = self.chain_groups()
-        total = sum(g["bytes"] for g in chains["groups"])
-        removed_files = 0
-        removed_bytes = 0
-        removed_chains = 0
-        for group in chains["groups"]:  # already oldest-first
-            if total <= budget:
-                break
-            for key in group["keys"]:
-                try:
-                    self._path(key).unlink()
-                except OSError:
-                    continue  # a peer removed it; bytes already gone
-                removed_files += 1
-                self.stats.evictions += 1
-            removed_bytes += group["bytes"]
-            removed_chains += 1
-            total -= group["bytes"]
-        return {
-            "removed_files": removed_files,
-            "removed_bytes": removed_bytes,
-            "removed_chains": removed_chains,
-            "remaining_entries": len(self.keys()),
-            "remaining_bytes": self.total_bytes(),
-            "budget_bytes": budget,
-        }
+        groups = self.chain_groups()["groups"]
+        self.stats.evictions += evict(groups, int(max_bytes))
+        return eviction_summary(groups, int(max_bytes))
 
 
 class PlanCache:
@@ -637,20 +459,11 @@ class PlanCache:
             f"  memory tier: {len(self.memory)} entries, "
             f"{self.memory.total_bytes} / {self.memory.budget_bytes} bytes"
         )
-        if self.disk is not None:
-            health = self.disk.health()
-            lines.append(
-                f"  disk tier: {health['entries']} entries, "
-                f"{health['total_bytes']} bytes at {health['path']}"
-                + ("" if health["writable"] else " (NOT WRITABLE)")
-                + (
-                    f" ({health['unreadable']} unreadable)"
-                    if health["unreadable"]
-                    else ""
-                )
-            )
-        else:
-            lines.append("  disk tier: disabled")
+        lines.append(
+            f"  disk tier: {self.disk.directory}"
+            if self.disk is not None
+            else "  disk tier: disabled"
+        )
         return "\n".join(lines)
 
 

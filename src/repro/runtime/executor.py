@@ -196,8 +196,8 @@ def run_numeric_wavefront(
 
     ``parallel=False`` runs on one thread; otherwise ``num_threads``
     (else ``max_workers``, else ``REPRO_EXECUTOR_THREADS``, else the
-    visible cores) bounds the workers.  The C wave loop is serial either
-    way.
+    visible cores) bounds the workers of the C counter pool.  The C wave
+    loop and the Python tiers are serial either way.
     """
     from repro.lowering.executor import compile_executor
 

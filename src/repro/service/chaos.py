@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ValidationError
+from repro.plancache.filestore import FileStore
 
 #: Environment variable carrying the JSON chaos plan into worker processes.
 CHAOS_PLAN_ENV = "REPRO_CHAOS_PLAN"
@@ -248,10 +249,8 @@ class CacheCorruptor:
     def maybe_corrupt(self, sequence: int) -> Optional[Path]:
         if not self.plan.fires("corrupt", sequence):
             return None
-        directory = Path(self.directory)
         artifacts = sorted(
-            p for p in directory.glob("*/*.npz")
-            if p.parent.name != "quarantine"
+            path for path, _ in FileStore(self.directory, ".npz").scan()
         )
         if not artifacts:
             return None

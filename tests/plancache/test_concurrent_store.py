@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.plancache import CacheEntry, DiskStore, PlanCache
+from repro.plancache.artifacts import ArtifactStore
 
 pytestmark = pytest.mark.plancache
 
@@ -26,22 +27,58 @@ def entry_for(key, nbytes=256):
 KEYS = [f"{i:02d}deadbeef{i:04d}" for i in range(8)]
 
 
-def _process_worker(directory, worker_index, rounds, max_bytes, queue):
+def text_for(key):
+    return f"/* {key} */\n" * 64
+
+
+def _plan_round(store, key, worker_index, round_index):
+    """put / get / sometimes clear; True when a *wrong* entry was read."""
+    store.put(key, entry_for(key))
+    got = store.get(key)
+    # A racing clear/eviction makes None legitimate; a *wrong*
+    # entry never is.
+    wrong = got is not None and got.meta["tag"] != key
+    if round_index % 5 == worker_index % 5:
+        store.clear()
+    return wrong
+
+
+def _artifact_round(store, key, worker_index, round_index):
+    """Even workers build and evict; odd workers are the operator beside
+    them (``repro doctor`` / ``cache stats`` / ``cache gc``).  True when
+    a torn file was read."""
+    if worker_index % 2:
+        store.health()
+        store.total_bytes()
+        store.keys()
+        store.gc(10**9)
+        return False
+    store.put_text(key, "c", text_for(key))
+    path = store.put_text(key, "proof", text_for(key))
+    try:
+        torn = path.read_text() != text_for(key)
+    except FileNotFoundError:
+        torn = False  # a peer's gc(0) / clear() got there first
+    store.gc(0) if round_index % 2 else store.clear()
+    return torn
+
+
+def _process_worker(
+    directory, worker_index, rounds, max_bytes, queue, artifacts=False
+):
     """One unsynchronized writer/reader/evictor; reports its observations."""
     try:
-        store = DiskStore(directory, max_bytes=max_bytes)
+        if artifacts:
+            store, one_round = ArtifactStore(directory), _artifact_round
+        else:
+            store = DiskStore(directory, max_bytes=max_bytes)
+            one_round = _plan_round
         mismatches = 0
         for round_index in range(rounds):
             key = KEYS[(worker_index + round_index) % len(KEYS)]
-            store.put(key, entry_for(key))
-            got = store.get(key)
-            # A racing clear/eviction makes None legitimate; a *wrong*
-            # entry never is.
-            if got is not None and got.meta["tag"] != key:
-                mismatches += 1
-            if round_index % 5 == worker_index % 5:
-                store.clear()
-        queue.put(("ok", mismatches, store.stats.corrupt))
+            mismatches += one_round(store, key, worker_index, round_index)
+        corrupt = 0 if artifacts else store.stats.corrupt
+        queue.put(("ok", mismatches, corrupt))
     except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
         queue.put(("error", repr(exc), 0))
 
@@ -108,9 +145,13 @@ class TestThreadStress:
 
 
 class TestProcessStress:
-    @pytest.mark.parametrize("max_bytes", [None, 2048])
+    @pytest.mark.parametrize(
+        "max_bytes, artifacts, rounds",
+        [(None, False, 20), (2048, False, 20), (None, True, 400)],
+        ids=["None", "2048", "artifacts"],
+    )
     def test_uncoordinated_processes_share_one_directory(
-        self, tmp_path, max_bytes
+        self, tmp_path, max_bytes, artifacts, rounds
     ):
         directory = tmp_path / "cache"
         ctx = multiprocessing.get_context("spawn")
@@ -118,7 +159,9 @@ class TestProcessStress:
         workers = [
             ctx.Process(
                 target=_process_worker,
-                args=(str(directory), index, 20, max_bytes, queue),
+                args=(
+                    str(directory), index, rounds, max_bytes, queue, artifacts
+                ),
             )
             for index in range(4)
         ]
@@ -135,6 +178,14 @@ class TestProcessStress:
         assert all(mismatches == 0 for _, mismatches, _ in outcomes)
         assert all(corrupt == 0 for _, _, corrupt in outcomes)
 
+        if artifacts:
+            survivors = ArtifactStore(directory)
+            assert survivors.health()["total_bytes"] == survivors.total_bytes()
+            for key in survivors.keys():
+                for suffix in ("c", "proof"):
+                    path = survivors.get(key, suffix)
+                    assert path is None or path.read_text() == text_for(key)
+            return
         survivors = DiskStore(directory)
         health = survivors.health()
         assert health["unreadable"] == 0

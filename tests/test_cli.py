@@ -259,6 +259,41 @@ class TestCacheGC:
         assert "artifact gc: removed 1 file(s)" in out
         assert len(store.keys()) == 1
 
+    def test_cache_gc_budget_is_for_the_directory(self, capsys, tmp_path):
+        """``--max-bytes N`` leaves plans + artifacts <= N *together*
+        (each store used to be handed the whole N: 8 + 8 entries of
+        ~33 KB under ``--max-bytes 70000`` left 132 256 bytes), evicting
+        the oldest groups of either kind first."""
+        import os
+
+        import numpy as np
+
+        from repro.plancache import CacheEntry, DiskStore
+        from repro.plancache.artifacts import ArtifactStore
+
+        plans, builds = DiskStore(tmp_path), ArtifactStore(tmp_path)
+        for i in range(8):
+            entry = CacheEntry(meta={}, arrays={"a": np.zeros(4096)})
+            for age, path in (
+                (2 * i, plans.put(f"{i:02d}" + "a" * 62, entry)),
+                (2 * i + 1, builds.put_text(f"{i:02d}bb", "c", "x" * 32768)),
+            ):
+                os.utime(path, (1_000_000 + age, 1_000_000 + age))
+        assert plans.total_bytes() + builds.total_bytes() > 8 * 65536
+
+        rc = main(
+            ["cache", "gc", "--max-bytes", "70000",
+             "--cache-dir", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert plans.total_bytes() + builds.total_bytes() <= 70000
+        # The newest plan and the newest build are what is left.
+        assert plans.keys() == ["07" + "a" * 62]
+        assert builds.keys() == ["07bb"]
+        assert "plan gc: removed 7 artifact(s)" in out
+        assert "artifact gc: removed 7 file(s)" in out
+
     def test_cache_gc_rejects_negative_budget(self, capsys, tmp_path):
         rc = main(
             ["cache", "gc", "--max-bytes=-5",
