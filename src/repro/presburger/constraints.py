@@ -18,6 +18,13 @@ from typing import Mapping, Optional
 from repro.presburger.terms import AffineExpr, ExprLike, coerce_expr
 
 
+def _isolated(expr: AffineExpr, atom, c: int) -> AffineExpr:
+    """``c*atom + rest = 0`` with ``c = +/-1``  =>  ``atom = -c*rest``."""
+    return AffineExpr(
+        {a: -c * k for a, k in expr.coeffs.items() if a != atom}, -c * expr.const
+    )
+
+
 class ConstraintKind(enum.Enum):
     EQ = "="
     GEQ = ">="
@@ -78,11 +85,10 @@ class Constraint:
         c = self.expr.coeff(name)
         if c not in (1, -1):
             return None
-        rest = self.expr - AffineExpr({name: c})
-        if name in rest.free_vars():
+        definition = _isolated(self.expr, name, c)
+        if name in definition.free_vars():
             return None  # also occurs inside a UF argument; cannot isolate
-        # c*name + rest = 0  =>  name = -rest/c
-        return -rest if c == 1 else rest
+        return definition
 
     def solve_for_ufatom(self):
         """If an EQ constraint defines a UF-call atom (coefficient +/-1 and
@@ -99,11 +105,9 @@ class Constraint:
         for atom, coeff in self.expr.coeffs.items():
             if not isinstance(atom, UFCall) or coeff not in (1, -1):
                 continue
-            rest = self.expr - AffineExpr({atom: coeff})
-            if rest.contains_atom(atom):
-                continue
-            # coeff*atom + rest = 0  =>  atom = -rest/coeff
-            return atom, (-rest if coeff == 1 else rest)
+            definition = _isolated(self.expr, atom, coeff)
+            if not definition.contains_atom(atom):
+                return atom, definition
         return None
 
     # -- rewriting --------------------------------------------------------------
@@ -112,10 +116,12 @@ class Constraint:
         return Constraint(self.expr.substitute_atom(atom, replacement), self.kind)
 
     def substitute(self, mapping: Mapping[str, AffineExpr]) -> "Constraint":
-        return Constraint(self.expr.substitute(mapping), self.kind)
+        expr = self.expr.substitute(mapping)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.kind)
+        expr = self.expr.rename(mapping)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def negated(self) -> "Constraint":
         """Negation of a GEQ constraint (``e >= 0`` becomes ``-e - 1 >= 0``).

@@ -170,6 +170,11 @@ class PresburgerRelation:
         out = PresburgerRelation(first.in_vars, second.out_vars, conjs)
         return out.simplified()
 
+    def conjugate(self, relation: "PresburgerRelation") -> "PresburgerRelation":
+        """``self . relation . self^-1``: ``relation`` carried into this
+        relation's image space (a dependence under a reordering ``T``)."""
+        return self.inverse().then(relation).then(self).simplified()
+
     def compose(self, inner: "PresburgerRelation") -> "PresburgerRelation":
         """Classical composition ``self . inner`` (apply ``inner`` first)."""
         return inner.then(self)

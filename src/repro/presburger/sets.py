@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence, Tuple
 
-from repro.presburger.constraints import Constraint, eq
+from repro.presburger.constraints import Constraint, ConstraintKind, eq
 from repro.presburger.terms import AffineExpr
 
 _fresh_counter = itertools.count()
@@ -164,11 +164,6 @@ class PresburgerSet:
         negating an existential needs universal quantification, which the
         conjunction language cannot express.
         """
-        import itertools
-
-        from repro.presburger.constraints import Constraint as _C
-        from repro.presburger.constraints import ConstraintKind as _K
-
         other = self._aligned(other)
         for conj in other.conjunctions:
             if conj.exist_vars:
@@ -180,12 +175,12 @@ class PresburgerSet:
             """The complement as a list of single-constraint alternatives."""
             pieces = []
             for c in conj.constraints:
-                if c.kind is _K.GEQ:
+                if c.kind is ConstraintKind.GEQ:
                     pieces.append(c.negated())
                 else:
                     # e = 0 fails when e >= 1 or -e >= 1.
-                    pieces.append(_C(c.expr - 1, _K.GEQ))
-                    pieces.append(_C(-c.expr - 1, _K.GEQ))
+                    pieces.append(Constraint(c.expr - 1, ConstraintKind.GEQ))
+                    pieces.append(Constraint(-c.expr - 1, ConstraintKind.GEQ))
             return pieces
 
         result = list(self.conjunctions)

@@ -13,9 +13,21 @@ keys and members of frozensets, which the simplifier relies on.
 
 from __future__ import annotations
 
+import collections.abc
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Atom = Union[str, "UFCall"]
+
+
+def _bump(coeffs: Dict[Atom, int], atom: Atom, c: int) -> None:
+    """Add ``c*atom`` in place; a term that cancels leaves, so one that
+    comes back goes last — the order a chain of ``+`` gives, on which
+    ``Constraint.solve_for_ufatom`` (first UF atom) depends."""
+    total = coeffs.get(atom, 0) + c
+    if total:
+        coeffs[atom] = total
+    else:
+        coeffs.pop(atom, None)
 
 
 def _atom_sort_key(atom: Atom):
@@ -56,7 +68,16 @@ class UFCall:
 
     def substitute(self, mapping: Mapping[str, "AffineExpr"]) -> "UFCall":
         """Substitute variables inside the arguments (recursively)."""
-        return UFCall(self.name, tuple(a.substitute(mapping) for a in self.args))
+        return self._map_args(lambda a: a.substitute(mapping))
+
+    def rename(self, mapping: Mapping[str, str]) -> "UFCall":
+        return self._map_args(lambda a: a.rename(mapping))
+
+    def _map_args(self, f) -> "UFCall":
+        """This call over ``f(arg)``s; ``self`` when each is its argument."""
+        args = tuple(map(f, self.args))
+        same = all(new is old for new, old in zip(args, self.args))
+        return self if same else UFCall(self.name, args)
 
     def free_vars(self) -> frozenset:
         out = set()
@@ -74,21 +95,21 @@ class UFCall:
 class AffineExpr:
     """An immutable integer-affine expression: sum of coeff*atom plus const."""
 
-    __slots__ = ("coeffs", "const", "_hash")
+    __slots__ = ("coeffs", "const", "_hash", "_free")
 
     def __init__(self, coeffs: Mapping[Atom, int] = (), const: int = 0):
-        cleaned: Dict[Atom, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for atom, c in items:
-            if c:
-                cleaned[atom] = cleaned.get(atom, 0) + c
-                if cleaned[atom] == 0:
-                    del cleaned[atom]
+        if type(coeffs) is dict:  # distinct keys: cleaning drops zeros
+            cleaned = {atom: c for atom, c in coeffs.items() if c}
+        else:
+            cleaned = {}
+            if isinstance(coeffs, collections.abc.Mapping):
+                coeffs = coeffs.items()
+            for atom, c in coeffs:
+                _bump(cleaned, atom, c)
         self.coeffs: Dict[Atom, int] = cleaned
         self.const = const
-        self._hash = hash(
-            (frozenset(self.coeffs.items()), self.const)
-        )
+        self._hash = hash((frozenset(cleaned.items()), const))
+        self._free = None
 
     # -- constructors -----------------------------------------------------
 
@@ -117,13 +138,15 @@ class AffineExpr:
 
     def free_vars(self) -> frozenset:
         """All variable names appearing anywhere, including inside UF calls."""
-        out = set()
-        for atom in self.coeffs:
-            if isinstance(atom, str):
-                out.add(atom)
-            else:
-                out |= atom.free_vars()
-        return frozenset(out)
+        if self._free is None:
+            out = set()
+            for atom in self.coeffs:
+                if isinstance(atom, str):
+                    out.add(atom)
+                else:
+                    out |= atom.free_vars()
+            self._free = frozenset(out)
+        return self._free
 
     def top_level_vars(self) -> frozenset:
         """Variable names with a direct coefficient (not hidden in UF args)."""
@@ -171,19 +194,35 @@ class AffineExpr:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(self, mapping: Mapping[str, "AffineExpr"]) -> "AffineExpr":
-        """Replace variables per ``mapping`` everywhere, incl. UF arguments."""
-        result = AffineExpr.constant(self.const)
+    def _summed(self, rewrite) -> "AffineExpr":
+        """Sum of ``c * rewrite(atom)`` (an atom or an expression) in one
+        dict, in a chain of ``+``'s order."""
+        coeffs: Dict[Atom, int] = {}
+        const = self.const
         for atom, c in self.coeffs.items():
-            if isinstance(atom, str):
-                repl = mapping.get(atom)
-                result = result + (repl * c if repl is not None else AffineExpr({atom: c}))
+            new = rewrite(atom)
+            if isinstance(new, AffineExpr):
+                const += new.const * c
+                for a, k in new.coeffs.items():
+                    _bump(coeffs, a, k * c)
             else:
-                result = result + AffineExpr({atom.substitute(mapping): c})
-        return result
+                _bump(coeffs, new, c)
+        return AffineExpr(coeffs, const)
+
+    def substitute(self, mapping: Mapping[str, "AffineExpr"]) -> "AffineExpr":
+        """Replace variables per ``mapping`` everywhere, incl. UF arguments
+        (``self`` when ``mapping`` names none of them)."""
+        if mapping.keys().isdisjoint(self.free_vars()):
+            return self
+        return self._summed(lambda a: mapping.get(a, a) if isinstance(a, str)
+                            else a.substitute(mapping))
 
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
-        return self.substitute({k: AffineExpr.var(v) for k, v in mapping.items()})
+        """Rename variables everywhere; ``self`` when no name changes."""
+        if all(mapping.get(v, v) == v for v in self.free_vars()):
+            return self
+        return self._summed(lambda a: mapping.get(a, a) if isinstance(a, str)
+                            else a.rename(mapping))
 
     def contains_atom(self, atom: Atom) -> bool:
         """True when ``atom`` occurs at top level or nested in UF arguments."""
@@ -203,18 +242,14 @@ class AffineExpr:
         equality pins ``sigma(m)`` to a variable, other constraints can
         refer to the variable instead of the call.
         """
-        result = AffineExpr.constant(self.const)
-        for a, c in self.coeffs.items():
+        def rewrite(a):
             if a == atom:
-                result = result + replacement * c
-            elif isinstance(a, UFCall):
-                new_args = tuple(
-                    arg.substitute_atom(atom, replacement) for arg in a.args
-                )
-                result = result + AffineExpr({UFCall(a.name, new_args): c})
-            else:
-                result = result + AffineExpr({a: c})
-        return result
+                return replacement
+            if isinstance(a, UFCall):
+                return a._map_args(lambda x: x.substitute_atom(atom, replacement))
+            return a
+
+        return self._summed(rewrite)
 
     # -- dunder plumbing ------------------------------------------------------
 
@@ -240,7 +275,7 @@ class AffineExpr:
             elif c == -1:
                 term = f"-{name}"
             else:
-                term = f"{c}{name}" if c < 0 else f"{c}{name}"
+                term = f"{c}{name}"
             if parts and not term.startswith("-"):
                 parts.append("+" + term)
             else:

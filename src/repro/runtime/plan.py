@@ -115,11 +115,16 @@ class CompositionPlan:
         planned: List[PlannedTransformation] = []
         for index, step in enumerate(self.steps):
             for transformation in step.symbolic(self.kernel, index):
+                # Each T . D . T^-1 the legality check composes, reused
+                # by the state update below.
+                transformed: dict = {}
                 try:
                     if isinstance(transformation, DataReordering):
                         report = check_data_reordering(state, transformation)
                     elif isinstance(transformation, IterationReordering):
-                        report = check_iteration_reordering(state, transformation)
+                        report = check_iteration_reordering(
+                            state, transformation, transformed=transformed
+                        )
                     else:  # pragma: no cover - steps only emit the two kinds
                         raise TypeError(
                             f"unexpected transformation {transformation!r}"
@@ -141,7 +146,7 @@ class CompositionPlan:
                             step_index=index, step_name=step.name,
                         )
                     )
-                    state = state.apply(transformation)
+                    state = state.apply(transformation, transformed)
                 except (ValueError, KeyError) as exc:
                     if isinstance(exc, LegalityError):
                         raise

@@ -24,11 +24,11 @@ paper assigns to the framework's legality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.presburger.ordering import lex_lt_conjunctions
 from repro.presburger.relations import PresburgerRelation
-from repro.presburger.sets import Conjunction, PresburgerSet
+from repro.presburger.sets import Conjunction
 from repro.uniform.mappings import Dependence
 from repro.uniform.state import DataReordering, IterationReordering, ProgramState
 
@@ -125,7 +125,11 @@ def _violation_relation(
     violating the order.  ``out <= in`` is encoded as the union of
     ``out < in`` and ``out = in`` conjunctions.
     """
-    transformed = T.inverse().then(dep.relation).then(T).simplified()
+    return _order_violations(T.conjugate(dep.relation))
+
+
+def _order_violations(transformed: PresburgerRelation) -> PresburgerRelation:
+    """The pairs of a transformed dependence with ``out <= in``."""
     in_vars, out_vars = transformed.in_vars, transformed.out_vars
 
     # out < in  (strictly later source) ...
@@ -145,6 +149,7 @@ def check_iteration_reordering(
     state: ProgramState,
     reordering: IterationReordering,
     skip_reductions: bool = True,
+    transformed: Optional[Dict[int, PresburgerRelation]] = None,
 ) -> LegalityReport:
     """Check ``T`` against every dependence of the current state.
 
@@ -152,14 +157,19 @@ def check_iteration_reordering(
     set simplifies to empty.  Otherwise returns the obligations — for an
     inspector that traverses dependences (``inspects_dependences=True``)
     these are discharged by construction, which the report notes.
+    ``transformed``, when given, receives each checked ``T . D . T^-1`` by
+    position, for ``ProgramState.apply_iteration_reordering`` to reuse.
     """
     obligations: List[Obligation] = []
     notes: List[str] = []
-    for dep in state.dependences:
+    for position, dep in enumerate(state.dependences):
         if dep.is_reduction and skip_reductions:
             notes.append(f"{dep.name}: reduction dependence, reordering allowed")
             continue
-        violations = _violation_relation(dep, reordering.relation)
+        composed = reordering.relation.conjugate(dep.relation)
+        if transformed is not None:
+            transformed[position] = composed
+        violations = _order_violations(composed)
         if violations.is_empty_syntactically():
             notes.append(f"{dep.name}: proven respected")
         else:

@@ -184,14 +184,18 @@ class ProgramState:
         )
 
     def apply_iteration_reordering(
-        self, reordering: IterationReordering
+        self,
+        reordering: IterationReordering,
+        transformed: Optional[Dict[int, PresburgerRelation]] = None,
     ) -> "ProgramState":
-        """Rewrite I, every M, and every D through ``T``."""
+        """Rewrite I, every M, and every D through ``T``; ``transformed``
+        holds ``T.conjugate(D)`` by position for Ds already composed."""
         T = reordering.relation
         if T.in_arity != self.tuple_arity:
             raise ValueError(
                 f"T expects {T.in_arity}-tuples, state has {self.tuple_arity}"
             )
+        transformed = transformed or {}
         T_inv = T.inverse()
         new_space = _canonize_set(T.apply_set(self.iteration_space))
         new_mappings = {
@@ -202,10 +206,10 @@ class ProgramState:
             replace(
                 dep,
                 relation=_canonize_dependence_relation(
-                    T_inv.then(dep.relation).then(T).simplified()
+                    transformed.get(position) or T.conjugate(dep.relation)
                 ),
             )
-            for dep in self.dependences
+            for position, dep in enumerate(self.dependences)
         ]
         return ProgramState(
             kernel=self.kernel,
@@ -215,12 +219,12 @@ class ProgramState:
             history=self.history + [reordering],
         )
 
-    def apply(self, transformation) -> "ProgramState":
+    def apply(self, transformation, transformed=None) -> "ProgramState":
         """Dispatch on transformation type."""
         if isinstance(transformation, DataReordering):
             return self.apply_data_reordering(transformation)
         if isinstance(transformation, IterationReordering):
-            return self.apply_iteration_reordering(transformation)
+            return self.apply_iteration_reordering(transformation, transformed)
         raise TypeError(f"not a reordering transformation: {transformation!r}")
 
     def describe(self) -> str:
