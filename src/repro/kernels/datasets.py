@@ -19,25 +19,34 @@ start from (the whole point of the run-time data reorderings is to recover
 the locality the labeling lost).  Locality transformations only ever see
 the index arrays, so this preserves the exercised behavior.
 
-Sizes are scaled down by ``DEFAULT_SCALE`` so the pure-Python cache
-simulator stays tractable; the machine models in
-:mod:`repro.cachesim.machines` are scaled by the same factor, preserving
-the data-size : cache-size ratios that drive the paper's results.
+Sizes are scaled down by ``DEFAULT_SCALE`` by default; the machine models
+in :mod:`repro.cachesim.machines` are scaled by the same factor,
+preserving the data-size : cache-size ratios that drive the paper's
+results, and the smaller inputs keep the test suite and the experiment
+grid quick.  Scale 1 is the paper's size and takes seconds to generate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import BindError
+from repro.transforms.sorting import group_by
 
-#: Linear scale factor applied to the paper's dataset sizes.  32 keeps the
-#: node payloads well above the (unscaled) L1 sizes of both machine models
-#: while holding executor traces to a few hundred thousand accesses.
+#: Linear scale factor applied to the paper's dataset sizes.  The scaled
+#: machine models keep the paper's data : cache ratios at this size, and
+#: 32 keeps the node payloads well above the (unscaled) L1 sizes of both
+#: while holding traces, tests and the experiment grid small.
 DEFAULT_SCALE = 32
+
+#: Candidate pairs distance-tested at once.  Bounds the generator's working
+#: set to a few MB however many points share a cell; 2**13-2**16 time the
+#: same, larger slices spill out of L2 and run slower.
+_PAIR_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,22 @@ def random_geometric_interactions(
     adjacent cells and within the radius becomes one interaction.  The
     edge list is truncated/kept as generated to land near ``target_edges``
     (exactness is irrelevant — only the ratio matters).
+
+    Interactions come out cell by cell in ascending cell key, then by
+    neighbour offset (``itertools.product`` order), then row-major over
+    the two cells' members (ascending point ids); the truncation and the
+    label scramble consume that order, so it is part of the output.
     """
+    if num_nodes < 1 or target_edges < 1:
+        raise BindError(
+            f"need num_nodes >= 1 and target_edges >= 1, got "
+            f"{num_nodes} and {target_edges}",
+            stage="generate_dataset",
+        )
+    if dim not in (2, 3):
+        raise BindError(
+            f"dim must be 2 or 3, got {dim}", stage="generate_dataset"
+        )
     rng = np.random.default_rng(seed)
     pts = rng.random((num_nodes, dim))
 
@@ -104,68 +128,61 @@ def random_geometric_interactions(
     cell_key = cell_of[:, 0]
     for d in range(1, dim):
         cell_key = cell_key * cells + cell_of[:, d]
-    order = np.argsort(cell_key, kind="stable")
+    # Cell c holds points order[offsets[c]:offsets[c + 1]], ascending.
+    grid = (cells,) * dim
+    order, offsets = group_by(cell_key, cells**dim, "cell keys")
+    counts = np.diff(offsets)
 
-    buckets: Dict[int, np.ndarray] = {}
-    sorted_keys = cell_key[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    for chunk, key in zip(
-        np.split(order, boundaries), sorted_keys[np.r_[0, boundaries]]
-    ):
-        buckets[int(key)] = chunk
+    # One block per (non-empty cell, non-empty neighbour at or after it),
+    # read off a (cell, offset) mask in row-major order: the emission order.
+    src = np.flatnonzero(counts)
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    near = np.stack(np.unravel_index(src, grid), axis=1)[:, None, :] + steps
+    inside = ((near >= 0) & (near < cells)).all(axis=2)
+    dst = np.ravel_multi_index(np.moveaxis(near, 2, 0), grid, mode="clip")
+    cell_i, off_i = np.nonzero(
+        inside & (dst >= src[:, None]) & (counts[dst] > 0)
+    )
+    a_cell, b_cell = src[cell_i], dst[cell_i, off_i]
+    a_start, b_start, b_len = offsets[a_cell], offsets[b_cell], counts[b_cell]
+    one_cell = a_cell == b_cell
+    sizes = counts[a_cell] * b_len
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
 
-    neighbor_offsets = []
-    ranges = [range(-1, 2)] * dim
-    import itertools
-
-    for offs in itertools.product(*ranges):
-        neighbor_offsets.append(offs)
-
-    lefts = []
-    rights = []
+    # Candidate pairs are numbered block by block, row-major inside each
+    # block, and distance-tested a fixed-size slice of that range at a time.
+    cell_pts = pts[order]
     r2 = r * r
-    for key, members in buckets.items():
-        coords = []
-        k = key
-        for _ in range(dim):
-            coords.append(k % cells)
-            k //= cells
-        coords = coords[::-1]
-        for offs in neighbor_offsets:
-            ncoords = [c + o for c, o in zip(coords, offs)]
-            if any(c < 0 or c >= cells for c in ncoords):
-                continue
-            nkey = 0
-            for c in ncoords:
-                nkey = nkey * cells + c
-            if nkey < key:
-                continue  # handle each cell pair once
-            others = buckets.get(int(nkey))
-            if others is None:
-                continue
-            d2 = ((pts[members][:, None, :] - pts[others][None, :, :]) ** 2).sum(
-                axis=2
-            )
-            a_idx, b_idx = np.nonzero(d2 <= r2)
-            a = members[a_idx]
-            b = others[b_idx]
-            if nkey == key:
-                keep = a < b
-            else:
-                keep = np.ones(len(a), dtype=bool)
-            lefts.append(a[keep])
-            rights.append(b[keep])
+    a_kept = [np.empty(0, dtype=np.int64)]
+    b_kept = [np.empty(0, dtype=np.int64)]
+    total = int(sizes.sum())
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        span = sizes[first : last + 1].copy()  # pairs of each block in [lo, hi)
+        span[0] -= lo - starts[first]
+        span[-1] -= ends[last] - hi
+        block = np.repeat(np.arange(first, last + 1), span)
+        a_off, b_off = np.divmod(np.arange(lo, hi) - starts[block], b_len[block])
+        a = a_start[block] + a_off
+        b = b_start[block] + b_off
+        d2 = ((cell_pts[a] - cell_pts[b]) ** 2).sum(axis=1)
+        # Inside one cell, a < b by position is a < b by point id.
+        keep = (d2 <= r2) & (~one_cell[block] | (a < b))
+        a_kept.append(a[keep])
+        b_kept.append(b[keep])
+    left = order[np.concatenate(a_kept)]
+    right = order[np.concatenate(b_kept)]
 
-    left = np.concatenate(lefts) if lefts else np.empty(0, dtype=np.int64)
-    right = np.concatenate(rights) if rights else np.empty(0, dtype=np.int64)
     if len(left) > target_edges:
-        keep = np.sort(
-            rng.choice(len(left), size=target_edges, replace=False)
-        )
+        # The draws are distinct, so a mask keeps them in ascending order.
+        keep = np.zeros(len(left), dtype=bool)
+        keep[rng.choice(len(left), size=target_edges, replace=False)] = True
         left, right = left[keep], right[keep]
     if return_points:
-        return left.astype(np.int64), right.astype(np.int64), pts
-    return left.astype(np.int64), right.astype(np.int64)
+        return left, right, pts
+    return left, right
 
 
 def mesh2d_interactions(
@@ -201,7 +218,8 @@ def generate_dataset(
 ) -> Dataset:
     """Generate a scaled synthetic stand-in for one of the paper's inputs.
 
-    ``scale`` divides both node and edge counts (default 64).  The seed is
+    ``scale`` divides both node and edge counts (default
+    :data:`DEFAULT_SCALE`).  The seed is
     fixed so every benchmark run sees identical inputs.
     """
     if name not in _PAPER_SIZES:

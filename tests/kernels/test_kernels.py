@@ -74,7 +74,10 @@ class TestDatasetGenerators:
     def test_deterministic(self):
         a = generate_dataset("mol1", scale=128)
         b = generate_dataset("mol1", scale=128)
+        assert a.num_nodes == b.num_nodes
         assert np.array_equal(a.left, b.left)
+        assert np.array_equal(a.right, b.right)
+        assert np.array_equal(a.coords, b.coords)
 
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
