@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Extending the framework: plug in a custom run-time data reordering.
 
-A downstream user adds a new reordering heuristic by subclassing
-``Step``: implement the run-time inspector (``run``) and the compile-time
-specification (``symbolic``).  Everything else — legality checking,
-composition with the built-in transformations, index-array adjustment,
-the remap policy, verification — comes for free.
+A downstream user adds a new reordering heuristic by defining one step
+class and registering it in the step table.  For a data reordering the
+``DataReorderStep`` shell needs only the run-time inspector
+(``reorder``); the class also declares its plan-spec name, its dataflow
+traits and (optionally) a code generator.  Everything else — plan specs,
+linting, legality checking, composition with the built-in
+transformations, index-array adjustment, the remap policy, verification —
+comes from that one definition.
 
 The example heuristic is *degree-sorted packing*: order node data by
 descending degree in the interaction graph (hub data first), a simple
@@ -15,50 +18,49 @@ cousin of the paper's space-filling-curve reorderings.
 import numpy as np
 
 from repro.kernels import generate_dataset, make_kernel_data
-from repro.kernels.specs import kernel_by_name
-from repro.runtime import CompositionPlan
-from repro.runtime.inspector import (
-    LexGroupStep,
-    Step,
-    _data_step_symbolic,
-)
+from repro.runtime import plan_from_spec
+from repro.runtime.steps import DataReorderStep, register
 from repro.runtime.verify import verify_dependences, verify_numeric_equivalence
-from repro.transforms.base import ReorderingFunction
+from repro.transforms.base import TransformTraits, permutation_from_order
 
 
-class DegreeSortStep(Step):
+@register
+class DegreeSortStep(DataReorderStep):
     """Data reordering: pack node records by descending degree."""
 
-    name = "degsort"
+    name = "degsort"  # the stage name (reports, plan names)
+    spec_type = "degsort"  # the plan-spec ``type``
+    symbol_prefix = "ds"  # the symbolic UFS: ds0, ds1, ...
+    # Reads only the index values (degrees do not depend on any order),
+    # writes the node space: the linter and analyzer thread these.
+    traits = TransformTraits(
+        "data",
+        reads=("index_values",),
+        writes=("node_space",),
+        order_sensitive=False,
+    )
 
-    def run(self, state) -> None:
+    def reorder(self, state, counter):
         data = state.data
         degree = np.bincount(
             np.concatenate([data.left, data.right]), minlength=data.num_nodes
         )
-        state.charge(self.name, 2 * 2 * data.num_inter + data.num_nodes)
+        counter["touches"] = 2 * 2 * data.num_inter + data.num_nodes
         order = np.argsort(-degree, kind="stable")  # order[new] = old
-        sigma = np.empty(data.num_nodes, dtype=np.int64)
-        sigma[order] = np.arange(data.num_nodes, dtype=np.int64)
-        fn = ReorderingFunction(f"ds{state.current_index}", sigma)
-        state.register("ds", fn.array)
-        state.apply_data_reordering(fn, self.name)
-
-    def symbolic(self, kernel, index):
-        # A data reordering like any other: R on every array + the implied
-        # iteration reordering of the node loops (always legal to plan).
-        return _data_step_symbolic(kernel, f"ds{index}")
+        return permutation_from_order(f"ds{state.current_index}", order)
 
 
 def main() -> None:
     data = make_kernel_data("moldyn", generate_dataset("mol1", scale=256))
-    kernel = kernel_by_name("moldyn")
 
-    plan = CompositionPlan(kernel, [DegreeSortStep(), LexGroupStep()])
+    plan = plan_from_spec(
+        {"kernel": "moldyn", "steps": ["degsort", "lexgroup"]}
+    )
     plan.plan()  # legality: data reorderings always pass, lexGroup checked
     print(plan.describe())
+    print(plan.analyze().describe())
 
-    result = plan.build_inspector().run(data)
+    result = plan.bind(data)
     verify_numeric_equivalence(data, result)
     checked = verify_dependences(data, result, plan, num_steps=2, max_pairs=500)
     print(f"numeric equivalence OK; {checked} dependence pairs verified")

@@ -148,23 +148,11 @@ def _cmd_describe(args) -> int:
     return 0
 
 
-def _make_step(name: str):
-    from repro.errors import BindError
-    from repro.runtime.planspec import STEP_TYPES, make_step
-
-    try:
-        return make_step(name)
-    except BindError:
-        raise SystemExit(
-            f"unknown step {name!r}; choose from {sorted(STEP_TYPES)}"
-        ) from None
-
-
 def _cmd_plan(args) -> int:
     from repro.kernels.specs import kernel_by_name
-    from repro.runtime import CompositionPlan
+    from repro.runtime import CompositionPlan, make_step
 
-    steps = [_make_step(s) for s in args.steps]
+    steps = [make_step(s) for s in args.steps]
     plan = CompositionPlan(kernel_by_name(args.kernel), steps)
     plan.plan(strict=False)
     print(plan.describe())
@@ -187,7 +175,7 @@ def _lint_plan(args):
 
     from repro.kernels.specs import kernel_by_name
     from repro.runtime import CompositionPlan
-    from repro.runtime.planspec import load_plan_spec, plan_from_spec
+    from repro.runtime.planspec import load_plan_spec, make_step, plan_from_spec
 
     target = args.target
     if len(target) == 1 and target[0] == "-":
@@ -214,7 +202,7 @@ def _lint_plan(args):
     kernel, step_names = target[0], target[1:]
     return CompositionPlan(
         kernel_by_name(kernel),
-        [_make_step(s) for s in step_names],
+        [make_step(s) for s in step_names],
         remap=args.remap,
     )
 
@@ -510,7 +498,7 @@ def _cmd_doctor(args) -> int:
     from repro.kernels.data import make_kernel_data
     from repro.kernels.datasets import generate_dataset
     from repro.kernels.specs import kernel_by_name
-    from repro.runtime import CompositionPlan
+    from repro.runtime import CompositionPlan, make_step
     from repro.runtime.validate import validate_dataset, validate_kernel_data
 
     as_json = getattr(args, "json", False)
@@ -524,7 +512,7 @@ def _cmd_doctor(args) -> int:
     blocks.append(report.describe())
     report.raise_if_failed(stage="doctor")
 
-    steps = [_make_step(s) for s in (args.steps or ["cpack", "lexgroup", "fst"])]
+    steps = [make_step(s) for s in (args.steps or ["cpack", "lexgroup", "fst"])]
     plan = CompositionPlan(
         kernel_by_name(args.kernel),
         steps,

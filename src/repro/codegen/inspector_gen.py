@@ -17,21 +17,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.codegen.emit import SourceWriter
-from repro.runtime.inspector import (
-    BucketTilingStep,
-    CacheBlockStep,
-    CPackStep,
-    FullSparseTilingStep,
-    GPartStep,
-    LexGroupStep,
-    LexSortStep,
-    RCMStep,
-    SpaceFillingStep,
-    Step,
-    TilePackStep,
-    interaction_loop_pos,
-    node_loop_positions,
-)
+from repro.errors import ValidationError
+from repro.runtime.steps import Step, interaction_loop_pos, node_loop_positions
 from repro.uniform.kernel import Kernel
 
 
@@ -47,7 +34,7 @@ def generate_inspector_source(
     name = function_name or f"{kernel.name}_inspector"
     p_j = interaction_loop_pos(kernel)
     node_loops = node_loop_positions(kernel)
-    needs_coords = any(isinstance(s, SpaceFillingStep) for s in steps)
+    needs_coords = any("coords" in step.traits.reads for step in steps)
 
     w = SourceWriter()
     w.comment(f"Generated composed inspector for kernel {kernel.name!r}")
@@ -151,6 +138,20 @@ def _emit_data_reordering(
         w.line(f"sigma_pending = {sigma_var}[sigma_pending]")
 
 
+def _emit_iteration_reordering(w: SourceWriter, var: str, p_j: int) -> None:
+    """Guard + row permutation after an interaction-loop reordering."""
+    w.line(f"{var} = _guard({var!r}, {var}, num_inter)")
+    w.comment("permute the interaction loop's rows")
+    w.line(f"_order = np.empty_like({var})")
+    w.line(f"_order[{var}] = np.arange(num_inter, dtype=np.int64)")
+    w.line("left = left[_order]")
+    w.line("right = right[_order]")
+    with w.block("if tiling is not None:"):
+        w.line(f"_t = np.empty_like(tiling[{p_j}])")
+        w.line(f"_t[{var}] = tiling[{p_j}]")
+        w.line(f"tiling[{p_j}] = _t")
+
+
 def _emit_step(
     w: SourceWriter,
     step: Step,
@@ -160,113 +161,18 @@ def _emit_step(
     node_loops: List[int],
     remap: str,
 ) -> None:
+    """The step's own ``emit`` hook, then the index-array adjustment its
+    traits' ``kind`` calls for (a tiling step installs ``tiling``)."""
     w.comment(f"--- phase {index}: {step!r}")
-    if isinstance(step, CPackStep):
-        w.comment("CPACK traverses the current data mapping of the j loop")
-        w.line("_flat = np.empty(2 * num_inter, dtype=np.int64)")
-        w.line("_flat[0::2] = left")
-        w.line("_flat[1::2] = right")
-        var = f"cp{index}"
-        w.line(f"{var} = cpack(_flat, num_nodes).array")
+    if step.emit is None:
+        raise ValidationError(
+            f"no code generator for step {step!r}",
+            stage=f"{index}:{step.name}",
+            hint="give the step class an emit hook (repro.runtime.steps)",
+        )
+    var = step.emit(w, index, kernel)
+    if step.traits.kind == "data":
         _emit_data_reordering(w, var, node_loops, remap)
-    elif isinstance(step, GPartStep):
-        var = f"gp{index}"
-        w.line("_am = AccessMap.from_columns([left, right], num_nodes)")
-        w.line(f"{var} = gpart(_am, {step.partition_size}).array")
-        _emit_data_reordering(w, var, node_loops, remap)
-    elif isinstance(step, RCMStep):
-        var = f"rcm{index}"
-        w.line("_am = AccessMap.from_columns([left, right], num_nodes)")
-        w.line(f"{var} = reverse_cuthill_mckee(_am).array")
-        _emit_data_reordering(w, var, node_loops, remap)
-    elif isinstance(step, (LexGroupStep, LexSortStep, BucketTilingStep)):
-        var = f"{step.name}{index}"
-        w.line("_am = AccessMap.from_columns([left, right], num_nodes)")
-        if isinstance(step, LexGroupStep):
-            w.line(f"{var} = lexgroup(_am).array")
-        elif isinstance(step, LexSortStep):
-            w.line(f"{var} = lexsort(_am).array")
-        else:
-            w.line(f"{var} = bucket_tiling(_am, {step.bucket_size}).array")
-        w.line(f"{var} = _guard({var!r}, {var}, num_inter)")
-        w.comment("permute the interaction loop's rows")
-        w.line(f"_order = np.empty_like({var})")
-        w.line(f"_order[{var}] = np.arange(num_inter, dtype=np.int64)")
-        w.line("left = left[_order]")
-        w.line("right = right[_order]")
-        with w.block("if tiling is not None:"):
-            w.line(f"_t = np.empty_like(tiling[{p_j}])")
-            w.line(f"_t[{var}] = tiling[{p_j}]")
-            w.line(f"tiling[{p_j}] = _t")
-    elif isinstance(step, FullSparseTilingStep):
-        w.comment("full sparse tiling: seed the j loop, grow via dependences")
-        if step.use_symmetry:
-            w.comment(
-                "section-6 optimization: the symmetric dependence sets "
-                "share one traversal"
-            )
-        w.line("_j = np.arange(num_inter, dtype=np.int64)")
-        w.line("_ends = np.concatenate([left, right])")
-        w.line("_jj = np.concatenate([_j, _j])")
-        sizes = ", ".join(
-            "num_inter" if pos == p_j else "num_nodes"
-            for pos in range(len(kernel.loops))
-        )
-        edges_items = []
-        for pos in node_loops:
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            val = "(_ends, _jj)" if pos < p_j else "(_jj, _ends)"
-            edges_items.append(f"({pair[0]}, {pair[1]}): {val}")
-        w.line(
-            f"_seed = block_partition(num_inter, {step.seed_block_size})"
-        )
-        w.line("_edges = {" + ", ".join(edges_items) + "}")
-        w.line(
-            f"_tf = full_sparse_tiling([{sizes}], {p_j}, _seed, _edges)"
-        )
-        w.line("tiling = [t.copy() for t in _tf.tiles]")
-        w.line("num_tiles = _tf.num_tiles")
-    elif isinstance(step, CacheBlockStep):
-        w.line("_j = np.arange(num_inter, dtype=np.int64)")
-        w.line("_ends = np.concatenate([left, right])")
-        w.line("_jj = np.concatenate([_j, _j])")
-        sizes = ", ".join(
-            "num_inter" if pos == p_j else "num_nodes"
-            for pos in range(len(kernel.loops))
-        )
-        edges_items = []
-        for pos in node_loops:
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            val = "(_ends, _jj)" if pos < p_j else "(_jj, _ends)"
-            edges_items.append(f"({pair[0]}, {pair[1]}): {val}")
-        seed_extent = "num_inter" if p_j == 0 else "num_nodes"
-        w.line(f"_seed = block_partition({seed_extent}, {step.seed_block_size})")
-        w.line("_edges = {" + ", ".join(edges_items) + "}")
-        w.line(f"_tf = cache_block_tiling([{sizes}], _seed, _edges)")
-        w.line("tiling = [t.copy() for t in _tf.tiles]")
-        w.line("num_tiles = _tf.num_tiles")
-    elif isinstance(step, SpaceFillingStep):
-        var = f"sfc{index}"
-        w.comment(
-            "space-filling-curve reordering over programmer-supplied "
-            "coordinates, expressed in the current numbering"
-        )
-        w.line("_cur = np.empty_like(coords)")
-        w.line("_cur[sigma_total] = coords")
-        w.line(
-            f"{var} = space_filling_order(_cur, curve={step.curve!r}, "
-            f"order={step.order}).array"
-        )
-        _emit_data_reordering(w, var, node_loops, remap)
-    elif isinstance(step, TilePackStep):
-        data_loop = node_loops[0]
-        var = f"tp{index}"
-        w.comment("tilePack traverses the tiling function (Section 5.4)")
-        w.line(
-            f"{var} = tilepack(TilingFunction(tiling, num_tiles), "
-            f"{data_loop}, num_nodes).array"
-        )
-        _emit_data_reordering(w, var, node_loops, remap)
-    else:
-        raise TypeError(f"no code generator for step {step!r}")
+    elif step.traits.kind == "iteration":
+        _emit_iteration_reordering(w, var, p_j)
     w.line()

@@ -17,14 +17,12 @@ in the cache stats, never silent).
 from repro.incremental.delta import DatasetDelta, EpochAux
 from repro.incremental.engine import delta_bind, repair_tile_dag
 from repro.incremental.rules import (
-    DELTA_RULES,
     DeltaRule,
     UnsupportedDelta,
     plan_delta_eligibility,
 )
 
 __all__ = [
-    "DELTA_RULES",
     "DatasetDelta",
     "DeltaRule",
     "EpochAux",

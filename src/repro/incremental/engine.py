@@ -5,8 +5,9 @@
 epoch's dataset, its cached bind, and a
 :class:`~repro.incremental.delta.DatasetDelta`, it replays the plan's
 stages against the canonical mutated dataset with each stage's
-incremental patch (:mod:`repro.incremental.rules`) in place of the cold
-inspector, then proves the result before anyone may run it:
+incremental patch (its ``delta`` rule, :mod:`repro.incremental.rules`)
+in place of the cold inspector, then proves the result before anyone
+may run it:
 
 1. a patched tile schedule's counter DAG is rebuilt (when the parent
    epoch had one) and re-verified by the scheduler verifier (IRV006) via
@@ -40,11 +41,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.incremental.delta import DatasetDelta, EpochAux
-from repro.incremental.rules import (
-    DELTA_RULES,
-    UnsupportedDelta,
-    plan_delta_eligibility,
-)
+from repro.incremental.rules import UnsupportedDelta, plan_delta_eligibility
 
 
 @dataclass
@@ -181,7 +178,7 @@ def _patched_replay(
 
     for index, step in enumerate(plan.steps):
         state.current_index = index
-        rule = DELTA_RULES.get(step.name)
+        rule = step.delta
         if rule is None or rule.patch is None:
             raise UnsupportedDelta(
                 f"no incremental patch for stage {index} ({step.name})",

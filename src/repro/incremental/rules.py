@@ -10,17 +10,20 @@ to re-place the rows whose *keys* changed — everything else keeps its
 parent relative order, which is exactly the cold stable sort's order
 among unchanged keys.
 
-Whether a stage is patchable at all is driven by its declared
-:class:`~repro.transforms.base.TransformTraits` read set: the delta
-engine tracks incremental knowledge for ``index_values`` (the affected
-node set), ``iteration_order`` (the survivor compaction map), and
-``dependences``/``seed_partition``/``tiling`` (recomputed exactly in
-O(E) scatter passes).  A step reading anything else — ``coords``
+A step declares its rule as its ``delta`` (a :class:`DeltaRule`, next to
+the rest of its definition in :mod:`repro.runtime.steps`); a step with
+no ``delta`` is never patched.  Whether a stage is patchable at all is
+driven by its declared :class:`~repro.transforms.base.TransformTraits`
+read set: the delta engine tracks incremental knowledge for
+``index_values`` (the affected node set), ``iteration_order`` (the
+survivor compaction map), and ``dependences``/``seed_partition``/
+``tiling`` (recomputed exactly in O(E) scatter passes) — together
+:data:`TRACKED_READS`.  A step reading anything else — ``coords``
 (space-filling curves), or whose output is a global graph traversal no
 local key model covers (GPart's partitioner, RCM's BFS) — carries a
-zero drift threshold: any structural drift falls back to a full
-re-bind.  Falling back is never an error; it is the counted degradation
-path the acceptance criteria require.
+zero drift threshold and no patch: any structural drift falls back to a
+full re-bind.  Falling back is never an error; it is the counted
+degradation path the acceptance criteria require.
 
 Rules raise :class:`UnsupportedDelta` when a precondition fails at
 patch time (composite-key overflow, an unsorted base order); the engine
@@ -30,7 +33,7 @@ converts that into the same counted full-re-bind fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +44,12 @@ from repro.transforms.sorting import stable_argsort
 #: Largest composite sort key the int64 merge may build.
 _KEY_LIMIT = np.int64(2) ** 62
 
+#: The traits resources the engine can answer incrementally: a step whose
+#: declared read set exceeds them is never patched, whatever its rule.
+TRACKED_READS = frozenset(
+    {"index_values", "iteration_order", "dependences", "seed_partition", "tiling"}
+)
+
 
 class UnsupportedDelta(ReproError):
     """A patch precondition failed; the engine must fall back."""
@@ -48,31 +57,28 @@ class UnsupportedDelta(ReproError):
 
 @dataclass(frozen=True)
 class DeltaRule:
-    """How one step behaves under a delta-bind.
+    """How one step behaves under a delta-bind (a step's ``delta``).
 
     ``max_drift`` is the per-step drift threshold past which the engine
     falls back to a full re-bind; ``patch`` (when present) applies the
-    incremental update; ``tracked_reads`` are the traits resources the
-    engine can answer incrementally — a step whose declared read set
-    exceeds them is never patched, whatever its threshold.
+    incremental update as ``patch(ctx, state, step, index)``.  The two
+    positional preconditions: ``first_stage_only`` — the patch reads the
+    raw child access stream, which only stage 0 sees; ``merges_rows`` —
+    a stable-key merge over the canonical child row order, which no
+    earlier merge may have permuted.
     """
 
-    step_name: str
     max_drift: float
-    tracked_reads: FrozenSet[str]
     patch: Optional[Callable] = None
-
-    def supports(self, step) -> bool:
-        return self.patch is not None and set(step.traits.reads) <= set(
-            self.tracked_reads
-        )
+    first_stage_only: bool = False
+    merges_rows: bool = False
 
 
 # ---------------------------------------------------------------------------
-# cpack: first-touch order from the epoch aux (no sort over the stream).
+# First-touch packing from the epoch aux (no sort over the stream).
 
 
-def _patch_cpack(ctx, state, step, index) -> None:
+def patch_first_touch(ctx, state, step, index) -> None:
     """CPACK at stage 0 from first-touch keys.
 
     Cold cpack numbers touched nodes by first appearance in the
@@ -95,16 +101,18 @@ def _patch_cpack(ctx, state, step, index) -> None:
     sigma_arr = np.empty(len(order), dtype=np.int64)
     sigma_arr[order] = np.arange(len(order), dtype=np.int64)
     state.charge(step.name, 2 * len(order))
-    state.register("cp", sigma_arr)
+    state.register(step.symbol_prefix, sigma_arr)
     # trusted: sigma_arr is a scatter of arange (a permutation by
     # construction) and the engine numerically re-verifies the bind.
     state.apply_data_reordering(
-        ReorderingFunction(f"cp{index}", sigma_arr), step.name, trusted=True
+        ReorderingFunction(f"{step.symbol_prefix}{index}", sigma_arr),
+        step.name,
+        trusted=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# Stable-key merges: lexGroup / bucket / lexSort.
+# The stable-key merge: lexGroup / bucket / lexSort.
 
 
 def _parent_stage_mapped(ctx, step, index) -> np.ndarray:
@@ -126,6 +134,11 @@ def _parent_stage_mapped(ctx, step, index) -> np.ndarray:
     return mapped
 
 
+def merge_key_limit(num_rows: int) -> int:
+    """Keys must stay below this for the ``key * (E+1) + row`` composite."""
+    return int(_KEY_LIMIT // (num_rows + 1))
+
+
 def _merge_rows(ctx, state, step, index, row_keys, affected_rows_mask):
     """Merge changed rows into the parent's stable order by ``row_keys``.
 
@@ -138,9 +151,7 @@ def _merge_rows(ctx, state, step, index, row_keys, affected_rows_mask):
     merge, so the result equals the cold stable argsort bit for bit.
     """
     num_rows = len(row_keys)
-    if len(row_keys) and int(row_keys.max()) >= int(
-        _KEY_LIMIT // (num_rows + 1)
-    ):
+    if len(row_keys) and int(row_keys.max()) >= merge_key_limit(num_rows):
         raise UnsupportedDelta(
             "composite merge key would overflow int64", stage=step.name
         )
@@ -205,26 +216,17 @@ def _affected_rows(ctx, state, both_endpoints: bool) -> np.ndarray:
     return mask
 
 
-def _patch_lexgroup(ctx, state, step, index) -> None:
-    keys = state.data.left.copy()
-    _merge_rows(ctx, state, step, index, keys, _affected_rows(ctx, state, False))
+def patch_merge(ctx, state, step, index) -> None:
+    """Re-place the changed rows of a stable row sort.
 
-
-def _patch_bucket(ctx, state, step, index) -> None:
-    keys = state.data.left // np.int64(step.bucket_size)
-    _merge_rows(ctx, state, step, index, keys, _affected_rows(ctx, state, False))
-
-
-def _patch_lexsort(ctx, state, step, index) -> None:
-    n = np.int64(state.data.num_nodes)
-    if len(state.data.left) and n * n >= _KEY_LIMIT // (
-        len(state.data.left) + 1
-    ):
-        raise UnsupportedDelta(
-            "lexsort composite key would overflow int64", stage=step.name
-        )
-    keys = state.data.left * n + state.data.right
-    _merge_rows(ctx, state, step, index, keys, _affected_rows(ctx, state, True))
+    The step supplies its sort key: ``step.merge_key(data)`` returns the
+    per-row keys over the current index arrays and whether both
+    endpoints feed them (raising :class:`UnsupportedDelta` when the key
+    cannot be built)."""
+    keys, both_endpoints = step.merge_key(state.data)
+    _merge_rows(
+        ctx, state, step, index, keys, _affected_rows(ctx, state, both_endpoints)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def _patch_lexsort(ctx, state, step, index) -> None:
 # the IRV006 DAG gate + the mandatory numeric verifier.
 
 
-def _patch_recompute(ctx, state, step, index) -> None:
+def patch_recompute(ctx, state, step, index) -> None:
     """Re-run the stage's own inspector (already O(E) scatter passes);
     the delta-bind saving is the skipped per-edge tiling validation,
     which the engine replaces with the DAG repair + IRV006 + numeric
@@ -240,60 +242,15 @@ def _patch_recompute(ctx, state, step, index) -> None:
     step.run(state)
 
 
-#: The rule registry, keyed by inspector step name.
-DELTA_RULES: Dict[str, DeltaRule] = {
-    rule.step_name: rule
-    for rule in (
-        DeltaRule(
-            "cpack", 0.10,
-            frozenset({"index_values", "iteration_order"}), _patch_cpack,
-        ),
-        DeltaRule(
-            "lg", 0.10,
-            frozenset({"index_values", "iteration_order"}), _patch_lexgroup,
-        ),
-        DeltaRule(
-            "ls", 0.10,
-            frozenset({"index_values", "iteration_order"}), _patch_lexsort,
-        ),
-        DeltaRule(
-            "bt", 0.10,
-            frozenset({"index_values", "iteration_order"}), _patch_bucket,
-        ),
-        DeltaRule(
-            "fst", 0.05,
-            frozenset(
-                {"index_values", "iteration_order", "dependences",
-                 "seed_partition"}
-            ),
-            _patch_recompute,
-        ),
-        DeltaRule(
-            "tilepack", 0.05,
-            frozenset({"tiling", "index_values", "iteration_order"}),
-            _patch_recompute,
-        ),
-        # Global traversals: no local key model covers the partitioner /
-        # BFS / curve outputs, so any structural drift means re-bind.
-        DeltaRule("gpart", 0.0, frozenset()),
-        DeltaRule("rcm", 0.0, frozenset()),
-        DeltaRule("sfc", 0.0, frozenset()),
-        DeltaRule("cb", 0.0, frozenset()),
-    )
-}
-
-
 def plan_delta_eligibility(steps, drift: float) -> Tuple[bool, str]:
     """Can every stage of ``steps`` take this delta incrementally?
 
     Returns ``(ok, reason)`` — ``reason`` names the first refusing
-    stage.  Positional preconditions: the cpack patch needs the raw
-    child access stream (stage 0, before any row permutation), and the
-    stable-key merges need the canonical child row order (no earlier
-    interaction-loop reordering)."""
-    seen_row_reorder = False
+    stage.  The positional preconditions are each rule's
+    ``first_stage_only`` and ``merges_rows``."""
+    merged_rows = False
     for index, step in enumerate(steps):
-        rule = DELTA_RULES.get(step.name)
+        rule = step.delta
         if rule is None:
             return False, f"stage {index} ({step.name}): no delta rule"
         if drift > rule.max_drift:
@@ -301,29 +258,34 @@ def plan_delta_eligibility(steps, drift: float) -> Tuple[bool, str]:
                 f"stage {index} ({step.name}): drift {drift:.4f} exceeds "
                 f"threshold {rule.max_drift}"
             )
-        if drift > 0 and not rule.supports(step):
+        if drift > 0 and (
+            rule.patch is None or not set(step.traits.reads) <= TRACKED_READS
+        ):
             return False, (
                 f"stage {index} ({step.name}): traits read set "
                 f"{tuple(step.traits.reads)} is not incrementally tracked"
             )
-        if step.name == "cpack" and index != 0:
+        if rule.first_stage_only and index != 0:
             return False, (
-                f"stage {index} (cpack): patch requires the raw access "
+                f"stage {index} ({step.name}): patch requires the raw access "
                 "stream (stage 0 only)"
             )
-        if step.name in ("lg", "ls", "bt") and seen_row_reorder:
-            return False, (
-                f"stage {index} ({step.name}): a prior interaction "
-                "reordering broke canonical row order"
-            )
-        if step.name in ("lg", "ls", "bt"):
-            seen_row_reorder = True
+        if rule.merges_rows:
+            if merged_rows:
+                return False, (
+                    f"stage {index} ({step.name}): a prior interaction "
+                    "reordering broke canonical row order"
+                )
+            merged_rows = True
     return True, ""
 
 
 __all__ = [
-    "DELTA_RULES",
     "DeltaRule",
+    "TRACKED_READS",
     "UnsupportedDelta",
+    "patch_first_touch",
+    "patch_merge",
+    "patch_recompute",
     "plan_delta_eligibility",
 ]

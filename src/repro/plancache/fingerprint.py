@@ -33,10 +33,12 @@ import numpy as np
 SALT_EXTRA = os.environ.get("REPRO_PLANCACHE_SALT", "")
 
 #: Modules whose source feeds the code-version salt: the reordering
-#: algorithms, the composed inspector that drives them, and the lowering
-#: tier whose compiled executors cached binds rehydrate into.
+#: algorithms, the step table and composed inspector that drive them,
+#: and the lowering tier whose compiled executors cached binds rehydrate
+#: into.
 _SALT_MODULE_NAMES = (
     "repro.transforms",
+    "repro.runtime.steps",
     "repro.runtime.inspector",
     "repro.lowering",
 )

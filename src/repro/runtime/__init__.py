@@ -3,6 +3,9 @@
 The compile-time side (:mod:`repro.uniform`) plans compositions; this
 package *executes* them:
 
+* :mod:`repro.runtime.steps` — the step table: each reordering step
+  (spec type, parameters, traits, inspector, relation, delta rule, code
+  generator) defined once;
 * :mod:`repro.runtime.inspector` — the composed inspector: runs each
   planned transformation's inspector in order, each traversing the index
   arrays **as modified by the previous inspectors**, with the data-remap

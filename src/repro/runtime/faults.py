@@ -133,8 +133,16 @@ def _truncate_tiling(
 # -- step transformers --------------------------------------------------------------
 
 
-class _CrashingStep(Step):
-    """Wrap a step so its inspector raises mid-run."""
+class _WrappedStep(Step):
+    """A stage standing in for ``inner``: it forwards the stage's name,
+    symbolic names, preconditions, identity fallback and compile-time
+    transformations, and overrides only ``run``.
+
+    A wrapper is not the step it wraps: it keeps the conservative traits
+    and carries no ``delta``, so a delta-bind never patches it.
+    """
+
+    delta = None
 
     def __init__(self, inner: Step):
         self.inner = inner
@@ -154,13 +162,17 @@ class _CrashingStep(Step):
     def check_preconditions(self, state: InspectorState) -> None:
         self.inner.check_preconditions(state)
 
+    def symbolic(self, kernel, index):
+        return self.inner.symbolic(kernel, index)
+
+
+class _CrashingStep(_WrappedStep):
+    """Wrap a step so its inspector raises mid-run."""
+
     def run(self, state: InspectorState) -> None:
         raise RuntimeError(
             f"injected crash in stage {self.name!r} (fault harness)"
         )
-
-    def symbolic(self, kernel, index):
-        return self.inner.symbolic(kernel, index)
 
     def __repr__(self):
         return f"_CrashingStep({self.inner!r})"
@@ -189,9 +201,6 @@ class _LyingSymmetryStep(FullSparseTilingStep):
                 edges[pair] = base_oriented
             symmetric = {}
         return edges, symmetric, p_j
-
-    def __repr__(self):
-        return f"_LyingSymmetryStep(seed_block_size={self.seed_block_size})"
 
 
 # -- the injection proxy ------------------------------------------------------------
@@ -241,35 +250,17 @@ class _CorruptingState:
         setattr(self._inner, name, value)
 
 
-class FaultyStep(Step):
+class FaultyStep(_WrappedStep):
     """A step whose output is corrupted by a :class:`Fault`."""
 
     def __init__(self, inner: Step, fault: Fault, seed: int = 0):
-        self.inner = inner
+        super().__init__(inner)
         self.fault = fault
         self.seed = seed
-        self.name = inner.name
-
-    @property
-    def symbol_prefix(self):
-        return self.inner.symbol_prefix
-
-    @property
-    def symbol_domain(self):
-        return self.inner.symbol_domain
-
-    def identity_fallback(self, state: InspectorState) -> None:
-        self.inner.identity_fallback(state)
-
-    def check_preconditions(self, state: InspectorState) -> None:
-        self.inner.check_preconditions(state)
 
     def run(self, state: InspectorState) -> None:
         rng = np.random.default_rng(self.seed)
         self.inner.run(_CorruptingState(state, self.fault, rng))
-
-    def symbolic(self, kernel, index):
-        return self.inner.symbolic(kernel, index)
 
     def __repr__(self):
         return f"FaultyStep({self.inner!r}, fault={self.fault.name!r})"
@@ -338,7 +329,10 @@ def applicable(fault: Fault, step: Step) -> bool:
     if fault.kind == "tiling":
         return step.symbol_domain == "tiles"
     if fault.name == "lie-about-symmetry":
-        return isinstance(step, FullSparseTilingStep) and step.use_symmetry
+        # The lie re-grows tiles over a shared symmetric edge set.
+        return step.traits.symmetric_dependences and getattr(
+            step, "use_symmetry", False
+        )
     return True  # fail-stage
 
 

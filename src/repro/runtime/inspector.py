@@ -17,6 +17,9 @@ The **data payload** remap policy is the experiment of Figure 16:
 
 Both policies produce identical executors; they differ only in inspector
 overhead, which the ``overhead`` breakdown records in element touches.
+
+The steps themselves are defined once, in the step table
+(:mod:`repro.runtime.steps`); their names are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,51 +47,24 @@ from repro.runtime.report import (
     StageRecord,
 )
 from repro.runtime.executor import ExecutionPlan
-from repro.transforms import (
-    block_partition,
-    bucket_tiling,
-    cache_block_tiling,
-    cpack,
-    full_sparse_tiling,
-    gpart,
-    lexgroup,
-    lexsort,
-    reverse_cuthill_mckee,
-    tilepack,
+from repro.runtime.steps import (  # noqa: F401 - the step names re-export
+    BucketTilingStep,
+    CacheBlockStep,
+    CPackStep,
+    FullSparseTilingStep,
+    GPartStep,
+    LexGroupStep,
+    LexSortStep,
+    RCMStep,
+    SpaceFillingStep,
+    Step,
+    TilePackStep,
+    dependence_edges,
+    interaction_loop_pos,
+    node_loop_positions,
 )
-from repro.transforms.base import (
-    CONSERVATIVE_TRAITS,
-    ReorderingFunction,
-    identity_reordering,
-    traits_for,
-)
+from repro.transforms.base import ReorderingFunction, identity_reordering
 from repro.transforms.fst import TilingFunction
-from repro.uniform.kernel import Kernel
-from repro.uniform.state import DataReordering, IterationReordering
-from repro.transforms.base import (
-    permute_loops_relation,
-    tile_insert_relation,
-    tile_permute_relation,
-)
-
-
-def dependence_edges(data: KernelData) -> Dict[Tuple[int, int], Tuple]:
-    """The concrete cross-loop dependence edge sets of a kernel instance.
-
-    ``edges[(la, lb)] = (src, dst)``: iteration ``src`` of loop ``la``
-    must run no later than iteration ``dst`` of loop ``lb`` (atomic-tile
-    condition).  This is what sparse-tiling inspectors traverse and what
-    the bind-time tiling guard re-checks.
-    """
-    p_j = data.interaction_loop_position()
-    j = np.arange(data.num_inter, dtype=np.int64)
-    endpoints = np.concatenate([data.left, data.right])
-    jj = np.concatenate([j, j])
-    edges: Dict[Tuple[int, int], Tuple] = {}
-    for pos in data.node_loop_positions():
-        pair = (pos, p_j) if pos < p_j else (p_j, pos)
-        edges[pair] = (endpoints, jj) if pos < p_j else (jj, endpoints)
-    return edges
 
 
 def validate_tiling(state: "InspectorState", stage: str) -> None:
@@ -144,20 +120,6 @@ def validate_tiling(state: "InspectorState", stage: str) -> None:
                 "symmetric-dependence traversal with the wrong "
                 "orientation",
             )
-
-
-def interaction_loop_pos(kernel: Kernel) -> int:
-    """Position of the loop subscripting through index arrays (UFS)."""
-    for pos, loop in enumerate(kernel.loops):
-        for stmt in loop.statements:
-            if any(acc.index.uf_names() for acc in stmt.accesses):
-                return pos
-    raise ValueError(f"kernel {kernel.name!r} has no interaction loop")
-
-
-def node_loop_positions(kernel: Kernel) -> List[int]:
-    p = interaction_loop_pos(kernel)
-    return [i for i in range(len(kernel.loops)) if i != p]
 
 
 # ---------------------------------------------------------------------------
@@ -325,465 +287,6 @@ class InspectorState:
         ):
             self._move_payload(self.sigma_pending, "data_remap")
             self.sigma_pending = identity_reordering(self.data.num_nodes)
-
-
-# ---------------------------------------------------------------------------
-# Steps
-
-
-class Step:
-    """One planned run-time reordering transformation."""
-
-    name: str = "step"
-    #: Prefix of the symbolic UFS this step introduces (``cp``, ``lg``,
-    #: ``theta``, ...); used by :meth:`identity_fallback` to register
-    #: identity functions under the names the plan's relations reference.
-    symbol_prefix: Optional[str] = None
-    #: Space the step's reordering covers: ``nodes``, ``inters``, ``tiles``.
-    symbol_domain: str = "nodes"
-    #: Declarative dataflow metadata (:class:`~repro.transforms.base.TransformTraits`)
-    #: consumed by the static analyzer; defaults to the conservative
-    #: read-everything/write-everything traits so third-party steps lint
-    #: without declaring anything.
-    traits = CONSERVATIVE_TRAITS
-
-    def run(self, state: InspectorState) -> None:
-        raise NotImplementedError
-
-    def symbolic(self, kernel: Kernel, index: int):
-        """Compile-time transformations this step realizes (a list)."""
-        raise NotImplementedError
-
-    def check_preconditions(self, state: InspectorState) -> None:
-        """Validate the state this step requires; raise ValidationError.
-
-        Called by the composed inspector before :meth:`run`, so precondition
-        violations are typed, name the stage, and are degradable under a
-        permissive ``on_stage_failure`` policy.
-        """
-
-    def identity_fallback(self, state: InspectorState) -> None:
-        """Register identity stage functions under this step's UFS names.
-
-        Used by the ``identity`` failure policy: the stage's effect on the
-        data is rolled back, but the symbolic names the plan references
-        (``cp0``, ``lg1``, ``theta2``, ...) still bind — to the identity
-        reordering (or the trivial one-tile tiling), keeping the degraded
-        plan's relations evaluable.
-        """
-        if self.symbol_prefix is None:
-            return
-        if self.symbol_domain == "tiles":
-            state.register(
-                self.symbol_prefix,
-                [
-                    np.zeros(size, dtype=np.int64)
-                    for size in state.data.loop_sizes()
-                ],
-            )
-            return
-        size = (
-            state.data.num_nodes
-            if self.symbol_domain == "nodes"
-            else state.data.num_inter
-        )
-        state.register(self.symbol_prefix, np.arange(size, dtype=np.int64))
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
-
-def _data_step_symbolic(kernel: Kernel, func: str) -> list:
-    """R on every data array, plus the implied T on node loops."""
-    arrays = tuple(kernel.data_arrays)
-    nodes = node_loop_positions(kernel)
-    transformations = [DataReordering(func, arrays, label=func)]
-    if nodes:
-        T = permute_loops_relation(
-            len(kernel.loops), {pos: func for pos in nodes}
-        )
-        transformations.append(
-            IterationReordering(T, label=f"{func}@nodes", introduces=(func,))
-        )
-    return transformations
-
-
-class CPackStep(Step):
-    """Consecutive packing of the node data (paper Figure 10)."""
-
-    name = "cpack"
-    symbol_prefix = "cp"
-    traits = traits_for("cpack")
-
-    def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        sigma = cpack(
-            state.data.interaction_access_map().flat_locations(),
-            state.data.num_nodes,
-            name=f"cp{state.current_index}",
-            counter=counter,
-        )
-        state.charge(self.name, counter["touches"])
-        state.register("cp", sigma.array)
-        state.apply_data_reordering(sigma, self.name)
-
-    def symbolic(self, kernel: Kernel, index: int):
-        return _data_step_symbolic(kernel, f"cp{index}")
-
-
-class GPartStep(Step):
-    """Graph-partitioning data reordering (GPART)."""
-
-    name = "gpart"
-    symbol_prefix = "gp"
-    traits = traits_for("gpart")
-
-    def __init__(self, partition_size: int):
-        if partition_size <= 0:
-            raise ValidationError(
-                f"partition_size must be positive, got {partition_size}",
-                stage=self.name,
-            )
-        self.partition_size = partition_size
-
-    def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        sigma = gpart(
-            state.data.interaction_access_map(),
-            self.partition_size,
-            counter=counter,
-        )
-        state.charge(self.name, counter["touches"])
-        state.register("gp", sigma.array)
-        state.apply_data_reordering(sigma, self.name)
-
-    def symbolic(self, kernel: Kernel, index: int):
-        return _data_step_symbolic(kernel, f"gp{index}")
-
-    def __repr__(self):
-        return f"GPartStep(partition_size={self.partition_size})"
-
-
-class RCMStep(Step):
-    """Reverse Cuthill--McKee data reordering."""
-
-    name = "rcm"
-    symbol_prefix = "rcm"
-    traits = traits_for("rcm")
-
-    def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        sigma = reverse_cuthill_mckee(
-            state.data.interaction_access_map(), counter=counter
-        )
-        state.charge(self.name, counter["touches"])
-        state.register("rcm", sigma.array)
-        state.apply_data_reordering(sigma, self.name)
-
-    def symbolic(self, kernel: Kernel, index: int):
-        return _data_step_symbolic(kernel, f"rcm{index}")
-
-
-class SpaceFillingStep(Step):
-    """Space-filling-curve data reordering (paper Section 8, refs [20,28]).
-
-    Requires the node coordinates — the paper's point that these
-    reorderings "can not be fully automated" because the data-to-space
-    mapping must be supplied.  ``coords`` are in the *original* node
-    numbering; the step tracks prior reorderings via ``sigma_total``.
-    """
-
-    name = "sfc"
-    symbol_prefix = "sfc"
-    traits = traits_for("spacefill")
-
-    def __init__(self, coords, curve: str = "hilbert", order: int = 10):
-        self.coords = np.asarray(coords, dtype=np.float64)
-        self.curve = curve
-        self.order = order
-
-    def check_preconditions(self, state: InspectorState) -> None:
-        if len(self.coords) != state.data.num_nodes:
-            raise ValidationError(
-                f"coords must cover every node: got {len(self.coords)} "
-                f"coordinates for {state.data.num_nodes} nodes",
-                stage=self.name,
-                hint="supply one spatial coordinate per node in the "
-                "original numbering",
-            )
-
-    def run(self, state: InspectorState) -> None:
-        from repro.transforms.spacefill import space_filling_order
-
-        self.check_preconditions(state)
-        counter: Dict[str, int] = {}
-        # Express the coordinates in the current numbering.
-        current_coords = np.empty_like(self.coords)
-        current_coords[state.sigma_total.array] = self.coords
-        sigma = space_filling_order(
-            current_coords, curve=self.curve, order=self.order, counter=counter
-        )
-        state.charge(self.name, counter["touches"])
-        state.register("sfc", sigma.array)
-        state.apply_data_reordering(sigma, self.name)
-
-    def symbolic(self, kernel: Kernel, index: int):
-        return _data_step_symbolic(kernel, f"sfc{index}")
-
-    def __repr__(self):
-        return f"SpaceFillingStep(curve={self.curve!r}, order={self.order})"
-
-
-class _InteractionReorderStep(Step):
-    """Shared shell for iteration reorderings of the interaction loop."""
-
-    symbol_domain = "inters"
-
-    @property
-    def symbol_prefix(self) -> str:
-        return self.name
-
-    def _delta(self, state: InspectorState, counter: dict) -> ReorderingFunction:
-        raise NotImplementedError
-
-    def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        delta = self._delta(state, counter)
-        state.charge(self.name, counter["touches"])
-        state.register(self.name, delta.array)
-        state.apply_iteration_reordering(
-            state.data.interaction_loop_position(), delta, self.name
-        )
-
-    def symbolic(self, kernel: Kernel, index: int):
-        func = f"{self.name}{index}"
-        pos = interaction_loop_pos(kernel)
-        T = permute_loops_relation(len(kernel.loops), {pos: func})
-        return [IterationReordering(T, label=self.name, introduces=(func,))]
-
-
-class LexGroupStep(_InteractionReorderStep):
-    """Lexicographical grouping of the interaction loop."""
-
-    name = "lg"
-    traits = traits_for("lexgroup")
-
-    def _delta(self, state, counter):
-        return lexgroup(state.data.interaction_access_map(), counter=counter)
-
-
-class LexSortStep(_InteractionReorderStep):
-    """Lexicographical sorting of the interaction loop."""
-
-    name = "ls"
-    traits = traits_for("lexsort")
-
-    def _delta(self, state, counter):
-        return lexsort(state.data.interaction_access_map(), counter=counter)
-
-
-class BucketTilingStep(_InteractionReorderStep):
-    """Bucket tiling of the interaction loop."""
-
-    name = "bt"
-    traits = traits_for("bucket_tiling")
-
-    def __init__(self, bucket_size: int):
-        if bucket_size <= 0:
-            raise ValidationError(
-                f"bucket_size must be positive, got {bucket_size}",
-                stage=self.name,
-            )
-        self.bucket_size = bucket_size
-
-    def _delta(self, state, counter):
-        return bucket_tiling(
-            state.data.interaction_access_map(), self.bucket_size, counter=counter
-        )
-
-    def __repr__(self):
-        return f"BucketTilingStep(bucket_size={self.bucket_size})"
-
-
-class FullSparseTilingStep(Step):
-    """Full sparse tiling seeded by a block partition of the interaction
-    loop; tiles grow across the node loops by dependence traversal.
-
-    ``use_symmetry`` enables the paper's Section 6 optimization: the
-    (interaction -> later node loop) dependences satisfy the same
-    constraints as the (earlier node loop -> interaction) ones, so the
-    inspector traverses a single edge set.
-    """
-
-    name = "fst"
-    symbol_prefix = "theta"
-    symbol_domain = "tiles"
-    traits = traits_for("fst")
-
-    def __init__(self, seed_block_size: int, use_symmetry: bool = True):
-        if seed_block_size <= 0:
-            raise ValidationError(
-                f"seed_block_size must be positive, got {seed_block_size}",
-                stage=self.name,
-            )
-        self.seed_block_size = seed_block_size
-        self.use_symmetry = use_symmetry
-
-    def _edges(self, state: InspectorState):
-        data = state.data
-        p_j = data.interaction_loop_position()
-        j = np.arange(data.num_inter, dtype=np.int64)
-        endpoints = np.concatenate([data.left, data.right])
-        jj = np.concatenate([j, j])
-        edges = {}
-        symmetric: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        base_pair = None
-        for pos in data.node_loop_positions():
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            oriented = (endpoints, jj) if pos < p_j else (jj, endpoints)
-            if base_pair is None or not self.use_symmetry:
-                edges[pair] = oriented
-                base_pair = pair
-                # Loading both endpoint arrays + seed traversal.
-                state.charge(self.name, 2 * len(endpoints))
-            else:
-                symmetric[pair] = base_pair
-        return edges, symmetric, p_j
-
-    def run(self, state: InspectorState) -> None:
-        data = state.data
-        seed = block_partition(data.num_inter, self.seed_block_size)
-        edges, symmetric, p_j = self._edges(state)
-        counter: Dict[str, int] = {}
-        tiling = full_sparse_tiling(
-            data.loop_sizes(),
-            p_j,
-            seed,
-            edges,
-            symmetric_with=symmetric or None,
-            counter=counter,
-        )
-        state.charge(self.name, counter["touches"])
-        state.register("theta", [t.copy() for t in tiling.tiles])
-        state.tiling = tiling
-
-    def symbolic(self, kernel: Kernel, index: int):
-        T = tile_insert_relation(f"theta{index}")
-        return [
-            IterationReordering(
-                T,
-                label=self.name,
-                introduces=(f"theta{index}",),
-                inspects_dependences=True,
-            )
-        ]
-
-    def __repr__(self):
-        return (
-            f"FullSparseTilingStep(seed_block_size={self.seed_block_size}, "
-            f"use_symmetry={self.use_symmetry})"
-        )
-
-
-class CacheBlockStep(Step):
-    """Cache blocking: seed the first loop, shrink tiles through the rest."""
-
-    name = "cb"
-    symbol_prefix = "theta"
-    symbol_domain = "tiles"
-    traits = traits_for("cache_block")
-
-    def __init__(self, seed_block_size: int):
-        if seed_block_size <= 0:
-            raise ValidationError(
-                f"seed_block_size must be positive, got {seed_block_size}",
-                stage=self.name,
-            )
-        self.seed_block_size = seed_block_size
-
-    def run(self, state: InspectorState) -> None:
-        data = state.data
-        p_j = data.interaction_loop_position()
-        j = np.arange(data.num_inter, dtype=np.int64)
-        endpoints = np.concatenate([data.left, data.right])
-        jj = np.concatenate([j, j])
-        edges = {}
-        for pos in data.node_loop_positions():
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            edges[pair] = (endpoints, jj) if pos < p_j else (jj, endpoints)
-            state.charge(self.name, 2 * len(endpoints))
-        seed_sizes = data.loop_sizes()
-        seed = block_partition(seed_sizes[0], self.seed_block_size)
-        counter: Dict[str, int] = {}
-        tiling = cache_block_tiling(seed_sizes, seed, edges, counter=counter)
-        state.charge(self.name, counter["touches"])
-        state.register("theta", [t.copy() for t in tiling.tiles])
-        state.tiling = tiling
-
-    def symbolic(self, kernel: Kernel, index: int):
-        T = tile_insert_relation(f"theta{index}")
-        return [
-            IterationReordering(
-                T,
-                label=self.name,
-                introduces=(f"theta{index}",),
-                inspects_dependences=True,
-            )
-        ]
-
-    def __repr__(self):
-        return f"CacheBlockStep(seed_block_size={self.seed_block_size})"
-
-
-class TilePackStep(Step):
-    """Tile packing: pack node data in tile-visit order (needs a tiling)."""
-
-    name = "tilepack"
-    symbol_prefix = "tp"
-    traits = traits_for("tilepack")
-
-    def check_preconditions(self, state: InspectorState) -> None:
-        if state.tiling is None:
-            raise ValidationError(
-                "tilePack requires a prior sparse tiling step",
-                stage=self.name,
-                hint="add FullSparseTilingStep or CacheBlockStep before "
-                "TilePackStep in the composition",
-            )
-
-    def run(self, state: InspectorState) -> None:
-        self.check_preconditions(state)
-        data = state.data
-        data_loop = data.node_loop_positions()[0]
-        counter: Dict[str, int] = {}
-        sigma = tilepack(
-            state.tiling, data_loop, data.num_nodes, counter=counter
-        )
-        state.charge(self.name, counter["touches"])
-        state.register("tp", sigma.array)
-        # apply_data_reordering permutes the node-loop tiles to match.
-        state.apply_data_reordering(sigma, self.name)
-
-    def symbolic(self, kernel: Kernel, index: int):
-        func = f"tp{index}"
-        arrays = tuple(kernel.data_arrays)
-        nodes = node_loop_positions(kernel)
-        T = tile_permute_relation(
-            len(kernel.loops), {pos: func for pos in nodes}
-        )
-        # The tile coordinate is preserved by T, so legality reduces to the
-        # tiling function's own guarantee; the tilePack inspector traverses
-        # that tiling function (paper Section 5.4), inheriting its
-        # dependence-derived legality — re-checked by the runtime verifier.
-        return [
-            DataReordering(func, arrays, label=self.name),
-            IterationReordering(
-                T,
-                label=f"{func}@nodes",
-                introduces=(func,),
-                inspects_dependences=True,
-            ),
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,71 +18,34 @@ A *plan spec* is the serializable description of one composition::
 
 ``python -m repro lint`` consumes these (the example plans under
 ``examples/plans/`` are specs), and ``python -m repro plan``'s positional
-step names use the same :data:`STEP_TYPES` table.
+step names use the same :data:`~repro.runtime.steps.STEP_TYPES` view of
+the step table.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import List
 
 from repro.errors import BindError, ValidationError
-from repro.runtime.inspector import (
-    BucketTilingStep,
-    CacheBlockStep,
-    CPackStep,
-    FullSparseTilingStep,
-    GPartStep,
-    LexGroupStep,
-    LexSortStep,
-    RCMStep,
-    Step,
-    TilePackStep,
-)
-
-#: Spec ``type`` -> step factory.  Parameters come from the spec entry;
-#: unknown parameters are rejected (typos must not silently default).
-STEP_TYPES: Dict[str, type] = {
-    "cpack": CPackStep,
-    "gpart": GPartStep,
-    "rcm": RCMStep,
-    "lexgroup": LexGroupStep,
-    "lexsort": LexSortStep,
-    "bucket": BucketTilingStep,
-    "fst": FullSparseTilingStep,
-    "cacheblock": CacheBlockStep,
-    "tilepack": TilePackStep,
-}
-
-#: Default constructor parameters for steps that require one.
-_STEP_DEFAULTS: Dict[str, dict] = {
-    "gpart": {"partition_size": 128},
-    "bucket": {"bucket_size": 128},
-    "fst": {"seed_block_size": 128},
-    "cacheblock": {"seed_block_size": 128},
-}
+from repro.runtime.steps import STEP_TYPES, Step
 
 
 def make_step(type_name: str, **params) -> Step:
-    """Instantiate one step from its spec type name and parameters."""
+    """Instantiate one step from its spec type name and parameters.
+
+    Parameters are checked by the step's own ``params`` declaration;
+    omitted ones take its defaults, and unknown or ill-typed ones are
+    typed errors (typos must not silently default)."""
     try:
         cls = STEP_TYPES[type_name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise BindError(
             f"unknown step type {type_name!r}",
             hint=f"choose from {sorted(STEP_TYPES)}",
         ) from None
-    kwargs = dict(_STEP_DEFAULTS.get(type_name, {}))
-    kwargs.update(params)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(
-            f"bad parameters for step {type_name!r}: {exc}",
-            stage=type_name,
-            hint="see the step class constructor for accepted parameters",
-        ) from None
+    return cls(**params)
 
 
 def plan_from_spec(spec: dict):
@@ -130,38 +93,34 @@ def plan_from_spec(spec: dict):
     )
 
 
-#: Step class -> spec ``type`` (the inverse of :data:`STEP_TYPES`).
-_TYPE_BY_CLASS = {cls: name for name, cls in STEP_TYPES.items()}
-
-
 def step_to_spec(step: Step) -> dict:
     """Serialize one step back to its spec entry.
 
-    Parameters are discovered generically from the instance ``__dict__``
-    (the same convention the plan-cache fingerprint relies on), so every
-    shipped step type round-trips without registration.  Steps whose
-    class is not in :data:`STEP_TYPES` (e.g. space-filling steps, whose
-    coordinate arrays have no spec syntax) are rejected.
+    The entry is the step's declared ``params``.  Steps whose exact class
+    is not the registered one for a spec type (space-filling steps, whose
+    coordinate arrays have no spec syntax; subclasses of a registered
+    step) are rejected, as are steps carrying undeclared attributes —
+    the plan-cache fingerprint hashes those, so dropping them would not
+    round-trip.
     """
-    type_name = _TYPE_BY_CLASS.get(type(step))
-    if type_name is None:
+    spec_type = getattr(type(step), "spec_type", None)
+    if STEP_TYPES.get(spec_type) is not type(step):
         raise ValidationError(
             f"step {type(step).__name__} has no plan-spec type and cannot "
             "be serialized",
             stage="planspec",
             hint=f"serializable step types: {sorted(STEP_TYPES)}",
         )
-    entry: dict = {"type": type_name}
-    for key in sorted(vars(step)):
-        value = vars(step)[key]
-        if not isinstance(value, (bool, int, float, str)):
-            raise ValidationError(
-                f"step {type_name!r} parameter {key!r} of type "
-                f"{type(value).__name__} is not spec-serializable",
-                stage="planspec",
-            )
-        entry[key] = value
-    return entry
+    declared = sorted(param.name for param in step.params)
+    undeclared = sorted(set(vars(step)) - set(declared))
+    if undeclared:
+        key = undeclared[0]
+        raise ValidationError(
+            f"step {spec_type!r} parameter {key!r} of type "
+            f"{type(vars(step)[key]).__name__} is not spec-serializable",
+            stage="planspec",
+        )
+    return {"type": spec_type, **{key: getattr(step, key) for key in declared}}
 
 
 def plan_to_spec(plan) -> dict:

@@ -27,7 +27,6 @@ data mapping ``M_{I->a}``).
 from repro.transforms.base import (
     CONSERVATIVE_TRAITS,
     RESOURCES,
-    TRANSFORM_TRAITS,
     AccessMap,
     ReorderingFunction,
     TransformTraits,
@@ -36,7 +35,6 @@ from repro.transforms.base import (
     permute_loops_relation,
     tile_insert_relation,
     tile_permute_relation,
-    traits_for,
 )
 from repro.transforms.cpack import cpack, cpack_from_access_map
 from repro.transforms.gpart import gpart
@@ -64,10 +62,8 @@ __all__ = [
     "AccessMap",
     "ReorderingFunction",
     "TransformTraits",
-    "TRANSFORM_TRAITS",
     "CONSERVATIVE_TRAITS",
     "RESOURCES",
-    "traits_for",
     "identity_reordering",
     "permutation_from_order",
     "permute_loops_relation",

@@ -69,11 +69,12 @@ class TransformTraits:
     a full sort does not — up to tie-breaking).  ``symmetric_dependences``
     marks inspectors able to traverse one of two symmetric dependence edge
     sets (paper Section 6); ``inspects_dependences`` marks inspectors that
-    discharge iteration-reordering legality by construction.
+    discharge iteration-reordering legality by construction.  Each step
+    declares its traits inline, next to its inspector
+    (:mod:`repro.runtime.steps`).
     """
 
-    name: str
-    kind: str  #: one of ``data`` / ``iteration`` / ``tiling`` / ``seed`` / ``schedule``
+    kind: str  #: one of ``data`` / ``iteration`` / ``tiling``
     reads: Tuple[str, ...]
     writes: Tuple[str, ...]
     order_sensitive: bool = True
@@ -84,7 +85,7 @@ class TransformTraits:
         for resource in self.reads + self.writes:
             if resource not in RESOURCES:
                 raise ValueError(
-                    f"unknown resource {resource!r} in traits {self.name!r}; "
+                    f"unknown resource {resource!r} in traits; "
                     f"choose from {RESOURCES}"
                 )
 
@@ -92,20 +93,11 @@ class TransformTraits:
     def is_data_reordering(self) -> bool:
         return "node_space" in self.writes
 
-    @property
-    def is_iteration_reordering(self) -> bool:
-        return "inter_order" in self.writes
-
-    @property
-    def is_tiling(self) -> bool:
-        return "tiling" in self.writes
-
 
 #: Default for transforms that declare nothing: assume they read and
 #: write everything, so third-party steps still lint — conservatively,
 #: producing no false "dead stage"/"fusable" diagnostics.
 CONSERVATIVE_TRAITS = TransformTraits(
-    name="unknown",
     kind="unknown",
     reads=RESOURCES,
     writes=("node_space", "inter_order", "tiling", "schedule"),
@@ -113,100 +105,6 @@ CONSERVATIVE_TRAITS = TransformTraits(
     symmetric_dependences=False,
     inspects_dependences=False,
 )
-
-#: Traits of every transform in :mod:`repro.transforms`, keyed by module
-#: (algorithm) name.
-TRANSFORM_TRAITS: Dict[str, TransformTraits] = {
-    traits.name: traits
-    for traits in (
-        TransformTraits(
-            name="cpack",
-            kind="data",
-            reads=("index_values", "iteration_order"),
-            writes=("node_space",),
-        ),
-        TransformTraits(
-            name="gpart",
-            kind="data",
-            reads=("index_values",),
-            writes=("node_space",),
-        ),
-        TransformTraits(
-            name="rcm",
-            kind="data",
-            reads=("index_values",),
-            writes=("node_space",),
-        ),
-        TransformTraits(
-            name="spacefill",
-            kind="data",
-            reads=("coords", "node_space"),
-            writes=("node_space",),
-            order_sensitive=False,
-        ),
-        TransformTraits(
-            name="lexgroup",
-            kind="iteration",
-            reads=("index_values", "iteration_order"),
-            writes=("inter_order",),
-        ),
-        TransformTraits(
-            name="lexsort",
-            kind="iteration",
-            reads=("index_values",),
-            writes=("inter_order",),
-            order_sensitive=False,
-        ),
-        TransformTraits(
-            name="bucket_tiling",
-            kind="iteration",
-            reads=("index_values", "iteration_order"),
-            writes=("inter_order",),
-        ),
-        TransformTraits(
-            name="block_partition",
-            kind="seed",
-            reads=("iteration_order",),
-            writes=("seed_partition",),
-        ),
-        TransformTraits(
-            name="fst",
-            kind="tiling",
-            reads=("index_values", "iteration_order", "dependences"),
-            writes=("tiling",),
-            symmetric_dependences=True,
-            inspects_dependences=True,
-        ),
-        TransformTraits(
-            name="cache_block",
-            kind="tiling",
-            reads=("index_values", "iteration_order", "dependences"),
-            writes=("tiling",),
-            inspects_dependences=True,
-        ),
-        TransformTraits(
-            name="tilepack",
-            kind="data",
-            reads=("tiling",),
-            writes=("node_space",),
-            order_sensitive=False,
-            inspects_dependences=True,
-        ),
-        TransformTraits(
-            name="parallel",
-            kind="schedule",
-            reads=("tiling", "dependences"),
-            writes=("schedule",),
-            order_sensitive=False,
-        ),
-    )
-}
-
-
-def traits_for(name: str) -> TransformTraits:
-    """Traits of a transform by name; :data:`CONSERVATIVE_TRAITS` when the
-    transform declared nothing (third-party steps still lint)."""
-    return TRANSFORM_TRAITS.get(name, CONSERVATIVE_TRAITS)
 
 
 class ReorderingFunction:

@@ -188,6 +188,70 @@ class TestGeneratedInspectors:
         assert "Figure 15" in src_each
 
 
+def _emitting_definitions():
+    from repro.runtime.steps import registered
+
+    return [cls for cls in registered() if cls.emit is not None]
+
+
+@pytest.fixture(scope="module")
+def foil():
+    from repro.kernels import generate_dataset
+
+    return generate_dataset("foil", scale=256)  # 2-D coords for the SFC
+
+
+class TestEveryDefinition:
+    """Generated == library for every step in the table with an ``emit``
+    hook, alone on raw data (a step reading a tiling after a default FST),
+    compared on sigma, index arrays, payload and the full tile schedule."""
+
+    @pytest.mark.parametrize("remap", ["once", "each"])
+    @pytest.mark.parametrize("kernel_name", ["moldyn", "nbf", "irreg"])
+    @pytest.mark.parametrize(
+        "cls", _emitting_definitions(), ids=lambda cls: cls.name
+    )
+    def test_generated_matches_library(self, cls, kernel_name, remap, foil):
+        needs_coords = "coords" in cls.traits.reads
+        step = cls(foil.coords) if needs_coords else cls()
+        prefix = [FullSparseTilingStep()] if "tiling" in cls.traits.reads else []
+        steps = prefix + [step]
+        data = make_kernel_data(kernel_name, foil)
+        src = generate_inspector_source(
+            kernel_by_name(kernel_name), steps, remap=remap
+        )
+        fn = compile_source(src, f"{kernel_name}_inspector")
+        out = fn(
+            data.num_nodes, data.num_inter, data.left, data.right,
+            {k: v.copy() for k, v in data.arrays.items()},
+            **({"coords": foil.coords} if needs_coords else {}),
+        )
+        lib = ComposedInspector(steps, remap=remap).run(data)
+        assert np.array_equal(out["sigma"], lib.sigma_nodes.array)
+        assert np.array_equal(out["left"], lib.transformed.left)
+        assert np.array_equal(out["right"], lib.transformed.right)
+        for k in data.arrays:
+            assert np.array_equal(out["arrays"][k], lib.transformed.arrays[k])
+        if lib.plan.schedule is None:
+            assert out["schedule"] is None
+        else:
+            assert len(out["schedule"]) == len(lib.plan.schedule)
+            for t, tile in enumerate(lib.plan.schedule):
+                assert len(out["schedule"][t]) == len(tile)
+                for l in range(len(tile)):
+                    assert np.array_equal(out["schedule"][t][l], tile[l])
+
+    def test_step_without_hook_is_a_typed_error(self):
+        from repro.errors import ValidationError
+        from repro.runtime.inspector import Step
+
+        class Opaque(Step):
+            name = "opaque"
+
+        with pytest.raises(ValidationError, match="no code generator"):
+            generate_inspector_source(kernel_by_name("irreg"), [Opaque()])
+
+
 class TestSpaceFillingCodegen:
     def test_generated_sfc_matches_library(self):
         from repro.kernels import generate_dataset, make_kernel_data

@@ -1,12 +1,14 @@
 """Delta-bind engine behavior: counted fallbacks, epoch-chain links, the
 hit path, mandatory re-verification, and mid-delta failure recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.incremental import DatasetDelta
-from repro.incremental.rules import DELTA_RULES, DeltaRule, UnsupportedDelta
+from repro.incremental.rules import UnsupportedDelta
 from repro.kernels.specs import kernel_by_name
 from repro.plancache import PlanCache
 from repro.plancache.fingerprint import bind_fingerprint
@@ -107,6 +109,28 @@ class TestFallbacks:
         assert cache.stats.delta_fallbacks == 1
         cold = _plan().bind(delta.apply(data), cache=_cache())
         assert_bit_identical(result, cold)
+
+    def test_fault_wrapped_stage_is_never_patched(self):
+        """A fault wrapper stands in for the stage it wraps but is not that
+        step: it carries no delta rule, so the re-bind falls back even for
+        a benign corruptor on an otherwise patchable composition."""
+        from repro.runtime.faults import inject
+        from repro.runtime.inspector import FullSparseTilingStep
+
+        steps = inject(
+            [CPackStep(), LexGroupStep(), FullSparseTilingStep(8)],
+            stage=0,
+            fault="swap-entries",
+        )
+        assert steps[0].delta is None
+        data = tiny_data()
+        plan = _plan(steps, name="cpack+lg+fst")
+        cache = _cache()
+        plan.bind(data, cache=cache)
+        result = plan.rebind(data, small_delta(data, seed=27), cache=cache)
+        assert result.delta_info["mode"] == "fallback"
+        assert "stage 0 (cpack)" in result.delta_info["reason"]
+        assert cache.stats.delta_patched == 0
 
     def test_child_data_shape_mismatch_rejected(self):
         data = tiny_data()
@@ -216,7 +240,7 @@ class TestMidDeltaFailure:
             }
             # Partial progress: a real reordering lands, then the patch
             # discovers it cannot finish.
-            DELTA_RULES["cpack"].patch(ctx, state, step_cpack, 0)
+            CPackStep.delta.patch(ctx, state, step_cpack, 0)
             assert state.data.left.tobytes() != before["left"] or (
                 state.sigma_total.array.tobytes() != before["sigma"]
             )
@@ -232,15 +256,10 @@ class TestMidDeltaFailure:
             raise UnsupportedDelta("injected mid-delta failure", stage="lg")
 
         step_cpack = CPackStep()
-        monkeypatch.setitem(
-            DELTA_RULES,
-            "lg",
-            DeltaRule(
-                "lg",
-                0.10,
-                frozenset({"index_values", "iteration_order"}),
-                flaky_patch,
-            ),
+        monkeypatch.setattr(
+            LexGroupStep,
+            "delta",
+            dataclasses.replace(LexGroupStep.delta, patch=flaky_patch),
         )
         plan = _plan()
         cache = _cache()

@@ -7,17 +7,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.incremental.rules import DELTA_RULES, plan_delta_eligibility
+from repro.incremental.rules import plan_delta_eligibility
 from repro.kernels.specs import kernel_by_name
 from repro.plancache import PlanCache
 from repro.runtime import CompositionPlan
 from repro.runtime.inspector import (
     BucketTilingStep,
+    CacheBlockStep,
     CPackStep,
     FullSparseTilingStep,
     GPartStep,
     LexGroupStep,
     LexSortStep,
+    RCMStep,
+    SpaceFillingStep,
 )
 
 from tests.incremental.conftest import (
@@ -124,11 +127,11 @@ def test_bucket_boundary_shift_caught_by_backstop():
 
 class TestEligibility:
     def test_registry_covers_every_threshold_claim(self):
-        assert DELTA_RULES["cpack"].max_drift == pytest.approx(0.10)
-        assert DELTA_RULES["fst"].max_drift == pytest.approx(0.05)
-        for name in ("gpart", "rcm", "sfc", "cb"):
-            assert DELTA_RULES[name].max_drift == 0.0
-            assert DELTA_RULES[name].patch is None
+        assert CPackStep.delta.max_drift == pytest.approx(0.10)
+        assert FullSparseTilingStep.delta.max_drift == pytest.approx(0.05)
+        for cls in (GPartStep, RCMStep, SpaceFillingStep, CacheBlockStep):
+            assert cls.delta.max_drift == 0.0
+            assert cls.delta.patch is None
 
     def test_drift_over_threshold_refused(self):
         ok, reason = plan_delta_eligibility([CPackStep()], drift=0.2)

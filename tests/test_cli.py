@@ -35,9 +35,28 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "inspector traverses dependences" in out
 
-    def test_plan_unknown_step(self):
-        with pytest.raises(SystemExit):
-            main(["plan", "moldyn", "unroll-and-jam"])
+    def test_plan_unknown_step(self, capsys):
+        assert main(["plan", "moldyn", "unroll-and-jam"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BindError: unknown step type")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "moldyn", "bogus"],
+            ["lint", "moldyn", "cpack", "bogus"],
+            ["doctor", "--scale", "256", "cpack", "bogus"],
+        ],
+        ids=["plan", "lint", "doctor"],
+    )
+    def test_unknown_step_is_a_typed_exit_2(self, argv, capsys):
+        """An unknown step name exits like every other typed error: status
+        2 and one ``error: <Type>: ...`` line, no traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: BindError: unknown step type 'bogus'")
+        assert "choose from ['bucket', 'cacheblock', 'cpack'" in err[0]
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(SystemExit):
