@@ -8,8 +8,8 @@ reads the content-addressed proof artifact a previous bind recorded.
 This benchmark prices all three costs on the Figure-6 moldyn/mol1
 input:
 
-* verifier wall clock per kernel x executor shape — the full proof,
-  end to end, and its obligation counts;
+* verifier wall clock per kernel (one program serves untiled and
+  tiled binds) — the full proof, end to end, and its obligation counts;
 * bind latency with and without a cached proof — a warm bind must not
   pay the verifier again (the proof read has to amortize like the
   artifact cache itself);
@@ -51,24 +51,22 @@ MAX_SANITIZER_TAX = 10.0
 def _verifier_times():
     rows = []
     for kernel in KERNELS:
-        for tiled in (False, True):
-            best = float("inf")
-            for _ in range(ROUNDS):
-                t0 = time.perf_counter()
-                report = verify_executor(kernel, tiled=tiled)
-                best = min(best, time.perf_counter() - t0)
-            assert report.proven, report.describe()
-            summary = report.summary()
-            rows.append(
-                {
-                    "kernel": kernel,
-                    "shape": "tiled" if tiled else "untiled",
-                    "verify_ms": best * 1e3,
-                    "obligations": summary["obligations"],
-                    "passes_validated": len(report.pass_proofs),
-                    "assumed_facts": len(report.assumed),
-                }
-            )
+        best = float("inf")
+        for _ in range(ROUNDS):
+            t0 = time.perf_counter()
+            report = verify_executor(kernel)
+            best = min(best, time.perf_counter() - t0)
+        assert report.proven, report.describe()
+        summary = report.summary()
+        rows.append(
+            {
+                "kernel": kernel,
+                "verify_ms": best * 1e3,
+                "obligations": summary["obligations"],
+                "passes_validated": len(report.pass_proofs),
+                "assumed_facts": len(report.assumed),
+            }
+        )
     return rows
 
 
@@ -152,7 +150,7 @@ def test_ext_irverify(benchmark, results_dir):
     ]
     for r in results["verifier"]:
         lines.append(
-            f"    {r['kernel']}/{r['shape']}: {r['verify_ms']:.1f} ms "
+            f"    {r['kernel']}: {r['verify_ms']:.1f} ms "
             f"({r['obligations']} obligations, "
             f"{r['passes_validated']} passes validated, "
             f"{r['assumed_facts']} assumed)"

@@ -208,40 +208,28 @@ def _lint_plan(args):
 
 
 def _merge_ir_diagnostics(report, kernel_name, sanitize):
-    """Run the IR verifier over the plan's kernel executors (untiled and
-    tiled) and merge its IRV diagnostics into the lint report.  With
-    ``sanitize`` the bounds-guarded emitters will trap unproven accesses
-    at run time, so IRV errors demote to warnings (the exit-code contract
-    is unchanged either way)."""
+    """Run the IR verifier over the plan's kernel executor (one program
+    serves untiled and tiled binds) and merge its IRV diagnostics into
+    the lint report.  With ``sanitize`` the bounds-guarded emitters will
+    trap unproven accesses at run time, so IRV errors demote to warnings
+    (the exit-code contract is unchanged either way)."""
     from repro.analysis.diagnostics import ERROR, WARNING
     from repro.analysis.irverify import verification_diagnostics
 
-    ir_reports = {}
-    seen = set()
+    codes, diagnostics, ir_report = verification_diagnostics(kernel_name)
     report.rules_run = list(report.rules_run)
-    for tiled in (False, True):
-        codes, diagnostics, ir_report = verification_diagnostics(
-            kernel_name, tiled=tiled
-        )
-        shape = "tiled" if tiled else "untiled"
-        ir_reports[shape] = ir_report
-        for code in codes:
-            if code not in report.rules_run:
-                report.rules_run.append(code)
-        for diag in diagnostics:
-            fingerprint = (diag.code, diag.message)
-            if fingerprint in seen:
-                continue  # same finding in both shapes
-            seen.add(fingerprint)
-            diag.message = f"[{shape}] {diag.message}"
-            if sanitize and diag.severity == ERROR:
-                diag.severity = WARNING
-                diag.hint = (
-                    "accepted under --sanitize: the guarded executor "
-                    "traps this at run time"
-                )
-            report.diagnostics.append(diag)
-    return ir_reports
+    for code in codes:
+        if code not in report.rules_run:
+            report.rules_run.append(code)
+    for diag in diagnostics:
+        if sanitize and diag.severity == ERROR:
+            diag.severity = WARNING
+            diag.hint = (
+                "accepted under --sanitize: the guarded executor "
+                "traps this at run time"
+            )
+        report.diagnostics.append(diag)
+    return ir_report
 
 
 def _cmd_lint(args) -> int:
@@ -259,9 +247,9 @@ def _cmd_lint(args) -> int:
             plan = result.plan
             report = plan.analyze(verifier=args.verifier)
 
-    ir_reports = None
+    ir_report = None
     if args.ir:
-        ir_reports = _merge_ir_diagnostics(
+        ir_report = _merge_ir_diagnostics(
             report, plan.kernel.name, args.sanitize
         )
 
@@ -281,27 +269,23 @@ def _cmd_lint(args) -> int:
             if fixes is not None
             else []
         )
-        if ir_reports is not None:
-            payload["irverify"] = {
-                shape: ir_report.to_dict()
-                for shape, ir_report in ir_reports.items()
-            }
+        if ir_report is not None:
+            payload["irverify"] = ir_report.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         if fixes is not None:
             print(fixes.describe())
             print()
         print(report.describe())
-        if ir_reports is not None:
-            for shape, ir_report in ir_reports.items():
-                summary = ir_report.summary()
-                print(
-                    f"irverify [{shape}]: "
-                    + ("proven" if ir_report.proven else "UNPROVEN")
-                    + f" ({summary['discharged']}/{summary['obligations']} "
-                    f"obligations, {summary['passes_validated']} passes "
-                    "validated)"
-                )
+        if ir_report is not None:
+            summary = ir_report.summary()
+            print(
+                "irverify: "
+                + ("proven" if ir_report.proven else "UNPROVEN")
+                + f" ({summary['discharged']}/{summary['obligations']} "
+                f"obligations, {summary['passes_validated']} passes "
+                "validated)"
+            )
     return report.exit_code(strict=args.lint_strict)
 
 
@@ -422,13 +406,10 @@ def _executor_backend_lines():
         f"  artifact disk usage: {usage_text}  "
         "(evict with `repro cache gc --max-bytes N`)",
     ]
-    verification = {}
-    for kernel in ("moldyn", "nbf", "irreg"):
-        proven = all(
-            verify_executor(kernel, tiled=tiled).proven
-            for tiled in (False, True)
-        )
-        verification[kernel] = proven
+    verification = {
+        kernel: verify_executor(kernel).proven
+        for kernel in ("moldyn", "nbf", "irreg")
+    }
     report["verifier"]["kernels"] = verification
     status = "  ".join(
         f"{kernel}: {'proven' if ok else 'UNPROVEN'}"
@@ -758,14 +739,7 @@ def _cmd_serve(args) -> int:
 
             status = "  ".join(
                 f"{kernel}:"
-                + (
-                    "proven"
-                    if all(
-                        verify_executor(kernel, tiled=tiled).proven
-                        for tiled in (False, True)
-                    )
-                    else "UNPROVEN"
-                )
+                + ("proven" if verify_executor(kernel).proven else "UNPROVEN")
                 for kernel in ("moldyn", "nbf", "irreg")
             )
             print(
@@ -1324,7 +1298,7 @@ def main(argv=None) -> int:
         "--ir",
         action="store_true",
         help="also run the IR verifier (IRV001..IRV005) over the plan's "
-        "kernel executors (untiled + tiled) and merge its diagnostics",
+        "kernel executor and merge its diagnostics",
     )
     p.add_argument(
         "--sanitize",

@@ -61,7 +61,8 @@ from repro.presburger.terms import AffineExpr, var
 
 #: Bumped whenever the verifier's rules or proof format change; part of
 #: the proof-artifact content address, so stale proofs never match.
-IRVERIFY_VERSION = "irverify-3"
+#: irverify-4: one proof per (kernel, config) — no ``tiled`` field or salt.
+IRVERIFY_VERSION = "irverify-4"
 
 #: Stable rule codes (the ``repro lint --ir`` contract).
 IRV_BOUNDS = "IRV001"
@@ -136,7 +137,6 @@ class IRVerificationReport:
     """Everything one verifier run established about one lowered program."""
 
     kernel_name: str
-    tiled: bool
     ir_digest: str
     config_digest: str
     version: str = IRVERIFY_VERSION
@@ -171,7 +171,6 @@ class IRVerificationReport:
     def to_dict(self) -> dict:
         return {
             "kernel": self.kernel_name,
-            "tiled": self.tiled,
             "ir_digest": self.ir_digest,
             "config_digest": self.config_digest,
             "version": self.version,
@@ -194,8 +193,7 @@ class IRVerificationReport:
     def describe(self) -> str:
         s = self.summary()
         head = (
-            f"IRVerificationReport({self.kernel_name}, "
-            f"{'tiled' if self.tiled else 'untiled'}, {self.version}): "
+            f"IRVerificationReport({self.kernel_name}, {self.version}): "
             + ("proven" if self.proven else "UNPROVEN")
         )
         lines = [
@@ -217,12 +215,10 @@ class IRVerificationReport:
 # Proof-artifact cache key
 
 
-def proof_key(program: Program, config: PassConfig, tiled: bool) -> str:
+def proof_key(program: Program, config: PassConfig) -> str:
     """Content address of one verification result (verifier version in
     the salt, so bumping the rules invalidates every cached proof)."""
-    blob = "\x1f".join(
-        (ir_hash(program), config.digest(), str(tiled), IRVERIFY_VERSION)
-    )
+    blob = "\x1f".join((ir_hash(program), config.digest(), IRVERIFY_VERSION))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -589,13 +585,8 @@ def counter_schedule_obligations(program: Program) -> List[Diagnostic]:
             )
         ]
 
-    if not (program.tiled and program.wave_parallel):
-        return problem(
-            "dynamic scheduler without a tiled wave-parallel "
-            "skeleton: dependence counters have no static wavefront "
-            "to derive from, so tile release order is unprovable",
-            "bind tiled, with the blocking and parallelize passes on",
-        )
+    # A scalar interaction loop first: it is also why the parallelize
+    # pass leaves a program without its wave skeleton.
     inter = [loop for loop in program.loops if loop.domain != "nodes"]
     unfissioned = [loop.label for loop in inter if loop.fissioned is None]
     if unfissioned:
@@ -604,6 +595,13 @@ def counter_schedule_obligations(program: Program) -> List[Diagnostic]:
             f"{unfissioned}: the deterministic combine needs the "
             "gather/commit split to buffer per-tile payloads",
             "the fission pass must split gather/commit first",
+        )
+    if not (program.tiled and program.wave_parallel):
+        return problem(
+            "dynamic scheduler without a tiled wave-parallel "
+            "skeleton: dependence counters have no static wavefront "
+            "to derive from, so tile release order is unprovable",
+            "bind with the parallelize pass on",
         )
     if len(inter) != 1:
         return problem(
@@ -907,7 +905,6 @@ def verify_state(state: RewriteState) -> IRVerificationReport:
     program = state.program
     report = IRVerificationReport(
         kernel_name=program.kernel_name,
-        tiled=program.tiled,
         ir_digest=ir_hash(program),
         config_digest=state.config.digest(),
     )
@@ -944,20 +941,19 @@ def verify_executor(
     config: Optional[PassConfig] = None,
 ) -> IRVerificationReport:
     """Lower + rewrite one kernel executor and verify the result (the
-    ``repro lint --ir`` / ``doctor`` entry point)."""
+    ``repro lint --ir`` / ``doctor`` entry point).  ``tiled`` selects
+    nothing: untiled and tiled binds run the one rewritten program."""
     from repro.lowering.executor import _rewritten
 
-    return verify_state(_rewritten(kernel_name, tiled, config or PassConfig()))
+    return verify_state(_rewritten(kernel_name, config or PassConfig()))
 
 
 def verification_diagnostics(
-    kernel_name: str,
-    tiled: bool = False,
-    config: Optional[PassConfig] = None,
+    kernel_name: str, config: Optional[PassConfig] = None
 ) -> Tuple[List[str], List[Diagnostic], IRVerificationReport]:
     """Rules-run codes + diagnostics for merging into an
     :class:`~repro.analysis.diagnostics.AnalysisReport` (``lint --ir``)."""
-    report = verify_executor(kernel_name, tiled=tiled, config=config)
+    report = verify_executor(kernel_name, config=config)
     return list(IRV_CODES), list(report.diagnostics), report
 
 

@@ -48,6 +48,8 @@ def irreg_step(arrays: Dict[str, np.ndarray], left: np.ndarray, right: np.ndarra
     x += 0.01 * y
 
 
+#: One whole-range time step per kernel: the reference every executor
+#: tier is tested against bit for bit (no tier runs these).
 STEP_FUNCTIONS: Dict[str, Callable] = {
     "moldyn": moldyn_step,
     "nbf": nbf_step,
@@ -67,8 +69,10 @@ def run_steps(
     and ``sanitize`` a compiled tier's bounds-guarded build; both pass
     unresolved to :func:`~repro.lowering.executor.compile_executor`
     (argument > ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_SANITIZE``
-    > the library default), whose ``library`` tier runs
-    :data:`STEP_FUNCTIONS`.  All tiers are bit-identical.
+    > the library default).  Every tier runs its phase table (the
+    ``library`` tier :data:`PHASE_FUNCTIONS`) over the trivial one-tile
+    schedule, and all are bit-identical to :data:`STEP_FUNCTIONS`, which
+    stay as the reference the tests compare against.
     :func:`repro.runtime.executor.run_numeric` is a call to this.
     """
     from repro.lowering.executor import compile_executor

@@ -1,46 +1,42 @@
 """Emit a C executor from the rewritten loop-nest IR.
 
-One translation unit per program shape, one exported function each:
+One translation unit per program, one exported function, ``run_tiled``:
+a *phase table plus drivers*, the C analogue of
+:mod:`repro.lowering.schedule`'s Python side.  (An untiled executor is
+this unit under the trivial schedule — one tile, every loop in range
+form — not another unit; see :mod:`repro.lowering.executor`.)  Per
+kernel loop its phase bodies — node ``apply``, fissioned ``gather`` +
+``commit``, scalar ``apply`` — are rendered exactly once, as functions
+of ``(context, tile)``.  The *wave loop* over them is
+:func:`~repro.lowering.schedule.run_wave_phases` in C: per wave, per
+loop, every gather of the wave, then per tile **in the wave's order**
+every commit pass.  When the program is counter-schedulable (a property
+of the rewritten program:
+:func:`repro.analysis.irverify.counter_schedule_obligations` is empty)
+the unit also carries the *counter pool* — a pthread work-stealing
+scheduler whose three per-tile stages are compositions of the same
+phase bodies.  Which driver runs is decided per call, not per build:
+``run_tiled`` takes, after the operands (data arrays, ``left``,
+``right``, ``num_nodes``, ``num_inter``, ``num_steps``),
 
-* untiled::
+- per loop ``p`` the marshalled tile schedule (``iters_p``
+  concatenated iterations + ``off_p`` tile offsets, ``num_tiles + 1``
+  entries — pointers into the
+  :class:`~repro.transforms.tile_schedule.TileSchedule` built at bind
+  time).  ``iters_p`` may be ``NULL``: the loop is then in *range
+  form* — tile ``t`` runs the contiguous iterations ``off_p[t] ..
+  off_p[t + 1] - 1``, Figure 14's plain blocked loop over tile-packed
+  data — and every phase body is emitted in both forms under one
+  ``if (iters_p)``;
+- the commit order, once: ``wave_tiles`` (concatenated tile ids, waves
+  outermost) + ``wave_off`` (``num_waves + 1`` entries);
+- the counter graph ``indegree`` / ``succ_off`` / ``succ`` (all
+  ``NULL`` under ``scheduler="wave"``), ``num_tiles`` and
+  ``num_threads``.
 
-      void run(double *D0, ..., const int64_t *left, const int64_t *right,
-               int64_t num_nodes, int64_t num_inter, int64_t num_steps,
-               double *scratch)
-
-* tiled (``run_tiled``) is a *phase table plus drivers*, the C analogue
-  of :mod:`repro.lowering.schedule`'s Python side.  Per kernel loop its
-  phase bodies — node ``apply``, fissioned ``gather`` + ``commit``,
-  scalar ``apply`` — are rendered exactly once, as functions of
-  ``(context, tile)``.  The *wave loop* over them is
-  :func:`~repro.lowering.schedule.run_wave_phases` in C: per wave, per
-  loop, every gather of the wave, then per tile **in the wave's order**
-  every commit pass.  When the program is counter-schedulable (a
-  property of the rewritten program:
-  :func:`repro.analysis.irverify.counter_schedule_obligations` is empty)
-  the unit also carries the *counter pool* — a pthread work-stealing
-  scheduler whose three per-tile stages are compositions of the same
-  phase bodies.  Which driver runs is decided per call, not per build:
-  ``run_tiled`` takes, after the operands,
-
-  - per loop ``p`` the marshalled tile schedule (``iters_p``
-    concatenated iterations + ``off_p`` tile offsets, ``num_tiles + 1``
-    entries — pointers into the
-    :class:`~repro.transforms.tile_schedule.TileSchedule` built at bind
-    time).  ``iters_p`` may be ``NULL``: the loop is then in *range
-    form* — tile ``t`` runs the contiguous iterations ``off_p[t] ..
-    off_p[t + 1] - 1``, Figure 14's plain blocked loop over tile-packed
-    data — and every phase body is emitted in both forms under one
-    ``if (iters_p)``;
-  - the commit order, once: ``wave_tiles`` (concatenated tile ids, waves
-    outermost) + ``wave_off`` (``num_waves + 1`` entries);
-  - the counter graph ``indegree`` / ``succ_off`` / ``succ`` (all
-    ``NULL`` under ``scheduler="wave"``), ``num_tiles`` and
-    ``num_threads``.
-
-  ``num_threads <= 1``, one tile, no graph, or a failed allocation run
-  the wave loop; otherwise the pool, which commits in ``wave_tiles``
-  order and so stays bit-identical at any thread count.
+``num_threads <= 1``, one tile, no graph, or a failed allocation run
+the wave loop; otherwise the pool, which commits in ``wave_tiles``
+order and so stays bit-identical at any thread count.
 
 Bit-identity with the library executor comes from emitting the *same
 operation sequence* ``numpy`` performs, not from tolerances:
@@ -211,25 +207,9 @@ def _tile_iters(
     w.line("}")
 
 
-def _emit_unit_header(
-    w: SourceWriter, title: str, program: Program, sanitize: bool, *extra: str
-) -> None:
-    w.line(f"/* {title} for '{program.kernel_name}' "
-           "(generated by repro.lowering; do not edit). */")
-    for header in ("stdint.h", *extra):
-        w.line(f"#include <{header}>")
-    w.line()
-    if sanitize:
-        _emit_guard_fn(w)
-        w.line()
-        if program.tiled:
-            _emit_offsets_guard_fn(w)
-            w.line()
-
-
-def _operand_params(program: Program, tiled: bool) -> List[str]:
-    """The parameters every entry point opens with (+ the marshalled
-    schedule; a loop's ``iters`` is ``NULL`` in range form)."""
+def _operand_params(program: Program) -> List[str]:
+    """The parameters the entry point opens with: the operands, then the
+    marshalled schedule (a loop's ``iters`` is ``NULL`` in range form)."""
     params = [f"double *{name}" for name in program.data_arrays] + [
         "const int64_t *left",
         "const int64_t *right",
@@ -237,18 +217,15 @@ def _operand_params(program: Program, tiled: bool) -> List[str]:
         "int64_t num_inter",
         "int64_t num_steps",
     ]
-    if tiled:
-        for pos in range(len(program.loops)):
-            params += [
-                f"const int64_t *iters{pos}", f"const int64_t *off{pos}"
-            ]
+    for pos in range(len(program.loops)):
+        params += [f"const int64_t *iters{pos}", f"const int64_t *off{pos}"]
     return params
 
 
-def _emit_guard_scans(w: SourceWriter, program: Program, tiled: bool) -> None:
-    """The sanitized entry points' shared opening: clear ``err``, scan
-    ``left``/``right`` (+ per loop of a tiled one its iteration array,
-    or in range form its tile offsets)."""
+def _emit_guard_scans(w: SourceWriter, program: Program) -> None:
+    """The sanitized entry point's opening: clear ``err``, scan
+    ``left``/``right`` and per loop its iteration array, or in range
+    form its tile offsets."""
     w.line("err[0] = 0;")
     w.line(
         f"if (_guard(left, num_inter, num_nodes, {GUARD_LEFT}, err)) return;"
@@ -257,69 +234,19 @@ def _emit_guard_scans(w: SourceWriter, program: Program, tiled: bool) -> None:
         f"if (_guard(right, num_inter, num_nodes, {GUARD_RIGHT}, err)) "
         "return;"
     )
-    if tiled:
-        for pos, loop in enumerate(program.loops):
-            extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
-            with w.block(f"if (iters{pos}) {{"):
-                w.line(
-                    f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
-                    f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
-                )
-            with w.block("} else {"):
-                w.line(
-                    f"if (_guard_offsets(off{pos}, num_tiles, {extent}, "
-                    f"{GUARD_OFFSETS_BASE + pos}, err)) return;"
-                )
-            w.line("}")
-
-
-def emit_c(program: Program, sanitize: bool = False) -> str:
-    """C source of the untiled executor.
-
-    With ``sanitize`` the entry point gains an ``int64_t *err`` out-param
-    (4 slots: guard code, position, value, bound) and opens with a range
-    scan of ``left``/``right``; on the first violation it records the
-    evidence and returns before any data array is touched.  The compute
-    body is unchanged, so valid datasets stay bit-identical."""
-    w = SourceWriter()
-    _emit_unit_header(w, "C executor", program, sanitize)
-    params = _operand_params(program, tiled=False) + ["double *scratch"]
-    if sanitize:
-        params.append("int64_t *err")
-    with w.block(f"void run({', '.join(params)}) {{"):
-        if sanitize:
-            _emit_guard_scans(w, program, tiled=False)
-        with w.block("for (int64_t _step = 0; _step < num_steps; ++_step) {"):
-            for loop in program.loops:
-                ivar = loop.index_var
-                extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
-                sweep = (
-                    f"for (int64_t {ivar} = 0; {ivar} < {extent}; ++{ivar}) {{"
-                )
-                w.line(f"/* {loop.label} ({loop.domain}) */")
-                if loop.domain == "nodes":
-                    with w.block(sweep):
-                        _emit_node_body(w, loop, ivar)
-                    w.line("}")
-                elif loop.fissioned is not None:
-                    gc = loop.fissioned
-                    payload = _render(gc.payload, ivar, _idx_via(ivar))
-                    with w.block(sweep):
-                        w.line(f"scratch[{ivar}] = {payload};")
-                    w.line("}")
-                    for commit in gc.commits:
-                        with w.block(sweep):
-                            w.line(
-                                _commit_stmt(commit, ivar, f"scratch[{ivar}]")
-                            )
-                        w.line("}")
-                else:
-                    with w.block(sweep):
-                        _emit_inter_scalar_body(w, loop, ivar)
-                    w.line("}")
+    for pos, loop in enumerate(program.loops):
+        extent = "num_nodes" if loop.domain == "nodes" else "num_inter"
+        with w.block(f"if (iters{pos}) {{"):
+            w.line(
+                f"if (_guard(iters{pos}, off{pos}[num_tiles], {extent}, "
+                f"{GUARD_SCHEDULE_BASE + pos}, err)) return;"
+            )
+        with w.block("} else {"):
+            w.line(
+                f"if (_guard_offsets(off{pos}, num_tiles, {extent}, "
+                f"{GUARD_OFFSETS_BASE + pos}, err)) return;"
+            )
         w.line("}")
-    w.line("}")
-    return w.source()
 
 
 #: A phase body or a pool stage: inlined into every driver that calls it.
@@ -362,9 +289,9 @@ def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
             with w.block(
                 f"{_TILE_FN} {names[-1]}(const _ctx_t *c, int64_t _t) {{"
             ):
-                # Local aliases so the bodies read like the untiled ones.
-                # Not every phase touches every array; the casts silence
-                # -Wunused.
+                # Local aliases so the bodies read as plain loops over the
+                # arrays.  Not every phase touches every array; the casts
+                # silence -Wunused.
                 for name in program.data_arrays:
                     w.line(f"double *{name} = c->{name};")
                 w.line("const int64_t *left = c->left;")
@@ -708,16 +635,25 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     step, range-scans every index source the unit dereferences: per loop
     the iteration array (or, in range form, the tile offsets), the wave
     tile ids, the successor ids when a graph is passed, and
-    ``left``/``right`` (see :func:`emit_c`)."""
+    ``left``/``right``.  On the first violation it records (guard code,
+    position, value, bound) in ``err`` and returns before any data array
+    is touched; the compute body is unchanged, so valid datasets stay
+    bit-identical."""
     from repro.analysis.irverify import counter_schedule_obligations
 
     pool = not counter_schedule_obligations(program)
     w = SourceWriter()
-    _emit_unit_header(
-        w, "Tiled C executor", program, sanitize,
-        *(("stdlib.h", "pthread.h") if pool else ()),
-    )
-    operands = _operand_params(program, tiled=True)
+    w.line(f"/* Tiled C executor for '{program.kernel_name}' "
+           "(generated by repro.lowering; do not edit). */")
+    for header in ("stdint.h", *(("stdlib.h", "pthread.h") if pool else ())):
+        w.line(f"#include <{header}>")
+    w.line()
+    if sanitize:
+        _emit_guard_fn(w)
+        w.line()
+        _emit_offsets_guard_fn(w)
+        w.line()
+    operands = _operand_params(program)
     # The phase functions' context: every pointer the entry point takes.
     ctx_fields = [p for p in operands if "*" in p] + ["double *scratch"]
     with w.block("typedef struct {"):
@@ -749,7 +685,7 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
         params.append("int64_t *err")
     with w.block(f"void run_tiled({', '.join(params)}) {{"):
         if sanitize:
-            _emit_guard_scans(w, program, tiled=True)
+            _emit_guard_scans(w, program)
             w.line(
                 "if (_guard(wave_tiles, wave_off[num_waves], num_tiles, "
                 f"{GUARD_WAVES}, err)) return;"
@@ -779,15 +715,6 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     return w.source()
 
 
-#: Executor shape -> (emitter, the entry point its translation unit
-#: exports) — what :func:`repro.lowering.executor.compile_executor`
-#: builds and what its one ``ctypes`` marshaller calls.
-SHAPES = {
-    "untiled": (emit_c, "run"),
-    "tiled": (emit_c_tiled, "run_tiled"),
-}
-
-
 __all__ = [
     "EMITTER_VERSION",
     "GUARD_LEFT",
@@ -797,7 +724,5 @@ __all__ = [
     "GUARD_SUCC",
     "GUARD_WAVES",
     "SANITIZE_TAG",
-    "SHAPES",
-    "emit_c",
     "emit_c_tiled",
 ]

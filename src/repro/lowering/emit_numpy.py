@@ -8,7 +8,8 @@ per kernel loop, the same shape as the hand-written
 identical** to it:
 
 * a vectorized node loop is ``apply(arrays, iters)``: the in-place
-  update the step functions perform, over an iteration subset
+  update the step functions perform, over an iteration subset — an
+  index array, or a ``slice`` for a range-form tile
   (``x[iters] += 0.01 * vx[iters] + 0.0005 * fx[iters]``);
 * a fissioned interaction loop is ``gather(arrays, l, r)`` — one batched,
   pure evaluation of the payload over the endpoint arrays — plus
@@ -21,14 +22,14 @@ identical** to it:
   its interleaved statements in ``commit``, i.e. still at its tile's
   turn in the commit order.
 
-The module holds no schedule: *how* the table runs — over which wave
-groups — is decided by the wave driver of
+The module holds no schedule and no entry point: *how* the table runs —
+over which tiles and wave groups — is decided by the wave driver of
 :mod:`repro.lowering.schedule`, which serves this table and the
-hand-written one alike.  The one entry point it does define,
-``run(arrays, left, right, num_steps=1)``, is the untiled executor (the
-paper's Figure 13): each phase once over its whole range per time step.
-With ``sanitize`` the module also defines ``guard(...)``, the bounds
-prologue ``run`` and the tiled drivers' entry call before any mutation.
+hand-written one alike.  An untiled bind is that driver over the trivial
+schedule (one tile, every loop a whole-range ``slice``), so it performs
+the paper's Figure 13 operation sequence.  With ``sanitize`` the module
+also defines ``guard(...)``, the bounds prologue the driver's entry
+calls before any mutation.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-#: numpy-2: the module is a phase table (no tiled/dynamic entry points).
-EMITTER_VERSION = "numpy-2"
+#: numpy-3: no ``run`` (an untiled bind drives ``PHASES`` over the trivial
+#: schedule); ``guard`` scans whole iteration arrays, not tile by tile.
+EMITTER_VERSION = "numpy-3"
 
 #: Appended to the artifact key when the sanitizer prologue is emitted,
 #: so guarded and unguarded modules never collide in the cache.
@@ -99,6 +101,9 @@ def _emit_phase(w: SourceWriter, program: Program, pos: int) -> str:
                     w.line(f"A_{stmt.array}[iters] += {inc}")
             else:
                 ivar = loop.index_var
+                with w.block("if isinstance(iters, slice):"):
+                    first = program.data_arrays[0]
+                    w.line(f"iters = range(len(A_{first}))[iters]")
                 with w.block(f"for {ivar} in iters:"):
                     for stmt in loop.stmts:
                         inc = _render(stmt.increment, ivar, {})
@@ -141,8 +146,9 @@ def _emit_guard(w: SourceWriter, program: Program) -> None:
     assumed facts (index-array-range, tile-partition, wave-cover): one
     vectorized range scan per index source, raising the typed trap
     *before* any data array is touched (so a corrupted dataset leaves
-    state unmodified).  ``run`` passes the index arrays alone; the tiled
-    drivers' entry adds the schedule, wave groups and counter DAG."""
+    state unmodified).  A range-form loop reads no iteration array (the
+    driver slices by its offsets, which clips), so only index-form loops
+    are scanned."""
     with w.block("def _guard(name, values, bound):"):
         w.line("values = np.asarray(values)")
         w.line("_bad = np.flatnonzero((values < 0) | (values >= bound))")
@@ -156,26 +162,23 @@ def _emit_guard(w: SourceWriter, program: Program) -> None:
             )
     w.line()
     w.line()
-    extents = ", ".join(
-        "_num_nodes" if loop.domain == "nodes" else "len(left)"
+    labels = "".join(f"{loop.label!r}, " for loop in program.loops)
+    extents = "".join(
+        "_num_nodes, " if loop.domain == "nodes" else "len(left), "
         for loop in program.loops
     )
-    with w.block(
-        "def guard(arrays, left, right, schedule=None, wave_groups=None, "
-        "dag=None):"
-    ):
+    with w.block("def guard(arrays, left, right, schedule, wave_groups, dag):"):
         w.line(f"_num_nodes = len(arrays[{program.data_arrays[0]!r}])")
         w.line("_guard('left', left, _num_nodes)")
         w.line("_guard('right', right, _num_nodes)")
-        with w.block("if schedule is None:"):
-            w.line("return")
-        with w.block("for _t, _tile in enumerate(schedule):"):
-            with w.block(f"for _pos, _bound in enumerate(({extents},)):"):
-                w.line(
-                    "_guard(f'schedule[{_t}][{_pos}]', _tile[_pos], _bound)"
-                )
-        with w.block("for _wv, _group in enumerate(wave_groups or ()):"):
-            w.line("_guard(f'wave_groups[{_wv}]', _group, len(schedule))")
+        with w.block(
+            "for _loop, _label, _bound in zip("
+            f"schedule.loops, ({labels}), ({extents})):"
+        ):
+            with w.block("if not _loop.is_range:"):
+                w.line("_guard(f'schedule[{_label}]', _loop.flat, _bound)")
+        with w.block("if wave_groups is not None:"):
+            w.line("_guard('wave_groups', wave_groups.flat, len(schedule))")
         with w.block("if dag is not None:"):
             w.line(
                 "_guard('dag.succ_indices', dag.succ_indices, len(schedule))"
@@ -189,11 +192,11 @@ def emit_numpy(program: Program, sanitize: bool = False) -> str:
     """Source of the NumPy phase-table module for a rewritten program.
 
     With ``sanitize`` the module carries ``guard``: a masked range
-    pre-check of ``left``/``right`` (and, when given, every tile-schedule
-    iteration list, wave group and counter-DAG index array) that raises
-    :class:`~repro.errors.ExecutorBoundsError` before any data array is
-    read or written; the phases are unchanged, so valid datasets stay
-    bit-identical."""
+    pre-check of ``left``/``right``, every index-form loop's iterations
+    and, when given, the wave groups and counter-DAG index arrays, that
+    raises :class:`~repro.errors.ExecutorBoundsError` before any data
+    array is read or written; the phases are unchanged, so valid
+    datasets stay bit-identical."""
     w = SourceWriter()
     w.line(f'"""NumPy phase table for {program.kernel_name!r} '
            '(generated by repro.lowering; do not edit)."""')
@@ -212,26 +215,6 @@ def emit_numpy(program: Program, sanitize: bool = False) -> str:
         for entry in entries:
             w.line(f"{entry},")
     w.line("]")
-    w.line()
-    w.line()
-    with w.block("def run(arrays, left, right, num_steps=1):"):
-        if sanitize:
-            w.line("guard(arrays, left, right)")
-        with w.block("for _step in range(num_steps):"):
-            for pos, loop in enumerate(program.loops):
-                if loop.domain != "nodes":
-                    w.line(
-                        f"_commit_{pos}(arrays, left, right, "
-                        f"_gather_{pos}(arrays, left, right))"
-                    )
-                elif loop.vector:
-                    w.line(f"_apply_{pos}(arrays, slice(None))")
-                else:
-                    first = program.data_arrays[0]
-                    w.line(
-                        f"_apply_{pos}(arrays, range(len(arrays[{first!r}])))"
-                    )
-        w.line("return arrays")
     return w.source()
 
 

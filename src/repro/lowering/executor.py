@@ -10,12 +10,20 @@ Three backends implement the same executor contract:
 * ``c``      — generated C from :mod:`repro.lowering.emit_c`, compiled
   to a shared object at bind time and driven through ``ctypes``.
 
-The two Python tiers differ only in where their table comes from: a
-tiled bind of either runs it under the wave driver of
-:mod:`repro.lowering.schedule`.  The C tier's two entry points (``run``,
-``run_tiled``) share one marshaller (:func:`_c_call`), and every tier
-sits behind one entry (:func:`_entry`) that checks its outside input —
-and is where a tile schedule becomes its one representation
+Each tier binds one artifact per (kernel, config) — the rewritten,
+blocked program and its one proof — and runs it over a tile schedule:
+the two Python tiers hand their phase table to the wave driver of
+:mod:`repro.lowering.schedule` (they differ only in where the table
+comes from), the C tier calls the unit's one entry point ``run_tiled``
+through one marshaller (:func:`_c_call`).  ``tiled`` selects only the
+signature of ``run``: an untiled executor is the same call over the
+*trivial schedule* (:func:`~repro.transforms.tile_schedule.
+trivial_schedule`: one tile, every loop in range form, no wave groups,
+one thread), the paper's tiling ``theta(i) = 0``, which runs each loop
+over its whole range in the original order.  Every tier sits behind one
+entry (:func:`_entry`) that checks its outside input — operand names,
+dtypes and lengths and ``num_steps``, the same typed answer on every
+tier — and is where a tile schedule becomes its one representation
 (:class:`~repro.transforms.tile_schedule.TileSchedule`): the object
 ``TilingFunction.schedule()`` returns passes through after an O(1)
 check and is handed to C by pointer; a hand-built list of tiles is
@@ -52,6 +60,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -67,6 +76,7 @@ from repro.transforms.tile_schedule import (
     CSRLists,
     as_tile_schedule,
     as_wave_groups,
+    trivial_schedule,
 )
 
 #: Valid selector values for the executor switch (``auto`` = best
@@ -121,7 +131,8 @@ def artifact_key(program: Program, config: PassConfig, emitter: str) -> str:
 class CompiledExecutor:
     """One bound executor: ``run`` plus its provenance.
 
-    * untiled: ``run(arrays, left, right, num_steps=1)``
+    * untiled: ``run(arrays, left, right, num_steps=1)`` — the tiled
+      call over the trivial schedule
     * tiled:   ``run(arrays, left, right, schedule, wave_groups=None,
       num_steps=1, dag=None, num_threads=None)`` — ``dag`` is the
       dynamic scheduler's counter DAG; ``num_threads`` (argument >
@@ -169,29 +180,6 @@ def clear_executor_memo() -> None:
         _MEMO.clear()
 
 
-def _as_f64(arrays: Dict[str, np.ndarray], names) -> List[np.ndarray]:
-    out = []
-    for name in names:
-        arr = arrays[name]
-        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
-            raise ValidationError(
-                f"compiled executors require contiguous float64 data "
-                f"({name!r} is {arr.dtype}, contiguous="
-                f"{arr.flags['C_CONTIGUOUS']})"
-            )
-        out.append(arr)
-    return out
-
-
-def _as_i64(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype != np.int64:
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValidationError(f"{what} must be an integer array")
-        arr = arr.astype(np.int64)
-    return arr
-
-
 def _dptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
 
@@ -208,32 +196,73 @@ def _entry(
     dynamic: bool,
 ):
     """``call`` behind the public ``run`` signature of its shape, after
-    the checks every tier owes its outside input, sanitized or not: the
-    C tier would read (and commit) past a short ``right`` or a short
-    data array, the NumPy tiers would fail with an untyped broadcast
-    error; a schedule or a wave grouping that is not a partition would
-    return a silently wrong answer on every tier.  Operand lengths are
-    O(1); a marshalled schedule proved the partition when it was built
-    and owes one length comparison per loop, a hand-built one is
-    marshalled and checked here.  (A sanitized bind reports every trap,
-    these included, as ``stage="sanitizer"``.)  A ``dynamic`` entry then
-    resolves the one commit order of the call — the gated counter DAG's —
-    and a wave entry drops any ``dag`` it was handed."""
+    the checks every tier owes its outside input, sanitized or not, so
+    that each tier gives one typed answer before any mutation: missing
+    or non-float64/non-contiguous data arrays, non-integer ``left`` /
+    ``right`` and a ``num_steps`` that is not a non-negative integer are
+    :class:`ValidationError`s; a short ``right`` or data array an
+    :class:`ExecutorBoundsError` (the C tier would read and commit past
+    it); a schedule or a wave grouping that is not a partition would
+    return a silently wrong answer on every tier.  Everything but a
+    hand-built schedule is O(1): a marshalled schedule proved the
+    partition when it was built and owes one length comparison per
+    loop, a hand-built one is marshalled and checked here.  (A sanitized
+    bind reports every trap, these included, as ``stage="sanitizer"``.)
+    An untiled ``run`` calls with the trivial schedule; a ``dynamic``
+    entry resolves the one commit order of the call — the gated counter
+    DAG's — and a wave entry drops any ``dag`` it was handed."""
     from repro.lowering.schedule import counter_schedule
 
     names = program.data_arrays
     labels = [loop.label for loop in program.loops]
     stage = "sanitizer" if sanitized else "executor"
 
-    def check(arrays, left, right) -> None:
+    def check(arrays, left, right, num_steps) -> List[int]:
+        """The operand checks; returns the loop extents."""
+        missing = [name for name in names if name not in arrays]
+        if missing:
+            raise ValidationError(
+                f"arrays lacks data array(s) {missing}", stage=stage
+            )
+        if (
+            isinstance(num_steps, bool)
+            or not isinstance(num_steps, numbers.Integral)
+            or num_steps < 0
+        ):
+            raise ValidationError(
+                f"num_steps must be a non-negative integer, not "
+                f"{num_steps!r}",
+                stage=stage,
+            )
         num_nodes = len(arrays[names[0]])
-        for name in names[1:]:
-            if len(arrays[name]) != num_nodes:
+        for name in names:
+            arr = arrays[name]
+            if not (
+                isinstance(arr, np.ndarray)
+                and arr.dtype == np.float64
+                and arr.flags["C_CONTIGUOUS"]
+            ):
+                raise ValidationError(
+                    f"executors require contiguous float64 data arrays "
+                    f"({name!r} is {getattr(arr, 'dtype', type(arr))})",
+                    stage=stage,
+                )
+            if len(arr) != num_nodes:
                 raise ExecutorBoundsError(
-                    f"{name} has {len(arrays[name])} entries, {names[0]} "
-                    f"has {num_nodes}",
+                    f"{name} has {len(arr)} entries, {names[0]} has "
+                    f"{num_nodes}",
                     array=name,
                     bound=num_nodes,
+                    stage=stage,
+                )
+        for what, index in (("left", left), ("right", right)):
+            if not (
+                isinstance(index, np.ndarray)
+                and np.issubdtype(index.dtype, np.integer)
+            ):
+                raise ValidationError(
+                    f"{what} must be an integer array "
+                    f"({getattr(index, 'dtype', type(index))})",
                     stage=stage,
                 )
         if len(right) != len(left):
@@ -243,10 +272,15 @@ def _entry(
                 bound=len(left),
                 stage=stage,
             )
+        return [
+            num_nodes if loop.domain == "nodes" else len(left)
+            for loop in program.loops
+        ]
 
     def run(arrays, left, right, num_steps=1):
-        check(arrays, left, right)
-        call(arrays, left, right, num_steps)
+        extents = check(arrays, left, right, num_steps)
+        schedule = trivial_schedule(tuple(extents))
+        call(arrays, left, right, num_steps, schedule, None, None, 1)
         return arrays
 
     def run_tiled(
@@ -259,11 +293,7 @@ def _entry(
         dag=None,
         num_threads=None,
     ):
-        check(arrays, left, right)
-        extents = [
-            len(arrays[names[0]]) if loop.domain == "nodes" else len(left)
-            for loop in program.loops
-        ]
+        extents = check(arrays, left, right, num_steps)
         schedule = as_tile_schedule(schedule, extents, labels, stage)
         if wave_groups is not None:
             wave_groups = as_wave_groups(wave_groups, len(schedule), stage)
@@ -282,19 +312,14 @@ def _entry(
     return run_tiled if tiled else run
 
 
-def _python_call(table: dict, tiled: bool) -> Callable:
-    """A Python tier: ``table`` is what it computes — ``run`` (whole-
-    range time steps), ``PHASES`` (the per-loop phase table) and, when
-    sanitized, ``guard`` — hand-written for ``library``, the emitted
-    module's namespace for ``numpy``.  A tiled bind runs the table under
-    the wave driver of :mod:`repro.lowering.schedule`, whichever
-    scheduler named the wave groups."""
+def _python_call(phases: list, guard: Optional[Callable] = None) -> Callable:
+    """A Python tier: ``phases`` is the per-loop phase table it computes
+    — hand-written for ``library``, the emitted module's ``PHASES`` for
+    ``numpy`` — and ``guard`` the sanitizer prologue of a sanitized
+    module.  Every call runs the table under the wave driver of
+    :mod:`repro.lowering.schedule`, whichever schedule and scheduler
+    named the tiles and wave groups."""
     from repro.lowering.schedule import run_wave_phases
-
-    if not tiled:
-        return table["run"]
-    phases = table["PHASES"]
-    guard = table.get("guard")
 
     def call(
         arrays, left, right, num_steps, schedule, wave_groups, dag, num_threads
@@ -307,19 +332,6 @@ def _python_call(table: dict, tiled: bool) -> Callable:
         )
 
     return call
-
-
-def _library_table(kernel_name: str) -> dict:
-    """The hand-written reference tables, in the emitted module's shape."""
-    from repro.kernels.executors import PHASE_FUNCTIONS, STEP_FUNCTIONS
-
-    step = STEP_FUNCTIONS[kernel_name]
-
-    def run(arrays, left, right, num_steps):
-        for _ in range(num_steps):
-            step(arrays, left, right)
-
-    return {"run": run, "PHASES": PHASE_FUNCTIONS[kernel_name]}
 
 
 def _guard_source_name(code: int, program: Program) -> str:
@@ -352,77 +364,60 @@ def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
     )
 
 
-def _c_call(
-    so_path: str, program: Program, entry: str, sanitize: bool
-) -> Callable:
-    """The one ``ctypes`` marshaller, parameterised by entry point.
+def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
+    """The one ``ctypes`` marshaller, of the unit's ``run_tiled``.
 
-    ``run`` takes the operands alone; ``run_tiled`` adds the tile
-    schedule, the commit order as wave groups, the counter graph of a
-    dynamic call (in-degree seeds + successor CSR; ``NULL`` selects the
-    wave loop) and the resolved worker count.  Schedule, grouping and
-    DAG arrive marshalled and checked (:func:`_entry`), so nothing is
-    flattened here: each loop passes the two pointers its
+    After the operands it passes the tile schedule, the commit order as
+    wave groups, the counter graph of a dynamic call (in-degree seeds +
+    successor CSR; ``NULL`` selects the wave loop) and the resolved
+    worker count.  Schedule, grouping and DAG arrive marshalled and
+    checked (:func:`_entry`), so nothing is flattened here: each loop
+    passes the two pointers its
     :class:`~repro.transforms.tile_schedule.CSRLists` already holds,
-    with ``NULL`` for the iteration array of a range-form loop.  Dtype
-    checks, scratch/err allocation and guard-trap decoding are shared."""
+    with ``NULL`` for the iteration array of a range-form loop.
+    Scratch/err allocation and guard-trap decoding live here too."""
     from repro.lowering.schedule import resolve_num_threads
 
-    fn = getattr(ctypes.CDLL(so_path), entry)
+    fn = ctypes.CDLL(so_path).run_tiled
     fn.restype = None
     names = program.data_arrays
     i64 = ctypes.c_longlong
 
     def call(
-        arrays,
-        left,
-        right,
-        num_steps,
-        schedule=None,
-        wave_groups=None,
-        dag=None,
-        num_threads=None,
+        arrays, left, right, num_steps, schedule, wave_groups, dag, num_threads
     ):
-        datas = _as_f64(arrays, names)
-        left = _as_i64(left, "left")
-        right = _as_i64(right, "right")
-        # Every array behind a pointer must outlive the foreign call.
+        # Every array behind a pointer must outlive the foreign call;
+        # ``schedule`` (the caller's reference) keeps its own alive.
         keepalive: List[np.ndarray] = []
 
         def pointers(*index_arrays):
-            keepalive.extend(index_arrays)
-            return [_iptr(a) for a in index_arrays]
+            converted = [
+                np.ascontiguousarray(a, dtype=np.int64) for a in index_arrays
+            ]
+            keepalive.extend(converted)
+            return [_iptr(a) for a in converted]
 
         graph: list = []  # between num_steps and scratch
-        if entry == "run_tiled":
-            # ``schedule`` (the caller's reference) keeps these alive.
-            for loop in schedule.loops:
-                graph += [
-                    None if loop.is_range else _iptr(loop.flat),
-                    _iptr(loop.offsets),
-                ]
-            if wave_groups is None:
-                wave_groups = CSRLists.singletons(len(schedule))
-            graph += pointers(wave_groups.flat, wave_groups.offsets)
-            graph.append(i64(len(wave_groups)))
-            if dag is None:
-                graph += [None, None, None]
-            else:
-                graph += pointers(
-                    _as_i64(dag.indegree, "dag.indegree"),
-                    _as_i64(dag.succ_indptr, "dag.succ_indptr"),
-                    _as_i64(dag.succ_indices, "dag.succ_indices"),
-                )
+        for loop in schedule.loops:
             graph += [
-                i64(len(schedule)), i64(resolve_num_threads(num_threads))
+                None if loop.is_range else _iptr(loop.flat),
+                _iptr(loop.offsets),
             ]
+        if wave_groups is None:
+            wave_groups = CSRLists.singletons(len(schedule))
+        graph += pointers(wave_groups.flat, wave_groups.offsets)
+        graph.append(i64(len(wave_groups)))
+        if dag is None:
+            graph += [None, None, None]
+        else:
+            graph += pointers(dag.indegree, dag.succ_indptr, dag.succ_indices)
+        graph += [i64(len(schedule)), i64(resolve_num_threads(num_threads))]
         scratch = np.empty(max(len(left), 1), dtype=np.float64)
         err = np.zeros(4, dtype=np.int64)
         fn(
-            *[_dptr(d) for d in datas],
-            _iptr(left),
-            _iptr(right),
-            i64(len(datas[0])),
+            *[_dptr(arrays[name]) for name in names],
+            *pointers(left, right),
+            i64(len(arrays[names[0]])),
             i64(len(left)),
             i64(num_steps),
             *graph,
@@ -435,14 +430,14 @@ def _c_call(
     return call
 
 
-def _rewritten(kernel_name: str, tiled: bool, config: PassConfig) -> RewriteState:
+def _rewritten(kernel_name: str, config: PassConfig) -> RewriteState:
     from repro.kernels.specs import kernel_by_name
 
     program = lower_kernel(kernel_by_name(kernel_name))
-    return LoweringRewriter(config=config, tiled=tiled).run(program)
+    return LoweringRewriter(config=config).run(program)
 
 
-def _verify_with_proof_cache(state: RewriteState, store, tiled: bool):
+def _verify_with_proof_cache(state: RewriteState, store):
     """Run the IR verifier — or reuse its content-addressed proof.
 
     Returns ``(proven, proof_path, from_cache)``.  The proof JSON is
@@ -452,7 +447,7 @@ def _verify_with_proof_cache(state: RewriteState, store, tiled: bool):
     """
     from repro.analysis.irverify import proof_key, verify_state
 
-    key = proof_key(state.program, state.config, tiled)
+    key = proof_key(state.program, state.config)
     built = {}
 
     def build() -> str:
@@ -497,8 +492,12 @@ def compile_executor(
     ``"dynamic"`` on a program that is not counter-schedulable (no
     wave-parallel skeleton, an unfissioned interaction loop) raises
     :class:`~repro.errors.LegalityError` with the IRV006 diagnostics.
-    Untiled executors validate the name and then ignore it (there is no
-    tile graph to schedule).
+    Untiled executors validate the name and then ignore it (the trivial
+    schedule has one tile: there is no tile graph to schedule).
+
+    ``tiled`` selects the ``run`` signature and nothing about the build:
+    both bind the one blocked artifact and its one proof, and an untiled
+    ``run`` is the tiled one over the trivial schedule.
 
     Compiled backends (``numpy``/``c``) are **gated on proof**: the IR
     verifier (:mod:`repro.analysis.irverify`) must prove the rewritten
@@ -517,7 +516,7 @@ def compile_executor(
 
     resolved = resolve_executor_backend(backend).backend
     sched = resolve_scheduler(scheduler).backend
-    if not tiled:  # validated, then ignored: no tile graph to schedule
+    if not tiled:  # validated, then ignored: one tile, nothing to schedule
         sched = "wave"
     dynamic = sched == "dynamic"
     config = config or PassConfig()
@@ -539,7 +538,7 @@ def compile_executor(
         if hit is not None:
             return hit
 
-    state = _rewritten(kernel_name, tiled, config)
+    state = _rewritten(kernel_name, config)
     program = state.program
     if dynamic:
         from repro.analysis.irverify import counter_schedule_obligations
@@ -560,13 +559,13 @@ def compile_executor(
     store = ArtifactStore(cache_dir)
     if verify and resolved != "library":
         verified, proof_path, proof_cached = _verify_with_proof_cache(
-            state, store, tiled
+            state, store
         )
         if not verified and not sanitized:
             raise LegalityError(
                 f"IR verifier could not prove executor "
-                f"{kernel_name!r} ({'tiled' if tiled else 'untiled'}, "
-                f"{resolved}) safe; refusing unguarded emission",
+                f"{kernel_name!r} ({resolved}) safe; refusing unguarded "
+                "emission",
                 stage="irverify",
                 hint=(
                     "inspect with `repro lint --ir`, or bind with "
@@ -578,16 +577,16 @@ def compile_executor(
     artifact_path = None
     from_cache = False
     if resolved == "library":
-        call = _python_call(_library_table(kernel_name), tiled)
+        from repro.kernels.executors import PHASE_FUNCTIONS
+
+        call = _python_call(PHASE_FUNCTIONS[kernel_name])
     else:
         # One build recipe for both emitted tiers: content-addressed
         # source text, then (C only) the shared object built from it.
         if resolved == "c":
-            emitter, suffix = emit_c, "c"
-            emit, entry = emit_c.SHAPES["tiled" if tiled else "untiled"]
+            emitter, suffix, emit = emit_c, "c", emit_c.emit_c_tiled
         else:
-            emitter, suffix = emit_numpy, "py"
-            emit = emit_numpy.emit_numpy
+            emitter, suffix, emit = emit_numpy, "py", emit_numpy.emit_numpy
         version = emitter.EMITTER_VERSION
         if sanitized:
             version += "+" + emitter.SANITIZE_TAG
@@ -602,11 +601,11 @@ def compile_executor(
                 "so",
                 lambda tmp: toolchain.compile_shared(src_path, tmp),
             )
-            call = _c_call(str(path), program, entry, sanitized)
+            call = _c_call(str(path), program, sanitized)
         else:
             table: dict = {}
             exec(compile(path.read_text(), str(path), "exec"), table)
-            call = _python_call(table, tiled)
+            call = _python_call(table["PHASES"], table.get("guard"))
         artifact_path = str(path)
     compiled = CompiledExecutor(
         kernel_name=kernel_name,

@@ -18,15 +18,19 @@ application recorded in the :class:`RewriteState` log.
   iterates a tile schedule outermost (Figure 14's ``do t / do x in
   sched(t, l)``), tiles in ascending id order (the atomic-tile condition
   ``theta(src) <= theta(dst)`` makes ascending ids a legal
-  linearization).
+  linearization).  It always applies: an untiled executor is this one
+  program run under the trivial tiling ``theta(i) = 0`` (one tile, every
+  loop over its whole range), a choice of schedule at run time, not a
+  second program.
 * **vectorize** — mark loops for batched emission: node sweeps become
   whole-array (or fancy-indexed) updates, fissioned interaction loops
   become gather/scatter batches over the sigma/delta-remapped index
   arrays.  Only legal on node loops whose statements address every array
   directly, and on fissioned interaction loops.
-* **parallelize** — enable wavefront grouping on tiled programs: the
-  executor accepts the static wave schedule and runs each wave
-  phase-by-phase (all gathers, then commits in the wave's tile order)
+* **parallelize** — enable wavefront grouping on the tiled program when
+  every interaction loop is fissioned (a scalar one would race inside a
+  wave): the executor accepts the static wave schedule and runs each
+  wave phase-by-phase (all gathers, then commits in the wave's tile order)
   — the loop :func:`repro.lowering.schedule.run_wave_phases` runs over a
   phase table and ``emit_c_tiled`` renders in C.  The static wavefront
   stays the legality skeleton ("Hybrid Static/Dynamic Schedules for
@@ -40,7 +44,7 @@ whether a program *can* run under counters is computed from what these
 four passes left (:func:`repro.analysis.irverify.
 counter_schedule_obligations`), not configured.
 
-``PassConfig`` toggles individual passes (the benchmark's ablation
+``PassConfig`` toggles the optional passes (the benchmark's ablation
 knob); its digest is part of the compiled-artifact fingerprint.
 """
 
@@ -64,17 +68,16 @@ from repro.lowering.ir import (
 
 @dataclass(frozen=True)
 class PassConfig:
-    """Which pipeline passes run (all on by default)."""
+    """Which optional pipeline passes run (all on by default; blocking
+    is not optional)."""
 
     fission: bool = True
-    blocking: bool = True
     vectorize: bool = True
     parallelize: bool = True
 
     def to_dict(self):
         return {
             "fission": self.fission,
-            "blocking": self.blocking,
             "vectorize": self.vectorize,
             "parallelize": self.parallelize,
         }
@@ -141,15 +144,10 @@ def rewrite_pass(fn: Callable) -> Callable:
 
 
 class LoweringRewriter:
-    """Run the ordered pass pipeline over a lowered program.
+    """Run the ordered pass pipeline over a lowered program."""
 
-    ``tiled`` selects the sparse-tiled executor shape (the blocking and
-    parallelize passes are no-ops without it).
-    """
-
-    def __init__(self, config: Optional[PassConfig] = None, tiled: bool = False):
+    def __init__(self, config: Optional[PassConfig] = None):
         self.config = config or PassConfig()
-        self.tiled = tiled
 
     def run(self, program: Program) -> RewriteState:
         state = RewriteState(program=program, config=self.config)
@@ -190,10 +188,6 @@ class LoweringRewriter:
 
     @rewrite_pass
     def _loop_blocking(self, state: RewriteState):
-        if not self.tiled:
-            return state.program, False, ["untiled executor"]
-        if not self.config.blocking:
-            return state.program, False, ["disabled by config"]
         return (
             replace(state.program, tiled=True),
             True,
@@ -238,10 +232,18 @@ class LoweringRewriter:
 
     @rewrite_pass
     def _parallelize(self, state: RewriteState):
-        if not state.program.tiled:
-            return state.program, False, ["untiled executor"]
         if not self.config.parallelize:
             return state.program, False, ["disabled by config"]
+        scalar = [
+            loop.label
+            for loop in state.program.loops
+            if loop.domain != "nodes" and loop.fissioned is None
+        ]
+        if scalar:
+            return state.program, False, [
+                f"{scalar}: not fissioned; concurrent gathers of a wave "
+                "would race with its commits, so waves stay off"
+            ]
         return (
             replace(state.program, wave_parallel=True),
             True,

@@ -67,7 +67,11 @@ import numpy as np
 from repro import backends
 from repro.errors import LegalityError, ValidationError
 from repro.transforms.sorting import distinct_edges, group_by
-from repro.transforms.tile_schedule import CSRLists, as_wave_groups
+from repro.transforms.tile_schedule import (
+    CSRLists,
+    TileSchedule,
+    as_wave_groups,
+)
 
 #: Environment variable selecting the tile scheduler.
 SCHEDULER_ENV = "REPRO_EXECUTOR_SCHEDULER"
@@ -384,19 +388,27 @@ def run_wave_phases(
     as a stage across the whole wave: node phases update disjoint
     iteration subsets; interaction phases compute the pure gathers of
     all the wave's tiles first, then apply the reduction commits **in
-    the wave's tile order**.  One thread, under every setting:
+    the wave's tile order**.  A range-form loop's tile reaches its phase
+    as a ``slice`` (operand views, no gather), an index-form loop's as
+    its iteration array (:meth:`~repro.transforms.tile_schedule.CSRLists.
+    parts`); so under the trivial one-tile schedule each phase runs once
+    over its whole range, which is the untiled executor.  ``schedule``
+    is a :class:`~repro.transforms.tile_schedule.TileSchedule` or a
+    list of tiles (marshalled here).  One thread, under every setting:
     ``num_threads`` is accepted for parity with the C entry point, whose
     counter pool it bounds, and changes nothing here (NumPy calls this
     small do not overlap under the GIL; see ROADMAP for the numbers).
     ``wave_groups=None`` is every tile its own wave: serial tile order.
     """
+    if not isinstance(schedule, TileSchedule):
+        schedule = TileSchedule.from_tiles(schedule)
     if wave_groups is None:
         wave_groups = [[t] for t in range(len(schedule))]
+    loops = [loop.parts() for loop in schedule.loops]
     for _step in range(num_steps):
         for group in wave_groups:
-            tiles = [schedule[int(t)] for t in group]
-            for pos, phase in enumerate(phases):
-                work = [t[pos] for t in tiles if len(t[pos])]
+            for phase, parts in zip(phases, loops):
+                work = [parts[t] for t in group if parts[t] is not None]
                 if phase.domain == "nodes":
                     for it in work:
                         phase.apply(arrays, it)

@@ -160,7 +160,6 @@ def run_numeric_wavefront(
     waves=None,
     num_steps: int = 1,
     parallel: bool = True,
-    max_workers: Optional[int] = None,
     backend: Optional[str] = None,
     sanitize: Optional[bool] = None,
     scheduler: Optional[str] = None,
@@ -195,8 +194,8 @@ def run_numeric_wavefront(
     time steps.  Returns ``data``.
 
     ``parallel=False`` runs on one thread; otherwise ``num_threads``
-    (else ``max_workers``, else ``REPRO_EXECUTOR_THREADS``, else the
-    visible cores) bounds the workers of the C counter pool.  The C wave
+    (else ``REPRO_EXECUTOR_THREADS``, else the visible cores) bounds the
+    workers of the C counter pool.  The C wave
     loop and the Python tiers are serial either way.
     """
     from repro.lowering.executor import compile_executor
@@ -210,8 +209,6 @@ def run_numeric_wavefront(
     )
     if not parallel:
         num_threads = 1
-    elif num_threads is None:
-        num_threads = max_workers
     compiled.run(
         data.arrays,
         data.left,

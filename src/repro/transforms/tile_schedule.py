@@ -22,13 +22,19 @@ become ``(flat, offsets)``).  What is left to check per call is O(1):
 **Range form.**  When a loop's labels are non-decreasing — which is what
 ``tilePack`` (and any packing that orders a loop by tile) leaves behind —
 ``flat`` is ``arange`` and tile ``t`` *is* the range ``[offsets[t],
-offsets[t + 1])``: ``is_range`` records it, and the C tiers then iterate
-the offsets alone.  The data decides; index lists handed in from outside
-stay index lists.
+offsets[t + 1])``: ``is_range`` records it, the C tier then iterates the
+offsets alone and the Python wave driver slices by them.  The data
+decides; index lists handed in from outside stay index lists.
+
+**The trivial schedule** (:func:`trivial_schedule`) is the tiling
+``theta(i) = 0``: one tile holding every iteration, every loop in range
+form.  Run by the tiled executor it is the untiled one — each loop over
+its whole range in the original order.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from typing import List, Optional, Tuple
 
@@ -67,6 +73,7 @@ class CSRLists(Sequence):
         #: ``flat`` is ``arange``: list ``i`` is a contiguous range.
         self.is_range = is_range
         self._views: Optional[List[np.ndarray]] = None
+        self._parts: Optional[list] = None
 
     @classmethod
     def singletons(cls, count: int) -> "CSRLists":
@@ -144,6 +151,21 @@ class CSRLists(Sequence):
                 for i in range(len(bounds) - 1)
             ]
         return self._views
+
+    def parts(self) -> list:
+        """The lists as a driver indexes operands with them, built once:
+        in range form a ``slice`` per list (basic indexing: a view, no
+        gather; it clips exactly as slicing ``flat`` would), else its
+        view of ``flat``; ``None`` for an empty list."""
+        if self._parts is None:
+            bounds = self.offsets.tolist()
+            self._parts = [
+                (slice(bounds[i], bounds[i + 1]) if self.is_range else view)
+                if len(view)
+                else None
+                for i, view in enumerate(self.views())
+            ]
+        return self._parts
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -306,6 +328,24 @@ class TileSchedule(Sequence):
         return f"TileSchedule({self.num_tiles} tiles, loops: {forms})"
 
 
+@functools.lru_cache(maxsize=8)
+def _whole_range(extent: int) -> CSRLists:
+    return CSRLists(
+        np.arange(extent, dtype=np.int64),
+        np.array([0, extent], dtype=np.int64),
+        is_range=True,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def trivial_schedule(extents: Tuple[int, ...]) -> TileSchedule:
+    """The one-tile schedule over loops of ``extents``, every loop in
+    range form.  Built once per distinct extents; the cache is bounded
+    (and shares one whole range per extent across loops and kernels), so
+    a long-lived process binding many datasets cannot grow it."""
+    return TileSchedule([_whole_range(int(n)) for n in extents], 1)
+
+
 def as_tile_schedule(
     schedule,
     extents: Sequence[int],
@@ -321,4 +361,10 @@ def as_tile_schedule(
     return schedule
 
 
-__all__ = ["CSRLists", "TileSchedule", "as_tile_schedule", "as_wave_groups"]
+__all__ = [
+    "CSRLists",
+    "TileSchedule",
+    "as_tile_schedule",
+    "as_wave_groups",
+    "trivial_schedule",
+]

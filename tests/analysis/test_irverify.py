@@ -50,7 +50,7 @@ class TestCleanPrograms:
         assert all(p["equivalent"] for p in report.pass_proofs)
 
     def test_pass_records_carry_proof_artifacts(self):
-        state = _rewritten("moldyn", True, PassConfig())
+        state = _rewritten("moldyn", PassConfig())
         iv.verify_state(state)
         for rec in state.log:
             assert rec.proof is not None
@@ -68,12 +68,11 @@ class TestCleanPrograms:
             assert report.proven, report.describe()
 
     def test_assumed_facts_name_the_sanitizer_discharges(self):
-        untiled = iv.verify_executor("moldyn", tiled=False)
-        assert {f.name for f in untiled.assumed} == {"index-array-range"}
-        tiled = iv.verify_executor("moldyn", tiled=True)
-        assert {"tile-partition", "wave-cover", "schedule-legality"} <= {
-            f.name for f in tiled.assumed
-        }
+        report = iv.verify_executor("moldyn")
+        assert {
+            "index-array-range", "tile-partition", "wave-cover",
+            "schedule-legality",
+        } <= {f.name for f in report.assumed}
 
     def test_report_serializes(self):
         report = iv.verify_executor("nbf", tiled=True)
@@ -89,7 +88,7 @@ class TestBrokenFixtures:
     def test_irv001_unprovable_bounds(self):
         # Iterate a node loop over the interaction extent: x[i] with
         # i < num_inter cannot be proven < num_nodes.
-        state = _rewritten("moldyn", False, PassConfig())
+        state = _rewritten("moldyn", PassConfig())
         loops = list(state.program.loops)
         for pos, loop in enumerate(loops):
             if loop.domain == "nodes":
@@ -102,7 +101,7 @@ class TestBrokenFixtures:
         assert any(not ob.discharged for ob in report.obligations)
 
     def test_irv002_scalar_interaction_loop_under_waves(self):
-        state = _rewritten("moldyn", True, PassConfig())
+        state = _rewritten("moldyn", PassConfig())
         loops = tuple(
             replace(loop, fissioned=None, vector=False)
             if loop.domain == "inters"
@@ -117,8 +116,8 @@ class TestBrokenFixtures:
         assert "race" in diag.message
 
     def test_irv003_waves_without_schedule(self):
-        state = _rewritten("moldyn", False, PassConfig())
-        state.program = replace(state.program, wave_parallel=True)
+        state = _rewritten("moldyn", PassConfig())
+        state.program = replace(state.program, tiled=False)
         report = iv.verify_state(state)
         assert not report.proven
         assert report.by_code(iv.IRV_COMMIT_ORDER)
@@ -126,7 +125,7 @@ class TestBrokenFixtures:
     def test_irv004_tampered_pass_output(self):
         # Flip every commit sign in the final program: the reduction
         # contributions change value, so translation validation fails.
-        state = _rewritten("moldyn", False, PassConfig())
+        state = _rewritten("moldyn", PassConfig())
         loops = []
         for loop in state.program.loops:
             if loop.fissioned is not None:
@@ -147,7 +146,7 @@ class TestBrokenFixtures:
         assert report.by_code(iv.IRV_TRANSLATION)
 
     def test_irv005_unknown_array(self):
-        state = _rewritten("moldyn", False, PassConfig())
+        state = _rewritten("moldyn", PassConfig())
         loops = list(state.program.loops)
         stmt = replace(loops[0].stmts[0], array="bogus")
         loops[0] = replace(loops[0], stmts=(stmt,) + loops[0].stmts[1:])
@@ -160,7 +159,7 @@ class TestBrokenFixtures:
         assert not report.by_code(iv.IRV_TRANSLATION)
 
     def test_unknown_kernel_is_irv005(self):
-        state = _rewritten("moldyn", False, PassConfig())
+        state = _rewritten("moldyn", PassConfig())
         state.program = replace(state.program, kernel_name="nope")
         report = iv.verify_state(state)
         assert report.by_code(iv.IRV_MALFORMED)
@@ -169,7 +168,7 @@ class TestBrokenFixtures:
         """Computed from the rewritten program: the gate of
         ``compile_executor(scheduler="dynamic")`` and the condition under
         which ``emit_c_tiled`` carries the pool."""
-        program = _rewritten("moldyn", True, PassConfig()).program
+        program = _rewritten("moldyn", PassConfig()).program
         assert iv.counter_schedule_obligations(program) == []
         scalar = replace(
             program,
@@ -186,7 +185,7 @@ class TestBrokenFixtures:
             + tuple(l for l in program.loops if l.domain == "inters"),
         )
         for broken, needle in (
-            (_rewritten("moldyn", False, PassConfig()).program, "skeleton"),
+            (replace(program, tiled=False), "skeleton"),
             (replace(program, wave_parallel=False), "skeleton"),
             (scalar, "scalar interaction loop(s) ['Lj']"),
             (two_inter, "exactly one interaction loop"),
@@ -199,12 +198,9 @@ class TestBrokenFixtures:
 
 class TestProofCache:
     def test_proof_key_salts(self):
-        state = _rewritten("moldyn", False, PassConfig())
-        base = iv.proof_key(state.program, state.config, False)
-        assert base != iv.proof_key(state.program, state.config, True)
-        assert base != iv.proof_key(
-            state.program, PassConfig(vectorize=False), False
-        )
+        state = _rewritten("moldyn", PassConfig())
+        base = iv.proof_key(state.program, state.config)
+        assert base != iv.proof_key(state.program, PassConfig(vectorize=False))
         assert len(base) == 64
 
     def test_warm_bind_skips_verification(self, monkeypatch):
@@ -243,7 +239,6 @@ class TestProofCache:
         def unproven(state):
             report = iv.IRVerificationReport(
                 kernel_name="moldyn",
-                tiled=False,
                 ir_digest="x",
                 config_digest="y",
             )
@@ -269,9 +264,7 @@ class TestProofCache:
 
 class TestDiagnosticsBridge:
     def test_verification_diagnostics_contract(self):
-        codes, diagnostics, report = iv.verification_diagnostics(
-            "moldyn", tiled=True
-        )
+        codes, diagnostics, report = iv.verification_diagnostics("moldyn")
         assert codes == list(iv.IRV_CODES)
         assert diagnostics == []
         assert report.proven

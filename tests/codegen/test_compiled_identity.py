@@ -202,6 +202,30 @@ def test_range_form_and_index_form_are_bit_identical(
 
 
 @pytest.mark.parametrize(
+    "kernel,dataset",
+    [("moldyn", "mol1"), ("irreg", "foil"), ("nbf", "foil")],
+)
+@pytest.mark.parametrize("backend", ["library", "numpy"])
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_python_tiers_slice_range_form_loops_bit_identically(
+    kernel, dataset, backend, sanitize
+):
+    """The Python wave driver hands a range-form loop's tile to its
+    phase as a ``slice``, an index-form loop's as its iteration array:
+    the marshalled schedule and its list form give the same bits."""
+    d, schedule, waves = _tiled_case(kernel, dataset, pack=True)
+    assert any(schedule.is_range)
+    runs = [
+        run_numeric_wavefront(
+            d.copy(), tiles, waves, num_steps=3, backend=backend,
+            sanitize=sanitize,
+        )
+        for tiles in (schedule, [list(tile) for tile in schedule])
+    ]
+    _assert_identical(*runs, (kernel, backend, sanitize))
+
+
+@pytest.mark.parametrize(
     "spec_path", sorted(PLAN_DIR.glob("*.json")), ids=lambda p: p.stem
 )
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)

@@ -290,29 +290,29 @@ EMITTED_C = Path(__file__).with_name("emitted_c_sha256.json")
 
 
 def _emitted_sources():
-    """(kernel, shape, sanitize) -> (version tag, emitted C text)."""
+    """(kernel, sanitize) -> (version tag, emitted C text): one unit per
+    kernel (an untiled bind runs it over the trivial schedule)."""
     sources = {}
     for kernel in KERNELS:
-        for shape, (emit, _entry) in emit_c.SHAPES.items():
-            program = LoweringRewriter(tiled=shape != "untiled").run(
-                lower_kernel(kernel_by_name(kernel))
-            ).program
-            for sanitize in (False, True):
-                tags = [emit_c.EMITTER_VERSION]
-                tags += [emit_c.SANITIZE_TAG] if sanitize else []
-                sources[kernel, shape, sanitize] = (
-                    "+".join(tags), emit(program, sanitize=sanitize)
-                )
+        program = LoweringRewriter().run(
+            lower_kernel(kernel_by_name(kernel))
+        ).program
+        for sanitize in (False, True):
+            tags = [emit_c.EMITTER_VERSION]
+            tags += [emit_c.SANITIZE_TAG] if sanitize else []
+            sources[kernel, sanitize] = (
+                "+".join(tags), emit_c.emit_c_tiled(program, sanitize=sanitize)
+            )
     return sources
 
 
 def _emitted_c():
     return {
-        f"{kernel}/{shape}/{'sanitize' if sanitize else 'plain'}": {
+        f"{kernel}/tiled/{'sanitize' if sanitize else 'plain'}": {
             "version": version,
             "sha256": hashlib.sha256(source.encode()).hexdigest(),
         }
-        for (kernel, shape, sanitize), (version, source)
+        for (kernel, sanitize), (version, source)
         in _emitted_sources().items()
     }
 
@@ -323,11 +323,8 @@ def test_tiled_unit_renders_every_statement_body_once_per_form():
     once per schedule form (index: position ``_k`` + loaded iteration;
     range: the iteration is the position) — which the concatenation of a
     wave emitter and a stage emitter would fail."""
-    assert sorted(emit_c.SHAPES) == ["tiled", "untiled"]
-    for (kernel, shape, sanitize), (_, source) in _emitted_sources().items():
-        if shape != "tiled":
-            continue
-        program = LoweringRewriter(tiled=True).run(
+    for (kernel, sanitize), (_, source) in _emitted_sources().items():
+        program = LoweringRewriter().run(
             lower_kernel(kernel_by_name(kernel))
         ).program
         for loop in program.loops:

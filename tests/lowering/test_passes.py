@@ -22,8 +22,8 @@ from repro.lowering.passes import (
 pytestmark = pytest.mark.compiled
 
 
-def _rewrite(name, tiled=False, config=None):
-    return LoweringRewriter(config=config, tiled=tiled).run(
+def _rewrite(name, config=None):
+    return LoweringRewriter(config=config).run(
         lower_kernel(kernel_by_name(name))
     )
 
@@ -44,15 +44,8 @@ class TestPipeline:
             if loop.domain == "inters":
                 assert loop.fissioned is not None
 
-    def test_untiled_program_skips_blocking_and_parallelize(self):
-        state = _rewrite("moldyn", tiled=False)
-        by_name = {rec.name: rec for rec in state.log}
-        assert not by_name["loop_blocking"].applied
-        assert not by_name["parallelize"].applied
-        assert not state.program.tiled
-
     def test_tiled_program_blocks_and_parallelizes(self):
-        program = _rewrite("moldyn", tiled=True).program
+        program = _rewrite("moldyn").program
         assert program.tiled and program.wave_parallel
 
     def test_disabling_fission_keeps_interaction_loops_scalar(self):

@@ -54,7 +54,7 @@ def test_parallel_bit_identical_to_serial(kernel, dataset):
         d.copy(), schedule, waves, num_steps=3, parallel=False
     )
     threaded = run_numeric_wavefront(
-        d.copy(), schedule, waves, num_steps=3, parallel=True, max_workers=4
+        d.copy(), schedule, waves, num_steps=3, parallel=True, num_threads=4
     )
     for name in serial.arrays:
         assert np.array_equal(serial.arrays[name], threaded.arrays[name]), name

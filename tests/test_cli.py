@@ -230,8 +230,8 @@ class TestLintIR:
         spec = str(PLANS / "cpack_lexgroup_fst.json")
         assert main(["lint", "--ir", spec]) == 0
         out = capsys.readouterr().out
-        assert "irverify [untiled]: proven" in out
-        assert "irverify [tiled]: proven" in out
+        assert "irverify: proven" in out
+        assert "[untiled]" not in out and "[tiled]" not in out
 
     def test_lint_ir_json_payload(self, capsys):
         import json as _json
@@ -239,10 +239,8 @@ class TestLintIR:
         spec = str(PLANS / "cpack_lexgroup_fst.json")
         assert main(["lint", "--ir", "--json", spec]) == 0
         payload = _json.loads(capsys.readouterr().out)
-        assert set(payload["irverify"]) == {"untiled", "tiled"}
-        for shape in payload["irverify"].values():
-            assert shape["proven"] is True
-            assert shape["version"] == "irverify-3"
+        assert payload["irverify"]["proven"] is True
+        assert payload["irverify"]["version"] == "irverify-4"
         assert "IRV001" in payload["rules_run"]
 
     def test_lint_reads_spec_from_stdin(self, capsys, monkeypatch):
