@@ -5,8 +5,7 @@ entering and leaving the cutoff radius, particles drifting — and the
 classic answer is to re-run the whole inspector composition.  The
 :mod:`repro.incremental` subsystem instead *patches* the cached parent
 bind: per-stage incremental update rules reuse the parent's realized
-orderings, the tile schedule's counter DAG is repaired and re-proven by
-IRV006, and the patched bind is always re-verified numerically.
+orderings, and the patched bind is always re-verified numerically.
 
 This benchmark proves the three acceptance claims:
 
@@ -23,9 +22,7 @@ This benchmark proves the three acceptance claims:
 * **bit-identical** — every patched bind equals a cold bind of the
   canonical mutated dataset, ``tobytes`` on every realized array;
 * **safe degradation** — drift past a per-step threshold provably falls
-  back to a full re-bind, counted in ``cache.stats``, and a patched
-  tile DAG passes the IRV006 scheduler verifier before any dynamic pool
-  would run it.
+  back to a full re-bind, counted in ``cache.stats``.
 
 Machine-readable results land in ``benchmarks/results/BENCH_delta.json``.
 """
@@ -33,15 +30,10 @@ Machine-readable results land in ``benchmarks/results/BENCH_delta.json``.
 import json
 import time
 
-import numpy as np
-
 from benchmarks.conftest import save_and_print
-from repro.incremental import EpochAux
-from repro.incremental.engine import repair_tile_dag
 from repro.kernels.data import make_kernel_data
 from repro.kernels.datasets import generate_dataset
 from repro.kernels.specs import kernel_by_name
-from repro.lowering.schedule import ensure_runnable
 from repro.plancache import PlanCache
 from repro.plancache.fingerprint import bind_fingerprint
 from repro.runtime import CompositionPlan
@@ -206,40 +198,9 @@ def _fallback_row():
     }
 
 
-def _dag_repair_row():
-    """A primed parent DAG is repaired, IRV006-proven, and fresh-equal."""
-    plan = _plan()
-    data = make_kernel_data(KERNEL, generate_dataset("mol1", scale=1))
-    delta = make_drift_delta(data, edge_rate=DRIFT, seed=SEED)
-    cache = _fresh_cache()
-    parent = plan.bind(data, cache=cache)
-    parent_key = bind_fingerprint(plan, data)
-    aux = EpochAux.from_data(data)
-    aux.tile_dag = repair_tile_dag(None, parent.tiling, parent.transformed)
-    cache.put_aux(parent_key, aux)
-
-    result = plan.rebind(data, delta, cache=cache)
-    assert result.delta_info["mode"] == "patched", result.delta_info
-    child_key = bind_fingerprint(plan, delta.apply(data))
-    child_aux = cache.get_aux(child_key)
-    assert child_aux is not None and child_aux.tile_dag is not None
-    ensure_runnable(child_aux.tile_dag)  # IRV006: counters re-proven
-    fresh = repair_tile_dag(None, result.tiling, result.transformed)
-    assert np.array_equal(child_aux.tile_dag.indegree, fresh.indegree)
-    assert np.array_equal(child_aux.tile_dag.succ_indptr, fresh.succ_indptr)
-    assert np.array_equal(child_aux.tile_dag.succ_indices, fresh.succ_indices)
-    return {
-        "dataset": "mol1",
-        "num_tiles": int(child_aux.tile_dag.num_tiles),
-        "irv006": "passed",
-        "repaired_equals_fresh": True,
-    }
-
-
 def test_delta_bind_streaming(benchmark, results_dir):
     rows = [_epoch_row(dataset) for dataset in DATASETS]
     fallback = _fallback_row()
-    dag = _dag_repair_row()
 
     headline = next(r for r in rows if r["dataset"] == HEADLINE_DATASET)
     assert headline["delta_bind_s"] <= headline["cold_bind_s"], (
@@ -278,7 +239,6 @@ def test_delta_bind_streaming(benchmark, results_dir):
         "headline_dataset": HEADLINE_DATASET,
         "rows": rows,
         "fallback": fallback,
-        "dag_repair": dag,
     }
     json_path = results_dir / "BENCH_delta.json"
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -305,9 +265,5 @@ def test_delta_bind_streaming(benchmark, results_dir):
         f"over-threshold drift {fallback['drift']:.1%}: mode="
         f"{fallback['mode']} (fallbacks counted: "
         f"{fallback['counted_fallbacks']})"
-    )
-    lines.append(
-        f"tile DAG repair: {dag['num_tiles']} tiles, IRV006 "
-        f"{dag['irv006']}, repaired == fresh: {dag['repaired_equals_fresh']}"
     )
     save_and_print(results_dir, "ext_delta", "\n".join(lines))

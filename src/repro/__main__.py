@@ -388,12 +388,8 @@ def _executor_backend_lines():
     report = executor_backend_report()
     tool = report["toolchain"]
     usage_text = _artifact_kinds_text(report["artifacts"]["by_suffix"])
-    sched = report["scheduler"]
     lines = [
         f"executor backend: {report['backend']} ({report['source']})",
-        f"  tile scheduler: {sched['scheduler']} ({sched['source']}) "
-        f"threads: {sched['threads']}  "
-        f"({sched['env']} / {sched['threads_env']})",
         "  toolchain: "
         + (
             f"{tool['compiler']} [{tool['version']}]"
@@ -453,7 +449,7 @@ def _service_stats_lines(scale=None):
 def _wave_skew_lines(result):
     """Wave-level load-balance stats of the bound plan's tiling (for
     ``doctor``): how much barrier time the level-synchronous executor
-    burns, i.e. how much headroom the dynamic scheduler has."""
+    burns, i.e. how much of the tile work the waves serialise."""
     from repro.runtime.inspector import dependence_edges
     from repro.transforms.parallel import tile_wavefronts
 
@@ -747,19 +743,6 @@ def _cmd_serve(args) -> int:
                 f"sanitizer: {'on' if sanitize_enabled() else 'off'}",
                 file=sys.stderr,
             )
-
-    if args.scheduler:
-        import os
-
-        from repro.lowering.schedule import SCHEDULER_ENV, resolve_scheduler
-
-        # Same shape as --executor-backend: validate up front, then
-        # publish via the env var so every bind worker resolves it.
-        sched_resolution = resolve_scheduler(args.scheduler)
-        os.environ[SCHEDULER_ENV] = args.scheduler
-        print(
-            f"tile scheduler: {sched_resolution.backend}", file=sys.stderr
-        )
 
     sink = None
     if args.trace:
@@ -1154,14 +1137,6 @@ def main(argv=None) -> int:
         default=None,
         help="executor tier for binds (default: REPRO_EXECUTOR_BACKEND or "
         "library; c degrades to numpy without a toolchain)",
-    )
-    p.add_argument(
-        "--scheduler",
-        choices=["auto", "wave", "dynamic"],
-        default=None,
-        help="tile scheduler for tiled binds (default: "
-        "REPRO_EXECUTOR_SCHEDULER or wave; dynamic = dependence-counter "
-        "work stealing, bit-identical to wave)",
     )
     p.add_argument(
         "--no-cache", action="store_true", help="serve without a plan cache"

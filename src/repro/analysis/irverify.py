@@ -61,8 +61,8 @@ from repro.presburger.terms import AffineExpr, var
 
 #: Bumped whenever the verifier's rules or proof format change; part of
 #: the proof-artifact content address, so stale proofs never match.
-#: irverify-4: one proof per (kernel, config) — no ``tiled`` field or salt.
-IRVERIFY_VERSION = "irverify-4"
+#: irverify-5: no IRV006 rule and no ``counter-dag`` assumed fact.
+IRVERIFY_VERSION = "irverify-5"
 
 #: Stable rule codes (the ``repro lint --ir`` contract).
 IRV_BOUNDS = "IRV001"
@@ -70,7 +70,6 @@ IRV_RACE = "IRV002"
 IRV_COMMIT_ORDER = "IRV003"
 IRV_TRANSLATION = "IRV004"
 IRV_MALFORMED = "IRV005"
-IRV_COUNTER_DAG = "IRV006"
 
 IRV_CODES = (
     IRV_BOUNDS,
@@ -78,7 +77,6 @@ IRV_CODES = (
     IRV_COMMIT_ORDER,
     IRV_TRANSLATION,
     IRV_MALFORMED,
-    IRV_COUNTER_DAG,
 )
 
 #: Steps the canonical-instance interpreter runs per equivalence check
@@ -554,174 +552,6 @@ def _check_parallel_safety(program: Program) -> List[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# Counter-DAG obligations (IRV006)
-
-
-def counter_schedule_obligations(program: Program) -> List[Diagnostic]:
-    """Static obligations of running ``program`` under dependence
-    counters; empty means *counter-schedulable*.
-
-    The hybrid scheduler's whole legality argument leans on the static
-    skeleton: dependence counters are derived *from* the wavefront tile
-    graph, and the deterministic combine replays the wave executor's
-    commit order, buffering each tile's payload between its gather and
-    its turn.  This is a property of the rewritten program, not a flag:
-    :func:`repro.lowering.emit_c.emit_c_tiled` compiles the counter pool
-    into a tiled unit exactly when it holds, and
-    :func:`repro.lowering.executor.compile_executor` refuses
-    ``scheduler="dynamic"`` with these diagnostics when it does not —
-    rather than deadlock (or race) at run time.
-    """
-
-    def problem(message: str, hint: str) -> List[Diagnostic]:
-        return [
-            Diagnostic(
-                code=IRV_COUNTER_DAG,
-                severity=ERROR,
-                message=message,
-                stage_index=None,
-                stage_name="program",
-                hint=hint,
-            )
-        ]
-
-    # A scalar interaction loop first: it is also why the parallelize
-    # pass leaves a program without its wave skeleton.
-    inter = [loop for loop in program.loops if loop.domain != "nodes"]
-    unfissioned = [loop.label for loop in inter if loop.fissioned is None]
-    if unfissioned:
-        return problem(
-            f"dynamic scheduler with scalar interaction loop(s) "
-            f"{unfissioned}: the deterministic combine needs the "
-            "gather/commit split to buffer per-tile payloads",
-            "the fission pass must split gather/commit first",
-        )
-    if not (program.tiled and program.wave_parallel):
-        return problem(
-            "dynamic scheduler without a tiled wave-parallel "
-            "skeleton: dependence counters have no static wavefront "
-            "to derive from, so tile release order is unprovable",
-            "bind with the parallelize pass on",
-        )
-    if len(inter) != 1:
-        return problem(
-            f"dynamic scheduler needs exactly one interaction loop "
-            f"(the commit stage between its gather and post stages), "
-            f"{program.kernel_name} has {len(inter)}",
-            'bind with scheduler="wave"',
-        )
-    return []
-
-
-def verify_counter_dag(dag) -> List[Diagnostic]:
-    """Runtime obligations of one concrete counter DAG (IRV006).
-
-    Checks what the engine's liveness and bit-identity depend on:
-    successor indices in range, the commit order a permutation of the
-    tiles, declared in-degrees equal to the true predecessor counts
-    (under-counting releases a tile early — a race; over-counting
-    deadlocks), the commit order consistent with the edges (every edge's
-    source commits before its target), and the graph acyclic.  All
-    vectorized; the engine runs this on every execution.
-    """
-    import numpy as np
-
-    diagnostics: List[Diagnostic] = []
-
-    def problem(message: str, hint: Optional[str] = None) -> None:
-        diagnostics.append(
-            Diagnostic(
-                code=IRV_COUNTER_DAG,
-                severity=ERROR,
-                message=message,
-                stage_index=None,
-                stage_name="counter-dag",
-                hint=hint,
-            )
-        )
-
-    num_tiles = int(dag.num_tiles)
-    indptr = np.asarray(dag.succ_indptr, dtype=np.int64)
-    succ = np.asarray(dag.succ_indices, dtype=np.int64)
-    declared = np.asarray(dag.indegree, dtype=np.int64)
-    order = np.asarray(dag.order, dtype=np.int64)
-
-    if len(indptr) != num_tiles + 1 or int(indptr[-1]) != len(succ):
-        problem(
-            f"successor CSR malformed: indptr has {len(indptr)} entries "
-            f"ending at {int(indptr[-1]) if len(indptr) else 'nothing'} "
-            f"for {len(succ)} edges"
-        )
-        return diagnostics
-    if len(succ) and (succ.min() < 0 or succ.max() >= num_tiles):
-        problem(
-            f"successor indices out of range for {num_tiles} tiles"
-        )
-        return diagnostics
-    if len(order) != num_tiles or (
-        num_tiles and not np.array_equal(np.sort(order), np.arange(num_tiles))
-    ):
-        problem(
-            "commit order is not a permutation of the tile ids — the "
-            "deterministic combine would skip or repeat tiles"
-        )
-        return diagnostics
-
-    actual = np.bincount(succ, minlength=num_tiles).astype(np.int64)
-    if not np.array_equal(declared, actual):
-        under = np.flatnonzero(declared < actual)
-        over = np.flatnonzero(declared > actual)
-        if len(under):
-            problem(
-                f"under-counted predecessors for tile(s) "
-                f"{under[:8].tolist()}: the counter reaches zero before "
-                "every predecessor committed (release race)"
-            )
-        if len(over):
-            problem(
-                f"over-counted predecessors for tile(s) "
-                f"{over[:8].tolist()}: the counter can never reach zero "
-                "(scheduler deadlock)"
-            )
-        return diagnostics
-
-    src = np.repeat(np.arange(num_tiles, dtype=np.int64), np.diff(indptr))
-    rank = np.empty(num_tiles, dtype=np.int64)
-    rank[order] = np.arange(num_tiles, dtype=np.int64)
-    bad = np.flatnonzero(rank[src] >= rank[succ]) if len(succ) else []
-    if len(bad):
-        edges = [
-            (int(src[e]), int(succ[e])) for e in bad[:4]
-        ]
-        problem(
-            f"commit order violates tile dependence(s) {edges}: a tile "
-            "would commit before a predecessor (self-loops count — a "
-            "tile cannot precede itself)"
-        )
-        # A cycle always induces at least one such edge under any total
-        # order, so fall through to name the cycle explicitly too.
-
-    # Kahn liveness: every tile must retire.
-    counters = actual.copy()
-    frontier = list(np.flatnonzero(counters == 0))
-    processed = 0
-    while frontier:
-        tile = frontier.pop()
-        processed += 1
-        for nxt in succ[indptr[tile] : indptr[tile + 1]]:
-            counters[nxt] -= 1
-            if counters[nxt] == 0:
-                frontier.append(int(nxt))
-    if processed != num_tiles:
-        stuck = np.flatnonzero(counters > 0)
-        problem(
-            f"counter graph is cyclic: {num_tiles - processed} tile(s) "
-            f"(e.g. {stuck[:8].tolist()}) can never be released"
-        )
-    return diagnostics
-
-
-# ---------------------------------------------------------------------------
 # Translation validation (IRV004)
 
 
@@ -877,21 +707,6 @@ def _assumed_facts(program: Program, facts: _KernelFacts) -> List[AssumedFact]:
                 ),
             )
         )
-    if not counter_schedule_obligations(program):
-        assumed.append(
-            AssumedFact(
-                name="counter-dag",
-                description=(
-                    "tile in-degrees equal the true predecessor counts, "
-                    "the successor CSR is complete, and the commit order "
-                    "linearizes the (acyclic) tile graph"
-                ),
-                discharged_by=(
-                    "tile_dag construction from tile_graph_edges and "
-                    "verify_counter_dag (IRV006), run on every execution"
-                ),
-            )
-        )
     return assumed
 
 
@@ -962,17 +777,14 @@ __all__ = [
     "IRV_BOUNDS",
     "IRV_CODES",
     "IRV_COMMIT_ORDER",
-    "IRV_COUNTER_DAG",
     "IRV_MALFORMED",
     "IRV_RACE",
     "IRV_TRANSLATION",
     "AssumedFact",
     "BoundsObligation",
     "IRVerificationReport",
-    "counter_schedule_obligations",
     "proof_key",
     "verification_diagnostics",
-    "verify_counter_dag",
     "verify_executor",
     "verify_state",
 ]

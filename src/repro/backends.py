@@ -20,9 +20,8 @@ Two subsystems now pick an engine at run time — the cache simulator
 where it came from, and any fallback taken, so callers that only want the
 string can take ``.backend`` while ``doctor`` can report the whole story.
 
-The non-selector knobs follow the same argument > environment > default
-precedence through :func:`resolve_flag` (on/off switches) and
-:func:`resolve_count` (positive integers), so this module is the only
+The on/off knobs follow the same argument > environment > default
+precedence through :func:`resolve_flag`, so this module is the only
 place a ``REPRO_*`` executor knob is read from ``os.environ``.
 """
 
@@ -180,32 +179,10 @@ def resolve_flag(value: Optional[bool], *, env_var: str) -> bool:
     return bool(value)
 
 
-def resolve_count(
-    value: Optional[int], *, env_var: str, default: Callable[[], int], what: str
-) -> int:
-    """A positive integer: argument > ``env_var`` > ``default()``."""
-    if value is None:
-        env = os.environ.get(env_var) or None
-        if env is None:
-            value = default()
-        else:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"{env_var} must be an integer, got {env!r}"
-                ) from None
-    value = int(value)
-    if value < 1:
-        raise ValidationError(f"{what} must be >= 1, got {value}")
-    return value
-
-
 __all__ = [
     "BackendFallbackWarning",
     "Resolution",
     "resolve",
-    "resolve_count",
     "resolve_flag",
     "reset_fallback_announcements",
 ]

@@ -8,10 +8,8 @@ nodes), :func:`delta_bind` patches the realized sigma/delta reorderings,
 payload permutation, and sparse-tile schedule incrementally instead of
 re-running the full inspector pipeline — and proves the patch: every
 delta-bound result is re-verified against the runtime numeric verifier,
-patched :class:`~repro.lowering.schedule.TileDAG` dependence counters
-are re-proved by IRV006 before any dynamic pool runs, and any mismatch
-or drift past a per-step threshold degrades to a full re-bind (counted
-in the cache stats, never silent).
+and any mismatch or drift past a per-step threshold degrades to a full
+re-bind (counted in the cache stats, never silent).
 """
 
 from repro.incremental.delta import DatasetDelta, EpochAux

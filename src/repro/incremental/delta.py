@@ -267,14 +267,10 @@ class EpochAux:
     occurrence key (``2*row_key + {0: left, 1: right}``) of node ``n``'s
     first appearance in the interleaved access stream — exactly the
     quantity cpack orders nodes by — or :data:`UNTOUCHED_KEY`.
-
-    ``tile_dag`` optionally carries the epoch's verified counter DAG so
-    the next delta can repair it instead of rebuilding.
     """
 
     row_key: np.ndarray
     first_key: np.ndarray
-    tile_dag: Optional[object] = None
 
     @classmethod
     def from_data(cls, data, counter: Optional[dict] = None) -> "EpochAux":

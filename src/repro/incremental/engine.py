@@ -9,16 +9,13 @@ incremental patch (its ``delta`` rule, :mod:`repro.incremental.rules`)
 in place of the cold inspector, then proves the result before anyone
 may run it:
 
-1. a patched tile schedule's counter DAG is rebuilt (when the parent
-   epoch had one) and re-verified by the scheduler verifier (IRV006) via
-   :func:`~repro.lowering.schedule.ensure_runnable`;
-2. the whole bind is re-verified against the runtime numeric verifier —
+1. the whole bind is re-verified against the runtime numeric verifier —
    **mandatory**, not only-when-degraded as on the cold path;
-3. any refusal — drift past a per-step threshold, an unpatchable stage,
-   a missing parent entry, a DAG rejection, a verifier mismatch —
-   degrades to a full re-bind, counted in ``cache.stats``
-   (``delta_patched`` / ``delta_fallbacks`` / ``delta_verify_failures``)
-   so the degradation rate is observable, never silent.
+2. any refusal — drift past a per-step threshold, an unpatchable stage,
+   a missing parent entry, a verifier mismatch — degrades to a full
+   re-bind, counted in ``cache.stats`` (``delta_patched`` /
+   ``delta_fallbacks`` / ``delta_verify_failures``) so the degradation
+   rate is observable, never silent.
 
 Both outcomes store the child bind under its own content fingerprint
 with a **parent-epoch link** in the entry metadata (``parent_key``,
@@ -74,22 +71,20 @@ class DeltaContext:
 # TileDAG repair.
 
 
-def repair_tile_dag(parent_dag, tiling, data, counter: Optional[dict] = None):
-    """The counter DAG of a (patched) tiling: a fresh
+def repair_tile_dag(parent_dag, tiling, data):
+    """The tile graph of a (patched) tiling: a fresh
     :func:`~repro.lowering.schedule.tile_dag` over the tiling's edges.
 
-    ``parent_dag`` is accepted and unused: counters patched from the
-    parent's are by contract bit-identical to fresh ones, and deriving
-    them needs the fresh edge set anyway.  Callers MUST still pass the
-    result through :func:`~repro.lowering.schedule.ensure_runnable`,
-    whose IRV006 check independently recomputes every counter before any
-    dynamic pool runs.
+    ``parent_dag`` is accepted and unused: a graph patched from the
+    parent's is by contract bit-identical to a fresh one, and deriving it
+    needs the fresh edge set anyway.  No executor reads the result; the
+    end-to-end harness times this call as a layer metric.
     """
     from repro.lowering.schedule import tile_dag
     from repro.runtime.inspector import dependence_edges
     from repro.transforms.parallel import tile_graph_edges
 
-    src, dst = tile_graph_edges(tiling, dependence_edges(data), counter)
+    src, dst = tile_graph_edges(tiling, dependence_edges(data))
     return tile_dag(int(tiling.num_tiles), src, dst)
 
 
@@ -142,7 +137,6 @@ def _patched_replay(
     :class:`InspectorFault` when a patch refuses; the caller converts
     any of those into the counted full-re-bind fallback.
     """
-    from repro.lowering.schedule import ensure_runnable
     from repro.runtime.executor import ExecutionPlan
     from repro.runtime.inspector import InspectorResult, InspectorState
     from repro.runtime.report import STAGE_OK, PipelineReport, StageRecord
@@ -200,22 +194,6 @@ def _patched_replay(
     state.finalize_payload()
 
     if state.tiling is not None:
-        if parent_aux.tile_dag is not None:
-            # The parent epoch ran (or prepared) a dynamic pool, so the
-            # child must hand one back too: rebuild the counters and
-            # re-prove them (IRV006) before any pool may consume them.
-            # A parent without a DAG skips this entirely — the dynamic
-            # tier builds one on demand, exactly as after a cold bind.
-            dag_counter: Dict[str, int] = {}
-            dag = repair_tile_dag(
-                parent_aux.tile_dag,
-                state.tiling,
-                state.data,
-                counter=dag_counter,
-            )
-            state.charge("dag_repair", dag_counter.get("touches", 0))
-            ensure_runnable(dag)  # IRV006 gate; LegalityError -> fallback
-            child_aux.tile_dag = dag
         exec_plan = ExecutionPlan(schedule=state.tiling.schedule())
     else:
         exec_plan = ExecutionPlan.identity()

@@ -7,7 +7,7 @@ vectorize -> parallelize), and emits either a NumPy phase table
 (:mod:`repro.lowering.emit_numpy`, run by the wave driver of
 :mod:`repro.lowering.schedule`) or C compiled at bind time
 (:mod:`repro.lowering.emit_c` + :mod:`repro.lowering.toolchain`: one
-tiled unit holding the wave loop and the counter pool).
+tiled unit holding the phase functions and the wave loop).
 :mod:`repro.lowering.executor` binds the chosen backend, content-
 addresses the artifacts in the plan cache, and guarantees bit-identity
 with the library executor.

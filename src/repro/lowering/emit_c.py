@@ -1,7 +1,7 @@
 """Emit a C executor from the rewritten loop-nest IR.
 
 One translation unit per program, one exported function, ``run_tiled``:
-a *phase table plus drivers*, the C analogue of
+a *phase table plus its driver*, the C analogue of
 :mod:`repro.lowering.schedule`'s Python side.  (An untiled executor is
 this unit under the trivial schedule — one tile, every loop in range
 form — not another unit; see :mod:`repro.lowering.executor`.)  Per
@@ -10,14 +10,9 @@ kernel loop its phase bodies — node ``apply``, fissioned ``gather`` +
 of ``(context, tile)``.  The *wave loop* over them is
 :func:`~repro.lowering.schedule.run_wave_phases` in C: per wave, per
 loop, every gather of the wave, then per tile **in the wave's order**
-every commit pass.  When the program is counter-schedulable (a property
-of the rewritten program:
-:func:`repro.analysis.irverify.counter_schedule_obligations` is empty)
-the unit also carries the *counter pool* — a pthread work-stealing
-scheduler whose three per-tile stages are compositions of the same
-phase bodies.  Which driver runs is decided per call, not per build:
-``run_tiled`` takes, after the operands (data arrays, ``left``,
-``right``, ``num_nodes``, ``num_inter``, ``num_steps``),
+every commit pass.  ``run_tiled`` takes, after the operands (data
+arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
+``num_steps``),
 
 - per loop ``p`` the marshalled tile schedule (``iters_p``
   concatenated iterations + ``off_p`` tile offsets, ``num_tiles + 1``
@@ -28,15 +23,9 @@ phase bodies.  Which driver runs is decided per call, not per build:
   off_p[t + 1] - 1``, Figure 14's plain blocked loop over tile-packed
   data — and every phase body is emitted in both forms under one
   ``if (iters_p)``;
-- the commit order, once: ``wave_tiles`` (concatenated tile ids, waves
-  outermost) + ``wave_off`` (``num_waves + 1`` entries);
-- the counter graph ``indegree`` / ``succ_off`` / ``succ`` (all
-  ``NULL`` under ``scheduler="wave"``), ``num_tiles`` and
-  ``num_threads``.
-
-``num_threads <= 1``, one tile, no graph, or a failed allocation run
-the wave loop; otherwise the pool, which commits in ``wave_tiles``
-order and so stays bit-identical at any thread count.
+- the commit order: ``wave_tiles`` (concatenated tile ids, waves
+  outermost) + ``wave_off`` (``num_waves + 1`` entries), then
+  ``num_tiles`` and the ``scratch`` payload buffer.
 
 Bit-identity with the library executor comes from emitting the *same
 operation sequence* ``numpy`` performs, not from tolerances:
@@ -71,9 +60,10 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-#: c-3: one tiled translation unit (phase functions + wave loop + counter
-#: pool behind one ``run_tiled``); a stale ``c-2`` object has another ABI.
-EMITTER_VERSION = "c-3"
+#: c-4: one driver — the wave loop — behind ``run_tiled``; no counter
+#: pool, so no counter-graph or thread-count parameters (a stale ``c-3``
+#: object has another ABI).
+EMITTER_VERSION = "c-4"
 
 #: Appended to the artifact key when the sanitizer guard is emitted, so
 #: guarded and unguarded shared objects never collide in the cache.
@@ -87,7 +77,6 @@ GUARD_RIGHT = 2
 GUARD_SCHEDULE_BASE = 10  # + loop position
 GUARD_OFFSETS_BASE = 50  # + loop position (range form: no iters to scan)
 GUARD_WAVES = 100
-GUARD_SUCC = 101
 
 
 def _emit_guard_fn(w: SourceWriter) -> None:
@@ -249,7 +238,7 @@ def _emit_guard_scans(w: SourceWriter, program: Program) -> None:
         w.line("}")
 
 
-#: A phase body or a pool stage: inlined into every driver that calls it.
+#: A phase body: inlined into the wave loop that calls it.
 _TILE_FN = "static inline __attribute__((always_inline)) void"
 
 
@@ -334,319 +323,22 @@ def _emit_wave_step(
     w.line("}")
 
 
-def _emit_stages(
-    w: SourceWriter, program: Program, table: List[List[str]]
-) -> None:
-    """The pool's three per-tile stages as compositions of the phase
-    bodies: node loops before the interaction loop run in the gather
-    stage, the buffered payload is committed at the tile's turn, node
-    loops after it run in the post stage.  (Counter-schedulable programs
-    have exactly one interaction loop, fissioned.)"""
-    ip = next(
-        pos for pos, loop in enumerate(program.loops) if loop.domain != "nodes"
-    )
-    gather, commit = table[ip]
-    stages = {
-        "gather": [n for names in table[:ip] for n in names] + [gather],
-        "commit": [commit],
-        "post": [n for names in table[ip + 1:] for n in names],
-    }
-    for stage, names in stages.items():
-        with w.block(
-            f"{_TILE_FN} _stage_{stage}(const _ctx_t *c, int64_t _t) {{"
-        ):
-            w.line("(void)c; (void)_t;")
-            for name in names:
-                w.line(f"{name}(c, _t);")
-        w.line("}")
-        w.line()
-
-
-def _emit_scheduler_runtime(w: SourceWriter) -> None:
-    """The kernel-independent pthread scheduler scaffold.
-
-    One mutex + condvar guard all shared state (per-worker deques,
-    counters, gathered flags, the commit cursor); stage bodies run
-    outside the lock.  Workers pop their own deque LIFO and steal FIFO
-    from round-robin victims.  The commit token (``committing``) makes
-    exactly one worker drain commits in ``order``; whoever finishes a
-    gather and finds the token free takes duty, so commits chase the
-    gather frontier without waiting for a scheduler tick.  Each tile
-    enters a deque at most twice (gather, post), so ``2 * num_tiles``
-    slots per worker never overflow and indices only grow — no ring.
-    """
-    with w.block("typedef struct {"):
-        w.line("const _ctx_t *ctx;")
-        w.line("int64_t num_tiles;")
-        w.line("int64_t num_threads;")
-        w.line("const int64_t *order;")
-        w.line("const int64_t *succ_off;")
-        w.line("const int64_t *succ;")
-        w.line("int64_t *counters;")
-        w.line("unsigned char *gathered;")
-        w.line("int64_t commit_next;")
-        w.line("int64_t completed;")
-        w.line("int64_t committing;")
-        w.line("int64_t **deq;")
-        w.line("int64_t *deq_head;")
-        w.line("int64_t *deq_tail;")
-        w.line("pthread_mutex_t m;")
-        w.line("pthread_cond_t cv;")
-    w.line("} _sched_t;")
-    w.line()
-    with w.block("static void _push(_sched_t *s, int64_t w, int64_t task) {"):
-        w.line("s->deq[w][s->deq_tail[w]++] = task;")
-    w.line("}")
-    w.line()
-    with w.block("static int64_t _take(_sched_t *s, int64_t w) {"):
-        with w.block("if (s->deq_tail[w] > s->deq_head[w]) {"):
-            w.line("return s->deq[w][--s->deq_tail[w]];")
-        w.line("}")
-        with w.block("for (int64_t _i = 1; _i < s->num_threads; ++_i) {"):
-            w.line("int64_t _v = (w + _i) % s->num_threads;")
-            with w.block("if (s->deq_tail[_v] > s->deq_head[_v]) {"):
-                w.line("return s->deq[_v][s->deq_head[_v]++];")
-            w.line("}")
-        w.line("}")
-        w.line("return -2;")
-    w.line("}")
-    w.line()
-    with w.block("static int _commit_ready(_sched_t *s) {"):
-        w.line(
-            "return s->commit_next < s->num_tiles && "
-            "s->gathered[s->order[s->commit_next]];"
-        )
-    w.line("}")
-    w.line()
-    with w.block("static void _drain(_sched_t *s, int64_t w) {"):
-        with w.block("for (;;) {"):
-            w.line("pthread_mutex_lock(&s->m);")
-            with w.block("if (!_commit_ready(s)) {"):
-                w.line("s->committing = 0;")
-                w.line("pthread_cond_broadcast(&s->cv);")
-                w.line("pthread_mutex_unlock(&s->m);")
-                w.line("return;")
-            w.line("}")
-            w.line("int64_t _t = s->order[s->commit_next];")
-            w.line("pthread_mutex_unlock(&s->m);")
-            w.line("_stage_commit(s->ctx, _t);")
-            w.line("pthread_mutex_lock(&s->m);")
-            w.line("s->commit_next += 1;")
-            w.line("_push(s, w, _t + s->num_tiles);")
-            w.line("pthread_cond_broadcast(&s->cv);")
-            w.line("pthread_mutex_unlock(&s->m);")
-        w.line("}")
-    w.line("}")
-    w.line()
-    with w.block("typedef struct {"):
-        w.line("_sched_t *s;")
-        w.line("int64_t wid;")
-    w.line("} _worker_arg_t;")
-    w.line()
-    with w.block("static void *_worker(void *argp) {"):
-        w.line("_worker_arg_t *arg = (_worker_arg_t *)argp;")
-        w.line("_sched_t *s = arg->s;")
-        w.line("int64_t w = arg->wid;")
-        with w.block("for (;;) {"):
-            w.line("int64_t task;")
-            w.line("pthread_mutex_lock(&s->m);")
-            with w.block("for (;;) {"):
-                with w.block("if (s->completed == s->num_tiles) {"):
-                    w.line("pthread_mutex_unlock(&s->m);")
-                    w.line("return 0;")
-                w.line("}")
-                w.line("task = _take(s, w);")
-                w.line("if (task != -2) break;")
-                with w.block("if (!s->committing && _commit_ready(s)) {"):
-                    w.line("s->committing = 1;")
-                    w.line("task = -1;")
-                    w.line("break;")
-                w.line("}")
-                w.line("pthread_cond_wait(&s->cv, &s->m);")
-            w.line("}")
-            w.line("pthread_mutex_unlock(&s->m);")
-            with w.block("if (task == -1) {"):
-                w.line("_drain(s, w);")
-                w.line("continue;")
-            w.line("}")
-            with w.block("if (task < s->num_tiles) {"):
-                w.line("_stage_gather(s->ctx, task);")
-                w.line("int _duty = 0;")
-                w.line("pthread_mutex_lock(&s->m);")
-                w.line("s->gathered[task] = 1;")
-                with w.block("if (!s->committing && _commit_ready(s)) {"):
-                    w.line("s->committing = 1;")
-                    w.line("_duty = 1;")
-                with w.block("} else {"):
-                    w.line("pthread_cond_broadcast(&s->cv);")
-                w.line("}")
-                w.line("pthread_mutex_unlock(&s->m);")
-                w.line("if (_duty) _drain(s, w);")
-            with w.block("} else {"):
-                w.line("int64_t _t = task - s->num_tiles;")
-                w.line("_stage_post(s->ctx, _t);")
-                w.line("pthread_mutex_lock(&s->m);")
-                with w.block(
-                    "for (int64_t _e = s->succ_off[_t]; "
-                    "_e < s->succ_off[_t + 1]; ++_e) {"
-                ):
-                    w.line("int64_t _n = s->succ[_e];")
-                    w.line("s->counters[_n] -= 1;")
-                    w.line("if (s->counters[_n] == 0) _push(s, w, _n);")
-                w.line("}")
-                w.line("s->completed += 1;")
-                w.line("pthread_cond_broadcast(&s->cv);")
-                w.line("pthread_mutex_unlock(&s->m);")
-            w.line("}")
-        w.line("}")
-    w.line("}")
-
-
-def _emit_pool(w: SourceWriter) -> None:
-    """``_run_pool``: every time step under the counter scheduler.
-    Returns 0 — having touched nothing — when a scheduler allocation
-    fails, so the caller degrades to the wave loop rather than fail the
-    run."""
-    with w.block(
-        "static int _run_pool(const _ctx_t *ctx, const int64_t *wave_tiles, "
-        "const int64_t *wave_off, int64_t num_waves, "
-        "const int64_t *indegree, const int64_t *succ_off, "
-        "const int64_t *succ, int64_t num_tiles, int64_t num_threads, "
-        "int64_t num_steps) {"
-    ):
-        w.line("_sched_t s;")
-        w.line("s.ctx = ctx;")
-        w.line("s.num_tiles = num_tiles;")
-        w.line("s.num_threads = num_threads;")
-        w.line("s.order = wave_tiles;")
-        w.line("s.succ_off = succ_off;")
-        w.line("s.succ = succ;")
-        w.line(
-            "s.counters = (int64_t *)malloc("
-            "(size_t)num_tiles * sizeof(int64_t));"
-        )
-        w.line("s.gathered = (unsigned char *)malloc((size_t)num_tiles);")
-        w.line(
-            "s.deq = (int64_t **)calloc("
-            "(size_t)num_threads, sizeof(int64_t *));"
-        )
-        w.line(
-            "s.deq_head = (int64_t *)malloc("
-            "(size_t)num_threads * sizeof(int64_t));"
-        )
-        w.line(
-            "s.deq_tail = (int64_t *)malloc("
-            "(size_t)num_threads * sizeof(int64_t));"
-        )
-        w.line(
-            "pthread_t *threads = (pthread_t *)malloc("
-            "(size_t)num_threads * sizeof(pthread_t));"
-        )
-        w.line(
-            "_worker_arg_t *args = (_worker_arg_t *)malloc("
-            "(size_t)num_threads * sizeof(_worker_arg_t));"
-        )
-        w.line(
-            "int _ok = s.counters && s.gathered && s.deq && "
-            "s.deq_head && s.deq_tail && threads && args;"
-        )
-        with w.block(
-            "for (int64_t _w = 0; _ok && _w < num_threads; ++_w) {"
-        ):
-            w.line(
-                "s.deq[_w] = (int64_t *)malloc("
-                "(size_t)(2 * num_tiles + 1) * sizeof(int64_t));"
-            )
-            w.line("if (!s.deq[_w]) _ok = 0;")
-        w.line("}")
-        with w.block("if (_ok) {"):
-            w.line("pthread_mutex_init(&s.m, 0);")
-            w.line("pthread_cond_init(&s.cv, 0);")
-            with w.block(
-                "for (int64_t _step = 0; _step < num_steps; ++_step) {"
-            ):
-                with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
-                    w.line("s.counters[_t] = indegree[_t];")
-                    w.line("s.gathered[_t] = 0;")
-                w.line("}")
-                w.line("s.commit_next = 0;")
-                w.line("s.completed = 0;")
-                w.line("s.committing = 0;")
-                with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-                    w.line("s.deq_head[_w] = 0;")
-                    w.line("s.deq_tail[_w] = 0;")
-                w.line("}")
-                w.line("int64_t _seeded = 0;")
-                with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
-                    with w.block("if (indegree[_t] == 0) {"):
-                        w.line("_push(&s, _seeded % num_threads, _t);")
-                        w.line("_seeded += 1;")
-                    w.line("}")
-                w.line("}")
-                # A full barrier between steps: workers are joined per step,
-                # which also publishes every write before the next spawn.
-                with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-                    w.line("args[_w].s = &s;")
-                    w.line("args[_w].wid = _w;")
-                    with w.block(
-                        "if (pthread_create(&threads[_w], 0, _worker, "
-                        "&args[_w])) {"
-                    ):
-                        # Spawn failure: this worker simply doesn't join the
-                        # pool; mark it so join skips it.  The protocol only
-                        # needs one live worker to finish every tile.
-                        w.line("args[_w].wid = -1;")
-                    w.line("}")
-                w.line("}")
-                w.line("int64_t _live = 0;")
-                with w.block("for (int64_t _w = 0; _w < num_threads; ++_w) {"):
-                    w.line("if (args[_w].wid >= 0) { "
-                           "pthread_join(threads[_w], 0); _live += 1; }")
-                w.line("}")
-                # Every spawn failed, so nothing of this step ran: run it
-                # on this thread.
-                w.line(
-                    "if (_live == 0) _wave_step(ctx, wave_tiles, wave_off, "
-                    "num_waves);"
-                )
-            w.line("}")
-            w.line("pthread_mutex_destroy(&s.m);")
-            w.line("pthread_cond_destroy(&s.cv);")
-        w.line("}")
-        with w.block(
-            "for (int64_t _w = 0; s.deq && _w < num_threads; ++_w) {"
-        ):
-            w.line("free(s.deq[_w]);")
-        w.line("}")
-        w.line("free(s.counters); free(s.gathered); free(s.deq);")
-        w.line("free(s.deq_head); free(s.deq_tail);")
-        w.line("free(threads); free(args);")
-        w.line("return _ok;")
-    w.line("}")
-
-
 def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
-    """C source of the tiled executor: the phase functions, the wave
-    loop and — for a counter-schedulable program — the counter pool,
-    behind the one entry point ``run_tiled`` (see the module docstring
-    for its parameters and for which driver a call runs).
+    """C source of the tiled executor: the phase functions and the wave
+    loop behind the one entry point ``run_tiled`` (see the module
+    docstring for its parameters).
 
     The sanitized variant gains ``int64_t *err`` and, before the first
     step, range-scans every index source the unit dereferences: per loop
     the iteration array (or, in range form, the tile offsets), the wave
-    tile ids, the successor ids when a graph is passed, and
-    ``left``/``right``.  On the first violation it records (guard code,
-    position, value, bound) in ``err`` and returns before any data array
-    is touched; the compute body is unchanged, so valid datasets stay
-    bit-identical."""
-    from repro.analysis.irverify import counter_schedule_obligations
-
-    pool = not counter_schedule_obligations(program)
+    tile ids, and ``left``/``right``.  On the first violation it records
+    (guard code, position, value, bound) in ``err`` and returns before
+    any data array is touched; the compute body is unchanged, so valid
+    datasets stay bit-identical."""
     w = SourceWriter()
     w.line(f"/* Tiled C executor for '{program.kernel_name}' "
            "(generated by repro.lowering; do not edit). */")
-    for header in ("stdint.h", *(("stdlib.h", "pthread.h") if pool else ())):
-        w.line(f"#include <{header}>")
+    w.line("#include <stdint.h>")
     w.line()
     if sanitize:
         _emit_guard_fn(w)
@@ -664,21 +356,11 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     table = _emit_phases(w, program)
     _emit_wave_step(w, program, table)
     w.line()
-    if pool:
-        _emit_stages(w, program, table)
-        _emit_scheduler_runtime(w)
-        w.line()
-        _emit_pool(w)
-        w.line()
     params = operands + [
         "const int64_t *wave_tiles",
         "const int64_t *wave_off",
         "int64_t num_waves",
-        "const int64_t *indegree",
-        "const int64_t *succ_off",
-        "const int64_t *succ",
         "int64_t num_tiles",
-        "int64_t num_threads",
         "double *scratch",
     ]
     if sanitize:
@@ -690,24 +372,11 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
                 "if (_guard(wave_tiles, wave_off[num_waves], num_tiles, "
                 f"{GUARD_WAVES}, err)) return;"
             )
-            if pool:
-                w.line(
-                    "if (succ && _guard(succ, succ_off[num_tiles], "
-                    f"num_tiles, {GUARD_SUCC}, err)) return;"
-                )
         w.line("_ctx_t ctx;")
         for field in ctx_fields:
             name = field.rpartition("*")[2]
             w.line(f"ctx.{name} = {name};")
         w.line("(void)num_nodes; (void)num_inter; (void)num_tiles;")
-        w.line("(void)num_threads; (void)indegree; (void)succ_off;")
-        w.line("(void)succ;")
-        if pool:
-            w.line(
-                "if (num_threads > 1 && num_tiles > 1 && indegree && "
-                "_run_pool(&ctx, wave_tiles, wave_off, num_waves, indegree, "
-                "succ_off, succ, num_tiles, num_threads, num_steps)) return;"
-            )
         with w.block("for (int64_t _step = 0; _step < num_steps; ++_step) {"):
             w.line("_wave_step(&ctx, wave_tiles, wave_off, num_waves);")
         w.line("}")
@@ -721,7 +390,6 @@ __all__ = [
     "GUARD_OFFSETS_BASE",
     "GUARD_RIGHT",
     "GUARD_SCHEDULE_BASE",
-    "GUARD_SUCC",
     "GUARD_WAVES",
     "SANITIZE_TAG",
     "emit_c_tiled",

@@ -49,9 +49,9 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-#: numpy-3: no ``run`` (an untiled bind drives ``PHASES`` over the trivial
-#: schedule); ``guard`` scans whole iteration arrays, not tile by tile.
-EMITTER_VERSION = "numpy-3"
+#: numpy-4: ``guard`` takes no counter DAG (a stale ``numpy-3`` module's
+#: guard has another signature).
+EMITTER_VERSION = "numpy-4"
 
 #: Appended to the artifact key when the sanitizer prologue is emitted,
 #: so guarded and unguarded modules never collide in the cache.
@@ -167,7 +167,7 @@ def _emit_guard(w: SourceWriter, program: Program) -> None:
         "_num_nodes, " if loop.domain == "nodes" else "len(left), "
         for loop in program.loops
     )
-    with w.block("def guard(arrays, left, right, schedule, wave_groups, dag):"):
+    with w.block("def guard(arrays, left, right, schedule, wave_groups):"):
         w.line(f"_num_nodes = len(arrays[{program.data_arrays[0]!r}])")
         w.line("_guard('left', left, _num_nodes)")
         w.line("_guard('right', right, _num_nodes)")
@@ -179,11 +179,6 @@ def _emit_guard(w: SourceWriter, program: Program) -> None:
                 w.line("_guard(f'schedule[{_label}]', _loop.flat, _bound)")
         with w.block("if wave_groups is not None:"):
             w.line("_guard('wave_groups', wave_groups.flat, len(schedule))")
-        with w.block("if dag is not None:"):
-            w.line(
-                "_guard('dag.succ_indices', dag.succ_indices, len(schedule))"
-            )
-            w.line("_guard('dag.order', dag.order, len(schedule))")
     w.line()
     w.line()
 
@@ -193,7 +188,7 @@ def emit_numpy(program: Program, sanitize: bool = False) -> str:
 
     With ``sanitize`` the module carries ``guard``: a masked range
     pre-check of ``left``/``right``, every index-form loop's iterations
-    and, when given, the wave groups and counter-DAG index arrays, that
+    and, when given, the wave groups, that
     raises :class:`~repro.errors.ExecutorBoundsError` before any data
     array is read or written; the phases are unchanged, so valid
     datasets stay bit-identical."""

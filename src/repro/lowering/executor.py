@@ -29,14 +29,8 @@ tier — and is where a tile schedule becomes its one representation
 check and is handed to C by pointer; a hand-built list of tiles is
 marshalled and fully checked on each call.
 
-``scheduler`` is not part of what gets built: wave and dynamic binds of
-one program share one artifact, and the name picks a driver at run time.
-A dynamic call passes its counter DAG through the IRV006 gate and runs
-the DAG's own commit order (:func:`~repro.lowering.schedule.
-counter_schedule`, in :func:`_entry`, the same on every tier); the C
-tier then hands ``run_tiled`` the counter graph and a worker count, and
-the counter pool compiled into the unit takes over above one thread.
-The Python tiers are level-synchronous under either name.
+Every tier has one driver, the level-synchronous wave loop, and one
+commit order per call: the wave groups it is handed.
 
 Selection follows the shared policy of :func:`repro.backends.resolve`
 (argument > ``REPRO_EXECUTOR_BACKEND`` > default ``library``); asking
@@ -134,11 +128,7 @@ class CompiledExecutor:
     * untiled: ``run(arrays, left, right, num_steps=1)`` — the tiled
       call over the trivial schedule
     * tiled:   ``run(arrays, left, right, schedule, wave_groups=None,
-      num_steps=1, dag=None, num_threads=None)`` — ``dag`` is the
-      dynamic scheduler's counter DAG; ``num_threads`` (argument >
-      ``REPRO_EXECUTOR_THREADS`` > visible cores) bounds the workers of
-      the C counter pool (the C wave loop and the Python wave driver
-      are serial).  ``schedule`` and ``wave_groups`` are what
+      num_steps=1)`` — ``schedule`` and ``wave_groups`` are what
       ``TilingFunction.schedule()`` and ``WavefrontSchedule.groups()``
       return (marshalled once) or plain lists (marshalled and checked
       on every call).
@@ -163,11 +153,6 @@ class CompiledExecutor:
     #: ``True`` when the proof came from the artifact store (warm bind —
     #: the verifier itself did not run).
     proof_from_cache: bool = False
-    #: Which driver ``run`` picks over the (shared) tiled artifact:
-    #: ``"wave"`` (level-synchronous) or ``"dynamic"`` (the counter DAG's
-    #: commit order; in the C tier, dependence counters + work stealing
-    #: above one thread).  Untiled executors are always "wave".
-    scheduler: str = "wave"
 
 
 _MEMO: Dict[Tuple, CompiledExecutor] = {}
@@ -193,7 +178,6 @@ def _entry(
     program: Program,
     tiled: bool,
     sanitized: bool,
-    dynamic: bool,
 ):
     """``call`` behind the public ``run`` signature of its shape, after
     the checks every tier owes its outside input, sanitized or not, so
@@ -208,11 +192,7 @@ def _entry(
     partition when it was built and owes one length comparison per
     loop, a hand-built one is marshalled and checked here.  (A sanitized
     bind reports every trap, these included, as ``stage="sanitizer"``.)
-    An untiled ``run`` calls with the trivial schedule; a ``dynamic``
-    entry resolves the one commit order of the call — the gated counter
-    DAG's — and a wave entry drops any ``dag`` it was handed."""
-    from repro.lowering.schedule import counter_schedule
-
+    An untiled ``run`` calls with the trivial schedule."""
     names = program.data_arrays
     labels = [loop.label for loop in program.loops]
     stage = "sanitizer" if sanitized else "executor"
@@ -280,33 +260,17 @@ def _entry(
     def run(arrays, left, right, num_steps=1):
         extents = check(arrays, left, right, num_steps)
         schedule = trivial_schedule(tuple(extents))
-        call(arrays, left, right, num_steps, schedule, None, None, 1)
+        call(arrays, left, right, num_steps, schedule, None)
         return arrays
 
     def run_tiled(
-        arrays,
-        left,
-        right,
-        schedule,
-        wave_groups=None,
-        num_steps=1,
-        dag=None,
-        num_threads=None,
+        arrays, left, right, schedule, wave_groups=None, num_steps=1
     ):
         extents = check(arrays, left, right, num_steps)
         schedule = as_tile_schedule(schedule, extents, labels, stage)
         if wave_groups is not None:
             wave_groups = as_wave_groups(wave_groups, len(schedule), stage)
-        if dynamic:
-            dag, wave_groups = counter_schedule(
-                dag, wave_groups, len(schedule), stage
-            )
-        else:
-            dag = None
-        call(
-            arrays, left, right, num_steps, schedule, wave_groups, dag,
-            num_threads,
-        )
+        call(arrays, left, right, num_steps, schedule, wave_groups)
         return arrays
 
     return run_tiled if tiled else run
@@ -317,18 +281,15 @@ def _python_call(phases: list, guard: Optional[Callable] = None) -> Callable:
     — hand-written for ``library``, the emitted module's ``PHASES`` for
     ``numpy`` — and ``guard`` the sanitizer prologue of a sanitized
     module.  Every call runs the table under the wave driver of
-    :mod:`repro.lowering.schedule`, whichever schedule and scheduler
-    named the tiles and wave groups."""
+    :mod:`repro.lowering.schedule`, whichever schedule named the tiles
+    and wave groups."""
     from repro.lowering.schedule import run_wave_phases
 
-    def call(
-        arrays, left, right, num_steps, schedule, wave_groups, dag, num_threads
-    ):
+    def call(arrays, left, right, num_steps, schedule, wave_groups):
         if guard is not None:
-            guard(arrays, left, right, schedule, wave_groups, dag)
+            guard(arrays, left, right, schedule, wave_groups)
         run_wave_phases(
-            phases, arrays, left, right, schedule, wave_groups,
-            num_steps, num_threads,
+            phases, arrays, left, right, schedule, wave_groups, num_steps
         )
 
     return call
@@ -348,7 +309,6 @@ def _guard_source_name(code: int, program: Program) -> str:
         emit_c.GUARD_LEFT: "left",
         emit_c.GUARD_RIGHT: "right",
         emit_c.GUARD_WAVES: "wave_tiles",
-        emit_c.GUARD_SUCC: "dag.succ_indices",
     }[code]
 
 
@@ -367,25 +327,19 @@ def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
 def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
     """The one ``ctypes`` marshaller, of the unit's ``run_tiled``.
 
-    After the operands it passes the tile schedule, the commit order as
-    wave groups, the counter graph of a dynamic call (in-degree seeds +
-    successor CSR; ``NULL`` selects the wave loop) and the resolved
-    worker count.  Schedule, grouping and DAG arrive marshalled and
-    checked (:func:`_entry`), so nothing is flattened here: each loop
+    After the operands it passes the tile schedule and the commit order
+    as wave groups.  Both arrive marshalled and checked
+    (:func:`_entry`), so nothing is flattened here: each loop
     passes the two pointers its
     :class:`~repro.transforms.tile_schedule.CSRLists` already holds,
     with ``NULL`` for the iteration array of a range-form loop.
     Scratch/err allocation and guard-trap decoding live here too."""
-    from repro.lowering.schedule import resolve_num_threads
-
     fn = ctypes.CDLL(so_path).run_tiled
     fn.restype = None
     names = program.data_arrays
     i64 = ctypes.c_longlong
 
-    def call(
-        arrays, left, right, num_steps, schedule, wave_groups, dag, num_threads
-    ):
+    def call(arrays, left, right, num_steps, schedule, wave_groups):
         # Every array behind a pointer must outlive the foreign call;
         # ``schedule`` (the caller's reference) keeps its own alive.
         keepalive: List[np.ndarray] = []
@@ -397,21 +351,16 @@ def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
             keepalive.extend(converted)
             return [_iptr(a) for a in converted]
 
-        graph: list = []  # between num_steps and scratch
+        tiles: list = []  # between num_steps and scratch
         for loop in schedule.loops:
-            graph += [
+            tiles += [
                 None if loop.is_range else _iptr(loop.flat),
                 _iptr(loop.offsets),
             ]
         if wave_groups is None:
             wave_groups = CSRLists.singletons(len(schedule))
-        graph += pointers(wave_groups.flat, wave_groups.offsets)
-        graph.append(i64(len(wave_groups)))
-        if dag is None:
-            graph += [None, None, None]
-        else:
-            graph += pointers(dag.indegree, dag.succ_indptr, dag.succ_indices)
-        graph += [i64(len(schedule)), i64(resolve_num_threads(num_threads))]
+        tiles += pointers(wave_groups.flat, wave_groups.offsets)
+        tiles += [i64(len(wave_groups)), i64(len(schedule))]
         scratch = np.empty(max(len(left), 1), dtype=np.float64)
         err = np.zeros(4, dtype=np.int64)
         fn(
@@ -420,7 +369,7 @@ def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
             i64(len(arrays[names[0]])),
             i64(len(left)),
             i64(num_steps),
-            *graph,
+            *tiles,
             _dptr(scratch),
             *([_iptr(err)] if sanitize else []),
         )
@@ -483,17 +432,8 @@ def compile_executor(
     executor records which backend actually ran and whether its artifact
     came from the content-addressed cache.
 
-    ``scheduler`` (argument > ``REPRO_EXECUTOR_SCHEDULER`` > ``wave``)
-    selects how a tiled bind's ``run`` orders its tiles: the wave groups
-    it is handed, or the commit order of the dependence-counter DAG in
-    its ``dag`` argument (run by the C tier's counter pool above one
-    thread).  It selects nothing about the build — both names bind the
-    same artifact — and both stay bit-identical at any thread count.
-    ``"dynamic"`` on a program that is not counter-schedulable (no
-    wave-parallel skeleton, an unfissioned interaction loop) raises
-    :class:`~repro.errors.LegalityError` with the IRV006 diagnostics.
-    Untiled executors validate the name and then ignore it (the trivial
-    schedule has one tile: there is no tile graph to schedule).
+    ``scheduler`` selects nothing (``None``/``auto``/``wave``/``dynamic``
+    bind the one memoised executor; any other name is a ValidationError).
 
     ``tiled`` selects the ``run`` signature and nothing about the build:
     both bind the one blocked artifact and its one proof, and an untiled
@@ -511,14 +451,14 @@ def compile_executor(
     entirely (test/ablation hook).
     """
     from repro.lowering import emit_c, emit_numpy
-    from repro.lowering.schedule import resolve_scheduler
     from repro.plancache.artifacts import ArtifactStore
 
+    if scheduler not in (None, "auto", "wave", "dynamic"):
+        raise ValidationError(
+            f"unknown scheduler backend {scheduler!r}; choose from "
+            "('auto', 'wave', 'dynamic')"
+        )
     resolved = resolve_executor_backend(backend).backend
-    sched = resolve_scheduler(scheduler).backend
-    if not tiled:  # validated, then ignored: one tile, nothing to schedule
-        sched = "wave"
-    dynamic = sched == "dynamic"
     config = config or PassConfig()
     sanitized = sanitize_enabled(sanitize) and resolved != "library"
 
@@ -526,7 +466,6 @@ def compile_executor(
         kernel_name,
         resolved,
         tiled,
-        sched,
         config.digest(),
         str(cache_dir),
         verify,
@@ -540,18 +479,6 @@ def compile_executor(
 
     state = _rewritten(kernel_name, config)
     program = state.program
-    if dynamic:
-        from repro.analysis.irverify import counter_schedule_obligations
-
-        problems = counter_schedule_obligations(program)
-        if problems:
-            raise LegalityError(
-                f"executor {kernel_name!r} cannot run under the dynamic "
-                "scheduler: "
-                + "; ".join(f"{d.code}: {d.message}" for d in problems),
-                stage="irverify",
-                hint=problems[0].hint,
-            )
 
     verified = None
     proof_path = None
@@ -611,7 +538,7 @@ def compile_executor(
         kernel_name=kernel_name,
         backend=resolved,
         tiled=tiled,
-        run=_entry(call, program, tiled, sanitized, dynamic),
+        run=_entry(call, program, tiled, sanitized),
         ir_digest=ir_hash(program),
         artifact_path=artifact_path,
         from_cache=from_cache,
@@ -620,7 +547,6 @@ def compile_executor(
         sanitized=sanitized,
         proof_path=proof_path,
         proof_from_cache=proof_cached,
-        scheduler=sched,
     )
 
     if memo:
@@ -632,7 +558,6 @@ def compile_executor(
 def executor_backend_report() -> dict:
     """Doctor payload: selection, toolchain, and artifact-store state."""
     from repro.analysis.irverify import IRVERIFY_VERSION
-    from repro.lowering.schedule import scheduler_report
     from repro.plancache.artifacts import ArtifactStore
 
     resolution = resolve_executor_backend(warn=False)
@@ -643,7 +568,6 @@ def executor_backend_report() -> dict:
             "enabled": sanitize_enabled(),
             "env": EXECUTOR_SANITIZE_ENV,
         },
-        "scheduler": scheduler_report(),
         "verifier": {"version": IRVERIFY_VERSION},
         "backend": resolution.backend,
         "source": resolution.source,

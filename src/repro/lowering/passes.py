@@ -32,17 +32,10 @@ application recorded in the :class:`RewriteState` log.
   wave): the executor accepts the static wave schedule and runs each
   wave phase-by-phase (all gathers, then commits in the wave's tile order)
   — the loop :func:`repro.lowering.schedule.run_wave_phases` runs over a
-  phase table and ``emit_c_tiled`` renders in C.  The static wavefront
-  stays the legality skeleton ("Hybrid Static/Dynamic Schedules for
-  Tiled Polyhedral Programs"): the C tier's counter pool may change
-  *when* a tile's pure gather runs, never the commit order.
+  phase table and ``emit_c_tiled`` renders in C.  The wave groups fix
+  the commit order, so the reduction folds the same way on every tier.
 
-There is no scheduler pass: whether tiles run under the wave loop or
-the dependence-counter pool is a run-time choice of driver over one
-emitted artifact (``scheduler=`` / ``REPRO_EXECUTOR_SCHEDULER``), and
-whether a program *can* run under counters is computed from what these
-four passes left (:func:`repro.analysis.irverify.
-counter_schedule_obligations`), not configured.
+There is no scheduler pass: every tier runs the one wave loop.
 
 ``PassConfig`` toggles the optional passes (the benchmark's ablation
 knob); its digest is part of the compiled-artifact fingerprint.

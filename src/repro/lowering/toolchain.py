@@ -34,11 +34,8 @@ CC_ENV = "REPRO_CC"
 CC_CANDIDATES = ("gcc", "cc", "clang")
 
 #: Flags for executor shared objects.  See the module docstring for why
-#: ``-ffp-contract=off`` is not optional.  ``-pthread`` is required by
-#: the dynamic-schedule executor's worker pool and harmless for the
-#: serial entry points (it changes ``toolchain_fingerprint``, which
-#: correctly invalidates all cached shared objects once).
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+#: ``-ffp-contract=off`` is not optional.
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _VERSION_CACHE = {}
 _VERSION_LOCK = threading.Lock()

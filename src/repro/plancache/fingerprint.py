@@ -101,10 +101,7 @@ def _executor_backend_tag() -> str:
     can change between binds within one process, and a plan cached under
     the C backend must never rehydrate into a mismatched interpreter-
     backend bind (their executors are bit-identical by construction, but
-    the bind carries backend-specific artifacts and provenance).  The
-    tile scheduler is *not* in the tag: ``REPRO_EXECUTOR_SCHEDULER``
-    picks a run-time driver over one artifact, so a plan bound under one
-    scheduler is a hit under the other.
+    the bind carries backend-specific artifacts and provenance).
     """
     from repro.lowering.executor import resolve_executor_backend
 

@@ -174,29 +174,18 @@ def run_numeric_wavefront(
     and checked on every call); ``waves`` is a
     :class:`~repro.transforms.parallel.WavefrontSchedule` over the tiles
     (``None`` treats every tile as its own wave — plain sequential tile
-    order).  This is one bind and one call: ``backend`` / ``sanitize`` /
-    ``scheduler`` pass unresolved to
-    :func:`~repro.lowering.executor.compile_executor` (argument > the
-    ``REPRO_EXECUTOR_*`` variable > default).  ``scheduler`` picks the
-    driver at run time over one compiled artifact: ``"wave"`` (the
-    default) runs the groups of ``waves`` level-synchronously; under
-    ``"dynamic"`` the commit order is the one of ``dag`` (a
-    :class:`~repro.lowering.schedule.TileDAG`; defaults to the
-    conservative barrier DAG built from ``waves``), which the C tier's
-    counter pool runs by releasing a tile as soon as its dependence
-    counter reaches zero, and the Python tiers run wave by wave.  A
-    ``dag`` whose order contradicts ``waves`` is a ``ValidationError``.
+    order).  This is one bind and one call: ``backend`` / ``sanitize``
+    pass unresolved to :func:`~repro.lowering.executor.compile_executor`
+    (argument > the ``REPRO_EXECUTOR_*`` variable > default), and every
+    tier runs the groups of ``waves`` level-synchronously.
 
-    Either way the reduction commits apply in one order, fixed by the
-    schedule — never by thread timing — so every tier, scheduler and
-    worker count produces bit-identical payloads (asserted by the test
+    The reduction commits apply in one order, fixed by the schedule, so
+    every tier produces bit-identical payloads (asserted by the test
     suite).  Cross-step dependences are covered by the barrier between
     time steps.  Returns ``data``.
 
-    ``parallel=False`` runs on one thread; otherwise ``num_threads``
-    (else ``REPRO_EXECUTOR_THREADS``, else the visible cores) bounds the
-    workers of the C counter pool.  The C wave
-    loop and the Python tiers are serial either way.
+    ``scheduler``, ``dag``, ``num_threads`` and ``parallel`` select
+    nothing (an unknown ``scheduler`` name is still a ValidationError).
     """
     from repro.lowering.executor import compile_executor
 
@@ -207,8 +196,6 @@ def run_numeric_wavefront(
         sanitize=sanitize,
         scheduler=scheduler,
     )
-    if not parallel:
-        num_threads = 1
     compiled.run(
         data.arrays,
         data.left,
@@ -216,7 +203,5 @@ def run_numeric_wavefront(
         schedule,
         None if waves is None else waves.groups(),
         num_steps=num_steps,
-        dag=dag,
-        num_threads=num_threads,
     )
     return data

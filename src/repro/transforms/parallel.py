@@ -75,9 +75,8 @@ class WavefrontSchedule:
         each wave's largest tile (``critical_path``): one oversized tile
         stalls its whole wave behind the barrier.  ``skew`` per wave is
         ``max / mean`` — 1.0 means perfectly balanced, large values mean
-        barriers burn idle time — which is exactly the regime the dynamic
-        counter scheduler exists for.  Doctor and the scheduler benchmark
-        both report these numbers instead of recomputing them ad hoc.
+        barriers burn idle time.  Doctor reports these numbers instead
+        of recomputing them ad hoc.
         """
         sizes = np.asarray(tile_sizes, dtype=np.int64)
         waves = []
@@ -198,9 +197,8 @@ def tile_graph_edges(
     keeps the distinct ``tile(src) != tile(dst)`` pairs, sorted by
     ``(src, dst)`` — the irredundant inter-tile flows.  This is the
     single source of the inter-tile graph: :func:`tile_wavefronts` levels
-    it, and :func:`repro.lowering.schedule.tile_dag` turns it into the
-    dependence-counter DAG the dynamic scheduler runs from — both views
-    must agree or the hybrid scheduler's legality argument collapses.
+    it, and :func:`repro.lowering.schedule.tile_dag` stores it as a
+    successor CSR, so both views describe the same graph.
     """
     src_parts = [np.empty(0, dtype=np.int64)]
     dst_parts = [np.empty(0, dtype=np.int64)]

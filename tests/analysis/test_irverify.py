@@ -164,37 +164,6 @@ class TestBrokenFixtures:
         report = iv.verify_state(state)
         assert report.by_code(iv.IRV_MALFORMED)
 
-    def test_irv006_static_obligations_of_counter_scheduling(self):
-        """Computed from the rewritten program: the gate of
-        ``compile_executor(scheduler="dynamic")`` and the condition under
-        which ``emit_c_tiled`` carries the pool."""
-        program = _rewritten("moldyn", PassConfig()).program
-        assert iv.counter_schedule_obligations(program) == []
-        scalar = replace(
-            program,
-            loops=tuple(
-                replace(loop, fissioned=None, vector=False)
-                if loop.domain == "inters"
-                else loop
-                for loop in program.loops
-            ),
-        )
-        two_inter = replace(
-            program,
-            loops=program.loops
-            + tuple(l for l in program.loops if l.domain == "inters"),
-        )
-        for broken, needle in (
-            (replace(program, tiled=False), "skeleton"),
-            (replace(program, wave_parallel=False), "skeleton"),
-            (scalar, "scalar interaction loop(s) ['Lj']"),
-            (two_inter, "exactly one interaction loop"),
-        ):
-            (diag,) = iv.counter_schedule_obligations(broken)
-            assert diag.code == iv.IRV_COUNTER_DAG == "IRV006"
-            assert diag.severity == ERROR
-            assert needle in diag.message
-
 
 class TestProofCache:
     def test_proof_key_salts(self):

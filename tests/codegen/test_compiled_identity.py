@@ -136,36 +136,23 @@ def _tiled_case(kernel, dataset, pack=False):
 @pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
 def test_wavefront_executor_identity(kernel, dataset, backend):
     """The tiled executor: same wave/phase structure, same fixed commit
-    order, bit-identical to the library wave reference on every tier
-    under every driver (wave, dynamic on 1 and 2 threads) — with and
-    without a wavefront grouping."""
+    order, bit-identical to the library wave reference on every tier —
+    with and without a wavefront grouping."""
     d, schedule, waves = _tiled_case(kernel, dataset)
     ref = run_numeric_wavefront(
-        d.copy(), schedule, waves, num_steps=3, parallel=False,
-        backend="library", scheduler="wave",
+        d.copy(), schedule, waves, num_steps=3, backend="library"
     )
     ref_serial = run_numeric_wavefront(
-        d.copy(), schedule, None, num_steps=2, parallel=False,
-        backend="library", scheduler="wave",
+        d.copy(), schedule, None, num_steps=2, backend="library"
     )
-    for scheduler, num_threads in (
-        ("wave", None), ("dynamic", 1), ("dynamic", 2),
-    ):
-        got = run_numeric_wavefront(
-            d.copy(), schedule, waves, num_steps=3, backend=backend,
-            scheduler=scheduler, num_threads=num_threads,
-        )
-        _assert_identical(
-            ref, got, (kernel, backend, scheduler, num_threads, "waves")
-        )
-        got_serial = run_numeric_wavefront(
-            d.copy(), schedule, None, num_steps=2, backend=backend,
-            scheduler=scheduler, num_threads=num_threads,
-        )
-        _assert_identical(
-            ref_serial, got_serial,
-            (kernel, backend, scheduler, num_threads, "serial"),
-        )
+    got = run_numeric_wavefront(
+        d.copy(), schedule, waves, num_steps=3, backend=backend
+    )
+    _assert_identical(ref, got, (kernel, backend, "waves"))
+    got_serial = run_numeric_wavefront(
+        d.copy(), schedule, None, num_steps=2, backend=backend
+    )
+    _assert_identical(ref_serial, got_serial, (kernel, backend, "serial"))
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -183,13 +170,13 @@ def test_range_form_and_index_form_are_bit_identical(
     """One schedule, both C loop forms: the marshalled object runs its
     tile-packed loops as ranges (``iters == NULL``), its list form runs
     every loop through an index array — same bits as the library wave
-    reference either way, under both schedulers, guarded or not."""
+    reference either way, guarded or not, and whatever the (selecting
+    nothing) ``scheduler`` / ``num_threads`` keywords say."""
     d, schedule, waves = _tiled_case(kernel, dataset, pack=True)
     assert any(schedule.is_range)
     as_lists = [list(tile) for tile in schedule]
     ref = run_numeric_wavefront(
-        d.copy(), schedule, waves, num_steps=3, parallel=False,
-        backend="library", scheduler="wave",
+        d.copy(), schedule, waves, num_steps=3, backend="library"
     )
     for form, tiles in (("range", schedule), ("index", as_lists)):
         got = run_numeric_wavefront(

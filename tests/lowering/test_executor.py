@@ -188,7 +188,9 @@ def test_marshalled_schedule_is_not_remarshalled_per_call(
     ``TilingFunction.schedule()`` returned (and a wavefront's groups)
     build no CSR at all — the C marshaller passes the pointers they
     hold.  A hand-built list of tiles is marshalled on every call, one
-    CSR per loop, through the same constructor."""
+    CSR per loop, through the same constructor.  ``scheduler="dynamic"``
+    with ``num_threads=1`` is the call the end-to-end harness times; it
+    selects nothing and must cost nothing extra either."""
     from repro.runtime.executor import run_numeric_wavefront
     from repro.transforms.fst import TilingFunction
     from repro.transforms.parallel import WavefrontSchedule
@@ -318,11 +320,10 @@ def _emitted_c():
 
 
 def test_tiled_unit_renders_every_statement_body_once_per_form():
-    """One translation unit, one rendering: the wave loop and the pool's
-    stages call the same phase functions, so each statement body appears
-    once per schedule form (index: position ``_k`` + loaded iteration;
-    range: the iteration is the position) — which the concatenation of a
-    wave emitter and a stage emitter would fail."""
+    """One translation unit, one rendering: the wave loop calls the phase
+    functions, so each statement body appears once per schedule form
+    (index: position ``_k`` + loaded iteration; range: the iteration is
+    the position)."""
     for (kernel, sanitize), (_, source) in _emitted_sources().items():
         program = LoweringRewriter().run(
             lower_kernel(kernel_by_name(kernel))
@@ -340,11 +341,34 @@ def test_tiled_unit_renders_every_statement_body_once_per_form():
                 end = f"{commit.array}[{commit.via}[{ivar}]]"
                 assert source.count(f"{end} = {end} + ") == 2, (kernel, end)
         assert source.count("void run_tiled(") == 1
-        assert source.count("pthread_create(") == 1
         assert "run_tiled_dynamic" not in source
 
 
+def _run_tiled_params(source):
+    """The parameter names of the unit's ``run_tiled``, in order."""
+    head = source[source.index("void run_tiled(") + len("void run_tiled("):]
+    params = head[: head.index(")")].split(",")
+    return [p.strip().rpartition(" ")[2].lstrip("*") for p in params]
+
+
 def test_emitted_c_is_frozen_per_emitter_version():
+    """Besides the hashes: every unit, plain and sanitized, has one
+    driver — no thread in it — and ``run_tiled`` takes the operands, the
+    schedule, the wave groups, ``num_tiles`` and ``scratch`` (and ``err``
+    when sanitized), nothing else."""
+    for (kernel, sanitize), (_, source) in _emitted_sources().items():
+        assert "pthread" not in source, (kernel, sanitize)
+        program = LoweringRewriter().run(
+            lower_kernel(kernel_by_name(kernel))
+        ).program
+        expected = list(program.data_arrays) + [
+            "left", "right", "num_nodes", "num_inter", "num_steps",
+        ]
+        for pos in range(len(program.loops)):
+            expected += [f"iters{pos}", f"off{pos}"]
+        expected += ["wave_tiles", "wave_off", "num_waves", "num_tiles"]
+        expected += ["scratch"] + (["err"] if sanitize else [])
+        assert _run_tiled_params(source) == expected, (kernel, sanitize)
     recorded = json.loads(EMITTED_C.read_text())
     current = _emitted_c()
     assert sorted(recorded) == sorted(current)

@@ -109,7 +109,6 @@ def test_legacy_dyn_files_are_never_loaded_and_age_out(
     from repro.lowering.executor import clear_executor_memo, compile_executor
 
     monkeypatch.setenv("REPRO_PLANCACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_EXECUTOR_SCHEDULER", raising=False)
     clear_executor_memo()
     wave = compile_executor("moldyn", backend="numpy", tiled=True)
     key = os.path.basename(wave.artifact_path).split(".", 1)[0]

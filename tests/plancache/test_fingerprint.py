@@ -152,50 +152,3 @@ class TestExecutorBackendSalt:
         monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
         warm = plan.bind(moldyn_data, cache=cache)
         assert warm.report.cache == "hit"
-
-
-class TestSchedulerSalt:
-    """The tile scheduler is not in the executor-backend salt: wave and
-    dynamic binds share one artifact and ``REPRO_EXECUTOR_SCHEDULER``
-    only picks a run-time driver over it, so flipping it is a hit."""
-
-    def test_salt_ignores_the_active_scheduler(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR_SCHEDULER", raising=False)
-        wave = fp.code_version_salt()
-        monkeypatch.setenv("REPRO_EXECUTOR_SCHEDULER", "dynamic")
-        assert fp.code_version_salt() == wave
-
-    def test_scheduler_and_backend_salts_compose(self, monkeypatch):
-        """The backend still separates salts; the scheduler adds nothing."""
-        monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR_SCHEDULER", raising=False)
-        salts = set()
-        for backend in ("numpy", "c"):
-            monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", backend)
-            for scheduler in ("wave", "dynamic"):
-                monkeypatch.setenv("REPRO_EXECUTOR_SCHEDULER", scheduler)
-                salts.add(fp.code_version_salt())
-        assert len(salts) == 2
-
-    def test_cross_scheduler_bind_is_a_bit_identical_hit(
-        self, monkeypatch, tmp_path, moldyn_data
-    ):
-        """Flipping REPRO_EXECUTOR_SCHEDULER between binds rehydrates the
-        cached plan (it was a forced miss while the two schedulers were
-        two builds) — and what it rehydrates is bit-identical."""
-        from repro.plancache import PlanCache
-
-        cache = PlanCache(directory=tmp_path / "cache")
-        plan = CompositionPlan(kernel_by_name("moldyn"), [CPackStep()])
-        monkeypatch.delenv("REPRO_EXECUTOR_SCHEDULER", raising=False)
-        cold = plan.bind(moldyn_data, cache=cache)
-        assert cold.report.cache == "stored"
-        monkeypatch.setenv("REPRO_EXECUTOR_SCHEDULER", "dynamic")
-        other = plan.bind(moldyn_data, cache=cache)
-        assert other.report.cache == "hit"
-        for name, ref in cold.transformed.arrays.items():
-            assert other.transformed.arrays[name].tobytes() == ref.tobytes()
-        assert other.transformed.left.tobytes() == cold.transformed.left.tobytes()
-        assert (
-            other.transformed.right.tobytes() == cold.transformed.right.tobytes()
-        )
