@@ -180,9 +180,10 @@ def _merge_rows(ctx, state, step, index, row_keys, affected_rows_mask):
     # trusted: delta_arr scatters arange over a merge of disjoint row
     # sets, a permutation by construction; the engine's mandatory
     # numeric verification backstops it.  ``merged`` *is* the inverse
-    # (merged[new] = old), so seed the cache instead of re-deriving it.
-    reordering = ReorderingFunction(f"delta_{step.name}", delta_arr)
-    reordering._inverse = merged
+    # (merged[new] = old), so hand it over instead of re-deriving it.
+    reordering = ReorderingFunction(
+        f"delta_{step.name}", delta_arr, inverse=merged
+    )
     state.apply_iteration_reordering(
         state.data.interaction_loop_position(),
         reordering,

@@ -5,12 +5,18 @@ run time: the index arrays (``left``/``right``), the node payload arrays,
 extents, and layout metadata (record sizes after inter-array regrouping).
 It deliberately mirrors the compile-time :class:`~repro.uniform.kernel.Kernel`
 spec of the same name (:func:`repro.kernels.specs.kernel_by_name`).
+
+Facts that depend only on an instance's content — its content
+fingerprints and its validation verdicts — are derived once per
+instance through :meth:`KernelData.derived`, which freezes the arrays
+they were derived from: nothing writes a ``KernelData`` in place once a
+fact about it exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -31,6 +37,11 @@ class LoopDesc:
     domain: str  # "nodes" or "inters"
 
 
+#: ``KernelData._derived_from`` before any fact: (scalar fields, left,
+#: right, payload dict) that match no instance.
+_NOTHING_DERIVED = (None, None, None, {})
+
+
 @dataclass
 class KernelData:
     """A bound benchmark instance (index arrays + payload + layout)."""
@@ -45,6 +56,53 @@ class KernelData:
     loops: Tuple[LoopDesc, ...]
     node_record_bytes: int
     inter_record_bytes: int = INTERACTION_RECORD_BYTES
+    #: Derived facts (see :meth:`derived`) and what they were derived
+    #: from; never copied, compared or pickled.
+    _facts: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _derived_from: Tuple = field(
+        default=_NOTHING_DERIVED, init=False, repr=False, compare=False
+    )
+
+    def derived(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The fact ``key`` about this instance, computed at most once.
+
+        The first fact derived freezes ``left``, ``right`` and every
+        payload array (``flags.writeable = False``), so an in-place write
+        that would make a remembered fact stale raises instead.  Binding
+        a new object to a field (``data.left = ...``, a changed
+        ``arrays`` dict, another ``num_nodes``) drops every fact and
+        freezes the new arrays.  ``compute`` reads nothing but this
+        instance, so two threads that derive one fact at once may both
+        compute it, and either result is the fact."""
+        fields, left, right, payload = self._derived_from
+        if not (
+            fields == self._scalar_fields()
+            and left is self.left
+            and right is self.right
+            and payload.keys() == self.arrays.keys()
+            and all(self.arrays[name] is array for name, array in payload.items())
+        ):
+            self._facts = {}
+            self._derived_from = (
+                self._scalar_fields(), self.left, self.right, dict(self.arrays)
+            )
+            for array in (self.left, self.right, *self.arrays.values()):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
+
+    def _scalar_fields(self) -> Tuple:
+        return (
+            self.kernel_name, self.dataset_name, self.num_nodes, self.loops,
+            self.node_record_bytes, self.inter_record_bytes,
+        )
+
+    def __getstate__(self):
+        return {**self.__dict__, "_facts": {}, "_derived_from": _NOTHING_DERIVED}
 
     @property
     def num_inter(self) -> int:

@@ -181,8 +181,10 @@ def _entry(
 ):
     """``call`` behind the public ``run`` signature of its shape, after
     the checks every tier owes its outside input, sanitized or not, so
-    that each tier gives one typed answer before any mutation: missing
-    or non-float64/non-contiguous data arrays, non-integer ``left`` /
+    that each tier gives one typed answer before any mutation: missing,
+    read-only (a frozen, bound dataset's: NumPy would raise an untyped
+    error and C would write through the flag) or
+    non-float64/non-contiguous data arrays, non-integer ``left`` /
     ``right`` and a ``num_steps`` that is not a non-negative integer are
     :class:`ValidationError`s; a short ``right`` or data array an
     :class:`ExecutorBoundsError` (the C tier would read and commit past
@@ -226,6 +228,13 @@ def _entry(
                     f"executors require contiguous float64 data arrays "
                     f"({name!r} is {getattr(arr, 'dtype', type(arr))})",
                     stage=stage,
+                )
+            if not arr.flags.writeable:
+                raise ValidationError(
+                    f"data array {name!r} is read-only: executors write "
+                    "their operands in place",
+                    stage=stage,
+                    hint="a bound dataset is frozen; run on data.copy()",
                 )
             if len(arr) != num_nodes:
                 raise ExecutorBoundsError(

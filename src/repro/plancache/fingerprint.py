@@ -142,17 +142,21 @@ def dataset_fingerprint(data, include_payload: bool = False) -> str:
     in too — required by the verification memo (executor output depends
     on payload), not by the inspector cache (inspectors do not).
 
-    The digest is memoized on the instance (``_fingerprint_memo``): a
-    delta-bind hashes the same multi-megabyte index arrays for the bind
-    key and again for the verification memo key, and the streaming path
-    hashes every epoch's dataset at least twice.  The memo is sound
-    because nothing mutates a ``KernelData`` in place once constructed —
-    the inspector and the executors both work on ``.copy()``s, and
-    ``copy()`` rebuilds the instance without carrying the memo over.
+    Each digest is a derived fact of the instance
+    (:meth:`~repro.kernels.data.KernelData.derived`): a delta-bind hashes
+    the same multi-megabyte index arrays for the bind key and again for
+    the verification memo key, and a served handle is hashed on every
+    request, but each instance is hashed once.  Deriving it freezes the
+    instance's arrays, so an in-place write raises instead of leaving a
+    stale digest behind.
     """
-    memo = getattr(data, "_fingerprint_memo", None)
-    if memo is not None and include_payload in memo:
-        return memo[include_payload]
+    return data.derived(
+        ("fingerprint", include_payload),
+        lambda: _dataset_digest(data, include_payload),
+    )
+
+
+def _dataset_digest(data, include_payload: bool) -> str:
     h = _hasher()
     _update(
         h,
@@ -168,15 +172,7 @@ def dataset_fingerprint(data, include_payload: bool = False) -> str:
         _update(h, "payload-name", name)
         if include_payload:
             _update(h, data.arrays[name])
-    digest = h.hexdigest()
-    try:
-        if memo is None:
-            memo = {}
-            data._fingerprint_memo = memo
-        memo[include_payload] = digest
-    except (AttributeError, TypeError):
-        pass
-    return digest
+    return h.hexdigest()
 
 
 def step_fingerprint(step) -> str:

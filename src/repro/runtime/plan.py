@@ -219,7 +219,13 @@ class CompositionPlan:
         """Validate, inspect, and (when degraded) verify — the safe path.
 
         1. Validates ``data`` under the plan's ``validation`` policy
-           (typed :class:`~repro.errors.ValidationError` on failure).
+           (typed :class:`~repro.errors.ValidationError` on failure, on
+           every bind).  The findings are a derived fact of the instance
+           (:meth:`~repro.kernels.data.KernelData.derived`), so binding
+           one dataset under many plans validates it once; deriving them
+           freezes ``data``'s arrays, and nothing writes a bound dataset
+           in place — run executors on ``data.copy()`` or on the result's
+           ``transformed``.
         2. Runs the composed inspector under ``on_stage_failure``.  With
            a :class:`~repro.plancache.PlanCache` as ``cache``, the run
            is memoized under the (plan x dataset) content fingerprint: a

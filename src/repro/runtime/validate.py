@@ -34,8 +34,8 @@ and errors raise, warnings are collected in the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -223,18 +223,40 @@ def validate_kernel_data(
     policy: str = "strict",
     subject: Optional[str] = None,
 ) -> ValidationReport:
-    """Validate a bound :class:`~repro.kernels.data.KernelData` instance."""
+    """Validate a bound :class:`~repro.kernels.data.KernelData` instance.
+
+    The findings under each policy are a derived fact of the instance
+    (:meth:`~repro.kernels.data.KernelData.derived`): they read nothing
+    but the dataset, so a dataset bound under many compositions, or
+    served on every warm request, is validated once, and deriving them
+    freezes its arrays.  Every call returns a fresh report, so what a
+    caller does to one cannot change the next.  Any other object with
+    the same fields is validated afresh on every call.
+    """
+    from repro.kernels.data import KernelData
+
     _check_policy(policy)
-    report = ValidationReport(
+    if isinstance(data, KernelData):
+        findings = data.derived(
+            ("validation", policy), lambda: _kernel_data_findings(data, policy)
+        )
+    else:
+        findings = _kernel_data_findings(data, policy)
+    return ValidationReport(
         subject=subject
         or f"KernelData({data.kernel_name!r}, {data.dataset_name!r})",
         policy=policy,
+        findings=[replace(f, indices=list(f.indices)) for f in findings],
     )
+
+
+def _kernel_data_findings(data, policy: str) -> Tuple[Finding, ...]:
+    findings: List[Finding] = []
     left = np.asarray(data.left)
     right = np.asarray(data.right)
 
     if left.ndim == 1 and right.ndim == 1 and len(left) != len(right):
-        report.findings.append(
+        findings.append(
             Finding(
                 "ragged-endpoints", "fatal",
                 f"left has {len(left)} entries but right has {len(right)}",
@@ -243,12 +265,12 @@ def validate_kernel_data(
         )
     num_nodes = int(data.num_nodes)
     if num_nodes < 0:
-        report.findings.append(
+        findings.append(
             Finding("bad-extent", "fatal", f"num_nodes = {num_nodes} < 0")
         )
     elif num_nodes == 0:
         severity = "warning" if len(left) == 0 else "error"
-        report.findings.append(
+        findings.append(
             Finding(
                 "empty-domain", severity,
                 "node domain is empty"
@@ -258,9 +280,9 @@ def validate_kernel_data(
     if num_nodes > 0 or len(left) or len(right):
         upper = max(num_nodes, 1)
         for name, arr in (("left", left), ("right", right)):
-            report.findings.extend(check_index_array(arr, upper, name, policy))
+            findings.extend(check_index_array(arr, upper, name, policy))
     if len(left) == 0:
-        report.findings.append(
+        findings.append(
             Finding(
                 "empty-domain", "warning",
                 "interaction domain is empty; every reordering is a no-op",
@@ -268,7 +290,7 @@ def validate_kernel_data(
         )
     fatal_endpoints = any(
         f.severity == "fatal" and f.array in ("left", "right", "left/right")
-        for f in report.findings
+        for f in findings
     )
     if not fatal_endpoints and len(left) and len(left) == len(right):
         li = left.astype(np.int64, copy=False)
@@ -286,7 +308,7 @@ def validate_kernel_data(
             run_starts = repeats & ~np.concatenate(([False], repeats[:-1]))
             first_of_run = np.zeros(len(key), dtype=bool)
             first_of_run[order[:-1][run_starts]] = True
-            report.findings.append(
+            findings.append(
                 Finding(
                     "duplicate-edges", "warning",
                     f"{int(repeats.sum())} duplicate interactions "
@@ -296,7 +318,7 @@ def validate_kernel_data(
             )
         loops = li == ri
         if loops.any():
-            report.findings.append(
+            findings.append(
                 Finding(
                     "self-loops", "warning",
                     f"{int(loops.sum())} interactions pair a node with itself",
@@ -306,7 +328,7 @@ def validate_kernel_data(
     for name, payload in getattr(data, "arrays", {}).items():
         arr = np.asarray(payload)
         if len(arr) != num_nodes:
-            report.findings.append(
+            findings.append(
                 Finding(
                     "bad-length", "fatal",
                     f"payload has {len(arr)} entries, expected {num_nodes}",
@@ -315,14 +337,14 @@ def validate_kernel_data(
             )
             continue
         if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
-            report.findings.append(
+            findings.append(
                 Finding(
                     "non-finite-payload", "warning",
                     f"{int((~np.isfinite(arr)).sum())} NaN/Inf entries",
                     name, _positions(~np.isfinite(arr)),
                 )
             )
-    return report
+    return tuple(findings)
 
 
 def validate_dataset(dataset, policy: str = "strict") -> ValidationReport:

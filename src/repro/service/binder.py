@@ -40,10 +40,10 @@ class LocalBinder:
     def __init__(self, cache, telemetry):
         self.cache = cache
         self.telemetry = telemetry
-        #: (kernel, dataset, scale, epoch) -> (KernelData, fingerprint).
-        #: Epoch 0 is the generated dataset; every higher epoch that was
-        #: materialized is retained, which keeps pinned reads exact.
-        self._handles: Dict[Tuple[str, str, int, int], Tuple[object, str]] = {}
+        #: (kernel, dataset, scale, epoch) -> KernelData.  Epoch 0 is the
+        #: generated dataset; every higher epoch that was materialized is
+        #: retained, which keeps pinned reads exact.
+        self._handles: Dict[Tuple[str, str, int, int], object] = {}
         #: (kernel, dataset, scale, epoch) -> (parent data, delta): the
         #: provenance an epoch'd flight needs to take the incremental
         #: delta-bind path instead of a cold inspector run.
@@ -55,13 +55,14 @@ class LocalBinder:
     ):
         """Shared, memoized (dataset, fingerprint) for one handle epoch.
 
-        Binds never mutate their input (``ComposedInspector`` copies it),
-        so one :class:`~repro.kernels.data.KernelData` instance safely
-        serves every concurrent flight over the same handle — and its
-        content fingerprint is hashed once, not per request.  An epoch
-        not held yet is reached by applying ``chain`` (the published
-        deltas, ``chain[i]``: epoch i -> i + 1) to the newest epoch that
-        is.
+        A handle holds the :class:`~repro.kernels.data.KernelData`
+        instance only.  Its content fingerprint and validation verdict
+        are facts derived once on the instance, which freezes its
+        arrays, so one instance safely serves every concurrent flight
+        over the same handle and is hashed and validated once, not per
+        request.  An epoch not held yet is reached by applying ``chain``
+        (the published deltas, ``chain[i]``: epoch i -> i + 1) to the
+        newest epoch that is.
 
         Resolution is single-flighted like binds are: generating a cold
         dataset while holding the lock makes concurrent callers wait for
@@ -93,15 +94,14 @@ class LocalBinder:
                 data = make_kernel_data(
                     kernel, generate_dataset(dataset, scale=scale)
                 )
-                self._handles[handle + (0,)] = (data, dataset_fingerprint(data))
-            data, _ = self._handles[handle + (held,)]
+                self._handles[handle + (0,)] = data
+            data = self._handles[handle + (held,)]
             for step in range(held, epoch):
                 parent, data = data, chain[step].apply(data)
                 self._parents[handle + (step + 1,)] = (parent, chain[step])
-                self._handles[handle + (step + 1,)] = (
-                    data, dataset_fingerprint(data),
-                )
-            return self._handles[handle + (epoch,)]
+                self._handles[handle + (step + 1,)] = data
+            data = self._handles[handle + (epoch,)]
+            return data, dataset_fingerprint(data)
 
     def bind(self, flight) -> dict:
         """One inspector run for one flight; returns its body and leaves

@@ -112,18 +112,24 @@ class ReorderingFunction:
 
     Wraps the index arrays the paper's inspectors generate (``sigma_cp``,
     ``delta_lg``, ...).  The inverse array (``sigma_cp_inv`` in the paper's
-    Figure 10, which CPACK builds directly) is materialized lazily.
+    Figure 10, which CPACK builds directly) is materialized lazily,
+    unless the caller already holds it and passes it as ``inverse``.
     """
 
     __slots__ = ("name", "array", "_inverse")
 
-    def __init__(self, name: str, array: np.ndarray):
+    def __init__(
+        self,
+        name: str,
+        array: np.ndarray,
+        inverse: Optional[np.ndarray] = None,
+    ):
         array = np.asarray(array, dtype=np.int64)
         if array.ndim != 1:
             raise ValueError("reordering function must be a 1-D index array")
         self.name = name
         self.array = array
-        self._inverse: Optional[np.ndarray] = None
+        self._inverse = inverse
 
     def __len__(self) -> int:
         return len(self.array)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.kernels.data import make_kernel_data
 from repro.kernels.datasets import Dataset
+from repro.runtime import plan_from_spec, validate
 from repro.runtime.validate import (
     check_index_array,
     check_permutation,
@@ -132,6 +133,62 @@ class TestValidateKernelData:
         report = validate_kernel_data(data, policy="permissive")
         warning = [f for f in report.warnings if f.check == "non-finite-payload"]
         assert warning and warning[0].indices == [7]
+
+
+
+class TestValidationIsDerivedOnce:
+    """Validation reads nothing but the dataset, so a ``KernelData``
+    instance is validated once per policy, however often it is bound."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = validate._kernel_data_findings
+
+        def counting(data, policy):
+            calls.append(policy)
+            return real(data, policy)
+
+        monkeypatch.setattr(validate, "_kernel_data_findings", counting)
+        return calls
+
+    def test_a_second_bind_does_not_revalidate(self, counted):
+        data = make_kernel_data("irreg", _clean_dataset())
+        plan = plan_from_spec({"kernel": "irreg", "steps": ["cpack"]})
+        plan.bind(data)
+        plan.bind(data)
+        plan_from_spec({"kernel": "irreg", "steps": ["lexgroup"]}).bind(data)
+        assert counted == ["strict"]
+        validate_kernel_data(data, policy="permissive")
+        validate_kernel_data(data, policy="permissive", subject="other")
+        assert counted == ["strict", "permissive"]
+
+    def test_strict_invalid_data_raises_on_every_bind(self, counted):
+        data = make_kernel_data("irreg", tiny_dataset())
+        plan = plan_from_spec({"kernel": "irreg", "steps": ["cpack"]})
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="strict validation"):
+                plan.bind(data)
+        assert counted == ["strict"]
+
+    def test_a_mutated_report_does_not_change_the_next(self):
+        data = make_kernel_data("irreg", tiny_dataset())
+        first = validate_kernel_data(data, policy="permissive")
+        expected = [str(f) for f in first.findings]
+        first.findings[0].indices.append(-1)
+        first.findings[0].message = "scribbled"
+        first.findings.clear()
+        again = validate_kernel_data(data, policy="permissive")
+        assert [str(f) for f in again.findings] == expected
+
+    def test_a_reassigned_array_is_validated_afresh(self):
+        data = make_kernel_data("irreg", _clean_dataset())
+        assert validate_kernel_data(data).ok
+        right = data.right.copy()
+        right[2] = data.num_nodes
+        data.right = right
+        report = validate_kernel_data(data)
+        assert [f.check for f in report.fatal] == ["out-of-range"]
 
 
 class TestValidateDataset:
