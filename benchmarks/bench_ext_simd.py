@@ -1,17 +1,19 @@
 """Extension: vectorized cache simulation + parallel grid execution.
 
 The evaluation pipeline's cost is dominated by trace simulation: the
-reference engine walks every access through a Python LRU loop, the
-vectorized engine (:mod:`repro.cachesim.simd`) classifies whole traces
-with stack-distance counting in NumPy.  This benchmark measures, on the
+per-access oracle (``tests/cachesim/oracle.py``, the "reference" side
+below) walks every access through a Python LRU loop, the engine
+(:mod:`repro.cachesim.simd`) classifies whole traces with
+stack-distance counting in NumPy.  This benchmark measures, on the
 Figure-6 moldyn trace (the largest of the evaluation):
 
 * per-level simulator throughput (accesses/second, reference vs
   vectorized) for both machines' L1/L2 streams;
 * end-to-end ``simulate_cost`` wall clock per machine (identical cycle
-  counts asserted);
-* the whole Figure-6 grid: serial reference pipeline vs the parallel
-  runner on the vectorized engine — the two axes this PR adds, composed.
+  counts asserted), the oracle patched in as the hierarchy's level
+  engine;
+* the whole Figure-6 grid: serial pipeline on the oracle vs the parallel
+  runner on the vectorized engine — both axes, composed.
 
 Timing protocol: reference and vectorized runs are *interleaved* and the
 minimum over rounds is reported, so container noise (which swings the
@@ -24,9 +26,10 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from benchmarks.conftest import save_and_print
-from repro.cachesim.cache import SetAssociativeCache
+from repro.cachesim import hierarchy
 from repro.cachesim.machines import MACHINES
 from repro.cachesim.model import simulate_cost
 from repro.cachesim.simd import simulate_level
@@ -35,6 +38,7 @@ from repro.eval.figures import FIGURE_COMPOSITIONS
 from repro.eval.parallel import run_grid_parallel
 from repro.kernels.datasets import DEFAULT_SCALE
 from repro.runtime.executor import ExecutionPlan, emit_trace
+from tests.cachesim import oracle
 
 ROUNDS = 5
 JOBS = max(2, min(4, os.cpu_count() or 2))
@@ -53,6 +57,13 @@ MIN_PIPELINE_SPEEDUP = 0.75
 def _figure6_trace():
     data = experiments._kernel_data("moldyn", "mol1", DEFAULT_SCALE, 42)
     return emit_trace(data, ExecutionPlan.identity(), num_steps=1)
+
+
+def _on_oracle(fn, *args):
+    """``fn(*args)`` with the oracle as the hierarchy's level engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hierarchy, "simulate_level", oracle.simulate_level)
+        return fn(*args)
 
 
 def _interleaved_min(fn_a, fn_b, rounds=ROUNDS):
@@ -75,7 +86,7 @@ def _level_rows(trace):
         lines = trace.line_sequence(machine.l1.line_bytes)
         for config in machine.levels:
             ref_t, vec_t, ref, vec = _interleaved_min(
-                lambda: SetAssociativeCache(config).access_lines(lines),
+                lambda: oracle.simulate_level(config, lines),
                 lambda: simulate_level(config, lines),
             )
             assert ref.stats.misses == vec.stats.misses
@@ -100,8 +111,8 @@ def _e2e_rows(trace):
     rows = []
     for machine in MACHINES.values():
         ref_t, vec_t, ref, vec = _interleaved_min(
-            lambda: simulate_cost(trace, machine, backend="reference"),
-            lambda: simulate_cost(trace, machine, backend="vectorized"),
+            lambda: _on_oracle(simulate_cost, trace, machine),
+            lambda: simulate_cost(trace, machine),
         )
         assert ref.cycles == vec.cycles
         rows.append(
@@ -123,7 +134,7 @@ def _clear_experiment_caches():
 
 
 def _figure6_pipeline():
-    """Whole-grid wall clock: serial reference vs parallel vectorized.
+    """Whole-grid wall clock: serial on the oracle vs parallel vectorized.
 
     The parallel+vectorized phase runs first so its worker processes
     fork from a *cold* parent (no memoized cells to inherit); caches are
@@ -133,20 +144,16 @@ def _figure6_pipeline():
     t0 = time.perf_counter()
     fast = run_grid_parallel(
         "power3", FIGURE_COMPOSITIONS, scale=DEFAULT_SCALE,
-        jobs=JOBS, backend="vectorized",
+        jobs=JOBS,
     )
     fast_t = time.perf_counter() - t0
 
     _clear_experiment_caches()
-    os.environ["REPRO_CACHESIM_BACKEND"] = "reference"
-    try:
-        t0 = time.perf_counter()
-        slow = experiments.run_grid(
-            "power3", FIGURE_COMPOSITIONS, scale=DEFAULT_SCALE
-        )
-        slow_t = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_CACHESIM_BACKEND"]
+    t0 = time.perf_counter()
+    slow = _on_oracle(
+        experiments.run_grid, "power3", FIGURE_COMPOSITIONS, DEFAULT_SCALE
+    )
+    slow_t = time.perf_counter() - t0
     _clear_experiment_caches()
 
     assert [r.executor_cycles for r in fast] == [

@@ -16,7 +16,7 @@ Commands:
 * ``doctor``            — validate a dataset and a composition end to
   end and print the validation findings, the static-analysis report,
   the per-stage :class:`~repro.runtime.report.PipelineReport`,
-  plan-cache-dir health, engine health, and a ``ServiceStats`` block
+  plan-cache-dir health, worker-pool health, and a ``ServiceStats`` block
   (a live self-exercise of the bind service).  ``--json`` emits one
   machine-readable payload instead;
 * ``serve``             — run the concurrent bind service on localhost
@@ -85,11 +85,6 @@ def _cmd_figure(args) -> int:
         format_grid,
         format_rows,
     )
-
-    import os
-
-    if getattr(args, "backend", None):
-        os.environ["REPRO_CACHESIM_BACKEND"] = args.backend
 
     jobs = getattr(args, "jobs", 1)
     if jobs is None:
@@ -316,52 +311,14 @@ def _cache_health_lines(directory=None):
     return lines, health
 
 
-def _engine_health_lines():
-    """Simulator-backend + worker-pool health (for ``doctor``).
-
-    Runs a tiny reference-vs-vectorized cross-check (any mismatch here
-    means the fast engine cannot be trusted and ``REPRO_CACHESIM_BACKEND=
-    reference`` is the escape hatch) and probes the process pool the
-    parallel grid runner would use.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.cachesim.cache import CacheConfig, SetAssociativeCache
-    from repro.cachesim.hierarchy import resolve_backend
-    from repro.cachesim.simd import simulate_level
+def _worker_pool_lines():
+    """Worker-pool health (for ``doctor``): probes the process pool the
+    parallel grid runner would use."""
     from repro.eval.parallel import default_jobs, worker_pool_health
 
-    source = (
-        "env REPRO_CACHESIM_BACKEND"
-        if os.environ.get("REPRO_CACHESIM_BACKEND")
-        else "default"
-    )
-    backend = resolve_backend(None)
-    lines = [f"cachesim backend: {backend} ({source})"]
-    rng = np.random.default_rng(7)
-    lines_arr = rng.integers(0, 257, size=4096)
-    config = CacheConfig("L1", size_bytes=4096, line_bytes=64, associativity=4)
-    ref = SetAssociativeCache(config).access_lines(lines_arr)
-    vec = simulate_level(config, lines_arr)
-    agree = ref.stats.misses == vec.stats.misses and np.array_equal(
-        ref.miss_lines, vec.miss_lines
-    )
-    lines.append(
-        "  reference/vectorized cross-check: "
-        + ("identical" if agree else "MISMATCH (use backend=reference!)")
-    )
     ok, message = worker_pool_health(min(2, default_jobs()))
-    lines.append(
-        f"experiment workers: {'ok' if ok else 'DEGRADED'} ({message})"
-    )
-    payload = {
-        "cachesim_backend": backend,
-        "backend_source": source,
-        "crosscheck_identical": bool(agree),
-        "worker_pool": {"ok": bool(ok), "message": message},
-    }
+    lines = [f"experiment workers: {'ok' if ok else 'DEGRADED'} ({message})"]
+    payload = {"worker_pool": {"ok": bool(ok), "message": message}}
     return lines, payload
 
 
@@ -505,8 +462,8 @@ def _cmd_doctor(args) -> int:
     cache_lines, health = _cache_health_lines(args.cache_dir)
     blocks.append("\n".join(cache_lines))
     cache_unhealthy = not health["writable"] or health["unreadable"] > 0
-    engine_lines, engine = _engine_health_lines()
-    blocks.append("\n".join(engine_lines))
+    pool_lines, engine = _worker_pool_lines()
+    blocks.append("\n".join(pool_lines))
     executor_lines, executor_report = _executor_backend_lines()
     blocks.append("\n".join(executor_lines))
     skew_lines, wave_skew = _wave_skew_lines(result)
@@ -706,17 +663,13 @@ def _cmd_serve(args) -> int:
     from repro.service import JsonlSink, PlanService, ServiceConfig, Telemetry
 
     if args.executor_backend:
-        import os
-
-        from repro.lowering.executor import (
-            EXECUTOR_BACKEND_ENV,
-            resolve_executor_backend,
-        )
+        from repro import backends
+        from repro.lowering.executor import resolve_executor_backend
 
         # Validate (and surface any toolchain fallback) up front, then
         # publish via the env var so every bind worker resolves it.
         resolution = resolve_executor_backend(args.executor_backend)
-        os.environ[EXECUTOR_BACKEND_ENV] = args.executor_backend
+        backends.publish(backends.EXECUTOR_BACKEND, args.executor_backend)
         print(
             f"executor backend: {resolution.backend}"
             + (
@@ -1034,12 +987,6 @@ def main(argv=None) -> int:
                 default=None,
                 help="worker processes for the grid (default: all CPUs; "
                 "1 forces serial execution)",
-            )
-            p.add_argument(
-                "--backend",
-                choices=["auto", "reference", "vectorized"],
-                default=None,
-                help="cache-simulator engine (default: vectorized)",
             )
         p.set_defaults(func=_cmd_figure)
 

@@ -1,8 +1,16 @@
-"""Shared backend resolution: one precedence/fallback policy for every switch.
+"""Run-time settings and backend resolution, in one place.
 
-Two subsystems now pick an engine at run time — the cache simulator
-(``reference`` | ``vectorized``) and the executor tier (``library`` |
-``numpy`` | ``c``) — and they must behave identically:
+**Settings.**  Every ``REPRO_*`` environment variable the package reads
+is a :class:`Setting` in :data:`SETTINGS`, read through :func:`read` at
+call time, never at import: a harness may scrub the environment after
+start-up, and tests set variables with ``monkeypatch.setenv``.  A value
+the parser rejects raises :class:`~repro.errors.ValidationError` naming
+the variable, so a typo never silently falls back to the default.
+:func:`publish` is the one write.  No other module touches
+``os.environ`` (``tests/test_settings_guard.py`` enforces it).
+
+**Backend resolution.**  :func:`resolve` picks the executor tier
+(``library`` | ``numpy`` | ``c``) with one precedence/fallback policy:
 
 * **precedence** — an explicit argument beats the environment variable
   beats the subsystem default; the literal ``"auto"`` (from either the
@@ -19,10 +27,6 @@ Two subsystems now pick an engine at run time — the cache simulator
 :func:`resolve` returns a :class:`Resolution` carrying the resolved name,
 where it came from, and any fallback taken, so callers that only want the
 string can take ``.backend`` while ``doctor`` can report the whole story.
-
-The on/off knobs follow the same argument > environment > default
-precedence through :func:`resolve_flag`, so this module is the only
-place a ``REPRO_*`` executor knob is read from ``os.environ``.
 """
 
 from __future__ import annotations
@@ -30,10 +34,92 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One environment variable the package reads."""
+
+    name: str
+    #: Turns the raw (non-empty) value into the setting's value; raises
+    #: ``ValueError`` on a value it does not accept.
+    parse: Callable[[str], Any]
+    #: The value when the variable is unset or empty.
+    default: Any
+    doc: str
+
+
+_TRUTHY = frozenset({"1", "true", "on", "yes"})
+_FALSY = frozenset({"0", "false", "off", "no", ""})
+
+
+def _flag(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value in _TRUTHY:
+        return True
+    if value in _FALSY:
+        return False
+    raise ValueError("expected 1/true/on/yes or 0/false/off/no")
+
+
+CC = Setting(
+    "REPRO_CC", str, None,
+    "C compiler for the compiled executor tier (unset: gcc, cc, clang)",
+)
+PLANCACHE_DIR = Setting(
+    "REPRO_PLANCACHE_DIR", str, None,
+    "plan-cache directory (unset: ~/.cache/repro/plancache)",
+)
+PLANCACHE_MAX_BYTES = Setting(
+    "REPRO_PLANCACHE_MAX_BYTES", int, None,
+    "disk byte budget of the plan cache (unset or 0: unlimited)",
+)
+CHAOS_PLAN = Setting(
+    "REPRO_CHAOS_PLAN", str, None,
+    "JSON chaos plan for serve --shards (unset: no fault injection)",
+)
+EXECUTOR_BACKEND = Setting(
+    "REPRO_EXECUTOR_BACKEND", str, None,
+    "executor tier: auto, library, numpy or c (unset: library)",
+)
+EXECUTOR_SANITIZE = Setting(
+    "REPRO_EXECUTOR_SANITIZE", _flag, False,
+    "bounds-guarded compiled executors (unset: off)",
+)
+
+#: Every environment variable the package reads.
+SETTINGS = (
+    CC, PLANCACHE_DIR, PLANCACHE_MAX_BYTES, CHAOS_PLAN,
+    EXECUTOR_BACKEND, EXECUTOR_SANITIZE,
+)
+
+
+def read(setting: Setting) -> Any:
+    """The current value of ``setting``, read from the environment now."""
+    raw = os.environ.get(setting.name, "")
+    if not raw:
+        return setting.default
+    try:
+        return setting.parse(raw)
+    except ValueError as exc:
+        raise ValidationError(
+            f"{setting.name}={raw!r}: {exc}",
+            stage="settings",
+            hint=setting.doc,
+        ) from None
+
+
+def publish(setting: Setting, value: str) -> None:
+    """Set ``setting`` for this process and the processes it spawns.
+
+    The one write: ``serve --executor-backend`` publishes its choice so
+    that thread workers and spawned fleet shards resolve it on each bind.
+    """
+    os.environ[setting.name] = value
 
 
 class BackendFallbackWarning(UserWarning):
@@ -74,7 +160,7 @@ def resolve(
     *,
     subsystem: str,
     choices: Sequence[str],
-    env_var: str,
+    setting: Setting,
     default: str,
     ladder: Optional[Sequence[str]] = None,
     available: Optional[Dict[str, Callable[[], Tuple[bool, str]]]] = None,
@@ -88,20 +174,20 @@ def resolve(
     backend name to a probe returning ``(ok, reason)``; backends without
     a probe are always available.  The final rung of the ladder must be
     available — resolution degrades, it never fails for availability
-    (only for unknown names).
+    (only for unknown names).  ``setting`` is the environment variable
+    consulted when the argument is absent or ``"auto"``.
     """
     ladder = list(ladder if ladder is not None else choices)
     probes = available or {}
 
     source = "argument"
     if requested in (None, "", "auto"):
-        # The environment still gets its say (matching the pre-existing
-        # cachesim rule: an explicit "auto" argument defers to the env
-        # var).  Past that, an *explicit* "auto" means "best available"
-        # (ladder walk below) while an absent argument means the
-        # subsystem default.
+        # The environment still gets its say (an explicit "auto"
+        # argument defers to the env var).  Past that, an *explicit*
+        # "auto" means "best available" (ladder walk below) while an
+        # absent argument means the subsystem default.
         explicit_auto = requested == "auto"
-        env_value = os.environ.get(env_var) or None
+        env_value = read(setting)
         if env_value:
             requested = env_value
             source = "env"
@@ -169,20 +255,13 @@ def resolve(
     return resolution
 
 
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
-
-
-def resolve_flag(value: Optional[bool], *, env_var: str) -> bool:
-    """An on/off switch: argument > ``env_var`` (1/true/on/yes) > off."""
-    if value is None:
-        value = os.environ.get(env_var, "").strip().lower() in _TRUTHY
-    return bool(value)
-
-
 __all__ = [
     "BackendFallbackWarning",
     "Resolution",
+    "SETTINGS",
+    "Setting",
+    "publish",
+    "read",
     "resolve",
-    "resolve_flag",
     "reset_fallback_announcements",
 ]

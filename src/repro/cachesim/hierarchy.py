@@ -2,44 +2,14 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cachesim.cache import CacheConfig, CacheStats, SetAssociativeCache
+from repro.cachesim.cache import CacheConfig, CacheStats
+from repro.cachesim.simd import simulate_level
 from repro.cachesim.trace import AccessTrace
-
-#: Simulator backends: ``reference`` is the per-access oracle loop,
-#: ``vectorized`` the batched engine of :mod:`repro.cachesim.simd`
-#: (bit-identical, property-tested).  ``auto`` resolves to the
-#: ``REPRO_CACHESIM_BACKEND`` environment variable or ``vectorized``.
-BACKENDS = ("auto", "reference", "vectorized")
-
-#: Environment override consulted when no explicit backend is passed.
-BACKEND_ENV = "REPRO_CACHESIM_BACKEND"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalize a backend selector to ``reference`` or ``vectorized``.
-
-    Precedence (explicit argument > ``REPRO_CACHESIM_BACKEND`` > default)
-    and validation are the shared policy of :func:`repro.backends.resolve`
-    — identical to the executor-backend switch.  Both engines are always
-    available, so this switch never takes a fallback rung.
-    """
-    from repro import backends
-
-    return backends.resolve(
-        backend,
-        subsystem="cachesim",
-        choices=BACKENDS,
-        env_var=BACKEND_ENV,
-        default="auto",
-        ladder=("vectorized", "reference"),
-    ).backend
-
 
 @dataclass
 class HierarchyResult:
@@ -63,18 +33,13 @@ class MemoryHierarchy:
     rescaled between levels).  Levels must have non-decreasing line sizes.
     """
 
-    def __init__(
-        self,
-        configs: Sequence[CacheConfig],
-        backend: str = "reference",
-    ):
+    def __init__(self, configs: Sequence[CacheConfig]):
         if not configs:
             raise ValueError("need at least one cache level")
         for a, b in zip(configs, configs[1:]):
             if b.line_bytes < a.line_bytes:
                 raise ValueError("line sizes must be non-decreasing")
         self.configs = tuple(configs)
-        self.backend = resolve_backend(backend)
 
     def simulate_lines(
         self,
@@ -97,13 +62,7 @@ class MemoryHierarchy:
             shift = config.line_shift - prev_shift
             if shift:
                 current = current >> shift
-            if self.backend == "vectorized":
-                from repro.cachesim.simd import simulate_level
-
-                result = simulate_level(config, current, current_writes)
-            else:
-                cache = SetAssociativeCache(config)
-                result = cache.access_lines(current, current_writes)
+            result = simulate_level(config, current, current_writes)
             stats.append(result.stats)
             if current_writes is None:
                 current = result.miss_lines

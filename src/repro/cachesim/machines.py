@@ -15,7 +15,7 @@ magnitude matter for the normalized figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.cachesim.cache import CacheConfig
 from repro.cachesim.hierarchy import HierarchyResult, MemoryHierarchy
@@ -39,11 +39,9 @@ class Machine:
     #: write-back pricing; traces without write flags never incur it).
     writeback_memory_cycles: int = 0
 
-    def hierarchy(self, backend: Optional[str] = None) -> MemoryHierarchy:
-        """The machine's memory hierarchy; ``backend`` selects the
-        simulator engine (default: ``auto`` — the vectorized engine,
-        overridable via ``REPRO_CACHESIM_BACKEND``)."""
-        return MemoryHierarchy(self.levels, backend=backend or "auto")
+    def hierarchy(self) -> MemoryHierarchy:
+        """The machine's memory hierarchy."""
+        return MemoryHierarchy(self.levels)
 
     @property
     def l1(self) -> CacheConfig:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.cachesim.hierarchy import HierarchyResult
 from repro.cachesim.machines import Machine
@@ -23,16 +22,9 @@ class CostReport:
         return self.result.level_stats[0].miss_rate
 
 
-def simulate_cost(
-    trace: AccessTrace, machine: Machine, backend: Optional[str] = None
-) -> CostReport:
-    """Simulate a trace on a machine and price it in cycles.
-
-    ``backend`` selects the simulator engine (``reference`` |
-    ``vectorized`` | ``auto``); both engines are bit-identical, the
-    vectorized one is the fast default.
-    """
-    result = machine.hierarchy(backend=backend).simulate_trace(trace)
+def simulate_cost(trace: AccessTrace, machine: Machine) -> CostReport:
+    """Simulate a trace on a machine and price it in cycles."""
+    result = machine.hierarchy().simulate_trace(trace)
     return CostReport(
         machine=machine.name,
         cycles=machine.cost_cycles(result),

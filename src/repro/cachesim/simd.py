@@ -1,11 +1,11 @@
 """Batched, vectorized set-associative LRU simulation.
 
-The reference simulator (:mod:`repro.cachesim.cache`) walks the trace one
-access at a time.  Exact LRU nevertheless decomposes per cache set — an
-access hits iff fewer than ``associativity`` distinct lines intervened
-since the previous access to the same line *within its set* (the classic
-stack-distance characterization), and accesses in different sets never
-interact.  This module resolves whole traces with NumPy in a constant
+The obvious LRU simulator walks the trace one access at a time (that
+loop is kept as the test oracle, ``tests/cachesim/oracle.py``).  Exact
+LRU nevertheless decomposes per cache set — an access hits iff fewer
+than ``associativity`` distinct lines intervened since the previous
+access to the same line *within its set* (the classic stack-distance
+characterization), and accesses in different sets never interact.  This module resolves whole traces with NumPy in a constant
 number of vectorized passes (no per-access and no per-wave Python loop):
 
 1. **Partition by set**: ``set = line mod num_sets``, one stable (radix)
@@ -33,16 +33,15 @@ number of vectorized passes (no per-access and no per-wave Python loop):
      before ``i`` — one batched ``searchsorted`` over per-line occurrence
      lists and a segmented sum.
 
-The result is bit-identical to the reference simulator on hits, misses,
+The result is bit-identical to the per-access oracle on hits, misses,
 and write-backs (property-tested in ``tests/cachesim/test_simd.py``).
 Write-tracking traces run through a per-set lockstep variant that also
 tracks the dirty bit of every stack slot, so victims and write-back
-events come out in the reference's exact occurrence order.
+events come out in the oracle's exact occurrence order.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,8 +84,6 @@ def _tune_allocator() -> None:
     if _MALLOC_TUNED:
         return
     _MALLOC_TUNED = True
-    if os.environ.get("REPRO_CACHESIM_NO_MALLOC_TUNE"):
-        return
     try:
         import ctypes
 
@@ -107,8 +104,8 @@ def classify_hits(
 
     ``lines`` is the level's access stream in line units; the returned
     boolean array marks the accesses that hit a ``num_sets`` x
-    ``associativity`` LRU cache starting cold — bit-identical to
-    :class:`~repro.cachesim.cache.SetAssociativeCache`.  ``window``
+    ``associativity`` LRU cache starting cold — bit-identical to the
+    per-access oracle in ``tests/cachesim/oracle.py``.  ``window``
     overrides the exact-window constant (tuning knob, any value >= the
     associativity is valid).
     """
@@ -375,7 +372,7 @@ def simulate_level_writes(
 
     Runs every set's access stream in lockstep (one Python iteration per
     within-set position), tracking dirty bits per stack slot, and emits
-    fills and dirty evictions with the reference's exact interleaving.
+    fills and dirty evictions with the oracle's exact interleaving.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     writes = np.ascontiguousarray(writes, dtype=bool)
@@ -474,8 +471,8 @@ def simulate_level(
     writes: Optional[np.ndarray] = None,
     window: Optional[int] = None,
 ) -> SimResult:
-    """Vectorized equivalent of ``SetAssociativeCache(config)
-    .access_lines(lines, writes)`` on a cold cache."""
+    """Simulate one cold LRU level: hits, misses in order, and (with
+    ``writes``) the write-back traffic the next level absorbs."""
     if writes is None:
         return simulate_level_reads(config, lines, window)
     return simulate_level_writes(config, lines, writes)

@@ -15,13 +15,12 @@ Determinism is structural, not incidental:
   inspector pipeline), so *values* match too.
 
 Workers amortize shared state across the cells they are handed: the
-initializer pins the cache-simulator backend and installs a per-worker
-:class:`~repro.plancache.PlanCache` (memory tier only — no cross-process
-coordination needed), so a worker that sees two cells with the same
-(dataset, composition) fingerprint replays the realized plan instead of
-re-running inspector stages, and the ``lru_cache`` layers of
-:mod:`repro.eval.experiments` (kernel data, baseline costs) persist for
-the worker's lifetime.
+initializer installs a per-worker :class:`~repro.plancache.PlanCache`
+(memory tier only — no cross-process coordination needed), so a worker
+that sees two cells with the same (dataset, composition) fingerprint
+replays the realized plan instead of re-running inspector stages, and
+the ``lru_cache`` layers of :mod:`repro.eval.experiments` (kernel data,
+baseline costs) persist for the worker's lifetime.
 
 Degradation: process pools can be unavailable or break (sandboxed
 environments without working ``fork``/semaphores, pickling regressions,
@@ -51,8 +50,8 @@ def default_jobs() -> int:
 # Worker-side plumbing (module-level so it pickles by reference).
 
 
-def _init_worker(backend: Optional[str]) -> None:
-    """Per-worker initialization: backend pin + plan-cache reuse.
+def _init_worker() -> None:
+    """Per-worker initialization: plan-cache reuse.
 
     Runs once per worker process.  The plan cache is memory-tier only:
     each worker keeps its own, so there is no cross-process locking, and
@@ -60,8 +59,6 @@ def _init_worker(backend: Optional[str]) -> None:
     (e.g. the same composition at two machines) binds the cached plan
     instead of re-running the stages.
     """
-    if backend:
-        os.environ["REPRO_CACHESIM_BACKEND"] = backend
     try:
         from repro.eval import experiments
         from repro.plancache import PlanCache
@@ -113,7 +110,6 @@ def run_grid_parallel(
     remap: str = "once",
     kernels: Optional[Tuple[str, ...]] = None,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ):
     """Run a figure grid across ``jobs`` worker processes.
 
@@ -143,7 +139,7 @@ def run_grid_parallel(
         min(len(compositions), -(-len(tasks) // (2 * jobs))),
     )
     try:
-        return _run_pool(tasks, min(jobs, len(tasks)), backend, chunksize)
+        return _run_pool(tasks, min(jobs, len(tasks)), chunksize)
     except _POOL_ERRORS as exc:  # degrade, never fail the experiment
         warnings.warn(
             f"parallel grid runner degraded to serial execution: {exc!r}",
@@ -157,18 +153,12 @@ def _run_serial(tasks: List[_CellTask]):
     return [_run_cell_task(task) for task in tasks]
 
 
-def _run_pool(
-    tasks: List[_CellTask],
-    jobs: int,
-    backend: Optional[str],
-    chunksize: int = 1,
-):
+def _run_pool(tasks: List[_CellTask], jobs: int, chunksize: int = 1):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_worker,
-        initargs=(backend,),
     ) as pool:
         # map() yields results in submission order: deterministic rows.
         return list(pool.map(_run_cell_task, tasks, chunksize=chunksize))

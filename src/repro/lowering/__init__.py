@@ -15,7 +15,6 @@ with the library executor.
 
 from repro.lowering.executor import (
     DEFAULT_EXECUTOR_BACKEND,
-    EXECUTOR_BACKEND_ENV,
     EXECUTOR_BACKENDS,
     EXECUTOR_LADDER,
     CompiledExecutor,
@@ -30,7 +29,6 @@ from repro.lowering.passes import LoweringRewriter, PassConfig
 
 __all__ = [
     "DEFAULT_EXECUTOR_BACKEND",
-    "EXECUTOR_BACKEND_ENV",
     "EXECUTOR_BACKENDS",
     "EXECUTOR_LADDER",
     "CompiledExecutor",

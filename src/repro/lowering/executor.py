@@ -77,9 +77,6 @@ from repro.transforms.tile_schedule import (
 #: available: ``c`` with a toolchain, else ``numpy``).
 EXECUTOR_BACKENDS = ("auto", "library", "numpy", "c")
 
-#: Environment override consulted when no explicit backend is passed.
-EXECUTOR_BACKEND_ENV = "REPRO_EXECUTOR_BACKEND"
-
 #: Default backend: the library executor (no compilation surprises
 #: unless a backend is asked for).
 DEFAULT_EXECUTOR_BACKEND = "library"
@@ -87,14 +84,13 @@ DEFAULT_EXECUTOR_BACKEND = "library"
 #: Best-first ladder for ``auto`` resolution and unavailability walks.
 EXECUTOR_LADDER = ("c", "numpy", "library")
 
-#: Environment switch for the sanitizer (bounds-guarded emission) when no
-#: explicit ``sanitize`` argument is passed to :func:`compile_executor`.
-EXECUTOR_SANITIZE_ENV = "REPRO_EXECUTOR_SANITIZE"
-
 
 def sanitize_enabled(sanitize: Optional[bool] = None) -> bool:
-    """Resolve the sanitizer switch (argument > environment > off)."""
-    return backends.resolve_flag(sanitize, env_var=EXECUTOR_SANITIZE_ENV)
+    """Resolve the sanitizer switch: argument >
+    ``REPRO_EXECUTOR_SANITIZE`` > off."""
+    if sanitize is None:
+        return backends.read(backends.EXECUTOR_SANITIZE)
+    return bool(sanitize)
 
 
 def resolve_executor_backend(
@@ -106,7 +102,7 @@ def resolve_executor_backend(
         backend,
         subsystem="executor",
         choices=EXECUTOR_BACKENDS,
-        env_var=EXECUTOR_BACKEND_ENV,
+        setting=backends.EXECUTOR_BACKEND,
         default=DEFAULT_EXECUTOR_BACKEND,
         ladder=EXECUTOR_LADDER,
         available={"c": toolchain.have_toolchain},
@@ -575,7 +571,7 @@ def executor_backend_report() -> dict:
     report = {
         "sanitize": {
             "enabled": sanitize_enabled(),
-            "env": EXECUTOR_SANITIZE_ENV,
+            "env": backends.EXECUTOR_SANITIZE.name,
         },
         "verifier": {"version": IRVERIFY_VERSION},
         "backend": resolution.backend,
@@ -599,9 +595,7 @@ def executor_backend_report() -> dict:
 __all__ = [
     "DEFAULT_EXECUTOR_BACKEND",
     "EXECUTOR_BACKENDS",
-    "EXECUTOR_BACKEND_ENV",
     "EXECUTOR_LADDER",
-    "EXECUTOR_SANITIZE_ENV",
     "CompiledExecutor",
     "artifact_key",
     "clear_executor_memo",

@@ -20,15 +20,13 @@ things matter here:
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import threading
 from pathlib import Path
 from typing import Optional, Tuple
 
-#: Environment override for the compiler executable.
-CC_ENV = "REPRO_CC"
+from repro import backends
 
 #: Candidate compilers probed in order when ``REPRO_CC`` is unset.
 CC_CANDIDATES = ("gcc", "cc", "clang")
@@ -43,7 +41,7 @@ _VERSION_LOCK = threading.Lock()
 
 def find_compiler() -> Optional[str]:
     """Absolute path of the C compiler to use, or ``None``."""
-    override = os.environ.get(CC_ENV)
+    override = backends.read(backends.CC)
     if override:
         return shutil.which(override)
     for name in CC_CANDIDATES:
@@ -79,6 +77,9 @@ def have_toolchain() -> Tuple[bool, str]:
     """Availability probe for the backend ladder: ``(ok, reason)``."""
     cc = find_compiler()
     if cc is None:
+        override = backends.read(backends.CC)
+        if override:
+            return False, f"{backends.CC.name}={override!r} not found"
         return False, "no C compiler found (tried %s)" % ", ".join(
             CC_CANDIDATES
         )
@@ -110,7 +111,6 @@ def compile_shared(source_path: Path, out_path: Path) -> None:
 
 
 __all__ = [
-    "CC_ENV",
     "CFLAGS",
     "compile_shared",
     "compiler_version",

@@ -43,12 +43,10 @@ from repro.plancache.fingerprint import (
 )
 from repro.plancache.stats import CacheStats
 from repro.plancache.store import (
-    CACHE_DIR_ENV,
     CacheEntry,
     DEFAULT_MEMORY_BUDGET,
     DiskStore,
     FORMAT_VERSION,
-    MAX_BYTES_ENV,
     MemoryLRU,
     PlanCache,
     resolve_cache_dir,
@@ -56,13 +54,11 @@ from repro.plancache.store import (
 )
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CacheEntry",
     "CacheStats",
     "DEFAULT_MEMORY_BUDGET",
     "DiskStore",
     "FORMAT_VERSION",
-    "MAX_BYTES_ENV",
     "MemoryLRU",
     "PlanCache",
     "resolve_max_bytes",

@@ -27,10 +27,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-#: Extra salt mixed into :func:`code_version_salt`.  Tests (and operators
-#: migrating cache formats) can set ``REPRO_PLANCACHE_SALT`` or assign the
+#: Extra salt mixed into :func:`code_version_salt`.  Tests assign the
 #: module attribute to force a cold cache without touching source files.
-SALT_EXTRA = os.environ.get("REPRO_PLANCACHE_SALT", "")
+SALT_EXTRA = ""
 
 #: Modules whose source feeds the code-version salt: the reordering
 #: algorithms, the step table and composed inspector that drive them,

@@ -26,7 +26,6 @@ loader re-checks before trusting the arrays.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import backends
 from repro.errors import CacheError
 from repro.plancache.filestore import (
     QUARANTINE_DIR,
@@ -52,42 +52,38 @@ FORMAT_VERSION = 1
 #: Default in-memory byte budget (64 MiB of realized index arrays).
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
 
-#: Environment override for the disk tier's directory.
-CACHE_DIR_ENV = "REPRO_PLANCACHE_DIR"
-
-#: Environment override for the disk tier's byte budget (0 = unlimited).
-MAX_BYTES_ENV = "REPRO_PLANCACHE_MAX_BYTES"
-
 #: In-process epoch-aux slots kept per :class:`PlanCache` (small: each
 #: aux holds two int64 arrays over rows/occurrences plus a tile DAG).
 AUX_SLOTS = 16
 
 
 def resolve_max_bytes(max_bytes=None) -> Optional[int]:
-    """Disk byte budget: explicit arg > env var > unlimited (``None``)."""
-    if max_bytes is not None:
-        return int(max_bytes) or None
-    env = os.environ.get(MAX_BYTES_ENV)
-    if env:
-        try:
-            return int(env) or None
-        except ValueError:
-            raise CacheError(
-                f"{MAX_BYTES_ENV}={env!r} is not an integer",
-                stage="plancache",
-                hint="set it to a byte count, or unset it for unlimited",
-            ) from None
-    return None
+    """Disk byte budget: explicit arg > ``REPRO_PLANCACHE_MAX_BYTES`` >
+    unlimited (``None``; a budget of 0 also means unlimited)."""
+    source = "max_bytes"
+    if max_bytes is None:
+        max_bytes = backends.read(backends.PLANCACHE_MAX_BYTES)
+        source = backends.PLANCACHE_MAX_BYTES.name
+        if max_bytes is None:
+            return None
+    max_bytes = int(max_bytes)
+    if max_bytes < 0:
+        raise CacheError(
+            f"{source}={max_bytes} is a negative byte budget",
+            stage="plancache",
+            hint="set a byte count >= 0 (0 = unlimited)",
+        )
+    return max_bytes or None
 
 
 def resolve_cache_dir(directory=None) -> Path:
-    """The disk tier's directory: explicit arg > env var > user cache."""
-    if directory is not None:
-        return Path(directory).expanduser()
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env).expanduser()
-    return Path("~/.cache/repro/plancache").expanduser()
+    """The disk tier's directory: explicit arg > ``REPRO_PLANCACHE_DIR``
+    > user cache."""
+    if directory is None:
+        directory = backends.read(backends.PLANCACHE_DIR)
+        if directory is None:
+            directory = "~/.cache/repro/plancache"
+    return Path(directory).expanduser()
 
 
 @dataclass
@@ -249,8 +245,8 @@ class DiskStore(FileStore):
             raise CacheError(
                 f"cannot write cache artifact under {self.directory}: {exc}",
                 stage="plancache",
-                hint=f"point {CACHE_DIR_ENV} (or --cache-dir) at a "
-                "writable directory, or disable the disk tier",
+                hint=f"point {backends.PLANCACHE_DIR.name} (or --cache-dir) "
+                "at a writable directory, or disable the disk tier",
             ) from exc
         # Budget enforcement runs *after* the atomic rename (a pre-write
         # size check would be a TOCTOU against racing writers), artifact
@@ -469,12 +465,10 @@ class PlanCache:
 
 __all__ = [
     "AUX_SLOTS",
-    "CACHE_DIR_ENV",
     "CacheEntry",
     "DEFAULT_MEMORY_BUDGET",
     "DiskStore",
     "FORMAT_VERSION",
-    "MAX_BYTES_ENV",
     "MemoryLRU",
     "PlanCache",
     "resolve_cache_dir",

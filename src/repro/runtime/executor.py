@@ -176,7 +176,8 @@ def run_numeric_wavefront(
     (``None`` treats every tile as its own wave — plain sequential tile
     order).  This is one bind and one call: ``backend`` / ``sanitize``
     pass unresolved to :func:`~repro.lowering.executor.compile_executor`
-    (argument > the ``REPRO_EXECUTOR_*`` variable > default), and every
+    (argument > ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_SANITIZE``
+    > default), and every
     tier runs the groups of ``waves`` level-synchronously.
 
     The reduction commits apply in one order, fixed by the schedule, so

@@ -21,8 +21,8 @@ plus per-injector rates, and every fire/no-fire decision is a pure
 function of ``(seed, injector, request sequence number)`` — re-running a
 chaos campaign with the same plan and workload replays exactly the same
 faults.  Plans serialize to JSON (:meth:`ChaosPlan.to_dict`) and travel
-to worker processes through one environment variable, so a respawned
-worker rejoins the same campaign.
+to each worker process in its start-up options, so a respawned worker
+rejoins the same campaign.
 
 The correctness bar chaos runs enforce (see ``tests/service/test_chaos``
 and ``benchmarks/bench_ext_fleet.py``): every recovered request's
@@ -42,11 +42,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from repro import backends
 from repro.errors import ValidationError
 from repro.plancache.filestore import FileStore
-
-#: Environment variable carrying the JSON chaos plan into worker processes.
-CHAOS_PLAN_ENV = "REPRO_CHAOS_PLAN"
 
 #: The recognized injectors (rate fields are ``<name>_rate``).
 INJECTORS = ("kill", "stall", "slow", "corrupt")
@@ -162,9 +160,10 @@ class ChaosPlan:
 
     @classmethod
     def from_env(cls, value: Optional[str] = None) -> Optional["ChaosPlan"]:
-        """The plan a worker process should run under (``None``: no chaos)."""
+        """The plan ``value`` (default: ``REPRO_CHAOS_PLAN``) describes
+        (``None``: no chaos)."""
         if value is None:
-            value = os.environ.get(CHAOS_PLAN_ENV, "")
+            value = backends.read(backends.CHAOS_PLAN)
         if not value:
             return None
         plan = cls.from_dict(json.loads(value))
@@ -271,7 +270,6 @@ class CacheCorruptor:
 
 
 __all__ = [
-    "CHAOS_PLAN_ENV",
     "CacheCorruptor",
     "ChaosPlan",
     "INJECTORS",

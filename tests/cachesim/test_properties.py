@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.cachesim.cache import CacheConfig, SetAssociativeCache
+from repro.cachesim.cache import CacheConfig
 from repro.cachesim.hierarchy import MemoryHierarchy
+from tests.cachesim.oracle import SetAssociativeCache
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """Bit-identity property suite: the vectorized engine vs the oracle.
 
 The vectorized simulator (:mod:`repro.cachesim.simd`) must agree with
-the per-access reference simulator *exactly* — same hits, same misses,
+the per-access oracle (``tests/cachesim/oracle.py``) *exactly* — same hits, same misses,
 same miss-line streams, same write-backs — on every input.  These tests
 drive both engines over Hypothesis-generated traces spanning the whole
 geometry space (direct-mapped through 8-way, 1..8 sets, tiny stress
@@ -9,7 +9,6 @@ windows that force every cascade tier) and over two-level hierarchies
 with and without write flags.
 """
 
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -17,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.cache import CacheConfig, SetAssociativeCache
-from repro.cachesim.hierarchy import MemoryHierarchy, resolve_backend
+from repro.cachesim import hierarchy
+from repro.cachesim.cache import CacheConfig
+from repro.cachesim.hierarchy import MemoryHierarchy
 from repro.cachesim.simd import classify_hits, simulate_level
+from tests.cachesim import oracle
+from tests.cachesim.oracle import SetAssociativeCache
 
 pytestmark = pytest.mark.simd
 
@@ -124,17 +126,16 @@ TWO_LEVEL = (
 )
 def test_two_level_hierarchy_backends_identical(lines, with_writes):
     """The full hierarchy — L1 misses chained into a wider-lined L2 —
-    is bit-identical across backends, with and without write flags."""
+    is bit-identical with the oracle as its level engine, with and
+    without write flags."""
     lines = np.array(lines, dtype=np.int64)
     writes = None
     if with_writes:
         writes = np.random.default_rng(len(lines)).random(len(lines)) < 0.3
-    ref = MemoryHierarchy(TWO_LEVEL, backend="reference").simulate_lines(
-        lines, writes
-    )
-    vec = MemoryHierarchy(TWO_LEVEL, backend="vectorized").simulate_lines(
-        lines, writes
-    )
+    vec = MemoryHierarchy(TWO_LEVEL).simulate_lines(lines, writes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hierarchy, "simulate_level", oracle.simulate_level)
+        ref = MemoryHierarchy(TWO_LEVEL).simulate_lines(lines, writes)
     for level_ref, level_vec in zip(ref.level_stats, vec.level_stats):
         assert level_ref.accesses == level_vec.accesses
         assert level_ref.misses == level_vec.misses
@@ -187,25 +188,13 @@ def test_randomized_sweep_large_windows():
         assert np.array_equal(got, want), (n, num_sets, assoc, window)
 
 
-def test_resolve_backend_env_override(monkeypatch):
-    assert resolve_backend(None) == "vectorized"
-    assert resolve_backend("reference") == "reference"
-    monkeypatch.setenv("REPRO_CACHESIM_BACKEND", "reference")
-    assert resolve_backend(None) == "reference"
-    assert resolve_backend("auto") == "reference"
-    with pytest.raises(ValueError):
-        resolve_backend("fancy")
-
-
 def test_malloc_tune_gate(monkeypatch):
-    """The allocator tuning is best-effort and env-gated off."""
+    """The allocator tuning is best-effort: it never raises, and the
+    decision is recorded so it runs once per process."""
     import repro.cachesim.simd as simd
 
-    monkeypatch.setenv("REPRO_CACHESIM_NO_MALLOC_TUNE", "1")
     monkeypatch.setattr(simd, "_MALLOC_TUNED", False)
-    simd._tune_allocator()  # gated off: must not raise, decision recorded
+    simd._tune_allocator()
     assert simd._MALLOC_TUNED is True
-    monkeypatch.setattr(simd, "_MALLOC_TUNED", False)
-    monkeypatch.delenv("REPRO_CACHESIM_NO_MALLOC_TUNE")
     simd._tune_allocator()
     assert simd._MALLOC_TUNED is True

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cachesim.cache import CacheConfig, SetAssociativeCache
+from repro.cachesim.cache import CacheConfig
 from repro.cachesim.hierarchy import MemoryHierarchy
 from repro.cachesim.machines import PENTIUM4
 from repro.cachesim.model import simulate_cost
 from repro.cachesim.trace import TraceBuilder
 from repro.kernels import generate_dataset, make_kernel_data
 from repro.runtime.executor import emit_trace
+from tests.cachesim.oracle import SetAssociativeCache
 
 
 def cache(size=128, line=64, ways=1):

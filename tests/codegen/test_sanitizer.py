@@ -390,6 +390,14 @@ def test_sanitize_env_switch(monkeypatch):
     assert not compiled.sanitized
 
 
+@pytest.mark.parametrize("value", ["enabled", "2"])
+def test_sanitize_env_typo_is_an_error(monkeypatch, value):
+    """A mistyped switch must not silently read as off."""
+    monkeypatch.setenv("REPRO_EXECUTOR_SANITIZE", value)
+    with pytest.raises(ValidationError, match="REPRO_EXECUTOR_SANITIZE"):
+        compile_executor("moldyn", backend="numpy", memo=False)
+
+
 def test_sanitized_artifact_is_distinct():
     plain = compile_executor("moldyn", backend="numpy", memo=False)
     guarded = compile_executor(

@@ -57,7 +57,7 @@ def test_grid_tasks_match_serial_order(serial_rows):
 def test_broken_pool_degrades_to_serial(serial_rows, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
-    def _boom(tasks, jobs, backend, chunksize=1):
+    def _boom(tasks, jobs, chunksize=1):
         raise BrokenProcessPool("worker died")
 
     monkeypatch.setattr(par, "_run_pool", _boom)
@@ -95,7 +95,7 @@ def test_worker_initializer_installs_plan_cache():
 
     assert experiments._PLAN_CACHE is None
     try:
-        par._init_worker("vectorized")
+        par._init_worker()
         assert experiments._PLAN_CACHE is not None
         assert experiments._PLAN_CACHE.disk is None  # memory tier only
     finally:

@@ -97,6 +97,19 @@ class TestNoToolchainFallback:
         ]
         assert len(fallback_warnings) == 1  # once per process, not per bind
 
+    def test_missing_cc_override_is_named(self, monkeypatch):
+        """An unknown ``REPRO_CC`` is the reason, not the PATH probe the
+        override skipped."""
+        monkeypatch.setenv("REPRO_CC", "no-such-cc")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = resolve_executor_backend("c")
+        assert res.backend == "numpy"
+        (warning,) = [
+            w for w in caught if issubclass(w.category, BackendFallbackWarning)
+        ]
+        assert "REPRO_CC='no-such-cc' not found" in str(warning.message)
+
     def test_compile_executor_under_fallback_still_runs(self, monkeypatch):
         monkeypatch.setattr(toolchain, "find_compiler", lambda: None)
         with warnings.catch_warnings():

@@ -5,15 +5,18 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.errors import CacheError
+from repro.errors import CacheError, ValidationError
 from repro.plancache import (
-    CACHE_DIR_ENV,
     CacheEntry,
     DiskStore,
     MemoryLRU,
     PlanCache,
     resolve_cache_dir,
+    resolve_max_bytes,
 )
+
+CACHE_DIR_ENV = "REPRO_PLANCACHE_DIR"
+MAX_BYTES_ENV = "REPRO_PLANCACHE_MAX_BYTES"
 
 pytestmark = pytest.mark.plancache
 
@@ -147,6 +150,36 @@ class TestResolveCacheDir:
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         resolved = str(resolve_cache_dir())
         assert resolved.endswith("repro/plancache")
+
+
+class TestResolveMaxBytes:
+    def test_explicit_argument_wins(self, monkeypatch):
+        monkeypatch.setenv(MAX_BYTES_ENV, "100")
+        assert resolve_max_bytes(50) == 50
+        assert resolve_max_bytes() == 100
+
+    def test_zero_and_unset_mean_unlimited(self, monkeypatch):
+        monkeypatch.delenv(MAX_BYTES_ENV, raising=False)
+        assert resolve_max_bytes() is None
+        assert resolve_max_bytes(0) is None
+
+    def test_negative_budget_is_refused_from_either_source(
+        self, tmp_path, monkeypatch
+    ):
+        """A negative budget used to be accepted, and then every put
+        published its artifact and raised from the eviction pass."""
+        monkeypatch.delenv(MAX_BYTES_ENV, raising=False)
+        with pytest.raises(CacheError, match=r"max_bytes=-5"):
+            DiskStore(tmp_path, max_bytes=-5)
+        monkeypatch.setenv(MAX_BYTES_ENV, "-5")
+        with pytest.raises(CacheError, match=rf"{MAX_BYTES_ENV}=-5"):
+            DiskStore(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_integer_env_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setenv(MAX_BYTES_ENV, "lots")
+        with pytest.raises(ValidationError, match=MAX_BYTES_ENV):
+            resolve_max_bytes()
 
 
 class TestPlanCache:

@@ -1,11 +1,14 @@
-"""The shared backend-resolution helper: one policy for every switch."""
+"""The settings table and the shared backend-resolution policy."""
 
 import warnings
 
 import pytest
 
 from repro import backends
-from repro.backends import BackendFallbackWarning, resolve
+from repro.backends import BackendFallbackWarning, Setting, resolve
+from repro.errors import ValidationError
+
+DEMO = Setting("REPRO_DEMO_BACKEND", str, None, "demo selector")
 
 
 @pytest.fixture(autouse=True)
@@ -18,7 +21,7 @@ def _fresh_announcements():
 def _resolve(requested=None, env=None, monkeypatch=None, **kw):
     kw.setdefault("subsystem", "demo")
     kw.setdefault("choices", ("auto", "fast", "slow"))
-    kw.setdefault("env_var", "REPRO_DEMO_BACKEND")
+    kw.setdefault("setting", DEMO)
     kw.setdefault("default", "slow")
     kw.setdefault("ladder", ("fast", "slow"))
     if monkeypatch is not None:
@@ -110,15 +113,37 @@ class TestFallback:
         assert res.backend == "slow" and not caught
 
 
-class TestCachesimDelegation:
-    def test_cachesim_resolution_still_matches_old_semantics(self, monkeypatch):
-        from repro.cachesim.hierarchy import resolve_backend
+class TestSettings:
+    def test_every_setting_is_a_repro_variable_with_a_doc(self):
+        names = [setting.name for setting in backends.SETTINGS]
+        assert len(set(names)) == len(names) == 6
+        for setting in backends.SETTINGS:
+            assert setting.name.startswith("REPRO_") and setting.doc
 
-        monkeypatch.delenv("REPRO_CACHESIM_BACKEND", raising=False)
-        assert resolve_backend(None) == "vectorized"
-        assert resolve_backend("reference") == "reference"
-        monkeypatch.setenv("REPRO_CACHESIM_BACKEND", "reference")
-        assert resolve_backend("auto") == "reference"
-        assert resolve_backend("vectorized") == "vectorized"
-        with pytest.raises(ValueError, match="unknown cachesim backend"):
-            resolve_backend("gpu")
+    def test_read_happens_at_call_time(self, monkeypatch):
+        monkeypatch.delenv(DEMO.name, raising=False)
+        assert backends.read(DEMO) is None
+        monkeypatch.setenv(DEMO.name, "fast")
+        assert backends.read(DEMO) == "fast"
+        monkeypatch.setenv(DEMO.name, "")
+        assert backends.read(DEMO) is None
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("1", True), ("TRUE", True), (" on ", True), ("yes", True),
+         ("0", False), ("false", False), ("Off", False), ("no", False)],
+    )
+    def test_flag_values(self, monkeypatch, raw, value):
+        monkeypatch.setenv(backends.EXECUTOR_SANITIZE.name, raw)
+        assert backends.read(backends.EXECUTOR_SANITIZE) is value
+
+    @pytest.mark.parametrize("raw", ["enabled", "2", "y"])
+    def test_a_mistyped_flag_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(backends.EXECUTOR_SANITIZE.name, raw)
+        with pytest.raises(ValidationError, match="REPRO_EXECUTOR_SANITIZE"):
+            backends.read(backends.EXECUTOR_SANITIZE)
+
+    def test_publish_is_seen_by_the_next_read(self, monkeypatch):
+        monkeypatch.setenv(DEMO.name, "fast")  # restored after the test
+        backends.publish(DEMO, "slow")
+        assert backends.read(DEMO) == "slow"
