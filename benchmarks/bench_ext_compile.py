@@ -8,12 +8,13 @@ moldyn/mol1 input:
 
 * executor-only wall clock per backend — the interpreter-speed
   generated-Python executor (Figure 13 as scalar loops, the floor),
-  the library executor, and the compiled ``numpy`` / ``c`` backends;
+  the hand-written oracle of the test suite (``tests/kernels/oracle.py``,
+  the "reference" side), and the ``numpy`` / ``c`` backends;
 * bind latency — cold compile vs a warm artifact-cache hit, for both
   compiled backends (the C rung only where a toolchain exists).
 
 Identity contract: the compiled backends must be ``array_equal`` with
-the library executor (same operations, same order); the scalar
+the oracle (same operations, same order); the scalar
 generated-Python executor interleaves the two commit streams, so it is
 held to ``allclose`` only.  Timing protocol: contenders are interleaved
 round-robin and the minimum over rounds is reported, so container noise
@@ -34,7 +35,7 @@ from repro.kernels.datasets import DEFAULT_SCALE
 from repro.lowering import toolchain
 from repro.lowering.executor import clear_executor_memo, compile_executor
 from repro.kernels.specs import kernel_by_name
-from repro.runtime.executor import run_numeric
+from tests.kernels.oracle import run_oracle
 
 ROUNDS = 5
 NUM_STEPS = 2
@@ -73,10 +74,6 @@ def _generated_python_runner():
 
 
 def _backend_runner(backend):
-    if backend == "library":
-        return lambda data: run_numeric(
-            data, num_steps=NUM_STEPS, backend="library"
-        )
     compiled = compile_executor("moldyn", backend=backend)
 
     def run(data):
@@ -129,13 +126,15 @@ def run_experiment():
     clear_executor_memo()
     base = _figure6_data()
 
-    runners = {"generated-python": _generated_python_runner()}
-    backends = ["library", "numpy"] + (["c"] if HAVE_CC else [])
-    for backend in backends:
+    runners = {
+        "generated-python": _generated_python_runner(),
+        "oracle": lambda data: run_oracle(data, num_steps=NUM_STEPS),
+    }
+    for backend in ["numpy"] + (["c"] if HAVE_CC else []):
         runners[backend] = _backend_runner(backend)
 
     timed = _round_robin_min(base, runners)
-    ref = timed["library"][1]
+    ref = timed["oracle"][1]
     baseline_t = timed["generated-python"][0]
 
     rows = []

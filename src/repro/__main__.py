@@ -340,6 +340,7 @@ def _executor_backend_lines():
     """Executor-backend selection + toolchain probe + IR-verifier status
     (for ``doctor``)."""
     from repro.analysis.irverify import verify_executor
+    from repro.kernels.specs import KERNEL_NAMES
     from repro.lowering.executor import executor_backend_report
 
     report = executor_backend_report()
@@ -360,8 +361,7 @@ def _executor_backend_lines():
         "(evict with `repro cache gc --max-bytes N`)",
     ]
     verification = {
-        kernel: verify_executor(kernel).proven
-        for kernel in ("moldyn", "nbf", "irreg")
+        kernel: verify_executor(kernel).proven for kernel in KERNEL_NAMES
     }
     report["verifier"]["kernels"] = verification
     status = "  ".join(
@@ -679,23 +679,20 @@ def _cmd_serve(args) -> int:
             ),
             file=sys.stderr,
         )
-        if resolution.backend != "library":
-            from repro.analysis.irverify import (
-                IRVERIFY_VERSION,
-                verify_executor,
-            )
-            from repro.lowering.executor import sanitize_enabled
+        from repro.analysis.irverify import IRVERIFY_VERSION, verify_executor
+        from repro.kernels.specs import KERNEL_NAMES
+        from repro.lowering.executor import sanitize_enabled
 
-            status = "  ".join(
-                f"{kernel}:"
-                + ("proven" if verify_executor(kernel).proven else "UNPROVEN")
-                for kernel in ("moldyn", "nbf", "irreg")
-            )
-            print(
-                f"ir verifier [{IRVERIFY_VERSION}]: {status}  "
-                f"sanitizer: {'on' if sanitize_enabled() else 'off'}",
-                file=sys.stderr,
-            )
+        status = "  ".join(
+            f"{kernel}:"
+            + ("proven" if verify_executor(kernel).proven else "UNPROVEN")
+            for kernel in KERNEL_NAMES
+        )
+        print(
+            f"ir verifier [{IRVERIFY_VERSION}]: {status}  "
+            f"sanitizer: {'on' if sanitize_enabled() else 'off'}",
+            file=sys.stderr,
+        )
 
     sink = None
     if args.trace:
@@ -945,6 +942,9 @@ def _bench_serve_chaos(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.kernels.specs import KERNEL_NAMES
+    from repro.lowering.executor import EXECUTOR_BACKENDS
+
     policy = argparse.ArgumentParser(add_help=False)
     group = policy.add_mutually_exclusive_group()
     group.add_argument(
@@ -991,11 +991,11 @@ def main(argv=None) -> int:
         p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("describe", help="dump a kernel's specifications")
-    p.add_argument("kernel", choices=["moldyn", "nbf", "irreg"])
+    p.add_argument("kernel", choices=KERNEL_NAMES)
     p.set_defaults(func=_cmd_describe)
 
     p = sub.add_parser("plan", help="plan a composition symbolically")
-    p.add_argument("kernel", choices=["moldyn", "nbf", "irreg"])
+    p.add_argument("kernel", choices=KERNEL_NAMES)
     p.add_argument("steps", nargs="+")
     p.set_defaults(func=_cmd_plan)
 
@@ -1080,10 +1080,10 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--executor-backend",
-        choices=["auto", "library", "numpy", "c"],
+        choices=EXECUTOR_BACKENDS,
         default=None,
         help="executor tier for binds (default: REPRO_EXECUTOR_BACKEND or "
-        "library; c degrades to numpy without a toolchain)",
+        "numpy; c degrades to numpy without a toolchain)",
     )
     p.add_argument(
         "--no-cache", action="store_true", help="serve without a plan cache"

@@ -10,7 +10,7 @@ the variable, so a typo never silently falls back to the default.
 ``os.environ`` (``tests/test_settings_guard.py`` enforces it).
 
 **Backend resolution.**  :func:`resolve` picks the executor tier
-(``library`` | ``numpy`` | ``c``) with one precedence/fallback policy:
+(``numpy`` | ``c``) with one precedence/fallback policy:
 
 * **precedence** — an explicit argument beats the environment variable
   beats the subsystem default; the literal ``"auto"`` (from either the
@@ -84,7 +84,7 @@ CHAOS_PLAN = Setting(
 )
 EXECUTOR_BACKEND = Setting(
     "REPRO_EXECUTOR_BACKEND", str, None,
-    "executor tier: auto, library, numpy or c (unset: library)",
+    "executor tier: auto, numpy or c (unset: numpy)",
 )
 EXECUTOR_SANITIZE = Setting(
     "REPRO_EXECUTOR_SANITIZE", _flag, False,

@@ -65,9 +65,6 @@ def sample_kernel_data(
         left=renumber[left],
         right=renumber[right],
         arrays={k: v[touched].copy() for k, v in data.arrays.items()},
-        loops=data.loops,
-        node_record_bytes=data.node_record_bytes,
-        inter_record_bytes=data.inter_record_bytes,
     )
 
 

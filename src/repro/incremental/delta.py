@@ -218,9 +218,6 @@ class DatasetDelta:
             left=np.concatenate([data.left[keep], self.added_left]),
             right=np.concatenate([data.right[keep], self.added_right]),
             arrays=arrays,
-            loops=data.loops,
-            node_record_bytes=data.node_record_bytes,
-            inter_record_bytes=data.inter_record_bytes,
         )
 
     # -- identity --------------------------------------------------------------

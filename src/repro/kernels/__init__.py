@@ -3,10 +3,11 @@
 Each benchmark exists in two coupled forms:
 
 * a **compile-time spec** (:mod:`repro.kernels.specs`) — the kernel IR fed
-  to the unified-iteration-space framework;
+  to the unified-iteration-space framework, plus the statement bodies
+  every executor tier is emitted from: the one definition of the kernel;
 * a **run-time instance** (:mod:`repro.kernels.data`) — concrete index
-  arrays, data arrays, extents, and the layout metadata (record bytes after
-  inter-array data regrouping) the executors and the cache model consume.
+  arrays, data arrays and extents; its loop shape and record bytes (after
+  inter-array data regrouping) are read from the spec.
 
 :mod:`repro.kernels.datasets` generates synthetic stand-ins for the paper's
 four inputs (mol1, mol2, foil, auto) with matching node:edge ratios and

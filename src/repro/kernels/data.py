@@ -4,7 +4,9 @@ A :class:`KernelData` bundles everything an inspector/executor needs at
 run time: the index arrays (``left``/``right``), the node payload arrays,
 extents, and layout metadata (record sizes after inter-array regrouping).
 It deliberately mirrors the compile-time :class:`~repro.uniform.kernel.Kernel`
-spec of the same name (:func:`repro.kernels.specs.kernel_by_name`).
+spec of the same name (:func:`repro.kernels.specs.kernel_by_name`), and
+reads its loop shape and record bytes from that spec: they are facts of
+the kernel, computed once per kernel name, not fields of an instance.
 
 Facts that depend only on an instance's content — its content
 fingerprints and its validation verdicts — are derived once per
@@ -15,26 +17,36 @@ fact about it exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Tuple
+from typing import Any, Callable, ClassVar, Dict, Hashable, List, Tuple
 
 import numpy as np
 
 from repro.kernels.datasets import Dataset
-from repro.kernels.specs import (
-    INTERACTION_RECORD_BYTES,
-    NODE_RECORD_BYTES,
-    kernel_by_name,
-)
+from repro.kernels.specs import INTERACTION_RECORD_BYTES, kernel_by_name
 from repro.transforms.base import AccessMap
 
 
 @dataclass(frozen=True)
 class LoopDesc:
-    """Run-time view of one loop: label + which space it iterates."""
+    """Run-time view of one loop: label, which space it iterates, and
+    whether it writes node records."""
 
     label: str
     domain: str  # "nodes" or "inters"
+    writes: bool
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(kernel_name: str) -> Tuple[Tuple[LoopDesc, ...], int]:
+    """A kernel's loops and the bytes of its regrouped node record, read
+    from its spec once per kernel."""
+    spec = kernel_by_name(kernel_name)
+    loops = tuple(
+        LoopDesc(loop.label, loop.domain, loop.writes) for loop in spec.loops
+    )
+    return loops, sum(a.element_bytes for a in spec.data_arrays.values())
 
 
 #: ``KernelData._derived_from`` before any fact: (scalar fields, left,
@@ -53,9 +65,8 @@ class KernelData:
     right: np.ndarray
     #: Node payload arrays, keyed like the kernel spec's data arrays.
     arrays: Dict[str, np.ndarray]
-    loops: Tuple[LoopDesc, ...]
-    node_record_bytes: int
-    inter_record_bytes: int = INTERACTION_RECORD_BYTES
+    #: Bytes per interaction record, the same for every kernel.
+    inter_record_bytes: ClassVar[int] = INTERACTION_RECORD_BYTES
     #: Derived facts (see :meth:`derived`) and what they were derived
     #: from; never copied, compared or pickled.
     _facts: Dict[Hashable, Any] = field(
@@ -96,13 +107,20 @@ class KernelData:
         return self._facts[key]
 
     def _scalar_fields(self) -> Tuple:
-        return (
-            self.kernel_name, self.dataset_name, self.num_nodes, self.loops,
-            self.node_record_bytes, self.inter_record_bytes,
-        )
+        return (self.kernel_name, self.dataset_name, self.num_nodes)
 
     def __getstate__(self):
         return {**self.__dict__, "_facts": {}, "_derived_from": _NOTHING_DERIVED}
+
+    @property
+    def loops(self) -> Tuple[LoopDesc, ...]:
+        """The kernel's loops, in program order."""
+        return _layout(self.kernel_name)[0]
+
+    @property
+    def node_record_bytes(self) -> int:
+        """Bytes of one node record after inter-array regrouping."""
+        return _layout(self.kernel_name)[1]
 
     @property
     def num_inter(self) -> int:
@@ -135,9 +153,6 @@ class KernelData:
             left=self.left.copy(),
             right=self.right.copy(),
             arrays={k: v.copy() for k, v in self.arrays.items()},
-            loops=self.loops,
-            node_record_bytes=self.node_record_bytes,
-            inter_record_bytes=self.inter_record_bytes,
         )
 
     def symbols(self) -> Dict[str, int]:
@@ -149,17 +164,6 @@ class KernelData:
             f"KernelData({self.kernel_name!r}, {self.dataset_name!r}, "
             f"nodes={self.num_nodes}, inters={self.num_inter})"
         )
-
-
-_LOOPS: Dict[str, Tuple[LoopDesc, ...]] = {
-    "moldyn": (
-        LoopDesc("Li", "nodes"),
-        LoopDesc("Lj", "inters"),
-        LoopDesc("Lk", "nodes"),
-    ),
-    "nbf": (LoopDesc("Lj", "inters"), LoopDesc("Lk", "nodes")),
-    "irreg": (LoopDesc("Lj", "inters"), LoopDesc("Lk", "nodes")),
-}
 
 
 def make_kernel_data(
@@ -179,6 +183,4 @@ def make_kernel_data(
         left=dataset.left.astype(np.int64),
         right=dataset.right.astype(np.int64),
         arrays=arrays,
-        loops=_LOOPS[kernel_name],
-        node_record_bytes=NODE_RECORD_BYTES[kernel_name],
     )

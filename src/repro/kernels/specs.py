@@ -22,12 +22,10 @@ record-byte column is the knob that reproduces that observation.
 Baseline and transformed executors both use inter-array data regrouping
 (Ding & Kennedy [8]), so the node payload is modeled as one record; the
 ``element_bytes`` of each :class:`~repro.uniform.kernel.DataArraySpec`
-carries the per-array share.
+carries the per-array share, and a record's bytes are their sum.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.presburger.terms import AffineExpr, var
 from repro.uniform.kernel import (
@@ -40,10 +38,6 @@ from repro.uniform.kernel import (
     reduce_into,
     write,
 )
-
-#: Bytes of node payload per benchmark once inter-array regrouping packs
-#: the per-node arrays into one record.
-NODE_RECORD_BYTES: Dict[str, int] = {"moldyn": 72, "nbf": 32, "irreg": 16}
 
 #: Bytes per interaction record (two int32 endpoints).
 INTERACTION_RECORD_BYTES = 8
@@ -161,9 +155,10 @@ def irreg_kernel() -> Kernel:
     )
 
 
-#: Scalar statement bodies for the code generator, written over the loop
-#: index variables of the IR.  They match the vectorized executors in
-#: :mod:`repro.kernels.executors` exactly (the test suite asserts it).
+#: Scalar statement bodies, written over the loop index variables of the
+#: IR: each kernel's arithmetic, defined here and nowhere else.
+#: :func:`repro.lowering.ir.lower_kernel` parses them, and every executor
+#: tier is emitted from the result.
 STATEMENT_CODE = {
     "moldyn": {
         "S1": "x[i] = x[i] + 0.01 * vx[i] + 0.0005 * fx[i]",
@@ -188,6 +183,9 @@ _BUILDERS = {
     "nbf": nbf_kernel,
     "irreg": irreg_kernel,
 }
+
+#: Every benchmark kernel, in the paper's order.
+KERNEL_NAMES = tuple(_BUILDERS)
 
 
 def kernel_by_name(name: str) -> Kernel:

@@ -10,7 +10,7 @@ vectorize -> parallelize), and emits either a NumPy phase table
 tiled unit holding the phase functions and the wave loop).
 :mod:`repro.lowering.executor` binds the chosen backend, content-
 addresses the artifacts in the plan cache, and guarantees bit-identity
-with the library executor.
+across the tiers.
 """
 
 from repro.lowering.executor import (

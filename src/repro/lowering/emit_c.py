@@ -27,7 +27,7 @@ arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
   outermost) + ``wave_off`` (``num_waves + 1`` entries), then
   ``num_tiles`` and the ``scratch`` payload buffer.
 
-Bit-identity with the library executor comes from emitting the *same
+Bit-identity with the ``numpy`` tier comes from emitting the *same
 operation sequence* ``numpy`` performs, not from tolerances:
 
 * a vectorized node update ``x += e`` is per-element

@@ -1,21 +1,21 @@
 """Emit a kernel's NumPy phase table from the rewritten loop-nest IR.
 
-The emitted module is the compiled analogue of
-:mod:`repro.kernels.executors` — ordinary Python over ``numpy`` whose
-payload is ``PHASES``, one :class:`~repro.kernels.executors.KernelPhase`
-per kernel loop, the same shape as the hand-written
-:data:`~repro.kernels.executors.PHASE_FUNCTIONS` and **operation-
-identical** to it:
+The emitted module is the ``numpy`` executor tier, and the default one:
+ordinary Python over ``numpy`` whose payload is ``PHASES``, one
+:class:`~repro.lowering.schedule.KernelPhase` per kernel loop, emitted
+from the kernel's one definition (:mod:`repro.kernels.specs`, lowered
+and rewritten).  The test suite holds it operation-identical to a
+hand-written reference table (``tests/kernels/oracle.py``):
 
 * a vectorized node loop is ``apply(arrays, iters)``: the in-place
-  update the step functions perform, over an iteration subset — an
-  index array, or a ``slice`` for a range-form tile
+  update of the statement, over an iteration subset — an index array,
+  or a ``slice`` for a range-form tile
   (``x[iters] += 0.01 * vx[iters] + 0.0005 * fx[iters]``);
 * a fissioned interaction loop is ``gather(arrays, l, r)`` — one batched,
   pure evaluation of the payload over the endpoint arrays — plus
   ``commit(arrays, l, r, payload)``: one ``np.add.at`` per commit, in
-  statement order — exactly the library's gather/commit sequence, so
-  results are bit-identical;
+  statement order, the fold order the C tier reproduces, so results are
+  bit-identical;
 * loops the pipeline left scalar become faithful Figure-13 scalar loops
   (the interpreter-speed rendering; ablation only) behind the same
   signatures: an unfissioned interaction loop gathers nothing and runs
@@ -24,10 +24,9 @@ identical** to it:
 
 The module holds no schedule and no entry point: *how* the table runs —
 over which tiles and wave groups — is decided by the wave driver of
-:mod:`repro.lowering.schedule`, which serves this table and the
-hand-written one alike.  An untiled bind is that driver over the trivial
-schedule (one tile, every loop a whole-range ``slice``), so it performs
-the paper's Figure 13 operation sequence.  With ``sanitize`` the module
+:mod:`repro.lowering.schedule`.  An untiled bind is that driver over
+the trivial schedule (one tile, every loop a whole-range ``slice``), so
+it performs the paper's Figure 13 operation sequence.  With ``sanitize`` the module
 also defines ``guard(...)``, the bounds prologue the driver's entry
 calls before any mutation.
 """
@@ -49,9 +48,9 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-#: numpy-4: ``guard`` takes no counter DAG (a stale ``numpy-3`` module's
-#: guard has another signature).
-EMITTER_VERSION = "numpy-4"
+#: numpy-5: ``KernelPhase`` is imported from ``repro.lowering.schedule``
+#: (a stale ``numpy-4`` module imports it from a deleted module).
+EMITTER_VERSION = "numpy-5"
 
 #: Appended to the artifact key when the sanitizer prologue is emitted,
 #: so guarded and unguarded modules never collide in the cache.
@@ -198,7 +197,7 @@ def emit_numpy(program: Program, sanitize: bool = False) -> str:
     w.line("import numpy as np")
     if sanitize:
         w.line("from repro.errors import ExecutorBoundsError")
-    w.line("from repro.kernels.executors import KernelPhase")
+    w.line("from repro.lowering.schedule import KernelPhase")
     w.line()
     w.line()
     if sanitize:

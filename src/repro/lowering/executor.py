@@ -1,26 +1,29 @@
 """Bind-time compilation and selection of executor backends.
 
-Three backends implement the same executor contract:
+Two backends implement the same executor contract, both emitted from
+the kernel's one definition (:mod:`repro.kernels.specs`, lowered and
+rewritten):
 
-* ``library`` — the hand-written NumPy step/phase tables of
-  :mod:`repro.kernels.executors` (the default; zero compilation; the
-  reference the identity suites compare against);
-* ``numpy``  — the phase table :mod:`repro.lowering.emit_numpy` emits
-  from the rewritten IR, exec'd at bind time;
-* ``c``      — generated C from :mod:`repro.lowering.emit_c`, compiled
+* ``numpy`` — the phase table :mod:`repro.lowering.emit_numpy` emits
+  from the rewritten IR, exec'd at bind time (the default);
+* ``c``     — generated C from :mod:`repro.lowering.emit_c`, compiled
   to a shared object at bind time and driven through ``ctypes``.
+
+``library``, the hand-written tier that was once the default, is only an
+alias of ``numpy`` now (:data:`LIBRARY_ALIAS`); its tables are the test
+oracle.
 
 Each tier binds one artifact per (kernel, config) — the rewritten,
 blocked program and its one proof — and runs it over a tile schedule:
-the two Python tiers hand their phase table to the wave driver of
-:mod:`repro.lowering.schedule` (they differ only in where the table
-comes from), the C tier calls the unit's one entry point ``run_tiled``
-through one marshaller (:func:`_c_call`).  ``tiled`` selects only the
-signature of ``run``: an untiled executor is the same call over the
-*trivial schedule* (:func:`~repro.transforms.tile_schedule.
-trivial_schedule`: one tile, every loop in range form, no wave groups,
-one thread), the paper's tiling ``theta(i) = 0``, which runs each loop
-over its whole range in the original order.  Every tier sits behind one
+the ``numpy`` tier hands its phase table to the wave driver of
+:mod:`repro.lowering.schedule`, the C tier calls the unit's one entry
+point ``run_tiled`` through one marshaller (:func:`_c_call`).
+``tiled`` selects only the signature of ``run``: an untiled executor is
+the same call over the *trivial schedule*
+(:func:`~repro.transforms.tile_schedule.trivial_schedule`: one tile,
+every loop in range form, no wave groups, one thread), the paper's
+tiling ``theta(i) = 0``, which runs each loop over its whole range in
+the original order.  Every tier sits behind one
 entry (:func:`_entry`) that checks its outside input — operand names,
 dtypes and lengths and ``num_steps``, the same typed answer on every
 tier — and is where a tile schedule becomes its one representation
@@ -33,7 +36,7 @@ Every tier has one driver, the level-synchronous wave loop, and one
 commit order per call: the wave groups it is handed.
 
 Selection follows the shared policy of :func:`repro.backends.resolve`
-(argument > ``REPRO_EXECUTOR_BACKEND`` > default ``library``); asking
+(argument > ``REPRO_EXECUTOR_BACKEND`` > default ``numpy``); asking
 for ``c`` on a machine without a toolchain degrades to ``numpy`` with a
 single :class:`~repro.backends.BackendFallbackWarning`.
 
@@ -52,6 +55,7 @@ signature and the same floating-point behavior per backend.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import numbers
@@ -75,14 +79,17 @@ from repro.transforms.tile_schedule import (
 
 #: Valid selector values for the executor switch (``auto`` = best
 #: available: ``c`` with a toolchain, else ``numpy``).
-EXECUTOR_BACKENDS = ("auto", "library", "numpy", "c")
+EXECUTOR_BACKENDS = ("auto", "numpy", "c")
 
-#: Default backend: the library executor (no compilation surprises
-#: unless a backend is asked for).
-DEFAULT_EXECUTOR_BACKEND = "library"
+#: Default backend: needs no toolchain.
+DEFAULT_EXECUTOR_BACKEND = "numpy"
 
 #: Best-first ladder for ``auto`` resolution and unavailability walks.
-EXECUTOR_LADDER = ("c", "numpy", "library")
+EXECUTOR_LADDER = ("c", "numpy")
+
+#: Keepalive: the deleted hand-written tier's name, which the frozen
+#: end-to-end harness still asks for; it resolves to ``numpy``.
+LIBRARY_ALIAS = "library"
 
 
 def sanitize_enabled(sanitize: Optional[bool] = None) -> bool:
@@ -97,17 +104,21 @@ def resolve_executor_backend(
     backend: Optional[str] = None, warn: bool = True
 ) -> backends.Resolution:
     """Resolve the executor backend selector (shared policy; the ``c``
-    rung is gated on a live C toolchain)."""
-    return backends.resolve(
+    rung is gated on a live C toolchain, and :data:`LIBRARY_ALIAS`
+    resolves to ``numpy``)."""
+    resolution = backends.resolve(
         backend,
         subsystem="executor",
-        choices=EXECUTOR_BACKENDS,
+        choices=EXECUTOR_BACKENDS + (LIBRARY_ALIAS,),
         setting=backends.EXECUTOR_BACKEND,
         default=DEFAULT_EXECUTOR_BACKEND,
         ladder=EXECUTOR_LADDER,
         available={"c": toolchain.have_toolchain},
         warn=warn,
     )
+    if resolution.backend == LIBRARY_ALIAS:
+        return dataclasses.replace(resolution, backend="numpy")
+    return resolution
 
 
 def artifact_key(program: Program, config: PassConfig, emitter: str) -> str:
@@ -139,8 +150,7 @@ class CompiledExecutor:
     from_cache: bool = False
     state: Optional[RewriteState] = None
     #: ``True``/``False`` once the IR verifier ran (or its cached proof
-    #: was consulted); ``None`` when verification was skipped (library
-    #: backend, or ``verify=False``).
+    #: was consulted); ``None`` when ``verify=False`` skipped it.
     verified: Optional[bool] = None
     #: Whether the bound executor carries the sanitizer guard prologue.
     sanitized: bool = False
@@ -282,9 +292,8 @@ def _entry(
 
 
 def _python_call(phases: list, guard: Optional[Callable] = None) -> Callable:
-    """A Python tier: ``phases`` is the per-loop phase table it computes
-    — hand-written for ``library``, the emitted module's ``PHASES`` for
-    ``numpy`` — and ``guard`` the sanitizer prologue of a sanitized
+    """The ``numpy`` tier: ``phases`` is the emitted module's per-loop
+    ``PHASES`` table and ``guard`` the sanitizer prologue of a sanitized
     module.  Every call runs the table under the wave driver of
     :mod:`repro.lowering.schedule`, whichever schedule named the tiles
     and wave groups."""
@@ -444,11 +453,11 @@ def compile_executor(
     both bind the one blocked artifact and its one proof, and an untiled
     ``run`` is the tiled one over the trivial schedule.
 
-    Compiled backends (``numpy``/``c``) are **gated on proof**: the IR
-    verifier (:mod:`repro.analysis.irverify`) must prove the rewritten
-    program in-bounds, race-free, and translation-validated before
-    emission, or the bind raises :class:`~repro.errors.LegalityError` —
-    unless ``sanitize`` (argument or ``REPRO_EXECUTOR_SANITIZE``) selects
+    Every backend is **gated on proof**: the IR verifier
+    (:mod:`repro.analysis.irverify`) must prove the rewritten program
+    in-bounds, race-free, and translation-validated before emission, or
+    the bind raises :class:`~repro.errors.LegalityError` — unless
+    ``sanitize`` (argument or ``REPRO_EXECUTOR_SANITIZE``) selects
     the guarded emitters, which trap bad indices as typed
     :class:`~repro.errors.ExecutorBoundsError` at run time instead.
     Proof results are content-addressed next to the artifacts, so warm
@@ -465,7 +474,7 @@ def compile_executor(
         )
     resolved = resolve_executor_backend(backend).backend
     config = config or PassConfig()
-    sanitized = sanitize_enabled(sanitize) and resolved != "library"
+    sanitized = sanitize_enabled(sanitize)
 
     memo_key = (
         kernel_name,
@@ -489,7 +498,7 @@ def compile_executor(
     proof_path = None
     proof_cached = False
     store = ArtifactStore(cache_dir)
-    if verify and resolved != "library":
+    if verify:
         verified, proof_path, proof_cached = _verify_with_proof_cache(
             state, store
         )
@@ -506,46 +515,38 @@ def compile_executor(
                 ),
             )
 
-    artifact_path = None
-    from_cache = False
-    if resolved == "library":
-        from repro.kernels.executors import PHASE_FUNCTIONS
-
-        call = _python_call(PHASE_FUNCTIONS[kernel_name])
+    # One build recipe for both tiers: content-addressed source text,
+    # then (C only) the shared object built from it.
+    if resolved == "c":
+        emitter, suffix, emit = emit_c, "c", emit_c.emit_c_tiled
     else:
-        # One build recipe for both emitted tiers: content-addressed
-        # source text, then (C only) the shared object built from it.
-        if resolved == "c":
-            emitter, suffix, emit = emit_c, "c", emit_c.emit_c_tiled
-        else:
-            emitter, suffix, emit = emit_numpy, "py", emit_numpy.emit_numpy
-        version = emitter.EMITTER_VERSION
-        if sanitized:
-            version += "+" + emitter.SANITIZE_TAG
-        key = artifact_key(program, config, version)
-        path, from_cache = store.get_or_build_text(
-            key, suffix, lambda: emit(program, sanitize=sanitized)
+        emitter, suffix, emit = emit_numpy, "py", emit_numpy.emit_numpy
+    version = emitter.EMITTER_VERSION
+    if sanitized:
+        version += "+" + emitter.SANITIZE_TAG
+    key = artifact_key(program, config, version)
+    path, from_cache = store.get_or_build_text(
+        key, suffix, lambda: emit(program, sanitize=sanitized)
+    )
+    if resolved == "c":
+        src_path = path
+        path, from_cache = store.get_or_build_file(
+            key,
+            "so",
+            lambda tmp: toolchain.compile_shared(src_path, tmp),
         )
-        if resolved == "c":
-            src_path = path
-            path, from_cache = store.get_or_build_file(
-                key,
-                "so",
-                lambda tmp: toolchain.compile_shared(src_path, tmp),
-            )
-            call = _c_call(str(path), program, sanitized)
-        else:
-            table: dict = {}
-            exec(compile(path.read_text(), str(path), "exec"), table)
-            call = _python_call(table["PHASES"], table.get("guard"))
-        artifact_path = str(path)
+        call = _c_call(str(path), program, sanitized)
+    else:
+        table: dict = {}
+        exec(compile(path.read_text(), str(path), "exec"), table)
+        call = _python_call(table["PHASES"], table.get("guard"))
     compiled = CompiledExecutor(
         kernel_name=kernel_name,
         backend=resolved,
         tiled=tiled,
         run=_entry(call, program, tiled, sanitized),
         ir_digest=ir_hash(program),
-        artifact_path=artifact_path,
+        artifact_path=str(path),
         from_cache=from_cache,
         state=state,
         verified=verified,
@@ -596,6 +597,7 @@ __all__ = [
     "DEFAULT_EXECUTOR_BACKEND",
     "EXECUTOR_BACKENDS",
     "EXECUTOR_LADDER",
+    "LIBRARY_ALIAS",
     "CompiledExecutor",
     "artifact_key",
     "clear_executor_memo",

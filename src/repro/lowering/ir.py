@@ -12,10 +12,9 @@ kernel: it parses the scalar statement bodies of
 truth the Python code generator emits — with :mod:`ast`, and recognizes
 the update form ``a[idx] = a[idx] ± e1 ± e2 ...``.  The expression tree
 is preserved exactly as written (only the left spine of the top-level
-``+``/``-`` chain is flattened), because the compiled backends must
-reproduce the library executor's floating-point rounding *bit for bit*:
-the grouping of ``x[i] + (0.01*vx[i] + 0.0005*fx[i])`` is part of the
-semantics.
+``+``/``-`` chain is flattened), because every backend must round
+*bit for bit* alike: the grouping of
+``x[i] + (0.01*vx[i] + 0.0005*fx[i])`` is part of the semantics.
 
 Everything here is hashable and serializable; :func:`ir_hash` digests a
 program for the compiled-artifact cache.
@@ -143,9 +142,9 @@ class GatherCommit:
     ``payload`` is the hoisted common subexpression (pure: it reads no
     array any commit writes), evaluated once per iteration; each
     :class:`Commit` applies it as a signed reduction.  Splitting this way
-    is what makes the batched backends bit-identical to the library
-    executor — ``np.add.at`` applies contributions array-by-array in
-    index order, exactly like one scalar pass per commit."""
+    is what keeps the batched backends bit-identical — ``np.add.at``
+    applies contributions array-by-array in index order, exactly like
+    one scalar pass per commit."""
 
     payload: Expr
     commits: Tuple[Commit, ...]
@@ -291,7 +290,7 @@ def parse_statement(
     Recognizes ``a[idx] = a[idx] ± e1 ± e2 ...`` where the first term of
     the right-hand chain reloads the target; the increment is the rest of
     the chain folded left-associatively (which is exactly how the
-    vectorized library executor groups it: ``x += 0.01*vx + 0.0005*fx``
+    vectorized NumPy update groups it: ``x += 0.01*vx + 0.0005*fx``
     evaluates the increment sum before the in-place add).
     """
     tree = ast.parse(code.strip())
@@ -338,7 +337,6 @@ def lower_kernel(kernel) -> Program:
     index_arrays = tuple(kernel.index_arrays)  # dict: name -> spec
     loops: List[LoopIR] = []
     for loop in kernel.loops:
-        domain = "inters" if loop.extent == "num_inter" else "nodes"
         stmts = tuple(
             parse_statement(
                 stmt.label, bodies[stmt.label], loop.index_var, index_arrays
@@ -349,7 +347,7 @@ def lower_kernel(kernel) -> Program:
             LoopIR(
                 label=loop.label,
                 index_var=loop.index_var,
-                domain=domain,
+                domain=loop.domain,
                 extent=loop.extent,
                 stmts=stmts,
             )

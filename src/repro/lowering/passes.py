@@ -10,8 +10,8 @@ application recorded in the :class:`RewriteState` log.
   *gather* of the hoisted common subexpression and per-statement signed
   *commits*.  This is the legality keystone: once the payload is
   computed from arrays the loop never writes, commits can be applied
-  array-by-array in index order — the exact operation sequence of the
-  library executor's ``np.add.at`` calls — so the batched backends stay
+  array-by-array in index order — the exact operation sequence of one
+  ``np.add.at`` call per commit — so the batched backends stay
   bit-identical.  A loop whose statements share no common payload (or
   whose payload reads a committed array) is left in scalar form.
 * **blocking** — mark the program sparse-tiled: the emitted executor

@@ -7,10 +7,10 @@ order, so the fold is fixed by the schedule and every tier is
 bit-identical.  What this module holds:
 
 * :func:`run_wave_phases` — the one Python loop over wave groups, written
-  over a *phase table* (one ``KernelPhase`` per kernel loop).  The
-  ``library`` and ``numpy`` tiers differ only in the table they hand it;
-  the C tier's ``_wave_step`` (:mod:`repro.lowering.emit_c`) is the same
-  loop in C.
+  over a *phase table* (one :class:`KernelPhase` per kernel loop), which
+  :mod:`repro.lowering.emit_numpy` emits for the ``numpy`` tier; the C
+  tier's ``_wave_step`` (:mod:`repro.lowering.emit_c`) is the same loop
+  in C.
 * :class:`TileDAG` and its constructors :func:`tile_dag` /
   :func:`tile_dag_from_tiling` — the tile graph as a successor CSR plus
   in-degrees and the wave commit order.  No executor reads it: it is
@@ -21,7 +21,7 @@ bit-identical.  What this module holds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,11 +116,30 @@ def tile_dag_from_tiling(tiling, edges, waves=None) -> TileDAG:
 # ---------------------------------------------------------------------------
 # The driver of a phase table
 #
-# A phase table is one :class:`~repro.kernels.executors.KernelPhase` per
-# kernel loop — hand-written (``PHASE_FUNCTIONS``, the ``library`` tier)
-# or emitted (:mod:`repro.lowering.emit_numpy`, the ``numpy`` tier).  The
-# table says what a loop computes over an iteration subset; this function
-# is the only Python that says in which order tiles run it.
+# A phase table is one :class:`KernelPhase` per kernel loop, emitted by
+# :mod:`repro.lowering.emit_numpy`.  The table says what a loop computes
+# over an iteration subset; this function is the only Python that says
+# in which order tiles run it.  Interaction phases are split
+# gather/commit: the gather is a pure read, the commit applies the
+# reduction, always in the wave's tile order.
+
+
+@dataclass(frozen=True)
+class KernelPhase:
+    """One loop of a kernel, executable over an iteration subset.
+
+    ``domain == "nodes"``: ``apply(arrays, iters)`` updates each node
+    record independently (writes are disjoint across any iteration
+    partition).  ``domain == "inters"``: ``gather(arrays, l, r)``
+    computes the per-interaction contributions for endpoint index arrays
+    ``l``/``r`` (pure), and ``commit(arrays, l, r, payload)`` applies
+    them as reductions.
+    """
+
+    domain: str
+    apply: Optional[Callable] = None
+    gather: Optional[Callable] = None
+    commit: Optional[Callable] = None
 
 
 def run_wave_phases(
@@ -168,6 +187,7 @@ def run_wave_phases(
 
 
 __all__ = [
+    "KernelPhase",
     "TileDAG",
     "tile_dag",
     "tile_dag_from_tiling",

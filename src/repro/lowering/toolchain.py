@@ -13,7 +13,7 @@ things matter here:
 * **flags** — ``-ffp-contract=off`` is load-bearing: GCC defaults to
   contracting ``a*b+c`` into fused multiply-adds at ``-O2``, which
   changes rounding and would break the bit-identity contract with the
-  library executor.  ``-O2`` alone does not reorder or reassociate FP
+  ``numpy`` tier.  ``-O2`` alone does not reorder or reassociate FP
   arithmetic (that would need ``-ffast-math``), so the emitted operation
   order is the executed operation order.
 """

@@ -12,7 +12,8 @@ the system compiler silently addresses a fresh slot.
 Paths, the crash-safe commit, scans and eviction are
 :class:`~repro.plancache.filestore.FileStore`'s, shared with the plan
 store: two racing builders of one key both succeed, with identical
-content.
+content.  A write that fails (the directory is a file, or not
+writable) is a :class:`~repro.errors.CacheError` naming the directory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 from repro.plancache.filestore import FileStore, evict, eviction_summary
-from repro.plancache.store import resolve_cache_dir
+from repro.plancache.store import resolve_cache_dir, unwritable
 
 #: Subdirectory of the plan-cache root holding compiled artifacts.
 ARTIFACT_SUBDIR = "artifacts"
@@ -38,10 +39,14 @@ class ArtifactStore(FileStore):
         path = self.path(key, suffix)
         return path if path.exists() else None
 
+    def _publish(self, key: str, suffix: str, write) -> Path:
+        try:
+            return self.commit(self.path(key, suffix), write)
+        except OSError as exc:
+            raise unwritable(self.root, exc) from exc
+
     def put_text(self, key: str, suffix: str, text: str) -> Path:
-        return self.commit(
-            self.path(key, suffix), lambda tmp: tmp.write_text(text)
-        )
+        return self._publish(key, suffix, lambda tmp: tmp.write_text(text))
 
     def get_or_build_text(
         self, key: str, suffix: str, build: Callable[[], str]
@@ -68,7 +73,7 @@ class ArtifactStore(FileStore):
                     f"artifact builder produced no file for {key}.{suffix}"
                 )
 
-        return self.commit(self.path(key, suffix), write), False
+        return self._publish(key, suffix, write), False
 
     def gc(self, max_bytes: int) -> dict:
         """Evict least-recently-used artifacts until the store fits a

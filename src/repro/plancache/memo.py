@@ -77,9 +77,6 @@ def result_to_entry(result, steps) -> CacheEntry:
         "dataset_name": result.transformed.dataset_name,
         "num_nodes": int(result.transformed.num_nodes),
         "num_inter": int(result.transformed.num_inter),
-        "node_record_bytes": int(result.transformed.node_record_bytes),
-        "inter_record_bytes": int(result.transformed.inter_record_bytes),
-        "loops": [[l.label, l.domain] for l in result.transformed.loops],
         "delta_positions": sorted(result.delta_loops),
         "num_tiles": (
             int(result.tiling.num_tiles) if result.tiling is not None else None
@@ -103,7 +100,6 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
     Raises on any inconsistency (the caller treats that as a corrupt
     entry and falls back to a cold run).
     """
-    from repro.kernels.data import LoopDesc
     from repro.runtime.executor import ExecutionPlan
     from repro.runtime.inspector import InspectorResult
 
@@ -137,9 +133,6 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
             name: sigma.apply_to_data(array)
             for name, array in data.arrays.items()
         },
-        loops=tuple(LoopDesc(label, domain) for label, domain in meta["loops"]),
-        node_record_bytes=meta["node_record_bytes"],
-        inter_record_bytes=meta["inter_record_bytes"],
     )
 
     delta_loops = {
@@ -156,7 +149,7 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
     if meta["num_tiles"] is not None:
         tiles = [
             entry.arrays[f"tile__{loop}"].astype(np.int64, copy=True)
-            for loop in range(len(meta["loops"]))
+            for loop in range(len(transformed.loops))
         ]
         tiling = TilingFunction(tiles, int(meta["num_tiles"]))
 

@@ -76,6 +76,16 @@ def resolve_max_bytes(max_bytes=None) -> Optional[int]:
     return max_bytes or None
 
 
+def unwritable(directory, exc: OSError) -> CacheError:
+    """The typed error of a write that failed under ``directory``."""
+    return CacheError(
+        f"cannot write cache artifact under {directory}: {exc}",
+        stage="plancache",
+        hint=f"point {backends.PLANCACHE_DIR.name} (or --cache-dir) "
+        "at a writable directory, or disable the disk tier",
+    )
+
+
 def resolve_cache_dir(directory=None) -> Path:
     """The disk tier's directory: explicit arg > ``REPRO_PLANCACHE_DIR``
     > user cache."""
@@ -242,12 +252,7 @@ class DiskStore(FileStore):
         try:
             path = self.commit(self._path(key), write)
         except OSError as exc:
-            raise CacheError(
-                f"cannot write cache artifact under {self.directory}: {exc}",
-                stage="plancache",
-                hint=f"point {backends.PLANCACHE_DIR.name} (or --cache-dir) "
-                "at a writable directory, or disable the disk tier",
-            ) from exc
+            raise unwritable(self.directory, exc) from exc
         # Budget enforcement runs *after* the atomic rename (a pre-write
         # size check would be a TOCTOU against racing writers), artifact
         # by artifact, and never evicts the one just published.
@@ -473,4 +478,5 @@ __all__ = [
     "PlanCache",
     "resolve_cache_dir",
     "resolve_max_bytes",
+    "unwritable",
 ]

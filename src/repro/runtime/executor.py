@@ -21,7 +21,6 @@ import numpy as np
 from repro.cachesim.trace import AccessTrace, TraceBuilder
 from repro.errors import ValidationError
 from repro.kernels.data import KernelData
-from repro.kernels.executors import run_steps
 from repro.transforms.tile_schedule import as_tile_schedule
 
 NODES_REGION = "nodes"
@@ -64,18 +63,6 @@ class ExecutionPlan:
             as_tile_schedule(self.schedule, data.loop_sizes())
 
 
-def _loop_writes_nodes(data: KernelData, pos: int) -> bool:
-    """Does any statement of the loop write/update a node record?"""
-    from repro.kernels.specs import kernel_by_name
-
-    kernel = kernel_by_name(data.kernel_name)
-    return any(
-        access.kind.writes
-        for stmt in kernel.loops[pos].statements
-        for access in stmt.accesses
-    )
-
-
 def _emit_loop(
     builder: TraceBuilder,
     data: KernelData,
@@ -84,7 +71,7 @@ def _emit_loop(
     mark_writes: bool = False,
 ) -> None:
     desc = data.loops[pos]
-    node_write = mark_writes and _loop_writes_nodes(data, pos)
+    node_write = mark_writes and desc.writes
     if desc.domain == "nodes":
         builder.touch(NODES_REGION, iters, write=node_write)
     else:
@@ -143,15 +130,21 @@ def run_numeric(
     the (possibly transformed) index arrays and payload layout *in place*
     is the transformed executor of the paper's Figure 13.  Returns ``data``.
 
-    ``backend`` selects the executor tier (``library`` | ``numpy`` | ``c``;
-    argument > ``REPRO_EXECUTOR_BACKEND`` > ``library``).  Compiled
-    backends are bit-identical to the library step functions, verified by
-    the IR verifier at bind; ``sanitize`` (argument >
+    ``backend`` selects the executor tier (``numpy`` | ``c``; argument >
+    ``REPRO_EXECUTOR_BACKEND`` > ``numpy``).  Both tiers are emitted
+    from the kernel's spec, proven by the IR verifier at bind, and
+    bit-identical to each other; ``sanitize`` (argument >
     ``REPRO_EXECUTOR_SANITIZE``) selects the bounds-guarded build, which
     traps corrupted index arrays as :class:`~repro.errors.
     ExecutorBoundsError` instead of corrupting memory.
     """
-    return run_steps(data, num_steps, backend=backend, sanitize=sanitize)
+    from repro.lowering.executor import compile_executor
+
+    compiled = compile_executor(
+        data.kernel_name, backend=backend, sanitize=sanitize
+    )
+    compiled.run(data.arrays, data.left, data.right, num_steps=num_steps)
+    return data
 
 
 def run_numeric_wavefront(

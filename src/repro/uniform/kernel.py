@@ -115,6 +115,21 @@ class Loop:
         if not statements:
             raise ValueError(f"loop {label!r} has no statements")
 
+    @property
+    def domain(self) -> str:
+        """The space the loop iterates: ``"inters"`` for a loop over the
+        interactions, ``"nodes"`` for any other."""
+        return "inters" if self.extent == "num_inter" else "nodes"
+
+    @property
+    def writes(self) -> bool:
+        """Does any statement of the loop write or update an array?"""
+        return any(
+            access.kind.writes
+            for stmt in self.statements
+            for access in stmt.accesses
+        )
+
 
 @dataclass(frozen=True)
 class DataArraySpec:

@@ -199,10 +199,18 @@ class TestProofCache:
         assert again.proof_from_cache is False  # re-verified and rewrote
         assert json.loads(Path(again.proof_path).read_text())["proven"]
 
-    def test_library_backend_skips_verification(self):
+    def test_library_alias_is_verified(self):
+        """The alias binds the proven ``numpy`` build: no tier skips the
+        gate."""
         compiled = compile_executor("moldyn", backend="library", memo=False)
-        assert compiled.verified is None
-        assert compiled.proof_path is None
+        assert compiled.backend == "numpy"
+        assert compiled.verified is True
+        assert compiled.proof_path is not None
+
+    @pytest.mark.parametrize("kernel", ["moldyn", "nbf", "irreg"])
+    def test_the_default_tier_is_proven(self, kernel):
+        compiled = compile_executor(kernel, memo=False)
+        assert compiled.backend == "numpy" and compiled.verified is True
 
     def test_unproven_program_refused_without_sanitizer(self, monkeypatch):
         def unproven(state):

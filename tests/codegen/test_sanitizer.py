@@ -28,11 +28,15 @@ from repro.runtime.executor import run_numeric, run_numeric_wavefront
 from repro.runtime.faults import CORRUPTORS
 from repro.transforms.fst import TilingFunction
 from repro.transforms.tile_schedule import CSRLists, TileSchedule
+from tests.kernels.oracle import run_oracle
 
 pytestmark = pytest.mark.compiled
 
 HAVE_CC = toolchain.have_toolchain()[0]
 COMPILED_BACKENDS = ("numpy", "c") if HAVE_CC else ("numpy",)
+#: ``library`` is the keepalive alias of ``numpy`` that the frozen
+#: end-to-end harness still binds: a tier here until the alias goes.
+TIERS = ("library",) + COMPILED_BACKENDS
 
 KERNELS = ("moldyn", "nbf", "irreg")
 
@@ -113,8 +117,10 @@ def test_sanitized_bit_identical_on_valid_data(
     kernel, num_nodes, num_inter, seed, num_steps
 ):
     """The guard prologue never perturbs a valid run: sanitized output
-    equals unguarded output bit for bit, on every backend."""
+    equals unguarded output and the oracle's bit for bit, on every
+    backend."""
     base = _random_data(kernel, num_nodes, num_inter, seed)
+    ref = run_oracle(base.copy(), num_steps=num_steps)
     for backend in COMPILED_BACKENDS:
         plain = run_numeric(
             base.copy(), num_steps=num_steps, backend=backend
@@ -122,7 +128,8 @@ def test_sanitized_bit_identical_on_valid_data(
         guarded = run_numeric(
             base.copy(), num_steps=num_steps, backend=backend, sanitize=True
         )
-        _assert_identical(plain, guarded, (kernel, backend, seed))
+        _assert_identical(ref, plain, (kernel, backend, seed))
+        _assert_identical(ref, guarded, (kernel, backend, seed))
 
 
 @pytest.mark.parametrize("fault_name", sorted(INDEX_FAULTS))
@@ -148,8 +155,8 @@ def test_every_index_corruptor_traps_or_stays_safe(
             assert np.array_equal(before[k], base.arrays[k]), k
     else:
         # Legal corruption (still a well-formed index array): must run,
-        # and must agree with the library executor on the same data.
-        ref = run_numeric(base.copy(), backend="library")
+        # and must agree with the oracle on the same data.
+        ref = run_oracle(base.copy())
         got = run_numeric(base.copy(), backend=backend, sanitize=True)
         _assert_identical(ref, got, (fault_name, backend, side))
 
@@ -205,8 +212,8 @@ def _set(which, index, value):
 
 #: Corruptions of an already-marshalled schedule and what a sanitized
 #: bind owes each: ``trap`` (typed error before any mutation), or
-#: ``benign`` (memory-safe, output equal to the library executor's on the
-#: same schedule).  Range form has no iteration array for the C guard to
+#: ``benign`` (memory-safe, output equal to the oracle's on the same
+#: schedule).  Range form has no iteration array for the C guard to
 #: scan, so it scans the tile offsets; the Python tiers slice ``flat``
 #: with them, which clips instead of addressing out of bounds.
 #: name -> (corruptor, index form?, {backend: verdict}).
@@ -246,9 +253,7 @@ def test_marshalled_schedule_corruptors_trap_or_stay_safe(fault_name, backend):
         for k in before:
             assert np.array_equal(before[k], data.arrays[k]), k
     else:
-        ref = run_numeric_wavefront(
-            data.copy(), schedule, None, backend="library"
-        )
+        ref = run_oracle(data.copy(), schedule)
         for sanitize in (True, False):
             got = run_numeric_wavefront(
                 data.copy(), schedule, None, backend=backend,
@@ -306,7 +311,7 @@ NON_PARTITIONS = {
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
-@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", TIERS)
 @pytest.mark.parametrize("name", sorted(NON_PARTITIONS))
 def test_non_partition_schedules_are_typed_errors_on_every_tier(
     name, backend, sanitize
@@ -325,7 +330,7 @@ def test_non_partition_schedules_are_typed_errors_on_every_tier(
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
-@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", TIERS)
 def test_out_of_range_schedule_entry_traps_on_every_tier(backend, sanitize):
     """What the sanitizer alone used to catch: now a typed trap on every
     tier (an unsanitized C bind would have read out of bounds)."""
@@ -342,15 +347,14 @@ def test_out_of_range_schedule_entry_traps_on_every_tier(backend, sanitize):
             run_numeric_wavefront(
                 data, tiles, waves, backend=backend, sanitize=sanitize
             )
-        guarded = sanitize and backend != "library"
-        assert info.value.stage == ("sanitizer" if guarded else "executor")
+        assert info.value.stage == ("sanitizer" if sanitize else "executor")
         assert info.value.array == culprit
     for k in before:
         assert np.array_equal(before[k], data.arrays[k]), k
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
-@pytest.mark.parametrize("backend", ("library",) + COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", TIERS)
 @pytest.mark.parametrize("shape", ["short-right", "short-data-array"])
 def test_mis_shaped_operands_trap_on_every_tier(shape, backend, sanitize):
     """Operand lengths are outside input, not sanitizer work: a short
@@ -375,8 +379,7 @@ def test_mis_shaped_operands_trap_on_every_tier(shape, backend, sanitize):
         with pytest.raises(ExecutorBoundsError) as info:
             run()
         assert info.value.array == culprit
-        guarded = sanitize and backend != "library"
-        assert info.value.stage == ("sanitizer" if guarded else "executor")
+        assert info.value.stage == ("sanitizer" if sanitize else "executor")
         for k in before:
             assert np.array_equal(before[k], data.arrays[k]), k
 
@@ -407,8 +410,26 @@ def test_sanitized_artifact_is_distinct():
     assert guarded.sanitized and not plain.sanitized
 
 
-def test_library_backend_ignores_sanitize():
+def test_library_alias_honours_sanitize():
+    """The alias binds the guarded ``numpy`` build, not an unguarded
+    hand-written table."""
     data = make_kernel_data("moldyn", generate_dataset("mol1", scale=64))
-    ref = run_numeric(data.copy(), backend="library")
+    bound = compile_executor("moldyn", backend="library", sanitize=True)
+    assert bound.backend == "numpy" and bound.sanitized
     got = run_numeric(data.copy(), backend="library", sanitize=True)
-    _assert_identical(ref, got, "library")
+    _assert_identical(run_oracle(data.copy()), got, "library")
+
+
+def test_sanitize_env_guards_the_default_tier(monkeypatch):
+    """``REPRO_EXECUTOR_SANITIZE=1`` reaches a default ``run_numeric``:
+    a negative index is a typed trap, not a NumPy wrap-around."""
+    monkeypatch.setenv("REPRO_EXECUTOR_SANITIZE", "1")
+    data = make_kernel_data("irreg", generate_dataset("foil", scale=256))
+    data.left[0] = -1
+    before = {k: v.copy() for k, v in data.arrays.items()}
+    trap = rf"left\[0\] = -1 outside \[0, {data.num_nodes}\)"
+    with pytest.raises(ExecutorBoundsError, match=trap) as info:
+        run_numeric(data)
+    assert info.value.stage == "sanitizer"
+    for k in before:
+        assert np.array_equal(before[k], data.arrays[k]), k

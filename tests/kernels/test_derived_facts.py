@@ -25,6 +25,8 @@ from repro.transforms.tile_schedule import trivial_schedule
 
 SPEC = {"kernel": "moldyn", "name": "cf", "steps": ["cpack", "fst"]}
 
+#: ``library`` is the keepalive alias of ``numpy`` that the frozen
+#: end-to-end harness still binds: a tier here until the alias goes.
 TIERS = ("library", "numpy", "c") if toolchain.have_toolchain()[0] else (
     "library", "numpy"
 )

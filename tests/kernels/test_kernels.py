@@ -13,8 +13,7 @@ from repro.kernels import (
     scramble_labels,
 )
 from repro.kernels.datasets import Dataset, _PAPER_SIZES
-from repro.kernels.executors import run_steps
-from repro.kernels.specs import NODE_RECORD_BYTES
+from repro.runtime import run_numeric
 from repro.uniform import ProgramState
 
 
@@ -39,18 +38,35 @@ class TestSpecs:
 
     def test_record_bytes_ordering(self):
         """moldyn carries the heaviest per-node payload (72 B)."""
-        assert NODE_RECORD_BYTES["moldyn"] == 72
-        assert (
-            NODE_RECORD_BYTES["moldyn"]
-            > NODE_RECORD_BYTES["nbf"]
-            > NODE_RECORD_BYTES["irreg"]
-        )
+        ds = generate_dataset("foil", scale=256)
+        record = {
+            name: make_kernel_data(name, ds).node_record_bytes
+            for name in ("moldyn", "nbf", "irreg")
+        }
+        assert record == {"moldyn": 72, "nbf": 32, "irreg": 16}
 
     def test_regrouped_payload_matches_spec_arrays(self):
+        ds = generate_dataset("foil", scale=256)
         for name in ("moldyn", "nbf", "irreg"):
             kernel = kernel_by_name(name)
             total = sum(s.element_bytes for s in kernel.data_arrays.values())
-            assert total == NODE_RECORD_BYTES[name]
+            assert make_kernel_data(name, ds).node_record_bytes == total
+
+    @pytest.mark.parametrize("name", ["moldyn", "nbf", "irreg"])
+    def test_instance_loops_are_the_spec_loops(self, name):
+        """An instance reads its loop shape from the spec: labels, domains
+        (``num_inter`` loops iterate interactions) and which loops write."""
+        data = make_kernel_data(name, generate_dataset("foil", scale=256))
+        spec = kernel_by_name(name)
+        assert [(l.label, l.domain, l.writes) for l in data.loops] == [
+            (
+                loop.label,
+                "inters" if loop.extent == "num_inter" else "nodes",
+                True,
+            )
+            for loop in spec.loops
+        ]
+        assert data.loops is data.copy().loops  # one per kernel
 
 
 class TestDatasetGenerators:
@@ -159,8 +175,8 @@ class TestNumericKernels:
     def test_steps_accumulate(self, name):
         ds = generate_dataset("foil", scale=256)
         data = make_kernel_data(name, ds)
-        one = run_steps(data.copy(), 1)
-        two = run_steps(data.copy(), 2)
+        one = run_numeric(data.copy(), 1)
+        two = run_numeric(data.copy(), 2)
         first_array = next(iter(data.arrays))
         assert not np.array_equal(
             one.arrays[first_array], two.arrays[first_array]
@@ -171,5 +187,5 @@ class TestNumericKernels:
         ds = generate_dataset("mol1", scale=256)
         data = make_kernel_data("moldyn", ds)
         before = data.arrays["fx"].sum()
-        run_steps(data, 1)
+        run_numeric(data, 1)
         assert data.arrays["fx"].sum() == pytest.approx(before, abs=1e-6)

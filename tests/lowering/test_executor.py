@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from repro import backends
 from repro.backends import BackendFallbackWarning
-from repro.errors import ValidationError
+from repro.errors import CacheError, ValidationError
 from repro.kernels import generate_dataset, make_kernel_data
-from repro.kernels.executors import PHASE_FUNCTIONS
 from repro.lowering import emit_c, toolchain
 from repro.lowering.executor import (
+    EXECUTOR_BACKENDS,
     artifact_key,
     clear_executor_memo,
     compile_executor,
@@ -27,6 +27,7 @@ from repro.lowering.executor import (
 from repro.lowering.ir import lower_kernel
 from repro.lowering.passes import LoweringRewriter, PassConfig
 from repro.kernels.specs import kernel_by_name
+from tests.kernels.oracle import PHASE_FUNCTIONS, run_oracle
 
 pytestmark = pytest.mark.compiled
 
@@ -49,14 +50,28 @@ def _data(kernel="moldyn", scale=64):
 
 
 class TestResolution:
-    def test_default_is_library(self):
+    def test_default_is_numpy(self):
         res = resolve_executor_backend()
-        assert res.backend == "library" and res.source == "default"
+        assert res.backend == "numpy" and res.source == "default"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "c")
+        assert resolve_executor_backend().backend == (
+            "c" if HAVE_CC else "numpy"
+        )
+        assert resolve_executor_backend("numpy").backend == "numpy"
+
+    def test_library_is_an_alias_of_numpy(self, monkeypatch):
+        """The frozen end-to-end harness still asks for ``library``: by
+        argument and by environment it binds the ``numpy`` tier, while
+        the tier set advertises three values."""
+        assert resolve_executor_backend("library").backend == "numpy"
+        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "library")
         assert resolve_executor_backend().backend == "numpy"
-        assert resolve_executor_backend("library").backend == "library"
+        assert compile_executor("moldyn", backend="library") is (
+            compile_executor("moldyn", backend="numpy")
+        )
+        assert EXECUTOR_BACKENDS == ("auto", "numpy", "c")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
@@ -134,7 +149,7 @@ class TestNoToolchainFallback:
         report = executor_backend_report()
         assert report["toolchain"]["available"] is False
         assert report["toolchain"]["fingerprint"] == "none"
-        assert report["backend"] == "library"  # default needs no toolchain
+        assert report["backend"] == "numpy"  # default needs no toolchain
 
 
 class TestArtifactCache:
@@ -159,6 +174,25 @@ class TestArtifactCache:
         assert not cold.from_cache and warm.from_cache
         assert cold.artifact_path.endswith(".so")
 
+    @pytest.mark.parametrize(
+        "backend", ["numpy", pytest.param("c", marks=pytest.mark.skipif(
+            not HAVE_CC, reason="no C toolchain"
+        ))],
+    )
+    def test_unwritable_directory_is_a_cache_error(self, tmp_path, backend):
+        """A cache directory under a regular file fails the first write
+        (the proof, then the source) with a typed error naming the
+        directory, not a bare ``NotADirectoryError``."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        with pytest.raises(CacheError, match="not-a-directory") as info:
+            compile_executor(
+                "nbf", backend=backend, cache_dir=blocker / "cache",
+                memo=False,
+            )
+        assert info.value.stage == "plancache"
+        assert "REPRO_PLANCACHE_DIR" in info.value.hint
+
     def test_memo_returns_the_same_bind(self, tmp_path):
         a = compile_executor("moldyn", backend="numpy", cache_dir=tmp_path)
         b = compile_executor("moldyn", backend="numpy", cache_dir=tmp_path)
@@ -172,11 +206,9 @@ class TestArtifactCache:
 
     def test_pass_ablation_stays_numerically_close(self, tmp_path):
         """Disabling passes changes rounding, not math: results stay
-        within reduction-reassociation tolerance of the library run."""
-        from repro.runtime.executor import run_numeric
-
+        within reduction-reassociation tolerance of the oracle's run."""
         base = _data(scale=48)
-        ref = run_numeric(base.copy(), num_steps=2)
+        ref = run_oracle(base.copy(), num_steps=2)
         for config in (
             PassConfig(fission=False, vectorize=False),
             PassConfig(vectorize=False),
@@ -264,10 +296,10 @@ def _emitted_table(kernel):
 )
 def test_emitted_phase_table_matches_reference(kernel, num_nodes, subset, seed):
     """Each entry of the emitted NumPy table is bit-identical to the
-    matching hand-written ``PHASE_FUNCTIONS`` entry — on random arrays
-    and random iteration subsets, empty and repeated-endpoint ones
-    included.  (The drivers are shared, so this is the whole difference
-    between the ``numpy`` and ``library`` tiers.)"""
+    matching entry of the oracle's hand-written ``PHASE_FUNCTIONS`` — on
+    random arrays and random iteration subsets, empty and
+    repeated-endpoint ones included.  (The driver is shared, so this is
+    the whole difference between the ``numpy`` tier and the oracle.)"""
     emitted, names = _emitted_table(kernel)
     reference = PHASE_FUNCTIONS[kernel]
     assert [p.domain for p in emitted] == [p.domain for p in reference]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels import generate_dataset, make_kernel_data
 from repro.kernels.specs import kernel_by_name
 from repro.plancache import fingerprint as fp
 from repro.runtime import (
@@ -16,6 +17,36 @@ from repro.runtime import (
 from tests.plancache.conftest import tiny_data
 
 pytestmark = pytest.mark.plancache
+
+#: ``dataset_fingerprint`` (without, with payload) of the end-to-end
+#: benchmark's bind inputs (scale 12), recorded when ``KernelData`` still
+#: carried its own copies of the loop shape and record bytes.
+PINNED_FINGERPRINTS = {
+    ("moldyn", "mol1"): (
+        "dd3d9bba446b4b30d16963f9be88a16c55a9dfdc62bfe090820ebdde045c68c6",
+        "ad5d1beeaef1c16be27ab03ade9865b44b1dacee558ba30d3b8cf6c7a4f89270",
+    ),
+    ("moldyn", "foil"): (
+        "9a5eed9624010d28c30139a36f4f4a44d3bfe9755f6d9536d7751ee43e864357",
+        "3fb9fe8f794d0edf7022b6c7897758117572f4ad5eb53c829a1570b2c1e95213",
+    ),
+    ("nbf", "mol1"): (
+        "0d59993df1ec8008502bd5c32d4a50ce5705cb72e26dff7eb5113ffbb1d55a64",
+        "1cbd95c6114d97d5f4da1e4c09a742bc6afd57cb7d0c689f36ed4df0f470df91",
+    ),
+    ("nbf", "foil"): (
+        "7fc755efe96bf631a45086a936034a01b66e77811bf6df1ce5cca4f12d03787b",
+        "715120b2c7caae96b32819404a3bcf7aa05b089e2100150adebbb3a0a929e729",
+    ),
+    ("irreg", "mol1"): (
+        "3d1fefd89e1ccea6177d6aaf8fb37d7c553cd0613e49523551472c8f84b171b0",
+        "cf2d0a82f57745059d0982dd2798934cbeb69b8839e9d4962256cb53a12b8086",
+    ),
+    ("irreg", "foil"): (
+        "1709f19d3ed1bcf7222afe5acb7936316561abf4c973df7d059ac158173130ac",
+        "8780b65203b6425208d0b9e7d76cd963cbdc72065a3fc1e9b2c98abcafa98633",
+    ),
+}
 
 
 class TestDatasetFingerprint:
@@ -50,6 +81,16 @@ class TestDatasetFingerprint:
         a = tiny_data("nbf", seed=3)
         b = tiny_data("irreg", seed=3)
         assert fp.dataset_fingerprint(a) != fp.dataset_fingerprint(b)
+
+    @pytest.mark.parametrize("kernel,dataset", sorted(PINNED_FINGERPRINTS))
+    def test_bind_inputs_keep_their_digests(self, kernel, dataset):
+        """The loop shape and record bytes a digest hashes are read from
+        the kernel spec; they hash what the per-instance copies did."""
+        data = make_kernel_data(kernel, generate_dataset(dataset, scale=12))
+        assert (
+            fp.dataset_fingerprint(data),
+            fp.dataset_fingerprint(data, include_payload=True),
+        ) == PINNED_FINGERPRINTS[kernel, dataset]
 
 
 class TestStepAndPlanFingerprint:
@@ -108,15 +149,20 @@ class TestExecutorBackendSalt:
     rehydrate into a bind running a different backend."""
 
     def test_salt_tracks_the_active_backend(self, monkeypatch):
+        """The salt names the tier that runs: the default, ``numpy`` and
+        its ``library`` alias are one tier, ``c`` another."""
         monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
-        library = fp.code_version_salt()
+        default = fp.code_version_salt()
         monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "numpy")
         numpy_salt = fp.code_version_salt()
+        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "library")
+        alias_salt = fp.code_version_salt()
         monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "c")
         c_salt = fp.code_version_salt()
-        assert len({library, numpy_salt, c_salt}) == 3
+        assert default == numpy_salt == alias_salt
+        assert c_salt != numpy_salt
         monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
-        assert fp.code_version_salt() == library
+        assert fp.code_version_salt() == default
 
     def test_c_salt_includes_the_toolchain_fingerprint(self, monkeypatch):
         from repro.lowering import toolchain
@@ -139,12 +185,16 @@ class TestExecutorBackendSalt:
 
         from repro.plancache import PlanCache
 
+        from repro.lowering import toolchain
+
+        if not toolchain.have_toolchain()[0]:
+            pytest.skip("c degrades to the default tier without a toolchain")
         cache = PlanCache(directory=tmp_path / "cache")
         plan = CompositionPlan(kernel_by_name("moldyn"), [CPackStep()])
         monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
         cold = plan.bind(moldyn_data, cache=cache)
         assert cold.report.cache == "stored"
-        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "c")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BackendFallbackWarning)
             other = plan.bind(moldyn_data, cache=cache)

@@ -18,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.kernels import make_kernel_data
-from repro.kernels.executors import KernelPhase
 from repro.kernels.datasets import Dataset
-from repro.lowering.schedule import run_wave_phases, tile_dag_from_tiling
+from repro.lowering.schedule import (
+    KernelPhase,
+    run_wave_phases,
+    tile_dag_from_tiling,
+)
 from repro.runtime.executor import run_numeric_wavefront
 from repro.runtime.inspector import (
     ComposedInspector,

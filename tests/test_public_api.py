@@ -62,7 +62,6 @@ MODULES = [
     "repro.kernels.specs",
     "repro.kernels.data",
     "repro.kernels.datasets",
-    "repro.kernels.executors",
     "repro.kernels.gauss_seidel",
     "repro.kernels.spmv",
     "repro.cachesim.cache",
