@@ -106,8 +106,21 @@ def validate_tiling(state: "InspectorState", stage: str) -> None:
                 stage=stage,
                 indices=positions,
             )
-    for (la, lb), (src, dst) in dependence_edges(state.data).items():
-        violated = tiling.tiles[la][src] > tiling.tiles[lb][dst]
+    # Iteration j of the interaction loop depends on nodes left[j] and
+    # right[j] of every node loop: each node loop's edges of
+    # dependence_edges (the left block, then the right) are two gathers.
+    data = state.data
+    p_j = data.interaction_loop_position()
+    theta_j = tiling.tiles[p_j]
+    for pos in data.node_loop_positions():
+        theta = tiling.tiles[pos]
+        at_left, at_right = theta[data.left], theta[data.right]
+        if pos < p_j:  # node loop first: its tiles must not come later
+            la, lb = pos, p_j
+            violated = np.concatenate([at_left > theta_j, at_right > theta_j])
+        else:
+            la, lb = p_j, pos
+            violated = np.concatenate([theta_j > at_left, theta_j > at_right])
         if violated.any():
             positions = np.flatnonzero(violated)[:5].tolist()
             raise InspectorFault(

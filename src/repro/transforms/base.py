@@ -25,6 +25,7 @@ from repro.presburger.constraints import eq
 from repro.presburger.relations import PresburgerRelation
 from repro.presburger.sets import Conjunction
 from repro.presburger.terms import AffineExpr, var
+from repro.transforms.sorting import bounded_keys
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +246,31 @@ def permutation_from_order(
     """Build ``sigma`` from a visit order (``order[new] = old``).
 
     Inspectors naturally produce visit orders (CPACK's ``sigma_cp_inv``);
-    this inverts into the canonical ``sigma[old] = new`` form.
+    this inverts into the canonical ``sigma[old] = new`` form.  An order
+    that is not a permutation of ``[0, n)`` — the wrong length, an entry
+    outside the range, a repeated entry — raises
+    :class:`~repro.errors.ValidationError` naming the position, never
+    returns: one min / max and one check that every slot was written.
     """
-    order = np.asarray(order, dtype=np.int64)
     n = len(order) if n is None else n
+    order = bounded_keys(order, n, "order")
     if len(order) != n:
-        raise ValueError("order must mention every slot exactly once")
-    sigma = np.empty(n, dtype=np.int64)
-    sigma[order] = np.arange(n, dtype=np.int64)
+        raise ValidationError(
+            f"order has {len(order)} entries for {n} slots: it must "
+            "mention every slot exactly once"
+        )
+    positions = np.arange(n, dtype=np.int64)
+    sigma = np.full(n, -1, dtype=np.int64)
+    sigma[order] = positions
+    if n and sigma.min() < 0:
+        # A slot nobody wrote means another was written twice; the
+        # scatter kept the later position of the repeated entry.
+        pos = int(np.flatnonzero(sigma[order] != positions)[0])
+        later = int(sigma[order[pos]])
+        raise ValidationError(
+            f"order[{later}] = {int(order[pos])} repeats order[{pos}]",
+            indices=[later],
+        )
     return ReorderingFunction(name, sigma)
 
 

@@ -8,19 +8,22 @@ consecutively within a partition, improving spatial locality.
 This implementation grows partitions by breadth-first search — the
 low-overhead strategy GPART is built around — and orders nodes by
 (partition, BFS visit order).  The adjacency is one counting sort of the
-co-access pairs (:func:`~repro.transforms.sorting.group_by`); the BFS
-stays a per-edge loop — its FIFO order with partition cuts in the middle
-of a level is sequential by nature — but walks plain Python lists and a
-``bytearray``, not NumPy arrays one boxed scalar at a time.
+co-access pairs (:func:`~repro.transforms.sorting.group_by`).  The BFS
+is level-synchronous: a FIFO queue's next level is the first touches of
+the frontier's CSR rows, so each level is one gather, one filter and one
+first-touch scatter, whatever its size.  A partition that fills in the
+middle of a level cuts it: the FIFO walk would drop the rest of the
+level and the half-grown next level back to unassigned and go on from
+the cut node's unassigned neighbours, and so does the sweep.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.transforms.base import (
     AccessMap,
     ReorderingFunction,
@@ -30,44 +33,50 @@ from repro.transforms.sorting import bounded_keys, group_by
 
 
 def _adjacency_from_access_map(access_map: AccessMap) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency over data locations: an undirected edge per co-access."""
+    """CSR adjacency over data locations: an undirected edge per co-access.
+
+    The order of a node's neighbours is the BFS's order, so the order the
+    pairs are listed in is part of the output.  Fixed-width rows (our
+    kernels touch a constant number of locations per iteration, e.g.
+    left/right endpoints) list them column pair by column pair: every
+    ``a -> b`` of one pair of columns, then every ``b -> a``.  Ragged rows
+    list them row by row, ``a -> b`` then ``b -> a`` for each pair.
+    """
     n = access_map.num_locations
-    bounded_keys(access_map.locations, n, "access map locations")
+    locations = bounded_keys(access_map.locations, n, "access map locations")
     widths = np.diff(access_map.offsets)
-    if widths.size and np.all(widths == widths[0]) and widths[0] >= 1:
-        # Fast path: fixed-width rows (our kernels touch a constant number
-        # of locations per iteration, e.g. left/right endpoints).
+    if widths.size and widths[0] >= 1 and np.all(widths == widths[0]):
         w = int(widths[0])
-        rows = access_map.locations.reshape(-1, w)
-        src_list = []
-        dst_list = []
-        for a_idx in range(w):
-            for b_idx in range(a_idx + 1, w):
-                a_col, b_col = rows[:, a_idx], rows[:, b_idx]
-                keep = a_col != b_col
-                src_list.extend([a_col[keep], b_col[keep]])
-                dst_list.extend([b_col[keep], a_col[keep]])
-        src = (
-            np.concatenate(src_list) if src_list else np.empty(0, dtype=np.int64)
-        )
-        dst = (
-            np.concatenate(dst_list) if dst_list else np.empty(0, dtype=np.int64)
-        )
+        a_idx, b_idx = np.triu_indices(w, 1)
+        rows = locations.reshape(-1, w)
+        a_cols, b_cols = rows[:, a_idx].T, rows[:, b_idx].T
+        src = np.stack([a_cols, b_cols], axis=1).reshape(-1)
+        dst = np.stack([b_cols, a_cols], axis=1).reshape(-1)
     else:
-        srcs = []
-        dsts = []
-        for row in access_map:
-            for a_idx in range(len(row)):
-                for b_idx in range(a_idx + 1, len(row)):
-                    a, b = int(row[a_idx]), int(row[b_idx])
-                    if a == b:
-                        continue
-                    srcs.append(a)
-                    dsts.append(b)
-                    srcs.append(b)
-                    dsts.append(a)
-        src = np.asarray(srcs, dtype=np.int64)
-        dst = np.asarray(dsts, dtype=np.int64)
+        # Pair k of a row of width w is (a, b) = np.triu_indices(w, 1)[k].
+        # One pass per distinct width, over the rows of that width only.
+        starts = access_map.offsets[:-1]
+        pair_counts = widths * (widths - 1) // 2
+        pair_starts = np.cumsum(pair_counts) - pair_counts
+        src = np.empty(2 * int(pair_counts.sum()), dtype=np.int64)
+        dst = np.empty_like(src)
+        max_width = int(widths.max()) if widths.size else 0
+        by_width, width_offsets = group_by(
+            widths, max_width + 1, "access map row widths"
+        )
+        present = np.flatnonzero(np.diff(width_offsets))
+        for w in present[present >= 2].tolist():
+            of_width = by_width[width_offsets[w] : width_offsets[w + 1]]
+            a_idx, b_idx = np.triu_indices(w, 1)
+            cells = starts[of_width][:, None]
+            a_col, b_col = locations[cells + a_idx], locations[cells + b_idx]
+            rank = pair_starts[of_width][:, None] + np.arange(len(a_idx))
+            src[2 * rank], dst[2 * rank] = a_col, b_col
+            src[2 * rank + 1], dst[2 * rank + 1] = b_col, a_col
+    keep = src != dst
+    if not keep.all():
+        # A row that pairs a location with itself adds no edge.
+        src, dst = src[keep], dst[keep]
     order, offsets = group_by(src, n, "co-access pair endpoints")
     return offsets, dst[order]
 
@@ -92,37 +101,71 @@ def gpart(
     Returns ``sigma_gp`` ordering locations by (partition, BFS order).
     """
     if partition_size < 1:
-        raise ValueError("partition_size must be positive")
+        raise ValidationError(
+            f"gpart partition_size must be positive, got {partition_size}"
+        )
     n = access_map.num_locations
     offsets, neighbors = _adjacency_from_access_map(access_map)
 
-    bounds = offsets.tolist()
-    adjacent = neighbors.tolist()
-    visit_order = []
-    assigned = bytearray(n)
-    current_count = 0
+    starts, ends = offsets[:-1], offsets[1:]
+    iota = np.arange(max(n, len(neighbors)), dtype=np.int64)
+    assigned = np.zeros(n, dtype=bool)
+    first = np.empty(n, dtype=np.int64)
 
-    queue: deque = deque()
-    for start in range(n):
-        if assigned[start]:
-            continue
-        queue.append(start)
-        assigned[start] = 1
-        while queue:
-            node = queue.popleft()
-            visit_order.append(node)
-            current_count += 1
-            if current_count >= partition_size:
-                # Partition full: spill the frontier back to unassigned so
-                # the next partition can pick it up in its own BFS.
-                for spilled in queue:
-                    assigned[spilled] = 0
-                queue.clear()
-                current_count = 0
-            for nb in adjacent[bounds[node] : bounds[node + 1]]:
-                if not assigned[nb]:
-                    assigned[nb] = 1
-                    queue.append(nb)
+    def next_level(frontier):
+        """The unassigned first touches of ``frontier``'s rows, in row
+        order, marked assigned: what a FIFO queue holds once the
+        frontier is popped.  One CSR gather, one filter, and a back-to-
+        front scatter into ``first`` that leaves each node's first
+        position (only the entries just written are read): O(level)."""
+        lo = starts[frontier]
+        counts = ends[frontier] - lo
+        stops = counts.cumsum()
+        touched = neighbors[iota[: stops[-1]] + (lo - stops + counts).repeat(counts)]
+        touched = touched[~assigned[touched]]
+        positions = iota[: len(touched)]
+        first[touched[::-1]] = positions[::-1]
+        level = touched[first[touched] == positions]
+        assigned[level] = True
+        return level
+
+    # next_linked[v]: the first node >= v with a neighbour (n if none).
+    # A node without one is never reached, so it is visited only as a
+    # root, alone: a run of them is one slice of the visit order.
+    next_linked = np.where(ends > starts, iota[:n], n)
+    next_linked = np.minimum.accumulate(next_linked[::-1])[::-1]
+    visit_order = []
+    count = 0  # nodes in the partition being grown, always < partition_size
+    root = 0  # every node below the root has been visited
+    while root < n:
+        linked = int(next_linked[root])
+        if linked > root:
+            visit_order.append(iota[root:linked])
+            count = (count + linked - root) % partition_size
+            root = linked
+        elif assigned[root]:
+            # argmin of a bool array stops at the first False (and is 0,
+            # an assigned node, when there is none).
+            skip = int(np.argmin(assigned[root:]))
+            root = root + skip if skip else n
+        else:
+            assigned[root] = True
+            frontier = iota[root : root + 1]
+            while len(frontier):
+                room = partition_size - count
+                if len(frontier) < room:
+                    visit_order.append(frontier)
+                    count += len(frontier)
+                    frontier = next_level(frontier)
+                else:
+                    # The partition fills at frontier[room - 1]: the rest
+                    # of the level goes back to unassigned, and the next
+                    # partition grows from the cut node's unassigned
+                    # neighbours.
+                    visit_order.append(frontier[:room])
+                    assigned[frontier[room:]] = False
+                    count = 0
+                    frontier = next_level(frontier[room - 1 : room])
 
     if counter is not None:
         # The model's GPART, as its authors cost it: building the CSR
@@ -135,4 +178,4 @@ def gpart(
             2 * e + sort_cost + 3 * n
         )
 
-    return permutation_from_order(name, visit_order)
+    return permutation_from_order(name, np.concatenate([iota[:0], *visit_order]))

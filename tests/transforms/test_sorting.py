@@ -1,6 +1,6 @@
 """The bounded-key primitives and every inspector routed through them.
 
-Four layers, each against what it replaced:
+Five layers, each against what it replaced:
 
 * Hypothesis properties of :mod:`repro.transforms.sorting` against the
   NumPy formulations (``argsort(kind="stable")``, ``unique(return_index)``,
@@ -11,9 +11,11 @@ Four layers, each against what it replaced:
 * the modelled ``touches`` of the six evaluation compositions, recorded
   before the rewrite (the paper's Figure 8/9/16 accounting must not move
   when the running code gets faster);
-* the out-of-range inputs that used to wrap silently.
+* the out-of-range inputs that used to wrap silently;
+* the visit orders that are not permutations, which used to return one.
 """
 
+import time
 from collections import deque
 from types import SimpleNamespace
 
@@ -46,9 +48,11 @@ from repro.transforms import (
     gpart,
     lexgroup,
     lexsort,
+    permutation_from_order,
     tilepack,
     wavefront_schedule,
 )
+from repro.transforms.gpart import _adjacency_from_access_map
 from repro.transforms.parallel import tile_graph_edges
 from repro.transforms.sorting import (
     bounded_keys,
@@ -355,6 +359,10 @@ def _check_access_map_transforms(access_map):
             bucket_tiling(access_map, bucket_size).array,
             ref_bucket_tiling(access_map, bucket_size),
         )
+    for built, ref in zip(
+        _adjacency_from_access_map(access_map), ref_adjacency(access_map)
+    ):
+        assert np.array_equal(built, ref)
     for partition_size in (1, 2, 7, n, n + 1):
         assert np.array_equal(
             gpart(access_map, partition_size).array,
@@ -374,6 +382,72 @@ def test_access_map_transforms_match_references(kernel, dataset):
 @settings(max_examples=120, deadline=None)
 def test_access_map_transforms_match_references_on_ragged_maps(access_map):
     _check_access_map_transforms(access_map)
+
+
+@st.composite
+def pair_access_maps(draw):
+    """Width-2 rows, the shape every kernel's interaction loop has (and
+    the adjacency's fixed-width path): self-pairs, repeated pairs and
+    untouched locations, over a reach that splits the graph into many
+    components when small."""
+    n = draw(st.integers(1, 40))
+    reach = draw(st.integers(0, n - 1))  # 0: self-pairs only
+    rows = [
+        (a, min(n - 1, a + draw(st.integers(0, reach))))
+        for a in draw(st.lists(st.integers(0, n - 1), max_size=40))
+    ]
+    rows = [row[::-1] if draw(st.booleans()) else row for row in rows]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
+    left = np.array([a for a, _ in rows], dtype=np.int64)
+    right = np.array([b for _, b in rows], dtype=np.int64)
+    return AccessMap.from_columns([left, right], n)
+
+
+@given(pair_access_maps())
+@settings(max_examples=200, deadline=None)
+def test_gpart_matches_reference_on_pair_maps(access_map):
+    n = access_map.num_locations
+    for built, ref in zip(
+        _adjacency_from_access_map(access_map), ref_adjacency(access_map)
+    ):
+        assert np.array_equal(built, ref)
+    for partition_size in (1, 2, 7, n, n + 1):
+        assert np.array_equal(
+            gpart(access_map, partition_size).array,
+            ref_gpart(access_map, partition_size),
+        ), partition_size
+
+
+def test_gpart_visits_untouched_locations_in_bulk():
+    """50k locations and four rows: a sweep that rescans the nodes for
+    every root costs ``O(n ** 2)`` here."""
+    n = 50_000
+    access_map = AccessMap.from_columns(
+        [np.array([3, 49_990, 7, 3]), np.array([4, 12, 49_999, 3])], n
+    )
+    for partition_size in (1, 7, n + 1):
+        start = time.perf_counter()
+        sigma = gpart(access_map, partition_size)
+        assert time.perf_counter() - start < 1.0, partition_size
+        assert np.array_equal(sigma.array, ref_gpart(access_map, partition_size))
+
+
+def test_adjacency_of_one_wide_row_costs_its_own_pairs():
+    """One row of width 300 among 50k narrow rows: the ragged pairs are
+    built per distinct width, so the wide row costs its 44,850 pairs, not
+    that many passes over every row."""
+    n = 1_000
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, n, (50_000, 2)).tolist()
+    rows[::7] = rng.integers(0, n, (len(rows[::7]), 3)).tolist()
+    rows[:2] = [[], [5]]
+    rows.insert(25_000, rng.integers(0, n, 300).tolist())
+    access_map = AccessMap.from_rows(rows, n)
+    start = time.perf_counter()
+    built = _adjacency_from_access_map(access_map)
+    assert time.perf_counter() - start < 1.0
+    for got, ref in zip(built, ref_adjacency(access_map)):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -616,3 +690,36 @@ def test_keys_must_be_one_dimensional_integers():
         stable_argsort(np.array([0.0, 1.0]), 4)
     with pytest.raises(ValidationError, match="group count -1"):
         group_by([], -1)
+
+
+# ---------------------------------------------------------------------------
+# (e) A visit order that is not a permutation raises; it used to return
+# one (a repeat left a slot of ``np.empty`` garbage, a negative entry
+# wrapped) or raise a bare ``IndexError``.
+
+
+@pytest.mark.parametrize(
+    "order,message,position",
+    [
+        ([0, 0, 2], r"order\[1\] = 0 repeats order\[0\]", 1),
+        ([2, 1, 2], r"order\[2\] = 2 repeats order\[0\]", 2),
+        ([-1, 0, 1], r"order\[0\] = -1 is outside \[0, 3\)", 0),
+        ([0, 1, 3], r"order\[2\] = 3 is outside \[0, 3\)", 2),
+    ],
+    ids=["repeat", "later-repeat", "negative", "past-the-end"],
+)
+def test_permutation_from_order_rejects_a_non_permutation(order, message, position):
+    with pytest.raises(ValidationError, match=message) as info:
+        permutation_from_order("s", order)
+    assert info.value.indices == [position]
+
+
+def test_permutation_from_order_rejects_a_short_order():
+    with pytest.raises(ValidationError, match="2 entries for 3 slots"):
+        permutation_from_order("s", [1, 0], n=3)
+
+
+@pytest.mark.parametrize("partition_size", [0, -3])
+def test_gpart_partition_size_must_be_positive(partition_size):
+    with pytest.raises(ValidationError, match="partition_size must be positive"):
+        gpart(_rows([0, 1], [2, 3]), partition_size)
