@@ -18,7 +18,7 @@ This benchmark proves the three acceptance claims:
   of the cold bind's touches).  With linear-time cold inspectors the
   same delta-bind, no slower than before (mol2: 0.90 -> 0.87 s CPU),
   is 1.8x a cold re-bind that fell from 4.40 to 1.54 s, and 1.7x on
-  mol1 — see ROADMAP "a delta-bind is 60% DAG repair";
+  mol1 — see DESIGN.md §15, point 7;
 * **bit-identical** — every patched bind equals a cold bind of the
   canonical mutated dataset, ``tobytes`` on every realized array;
 * **safe degradation** — drift past a per-step threshold provably falls

@@ -3,19 +3,25 @@
 :func:`delta_bind` is the incremental counterpart of
 :meth:`~repro.runtime.plan.CompositionPlan.bind`: given the *parent*
 epoch's dataset, its cached bind, and a
-:class:`~repro.incremental.delta.DatasetDelta`, it replays the plan's
-stages against the canonical mutated dataset with each stage's
-incremental patch (its ``delta`` rule, :mod:`repro.incremental.rules`)
-in place of the cold inspector, then proves the result before anyone
-may run it:
+:class:`~repro.incremental.delta.DatasetDelta`, it runs the plan's
+stages against the canonical mutated dataset through the composed
+inspector's one stage loop
+(:meth:`~repro.runtime.inspector.ComposedInspector.run_stages`), with
+each stage's incremental patch (its ``delta`` rule,
+:mod:`repro.incremental.rules`) as the stage body in place of the cold
+inspector.  A patched stage is therefore recorded, typed on a crash and
+tiling-guarded exactly like a cold one.  The engine owns what is left:
 
-1. the whole bind is re-verified against the runtime numeric verifier —
+1. eligibility and the epoch aux (first-touch keys advanced across the
+   delta) the patches read;
+2. the whole bind is re-verified against the runtime numeric verifier —
    **mandatory**, not only-when-degraded as on the cold path;
-2. any refusal — drift past a per-step threshold, an unpatchable stage,
-   a missing parent entry, a verifier mismatch — degrades to a full
-   re-bind, counted in ``cache.stats`` (``delta_patched`` /
-   ``delta_fallbacks`` / ``delta_verify_failures``) so the degradation
-   rate is observable, never silent.
+3. any refusal — drift past a per-step threshold, an unpatchable stage,
+   a missing parent entry, a typed error from a patched stage, a
+   verifier mismatch — degrades to a full re-bind, counted in
+   ``cache.stats`` (``delta_patched`` / ``delta_fallbacks`` /
+   ``delta_verify_failures``) so the degradation rate is observable,
+   never silent.
 
 Both outcomes store the child bind under its own content fingerprint
 with a **parent-epoch link** in the entry metadata (``parent_key``,
@@ -26,17 +32,12 @@ F0 -> F1 -> ... -> Fn walkable and GC-able as a group (see
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import (
-    InspectorFault,
-    LegalityError,
-    ValidationError,
-)
+from repro.errors import ReproError, ValidationError
 from repro.incremental.delta import DatasetDelta, EpochAux
 from repro.incremental.rules import UnsupportedDelta, plan_delta_eligibility
 
@@ -54,17 +55,20 @@ class DeltaContext:
     #: Nodes whose first-touch key changed under the delta (original
     #: node ids) — the only nodes whose *relative* order a patched data
     #: reordering may change.
-    affected_nodes: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
-    child_aux: Optional[EpochAux] = None
+    affected_nodes: np.ndarray
+    #: The parent's epoch aux advanced across the delta.
+    child_aux: EpochAux
 
-    def require_child_aux(self) -> EpochAux:
-        if self.child_aux is None:
+    def patch(self, state, index: int, step) -> None:
+        """A patched stage: the body the composed inspector's stage loop
+        runs in place of ``step.run(state)``."""
+        rule = step.delta
+        if rule is None or rule.patch is None:
             raise UnsupportedDelta(
-                "epoch aux unavailable for this bind", stage="delta"
+                f"no incremental patch for stage {index} ({step.name})",
+                stage=step.name,
             )
-        return self.child_aux
+        rule.patch(self, state, step, index)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +93,7 @@ def repair_tile_dag(parent_dag, tiling, data):
 
 
 # ---------------------------------------------------------------------------
-# The patched replay.
+# Epoch links.
 
 
 def _parent_epoch(entry) -> int:
@@ -128,90 +132,6 @@ def link_epoch(cache, child_key, epoch_meta: dict) -> bool:
     return True
 
 
-def _patched_replay(
-    plan, ctx: DeltaContext, parent_aux: EpochAux, cache
-) -> Tuple[object, EpochAux]:
-    """Mirror ``ComposedInspector._run_cold`` with per-stage patches.
-
-    Raises :class:`UnsupportedDelta` / :class:`LegalityError` /
-    :class:`InspectorFault` when a patch refuses; the caller converts
-    any of those into the counted full-re-bind fallback.
-    """
-    from repro.runtime.executor import ExecutionPlan
-    from repro.runtime.inspector import InspectorResult, InspectorState
-    from repro.runtime.report import STAGE_OK, PipelineReport, StageRecord
-    from repro.transforms.base import identity_reordering
-
-    working = ctx.child_data.copy()
-    n = working.num_nodes
-    state = InspectorState(
-        data=working,
-        remap=plan.remap,
-        sigma_total=identity_reordering(n, "sigma"),
-        sigma_pending=identity_reordering(n, "pending"),
-        delta_total={
-            pos: identity_reordering(size, f"delta{pos}")
-            for pos, size in enumerate(working.loop_sizes())
-        },
-    )
-    report = PipelineReport(
-        plan_name=plan.name, policy=plan.on_stage_failure, cache="delta"
-    )
-
-    aux_counter: Dict[str, int] = {}
-    child_aux, affected = parent_aux.advanced(
-        ctx.delta,
-        ctx.parent_data,
-        ctx.child_data,
-        counter=aux_counter,
-        keep_rows=ctx.keep_rows,
-    )
-    state.charge("delta_aux", aux_counter.get("touches", 0))
-    ctx.child_aux = child_aux
-    ctx.affected_nodes = affected
-
-    for index, step in enumerate(plan.steps):
-        state.current_index = index
-        rule = step.delta
-        if rule is None or rule.patch is None:
-            raise UnsupportedDelta(
-                f"no incremental patch for stage {index} ({step.name})",
-                stage=step.name,
-            )
-        touches_before = sum(state.overhead.values())
-        start = time.perf_counter()
-        step.check_preconditions(state)
-        rule.patch(ctx, state, step, index)
-        report.record(
-            StageRecord(
-                index,
-                step.name,
-                STAGE_OK,
-                time.perf_counter() - start,
-                touches=sum(state.overhead.values()) - touches_before,
-            )
-        )
-    state.finalize_payload()
-
-    if state.tiling is not None:
-        exec_plan = ExecutionPlan(schedule=state.tiling.schedule())
-    else:
-        exec_plan = ExecutionPlan.identity()
-
-    result = InspectorResult(
-        transformed=state.data,
-        plan=exec_plan,
-        sigma_nodes=state.sigma_total,
-        delta_loops=state.delta_total,
-        tiling=state.tiling,
-        overhead=dict(state.overhead),
-        data_moves=state.data_moves,
-        stage_functions=dict(state.stage_functions),
-        report=report,
-    )
-    return result, child_aux
-
-
 # ---------------------------------------------------------------------------
 # Entry point.
 
@@ -235,6 +155,11 @@ def delta_bind(
     ``plan.bind(delta.apply(parent_data))``, with a ``delta_info`` dict
     attached describing the path taken (``patched`` / ``fallback`` /
     ``hit``) — diagnostic only, not persisted with the entry.
+
+    A patched stage that raises any :class:`~repro.errors.ReproError` —
+    a refusing rule, the tiling guard, a crash the stage loop typed —
+    degrades to the counted full re-bind, which then raises whatever a
+    cold bind of the child raises.
 
     ``child_data``, when given, must be ``delta.apply(parent_data)`` —
     streaming callers already materialized the new epoch's dataset (the
@@ -337,18 +262,35 @@ def delta_bind(
         cache.put_aux(parent_key, parent_aux)
 
     keep_rows, old_to_new = delta.compaction_map(parent_data.num_inter)
-    ctx = DeltaContext(
-        delta=delta,
-        parent_data=parent_data,
-        child_data=child_data,
-        parent_entry=parent_entry,
-        keep_rows=keep_rows,
-        old_to_new=old_to_new,
-    )
+    aux_counter: Dict[str, int] = {}
     try:
-        result, child_aux = _patched_replay(plan, ctx, parent_aux, cache)
-    except (UnsupportedDelta, LegalityError, InspectorFault, ValidationError) as exc:
+        child_aux, affected = parent_aux.advanced(
+            delta,
+            parent_data,
+            child_data,
+            counter=aux_counter,
+            keep_rows=keep_rows,
+        )
+        ctx = DeltaContext(
+            delta=delta,
+            parent_data=parent_data,
+            child_data=child_data,
+            parent_entry=parent_entry,
+            keep_rows=keep_rows,
+            old_to_new=old_to_new,
+            affected_nodes=affected,
+            child_aux=child_aux,
+        )
+        result = plan.build_inspector().run_stages(child_data, body=ctx.patch)
+    except ReproError as exc:
         return fallback(f"{type(exc).__name__}: {exc}", parent_epoch)
+    # Advancing the aux is the patch's own work, charged before stage 0.
+    result.overhead = {
+        "delta_aux": int(aux_counter.get("touches", 0)),
+        **result.overhead,
+    }
+    result.report.plan_name = plan.name
+    result.report.cache = "delta"
 
     # Mandatory re-verification: a patched bind is never trusted on the
     # rules' legality arguments alone.

@@ -93,7 +93,7 @@ def patch_first_touch(ctx, state, step, index) -> None:
     is the same bounded radix the cold inspectors use (the sentinel is
     clamped to the first key past them).
     """
-    aux = ctx.require_child_aux()
+    aux = ctx.child_aux
     upper = 2 * (int(aux.row_key[-1]) + 1) if len(aux.row_key) else 0
     order = stable_argsort(
         np.minimum(aux.first_key, upper), upper + 1, "first-touch keys"
@@ -231,15 +231,18 @@ def patch_merge(ctx, state, step, index) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Tiling / packing: exact O(E) scatter recompute, validation deferred to
-# the IRV006 DAG gate + the mandatory numeric verifier.
+# Tiling / packing: exact O(E) scatter recompute, checked by the same
+# tiling guard as a cold stage and then by the mandatory numeric verifier.
 
 
 def patch_recompute(ctx, state, step, index) -> None:
-    """Re-run the stage's own inspector (already O(E) scatter passes);
-    the delta-bind saving is the skipped per-edge tiling validation,
-    which the engine replaces with the DAG repair + IRV006 + numeric
-    verification gates."""
+    """Re-run the stage's own inspector (already O(E) scatter passes).
+
+    A tiling is derived state, so recomputing it from the patched
+    reorderings is the patch.  Nothing is skipped: the composed
+    inspector's stage loop runs the bind-time tiling guard after this
+    stage exactly as after a cold one, and the engine re-verifies the
+    whole bind numerically."""
     step.run(state)
 
 

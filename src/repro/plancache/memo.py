@@ -100,7 +100,6 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
     Raises on any inconsistency (the caller treats that as a corrupt
     entry and falls back to a cold run).
     """
-    from repro.runtime.executor import ExecutionPlan
     from repro.runtime.inspector import InspectorResult
 
     meta = entry.meta
@@ -173,14 +172,8 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
         for stage in report.stages:
             stage.elapsed_s = 0.0  # nothing ran on this bind
 
-    plan = (
-        ExecutionPlan(schedule=tiling.schedule())
-        if tiling is not None
-        else ExecutionPlan.identity()
-    )
     return InspectorResult(
         transformed=transformed,
-        plan=plan,
         sigma_nodes=sigma,
         delta_loops=delta_loops,
         tiling=tiling,

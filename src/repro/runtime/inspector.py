@@ -27,7 +27,8 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -310,7 +311,6 @@ class InspectorResult:
     """Everything the composed inspector produced."""
 
     transformed: KernelData
-    plan: ExecutionPlan
     sigma_nodes: ReorderingFunction
     delta_loops: Dict[int, ReorderingFunction]
     tiling: Optional[TilingFunction]
@@ -320,6 +320,15 @@ class InspectorResult:
     stage_functions: Dict[str, object]
     #: Per-stage status/timings/fallbacks of the run that produced this.
     report: Optional[PipelineReport] = None
+
+    @cached_property
+    def plan(self) -> ExecutionPlan:
+        """How the executor traverses the loops: the tiling's schedule,
+        derived on first read, or the identity plan when no stage tiled.
+        A bind that is never executed never builds it."""
+        if self.tiling is None:
+            return ExecutionPlan.identity()
+        return ExecutionPlan(schedule=self.tiling.schedule())
 
     @property
     def total_touches(self) -> int:
@@ -333,6 +342,14 @@ class InspectorResult:
 
 #: Recognized stage-failure policies.
 FAILURE_POLICIES = ("raise", "skip", "identity")
+
+#: What one stage runs: ``body(state, index, step)``.
+StageBody = Callable[[InspectorState, int, Step], None]
+
+
+def run_step(state: InspectorState, index: int, step: Step) -> None:
+    """A cold stage: the step's own inspector."""
+    step.run(state)
 
 
 class ComposedInspector:
@@ -378,6 +395,7 @@ class ComposedInspector:
         index: int,
         step: Step,
         report: PipelineReport,
+        body: StageBody,
     ) -> None:
         """Run one stage transactionally under the failure policy."""
         state.current_index = index
@@ -389,7 +407,7 @@ class ComposedInspector:
         try:
             step.check_preconditions(state)
             tiling_before = state.tiling
-            step.run(state)
+            body(state, index, step)
             if state.tiling is not None and state.tiling is not tiling_before:
                 validate_tiling(state, f"{index}:{step.name}")
         except Exception as exc:
@@ -477,14 +495,22 @@ class ComposedInspector:
             hit = memo.lookup(cache, cache_key, data, self.steps)
             if hit is not None:
                 return hit
-        result = self._run_cold(data)
+        result = self.run_stages(data)
         if cache is not None:
             from repro.plancache import memo
 
             memo.store(cache, cache_key, result, self.steps)
         return result
 
-    def _run_cold(self, data: KernelData) -> InspectorResult:
+    def run_stages(
+        self, data: KernelData, body: StageBody = run_step
+    ) -> InspectorResult:
+        """Run every stage against a copy of ``data``, no cache consulted.
+
+        ``body(state, index, step)`` is what a stage runs: the step's
+        inspector by default; a delta-bind passes its patch rules.
+        Either way each stage gets the same record, the same typed
+        wrapping of a crash and the same tiling guard."""
         working = data.copy()
         n = working.num_nodes
         state = InspectorState(
@@ -502,17 +528,11 @@ class ComposedInspector:
             policy=self.on_stage_failure,
         )
         for index, step in enumerate(self.steps):
-            self._run_stage(state, index, step, report)
+            self._run_stage(state, index, step, report, body)
         state.finalize_payload()
 
-        plan = (
-            ExecutionPlan(schedule=state.tiling.schedule())
-            if state.tiling is not None
-            else ExecutionPlan.identity()
-        )
         return InspectorResult(
             transformed=state.data,
-            plan=plan,
             sigma_nodes=state.sigma_total,
             delta_loops=state.delta_total,
             tiling=state.tiling,

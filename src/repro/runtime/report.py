@@ -47,9 +47,9 @@ class StageRecord:
             "error_type": self.error_type,
         }
 
-    @staticmethod
-    def from_dict(payload: dict) -> "StageRecord":
-        return StageRecord(
+    @classmethod
+    def from_dict(cls, payload: dict) -> "StageRecord":
+        return cls(
             index=int(payload["index"]),
             name=payload["name"],
             status=payload["status"],
