@@ -84,9 +84,7 @@ def generate_inspector_source(
         w.line("left = np.asarray(left, dtype=np.int64).copy()")
         w.line("right = np.asarray(right, dtype=np.int64).copy()")
         w.line("sigma_total = np.arange(num_nodes, dtype=np.int64)")
-        if remap == "once":
-            w.line("sigma_pending = np.arange(num_nodes, dtype=np.int64)")
-        else:
+        if remap == "each":
             w.line("arrays = {k: v.copy() for k, v in arrays.items()}")
         w.line("tiling = None")
         w.line("num_tiles = 0")
@@ -97,7 +95,7 @@ def generate_inspector_source(
         if remap == "once":
             with w.block("def _move(arr):"):
                 w.line("out = np.empty_like(arr)")
-                w.line("out[sigma_pending] = arr")
+                w.line("out[sigma_total] = arr")
                 w.line("return out")
             w.line("arrays = {k: _move(v) for k, v in arrays.items()}")
         w.line("schedule = None")
@@ -135,7 +133,6 @@ def _emit_data_reordering(
             w.line("arrays[_name] = _out")
     else:
         w.comment("remap policy 'once': defer the payload move (Figure 11)")
-        w.line(f"sigma_pending = {sigma_var}[sigma_pending]")
 
 
 def _emit_iteration_reordering(w: SourceWriter, var: str, p_j: int) -> None:

@@ -123,11 +123,12 @@ def _parent_stage_mapped(ctx, step, index) -> np.ndarray:
     at its emission slot — equivalent to inverting ``delta_parent`` and
     gathering, without materializing the inverse.
     """
-    key = f"sf__{step.name}{index}"
-    delta_parent = ctx.parent_entry.arrays.get(key)
+    from repro.plancache import memo
+    name = f"{step.name}{index}"
+    delta_parent = memo.stage_function(ctx.parent_entry, name)
     if delta_parent is None:
         raise UnsupportedDelta(
-            f"parent entry lacks stage function {key!r}", stage=step.name
+            f"parent entry lacks stage function {name!r}", stage=step.name
         )
     mapped = np.empty(len(delta_parent), dtype=np.int64)
     mapped[delta_parent] = ctx.old_to_new

@@ -2,11 +2,12 @@
 
 The paper's Figures 8–9 show that run-time reordering pays off only once
 the inspector's one-time cost is amortized over enough executor runs.
-This package makes the amortization persistent: the composed inspector's
-entire output — realized index arrays, per-stage reordering functions,
-tiling, pipeline report, verification status — is memoized under a
-**content fingerprint** of (dataset index arrays) x (composition steps +
-policies) x (code-version salt), in a two-tier store:
+This package makes the amortization persistent: what a warm bind and a
+delta-bind read of the composed inspector's output — realized index
+arrays, tiling, the interaction loop's stage functions, pipeline report,
+verification status — is memoized (see :mod:`repro.plancache.memo`)
+under a **content fingerprint** of (dataset index arrays) x (composition
+steps + policies) x (code-version salt), in a two-tier store:
 
 * an in-process LRU with a byte budget (hot datasets re-bind in
   microseconds);

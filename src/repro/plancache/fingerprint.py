@@ -11,9 +11,10 @@ of everything the composed inspector's output depends on —
 * the **composition** — each step's class and parameters (including any
   embedded arrays, e.g. a space-filling step's coordinates), the data
   remap policy, and the stage-failure policy;
-* a **code-version salt** — a digest of the transform and inspector
-  sources, so editing an inspector algorithm silently invalidates every
-  entry it produced (the stale entry's key simply becomes unreachable).
+* a **code-version salt** — a digest of the transform, inspector and
+  entry-layout sources, so editing an inspector algorithm or the layout
+  silently invalidates every entry it produced (the stale entry's key
+  simply becomes unreachable).
 
 Fingerprints are hex strings, stable across processes and machines for
 identical content.
@@ -33,12 +34,13 @@ SALT_EXTRA = ""
 
 #: Modules whose source feeds the code-version salt: the reordering
 #: algorithms, the step table and composed inspector that drive them,
-#: and the lowering tier whose compiled executors cached binds rehydrate
-#: into.
+#: the entry layout cached binds are stored in, and the lowering tier
+#: whose compiled executors cached binds rehydrate into.
 _SALT_MODULE_NAMES = (
     "repro.transforms",
     "repro.runtime.steps",
     "repro.runtime.inspector",
+    "repro.plancache.memo",
     "repro.lowering",
 )
 

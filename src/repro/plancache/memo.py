@@ -3,17 +3,18 @@
 Serialization contract
 ----------------------
 
-An :class:`~repro.runtime.inspector.InspectorResult` is almost entirely
-index arrays — exactly what a ``.npz`` stores natively:
-
-* the transformed ``left``/``right`` index arrays;
-* ``sigma`` (the total node data reordering) and the per-loop ``delta``
-  iteration reorderings;
-* the tiling function (one array per loop + tile count), when present;
-* every per-stage reordering function under its symbolic UFS name
-  (``cp0``, ``lg1``, ``theta2``, ...) — what the runtime verifier binds;
-* the :class:`~repro.runtime.report.PipelineReport` (JSON metadata),
-  including per-stage statuses and the verifier verdict.
+An entry stores what its two readers read, each fact once.  A hit
+(:func:`entry_to_result`) reads the transformed ``left``/``right``,
+``sigma`` (the total node data reordering) and the tiling (one
+``tile__<loop>`` array per loop); a delta-bind reads the iteration
+reorderings' stage functions (``sf__lg1``, ...) through
+:func:`stage_function`.  A node loop's iteration reordering *is*
+``sigma``, the interaction loop's composes the stored ``sf__*``, and only
+the verifiers read the other stage functions (``cp0``, ``theta2``, ...):
+a hit ran no stage, so its ``stage_functions`` is ``None``.  Each array
+is stored at the narrowest signed integer width that holds its values
+and widened back to ``int64`` on rehydration.  The
+:class:`~repro.runtime.report.PipelineReport` rides in the JSON metadata.
 
 The node *payload* is deliberately **not** stored: a hit re-applies the
 cached ``sigma`` to the live payload (one vectorized gather per array),
@@ -38,9 +39,29 @@ from repro.runtime.report import PipelineReport
 from repro.transforms.base import ReorderingFunction
 from repro.transforms.fst import TilingFunction
 
+#: Storage widths narrower than ``int64``, narrowest first.
+_NARROW_WIDTHS = (np.int8, np.int16, np.int32)
+
 
 def _stage_names(steps) -> List[str]:
     return [step.name for step in steps]
+
+
+def _narrowest(array) -> np.ndarray:
+    """``array`` at the narrowest signed width that holds its values."""
+    array = np.asarray(array)
+    low, high = int(array.min(initial=0)), int(array.max(initial=0))
+    for width in _NARROW_WIDTHS:
+        info = np.iinfo(width)
+        if info.min <= low and high <= info.max:
+            return array.astype(width)
+    return array.astype(np.int64, copy=False)
+
+
+def stage_function(entry: CacheEntry, name: str) -> Optional[np.ndarray]:
+    """Iteration reordering ``name``'s stage function as int64, or None."""
+    array = entry.arrays.get(f"sf__{name}")
+    return None if array is None else array.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +75,13 @@ def result_to_entry(result, steps) -> CacheEntry:
         "right": result.transformed.right,
         "sigma": result.sigma_nodes.array,
     }
-    for pos, delta in result.delta_loops.items():
-        arrays[f"delta__{pos}"] = delta.array
-
     if result.tiling is not None:
         for loop, tiles in enumerate(result.tiling.tiles):
             arrays[f"tile__{loop}"] = tiles
-
-    stage_function_specs: Dict[str, object] = {}
-    for name, value in result.stage_functions.items():
-        if isinstance(value, np.ndarray):
-            stage_function_specs[name] = "array"
-            arrays[f"sf__{name}"] = value
-        else:  # a per-loop list (tiling-style UFS, e.g. theta2)
-            stage_function_specs[name] = len(value)
-            for loop, part in enumerate(value):
-                arrays[f"sfl__{name}__{loop}"] = np.asarray(part)
+    for index, step in enumerate(steps):
+        name = f"{step.symbol_prefix}{index}"
+        if step.symbol_domain == "inters" and name in result.stage_functions:
+            arrays[f"sf__{name}"] = result.stage_functions[name]
 
     report = result.report
     meta = {
@@ -77,17 +89,18 @@ def result_to_entry(result, steps) -> CacheEntry:
         "dataset_name": result.transformed.dataset_name,
         "num_nodes": int(result.transformed.num_nodes),
         "num_inter": int(result.transformed.num_inter),
-        "delta_positions": sorted(result.delta_loops),
         "num_tiles": (
             int(result.tiling.num_tiles) if result.tiling is not None else None
         ),
-        "stage_functions": stage_function_specs,
         "overhead": {k: int(v) for k, v in result.overhead.items()},
         "data_moves": int(result.data_moves),
         "step_names": _stage_names(steps),
         "report": report.to_dict() if report is not None else None,
     }
-    return CacheEntry(meta=meta, arrays=arrays)
+    return CacheEntry(
+        meta=meta,
+        arrays={key: _narrowest(array) for key, array in arrays.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +147,6 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
         },
     )
 
-    delta_loops = {
-        int(pos): ReorderingFunction(
-            f"delta{pos}", entry.arrays[f"delta__{pos}"]
-        )
-        for pos in meta["delta_positions"]
-    }
-    for pos, delta in delta_loops.items():
-        if len(delta) != transformed.loop_sizes()[pos]:
-            raise ValueError("cached delta length mismatch")
-
     tiling = None
     if meta["num_tiles"] is not None:
         tiles = [
@@ -151,16 +154,6 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
             for loop in range(len(transformed.loops))
         ]
         tiling = TilingFunction(tiles, int(meta["num_tiles"]))
-
-    stage_functions: Dict[str, object] = {}
-    for name, spec in meta["stage_functions"].items():
-        if spec == "array":
-            stage_functions[name] = entry.arrays[f"sf__{name}"]
-        else:
-            stage_functions[name] = [
-                entry.arrays[f"sfl__{name}__{loop}"]
-                for loop in range(int(spec))
-            ]
 
     report = (
         PipelineReport.from_dict(meta["report"])
@@ -175,11 +168,10 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
     return InspectorResult(
         transformed=transformed,
         sigma_nodes=sigma,
-        delta_loops=delta_loops,
         tiling=tiling,
         overhead=dict(meta["overhead"]),
         data_moves=int(meta["data_moves"]),
-        stage_functions=stage_functions,
+        stage_functions=None,  # nothing ran on this bind
         report=report,
     )
 
@@ -230,4 +222,10 @@ def store(
     cache.put(key, entry)
 
 
-__all__ = ["entry_to_result", "lookup", "result_to_entry", "store"]
+__all__ = [
+    "entry_to_result",
+    "lookup",
+    "result_to_entry",
+    "stage_function",
+    "store",
+]

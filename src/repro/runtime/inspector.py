@@ -145,10 +145,11 @@ class InspectorState:
 
     data: KernelData
     remap: str
+    #: The node data reordering composed so far.  Under ``remap="once"``
+    #: it is also what the payload still has to move by; under
+    #: ``"each"`` the payload has already moved by it.  Every node loop's
+    #: iteration reordering is this same function.
     sigma_total: ReorderingFunction
-    #: Data reordering composed since the payload was last moved.
-    sigma_pending: ReorderingFunction
-    delta_total: Dict[int, ReorderingFunction]
     tiling: Optional[TilingFunction] = None
     overhead: Dict[str, int] = field(default_factory=dict)
     data_moves: int = 0
@@ -175,8 +176,6 @@ class InspectorState:
         return {
             "data": self.data.copy(),
             "sigma_total": self.sigma_total,
-            "sigma_pending": self.sigma_pending,
-            "delta_total": dict(self.delta_total),
             "tiling": (
                 TilingFunction(
                     [t.copy() for t in self.tiling.tiles], self.tiling.num_tiles
@@ -193,8 +192,6 @@ class InspectorState:
         """Roll the state back to a :meth:`snapshot` (stage fallback)."""
         self.data = snap["data"]
         self.sigma_total = snap["sigma_total"]
-        self.sigma_pending = snap["sigma_pending"]
-        self.delta_total = dict(snap["delta_total"])
         self.tiling = snap["tiling"]
         self.overhead = dict(snap["overhead"])
         self.data_moves = snap["data_moves"]
@@ -222,8 +219,8 @@ class InspectorState:
 
         Node-space loops iterate ``0..n-1`` over the relocated payload, so
         the data reordering doubles as their iteration reordering (the
-        paper reuses ``Ocp`` for the i and k loops) — compose it into
-        their deltas and remap any existing tiling accordingly.
+        paper reuses ``Ocp`` for the i and k loops): it is composed into
+        ``sigma_total`` and renumbers any existing tiling's node loops.
 
         ``trusted`` skips the O(n) permutation-defect scan: only for
         callers whose array is a permutation *by construction* (a scatter
@@ -244,19 +241,13 @@ class InspectorState:
         self.data.right = sigma.remap_values(self.data.right)
         self.charge("index_adjust", 4 * self.data.num_inter)
 
-        for pos in self.data.node_loop_positions():
-            self.delta_total[pos] = self.delta_total[pos].compose(sigma)
         if self.tiling is not None:
             for pos in self.data.node_loop_positions():
-                self.tiling = self.tiling.with_iterations_reordered(
-                    pos, sigma.array
-                )
+                self.tiling.reorder_iterations(pos, sigma.array)
 
         self.sigma_total = self.sigma_total.compose(sigma)
         if self.remap == "each":
             self._move_payload(sigma, "data_remap")
-        else:
-            self.sigma_pending = self.sigma_pending.compose(sigma)
 
     def apply_iteration_reordering(
         self,
@@ -290,17 +281,15 @@ class InspectorState:
         self.data.left = self.data.left[order]
         self.data.right = self.data.right[order]
         self.charge("index_adjust", 4 * self.data.num_inter)
-        self.delta_total[pos] = self.delta_total[pos].compose(delta)
         if self.tiling is not None:
-            self.tiling = self.tiling.with_iterations_reordered(pos, delta.array)
+            self.tiling.reorder_iterations(pos, delta.array)
 
     def finalize_payload(self) -> None:
+        """Under ``remap="once"``, move the payload by ``sigma_total``."""
         if self.remap == "once" and not np.array_equal(
-            self.sigma_pending.array,
-            np.arange(len(self.sigma_pending.array)),
+            self.sigma_total.array, np.arange(len(self.sigma_total.array))
         ):
-            self._move_payload(self.sigma_pending, "data_remap")
-            self.sigma_pending = identity_reordering(self.data.num_nodes)
+            self._move_payload(self.sigma_total, "data_remap")
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +300,16 @@ class InspectorResult:
     """Everything the composed inspector produced."""
 
     transformed: KernelData
+    #: The total node data reordering, which is also every node loop's
+    #: iteration reordering.  The interaction loop's is the composition
+    #: of the iteration reorderings' stage functions.
     sigma_nodes: ReorderingFunction
-    delta_loops: Dict[int, ReorderingFunction]
     tiling: Optional[TilingFunction]
     overhead: Dict[str, int]
     data_moves: int
-    #: Per-stage reordering functions keyed by symbolic UFS name.
-    stage_functions: Dict[str, object]
+    #: Per-stage reordering functions keyed by symbolic UFS name;
+    #: ``None`` on a plan-cache hit, where no stage ran.
+    stage_functions: Optional[Dict[str, object]]
     #: Per-stage status/timings/fallbacks of the run that produced this.
     report: Optional[PipelineReport] = None
 
@@ -408,6 +400,10 @@ class ComposedInspector:
             step.check_preconditions(state)
             tiling_before = state.tiling
             body(state, index, step)
+            # Guard a stage that assigns a tiling.  The renumbering in
+            # apply_data_reordering / apply_iteration_reordering keeps
+            # the tiling object: one permutation moves both ends of
+            # every dependence, so a legal tiling stays legal.
             if state.tiling is not None and state.tiling is not tiling_before:
                 validate_tiling(state, f"{index}:{step.name}")
         except Exception as exc:
@@ -517,11 +513,6 @@ class ComposedInspector:
             data=working,
             remap=self.remap,
             sigma_total=identity_reordering(n, "sigma"),
-            sigma_pending=identity_reordering(n, "pending"),
-            delta_total={
-                pos: identity_reordering(size, f"delta{pos}")
-                for pos, size in enumerate(working.loop_sizes())
-            },
         )
         report = PipelineReport(
             plan_name="+".join(step.name for step in self.steps) or "baseline",
@@ -534,7 +525,6 @@ class ComposedInspector:
         return InspectorResult(
             transformed=state.data,
             sigma_nodes=state.sigma_total,
-            delta_loops=state.delta_total,
             tiling=state.tiling,
             overhead=dict(state.overhead),
             data_moves=state.data_moves,

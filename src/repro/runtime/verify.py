@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ExecutorFault
+from repro.errors import BindError, ExecutorFault
 from repro.kernels.data import KernelData
 from repro.presburger.evaluate import Environment
 from repro.presburger.ordering import lex_lt
@@ -122,8 +122,15 @@ def _bind_environment(
     The transformed relations reference each stage's UFS by name (``cp0``,
     ``lg1``, ``theta4``, ...); the composed inspector registered exactly
     those functions as it generated them, each over the numbering current
-    at its own stage — so the binding is direct.
+    at its own stage — so the binding is direct.  A plan-cache hit ran no
+    stage and carries none: :class:`~repro.errors.BindError`.
     """
+    if result.stage_functions is None:
+        raise BindError(
+            "the result came from the plan cache, which keeps no per-stage "
+            "reordering functions; bind without a cache to verify it",
+            stage="verify",
+        )
     env = Environment(
         symbols={
             "num_steps": num_steps,
@@ -156,10 +163,12 @@ def verify_dependences(
     """Enumerate the final transformed dependences; assert lex order.
 
     Returns the number of dependence pairs checked.  Reduction dependences
-    are skipped (they are reorderable by definition).  Note: composed
-    reordering functions are bound as the *total* functions, so this
-    checks the end-to-end composition rather than each stage — which is
-    precisely the executor-facing obligation.
+    are skipped (they are reorderable by definition).  Each stage's UFS
+    is bound to the function that stage produced (``cp0``, ``lg1``, ...,
+    over the numbering current at that stage); the final relations
+    compose them, so this checks the end-to-end composition — precisely
+    the executor-facing obligation.  A result from the plan cache carries
+    no stage functions and raises :class:`~repro.errors.BindError`.
 
     Only use on small instances: enumeration is a full scan.
     """

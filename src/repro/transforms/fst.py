@@ -72,15 +72,14 @@ class TilingFunction:
             np.add.at(sizes, loop_tiles, 1)
         return sizes
 
-    def with_iterations_reordered(
-        self, loop: int, delta: np.ndarray
-    ) -> "TilingFunction":
-        """Tile function after permuting one loop (``delta[old] = new``)."""
-        new_tiles = [t.copy() for t in self.tiles]
-        remapped = np.empty_like(new_tiles[loop])
-        remapped[delta] = new_tiles[loop]
-        new_tiles[loop] = remapped
-        return TilingFunction(new_tiles, self.num_tiles)
+    def reorder_iterations(self, loop: int, delta: np.ndarray) -> None:
+        """Renumber one loop's iterations (``delta[old] = new``).
+
+        The loop's tile array is replaced, never written into, so an
+        array handed out earlier keeps its values."""
+        remapped = np.empty_like(self.tiles[loop])
+        remapped[delta] = self.tiles[loop]
+        self.tiles[loop] = remapped
 
 
 def _normalize_edges(edges: EdgeSet) -> Tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,12 @@ from repro.runtime.verify import clear_verification_memo
 
 from tests.plancache.conftest import tiny_data
 
-__all__ = ["tiny_data", "assert_bit_identical", "small_delta"]
+__all__ = [
+    "tiny_data",
+    "assert_bit_identical",
+    "small_delta",
+    "stage_function_bytes",
+]
 
 
 def small_delta(data, *, removed=2, added=2, moved=0, seed=0):
@@ -70,12 +75,23 @@ def assert_bit_identical(patched, cold):
         assert patched.tiling.num_tiles == cold.tiling.num_tiles
         for mine, theirs in zip(patched.tiling.tiles, cold.tiling.tiles):
             assert mine.tobytes() == theirs.tobytes()
-    assert sorted(patched.delta_loops) == sorted(cold.delta_loops)
-    for loop, reordering in cold.delta_loops.items():
-        assert (
-            patched.delta_loops[loop].array.tobytes()
-            == reordering.array.tobytes()
+    # Each loop's iteration reordering: a node loop's is sigma (above),
+    # the interaction loop's composes the iteration reorderings' stage
+    # functions.  A hit ran no stage and carries none.
+    if patched.stage_functions is not None and cold.stage_functions is not None:
+        assert stage_function_bytes(patched) == stage_function_bytes(cold)
+
+
+def stage_function_bytes(result):
+    """Each stage function's bytes (a tiling's loop by loop)."""
+    return {
+        name: (
+            [part.tobytes() for part in value]
+            if isinstance(value, list)
+            else value.tobytes()
         )
+        for name, value in result.stage_functions.items()
+    }
 
 
 @pytest.fixture

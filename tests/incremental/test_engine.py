@@ -285,11 +285,6 @@ class TestMidDeltaFailure:
             data=data.copy(),
             remap="once",
             sigma_total=identity_reordering(data.num_nodes, "sigma"),
-            sigma_pending=identity_reordering(data.num_nodes, "pending"),
-            delta_total={
-                pos: identity_reordering(size, f"delta{pos}")
-                for pos, size in enumerate(data.loop_sizes())
-            },
         )
         state.tiling = TilingFunction(
             [np.zeros(size, dtype=np.int64) for size in data.loop_sizes()],

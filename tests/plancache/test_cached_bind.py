@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.specs import kernel_by_name
-from repro.plancache import PlanCache
+from repro.plancache import PlanCache, memo
 from repro.plancache import fingerprint as fp
 from repro.runtime import (
     ComposedInspector,
@@ -22,6 +22,7 @@ from repro.runtime import (
     run_numeric,
 )
 
+from tests.incremental.conftest import stage_function_bytes
 from tests.plancache.conftest import tiny_data
 
 pytestmark = pytest.mark.plancache
@@ -54,11 +55,13 @@ def assert_bit_identical(cold, warm, num_steps=2):
         assert np.array_equal(
             cold.transformed.arrays[name], warm.transformed.arrays[name]
         )
-    assert sorted(cold.delta_loops) == sorted(warm.delta_loops)
-    for pos in cold.delta_loops:
-        assert np.array_equal(
-            cold.delta_loops[pos].array, warm.delta_loops[pos].array
-        )
+    # A node loop's iteration reordering is sigma (above); the
+    # interaction loop's composes the iteration reorderings' stage
+    # functions, which a hit does not carry (the entry does).
+    if warm.report.cache == "hit":
+        assert warm.stage_functions is None
+    else:
+        assert stage_function_bytes(cold) == stage_function_bytes(warm)
     assert (cold.tiling is None) == (warm.tiling is None)
     if cold.tiling is not None:
         assert cold.tiling.num_tiles == warm.tiling.num_tiles
@@ -94,6 +97,12 @@ def test_warm_bind_bit_identical_property(tmp_path, seed, recipe):
     assert cold.report.cache == "stored"
     assert warm.report.cache == "hit"
     assert_bit_identical(cold, warm)
+    entry = cache.get(fp.bind_fingerprint(plan, data))
+    for index, step in enumerate(plan.steps):
+        if step.symbol_domain == "inters":
+            name = f"{step.symbol_prefix}{index}"
+            stored = memo.stage_function(entry, name)
+            assert stored.tobytes() == cold.stage_functions[name].tobytes()
 
 
 class TestWarmBind:

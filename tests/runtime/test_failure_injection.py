@@ -72,11 +72,6 @@ class TestPermutationGuards:
             data=data.copy(),
             remap="once",
             sigma_total=identity_reordering(data.num_nodes),
-            sigma_pending=identity_reordering(data.num_nodes),
-            delta_total={
-                pos: identity_reordering(size)
-                for pos, size in enumerate(data.loop_sizes())
-            },
         )
         bad = np.zeros(data.num_inter, dtype=np.int64)
         with pytest.raises(ValueError, match="not a permutation"):
@@ -93,11 +88,6 @@ class TestPermutationGuards:
             data=data.copy(),
             remap="once",
             sigma_total=identity_reordering(data.num_nodes),
-            sigma_pending=identity_reordering(data.num_nodes),
-            delta_total={
-                pos: identity_reordering(size)
-                for pos, size in enumerate(data.loop_sizes())
-            },
         )
         with pytest.raises(ValueError, match="interaction loop"):
             state.apply_iteration_reordering(

@@ -16,6 +16,7 @@ from repro.runtime.inspector import (
     TilePackStep,
 )
 from repro.runtime.verify import verify_numeric_equivalence
+from repro.transforms.base import ReorderingFunction
 from repro.transforms.fst import verify_tiling
 
 
@@ -50,17 +51,9 @@ class TestSingleSteps:
         firsts = res.transformed.left
         assert (np.diff(firsts) >= 0).all()
 
-    def test_node_delta_follows_data_sigma(self, moldyn_data):
-        res = run_composition(moldyn_data, [CPackStep()])
-        for pos in moldyn_data.node_loop_positions():
-            assert np.array_equal(
-                res.delta_loops[pos].array, res.sigma_nodes.array
-            )
-
     def test_interaction_delta_tracked(self, irreg_data):
         res = run_composition(irreg_data, [LexGroupStep()])
-        pos = irreg_data.interaction_loop_position()
-        delta = res.delta_loops[pos]
+        delta = ReorderingFunction("lg0", res.stage_functions["lg0"])
         assert delta.is_permutation()
         # rows moved accordingly: new row delta[old] == old row
         old = irreg_data.left

@@ -26,6 +26,7 @@ from repro.runtime.inspector import (
     TilePackStep,
 )
 from repro.runtime.verify import verify_numeric_equivalence
+from repro.transforms.base import ReorderingFunction, identity_reordering
 from repro.transforms.fst import verify_tiling
 
 
@@ -125,10 +126,18 @@ class TestRandomCompositions:
     @given(kernel_instances(), step_lists())
     @settings(max_examples=30, deadline=None)
     def test_index_arrays_stay_consistent(self, data, steps):
-        """sigma(left_0 reordered by deltas) == left_final, always."""
+        """sigma(left_0 reordered by deltas) == left_final, always.
+
+        The interaction loop's delta composes the iteration reorderings'
+        stage functions in stage order."""
         result = ComposedInspector(steps).run(data)
-        p_j = data.interaction_loop_position()
-        delta = result.delta_loops[p_j]
+        delta = identity_reordering(data.num_inter)
+        for index, step in enumerate(steps):
+            if step.symbol_domain == "inters":
+                name = f"{step.symbol_prefix}{index}"
+                delta = delta.compose(
+                    ReorderingFunction(name, result.stage_functions[name])
+                )
         expected = result.sigma_nodes.remap_values(data.left)[
             delta.inverse_array
         ]

@@ -9,6 +9,11 @@ loop instead of building :func:`dependence_edges`.  Two layers pin that:
 * a Hypothesis property: on random small instances and random tilings
   the guard passes exactly when :func:`repro.transforms.fst.verify_tiling`
   over :func:`dependence_edges` does.
+
+The stage loop guards a stage that assigns a tiling, once: the
+renumbering inside ``apply_data_reordering`` /
+``apply_iteration_reordering`` keeps a legal tiling legal (a second
+property) and is not re-guarded.
 """
 
 from types import SimpleNamespace
@@ -21,15 +26,17 @@ from hypothesis import strategies as st
 from repro.errors import InspectorFault
 from repro.kernels import generate_dataset, kernel_by_name, make_kernel_data
 from repro.runtime import CompositionPlan
-from repro.runtime.faults import inject
+from repro.runtime.faults import _scramble_tiling, inject
 from repro.runtime.inspector import (
     CPackStep,
     FullSparseTilingStep,
+    InspectorState,
     LexGroupStep,
     TilePackStep,
     dependence_edges,
     validate_tiling,
 )
+from repro.transforms.base import ReorderingFunction, identity_reordering
 from repro.transforms.fst import TilingFunction, verify_tiling
 
 from .conftest import tiny_dataset
@@ -144,3 +151,91 @@ def test_guard_verdict_equals_verify_tiling(instance):
         return
     with pytest.raises(InspectorFault, match=r"tiling violates \d+ \(loop"):
         validate_tiling(state, "0:fst")
+
+
+# ---------------------------------------------------------------------------
+# The guard checks a tiling once: renumbering does not re-guard it.
+
+
+def _legal(data, tiling):
+    return verify_tiling(tiling, dependence_edges(data))
+
+
+@given(tiled_instances(), st.lists(st.booleans(), min_size=1, max_size=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_renumbering_keeps_a_legal_tiling_legal(instance, kinds, draw):
+    """Any permutation applied through ``apply_data_reordering`` /
+    ``apply_iteration_reordering`` moves both ends of every dependence
+    and the tiles with them, so a legal tiling stays legal — and stays
+    the same object, which is what exempts it from the guard."""
+    data, tiling = instance
+    if not _legal(data, tiling):
+        return
+    state = InspectorState(
+        data=data.copy(),
+        remap="once",
+        sigma_total=identity_reordering(data.num_nodes, "sigma"),
+        tiling=tiling,
+    )
+    p_j = data.interaction_loop_position()
+    for data_kind in kinds:
+        size = data.num_nodes if data_kind else data.num_inter
+        perm = np.asarray(draw.draw(st.permutations(range(size))), dtype=np.int64)
+        reordering = ReorderingFunction("perm", perm)
+        if data_kind:
+            state.apply_data_reordering(reordering, "renumber")
+        else:
+            state.apply_iteration_reordering(p_j, reordering, "renumber")
+        assert state.tiling is tiling
+        assert _legal(state.data, state.tiling)
+        validate_tiling(state, "0:renumber")
+
+
+class _NodeStepInstallingBadTiles(CPackStep):
+    """A node-domain data reordering that also installs a tiling whose
+    first loop runs entirely in the last tile."""
+
+    name = "cpack-bad-tiles"
+
+    def run(self, state):
+        super().run(state)
+        state.tiling = _scramble_tiling(state.tiling, None)
+
+
+def test_a_node_domain_stage_installing_a_bad_tiling_is_caught():
+    assert _NodeStepInstallingBadTiles.symbol_domain == "nodes"
+    steps = [
+        CPackStep(),
+        LexGroupStep(),
+        FullSparseTilingStep(16),
+        _NodeStepInstallingBadTiles(),
+    ]
+    plan = CompositionPlan(
+        kernel_by_name("moldyn"), steps, validation="permissive"
+    )
+    with pytest.raises(InspectorFault) as info:
+        plan.bind(make_kernel_data("moldyn", SQUARE))
+    assert info.value.stage == "3:cpack-bad-tiles"
+    assert "tiling violates" in str(info.value)
+
+
+def test_the_guard_runs_once_per_tiling(monkeypatch):
+    """``fst`` installs the tiling and is guarded; ``tilepack`` only
+    renumbers it and is not."""
+    from repro.runtime import inspector
+
+    stages = []
+    real = inspector.validate_tiling
+
+    def counting(state, stage):
+        stages.append(stage)
+        real(state, stage)
+
+    monkeypatch.setattr(inspector, "validate_tiling", counting)
+    steps = [CPackStep(), LexGroupStep(), FullSparseTilingStep(16), TilePackStep()]
+    plan = CompositionPlan(
+        kernel_by_name("moldyn"), steps, validation="permissive"
+    )
+    result = plan.bind(make_kernel_data("moldyn", SQUARE))
+    assert stages == ["2:fst"]
+    assert _legal(result.transformed, result.tiling)

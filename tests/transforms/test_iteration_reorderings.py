@@ -244,6 +244,6 @@ class TestTilePack:
     def test_reordered_tiling_function(self):
         tiling = TilingFunction([np.array([1, 0])], 2)
         sigma = tilepack(tiling, 0, 2)
-        updated = tiling.with_iterations_reordered(0, sigma.array)
+        tiling.reorder_iterations(0, sigma.array)
         # new iteration 0 is old 1 (tile 0), new 1 is old 0 (tile 1)
-        assert list(updated.tiles[0]) == [0, 1]
+        assert list(tiling.tiles[0]) == [0, 1]
