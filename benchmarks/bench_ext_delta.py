@@ -16,9 +16,9 @@ This benchmark proves the three acceptance claims:
   the cold inspectors ran comparison sorts over the access stream, and
   most of the ratio was the sort the delta rules avoided (they do 96%
   of the cold bind's touches).  With linear-time cold inspectors the
-  same delta-bind, no slower than before (mol2: 0.90 -> 0.87 s CPU),
-  is 1.8x a cold re-bind that fell from 4.40 to 1.54 s, and 1.7x on
-  mol1 — see DESIGN.md §15, point 7;
+  ratio is what the touches predict: medians of 1.05x (mol2) and 0.97x
+  (mol1) over 15 runs on a 2-core box, every run listed in
+  ``benchmarks/results/ext_delta.txt`` — see DESIGN.md §15, point 7;
 * **bit-identical** — every patched bind equals a cold bind of the
   canonical mutated dataset, ``tobytes`` on every realized array;
 * **safe degradation** — drift past a per-step threshold provably falls

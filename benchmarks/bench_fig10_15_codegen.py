@@ -41,6 +41,26 @@ STEPS = [
     FullSparseTilingStep(10), TilePackStep(),
 ]
 
+#: The committed listings, one file per entry of :func:`listings`.
+LISTINGS_DIR = pathlib.Path(__file__).parent / "results" / "generated_code"
+
+
+def listings():
+    """File name -> generated source of every listing (Figures 10-15)."""
+    kernel = kernel_by_name("moldyn")
+    artifacts = {
+        f"inspector_{remap}.py": generate_inspector_source(
+            kernel, STEPS, remap=remap
+        )
+        for remap in ("once", "each")
+    }
+    artifacts["executor.py"] = generate_executor_source(kernel)
+    artifacts["executor_tiled.py"] = generate_executor_source(kernel, tiled=True)
+    artifacts["trace_executor_tiled.py"] = generate_trace_executor_source(
+        kernel, tiled=True
+    )
+    return artifacts
+
 
 def _data():
     rng = np.random.default_rng(2003)
@@ -56,15 +76,12 @@ def _data():
 
 
 def run_experiment():
-    kernel = kernel_by_name("moldyn")
     data = _data()
-    artifacts = {}
+    artifacts = listings()
 
     # Figures 10-12 + 11/15: composed inspectors under both policies.
     for remap in ("once", "each"):
-        src = generate_inspector_source(kernel, STEPS, remap=remap)
-        artifacts[f"inspector_{remap}.py"] = src
-        fn = compile_source(src, "moldyn_inspector")
+        fn = compile_source(artifacts[f"inspector_{remap}.py"], "moldyn_inspector")
         out = fn(
             data.num_nodes, data.num_inter, data.left, data.right,
             {k: v.copy() for k, v in data.arrays.items()},
@@ -79,8 +96,6 @@ def run_experiment():
                 assert np.array_equal(out["schedule"][t][l], tile[l])
 
     # Figure 13: the (permuted) executor; Figure 14: the sparse-tiled one.
-    artifacts["executor.py"] = generate_executor_source(kernel)
-    artifacts["executor_tiled.py"] = generate_executor_source(kernel, tiled=True)
     lib = ComposedInspector(STEPS).run(data)
     tiled = compile_source(artifacts["executor_tiled.py"], "moldyn_executor_tiled")
     arrays = {k: v.copy() for k, v in lib.transformed.arrays.items()}
@@ -94,9 +109,6 @@ def run_experiment():
         assert np.allclose(arrays[k], reference.arrays[k])
 
     # Trace executor: the memory behavior, derived purely from the IR.
-    artifacts["trace_executor_tiled.py"] = generate_trace_executor_source(
-        kernel, tiled=True
-    )
     fn = compile_source(
         artifacts["trace_executor_tiled.py"], "moldyn_trace_executor"
     )
@@ -120,10 +132,9 @@ def run_experiment():
 
 def test_fig10_15_generated_code(benchmark, results_dir):
     artifacts = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    out_dir = pathlib.Path(results_dir) / "generated_code"
-    out_dir.mkdir(exist_ok=True)
+    LISTINGS_DIR.mkdir(exist_ok=True)
     for name, src in artifacts.items():
-        (out_dir / name).write_text(src)
+        (LISTINGS_DIR / name).write_text(src)
     summary = [
         "Figures 10-15: generated code validated against the library:",
         *(f"  results/generated_code/{name} ({len(src.splitlines())} lines)"

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import ERROR, Diagnostic
 from repro.errors import BindError
 from repro.lowering.ir import Program, expr_loads, ir_hash
-from repro.lowering.passes import PassConfig, RewriteState
+from repro.lowering.passes import RewriteState
 from repro.presburger.constraints import Constraint, geq, leq
 from repro.presburger.sets import Conjunction
 from repro.presburger.simplify import simplify_conjunction
@@ -61,8 +61,9 @@ from repro.presburger.terms import AffineExpr, var
 
 #: Bumped whenever the verifier's rules or proof format change; part of
 #: the proof-artifact content address, so stale proofs never match.
-#: irverify-5: no IRV006 rule and no ``counter-dag`` assumed fact.
-IRVERIFY_VERSION = "irverify-5"
+#: irverify-6: the proof JSON carries no pass-configuration digest
+#: (there is one pass pipeline, so nothing to tell builds apart by).
+IRVERIFY_VERSION = "irverify-6"
 
 #: Stable rule codes (the ``repro lint --ir`` contract).
 IRV_BOUNDS = "IRV001"
@@ -136,7 +137,6 @@ class IRVerificationReport:
 
     kernel_name: str
     ir_digest: str
-    config_digest: str
     version: str = IRVERIFY_VERSION
     diagnostics: List[Diagnostic] = field(default_factory=list)
     obligations: List[BoundsObligation] = field(default_factory=list)
@@ -170,7 +170,6 @@ class IRVerificationReport:
         return {
             "kernel": self.kernel_name,
             "ir_digest": self.ir_digest,
-            "config_digest": self.config_digest,
             "version": self.version,
             "proven": self.proven,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
@@ -213,10 +212,10 @@ class IRVerificationReport:
 # Proof-artifact cache key
 
 
-def proof_key(program: Program, config: PassConfig) -> str:
+def proof_key(program: Program) -> str:
     """Content address of one verification result (verifier version in
     the salt, so bumping the rules invalidates every cached proof)."""
-    blob = "\x1f".join((ir_hash(program), config.digest(), IRVERIFY_VERSION))
+    blob = "\x1f".join((ir_hash(program), IRVERIFY_VERSION))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -721,7 +720,6 @@ def verify_state(state: RewriteState) -> IRVerificationReport:
     report = IRVerificationReport(
         kernel_name=program.kernel_name,
         ir_digest=ir_hash(program),
-        config_digest=state.config.digest(),
     )
     try:
         facts = _kernel_facts(program)
@@ -751,24 +749,22 @@ def verify_state(state: RewriteState) -> IRVerificationReport:
 
 
 def verify_executor(
-    kernel_name: str,
-    tiled: bool = False,
-    config: Optional[PassConfig] = None,
+    kernel_name: str, tiled: bool = False
 ) -> IRVerificationReport:
     """Lower + rewrite one kernel executor and verify the result (the
     ``repro lint --ir`` / ``doctor`` entry point).  ``tiled`` selects
     nothing: untiled and tiled binds run the one rewritten program."""
     from repro.lowering.executor import _rewritten
 
-    return verify_state(_rewritten(kernel_name, config or PassConfig()))
+    return verify_state(_rewritten(kernel_name))
 
 
 def verification_diagnostics(
-    kernel_name: str, config: Optional[PassConfig] = None
+    kernel_name: str
 ) -> Tuple[List[str], List[Diagnostic], IRVerificationReport]:
     """Rules-run codes + diagnostics for merging into an
     :class:`~repro.analysis.diagnostics.AnalysisReport` (``lint --ir``)."""
-    report = verify_executor(kernel_name, config=config)
+    report = verify_executor(kernel_name)
     return list(IRV_CODES), list(report.diagnostics), report
 
 

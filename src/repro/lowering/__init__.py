@@ -25,7 +25,7 @@ from repro.lowering.executor import (
     resolve_executor_backend,
 )
 from repro.lowering.ir import Program, ir_hash, lower_kernel
-from repro.lowering.passes import LoweringRewriter, PassConfig
+from repro.lowering.passes import LoweringRewriter
 
 __all__ = [
     "DEFAULT_EXECUTOR_BACKEND",
@@ -33,7 +33,6 @@ __all__ = [
     "EXECUTOR_LADDER",
     "CompiledExecutor",
     "LoweringRewriter",
-    "PassConfig",
     "Program",
     "artifact_key",
     "clear_executor_memo",

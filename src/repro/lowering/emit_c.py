@@ -5,12 +5,13 @@ a *phase table plus its driver*, the C analogue of
 :mod:`repro.lowering.schedule`'s Python side.  (An untiled executor is
 this unit under the trivial schedule — one tile, every loop in range
 form — not another unit; see :mod:`repro.lowering.executor`.)  Per
-kernel loop its phase bodies — node ``apply``, fissioned ``gather`` +
-``commit``, scalar ``apply`` — are rendered exactly once, as functions
-of ``(context, tile)``.  The *wave loop* over them is
-:func:`~repro.lowering.schedule.run_wave_phases` in C: per wave, per
-loop, every gather of the wave, then per tile **in the wave's order**
-every commit pass.  ``run_tiled`` takes, after the operands (data
+kernel loop its phase bodies — node ``apply``, interaction ``gather`` +
+``commit`` — are rendered exactly once, as functions of ``(context,
+tile)``; a program that still holds a scalar loop is refused before any
+source is written (:func:`~repro.lowering.ir.require_batched`).  The
+*wave loop* over them is :func:`~repro.lowering.schedule.run_wave_phases`
+in C: per wave, per loop, every gather of the wave, then per tile **in
+the wave's order** every commit pass.  ``run_tiled`` takes, after the operands (data
 arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
 ``num_steps``),
 
@@ -57,6 +58,7 @@ from repro.lowering.ir import (
     LoopIR,
     Neg,
     Program,
+    require_batched,
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
@@ -154,14 +156,6 @@ def _emit_node_body(w: SourceWriter, loop: LoopIR, ivar: str) -> None:
         w.line(f"{stmt.array}[{ivar}] = {stmt.array}[{ivar}] + {inc};")
 
 
-def _emit_inter_scalar_body(w: SourceWriter, loop: LoopIR, ivar: str) -> None:
-    via = _idx_via(ivar)
-    for stmt in loop.stmts:
-        target = f"{stmt.array}[{via[stmt.index.via]}]"
-        inc = _render(stmt.increment, ivar, via)
-        w.line(f"{target} = {target} + {inc};")
-
-
 def _commit_stmt(commit, ivar: str, payload: str) -> str:
     """``array[via[i]] += sign * payload`` as one explicit C assignment."""
     end = f"{commit.via}[{ivar}]"
@@ -253,7 +247,7 @@ def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
         ivar = loop.index_var
         if loop.domain == "nodes":
             phases = {"apply": [lambda k: _emit_node_body(w, loop, ivar)]}
-        elif loop.fissioned is not None:
+        else:
             gc = loop.fissioned
             payload = _render(gc.payload, ivar, _idx_via(ivar))
             # The payload is keyed by the global CSR position: tile slots
@@ -266,10 +260,6 @@ def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
                     )
                     for commit in gc.commits
                 ],
-            }
-        else:
-            phases = {
-                "apply": [lambda k: _emit_inter_scalar_body(w, loop, ivar)]
             }
         names = []
         for phase, bodies in phases.items():
@@ -334,7 +324,9 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     tile ids, and ``left``/``right``.  On the first violation it records
     (guard code, position, value, bound) in ``err`` and returns before
     any data array is touched; the compute body is unchanged, so valid
-    datasets stay bit-identical."""
+    datasets stay bit-identical.  A program with a scalar loop is a
+    :class:`~repro.errors.LegalityError`."""
+    require_batched(program)
     w = SourceWriter()
     w.line(f"/* Tiled C executor for '{program.kernel_name}' "
            "(generated by repro.lowering; do not edit). */")

@@ -15,12 +15,10 @@ hand-written reference table (``tests/kernels/oracle.py``):
   pure evaluation of the payload over the endpoint arrays — plus
   ``commit(arrays, l, r, payload)``: one ``np.add.at`` per commit, in
   statement order, the fold order the C tier reproduces, so results are
-  bit-identical;
-* loops the pipeline left scalar become faithful Figure-13 scalar loops
-  (the interpreter-speed rendering; ablation only) behind the same
-  signatures: an unfissioned interaction loop gathers nothing and runs
-  its interleaved statements in ``commit``, i.e. still at its tile's
-  turn in the commit order.
+  bit-identical.
+
+A program that still holds a scalar loop is refused before any source
+is written (:func:`~repro.lowering.ir.require_batched`).
 
 The module holds no schedule and no entry point: *how* the table runs —
 over which tiles and wave groups — is decided by the wave driver of
@@ -45,6 +43,7 @@ from repro.lowering.ir import (
     LoopIR,
     Neg,
     Program,
+    require_batched,
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
@@ -94,47 +93,25 @@ def _emit_phase(w: SourceWriter, program: Program, pos: int) -> str:
     if loop.domain == "nodes":
         with w.block(f"def _apply_{pos}(arrays, iters):"):
             _emit_arrays(w, program)
-            if loop.vector:
-                for stmt in loop.stmts:
-                    inc = _render(stmt.increment, "iters", {})
-                    w.line(f"A_{stmt.array}[iters] += {inc}")
-            else:
-                ivar = loop.index_var
-                with w.block("if isinstance(iters, slice):"):
-                    first = program.data_arrays[0]
-                    w.line(f"iters = range(len(A_{first}))[iters]")
-                with w.block(f"for {ivar} in iters:"):
-                    for stmt in loop.stmts:
-                        inc = _render(stmt.increment, ivar, {})
-                        w.line(f"A_{stmt.array}[{ivar}] += {inc}")
+            for stmt in loop.stmts:
+                inc = _render(stmt.increment, "iters", {})
+                w.line(f"A_{stmt.array}[iters] += {inc}")
         w.line()
         w.line()
         return f"KernelPhase('nodes', apply=_apply_{pos})"
-    gc = loop.fissioned if loop.vector else None
+    gc = loop.fissioned
     with w.block(f"def _gather_{pos}(arrays, l, r):"):
-        if gc is None:
-            w.line("return None")
-        else:
-            _emit_arrays(w, program)
-            payload = _render(gc.payload, None, {"left": "l", "right": "r"})
-            w.line(f"return {payload}")
+        _emit_arrays(w, program)
+        payload = _render(gc.payload, None, {"left": "l", "right": "r"})
+        w.line(f"return {payload}")
     w.line()
     w.line()
     with w.block(f"def _commit_{pos}(arrays, l, r, g):"):
         _emit_arrays(w, program)
-        if gc is None:
-            # Scalar Figure-13 rendering (statements interleaved per
-            # iteration).
-            via = {"left": "l[_k]", "right": "r[_k]"}
-            with w.block("for _k in range(len(l)):"):
-                for stmt in loop.stmts:
-                    target = f"A_{stmt.array}[{via[stmt.index.via]}]"
-                    w.line(f"{target} += {_render(stmt.increment, None, via)}")
-        else:
-            for commit in gc.commits:
-                end = {"left": "l", "right": "r"}[commit.via]
-                val = "g" if commit.sign > 0 else "-g"
-                w.line(f"np.add.at(A_{commit.array}, {end}, {val})")
+        for commit in gc.commits:
+            end = {"left": "l", "right": "r"}[commit.via]
+            val = "g" if commit.sign > 0 else "-g"
+            w.line(f"np.add.at(A_{commit.array}, {end}, {val})")
     w.line()
     w.line()
     return f"KernelPhase('inters', gather=_gather_{pos}, commit=_commit_{pos})"
@@ -190,7 +167,9 @@ def emit_numpy(program: Program, sanitize: bool = False) -> str:
     and, when given, the wave groups, that
     raises :class:`~repro.errors.ExecutorBoundsError` before any data
     array is read or written; the phases are unchanged, so valid
-    datasets stay bit-identical."""
+    datasets stay bit-identical.  A program with a scalar loop is a
+    :class:`~repro.errors.LegalityError`."""
+    require_batched(program)
     w = SourceWriter()
     w.line(f'"""NumPy phase table for {program.kernel_name!r} '
            '(generated by repro.lowering; do not edit)."""')

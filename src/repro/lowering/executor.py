@@ -13,8 +13,8 @@ rewritten):
 alias of ``numpy`` now (:data:`LIBRARY_ALIAS`); its tables are the test
 oracle.
 
-Each tier binds one artifact per (kernel, config) — the rewritten,
-blocked program and its one proof — and runs it over a tile schedule:
+Each tier binds one artifact per kernel — the rewritten, blocked
+program and its one proof — and runs it over a tile schedule:
 the ``numpy`` tier hands its phase table to the wave driver of
 :mod:`repro.lowering.schedule`, the C tier calls the unit's one entry
 point ``run_tiled`` through one marshaller (:func:`_c_call`).
@@ -43,8 +43,8 @@ single :class:`~repro.backends.BackendFallbackWarning`.
 Compiled artifacts (the generated ``.py`` source, the ``.c`` source,
 and the built ``.so``) are content-addressed in the plan cache's
 :class:`~repro.plancache.artifacts.ArtifactStore` under
-:func:`artifact_key` — lowered-IR hash x pass config x emitter version
-x toolchain fingerprint — so a warm bind is a file read + dlopen, not a
+:func:`artifact_key` — lowered-IR hash x emitter version x toolchain
+fingerprint — so a warm bind is a file read + dlopen, not a
 compile.  A per-process memo on top makes repeat binds free.
 
 All backends are **bit-identical** (asserted by the compiled identity
@@ -69,7 +69,7 @@ from repro import backends
 from repro.errors import ExecutorBoundsError, LegalityError, ValidationError
 from repro.lowering import toolchain
 from repro.lowering.ir import Program, ir_hash, lower_kernel
-from repro.lowering.passes import LoweringRewriter, PassConfig, RewriteState
+from repro.lowering.passes import LoweringRewriter, RewriteState
 from repro.transforms.tile_schedule import (
     CSRLists,
     as_tile_schedule,
@@ -121,10 +121,10 @@ def resolve_executor_backend(
     return resolution
 
 
-def artifact_key(program: Program, config: PassConfig, emitter: str) -> str:
+def artifact_key(program: Program, emitter: str) -> str:
     """Content address of one compiled executor build."""
     tool = toolchain.toolchain_fingerprint() if emitter.startswith("c") else ""
-    blob = "\x1f".join((ir_hash(program), config.digest(), emitter, tool))
+    blob = "\x1f".join((ir_hash(program), emitter, tool))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -149,9 +149,9 @@ class CompiledExecutor:
     artifact_path: Optional[str] = None
     from_cache: bool = False
     state: Optional[RewriteState] = None
-    #: ``True``/``False`` once the IR verifier ran (or its cached proof
-    #: was consulted); ``None`` when ``verify=False`` skipped it.
-    verified: Optional[bool] = None
+    #: Whether the IR verifier (or its cached proof) proved the program;
+    #: ``False`` only for a sanitized build of an unproven program.
+    verified: bool = False
     #: Whether the bound executor carries the sanitizer guard prologue.
     sanitized: bool = False
     #: Path of the content-addressed proof artifact, when one exists.
@@ -393,24 +393,24 @@ def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
     return call
 
 
-def _rewritten(kernel_name: str, config: PassConfig) -> RewriteState:
+def _rewritten(kernel_name: str) -> RewriteState:
     from repro.kernels.specs import kernel_by_name
 
     program = lower_kernel(kernel_by_name(kernel_name))
-    return LoweringRewriter(config=config).run(program)
+    return LoweringRewriter().run(program)
 
 
 def _verify_with_proof_cache(state: RewriteState, store):
     """Run the IR verifier — or reuse its content-addressed proof.
 
     Returns ``(proven, proof_path, from_cache)``.  The proof JSON is
-    keyed by lowered-IR hash x pass config x verifier version, so a warm
+    keyed by lowered-IR hash x verifier version, so a warm
     bind of an already-proven program is a file read, not a re-proof; a
     corrupted proof file is a safe miss (re-verify and rewrite).
     """
     from repro.analysis.irverify import proof_key, verify_state
 
-    key = proof_key(state.program, state.config)
+    key = proof_key(state.program)
     built = {}
 
     def build() -> str:
@@ -433,10 +433,8 @@ def compile_executor(
     kernel_name: str,
     backend: Optional[str] = None,
     tiled: bool = False,
-    config: Optional[PassConfig] = None,
     cache_dir=None,
     memo: bool = True,
-    verify: bool = True,
     sanitize: Optional[bool] = None,
     scheduler: Optional[str] = None,
 ) -> CompiledExecutor:
@@ -461,8 +459,7 @@ def compile_executor(
     the guarded emitters, which trap bad indices as typed
     :class:`~repro.errors.ExecutorBoundsError` at run time instead.
     Proof results are content-addressed next to the artifacts, so warm
-    binds skip re-verification.  ``verify=False`` skips the gate
-    entirely (test/ablation hook).
+    binds skip re-verification.
     """
     from repro.lowering import emit_c, emit_numpy
     from repro.plancache.artifacts import ArtifactStore
@@ -473,47 +470,34 @@ def compile_executor(
             "('auto', 'wave', 'dynamic')"
         )
     resolved = resolve_executor_backend(backend).backend
-    config = config or PassConfig()
     sanitized = sanitize_enabled(sanitize)
 
-    memo_key = (
-        kernel_name,
-        resolved,
-        tiled,
-        config.digest(),
-        str(cache_dir),
-        verify,
-        sanitized,
-    )
+    memo_key = (kernel_name, resolved, tiled, str(cache_dir), sanitized)
     if memo:
         with _MEMO_LOCK:
             hit = _MEMO.get(memo_key)
         if hit is not None:
             return hit
 
-    state = _rewritten(kernel_name, config)
+    state = _rewritten(kernel_name)
     program = state.program
 
-    verified = None
-    proof_path = None
-    proof_cached = False
     store = ArtifactStore(cache_dir)
-    if verify:
-        verified, proof_path, proof_cached = _verify_with_proof_cache(
-            state, store
+    verified, proof_path, proof_cached = _verify_with_proof_cache(
+        state, store
+    )
+    if not verified and not sanitized:
+        raise LegalityError(
+            f"IR verifier could not prove executor "
+            f"{kernel_name!r} ({resolved}) safe; refusing unguarded "
+            "emission",
+            stage="irverify",
+            hint=(
+                "inspect with `repro lint --ir`, or bind with "
+                "sanitize=True / REPRO_EXECUTOR_SANITIZE=1 for a "
+                "bounds-guarded build"
+            ),
         )
-        if not verified and not sanitized:
-            raise LegalityError(
-                f"IR verifier could not prove executor "
-                f"{kernel_name!r} ({resolved}) safe; refusing unguarded "
-                "emission",
-                stage="irverify",
-                hint=(
-                    "inspect with `repro lint --ir`, or bind with "
-                    "sanitize=True / REPRO_EXECUTOR_SANITIZE=1 for a "
-                    "bounds-guarded build"
-                ),
-            )
 
     # One build recipe for both tiers: content-addressed source text,
     # then (C only) the shared object built from it.
@@ -524,7 +508,7 @@ def compile_executor(
     version = emitter.EMITTER_VERSION
     if sanitized:
         version += "+" + emitter.SANITIZE_TAG
-    key = artifact_key(program, config, version)
+    key = artifact_key(program, version)
     path, from_cache = store.get_or_build_text(
         key, suffix, lambda: emit(program, sanitize=sanitized)
     )

@@ -25,10 +25,10 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple, Union
 
-from repro.errors import ValidationError
+from repro.errors import LegalityError, ValidationError
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -208,6 +208,27 @@ class Program:
         }
 
 
+def require_batched(program: Program) -> None:
+    """Refuse a program that still holds a scalar loop, before any source
+    is written: both emitters render only batched loops — a vectorized
+    node loop, a vectorized interaction loop in gather/commit form.  The
+    pass pipeline leaves every loop of the shipped kernels batched; a
+    loop it kept scalar (a payload fission cannot hoist) has no
+    bit-identical rendering on either tier."""
+    scalar = [
+        loop.label
+        for loop in program.loops
+        if not loop.vector
+        or (loop.domain != "nodes" and loop.fissioned is None)
+    ]
+    if scalar:
+        raise LegalityError(
+            f"executor {program.kernel_name!r}: loop(s) {scalar} were left "
+            "scalar by the pass pipeline; no emitter renders a scalar loop",
+            stage="lowering",
+        )
+
+
 def ir_hash(program: Program) -> str:
     """Stable SHA-256 of the (annotated) program — the artifact-cache key
     component that changes whenever the lowered form changes."""
@@ -378,4 +399,5 @@ __all__ = [
     "lower_kernel",
     "parse_statement",
     "replace",
+    "require_batched",
 ]

@@ -35,17 +35,14 @@ application recorded in the :class:`RewriteState` log.
   phase table and ``emit_c_tiled`` renders in C.  The wave groups fix
   the commit order, so the reduction folds the same way on every tier.
 
-There is no scheduler pass: every tier runs the one wave loop.
-
-``PassConfig`` toggles the optional passes (the benchmark's ablation
-knob); its digest is part of the compiled-artifact fingerprint.
+There is no scheduler pass: every tier runs the one wave loop, and
+there are no pass toggles: every bind runs all four passes, so each
+(kernel, tier, sanitize) has one emitted source and one proof.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -57,28 +54,6 @@ from repro.lowering.ir import (
     Program,
     expr_loads,
 )
-
-
-@dataclass(frozen=True)
-class PassConfig:
-    """Which optional pipeline passes run (all on by default; blocking
-    is not optional)."""
-
-    fission: bool = True
-    vectorize: bool = True
-    parallelize: bool = True
-
-    def to_dict(self):
-        return {
-            "fission": self.fission,
-            "vectorize": self.vectorize,
-            "parallelize": self.parallelize,
-        }
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
 
 
 @dataclass
@@ -104,7 +79,6 @@ class RewriteState:
     """The program threading through the pipeline, plus the pass log."""
 
     program: Program
-    config: PassConfig = field(default_factory=PassConfig)
     log: List[PassRecord] = field(default_factory=list)
 
     def record(
@@ -139,11 +113,8 @@ def rewrite_pass(fn: Callable) -> Callable:
 class LoweringRewriter:
     """Run the ordered pass pipeline over a lowered program."""
 
-    def __init__(self, config: Optional[PassConfig] = None):
-        self.config = config or PassConfig()
-
     def run(self, program: Program) -> RewriteState:
-        state = RewriteState(program=program, config=self.config)
+        state = RewriteState(program=program)
         self._pipeline(state)
         return state
 
@@ -157,8 +128,6 @@ class LoweringRewriter:
 
     @rewrite_pass
     def _loop_fission(self, state: RewriteState):
-        if not self.config.fission:
-            return state.program, False, ["disabled by config"]
         notes: List[str] = []
         loops: List[LoopIR] = []
         changed = False
@@ -189,8 +158,6 @@ class LoweringRewriter:
 
     @rewrite_pass
     def _vectorize(self, state: RewriteState):
-        if not self.config.vectorize:
-            return state.program, False, ["disabled by config"]
         notes: List[str] = []
         loops: List[LoopIR] = []
         changed = False
@@ -225,8 +192,6 @@ class LoweringRewriter:
 
     @rewrite_pass
     def _parallelize(self, state: RewriteState):
-        if not self.config.parallelize:
-            return state.program, False, ["disabled by config"]
         scalar = [
             loop.label
             for loop in state.program.loops
@@ -281,7 +246,6 @@ def _fission_gather_commit(loop: LoopIR) -> Optional[GatherCommit]:
 
 __all__ = [
     "LoweringRewriter",
-    "PassConfig",
     "PassRecord",
     "RewriteState",
     "rewrite_pass",

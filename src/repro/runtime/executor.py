@@ -1,11 +1,10 @@
 """Executors: trace emission and numeric execution under a plan.
 
 An :class:`ExecutionPlan` is the run-time counterpart of the transformed
-unified iteration space: either per-loop iteration orders (possibly
-identity — after the inspector has physically remapped the arrays, the
-transformed executor of the paper's Figure 13 runs plain ``0..n-1``
-loops), or a sparse-tile schedule (Figure 14's ``do t / do x in
-sched(t,l)``).
+unified iteration space: either the identity (after the inspector has
+physically remapped the arrays, the transformed executor of the paper's
+Figure 13 runs plain ``0..n-1`` loops), or a sparse-tile schedule
+(Figure 14's ``do t / do x in sched(t,l)``).
 
 ``emit_trace`` produces the address trace the cache simulator prices;
 ``run_numeric`` executes the actual arithmetic for end-to-end validation.
@@ -14,12 +13,11 @@ sched(t,l)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cachesim.trace import AccessTrace, TraceBuilder
-from repro.errors import ValidationError
 from repro.kernels.data import KernelData
 from repro.transforms.tile_schedule import as_tile_schedule
 
@@ -31,29 +29,17 @@ INTERS_REGION = "inters"
 class ExecutionPlan:
     """How to traverse the kernel's loops.
 
-    ``loop_orders[pos]`` is the iteration sequence of loop ``pos`` (``None``
-    means ``0..n-1``).  ``schedule[t][pos]`` — when set — gives the
-    iterations of loop ``pos`` inside tile ``t``; the executor then runs
-    tiles outermost (the paper's sparse-tiled executor).
+    ``schedule[t][pos]`` — when set — gives the iterations of loop
+    ``pos`` inside tile ``t``; the executor then runs tiles outermost
+    (the paper's sparse-tiled executor).  Without it every loop runs
+    ``0..n-1``.
     """
 
-    loop_orders: Optional[List[Optional[np.ndarray]]] = None
     schedule: Optional[Sequence[Sequence[np.ndarray]]] = None
 
     @staticmethod
     def identity() -> "ExecutionPlan":
         return ExecutionPlan()
-
-    def order_for(self, data: KernelData, pos: int) -> np.ndarray:
-        size = data.loop_sizes()[pos]
-        if self.loop_orders is None or self.loop_orders[pos] is None:
-            return np.arange(size, dtype=np.int64)
-        order = self.loop_orders[pos]
-        if len(order) != size:
-            raise ValidationError(
-                f"loop {pos} order has {len(order)} entries, expected {size}"
-            )
-        return order
 
     def validate_schedule(self, data: KernelData) -> None:
         """The schedule partitions every loop of ``data``: one offset
@@ -110,9 +96,10 @@ def emit_trace(
                     if len(tile[pos]):
                         _emit_loop(builder, data, pos, tile[pos], mark_writes)
         else:
-            for pos in range(len(data.loops)):
+            for pos, size in enumerate(data.loop_sizes()):
                 _emit_loop(
-                    builder, data, pos, plan.order_for(data, pos), mark_writes
+                    builder, data, pos, np.arange(size, dtype=np.int64),
+                    mark_writes,
                 )
     return builder.build()
 

@@ -19,12 +19,9 @@ Usage::
     ComposedInspector(faulty).run(data)   # raises ValidationError
 
 Every corruptor is deterministic given its seed — reproducing a failure
-is always one function call.  :class:`FaultPlan` lifts that into a
-declarative, serializable configuration (which faults fire at which
-stages, under one seed) so whole fault campaigns are reproducible from a
-JSON object; the process-level chaos harness
-(:mod:`repro.service.chaos`) follows the same plan-shaped idiom for
-worker kills, heartbeat stalls, latency spikes, and cache corruption.
+is always one function call.  The process-level chaos harness
+(:mod:`repro.service.chaos`) does the same for worker kills, heartbeat
+stalls, latency spikes, and cache corruption.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import InspectorFault, ValidationError
+from repro.errors import ValidationError
 from repro.runtime.inspector import (
     FullSparseTilingStep,
     InspectorState,
@@ -474,92 +471,9 @@ def make_drift_delta(
     return combined.validate(data)
 
 
-# -- declarative fault campaigns ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultInjection:
-    """One (stage, fault) pairing inside a :class:`FaultPlan`."""
-
-    stage: int
-    fault: str
-    seed: Optional[int] = None  # None: derive from the plan seed + stage
-
-
-@dataclass
-class FaultPlan:
-    """A declarative, seed-driven campaign of fault injections.
-
-    The value-corruption analogue of a chaos schedule: given one ``seed``
-    and a list of (stage, fault) injections, :meth:`apply` produces the
-    corrupted step list deterministically — the same plan object always
-    attacks a composition the same way, so a failing campaign is
-    reproducible from its JSON form alone (:meth:`from_dict` /
-    :meth:`to_dict` round-trip it).  :mod:`repro.service.chaos` extends
-    this idiom from value corruption to process-level faults.
-    """
-
-    seed: int = 0
-    injections: List[FaultInjection] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.injections is None:
-            self.injections = []
-        for injection in self.injections:
-            if injection.fault not in CORRUPTORS:
-                raise ValidationError(
-                    f"unknown fault {injection.fault!r} in fault plan",
-                    hint=f"choose one of {sorted(CORRUPTORS)}",
-                )
-
-    def apply(self, steps: Sequence[Step]) -> List[Step]:
-        """``steps`` with every injection applied (later ones stack)."""
-        out = list(steps)
-        for injection in self.injections:
-            seed = (
-                injection.seed
-                if injection.seed is not None
-                else self.seed * 8191 + injection.stage
-            )
-            out = inject(out, injection.stage, injection.fault, seed=seed)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                f"fault plan must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        injections = [
-            FaultInjection(
-                stage=int(entry["stage"]),
-                fault=str(entry["fault"]),
-                seed=entry.get("seed"),
-            )
-            for entry in payload.get("injections", [])
-        ]
-        return cls(seed=int(payload.get("seed", 0)), injections=injections)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "injections": [
-                {
-                    "stage": i.stage,
-                    "fault": i.fault,
-                    **({"seed": i.seed} if i.seed is not None else {}),
-                }
-                for i in self.injections
-            ],
-        }
-
-
 __all__ = [
     "CORRUPTORS",
     "Fault",
-    "FaultInjection",
-    "FaultPlan",
     "FaultyStep",
     "applicable",
     "drift_edge_churn",

@@ -34,14 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.kernels.data import KernelData
-from repro.presburger.evaluate import Environment
 from repro.runtime.inspector import InspectorResult
 from repro.runtime.plan import CompositionPlan
 from repro.runtime.verify import _bind_environment
-from repro.uniform.state import ProgramState
 
 
 def symbolic_execution_order(
@@ -386,15 +382,3 @@ def normalize_symbolic_state(state) -> Dict[str, Tuple[object, ...]]:
         name: tuple(normalize_symbolic_value(v) for v in cells)
         for name, cells in state.items()
     }
-
-
-def symbolically_equivalent(prog_a, prog_b, num_steps: int = 2) -> bool:
-    """Are two programs equivalent on the canonical instance, up to
-    reduction-contribution reordering?  (The translation-validation
-    predicate; each side runs with its own tiled/untiled shape.)"""
-    inst = canonical_instance(prog_a)
-    state_a = symbolic_program_state(prog_a, inst, num_steps=num_steps)
-    state_b = symbolic_program_state(prog_b, inst, num_steps=num_steps)
-    return normalize_symbolic_state(state_a) == normalize_symbolic_state(
-        state_b
-    )

@@ -15,8 +15,7 @@ actually dies from:
   quarantining :class:`~repro.plancache.store.DiskStore` must degrade it
   to an observable safe miss, never to reused bad state).
 
-Everything is **deterministic**: a :class:`ChaosPlan` (the process-level
-sibling of :class:`~repro.runtime.faults.FaultPlan`) carries one seed
+Everything is **deterministic**: a :class:`ChaosPlan` carries one seed
 plus per-injector rates, and every fire/no-fire decision is a pure
 function of ``(seed, injector, request sequence number)`` — re-running a
 chaos campaign with the same plan and workload replays exactly the same

@@ -19,7 +19,6 @@ from repro.lowering.executor import (
     compile_executor,
 )
 from repro.lowering.ir import Commit, GatherCommit, replace
-from repro.lowering.passes import PassConfig
 
 KERNELS = ("moldyn", "nbf", "irreg")
 
@@ -50,22 +49,12 @@ class TestCleanPrograms:
         assert all(p["equivalent"] for p in report.pass_proofs)
 
     def test_pass_records_carry_proof_artifacts(self):
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         iv.verify_state(state)
         for rec in state.log:
             assert rec.proof is not None
             assert rec.proof["equivalent"]
             assert rec.proof["version"] == iv.IRVERIFY_VERSION
-
-    @pytest.mark.parametrize("tiled", [False, True])
-    def test_ablated_configs_still_prove(self, tiled):
-        for config in (
-            PassConfig(vectorize=False),
-            PassConfig(parallelize=False),
-            PassConfig(fission=False, vectorize=False, parallelize=False),
-        ):
-            report = iv.verify_executor("moldyn", tiled=tiled, config=config)
-            assert report.proven, report.describe()
 
     def test_assumed_facts_name_the_sanitizer_discharges(self):
         report = iv.verify_executor("moldyn")
@@ -88,7 +77,7 @@ class TestBrokenFixtures:
     def test_irv001_unprovable_bounds(self):
         # Iterate a node loop over the interaction extent: x[i] with
         # i < num_inter cannot be proven < num_nodes.
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         loops = list(state.program.loops)
         for pos, loop in enumerate(loops):
             if loop.domain == "nodes":
@@ -101,7 +90,7 @@ class TestBrokenFixtures:
         assert any(not ob.discharged for ob in report.obligations)
 
     def test_irv002_scalar_interaction_loop_under_waves(self):
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         loops = tuple(
             replace(loop, fissioned=None, vector=False)
             if loop.domain == "inters"
@@ -116,7 +105,7 @@ class TestBrokenFixtures:
         assert "race" in diag.message
 
     def test_irv003_waves_without_schedule(self):
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         state.program = replace(state.program, tiled=False)
         report = iv.verify_state(state)
         assert not report.proven
@@ -125,7 +114,7 @@ class TestBrokenFixtures:
     def test_irv004_tampered_pass_output(self):
         # Flip every commit sign in the final program: the reduction
         # contributions change value, so translation validation fails.
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         loops = []
         for loop in state.program.loops:
             if loop.fissioned is not None:
@@ -146,7 +135,7 @@ class TestBrokenFixtures:
         assert report.by_code(iv.IRV_TRANSLATION)
 
     def test_irv005_unknown_array(self):
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         loops = list(state.program.loops)
         stmt = replace(loops[0].stmts[0], array="bogus")
         loops[0] = replace(loops[0], stmts=(stmt,) + loops[0].stmts[1:])
@@ -159,7 +148,7 @@ class TestBrokenFixtures:
         assert not report.by_code(iv.IRV_TRANSLATION)
 
     def test_unknown_kernel_is_irv005(self):
-        state = _rewritten("moldyn", PassConfig())
+        state = _rewritten("moldyn")
         state.program = replace(state.program, kernel_name="nope")
         report = iv.verify_state(state)
         assert report.by_code(iv.IRV_MALFORMED)
@@ -167,9 +156,9 @@ class TestBrokenFixtures:
 
 class TestProofCache:
     def test_proof_key_salts(self):
-        state = _rewritten("moldyn", PassConfig())
-        base = iv.proof_key(state.program, state.config)
-        assert base != iv.proof_key(state.program, PassConfig(vectorize=False))
+        state = _rewritten("moldyn")
+        base = iv.proof_key(state.program)
+        assert base != iv.proof_key(state.log[0].before)
         assert len(base) == 64
 
     def test_warm_bind_skips_verification(self, monkeypatch):
@@ -217,7 +206,6 @@ class TestProofCache:
             report = iv.IRVerificationReport(
                 kernel_name="moldyn",
                 ir_digest="x",
-                config_digest="y",
             )
             report.diagnostics.append(
                 iv.Diagnostic(

@@ -22,7 +22,6 @@ from repro.eval.compositions import fst_seed_block
 from repro.kernels import generate_dataset, make_kernel_data
 from repro.lowering import toolchain
 from repro.lowering.executor import clear_executor_memo, compile_executor
-from repro.lowering.passes import PassConfig
 from repro.lowering.schedule import tile_dag_from_tiling
 from repro.runtime.executor import run_numeric_wavefront
 from repro.runtime.inspector import (
@@ -141,6 +140,7 @@ def test_wave_and_dynamic_share_one_artifact(tmp_path, monkeypatch):
         wave = compile_executor(
             "moldyn", backend=backend, tiled=True, scheduler="wave"
         )
+        assert wave.verified is True
         for name in (None, "auto", "dynamic"):
             assert compile_executor(
                 "moldyn", backend=backend, tiled=True, scheduler=name
@@ -184,28 +184,6 @@ def test_tiled_shared_object_exports_one_entry_point(sanitize):
         capture_output=True, text=True, check=True,
     ).stdout
     assert "pthread" not in undefined
-
-
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-@pytest.mark.parametrize(
-    "config",
-    [PassConfig(parallelize=False), PassConfig(fission=False)],
-    ids=["no-parallelize", "no-fission"],
-)
-def test_dynamic_binds_the_wave_executor_of_any_config(backend, config):
-    """``"dynamic"`` no longer has a legality gate of its own: on the
-    ablations that used to be refused (no wave-parallel skeleton, an
-    unfissioned interaction loop) it binds — and proves — the same
-    executor as ``"wave"``."""
-    dynamic = compile_executor(
-        "moldyn", backend=backend, tiled=True, config=config,
-        scheduler="dynamic",
-    )
-    assert dynamic is compile_executor(
-        "moldyn", backend=backend, tiled=True, config=config,
-        scheduler="wave",
-    )
-    assert dynamic.verified is True
 
 
 def test_untiled_executor_ignores_scheduler():

@@ -1,5 +1,6 @@
 """Backend binding: selection, artifact caching, the no-toolchain path,
-the emitted phase table, and the frozen emitted-C sources."""
+the emitted phase table, the refusal of scalar loops, and the frozen
+emitted C and NumPy sources."""
 
 import hashlib
 import json
@@ -13,21 +14,22 @@ from hypothesis import strategies as st
 
 from repro import backends
 from repro.backends import BackendFallbackWarning
-from repro.errors import CacheError, ValidationError
+from repro.errors import CacheError, LegalityError, ValidationError
 from repro.kernels import generate_dataset, make_kernel_data
-from repro.lowering import emit_c, toolchain
+from repro.lowering import emit_c, emit_numpy, toolchain
 from repro.lowering.executor import (
     EXECUTOR_BACKENDS,
+    _rewritten,
     artifact_key,
     clear_executor_memo,
     compile_executor,
     executor_backend_report,
     resolve_executor_backend,
 )
-from repro.lowering.ir import lower_kernel
-from repro.lowering.passes import LoweringRewriter, PassConfig
+from repro.lowering.ir import lower_kernel, replace
+from repro.lowering.passes import LoweringRewriter
 from repro.kernels.specs import kernel_by_name
-from tests.kernels.oracle import PHASE_FUNCTIONS, run_oracle
+from tests.kernels.oracle import PHASE_FUNCTIONS
 
 pytestmark = pytest.mark.compiled
 
@@ -199,29 +201,13 @@ class TestArtifactCache:
         assert a is b
 
     def test_artifact_key_varies_by_config_and_emitter(self):
+        """The key moves with the program the passes rewrote (the pass
+        annotations are in its IR hash) and with the emitter."""
         program = lower_kernel(kernel_by_name("moldyn"))
-        base = artifact_key(program, PassConfig(), "numpy-1")
-        assert base != artifact_key(program, PassConfig(fission=False), "numpy-1")
-        assert base != artifact_key(program, PassConfig(), "c-1")
-
-    def test_pass_ablation_stays_numerically_close(self, tmp_path):
-        """Disabling passes changes rounding, not math: results stay
-        within reduction-reassociation tolerance of the oracle's run."""
-        base = _data(scale=48)
-        ref = run_oracle(base.copy(), num_steps=2)
-        for config in (
-            PassConfig(fission=False, vectorize=False),
-            PassConfig(vectorize=False),
-        ):
-            ex = compile_executor(
-                "moldyn", backend="numpy", config=config, cache_dir=tmp_path
-            )
-            d = base.copy()
-            ex.run(d.arrays, d.left, d.right, num_steps=2)
-            for name in ref.arrays:
-                np.testing.assert_allclose(
-                    d.arrays[name], ref.arrays[name], rtol=1e-9, atol=1e-12
-                )
+        rewritten = LoweringRewriter().run(program).program
+        base = artifact_key(rewritten, "numpy-1")
+        assert base != artifact_key(program, "numpy-1")
+        assert base != artifact_key(rewritten, "c-1")
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -327,41 +313,119 @@ def test_emitted_phase_table_matches_reference(kernel, num_nodes, subset, seed):
 
 
 # ---------------------------------------------------------------------------
-# Emitted C is frozen per emitter version: a warm artifact store keys the
-# ``.so`` on ``EMITTER_VERSION`` (+ ``SANITIZE_TAG``), so source text that
-# moves under an unmoved version would be served a stale object.
-# ``python tests/lowering/test_executor.py`` rewrites the list after a
+# Only batched loops are emitted: a rewritten program that still holds a
+# scalar loop is refused, with a typed error, before any source exists.
+
+
+def _scalar_program():
+    """Rewritten moldyn with its interaction loop back in scalar form —
+    the program ``test_irv002`` proves racy."""
+    program = _rewritten("moldyn").program
+    return replace(program, loops=tuple(
+        replace(loop, fissioned=None, vector=False)
+        if loop.domain == "inters"
+        else loop
+        for loop in program.loops
+    ))
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize(
+    "emit", [emit_numpy.emit_numpy, emit_c.emit_c_tiled], ids=["numpy", "c"]
+)
+def test_scalar_loop_is_refused_before_emission(emit, sanitize):
+    with pytest.raises(LegalityError, match=r"\['Lj'\] were left scalar"):
+        emit(_scalar_program(), sanitize=sanitize)
+
+
+@pytest.mark.parametrize(
+    "backend", ["numpy", pytest.param("c", marks=pytest.mark.skipif(
+        not HAVE_CC, reason="no C toolchain"
+    ))],
+)
+def test_sanitized_bind_of_a_scalar_loop_writes_no_source(
+    monkeypatch, tmp_path, backend
+):
+    """The sanitizer lets an unproven program past the proof gate; the
+    emitters still refuse it, and the store holds no executor source."""
+    state = _rewritten("moldyn")
+    state.program = _scalar_program()
+    monkeypatch.setattr(
+        "repro.lowering.executor._rewritten", lambda kernel: state
+    )
+    with pytest.raises(LegalityError, match="left scalar"):
+        compile_executor(
+            "moldyn", backend=backend, cache_dir=tmp_path, memo=False,
+            sanitize=True,
+        )
+    written = [p.suffix for p in tmp_path.rglob("*") if p.is_file()]
+    assert written == [".proof"]
+
+
+# ---------------------------------------------------------------------------
+# Emitted sources are frozen per emitter version, on both tiers: a warm
+# artifact store keys the ``.py`` and the ``.so`` on ``EMITTER_VERSION``
+# (+ ``SANITIZE_TAG``), so source text that moves under an unmoved
+# version would be served a stale artifact.
+# ``python tests/lowering/test_executor.py`` rewrites both lists after a
 # deliberate bump.
 
-EMITTED_C = Path(__file__).with_name("emitted_c_sha256.json")
+EMITTERS = {
+    "c": (emit_c, emit_c.emit_c_tiled),
+    "numpy": (emit_numpy, emit_numpy.emit_numpy),
+}
 
 
-def _emitted_sources():
-    """(kernel, sanitize) -> (version tag, emitted C text): one unit per
-    kernel (an untiled bind runs it over the trivial schedule)."""
+def _frozen_list(tier):
+    return Path(__file__).with_name(f"emitted_{tier}_sha256.json")
+
+
+def _emitted_sources(tier="c"):
+    """(kernel, sanitize) -> (version tag, emitted source text): one
+    module per kernel and tier (an untiled bind runs it over the trivial
+    schedule)."""
+    module, emit = EMITTERS[tier]
     sources = {}
     for kernel in KERNELS:
         program = LoweringRewriter().run(
             lower_kernel(kernel_by_name(kernel))
         ).program
         for sanitize in (False, True):
-            tags = [emit_c.EMITTER_VERSION]
-            tags += [emit_c.SANITIZE_TAG] if sanitize else []
+            tags = [module.EMITTER_VERSION]
+            tags += [module.SANITIZE_TAG] if sanitize else []
             sources[kernel, sanitize] = (
-                "+".join(tags), emit_c.emit_c_tiled(program, sanitize=sanitize)
+                "+".join(tags), emit(program, sanitize=sanitize)
             )
     return sources
 
 
-def _emitted_c():
+def _emitted_hashes(tier):
     return {
         f"{kernel}/tiled/{'sanitize' if sanitize else 'plain'}": {
             "version": version,
             "sha256": hashlib.sha256(source.encode()).hexdigest(),
         }
         for (kernel, sanitize), (version, source)
-        in _emitted_sources().items()
+        in _emitted_sources(tier).items()
     }
+
+
+def _assert_frozen(tier):
+    frozen = _frozen_list(tier)
+    recorded = json.loads(frozen.read_text())
+    current = _emitted_hashes(tier)
+    assert sorted(recorded) == sorted(current)
+    for name, entry in current.items():
+        assert entry["version"] == recorded[name]["version"], (
+            f"{name}: emitter version moved; regenerate {frozen.name} "
+            "(python tests/lowering/test_executor.py)"
+        )
+        assert entry["sha256"] == recorded[name]["sha256"], (
+            f"{name}: emitted {tier} source changed under version "
+            f"{entry['version']}; bump emit_{tier}.EMITTER_VERSION (or the "
+            "tag that covers the change) so warm stores miss, then "
+            "regenerate the list"
+        )
 
 
 def test_tiled_unit_renders_every_statement_body_once_per_form():
@@ -414,20 +478,16 @@ def test_emitted_c_is_frozen_per_emitter_version():
         expected += ["wave_tiles", "wave_off", "num_waves", "num_tiles"]
         expected += ["scratch"] + (["err"] if sanitize else [])
         assert _run_tiled_params(source) == expected, (kernel, sanitize)
-    recorded = json.loads(EMITTED_C.read_text())
-    current = _emitted_c()
-    assert sorted(recorded) == sorted(current)
-    for name, entry in current.items():
-        assert entry["version"] == recorded[name]["version"], (
-            f"{name}: emitter version moved; regenerate {EMITTED_C.name} "
-            "(python tests/lowering/test_executor.py)"
-        )
-        assert entry["sha256"] == recorded[name]["sha256"], (
-            f"{name}: emitted C changed under version {entry['version']}; "
-            "bump emit_c.EMITTER_VERSION (or the tag that covers the "
-            "change) so warm .so stores miss, then regenerate the list"
-        )
+    _assert_frozen("c")
+
+
+def test_emitted_numpy_is_frozen_per_emitter_version():
+    """The NumPy phase tables, plain and sanitized, under the same rule."""
+    _assert_frozen("numpy")
 
 
 if __name__ == "__main__":
-    EMITTED_C.write_text(json.dumps(_emitted_c(), indent=2) + "\n")
+    for tier in EMITTERS:
+        _frozen_list(tier).write_text(
+            json.dumps(_emitted_hashes(tier), indent=2) + "\n"
+        )

@@ -1,4 +1,4 @@
-"""The rewrite pipeline: pass order, legality gating, config toggles."""
+"""The rewrite pipeline: pass order and legality gating."""
 
 import pytest
 
@@ -13,19 +13,13 @@ from repro.lowering.ir import (
     Update,
     lower_kernel,
 )
-from repro.lowering.passes import (
-    LoweringRewriter,
-    PassConfig,
-    _fission_gather_commit,
-)
+from repro.lowering.passes import LoweringRewriter, _fission_gather_commit
 
 pytestmark = pytest.mark.compiled
 
 
-def _rewrite(name, config=None):
-    return LoweringRewriter(config=config).run(
-        lower_kernel(kernel_by_name(name))
-    )
+def _rewrite(name):
+    return LoweringRewriter().run(lower_kernel(kernel_by_name(name)))
 
 
 class TestPipeline:
@@ -47,22 +41,6 @@ class TestPipeline:
     def test_tiled_program_blocks_and_parallelizes(self):
         program = _rewrite("moldyn").program
         assert program.tiled and program.wave_parallel
-
-    def test_disabling_fission_keeps_interaction_loops_scalar(self):
-        config = PassConfig(fission=False)
-        program = _rewrite("nbf", config=config).program
-        inter = next(l for l in program.loops if l.domain == "inters")
-        assert inter.fissioned is None
-        assert not inter.vector  # vectorize needs the gather/commit split
-
-    def test_disabling_vectorize_keeps_all_loops_scalar(self):
-        config = PassConfig(vectorize=False)
-        program = _rewrite("moldyn", config=config).program
-        assert not any(loop.vector for loop in program.loops)
-
-    def test_config_digest_distinguishes_configs(self):
-        assert PassConfig().digest() != PassConfig(fission=False).digest()
-        assert PassConfig().digest() == PassConfig().digest()
 
 
 def _inter_loop(stmts):

@@ -44,17 +44,6 @@ class TestTraceEmission:
         assert np.array_equal(elems[1::3], irreg_data.left)
         assert np.array_equal(elems[2::3], irreg_data.right)
 
-    def test_loop_order_override(self, irreg_data):
-        order = np.arange(irreg_data.num_inter)[::-1].copy()
-        plan = ExecutionPlan(loop_orders=[order, None])
-        trace = emit_trace(irreg_data, plan)
-        assert np.array_equal(trace.elements[0::3][: len(order)], order)
-
-    def test_loop_order_length_check(self, irreg_data):
-        plan = ExecutionPlan(loop_orders=[np.arange(3), None])
-        with pytest.raises(ValueError):
-            emit_trace(irreg_data, plan)
-
     def test_schedule_covers_all_iterations(self, moldyn_data):
         n, m = moldyn_data.num_nodes, moldyn_data.num_inter
         half_n, half_m = n // 2, m // 2

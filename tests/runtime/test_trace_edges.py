@@ -82,14 +82,6 @@ def test_validate_schedule_rejects_duplicates_by_count(moldyn_data):
         emit_trace(data, ExecutionPlan(schedule=[tile]))
 
 
-def test_bad_loop_order_length_rejected(moldyn_data):
-    data = moldyn_data
-    orders = [None] * len(data.loops)
-    orders[0] = np.arange(3, dtype=np.int64)
-    with pytest.raises(ValueError, match="loop 0 order has 3 entries"):
-        emit_trace(data, ExecutionPlan(loop_orders=orders))
-
-
 def test_empty_tiles_match_dense_trace(moldyn_data):
     """A schedule padded with empty tiles emits exactly the dense
     (identity) trace: empty tiles contribute no accesses, in any slot."""

@@ -240,7 +240,7 @@ class TestLintIR:
         assert main(["lint", "--ir", "--json", spec]) == 0
         payload = _json.loads(capsys.readouterr().out)
         assert payload["irverify"]["proven"] is True
-        assert payload["irverify"]["version"] == "irverify-5"
+        assert payload["irverify"]["version"] == "irverify-6"
         assert "IRV001" in payload["rules_run"]
 
     def test_lint_reads_spec_from_stdin(self, capsys, monkeypatch):
