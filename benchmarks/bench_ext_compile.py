@@ -2,8 +2,8 @@
 
 The lowering subsystem (:mod:`repro.lowering`) turns each kernel's
 executor into a loop-nest IR, rewrites it (fission -> blocking ->
-vectorize -> parallelize), and emits either vectorized NumPy or C
-compiled at bind time.  This benchmark measures, on the Figure-6
+vectorize), and emits either vectorized NumPy or C compiled at bind
+time; both run tiles in ascending id.  This benchmark measures, on the Figure-6
 moldyn/mol1 input:
 
 * executor-only wall clock per backend — the interpreter-speed

@@ -405,8 +405,9 @@ def _service_stats_lines(scale=None):
 
 def _wave_skew_lines(result):
     """Wave-level load-balance stats of the bound plan's tiling (for
-    ``doctor``): how much barrier time the level-synchronous executor
-    burns, i.e. how much of the tile work the waves serialise."""
+    ``doctor``): the Section 4 parallelism inspector's view, i.e. how
+    much of the tile work a level-synchronous parallel run of the waves
+    would serialise.  The executor itself runs tiles in ascending id."""
     from repro.runtime.inspector import dependence_edges
     from repro.transforms.parallel import tile_wavefronts
 

@@ -16,15 +16,6 @@ simplify_conjunction`.  Facts that are only *validated at bind time*
 (index-array values, tile-schedule partitions) are recorded as named
 assumptions — exactly the set the sanitizer re-checks at run time.
 
-**Races** (``IRV002``) and **commit order** (``IRV003``) — a
-lockset-style check over the per-tile write sets of the FST tile
-schedule: under wavefront parallelism, node loops must write only
-directly (tile iteration sets partition the writes), interaction loops
-must be in the fissioned gather/commit form with a payload that reads no
-committed array (the gathers of a wave run concurrently), and commits
-must have a deterministic serialization (tiled schedule present) — the
-deterministic-commit property the wave executor relies on.
-
 **Translation validation** (``IRV004``) — after each
 :class:`~repro.lowering.passes.LoweringRewriter` pass, the rewritten
 program is symbolically executed against its input on a canonical
@@ -34,6 +25,11 @@ contributions form a multiset per element; all other grouping is exact).
 Each :class:`~repro.lowering.passes.PassRecord` gets a proof artifact.
 
 Malformed IR (unknown arrays, index arrays, extents) is ``IRV005``.
+
+``IRV002`` (write-write race) and ``IRV003`` (commit order) are
+retired, not reused: they checked a wavefront grouping of tiles, and
+every tier runs tiles in one order, ascending id, on one thread, so the
+commit order is the schedule's and there is nothing to race.
 
 Findings surface as stable-coded :class:`~repro.analysis.diagnostics.
 Diagnostic` objects under the existing severity/exit-code contract;
@@ -61,30 +57,22 @@ from repro.presburger.terms import AffineExpr, var
 
 #: Bumped whenever the verifier's rules or proof format change; part of
 #: the proof-artifact content address, so stale proofs never match.
-#: irverify-6: the proof JSON carries no pass-configuration digest
-#: (there is one pass pipeline, so nothing to tell builds apart by).
-IRVERIFY_VERSION = "irverify-6"
+#: irverify-7: no race / commit-order rules (IRV002 / IRV003 retired),
+#: no parallelize pass to validate and no ``wave-cover`` assumption.
+IRVERIFY_VERSION = "irverify-7"
 
 #: Stable rule codes (the ``repro lint --ir`` contract).
 IRV_BOUNDS = "IRV001"
-IRV_RACE = "IRV002"
-IRV_COMMIT_ORDER = "IRV003"
 IRV_TRANSLATION = "IRV004"
 IRV_MALFORMED = "IRV005"
 
-IRV_CODES = (
-    IRV_BOUNDS,
-    IRV_RACE,
-    IRV_COMMIT_ORDER,
-    IRV_TRANSLATION,
-    IRV_MALFORMED,
-)
+IRV_CODES = (IRV_BOUNDS, IRV_TRANSLATION, IRV_MALFORMED)
 
 #: Steps the canonical-instance interpreter runs per equivalence check
 #: (2 catches cross-step reorderings one step cannot).
 _VALIDATION_STEPS = 2
 
-_CANONICAL_INSTANCE = "canonical-4n4i-2tile-2wave"
+_CANONICAL_INSTANCE = "canonical-4n4i-2tile"
 
 
 @dataclass
@@ -459,106 +447,12 @@ def _bounds_obligations(
 
 
 # ---------------------------------------------------------------------------
-# Races and commit order (IRV002 / IRV003)
-
-
-def _check_parallel_safety(program: Program) -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-    if not program.wave_parallel:
-        return diagnostics
-    if not program.tiled:
-        diagnostics.append(
-            Diagnostic(
-                code=IRV_COMMIT_ORDER,
-                severity=ERROR,
-                message=(
-                    "wave_parallel program has no tile schedule: commit "
-                    "order would depend on thread timing, not the static "
-                    "wavefront (deterministic-commit property unprovable)"
-                ),
-                stage_index=None,
-                stage_name="program",
-                hint="run the blocking pass before parallelize",
-            )
-        )
-        return diagnostics
-    for pos, loop in enumerate(program.loops):
-        if loop.domain == "nodes":
-            # Lockset over per-tile write sets: direct writes are
-            # partitioned by the tile iteration sets; an indirect write
-            # may collide across the tiles of one wave.
-            indirect = [
-                stmt.label for stmt in loop.stmts if not stmt.index.direct
-            ]
-            if indirect:
-                diagnostics.append(
-                    Diagnostic(
-                        code=IRV_RACE,
-                        severity=ERROR,
-                        message=(
-                            f"{loop.label}: node-loop statement(s) "
-                            f"{indirect} write through an index array — "
-                            "per-tile write sets are not provably "
-                            "disjoint within a wave"
-                        ),
-                        stage_index=pos,
-                        stage_name=loop.label,
-                    )
-                )
-        else:
-            gc = loop.fissioned
-            if gc is None:
-                diagnostics.append(
-                    Diagnostic(
-                        code=IRV_RACE,
-                        severity=ERROR,
-                        message=(
-                            f"{loop.label}: scalar interaction loop under "
-                            "wavefront parallelism — tiles in a wave "
-                            "interleave reads with concurrent reduction "
-                            "writes (write-write race on shared nodes)"
-                        ),
-                        stage_index=pos,
-                        stage_name=loop.label,
-                        hint="the fission pass must split gather/commit "
-                        "before parallelize",
-                    )
-                )
-                continue
-            written = {c.array for c in gc.commits}
-            impure = sorted(
-                {
-                    load.array
-                    for load in expr_loads(gc.payload)
-                    if load.array in written
-                }
-            )
-            if impure:
-                diagnostics.append(
-                    Diagnostic(
-                        code=IRV_RACE,
-                        severity=ERROR,
-                        message=(
-                            f"{loop.label}: gather payload reads committed "
-                            f"array(s) {impure} — concurrent tile gathers "
-                            "race with the wave's commits"
-                        ),
-                        stage_index=pos,
-                        stage_name=loop.label,
-                    )
-                )
-    return diagnostics
-
-
-# ---------------------------------------------------------------------------
 # Translation validation (IRV004)
 
 
 def _pass_assumptions(name: str, program: Program) -> List[str]:
     if name == "loop_blocking" and program.tiled:
         return ["tile-partition", "schedule-legality"]
-    if name == "parallelize" and program.wave_parallel:
-        return ["wave-cover", "schedule-legality"]
     return []
 
 
@@ -691,21 +585,6 @@ def _assumed_facts(program: Program, facts: _KernelFacts) -> List[AssumedFact]:
                 discharged_by="FST inspector construction + runtime verifier",
             )
         )
-    if program.wave_parallel:
-        assumed.append(
-            AssumedFact(
-                name="wave-cover",
-                description=(
-                    "wave groups partition tile ids and respect the tile "
-                    "dependence graph (tile_wavefronts)"
-                ),
-                discharged_by=(
-                    "CSRLists construction at the executor entry (the "
-                    "groups partition the tile ids, on every tier); "
-                    "dependence order by the wavefront constructor"
-                ),
-            )
-        )
     return assumed
 
 
@@ -714,8 +593,8 @@ def _assumed_facts(program: Program, facts: _KernelFacts) -> List[AssumedFact]:
 
 
 def verify_state(state: RewriteState) -> IRVerificationReport:
-    """Verify one rewritten program: bounds, races/commit order, and
-    per-pass translation validation.  Fills each pass record's ``proof``."""
+    """Verify one rewritten program: bounds and per-pass translation
+    validation.  Fills each pass record's ``proof``."""
     program = state.program
     report = IRVerificationReport(
         kernel_name=program.kernel_name,
@@ -739,7 +618,6 @@ def verify_state(state: RewriteState) -> IRVerificationReport:
     obligations, bound_diags = _bounds_obligations(program, facts)
     report.obligations = obligations
     report.diagnostics.extend(bound_diags)
-    report.diagnostics.extend(_check_parallel_safety(program))
     if not report.by_code(IRV_MALFORMED):
         proofs, tv_diags = _validate_passes(state)
         report.pass_proofs = proofs
@@ -772,9 +650,7 @@ __all__ = [
     "IRVERIFY_VERSION",
     "IRV_BOUNDS",
     "IRV_CODES",
-    "IRV_COMMIT_ORDER",
     "IRV_MALFORMED",
-    "IRV_RACE",
     "IRV_TRANSLATION",
     "AssumedFact",
     "BoundsObligation",

@@ -145,9 +145,9 @@ class ExecutorBoundsError(ReproError, IndexError):
     raises — a corrupted dataset becomes a typed error instead of silent
     memory corruption.
 
-    ``array`` names the offending index source (``left``, ``right``, a
-    schedule position, or a wave group); ``bound`` is the exclusive upper
-    bound the value violated.
+    ``array`` names the offending index source (``left``, ``right`` or a
+    schedule position); ``bound`` is the exclusive upper bound the value
+    violated.
     """
 
     def __init__(

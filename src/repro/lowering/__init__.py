@@ -3,11 +3,12 @@
 Lowers each kernel's executor loop nest into a small IR
 (:mod:`repro.lowering.ir`), rewrites it with an ordered Devito-style
 pass pipeline (:mod:`repro.lowering.passes`: fission -> blocking ->
-vectorize -> parallelize), and emits either a NumPy phase table
-(:mod:`repro.lowering.emit_numpy`, run by the wave driver of
+vectorize), and emits either a NumPy phase table
+(:mod:`repro.lowering.emit_numpy`, run by the tile driver of
 :mod:`repro.lowering.schedule`) or C compiled at bind time
 (:mod:`repro.lowering.emit_c` + :mod:`repro.lowering.toolchain`: one
-tiled unit holding the phase functions and the wave loop).
+tiled unit holding the phase functions and the tile loop).  Every tier
+runs tiles in ascending id, each loop of a tile in program order.
 :mod:`repro.lowering.executor` binds the chosen backend, content-
 addresses the artifacts in the plan cache, and guarantees bit-identity
 across the tiers.

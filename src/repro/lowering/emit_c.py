@@ -9,10 +9,10 @@ kernel loop its phase bodies — node ``apply``, interaction ``gather`` +
 ``commit`` — are rendered exactly once, as functions of ``(context,
 tile)``; a program that still holds a scalar loop is refused before any
 source is written (:func:`~repro.lowering.ir.require_batched`).  The
-*wave loop* over them is :func:`~repro.lowering.schedule.run_wave_phases`
-in C: per wave, per loop, every gather of the wave, then per tile **in
-the wave's order** every commit pass.  ``run_tiled`` takes, after the operands (data
-arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
+*tile loop* over them is :func:`~repro.lowering.schedule.run_tile_phases`
+in C: per tile in ascending id, per loop, each phase of the tile — the
+gather, then every commit pass.  ``run_tiled`` takes, after the operands
+(data arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
 ``num_steps``),
 
 - per loop ``p`` the marshalled tile schedule (``iters_p``
@@ -24,9 +24,7 @@ arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
   off_p[t + 1] - 1``, Figure 14's plain blocked loop over tile-packed
   data — and every phase body is emitted in both forms under one
   ``if (iters_p)``;
-- the commit order: ``wave_tiles`` (concatenated tile ids, waves
-  outermost) + ``wave_off`` (``num_waves + 1`` entries), then
-  ``num_tiles`` and the ``scratch`` payload buffer.
+- ``num_tiles`` and the ``scratch`` payload buffer.
 
 Bit-identity with the ``numpy`` tier comes from emitting the *same
 operation sequence* ``numpy`` performs, not from tolerances:
@@ -62,10 +60,9 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-#: c-4: one driver — the wave loop — behind ``run_tiled``; no counter
-#: pool, so no counter-graph or thread-count parameters (a stale ``c-3``
-#: object has another ABI).
-EMITTER_VERSION = "c-4"
+#: c-5: one loop order — tiles in ascending id — behind ``run_tiled``;
+#: no tile-grouping parameters (a stale ``c-4`` object has another ABI).
+EMITTER_VERSION = "c-5"
 
 #: Appended to the artifact key when the sanitizer guard is emitted, so
 #: guarded and unguarded shared objects never collide in the cache.
@@ -78,7 +75,6 @@ GUARD_LEFT = 1
 GUARD_RIGHT = 2
 GUARD_SCHEDULE_BASE = 10  # + loop position
 GUARD_OFFSETS_BASE = 50  # + loop position (range form: no iters to scan)
-GUARD_WAVES = 100
 
 
 def _emit_guard_fn(w: SourceWriter) -> None:
@@ -232,7 +228,7 @@ def _emit_guard_scans(w: SourceWriter, program: Program) -> None:
         w.line("}")
 
 
-#: A phase body: inlined into the wave loop that calls it.
+#: A phase body: inlined into the tile loop that calls it.
 _TILE_FN = "static inline __attribute__((always_inline)) void"
 
 
@@ -240,7 +236,7 @@ def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
     """The phase table in C: per kernel loop its phase bodies, each a
     function of ``(context, tile)`` rendered once through
     :func:`_tile_iters`.  Returns, per loop, the function names in the
-    order a wave runs them (``apply``, or ``gather`` then ``commit`` —
+    order a tile runs them (``apply``, or ``gather`` then ``commit`` —
     one commit function runs every commit pass of its tile)."""
     table: List[List[str]] = []
     for pos, loop in enumerate(program.loops):
@@ -250,8 +246,8 @@ def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
         else:
             gc = loop.fissioned
             payload = _render(gc.payload, ivar, _idx_via(ivar))
-            # The payload is keyed by the global CSR position: tile slots
-            # are disjoint, so concurrent gathers never race on scratch.
+            # The payload is keyed by the global CSR position, so one
+            # buffer holds every tile's slots.
             phases = {
                 "gather": [lambda k: w.line(f"scratch[{k}] = {payload};")],
                 "commit": [
@@ -288,40 +284,33 @@ def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
     return table
 
 
-def _emit_wave_step(
+def _emit_step(
     w: SourceWriter, program: Program, table: List[List[str]]
 ) -> None:
-    """One time step of the wave driver: per wave, per loop, each phase
-    across the wave's tiles in the wave's order — so all of a wave's
-    gathers precede its commits, and a tile's commit passes run together
-    at the tile's turn."""
+    """One time step of the tile loop: per tile in ascending id, per
+    loop, each phase of the tile — a tile's gather precedes its commit
+    passes, and its loops run in program order."""
     with w.block(
-        "static void _wave_step(const _ctx_t *c, const int64_t *wave_tiles, "
-        "const int64_t *wave_off, int64_t num_waves) {"
+        "static void _step(const _ctx_t *c, int64_t num_tiles) {"
     ):
-        with w.block("for (int64_t _w = 0; _w < num_waves; ++_w) {"):
+        with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
             for loop, names in zip(program.loops, table):
                 w.line(f"/* {loop.label} ({loop.domain}) */")
                 for name in names:
-                    with w.block(
-                        "for (int64_t _g = wave_off[_w]; "
-                        "_g < wave_off[_w + 1]; ++_g) {"
-                    ):
-                        w.line(f"{name}(c, wave_tiles[_g]);")
-                    w.line("}")
+                    w.line(f"{name}(c, _t);")
         w.line("}")
     w.line("}")
 
 
 def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
-    """C source of the tiled executor: the phase functions and the wave
+    """C source of the tiled executor: the phase functions and the tile
     loop behind the one entry point ``run_tiled`` (see the module
     docstring for its parameters).
 
     The sanitized variant gains ``int64_t *err`` and, before the first
     step, range-scans every index source the unit dereferences: per loop
-    the iteration array (or, in range form, the tile offsets), the wave
-    tile ids, and ``left``/``right``.  On the first violation it records
+    the iteration array (or, in range form, the tile offsets), and
+    ``left``/``right``.  On the first violation it records
     (guard code, position, value, bound) in ``err`` and returns before
     any data array is touched; the compute body is unchanged, so valid
     datasets stay bit-identical.  A program with a scalar loop is a
@@ -346,31 +335,21 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     w.line("} _ctx_t;")
     w.line()
     table = _emit_phases(w, program)
-    _emit_wave_step(w, program, table)
+    _emit_step(w, program, table)
     w.line()
-    params = operands + [
-        "const int64_t *wave_tiles",
-        "const int64_t *wave_off",
-        "int64_t num_waves",
-        "int64_t num_tiles",
-        "double *scratch",
-    ]
+    params = operands + ["int64_t num_tiles", "double *scratch"]
     if sanitize:
         params.append("int64_t *err")
     with w.block(f"void run_tiled({', '.join(params)}) {{"):
         if sanitize:
             _emit_guard_scans(w, program)
-            w.line(
-                "if (_guard(wave_tiles, wave_off[num_waves], num_tiles, "
-                f"{GUARD_WAVES}, err)) return;"
-            )
         w.line("_ctx_t ctx;")
         for field in ctx_fields:
             name = field.rpartition("*")[2]
             w.line(f"ctx.{name} = {name};")
-        w.line("(void)num_nodes; (void)num_inter; (void)num_tiles;")
-        with w.block("for (int64_t _step = 0; _step < num_steps; ++_step) {"):
-            w.line("_wave_step(&ctx, wave_tiles, wave_off, num_waves);")
+        w.line("(void)num_nodes; (void)num_inter;")
+        with w.block("for (int64_t _s = 0; _s < num_steps; ++_s) {"):
+            w.line("_step(&ctx, num_tiles);")
         w.line("}")
     w.line("}")
     return w.source()
@@ -382,7 +361,6 @@ __all__ = [
     "GUARD_OFFSETS_BASE",
     "GUARD_RIGHT",
     "GUARD_SCHEDULE_BASE",
-    "GUARD_WAVES",
     "SANITIZE_TAG",
     "emit_c_tiled",
 ]

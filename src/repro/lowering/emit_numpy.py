@@ -21,8 +21,8 @@ A program that still holds a scalar loop is refused before any source
 is written (:func:`~repro.lowering.ir.require_batched`).
 
 The module holds no schedule and no entry point: *how* the table runs —
-over which tiles and wave groups — is decided by the wave driver of
-:mod:`repro.lowering.schedule`.  An untiled bind is that driver over
+over which tiles, in ascending tile id — is decided by the tile driver
+of :mod:`repro.lowering.schedule`.  An untiled bind is that driver over
 the trivial schedule (one tile, every loop a whole-range ``slice``), so
 it performs the paper's Figure 13 operation sequence.  With ``sanitize`` the module
 also defines ``guard(...)``, the bounds prologue the driver's entry
@@ -47,9 +47,9 @@ from repro.lowering.ir import (
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
-#: numpy-5: ``KernelPhase`` is imported from ``repro.lowering.schedule``
-#: (a stale ``numpy-4`` module imports it from a deleted module).
-EMITTER_VERSION = "numpy-5"
+#: numpy-6: ``guard`` takes no tile grouping (every tier runs tiles in
+#: ascending id; a stale ``numpy-5`` guard takes one more argument).
+EMITTER_VERSION = "numpy-6"
 
 #: Appended to the artifact key when the sanitizer prologue is emitted,
 #: so guarded and unguarded modules never collide in the cache.
@@ -119,7 +119,7 @@ def _emit_phase(w: SourceWriter, program: Program, pos: int) -> str:
 
 def _emit_guard(w: SourceWriter, program: Program) -> None:
     """The sanitizer prologue — the run-time discharge of the verifier's
-    assumed facts (index-array-range, tile-partition, wave-cover): one
+    assumed facts (index-array-range, tile-partition): one
     vectorized range scan per index source, raising the typed trap
     *before* any data array is touched (so a corrupted dataset leaves
     state unmodified).  A range-form loop reads no iteration array (the
@@ -143,7 +143,7 @@ def _emit_guard(w: SourceWriter, program: Program) -> None:
         "_num_nodes, " if loop.domain == "nodes" else "len(left), "
         for loop in program.loops
     )
-    with w.block("def guard(arrays, left, right, schedule, wave_groups):"):
+    with w.block("def guard(arrays, left, right, schedule):"):
         w.line(f"_num_nodes = len(arrays[{program.data_arrays[0]!r}])")
         w.line("_guard('left', left, _num_nodes)")
         w.line("_guard('right', right, _num_nodes)")
@@ -153,8 +153,6 @@ def _emit_guard(w: SourceWriter, program: Program) -> None:
         ):
             with w.block("if not _loop.is_range:"):
                 w.line("_guard(f'schedule[{_label}]', _loop.flat, _bound)")
-        with w.block("if wave_groups is not None:"):
-            w.line("_guard('wave_groups', wave_groups.flat, len(schedule))")
     w.line()
     w.line()
 
@@ -163,12 +161,11 @@ def emit_numpy(program: Program, sanitize: bool = False) -> str:
     """Source of the NumPy phase-table module for a rewritten program.
 
     With ``sanitize`` the module carries ``guard``: a masked range
-    pre-check of ``left``/``right``, every index-form loop's iterations
-    and, when given, the wave groups, that
-    raises :class:`~repro.errors.ExecutorBoundsError` before any data
-    array is read or written; the phases are unchanged, so valid
-    datasets stay bit-identical.  A program with a scalar loop is a
-    :class:`~repro.errors.LegalityError`."""
+    pre-check of ``left``/``right`` and every index-form loop's
+    iterations that raises :class:`~repro.errors.ExecutorBoundsError`
+    before any data array is read or written; the phases are unchanged,
+    so valid datasets stay bit-identical.  A program with a scalar loop
+    is a :class:`~repro.errors.LegalityError`."""
     require_batched(program)
     w = SourceWriter()
     w.line(f'"""NumPy phase table for {program.kernel_name!r} '

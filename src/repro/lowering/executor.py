@@ -15,13 +15,13 @@ oracle.
 
 Each tier binds one artifact per kernel — the rewritten, blocked
 program and its one proof — and runs it over a tile schedule:
-the ``numpy`` tier hands its phase table to the wave driver of
+the ``numpy`` tier hands its phase table to the tile driver of
 :mod:`repro.lowering.schedule`, the C tier calls the unit's one entry
 point ``run_tiled`` through one marshaller (:func:`_c_call`).
 ``tiled`` selects only the signature of ``run``: an untiled executor is
 the same call over the *trivial schedule*
 (:func:`~repro.transforms.tile_schedule.trivial_schedule`: one tile,
-every loop in range form, no wave groups, one thread), the paper's
+every loop in range form), the paper's
 tiling ``theta(i) = 0``, which runs each loop over its whole range in
 the original order.  Every tier sits behind one
 entry (:func:`_entry`) that checks its outside input — operand names,
@@ -32,8 +32,8 @@ tier — and is where a tile schedule becomes its one representation
 check and is handed to C by pointer; a hand-built list of tiles is
 marshalled and fully checked on each call.
 
-Every tier has one driver, the level-synchronous wave loop, and one
-commit order per call: the wave groups it is handed.
+Every tier has one driver and one loop order, the paper's Figure 14:
+tiles in ascending id, and inside a tile each loop in program order.
 
 Selection follows the shared policy of :func:`repro.backends.resolve`
 (argument > ``REPRO_EXECUTOR_BACKEND`` > default ``numpy``); asking
@@ -70,12 +70,7 @@ from repro.errors import ExecutorBoundsError, LegalityError, ValidationError
 from repro.lowering import toolchain
 from repro.lowering.ir import Program, ir_hash, lower_kernel
 from repro.lowering.passes import LoweringRewriter, RewriteState
-from repro.transforms.tile_schedule import (
-    CSRLists,
-    as_tile_schedule,
-    as_wave_groups,
-    trivial_schedule,
-)
+from repro.transforms.tile_schedule import as_tile_schedule, trivial_schedule
 
 #: Valid selector values for the executor switch (``auto`` = best
 #: available: ``c`` with a toolchain, else ``numpy``).
@@ -134,11 +129,10 @@ class CompiledExecutor:
 
     * untiled: ``run(arrays, left, right, num_steps=1)`` — the tiled
       call over the trivial schedule
-    * tiled:   ``run(arrays, left, right, schedule, wave_groups=None,
-      num_steps=1)`` — ``schedule`` and ``wave_groups`` are what
-      ``TilingFunction.schedule()`` and ``WavefrontSchedule.groups()``
-      return (marshalled once) or plain lists (marshalled and checked
-      on every call).
+    * tiled:   ``run(arrays, left, right, schedule, num_steps=1)`` —
+      ``schedule`` is what ``TilingFunction.schedule()`` returns
+      (marshalled once) or a plain list of tiles (marshalled and
+      checked on every call).
     """
 
     kernel_name: str
@@ -194,8 +188,8 @@ def _entry(
     ``right`` and a ``num_steps`` that is not a non-negative integer are
     :class:`ValidationError`s; a short ``right`` or data array an
     :class:`ExecutorBoundsError` (the C tier would read and commit past
-    it); a schedule or a wave grouping that is not a partition would
-    return a silently wrong answer on every tier.  Everything but a
+    it); a schedule that is not a partition would return a silently
+    wrong answer on every tier.  Everything but a
     hand-built schedule is O(1): a marshalled schedule proved the
     partition when it was built and owes one length comparison per
     loop, a hand-built one is marshalled and checked here.  (A sanitized
@@ -274,18 +268,13 @@ def _entry(
 
     def run(arrays, left, right, num_steps=1):
         extents = check(arrays, left, right, num_steps)
-        schedule = trivial_schedule(tuple(extents))
-        call(arrays, left, right, num_steps, schedule, None)
+        call(arrays, left, right, num_steps, trivial_schedule(tuple(extents)))
         return arrays
 
-    def run_tiled(
-        arrays, left, right, schedule, wave_groups=None, num_steps=1
-    ):
+    def run_tiled(arrays, left, right, schedule, num_steps=1):
         extents = check(arrays, left, right, num_steps)
         schedule = as_tile_schedule(schedule, extents, labels, stage)
-        if wave_groups is not None:
-            wave_groups = as_wave_groups(wave_groups, len(schedule), stage)
-        call(arrays, left, right, num_steps, schedule, wave_groups)
+        call(arrays, left, right, num_steps, schedule)
         return arrays
 
     return run_tiled if tiled else run
@@ -294,17 +283,15 @@ def _entry(
 def _python_call(phases: list, guard: Optional[Callable] = None) -> Callable:
     """The ``numpy`` tier: ``phases`` is the emitted module's per-loop
     ``PHASES`` table and ``guard`` the sanitizer prologue of a sanitized
-    module.  Every call runs the table under the wave driver of
-    :mod:`repro.lowering.schedule`, whichever schedule named the tiles
-    and wave groups."""
-    from repro.lowering.schedule import run_wave_phases
+    module.  Every call runs the table under the tile driver of
+    :mod:`repro.lowering.schedule`, whichever schedule named the
+    tiles."""
+    from repro.lowering.schedule import run_tile_phases
 
-    def call(arrays, left, right, num_steps, schedule, wave_groups):
+    def call(arrays, left, right, num_steps, schedule):
         if guard is not None:
-            guard(arrays, left, right, schedule, wave_groups)
-        run_wave_phases(
-            phases, arrays, left, right, schedule, wave_groups, num_steps
-        )
+            guard(arrays, left, right, schedule)
+        run_tile_phases(phases, arrays, left, right, schedule, num_steps)
 
     return call
 
@@ -319,11 +306,7 @@ def _guard_source_name(code: int, program: Program) -> str:
     ):
         if 0 <= code - base < len(program.loops):
             return f"{what}[{program.loops[code - base].label}]"
-    return {
-        emit_c.GUARD_LEFT: "left",
-        emit_c.GUARD_RIGHT: "right",
-        emit_c.GUARD_WAVES: "wave_tiles",
-    }[code]
+    return {emit_c.GUARD_LEFT: "left", emit_c.GUARD_RIGHT: "right"}[code]
 
 
 def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
@@ -341,10 +324,9 @@ def _raise_guard_trap(err: np.ndarray, program: Program) -> None:
 def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
     """The one ``ctypes`` marshaller, of the unit's ``run_tiled``.
 
-    After the operands it passes the tile schedule and the commit order
-    as wave groups.  Both arrive marshalled and checked
-    (:func:`_entry`), so nothing is flattened here: each loop
-    passes the two pointers its
+    After the operands it passes the tile schedule.  It arrives
+    marshalled and checked (:func:`_entry`), so nothing is flattened
+    here: each loop passes the two pointers its
     :class:`~repro.transforms.tile_schedule.CSRLists` already holds,
     with ``NULL`` for the iteration array of a range-form loop.
     Scratch/err allocation and guard-trap decoding live here too."""
@@ -353,37 +335,26 @@ def _c_call(so_path: str, program: Program, sanitize: bool) -> Callable:
     names = program.data_arrays
     i64 = ctypes.c_longlong
 
-    def call(arrays, left, right, num_steps, schedule, wave_groups):
-        # Every array behind a pointer must outlive the foreign call;
-        # ``schedule`` (the caller's reference) keeps its own alive.
-        keepalive: List[np.ndarray] = []
-
-        def pointers(*index_arrays):
-            converted = [
-                np.ascontiguousarray(a, dtype=np.int64) for a in index_arrays
-            ]
-            keepalive.extend(converted)
-            return [_iptr(a) for a in converted]
-
-        tiles: list = []  # between num_steps and scratch
+    def call(arrays, left, right, num_steps, schedule):
+        # Every array behind a pointer must outlive the foreign call:
+        # ``ends`` is held here, ``schedule`` by the caller.
+        ends = [np.ascontiguousarray(a, dtype=np.int64) for a in (left, right)]
+        tiles: list = []  # between num_steps and num_tiles
         for loop in schedule.loops:
             tiles += [
                 None if loop.is_range else _iptr(loop.flat),
                 _iptr(loop.offsets),
             ]
-        if wave_groups is None:
-            wave_groups = CSRLists.singletons(len(schedule))
-        tiles += pointers(wave_groups.flat, wave_groups.offsets)
-        tiles += [i64(len(wave_groups)), i64(len(schedule))]
         scratch = np.empty(max(len(left), 1), dtype=np.float64)
         err = np.zeros(4, dtype=np.int64)
         fn(
             *[_dptr(arrays[name]) for name in names],
-            *pointers(left, right),
+            *[_iptr(a) for a in ends],
             i64(len(arrays[names[0]])),
             i64(len(left)),
             i64(num_steps),
             *tiles,
+            i64(len(schedule)),
             _dptr(scratch),
             *([_iptr(err)] if sanitize else []),
         )
@@ -453,7 +424,7 @@ def compile_executor(
 
     Every backend is **gated on proof**: the IR verifier
     (:mod:`repro.analysis.irverify`) must prove the rewritten program
-    in-bounds, race-free, and translation-validated before emission, or
+    in-bounds and translation-validated before emission, or
     the bind raises :class:`~repro.errors.LegalityError` — unless
     ``sanitize`` (argument or ``REPRO_EXECUTOR_SANITIZE``) selects
     the guarded emitters, which trap bad indices as typed

@@ -193,8 +193,6 @@ class Program:
     extents: Tuple[str, ...]
     #: Set by the blocking pass: iterate a sparse-tile schedule outermost.
     tiled: bool = False
-    #: Set by the parallelize pass: honor a wavefront grouping of tiles.
-    wave_parallel: bool = False
 
     def to_dict(self):
         return {
@@ -204,7 +202,6 @@ class Program:
             "data_arrays": list(self.data_arrays),
             "extents": list(self.extents),
             "tiled": self.tiled,
-            "wave_parallel": self.wave_parallel,
         }
 
 

@@ -1,10 +1,10 @@
 """The ordered rewrite pipeline over the executor loop-nest IR.
 
 Modeled on Devito's ``DevitoRewriter._pipeline`` of staged ``dle_pass``
-rewrites (fission -> blocking -> simdize -> parallelize): each pass is a
-small, inspectable rewrite of the :class:`~repro.lowering.ir.Program`,
-applied in a fixed order by :class:`LoweringRewriter`, with every
-application recorded in the :class:`RewriteState` log.
+rewrites (fission -> blocking -> simdize): each pass is a small,
+inspectable rewrite of the :class:`~repro.lowering.ir.Program`, applied
+in a fixed order by :class:`LoweringRewriter`, with every application
+recorded in the :class:`RewriteState` log.
 
 * **fission** — split each interaction loop's statements into a pure
   *gather* of the hoisted common subexpression and per-statement signed
@@ -27,17 +27,14 @@ application recorded in the :class:`RewriteState` log.
   become gather/scatter batches over the sigma/delta-remapped index
   arrays.  Only legal on node loops whose statements address every array
   directly, and on fissioned interaction loops.
-* **parallelize** — enable wavefront grouping on the tiled program when
-  every interaction loop is fissioned (a scalar one would race inside a
-  wave): the executor accepts the static wave schedule and runs each
-  wave phase-by-phase (all gathers, then commits in the wave's tile order)
-  — the loop :func:`repro.lowering.schedule.run_wave_phases` runs over a
-  phase table and ``emit_c_tiled`` renders in C.  The wave groups fix
-  the commit order, so the reduction folds the same way on every tier.
 
-There is no scheduler pass: every tier runs the one wave loop, and
-there are no pass toggles: every bind runs all four passes, so each
-(kernel, tier, sanitize) has one emitted source and one proof.
+Blocking fixes the one loop order every tier runs — tiles in ascending
+id (:func:`repro.lowering.schedule.run_tile_phases`, and
+``emit_c_tiled``'s loop in C) — so no pass groups tiles; the Section 4
+wavefronts stay a parallelism inspector (:mod:`repro.transforms.
+parallel`).  There are no pass toggles: every bind runs all three
+passes, so each (kernel, tier, sanitize) has one emitted source and one
+proof.
 """
 
 from __future__ import annotations
@@ -122,7 +119,6 @@ class LoweringRewriter:
         self._loop_fission(state)
         self._loop_blocking(state)
         self._vectorize(state)
-        self._parallelize(state)
 
     # -- passes ---------------------------------------------------------------
 
@@ -189,27 +185,6 @@ class LoweringRewriter:
                         "(bit-identity requires the gather/commit split)"
                     )
         return replace(state.program, loops=tuple(loops)), changed, notes
-
-    @rewrite_pass
-    def _parallelize(self, state: RewriteState):
-        scalar = [
-            loop.label
-            for loop in state.program.loops
-            if loop.domain != "nodes" and loop.fissioned is None
-        ]
-        if scalar:
-            return state.program, False, [
-                f"{scalar}: not fissioned; concurrent gathers of a wave "
-                "would race with its commits, so waves stay off"
-            ]
-        return (
-            replace(state.program, wave_parallel=True),
-            True,
-            [
-                "wavefront grouping honored; commits stay in ascending "
-                "tile order (static legality skeleton)"
-            ],
-        )
 
 
 def _strip_sign(expr) -> Tuple[object, int]:

@@ -1,21 +1,22 @@
-"""Tile schedules for the tiled executors: the wave driver.
+"""Tile schedules for the tiled executors: the tile driver.
 
-The wavefront executors run tiles in level-synchronous waves: every tile
-of wave ``w`` finishes before any tile of wave ``w+1`` starts, and the
-reduction commits inside a wave are applied serially in the wave's tile
-order, so the fold is fixed by the schedule and every tier is
-bit-identical.  What this module holds:
+Every tier runs the tiles of a schedule in one order, ascending tile id
+(the paper's Figure 14, ``do t / do x in sched(t, l)``), and inside a
+tile each kernel loop in program order; an interaction loop gathers its
+payload, then commits it.  The reduction fold is fixed by the schedule,
+so every tier is bit-identical.  What this module holds:
 
-* :func:`run_wave_phases` — the one Python loop over wave groups, written
+* :func:`run_tile_phases` — the one Python loop over tiles, written
   over a *phase table* (one :class:`KernelPhase` per kernel loop), which
   :mod:`repro.lowering.emit_numpy` emits for the ``numpy`` tier; the C
-  tier's ``_wave_step`` (:mod:`repro.lowering.emit_c`) is the same loop
-  in C.
+  tier's ``_step`` (:mod:`repro.lowering.emit_c`) is the same loop in
+  C.
 * :class:`TileDAG` and its constructors :func:`tile_dag` /
   :func:`tile_dag_from_tiling` — the tile graph as a successor CSR plus
-  in-degrees and the wave commit order.  No executor reads it: it is
-  kept for the end-to-end harness, which still times its construction
-  (and :func:`repro.incremental.repair_tile_dag`) as layer metrics.
+  in-degrees and the level-synchronous commit order.  No executor reads
+  it: it is kept for the end-to-end harness, which still times its
+  construction (and :func:`repro.incremental.repair_tile_dag`) as layer
+  metrics.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.transforms.sorting import distinct_edges, group_by
-from repro.transforms.tile_schedule import TileSchedule, as_wave_groups
+from repro.transforms.tile_schedule import TileSchedule
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,10 @@ class TileDAG:
 
     ``indegree[t]`` is tile ``t``'s predecessor count;
     ``succ_indptr``/``succ_indices`` is the successor CSR; ``order`` is
-    the level-synchronous executor's commit order (waves outermost,
-    ascending tile id inside each wave) and ``wave[t]`` the tile's level,
-    or ``None`` when the edge set was cyclic and no level assignment
-    exists.
+    a level-synchronous run's commit order (waves outermost, ascending
+    tile id inside each wave; no executor runs it) and ``wave[t]`` the
+    tile's level, or ``None`` when the edge set was cyclic and no level
+    assignment exists.
     """
 
     num_tiles: int
@@ -97,7 +98,11 @@ def tile_dag(
             return _build_dag(
                 num_tiles, src, dst, np.arange(num_tiles, dtype=np.int64), None
             )
-    order = as_wave_groups(waves.groups(), num_tiles).flat
+    groups = waves.groups()
+    groups.check_extent(
+        num_tiles, "wave groups cover {count} tiles, expected {extent}"
+    )
+    order = groups.flat
     return _build_dag(num_tiles, src, dst, order, waves.wave.astype(np.int64))
 
 
@@ -121,7 +126,7 @@ def tile_dag_from_tiling(tiling, edges, waves=None) -> TileDAG:
 # over an iteration subset; this function is the only Python that says
 # in which order tiles run it.  Interaction phases are split
 # gather/commit: the gather is a pure read, the commit applies the
-# reduction, always in the wave's tile order.
+# reduction.
 
 
 @dataclass(frozen=True)
@@ -142,48 +147,38 @@ class KernelPhase:
     commit: Optional[Callable] = None
 
 
-def run_wave_phases(
+def run_tile_phases(
     phases: Sequence,
     arrays,
     left,
     right,
     schedule,
-    wave_groups=None,
     num_steps: int = 1,
 ) -> None:
-    """The level-synchronous wave driver (Figure 14 under a wavefront).
-
-    Tiles within a wave share no dependences, so each kernel phase runs
-    as a stage across the whole wave: node phases update disjoint
-    iteration subsets; interaction phases compute the pure gathers of
-    all the wave's tiles first, then apply the reduction commits **in
-    the wave's tile order**.  A range-form loop's tile reaches its phase
-    as a ``slice`` (operand views, no gather), an index-form loop's as
-    its iteration array (:meth:`~repro.transforms.tile_schedule.CSRLists.
-    parts`); so under the trivial one-tile schedule each phase runs once
-    over its whole range, which is the untiled executor.  ``schedule``
-    is a :class:`~repro.transforms.tile_schedule.TileSchedule` or a
-    list of tiles (marshalled here).  It runs on one thread (NumPy calls
-    this small do not overlap under the GIL; see ROADMAP for the numbers).
-    ``wave_groups=None`` is every tile its own wave: serial tile order.
+    """The tile driver (Figure 14): per time step, per tile in ascending
+    id, per kernel loop in program order, the loop's phases over the
+    tile's iterations — a node phase's update, or an interaction phase's
+    gather and then its commit.  A range-form loop's tile reaches its
+    phase as a ``slice`` (operand views, no gather), an index-form
+    loop's as its iteration array (:meth:`~repro.transforms.
+    tile_schedule.CSRLists.parts`); so under the trivial one-tile
+    schedule each phase runs once over its whole range, which is the
+    untiled executor.  ``schedule`` is a :class:`~repro.transforms.
+    tile_schedule.TileSchedule` or a list of tiles (marshalled here).
     """
     if not isinstance(schedule, TileSchedule):
         schedule = TileSchedule.from_tiles(schedule)
-    if wave_groups is None:
-        wave_groups = [[t] for t in range(len(schedule))]
-    loops = [loop.parts() for loop in schedule.loops]
+    tiles = list(zip(*(loop.parts() for loop in schedule.loops)))
     for _step in range(num_steps):
-        for group in wave_groups:
-            for phase, parts in zip(phases, loops):
-                work = [parts[t] for t in group if parts[t] is not None]
-                if phase.domain == "nodes":
-                    for it in work:
-                        phase.apply(arrays, it)
+        for tile in tiles:
+            for phase, it in zip(phases, tile):
+                if it is None:
                     continue
-                ends = [(left[it], right[it]) for it in work]
-                payloads = [phase.gather(arrays, l, r) for l, r in ends]
-                for (l, r), payload in zip(ends, payloads):
-                    phase.commit(arrays, l, r, payload)
+                if phase.domain == "nodes":
+                    phase.apply(arrays, it)
+                    continue
+                l, r = left[it], right[it]
+                phase.commit(arrays, l, r, phase.gather(arrays, l, r))
 
 
 __all__ = [
@@ -191,5 +186,5 @@ __all__ = [
     "TileDAG",
     "tile_dag",
     "tile_dag_from_tiling",
-    "run_wave_phases",
+    "run_tile_phases",
 ]

@@ -146,27 +146,26 @@ def run_numeric_wavefront(
     dag=None,
     num_threads: Optional[int] = None,
 ) -> KernelData:
-    """Execute the kernel arithmetic tile by tile, wave by wave.
+    """Execute the kernel arithmetic tile by tile, in ascending tile id.
 
     ``schedule[t][pos]`` are the iterations of loop ``pos`` inside tile
     ``t`` — a :meth:`TilingFunction.schedule` (marshalled once, passed
     by pointer on every call) or a hand-built list of tiles (marshalled
-    and checked on every call); ``waves`` is a
-    :class:`~repro.transforms.parallel.WavefrontSchedule` over the tiles
-    (``None`` treats every tile as its own wave — plain sequential tile
-    order).  This is one bind and one call: ``backend`` / ``sanitize``
-    pass unresolved to :func:`~repro.lowering.executor.compile_executor`
-    (argument > ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_SANITIZE``
-    > default), and every
-    tier runs the groups of ``waves`` level-synchronously.
+    and checked on every call).  This is one bind and one call:
+    ``backend`` / ``sanitize`` pass unresolved to
+    :func:`~repro.lowering.executor.compile_executor` (argument >
+    ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_SANITIZE`` > default),
+    and every tier runs the paper's Figure 14 loop: per tile in
+    ascending id, each loop of the tile in program order.
 
     The reduction commits apply in one order, fixed by the schedule, so
     every tier produces bit-identical payloads (asserted by the test
     suite).  Cross-step dependences are covered by the barrier between
     time steps.  Returns ``data``.
 
-    ``scheduler``, ``dag``, ``num_threads`` and ``parallel`` select
-    nothing (an unknown ``scheduler`` name is still a ValidationError).
+    ``waves``, ``scheduler``, ``dag``, ``num_threads`` and ``parallel``
+    select nothing (an unknown ``scheduler`` name is still a
+    ValidationError): the end-to-end harness still passes them.
     """
     from repro.lowering.executor import compile_executor
 
@@ -178,11 +177,6 @@ def run_numeric_wavefront(
         scheduler=scheduler,
     )
     compiled.run(
-        data.arrays,
-        data.left,
-        data.right,
-        schedule,
-        None if waves is None else waves.groups(),
-        num_steps=num_steps,
+        data.arrays, data.left, data.right, schedule, num_steps=num_steps
     )
     return data

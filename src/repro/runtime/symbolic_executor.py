@@ -127,8 +127,8 @@ def symbolic_locations_touched(
 class SymbolicInstance:
     """One tiny concrete instance to interpret a Program on.
 
-    ``schedule[t][pos]`` lists loop ``pos``'s iterations in tile ``t``;
-    ``waves`` groups tile ids (both ignored by untiled programs).
+    ``schedule[t][pos]`` lists loop ``pos``'s iterations in tile ``t``
+    (ignored by untiled programs).
     """
 
     num_nodes: int
@@ -136,7 +136,6 @@ class SymbolicInstance:
     left: Tuple[int, ...]
     right: Tuple[int, ...]
     schedule: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
-    waves: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
 def canonical_instance(program) -> SymbolicInstance:
@@ -147,7 +146,7 @@ def canonical_instance(program) -> SymbolicInstance:
     tile of its endpoints, and node loops *after* an interaction loop
     inherit the max tile of any interaction touching the node — exactly
     the atomic-tile condition ``theta(src) <= theta(dst)``, so ascending
-    tile order (and the two singleton waves) is a legal linearization.
+    tile order is a legal linearization.
     """
     num_nodes, num_inter = 4, 4
     left = (0, 1, 2, 0)
@@ -183,7 +182,6 @@ def canonical_instance(program) -> SymbolicInstance:
         left=left,
         right=right,
         schedule=schedule,
-        waves=((0,), (1,)),
     )
 
 
@@ -277,71 +275,31 @@ def symbolic_program_state(
     Mirrors the emitters' operation order construct by construct
     (scalar loops interleave statements per iteration; fissioned loops
     gather every payload then commit array-by-array; tiled programs walk
-    waves with all gathers before the wave's in-order commits), so the
+    tiles in ascending id, each loop of a tile in program order, and an
+    untiled program is the one tile holding every iteration), so the
     final state reflects what the generated code actually does.
     """
     state: Dict[str, List[object]] = {
         name: [("init", name, i) for i in range(inst.num_nodes)]
         for name in program.data_arrays
     }
-    loop_extent = {
-        "nodes": range(inst.num_nodes),
-        "inters": range(inst.num_inter),
-    }
-
     if not program.tiled:
-        for _step in range(num_steps):
-            for loop in program.loops:
-                iters = list(loop_extent[loop.domain])
+        extent = {"nodes": inst.num_nodes, "inters": inst.num_inter}
+        tiles = [[range(extent[loop.domain]) for loop in program.loops]]
+    elif inst.schedule is None:
+        raise ValueError("tiled program needs an instance schedule")
+    else:
+        tiles = inst.schedule
+    for _step in range(num_steps):
+        for tile in tiles:
+            for loop, iters in zip(program.loops, tile):
+                iters = list(iters)
                 if loop.domain == "nodes":
                     _run_node_loop(state, loop, iters, inst)
                 elif loop.fissioned is not None:
                     _run_inter_fissioned(state, loop.fissioned, iters, inst)
                 else:
                     _run_inter_scalar(state, loop, iters, inst)
-        return state
-
-    if inst.schedule is None:
-        raise ValueError("tiled program needs an instance schedule")
-    waves = inst.waves if program.wave_parallel and inst.waves else tuple(
-        (t,) for t in range(len(inst.schedule))
-    )
-    for _step in range(num_steps):
-        for group in waves:
-            tiles = [inst.schedule[t] for t in group]
-            for pos, loop in enumerate(program.loops):
-                if loop.domain == "nodes":
-                    for tile in tiles:
-                        _run_node_loop(state, loop, list(tile[pos]), inst)
-                elif loop.fissioned is not None:
-                    gc = loop.fissioned
-                    # Phase 1: every tile's pure gather, whole wave.
-                    gathered = [
-                        [
-                            _sym_eval(gc.payload, j, state, inst)
-                            for j in tile[pos]
-                        ]
-                        for tile in tiles
-                    ]
-                    # Phase 2: commits per tile in the wave's tile order.
-                    for tile, payloads in zip(tiles, gathered):
-                        for commit in gc.commits:
-                            via = (
-                                inst.left
-                                if commit.via == "left"
-                                else inst.right
-                            )
-                            for j, payload in zip(tile[pos], payloads):
-                                _sym_apply(
-                                    state,
-                                    commit.array,
-                                    via[j],
-                                    commit.sign,
-                                    payload,
-                                )
-                else:
-                    for tile in tiles:
-                        _run_inter_scalar(state, loop, list(tile[pos]), inst)
     return state
 
 

@@ -4,9 +4,12 @@ Two complementary checks close the loop between the compile-time
 specifications and the run-time index arrays:
 
 * :func:`verify_numeric_equivalence` — the end-to-end check: run the
-  baseline executor and the transformed executor (relocated payload,
-  adjusted index arrays, possibly tiled schedule), pull the transformed
-  result back through ``sigma^-1``, and compare.
+  baseline executor and the transformed executor (relocated payload and
+  adjusted index arrays) through the *untiled* executor, pull the
+  transformed result back through ``sigma^-1``, and compare.  It runs no
+  tile schedule, so a tiled bind's schedule is not exercised here:
+  :func:`~repro.runtime.inspector.validate_tiling`, run once per tiling
+  by the stage loop, is the only bind-time check of a tiling.
 * :func:`verify_dependences` — the framework check: bind the UFS of the
   final transformed dependence relations to the concrete index arrays and
   reordering functions, enumerate every dependence pair, and assert the
@@ -38,6 +41,10 @@ def verify_numeric_equivalence(
     atol: float = 1e-12,
 ) -> bool:
     """Baseline run == transformed run pulled back through ``sigma^-1``.
+
+    Both sides run untiled (:func:`~repro.runtime.executor.run_numeric`),
+    whatever tiling ``result`` holds: this checks the data and iteration
+    reorderings, not the tile schedule (see the module docstring).
 
     Raises :class:`~repro.errors.ExecutorFault` (an ``AssertionError``
     subclass) naming the offending array and the first mismatching

@@ -7,7 +7,7 @@ object, built when the tiling is bound and never re-shaped per call:
 * :class:`CSRLists` — ``n`` index lists packed into one ``int64`` array
   ``flat`` plus ``n + 1`` ``offsets`` (list ``i`` is
   ``flat[offsets[i]:offsets[i + 1]]``).  One loop's iterations per tile,
-  or a wavefront's tiles per wave.
+  or a wavefront's iterations per wave.
 * :class:`TileSchedule` — one :class:`CSRLists` per kernel loop, read as
   ``schedule[t][pos]`` by the Python consumers and as ``(flat, offsets)``
   pointers by the C marshaller.
@@ -23,7 +23,7 @@ become ``(flat, offsets)``).  What is left to check per call is O(1):
 ``tilePack`` (and any packing that orders a loop by tile) leaves behind —
 ``flat`` is ``arange`` and tile ``t`` *is* the range ``[offsets[t],
 offsets[t + 1])``: ``is_range`` records it, the C tier then iterates the
-offsets alone and the Python wave driver slices by them.  The data
+offsets alone and the Python tile driver slices by them.  The data
 decides; index lists handed in from outside stay index lists.
 
 **The trivial schedule** (:func:`trivial_schedule`) is the tiling
@@ -74,15 +74,6 @@ class CSRLists(Sequence):
         self.is_range = is_range
         self._views: Optional[List[np.ndarray]] = None
         self._parts: Optional[list] = None
-
-    @classmethod
-    def singletons(cls, count: int) -> "CSRLists":
-        """``[[0], [1], ...]``: every entry its own list (serial order)."""
-        return cls(
-            np.arange(count, dtype=np.int64),
-            np.arange(count + 1, dtype=np.int64),
-            is_range=True,
-        )
 
     @classmethod
     def from_labels(cls, labels, num_lists: int, what: str) -> "CSRLists":
@@ -199,21 +190,6 @@ class CSRLists(Sequence):
     def __repr__(self) -> str:
         form = "range" if self.is_range else "index"
         return f"CSRLists({len(self)} lists, {len(self.flat)} entries, {form})"
-
-
-def as_wave_groups(
-    wave_groups, num_tiles: int, stage: str = "executor"
-) -> CSRLists:
-    """``wave_groups`` as a checked partition of the tile ids: a
-    wavefront's own :class:`CSRLists` pays :meth:`CSRLists.check_extent`,
-    a list of groups is flattened and checked in full."""
-    covers = "wave groups cover {count} tiles, expected {extent}"
-    if not isinstance(wave_groups, CSRLists):
-        return CSRLists.from_lists(
-            wave_groups, num_tiles, "wave_groups", covers, stage
-        )
-    wave_groups.check_extent(num_tiles, covers)
-    return wave_groups
 
 
 def _loop_covers(pos: int) -> str:
@@ -365,6 +341,5 @@ __all__ = [
     "CSRLists",
     "TileSchedule",
     "as_tile_schedule",
-    "as_wave_groups",
     "trivial_schedule",
 ]

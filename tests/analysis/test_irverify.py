@@ -1,5 +1,5 @@
-"""The IR verifier: bounds proofs, race/commit checks, translation
-validation, stable IRV codes, and the content-addressed proof cache.
+"""The IR verifier: bounds proofs, translation validation, stable IRV
+codes (IRV002 / IRV003 retired), and the content-addressed proof cache.
 
 Every kernel x executor shape must verify clean; every deliberately
 broken fixture must be rejected with its rule's stable code; warm binds
@@ -44,8 +44,8 @@ class TestCleanPrograms:
         assert summary["obligations"] > 0
         assert summary["discharged"] == summary["obligations"]
         # Every pipeline pass carries a validation proof (fission,
-        # blocking, vectorize, parallelize).
-        assert len(report.pass_proofs) == 4
+        # blocking, vectorize).
+        assert len(report.pass_proofs) == 3
         assert all(p["equivalent"] for p in report.pass_proofs)
 
     def test_pass_records_carry_proof_artifacts(self):
@@ -58,10 +58,9 @@ class TestCleanPrograms:
 
     def test_assumed_facts_name_the_sanitizer_discharges(self):
         report = iv.verify_executor("moldyn")
-        assert {
-            "index-array-range", "tile-partition", "wave-cover",
-            "schedule-legality",
-        } <= {f.name for f in report.assumed}
+        assert {f.name for f in report.assumed} == {
+            "index-array-range", "tile-partition", "schedule-legality",
+        }
 
     def test_report_serializes(self):
         report = iv.verify_executor("nbf", tiled=True)
@@ -88,28 +87,6 @@ class TestBrokenFixtures:
         assert not report.proven
         assert report.by_code(iv.IRV_BOUNDS)
         assert any(not ob.discharged for ob in report.obligations)
-
-    def test_irv002_scalar_interaction_loop_under_waves(self):
-        state = _rewritten("moldyn")
-        loops = tuple(
-            replace(loop, fissioned=None, vector=False)
-            if loop.domain == "inters"
-            else loop
-            for loop in state.program.loops
-        )
-        state.program = replace(state.program, loops=loops)
-        report = iv.verify_state(state)
-        assert not report.proven
-        diag = report.by_code(iv.IRV_RACE)[0]
-        assert diag.severity == ERROR
-        assert "race" in diag.message
-
-    def test_irv003_waves_without_schedule(self):
-        state = _rewritten("moldyn")
-        state.program = replace(state.program, tiled=False)
-        report = iv.verify_state(state)
-        assert not report.proven
-        assert report.by_code(iv.IRV_COMMIT_ORDER)
 
     def test_irv004_tampered_pass_output(self):
         # Flip every commit sign in the final program: the reduction
@@ -230,6 +207,6 @@ class TestProofCache:
 class TestDiagnosticsBridge:
     def test_verification_diagnostics_contract(self):
         codes, diagnostics, report = iv.verification_diagnostics("moldyn")
-        assert codes == list(iv.IRV_CODES)
+        assert codes == list(iv.IRV_CODES) == ["IRV001", "IRV004", "IRV005"]
         assert diagnostics == []
         assert report.proven

@@ -1,25 +1,30 @@
-"""The ``scheduler``/``dag``/``num_threads`` keywords select nothing.
+"""The ``waves``/``scheduler``/``dag``/``num_threads`` keywords select
+nothing.
 
-Every tier has one driver, the level-synchronous wave loop, and one
-commit order per call: the wave groups it is handed.  The keywords of
-the deleted counter pool stay accepted because the end-to-end harness
-still passes them; this file pins that they change nothing: a
-``scheduler="dynamic"`` bind is the very memoised executor a ``"wave"``
-bind returns, and the harness's call shape — ``scheduler="dynamic",
+Every tier has one driver and one loop order: tiles in ascending id
+(the paper's Figure 14), each loop of a tile in program order.  The
+keywords of the deleted wave grouping and counter pool stay accepted
+because the end-to-end harness still passes them; this file pins that
+they change nothing: a ``scheduler="dynamic"`` bind is the very
+memoised executor a ``"wave"`` bind returns, and the harness's call
+shape — a wavefront, ``scheduler="dynamic",
 dag=tile_dag_from_tiling(...), num_threads=N`` — is byte-equal to the
-wave call on every tier, with and without the sanitizer.  ``allclose``
-is deliberately absent: the contract is byte equality.
+oracle's ascending-tile fold on every tier, with and without the
+sanitizer.  ``allclose`` is deliberately absent: the contract is byte
+equality.
 """
 
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from repro.cachesim.machines import machine_by_name
 from repro.errors import ValidationError
 from repro.eval.compositions import fst_seed_block
 from repro.kernels import generate_dataset, make_kernel_data
+from repro.kernels.datasets import Dataset
 from repro.lowering import toolchain
 from repro.lowering.executor import clear_executor_memo, compile_executor
 from repro.lowering.schedule import tile_dag_from_tiling
@@ -32,6 +37,7 @@ from repro.runtime.inspector import (
     dependence_edges,
 )
 from repro.transforms import tile_wavefronts
+from repro.transforms.fst import TilingFunction
 from tests.kernels.oracle import run_oracle
 
 pytestmark = pytest.mark.compiled
@@ -42,7 +48,11 @@ COMPILED_BACKENDS = ("numpy", "c") if HAVE_CC else ("numpy",)
 #: end-to-end harness still binds: a tier here until the alias goes.
 ALL_BACKENDS = ("library",) + COMPILED_BACKENDS
 
-CASES = [("moldyn", "mol1"), ("irreg", "foil"), ("nbf", "foil")]
+#: ``crossed`` is the hand-built moldyn case of :func:`_crossed_case`.
+CASES = [
+    ("moldyn", "mol1"), ("irreg", "foil"), ("nbf", "foil"),
+    ("moldyn", "crossed"),
+]
 THREADS = (1, 2, 4)
 
 
@@ -55,22 +65,65 @@ def _isolated_artifacts(monkeypatch, tmp_path):
     clear_executor_memo()
 
 
+def _crossed_case():
+    """A hand-built moldyn tiling whose wavefronts run a higher tile id
+    before a lower one that commits to the same node.
+
+    Interactions ``(0,1), (1,2), (2,5), (3,5)`` are tiles 0-3.  Tile 2
+    waits for tile 1 (node 2's position), tile 3 only for tile 0 (node
+    5's), so the wavefronts are ``[0], [1, 3], [2], [4]``: tile 3 runs
+    before tile 2, and both commit to ``fx[5]``; node 5's velocity is in
+    tile 4.  The payload makes the two folds of ``fx[5]`` round apart
+    (``(1 - 1) - 1e-16`` against ``(1 - 1e-16) - 1``)."""
+    left = np.array([0, 1, 2, 3], dtype=np.int64)
+    right = np.array([1, 2, 5, 5], dtype=np.int64)
+    d = make_kernel_data("moldyn", Dataset("crossed", 6, left, right), seed=3)
+    d.arrays["x"][:] = [0.0, 0.25, 1.0005, 0.0005 + 1e-16, 0.0, 0.0]
+    d.arrays["vx"][:] = 0.0
+    d.arrays["fx"][:] = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    tiling = TilingFunction(
+        [
+            np.array([0, 0, 1, 3, 4, 0], dtype=np.int64),
+            np.array([0, 1, 2, 3], dtype=np.int64),
+            np.array([0, 1, 2, 3, 4, 4], dtype=np.int64),
+        ],
+        5,
+    )
+    return d, tiling
+
+
 def _tiled_case(kernel, dataset):
     """Small-seed tiling (many tiles, wide waves) + edge-derived DAG."""
-    machine = machine_by_name("pentium4")
-    data = make_kernel_data(kernel, generate_dataset(dataset, scale=128))
-    seed = max(4, fst_seed_block(data, machine) // 8)
-    steps = [CPackStep(), LexGroupStep(), FullSparseTilingStep(seed)]
-    result = ComposedInspector(steps).run(data)
-    d = result.transformed
+    if dataset == "crossed":
+        d, tiling = _crossed_case()
+    else:
+        machine = machine_by_name("pentium4")
+        data = make_kernel_data(kernel, generate_dataset(dataset, scale=128))
+        seed = max(4, fst_seed_block(data, machine) // 8)
+        steps = [CPackStep(), LexGroupStep(), FullSparseTilingStep(seed)]
+        result = ComposedInspector(steps).run(data)
+        d, tiling = result.transformed, result.tiling
     edges = dependence_edges(d)
-    waves = tile_wavefronts(result.tiling, edges)
-    dag = tile_dag_from_tiling(result.tiling, edges, waves=waves)
-    return d, result.tiling.schedule(), waves, dag
+    waves = tile_wavefronts(tiling, edges)
+    dag = tile_dag_from_tiling(tiling, edges, waves=waves)
+    return d, tiling.schedule(), waves, dag
 
 
-def _reference(d, schedule, waves):
-    return run_oracle(d.copy(), schedule, waves, num_steps=3).arrays
+def _reference(d, schedule):
+    """The oracle's fold: tiles in ascending id."""
+    return run_oracle(d.copy(), schedule, num_steps=3).arrays
+
+
+def test_crossed_case_wave_order_folds_apart():
+    """The hand-built case discriminates: its wavefronts put tile 3
+    before tile 2, and running the tiles in that order folds ``fx[5]``
+    to other bits than ascending tile order does."""
+    d, schedule, waves, _ = _tiled_case("moldyn", "crossed")
+    assert [list(group) for group in waves.groups()] == [[0], [1, 3], [2], [4]]
+    in_wave_order = [schedule[t] for t in waves.groups().flat]
+    ref = _reference(d, schedule)
+    moved = _reference(d, in_wave_order)
+    assert not all(np.array_equal(ref[k], moved[k]) for k in ref)
 
 
 @pytest.mark.parametrize("kernel,dataset", CASES)
@@ -78,10 +131,11 @@ def _reference(d, schedule, waves):
 @pytest.mark.parametrize("sanitize", [False, True])
 def test_dynamic_bit_identical_to_waves(kernel, dataset, backend, sanitize):
     """A ``"dynamic"`` bind is the ``"wave"`` bind, and the harness's
-    call shape through it is byte-equal to the oracle's wave run at
-    every ``num_threads`` — with a wavefront grouping and without."""
+    call shape through it is byte-equal to the oracle's ascending-tile
+    fold at every ``num_threads`` — with a wavefront grouping and
+    without: the grouping selects nothing."""
     d, schedule, waves, dag = _tiled_case(kernel, dataset)
-    ref = _reference(d, schedule, waves)
+    ref = _reference(d, schedule)
     ex = compile_executor(
         kernel, backend=backend, tiled=True, sanitize=sanitize,
         scheduler="dynamic",
@@ -100,8 +154,7 @@ def test_dynamic_bit_identical_to_waves(kernel, dataset, backend, sanitize):
             assert ref[name].tobytes() == out.arrays[name].tobytes(), (
                 kernel, backend, sanitize, num_threads, name,
             )
-    # No wavefront grouping: the serial tile chain, whatever dag says.
-    ref = _reference(d, schedule, None)
+    # No wavefront grouping: the same fold, whatever dag says.
     out = run_numeric_wavefront(
         d.copy(), schedule, None, num_steps=3, backend=backend,
         sanitize=sanitize, scheduler="dynamic", dag=dag, num_threads=2,
@@ -115,7 +168,7 @@ def test_dynamic_bit_identical_to_waves(kernel, dataset, backend, sanitize):
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_dispatcher_scheduler_identity(backend):
     """The end-to-end harness's ``run_numeric_wavefront`` call, verbatim,
-    equals the wave call on every tier."""
+    equals the plain call on every tier."""
     kernel, dataset = "moldyn", "mol1"
     d, schedule, waves, dag = _tiled_case(kernel, dataset)
     ref = run_numeric_wavefront(

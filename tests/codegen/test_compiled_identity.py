@@ -3,7 +3,7 @@
 Every backend of the lowering tier must reproduce the hand-written
 oracle's floating-point output (``tests/kernels/oracle.py``) exactly —
 same operations, same order, same rounding — across all three kernels,
-random datasets (Hypothesis), the tile-wavefront executor, every example
+random datasets (Hypothesis), the tiled executor, every example
 plan spec, and the no-toolchain fallback path.  ``allclose`` is
 deliberately absent here: the contract is ``array_equal``.
 """
@@ -139,12 +139,13 @@ def _tiled_case(kernel, dataset, pack=False):
 )
 @pytest.mark.parametrize("backend", TIERS)
 def test_wavefront_executor_identity(kernel, dataset, backend):
-    """The tiled executor: same wave/phase structure, same fixed commit
-    order, bit-identical to the oracle's wave run on every tier — with
-    and without a wavefront grouping."""
+    """The tiled executor: same tile/phase structure, same fixed commit
+    order (ascending tile id), bit-identical to the oracle's tile run on
+    every tier — and a wavefront grouping, still accepted, changes
+    nothing."""
     d, schedule, waves = _tiled_case(kernel, dataset)
-    ref = run_oracle(d.copy(), schedule, waves, num_steps=3)
-    ref_serial = run_oracle(d.copy(), schedule, None, num_steps=2)
+    ref = run_oracle(d.copy(), schedule, num_steps=3)
+    ref_serial = run_oracle(d.copy(), schedule, num_steps=2)
     got = run_numeric_wavefront(
         d.copy(), schedule, waves, num_steps=3, backend=backend
     )
@@ -169,13 +170,13 @@ def test_range_form_and_index_form_are_bit_identical(
 ):
     """One schedule, both C loop forms: the marshalled object runs its
     tile-packed loops as ranges (``iters == NULL``), its list form runs
-    every loop through an index array — same bits as the oracle's wave
+    every loop through an index array — same bits as the oracle's tile
     run either way, guarded or not, and whatever the (selecting
-    nothing) ``scheduler`` / ``num_threads`` keywords say."""
+    nothing) ``waves`` / ``scheduler`` / ``num_threads`` say."""
     d, schedule, waves = _tiled_case(kernel, dataset, pack=True)
     assert any(schedule.is_range)
     as_lists = [list(tile) for tile in schedule]
-    ref = run_oracle(d.copy(), schedule, waves, num_steps=3)
+    ref = run_oracle(d.copy(), schedule, num_steps=3)
     for form, tiles in (("range", schedule), ("index", as_lists)):
         got = run_numeric_wavefront(
             d.copy(), tiles, waves, num_steps=3, backend="c",
@@ -195,12 +196,12 @@ def test_range_form_and_index_form_are_bit_identical(
 def test_python_tiers_slice_range_form_loops_bit_identically(
     kernel, dataset, backend, sanitize
 ):
-    """The Python wave driver hands a range-form loop's tile to its
+    """The Python tile driver hands a range-form loop's tile to its
     phase as a ``slice``, an index-form loop's as its iteration array:
     the marshalled schedule and its list form give the oracle's bits."""
     d, schedule, waves = _tiled_case(kernel, dataset, pack=True)
     assert any(schedule.is_range)
-    ref = run_oracle(d.copy(), schedule, waves, num_steps=3)
+    ref = run_oracle(d.copy(), schedule, num_steps=3)
     for tiles in (schedule, [list(tile) for tile in schedule]):
         got = run_numeric_wavefront(
             d.copy(), tiles, waves, num_steps=3, backend=backend,

@@ -262,28 +262,6 @@ def test_marshalled_schedule_corruptors_trap_or_stay_safe(fault_name, backend):
             _assert_identical(ref, got, (fault_name, backend, sanitize))
 
 
-class _Waves:
-    """Minimal stand-in for a WavefrontSchedule: just .groups()."""
-
-    def __init__(self, groups):
-        self._groups = groups
-
-    def groups(self):
-        return self._groups
-
-
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-def test_tiled_sanitizer_wave_group_trap(backend):
-    data = make_kernel_data("moldyn", generate_dataset("mol1", scale=64))
-    schedule = _two_tile_schedule(data)
-    bad = _Waves([np.array([0], dtype=np.int64), np.array([5], dtype=np.int64)])
-    with pytest.raises(ExecutorBoundsError) as info:
-        run_numeric_wavefront(
-            data.copy(), schedule, bad, backend=backend, sanitize=True
-        )
-    assert info.value.stage == "sanitizer"
-
-
 def _half(schedule, data):
     return [schedule[0]]
 
@@ -298,15 +276,14 @@ def _last_offset_short(schedule, data):
     return _remarshalled(data, lambda flat, off: off.__setitem__(-1, off[-1] - 2))
 
 
-#: Schedules (and one wave grouping) that are not partitions: each used
-#: to run to completion on every tier and return arrays != the untiled
-#: result.  name -> (schedule builder, wave groups).
+#: Schedules that are not partitions: each used to run to completion on
+#: every tier and return arrays != the untiled result.  name -> schedule
+#: builder.
 NON_PARTITIONS = {
-    "no-tiles": (lambda schedule, data: [], None),
-    "half-of-each-loop": (_half, None),
-    "three-iterations-twice": (_repeated, None),
-    "wave-skips-a-tile": (lambda schedule, data: schedule, [[1]]),
-    "last-offset-short": (_last_offset_short, None),
+    "no-tiles": lambda schedule, data: [],
+    "half-of-each-loop": _half,
+    "three-iterations-twice": _repeated,
+    "last-offset-short": _last_offset_short,
 }
 
 
@@ -317,13 +294,11 @@ def test_non_partition_schedules_are_typed_errors_on_every_tier(
     name, backend, sanitize
 ):
     data = _random_data("moldyn", 16, 32, seed=11)
-    build, groups = NON_PARTITIONS[name]
-    schedule = build(_two_tile_schedule(data), data)
-    waves = None if groups is None else _Waves(groups)
+    schedule = NON_PARTITIONS[name](_two_tile_schedule(data), data)
     before = {k: v.copy() for k, v in data.arrays.items()}
     with pytest.raises(ValidationError, match="cover|more than once"):
         run_numeric_wavefront(
-            data, schedule, waves, backend=backend, sanitize=sanitize
+            data, schedule, None, backend=backend, sanitize=sanitize
         )
     for k in before:
         assert np.array_equal(before[k], data.arrays[k]), k
@@ -339,16 +314,12 @@ def test_out_of_range_schedule_entry_traps_on_every_tier(backend, sanitize):
     broken = [[it.copy() for it in tile] for tile in schedule]
     broken[1][1][0] = -1
     before = {k: v.copy() for k, v in data.arrays.items()}
-    for tiles, waves, culprit in (
-        (broken, None, "schedule[Lj]"),
-        (schedule, _Waves([[0], [2]]), "wave_groups"),
-    ):
-        with pytest.raises(ExecutorBoundsError) as info:
-            run_numeric_wavefront(
-                data, tiles, waves, backend=backend, sanitize=sanitize
-            )
-        assert info.value.stage == ("sanitizer" if sanitize else "executor")
-        assert info.value.array == culprit
+    with pytest.raises(ExecutorBoundsError) as info:
+        run_numeric_wavefront(
+            data, broken, None, backend=backend, sanitize=sanitize
+        )
+    assert info.value.stage == ("sanitizer" if sanitize else "executor")
+    assert info.value.array == "schedule[Lj]"
     for k in before:
         assert np.array_equal(before[k], data.arrays[k]), k
 

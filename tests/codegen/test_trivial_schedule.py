@@ -64,7 +64,7 @@ def test_untiled_run_equals_the_step_functions(kernel, backend, sanitize):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_the_oracles_phase_table_equals_its_step_functions(kernel):
     """The oracle's two hand tables agree: its phase table under the
-    wave driver over the trivial schedule is its step function."""
+    tile driver over the trivial schedule is its step function."""
     data = _data(kernel)
     ref = _copy(data.arrays)
     for _ in range(3):

@@ -13,9 +13,9 @@ pipeline:
   each interaction loop split into a pure gather and a reduction commit
   (``np.add.at``, unbuffered: the vectorized form of the scalar loops of
   the paper's Figures 13/14);
-* :func:`run_oracle` — the phase table under the program's own wave
-  driver, over a tile schedule and its wave groups, or over the trivial
-  one-tile schedule when none is given (the untiled executor).
+* :func:`run_oracle` — the phase table under the program's own tile
+  driver, over a tile schedule in ascending tile id, or over the
+  trivial one-tile schedule when none is given (the untiled executor).
 
 The tests hold the step functions equal to the untiled phase table, and
 every emitted tier equal to :func:`run_oracle`, with ``tobytes()``
@@ -28,7 +28,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.lowering.schedule import KernelPhase, run_wave_phases
+from repro.lowering.schedule import KernelPhase, run_tile_phases
 from repro.transforms.tile_schedule import trivial_schedule
 
 
@@ -138,22 +138,20 @@ PHASE_FUNCTIONS: Dict[str, List[KernelPhase]] = {
 }
 
 
-def run_oracle(data, schedule=None, waves=None, num_steps: int = 1):
+def run_oracle(data, schedule=None, num_steps: int = 1):
     """Run the hand phase table on ``data`` in place; returns ``data``.
 
-    ``schedule`` and ``waves`` are what ``run_numeric_wavefront`` takes
-    (a tile schedule and a ``WavefrontSchedule``, or ``None`` for every
-    tile its own wave); without a schedule this is the untiled executor,
-    the trivial one-tile schedule."""
+    ``schedule`` is what ``run_numeric_wavefront`` takes, run tile by
+    tile in ascending id; without one this is the untiled executor, the
+    trivial one-tile schedule."""
     if schedule is None:
         schedule = trivial_schedule(tuple(data.loop_sizes()))
-    run_wave_phases(
+    run_tile_phases(
         PHASE_FUNCTIONS[data.kernel_name],
         data.arrays,
         data.left,
         data.right,
         schedule,
-        None if waves is None else waves.groups(),
         num_steps,
     )
     return data

@@ -216,9 +216,9 @@ def test_marshalled_schedule_is_not_remarshalled_per_call(
     monkeypatch, scheduler
 ):
     """The schedule is a bind-time artifact: calls that reuse the object
-    ``TilingFunction.schedule()`` returned (and a wavefront's groups)
-    build no CSR at all — the C marshaller passes the pointers they
-    hold.  A hand-built list of tiles is marshalled on every call, one
+    ``TilingFunction.schedule()`` returned build no CSR at all — the C
+    marshaller passes the pointers it holds, and a wavefront handed
+    along is not read.  A hand-built list of tiles is marshalled on every call, one
     CSR per loop, through the same constructor.  ``scheduler="dynamic"``
     with ``num_threads=1`` is the call the end-to-end harness times; it
     selects nothing and must cost nothing extra either."""
@@ -240,7 +240,7 @@ def test_marshalled_schedule_is_not_remarshalled_per_call(
             num_threads=1,
         )
 
-    ref = run(schedule)  # warm-up: compiles, builds the wave CSR once
+    ref = run(schedule)  # warm-up: compiles
     built = []
     real_init = CSRLists.__init__
 
@@ -318,8 +318,7 @@ def test_emitted_phase_table_matches_reference(kernel, num_nodes, subset, seed):
 
 
 def _scalar_program():
-    """Rewritten moldyn with its interaction loop back in scalar form —
-    the program ``test_irv002`` proves racy."""
+    """Rewritten moldyn with its interaction loop back in scalar form."""
     program = _rewritten("moldyn").program
     return replace(program, loops=tuple(
         replace(loop, fissioned=None, vector=False)
@@ -346,8 +345,9 @@ def test_scalar_loop_is_refused_before_emission(emit, sanitize):
 def test_sanitized_bind_of_a_scalar_loop_writes_no_source(
     monkeypatch, tmp_path, backend
 ):
-    """The sanitizer lets an unproven program past the proof gate; the
-    emitters still refuse it, and the store holds no executor source."""
+    """A scalar loop is in bounds and translation-valid, so it passes the
+    proof gate, sanitized or not; the emitters still refuse it, and the
+    store holds no executor source, only the proof."""
     state = _rewritten("moldyn")
     state.program = _scalar_program()
     monkeypatch.setattr(
@@ -367,8 +367,8 @@ def test_sanitized_bind_of_a_scalar_loop_writes_no_source(
 # artifact store keys the ``.py`` and the ``.so`` on ``EMITTER_VERSION``
 # (+ ``SANITIZE_TAG``), so source text that moves under an unmoved
 # version would be served a stale artifact.
-# ``python tests/lowering/test_executor.py`` rewrites both lists after a
-# deliberate bump.
+# ``PYTHONPATH=src:. python tests/lowering/test_executor.py`` (from the
+# repository root) rewrites both lists after a deliberate bump.
 
 EMITTERS = {
     "c": (emit_c, emit_c.emit_c_tiled),
@@ -418,7 +418,7 @@ def _assert_frozen(tier):
     for name, entry in current.items():
         assert entry["version"] == recorded[name]["version"], (
             f"{name}: emitter version moved; regenerate {frozen.name} "
-            "(python tests/lowering/test_executor.py)"
+            "(PYTHONPATH=src:. python tests/lowering/test_executor.py)"
         )
         assert entry["sha256"] == recorded[name]["sha256"], (
             f"{name}: emitted {tier} source changed under version "
@@ -429,7 +429,7 @@ def _assert_frozen(tier):
 
 
 def test_tiled_unit_renders_every_statement_body_once_per_form():
-    """One translation unit, one rendering: the wave loop calls the phase
+    """One translation unit, one rendering: the tile loop calls the phase
     functions, so each statement body appears once per schedule form
     (index: position ``_k`` + loaded iteration; range: the iteration is
     the position)."""
@@ -463,8 +463,8 @@ def _run_tiled_params(source):
 def test_emitted_c_is_frozen_per_emitter_version():
     """Besides the hashes: every unit, plain and sanitized, has one
     driver — no thread in it — and ``run_tiled`` takes the operands, the
-    schedule, the wave groups, ``num_tiles`` and ``scratch`` (and ``err``
-    when sanitized), nothing else."""
+    schedule, ``num_tiles`` and ``scratch`` (and ``err`` when
+    sanitized), nothing else: no tile grouping."""
     for (kernel, sanitize), (_, source) in _emitted_sources().items():
         assert "pthread" not in source, (kernel, sanitize)
         program = LoweringRewriter().run(
@@ -475,8 +475,7 @@ def test_emitted_c_is_frozen_per_emitter_version():
         ]
         for pos in range(len(program.loops)):
             expected += [f"iters{pos}", f"off{pos}"]
-        expected += ["wave_tiles", "wave_off", "num_waves", "num_tiles"]
-        expected += ["scratch"] + (["err"] if sanitize else [])
+        expected += ["num_tiles", "scratch"] + (["err"] if sanitize else [])
         assert _run_tiled_params(source) == expected, (kernel, sanitize)
     _assert_frozen("c")
 

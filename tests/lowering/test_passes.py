@@ -27,7 +27,7 @@ class TestPipeline:
     def test_pass_order_is_fixed(self, name):
         state = _rewrite(name)
         assert [rec.name for rec in state.log] == [
-            "loop_fission", "loop_blocking", "vectorize", "parallelize",
+            "loop_fission", "loop_blocking", "vectorize",
         ]
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -38,9 +38,15 @@ class TestPipeline:
             if loop.domain == "inters":
                 assert loop.fissioned is not None
 
-    def test_tiled_program_blocks_and_parallelizes(self):
+    def test_tiled_program_blocks(self):
+        """Blocking is the last word on loop order: the program runs a
+        tile schedule outermost, and nothing groups its tiles."""
         program = _rewrite("moldyn").program
-        assert program.tiled and program.wave_parallel
+        assert program.tiled
+        assert set(program.to_dict()) == {
+            "kernel", "loops", "index_arrays", "data_arrays", "extents",
+            "tiled",
+        }
 
 
 def _inter_loop(stmts):

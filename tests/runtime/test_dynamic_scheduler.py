@@ -1,15 +1,18 @@
-"""The wave driver's contracts, and the dynamic keywords that select it.
+"""The tile driver's contracts, and the dynamic keywords that select
+nothing.
 
 Two layers of guarantee, each tested directly:
 
 * **bit identity** (property-based) — on random kernel instances, a
-  ``scheduler="dynamic"`` call with a counter DAG and any thread count
-  produces byte-for-byte the level-synchronous wave executor's arrays:
+  ``scheduler="dynamic"`` call with a wavefront, a counter DAG and any
+  thread count produces byte-for-byte the oracle's ascending-tile fold:
   the keywords select nothing;
 * **schedule protocol** — what :func:`~repro.lowering.schedule.
-  run_wave_phases` runs over a wavefront's groups: commits run serially
-  in the groups' order, each tile's phases run in gather → commit →
-  post order, and no tile gathers before every predecessor posted.
+  run_tile_phases` runs over a schedule: commits run serially in
+  ascending tile id, each tile's phases run in gather → commit → post
+  order, and on a tile graph whose edges point id-upward (the
+  atomic-tile condition) no tile gathers before every predecessor
+  posted.
 """
 
 import hypothesis.strategies as st
@@ -21,7 +24,7 @@ from repro.kernels import make_kernel_data
 from repro.kernels.datasets import Dataset
 from repro.lowering.schedule import (
     KernelPhase,
-    run_wave_phases,
+    run_tile_phases,
     tile_dag_from_tiling,
 )
 from repro.runtime.executor import run_numeric_wavefront
@@ -33,7 +36,7 @@ from repro.runtime.inspector import (
     dependence_edges,
 )
 from repro.transforms import tile_wavefronts
-from repro.transforms.parallel import wavefront_schedule
+from tests.kernels.oracle import run_oracle
 
 KERNELS = ("moldyn", "irreg", "nbf")
 
@@ -73,7 +76,7 @@ class TestBitIdentity:
     )
     def test_dynamic_matches_level_sync(self, data, seed_block, num_threads):
         d, schedule, waves, dag = _tiled(data, seed_block)
-        ref = run_numeric_wavefront(d.copy(), schedule, waves, num_steps=3)
+        ref = run_oracle(d.copy(), schedule, num_steps=3)
         out = run_numeric_wavefront(
             d.copy(), schedule, waves, num_steps=3, scheduler="dynamic",
             dag=dag, num_threads=num_threads,
@@ -87,9 +90,9 @@ class TestBitIdentity:
     @settings(max_examples=10, deadline=None)
     @given(data=kernel_instances(), num_threads=st.sampled_from([2, 4]))
     def test_barrier_dag_fallback_matches(self, data, num_threads):
-        """Without a ``dag`` the dynamic call is the wave call too."""
+        """Without a ``dag`` the dynamic call is the oracle's fold too."""
         d, schedule, waves, _ = _tiled(data, 4)
-        ref = run_numeric_wavefront(d.copy(), schedule, waves, num_steps=2)
+        ref = run_oracle(d.copy(), schedule, num_steps=2)
         out = run_numeric_wavefront(
             d.copy(), schedule, waves, num_steps=2, scheduler="dynamic",
             num_threads=num_threads,
@@ -100,11 +103,10 @@ class TestBitIdentity:
             ), name
 
 
-def _record_run(src, dst, num_tiles, num_steps=1):
+def _record_run(num_tiles, num_steps=1):
     """Run a recording phase table (node / interaction / node, one
-    iteration of each per tile) under the wave driver over the
-    wavefront of the tile graph ``src -> dst``; returns the commit order
-    and the event log."""
+    iteration of each per tile) under the tile driver; returns the
+    event log."""
     events = []
 
     def record(name, tiles):
@@ -121,11 +123,8 @@ def _record_run(src, dst, num_tiles, num_steps=1):
     ]
     tiles = np.arange(num_tiles, dtype=np.int64)
     schedule = [(tiles[t:t + 1],) * 3 for t in range(num_tiles)]
-    groups = wavefront_schedule(num_tiles, src, dst).groups()
-    run_wave_phases(
-        phases, {}, tiles, tiles, schedule, groups, num_steps=num_steps
-    )
-    return list(groups.flat), events
+    run_tile_phases(phases, {}, tiles, tiles, schedule, num_steps=num_steps)
+    return events
 
 
 def _random_edges(rng, num_tiles=24, num_edges=40):
@@ -142,16 +141,16 @@ class TestEngineProtocol:
 
     @pytest.mark.parametrize("num_steps", [2, 4])
     def test_commits_replay_order_exactly(self, num_steps):
-        rng = np.random.default_rng(7)
-        order, events = _record_run(*_random_edges(rng), num_steps=num_steps)
+        _, _, num_tiles = _random_edges(np.random.default_rng(7))
+        events = _record_run(num_tiles, num_steps=num_steps)
         commits = [t for name, t in events if name == "commit"]
-        assert commits == order * num_steps
+        assert commits == list(range(num_tiles)) * num_steps
 
     @pytest.mark.parametrize("num_steps", [1, 2, 4])
     def test_stage_order_and_dependences(self, num_steps):
         rng = np.random.default_rng(11)
         src, dst, num_tiles = _random_edges(rng)
-        _, events = _record_run(src, dst, num_tiles, num_steps=num_steps)
+        events = _record_run(num_tiles, num_steps=num_steps)
         per_step = 3 * num_tiles
         assert len(events) == per_step * num_steps
         for step in range(num_steps):
@@ -174,8 +173,8 @@ class TestEngineProtocol:
 
     def test_every_stage_runs_exactly_once_per_step(self):
         rng = np.random.default_rng(13)
-        src, dst, num_tiles = _random_edges(rng)
-        _, events = _record_run(src, dst, num_tiles, num_steps=2)
+        _, _, num_tiles = _random_edges(rng)
+        events = _record_run(num_tiles, num_steps=2)
         assert len(events) == 3 * num_tiles * 2
         for name in ("gather", "commit", "post"):
             tiles = sorted(t for n, t in events if n == name)

@@ -1,9 +1,10 @@
-"""The tile-wavefront numeric executor: legality and bit-identity.
+"""The tiled numeric executor: legality and bit-identity.
 
-Parallel execution must be *deterministic*: reduction commits apply in
-ascending tile order regardless of thread timing, so a parallel run is
-bit-identical to a serial one — and both agree (up to floating-point
-reassociation) with the untiled reference executor.
+Execution is *deterministic*: reduction commits apply in ascending tile
+order whatever ``parallel`` / ``num_threads`` / a wavefront say (they
+select nothing), so every such call is bit-identical to a plain one —
+and all agree (up to floating-point reassociation) with the untiled
+reference executor.
 """
 
 import numpy as np

@@ -240,8 +240,9 @@ class TestLintIR:
         assert main(["lint", "--ir", "--json", spec]) == 0
         payload = _json.loads(capsys.readouterr().out)
         assert payload["irverify"]["proven"] is True
-        assert payload["irverify"]["version"] == "irverify-6"
+        assert payload["irverify"]["version"] == "irverify-7"
         assert "IRV001" in payload["rules_run"]
+        assert not {"IRV002", "IRV003"} & set(payload["rules_run"])
 
     def test_lint_reads_spec_from_stdin(self, capsys, monkeypatch):
         import io
