@@ -80,6 +80,10 @@ class TraceBuilder:
             raise ValueError("regions and columns must pair up")
         if writes is not None and len(writes) != len(regions):
             raise ValueError("writes must pair up with regions")
+        if len(regions) == 1:  # a plain sweep: one chunk, one flag
+            return self.touch(
+                regions[0], columns[0], bool(writes and writes[0])
+            )
         n = len(columns[0])
         width = len(regions)
         rids = np.empty(n * width, dtype=np.int64)

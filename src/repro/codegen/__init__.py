@@ -15,18 +15,19 @@ Python source from the kernel IR and a step list:
 
 Generated executors are validated against the vectorized reference
 executors in the test suite, which is the reproduction's analog of the
-paper trusting xlc/gcc.
+paper trusting xlc/gcc.  These are listings: the executors that run are
+emitted by :mod:`repro.lowering`, and the address trace the cost model
+prices is read from the same lowered program by
+:func:`repro.runtime.executor.emit_trace`.
 """
 
 from repro.codegen.emit import SourceWriter, compile_source
 from repro.codegen.executor_gen import generate_executor_source
 from repro.codegen.inspector_gen import generate_inspector_source
-from repro.codegen.trace_gen import generate_trace_executor_source
 
 __all__ = [
     "SourceWriter",
     "compile_source",
     "generate_executor_source",
     "generate_inspector_source",
-    "generate_trace_executor_source",
 ]

@@ -30,12 +30,10 @@ from repro.transforms.base import AccessMap
 
 @dataclass(frozen=True)
 class LoopDesc:
-    """Run-time view of one loop: label, which space it iterates, and
-    whether it writes node records."""
+    """Run-time view of one loop: label and which space it iterates."""
 
     label: str
     domain: str  # "nodes" or "inters"
-    writes: bool
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,9 +41,7 @@ def _layout(kernel_name: str) -> Tuple[Tuple[LoopDesc, ...], int]:
     """A kernel's loops and the bytes of its regrouped node record, read
     from its spec once per kernel."""
     spec = kernel_by_name(kernel_name)
-    loops = tuple(
-        LoopDesc(loop.label, loop.domain, loop.writes) for loop in spec.loops
-    )
+    loops = tuple(LoopDesc(loop.label, loop.domain) for loop in spec.loops)
     return loops, sum(a.element_bytes for a in spec.data_arrays.values())
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.cachesim.trace import AccessTrace, TraceBuilder
 from repro.kernels.datasets import Dataset
+from repro.lowering.schedule import tile_walk, walk_indices
 from repro.transforms.fst_sweeps import CSRGraph, SweepTiling
 
 
@@ -95,10 +96,9 @@ def run_sweeps(
     else:
         if tiling.num_sweeps != num_sweeps:
             raise ValueError("tiling covers a different number of sweeps")
-        for tile in tiling.schedule():
-            for sweep_nodes in tile:
-                for v in sweep_nodes:
-                    update(int(v))
+        for _t, _s, sweep_nodes in tile_walk(tiling.schedule()):
+            for v in walk_indices(sweep_nodes):
+                update(int(v))
     return data
 
 
@@ -150,7 +150,6 @@ def emit_gs_trace(
     else:
         if tiling.num_sweeps != num_sweeps:
             raise ValueError("tiling covers a different number of sweeps")
-        for tile in tiling.schedule():
-            for sweep_nodes in tile:
-                emit_order(sweep_nodes)
+        for _t, _s, sweep_nodes in tile_walk(tiling.schedule()):
+            emit_order(walk_indices(sweep_nodes))
     return builder.build()

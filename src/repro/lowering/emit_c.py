@@ -9,7 +9,7 @@ kernel loop its phase bodies — node ``apply``, interaction ``gather`` +
 ``commit`` — are rendered exactly once, as functions of ``(context,
 tile)``; a program that still holds a scalar loop is refused before any
 source is written (:func:`~repro.lowering.ir.require_batched`).  The
-*tile loop* over them is :func:`~repro.lowering.schedule.run_tile_phases`
+*tile loop* over them is :func:`~repro.lowering.schedule.tile_walk`
 in C: per tile in ascending id, per loop, each phase of the tile — the
 gather, then every commit pass.  ``run_tiled`` takes, after the operands
 (data arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,

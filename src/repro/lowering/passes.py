@@ -29,7 +29,7 @@ recorded in the :class:`RewriteState` log.
   directly, and on fissioned interaction loops.
 
 Blocking fixes the one loop order every tier runs — tiles in ascending
-id (:func:`repro.lowering.schedule.run_tile_phases`, and
+id (:func:`repro.lowering.schedule.tile_walk`, and
 ``emit_c_tiled``'s loop in C) — so no pass groups tiles; the Section 4
 wavefronts stay a parallelism inspector (:mod:`repro.transforms.
 parallel`).  There are no pass toggles: every bind runs all three

@@ -1,4 +1,4 @@
-"""Tile schedules for the tiled executors: the tile driver.
+"""Tile schedules for the tiled executors: the tile walk and its driver.
 
 Every tier runs the tiles of a schedule in one order, ascending tile id
 (the paper's Figure 14, ``do t / do x in sched(t, l)``), and inside a
@@ -6,11 +6,13 @@ tile each kernel loop in program order; an interaction loop gathers its
 payload, then commits it.  The reduction fold is fixed by the schedule,
 so every tier is bit-identical.  What this module holds:
 
-* :func:`run_tile_phases` — the one Python loop over tiles, written
-  over a *phase table* (one :class:`KernelPhase` per kernel loop), which
-  :mod:`repro.lowering.emit_numpy` emits for the ``numpy`` tier; the C
-  tier's ``_step`` (:mod:`repro.lowering.emit_c`) is the same loop in
-  C.
+* :func:`tile_walk` — the one Python statement of that order, read by
+  the ``numpy`` tier's driver, :func:`repro.runtime.executor.emit_trace`
+  and :mod:`repro.runtime.symbolic_executor`; the C tier's ``_step``
+  (:mod:`repro.lowering.emit_c`) is the same loop in C.
+* :func:`run_tile_phases` — the tile driver, written over a *phase
+  table* (one :class:`KernelPhase` per kernel loop), which
+  :mod:`repro.lowering.emit_numpy` emits for the ``numpy`` tier.
 * :class:`TileDAG` and its constructors :func:`tile_dag` /
   :func:`tile_dag_from_tiling` — the tile graph as a successor CSR plus
   in-degrees and the level-synchronous commit order.  No executor reads
@@ -22,7 +24,7 @@ so every tier is bit-identical.  What this module holds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,14 +121,43 @@ def tile_dag_from_tiling(tiling, edges, waves=None) -> TileDAG:
 
 
 # ---------------------------------------------------------------------------
-# The driver of a phase table
+# The tile walk and the driver of a phase table
 #
 # A phase table is one :class:`KernelPhase` per kernel loop, emitted by
 # :mod:`repro.lowering.emit_numpy`.  The table says what a loop computes
-# over an iteration subset; this function is the only Python that says
-# in which order tiles run it.  Interaction phases are split
+# over an iteration subset; :func:`tile_walk` is the only Python that
+# says in which order tiles run it.  Interaction phases are split
 # gather/commit: the gather is a pure read, the commit applies the
 # reduction.
+
+
+def tile_walk(schedule, num_steps: int = 1) -> Iterator[tuple]:
+    """Figure 14's order: per time step, per tile in ascending id, per
+    kernel loop in program order, ``(tile id, loop position,
+    iterations)`` for every non-empty iteration subset — a range-form
+    loop's ``slice`` or an index-form loop's iteration array
+    (:meth:`~repro.transforms.tile_schedule.CSRLists.parts`).
+    ``schedule`` is a :class:`~repro.transforms.tile_schedule.
+    TileSchedule` or a list of tiles, marshalled here.
+    """
+    if not isinstance(schedule, TileSchedule):
+        schedule = TileSchedule.from_tiles(schedule)
+    tiles = zip(*(loop.parts() for loop in schedule.loops))
+    walk = [
+        (t, pos, iters)
+        for t, tile in enumerate(tiles)
+        for pos, iters in enumerate(tile)
+        if iters is not None
+    ]
+    for _step in range(num_steps):
+        yield from walk
+
+
+def walk_indices(iters) -> np.ndarray:
+    """A :func:`tile_walk` iteration subset as an index array."""
+    if isinstance(iters, slice):
+        return np.arange(iters.start, iters.stop, dtype=np.int64)
+    return iters
 
 
 @dataclass(frozen=True)
@@ -155,30 +186,20 @@ def run_tile_phases(
     schedule,
     num_steps: int = 1,
 ) -> None:
-    """The tile driver (Figure 14): per time step, per tile in ascending
-    id, per kernel loop in program order, the loop's phases over the
-    tile's iterations — a node phase's update, or an interaction phase's
-    gather and then its commit.  A range-form loop's tile reaches its
-    phase as a ``slice`` (operand views, no gather), an index-form
-    loop's as its iteration array (:meth:`~repro.transforms.
-    tile_schedule.CSRLists.parts`); so under the trivial one-tile
-    schedule each phase runs once over its whole range, which is the
-    untiled executor.  ``schedule`` is a :class:`~repro.transforms.
-    tile_schedule.TileSchedule` or a list of tiles (marshalled here).
+    """The tile driver: the phases of each :func:`tile_walk` step — a
+    node phase's update, or an interaction phase's gather and then its
+    commit.  A range-form loop's tile reaches its phase as a ``slice``
+    (operand views, no gather), an index-form loop's as its iteration
+    array; so under the trivial one-tile schedule each phase runs once
+    over its whole range, which is the untiled executor.
     """
-    if not isinstance(schedule, TileSchedule):
-        schedule = TileSchedule.from_tiles(schedule)
-    tiles = list(zip(*(loop.parts() for loop in schedule.loops)))
-    for _step in range(num_steps):
-        for tile in tiles:
-            for phase, it in zip(phases, tile):
-                if it is None:
-                    continue
-                if phase.domain == "nodes":
-                    phase.apply(arrays, it)
-                    continue
-                l, r = left[it], right[it]
-                phase.commit(arrays, l, r, phase.gather(arrays, l, r))
+    for _t, pos, it in tile_walk(schedule, num_steps):
+        phase = phases[pos]
+        if phase.domain == "nodes":
+            phase.apply(arrays, it)
+            continue
+        l, r = left[it], right[it]
+        phase.commit(arrays, l, r, phase.gather(arrays, l, r))
 
 
 __all__ = [
@@ -187,4 +208,6 @@ __all__ = [
     "tile_dag",
     "tile_dag_from_tiling",
     "run_tile_phases",
+    "tile_walk",
+    "walk_indices",
 ]

@@ -6,12 +6,15 @@ physically remapped the arrays, the transformed executor of the paper's
 Figure 13 runs plain ``0..n-1`` loops), or a sparse-tile schedule
 (Figure 14's ``do t / do x in sched(t,l)``).
 
-``emit_trace`` produces the address trace the cache simulator prices;
-``run_numeric`` executes the actual arithmetic for end-to-end validation.
+``emit_trace`` produces the address trace the cache simulator prices
+from the lowered program, in :func:`repro.lowering.schedule.tile_walk`'s
+order; ``run_numeric`` executes the actual arithmetic for end-to-end
+validation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +22,10 @@ import numpy as np
 
 from repro.cachesim.trace import AccessTrace, TraceBuilder
 from repro.kernels.data import KernelData
-from repro.transforms.tile_schedule import as_tile_schedule
+from repro.kernels.specs import kernel_by_name
+from repro.lowering.ir import expr_loads, lower_kernel
+from repro.lowering.schedule import tile_walk, walk_indices
+from repro.transforms.tile_schedule import as_tile_schedule, trivial_schedule
 
 NODES_REGION = "nodes"
 INTERS_REGION = "inters"
@@ -41,31 +47,25 @@ class ExecutionPlan:
     def identity() -> "ExecutionPlan":
         return ExecutionPlan()
 
-    def validate_schedule(self, data: KernelData) -> None:
-        """The schedule partitions every loop of ``data``: one offset
-        comparison per loop for a marshalled schedule, the full check
-        for a hand-built list of tiles."""
-        if self.schedule is not None:
-            as_tile_schedule(self.schedule, data.loop_sizes())
 
-
-def _emit_loop(
-    builder: TraceBuilder,
-    data: KernelData,
-    pos: int,
-    iters: np.ndarray,
-    mark_writes: bool = False,
-) -> None:
-    desc = data.loops[pos]
-    node_write = mark_writes and desc.writes
-    if desc.domain == "nodes":
-        builder.touch(NODES_REGION, iters, write=node_write)
-    else:
-        builder.touch_interleaved(
-            [INTERS_REGION, NODES_REGION, NODES_REGION],
-            [iters, data.left[iters], data.right[iters]],
-            writes=[False, node_write, node_write] if mark_writes else None,
+@functools.lru_cache(maxsize=None)
+def _record_touches(kernel_name: str) -> tuple:
+    """Per lowered loop, one iteration's ``(regions, index arrays,
+    stores)``: an interaction loop's own record (a load), then a node
+    record per distinct index its statements use, in first-appearance
+    order (``None``: the loop variable), a store if one updates it."""
+    touches = []
+    for loop in lower_kernel(kernel_by_name(kernel_name)).loops:
+        updated = {stmt.index for stmt in loop.stmts}
+        indices = dict.fromkeys(
+            access.index
+            for stmt in loop.stmts
+            for access in [stmt, *expr_loads(stmt.increment)]
         )
+        own = [(INTERS_REGION, None, False)] if loop.domain == "inters" else []
+        nodes = [(NODES_REGION, i.via, i in updated) for i in indices]
+        touches.append(tuple(zip(*(own + nodes))))
+    return tuple(touches)
 
 
 def emit_trace(
@@ -76,31 +76,30 @@ def emit_trace(
 ) -> AccessTrace:
     """The executor's address trace over ``num_steps`` time steps.
 
-    Node sweeps touch one node record per iteration; the interaction loop
-    touches its interaction record (the regrouped ``left``/``right`` pair)
-    plus both endpoint node records — matching the paper's executors with
-    inter-array regrouping applied.  With ``mark_writes`` the trace carries
-    store flags derived from the kernel IR (any WRITE/UPDATE access in the
-    loop marks its node-record touches), enabling write-back accounting.
+    A node sweep touches one node record per iteration; an interaction
+    loop touches its interaction record (the regrouped ``left``/``right``
+    pair) plus one node record per index array it goes through — the
+    paper's executors with inter-array regrouping applied.  With
+    ``mark_writes`` the trace carries the lowered program's store flags
+    (a node record a statement updates), enabling write-back accounting.
     """
-    plan = plan or ExecutionPlan.identity()
-    plan.validate_schedule(data)
+    sizes = data.loop_sizes()
+    if plan is None or plan.schedule is None:
+        schedule = trivial_schedule(tuple(sizes))
+    else:
+        schedule = as_tile_schedule(plan.schedule, sizes)
+    touches = _record_touches(data.kernel_name)
     builder = TraceBuilder()
     builder.add_region(NODES_REGION, data.num_nodes, data.node_record_bytes)
     builder.add_region(INTERS_REGION, data.num_inter, data.inter_record_bytes)
-
-    for _step in range(num_steps):
-        if plan.schedule is not None:
-            for tile in plan.schedule:
-                for pos in range(len(data.loops)):
-                    if len(tile[pos]):
-                        _emit_loop(builder, data, pos, tile[pos], mark_writes)
-        else:
-            for pos, size in enumerate(data.loop_sizes()):
-                _emit_loop(
-                    builder, data, pos, np.arange(size, dtype=np.int64),
-                    mark_writes,
-                )
+    for _t, pos, iters in tile_walk(schedule, num_steps):
+        iters = walk_indices(iters)
+        regions, vias, stores = touches[pos]
+        builder.touch_interleaved(
+            regions,
+            [iters if v is None else getattr(data, v)[iters] for v in vias],
+            stores if mark_writes else None,
+        )
     return builder.build()
 
 

@@ -35,9 +35,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernels.data import KernelData
+from repro.lowering.schedule import tile_walk, walk_indices
 from repro.runtime.inspector import InspectorResult
 from repro.runtime.plan import CompositionPlan
 from repro.runtime.verify import _bind_environment
+from repro.transforms.tile_schedule import trivial_schedule
 
 
 def symbolic_execution_order(
@@ -57,28 +59,23 @@ def executor_execution_order(
     result: InspectorResult,
     num_steps: int = 1,
 ) -> List[Tuple[int, ...]]:
-    """The unified tuples in the order the run-time executor visits them.
-
-    Reconstructed from the execution plan: untransformed/permuted plans
-    walk loops in program order over ``0..n-1`` (4-tuples); tiled plans
-    walk tiles outermost (5-tuples with the tile coordinate second).
-    """
-    kernel_data = result.transformed
-    sizes = kernel_data.loop_sizes()
+    """The unified tuples in the order the run-time executor visits them,
+    walked by :func:`~repro.lowering.schedule.tile_walk`: 4-tuples for an
+    untiled plan, 5-tuples with the tile coordinate second for a tiled
+    one."""
+    sizes = result.transformed.loop_sizes()
     stmt_counts = _statements_per_loop(data)
+    schedule = result.plan.schedule
+    tiled = schedule is not None
+    if not tiled:
+        schedule = trivial_schedule(tuple(sizes))
     tuples: List[Tuple[int, ...]] = []
     for s in range(num_steps):
-        if result.plan.schedule is None:
-            for l, size in enumerate(sizes):
-                for x in range(size):
-                    for q in range(stmt_counts[l]):
-                        tuples.append((s, l, x, q))
-        else:
-            for t, tile in enumerate(result.plan.schedule):
-                for l in range(len(sizes)):
-                    for x in tile[l]:
-                        for q in range(stmt_counts[l]):
-                            tuples.append((s, t, l, int(x), q))
+        for t, l, iters in tile_walk(schedule):
+            outer = (s, t, l) if tiled else (s, l)
+            for x in walk_indices(iters).tolist():
+                for q in range(stmt_counts[l]):
+                    tuples.append(outer + (x, q))
     return tuples
 
 
@@ -274,9 +271,9 @@ def symbolic_program_state(
 
     Mirrors the emitters' operation order construct by construct
     (scalar loops interleave statements per iteration; fissioned loops
-    gather every payload then commit array-by-array; tiled programs walk
-    tiles in ascending id, each loop of a tile in program order, and an
-    untiled program is the one tile holding every iteration), so the
+    gather every payload then commit array-by-array; tiled programs
+    take the executor's :func:`~repro.lowering.schedule.tile_walk`, and
+    an untiled program is the one tile holding every iteration), so the
     final state reflects what the generated code actually does.
     """
     state: Dict[str, List[object]] = {
@@ -285,21 +282,22 @@ def symbolic_program_state(
     }
     if not program.tiled:
         extent = {"nodes": inst.num_nodes, "inters": inst.num_inter}
-        tiles = [[range(extent[loop.domain]) for loop in program.loops]]
+        schedule = trivial_schedule(
+            tuple(extent[loop.domain] for loop in program.loops)
+        )
     elif inst.schedule is None:
         raise ValueError("tiled program needs an instance schedule")
     else:
-        tiles = inst.schedule
-    for _step in range(num_steps):
-        for tile in tiles:
-            for loop, iters in zip(program.loops, tile):
-                iters = list(iters)
-                if loop.domain == "nodes":
-                    _run_node_loop(state, loop, iters, inst)
-                elif loop.fissioned is not None:
-                    _run_inter_fissioned(state, loop.fissioned, iters, inst)
-                else:
-                    _run_inter_scalar(state, loop, iters, inst)
+        schedule = inst.schedule
+    for _t, pos, iters in tile_walk(schedule, num_steps):
+        loop = program.loops[pos]
+        iters = walk_indices(iters).tolist()
+        if loop.domain == "nodes":
+            _run_node_loop(state, loop, iters, inst)
+        elif loop.fissioned is not None:
+            _run_inter_fissioned(state, loop.fissioned, iters, inst)
+        else:
+            _run_inter_scalar(state, loop, iters, inst)
     return state
 
 

@@ -121,15 +121,6 @@ class Loop:
         interactions, ``"nodes"`` for any other."""
         return "inters" if self.extent == "num_inter" else "nodes"
 
-    @property
-    def writes(self) -> bool:
-        """Does any statement of the loop write or update an array?"""
-        return any(
-            access.kind.writes
-            for stmt in self.statements
-            for access in stmt.accesses
-        )
-
 
 @dataclass(frozen=True)
 class DataArraySpec:

@@ -54,16 +54,12 @@ class TestSpecs:
 
     @pytest.mark.parametrize("name", ["moldyn", "nbf", "irreg"])
     def test_instance_loops_are_the_spec_loops(self, name):
-        """An instance reads its loop shape from the spec: labels, domains
-        (``num_inter`` loops iterate interactions) and which loops write."""
+        """An instance reads its loop shape from the spec: labels and
+        domains (``num_inter`` loops iterate interactions)."""
         data = make_kernel_data(name, generate_dataset("foil", scale=256))
         spec = kernel_by_name(name)
-        assert [(l.label, l.domain, l.writes) for l in data.loops] == [
-            (
-                loop.label,
-                "inters" if loop.extent == "num_inter" else "nodes",
-                True,
-            )
+        assert [(l.label, l.domain) for l in data.loops] == [
+            (loop.label, "inters" if loop.extent == "num_inter" else "nodes")
             for loop in spec.loops
         ]
         assert data.loops is data.copy().loops  # one per kernel

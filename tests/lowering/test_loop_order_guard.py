@@ -4,8 +4,10 @@ An AST guard: no identifier containing ``wave`` (any case) appears in
 the modules that lower, emit, bind, verify or interpret the executor.
 The paper's sparse-tiled executor (Figure 14, ``do t / do x in
 sched(t, l)``) runs tiles outermost in ascending id, and so does every
-tier, the IR verifier's symbolic interpreter and the cost model's
-``emit_trace``.  A wavefront grouping of tiles is a second loop order:
+tier; the IR verifier's symbolic interpreter and the cost model's
+``emit_trace`` take that order from ``lowering/schedule.py::tile_walk``
+(``test_tile_walk_guard.py`` keeps it the only Python loop over a
+schedule's tiles).  A wavefront grouping of tiles is a second loop order:
 it folds the reductions in another order, so its results differ from
 the oracle's in the last bits.  Wavefronts stay what Section 4 makes
 them, a parallelism inspector in ``transforms/parallel.py``, outside

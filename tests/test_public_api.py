@@ -58,7 +58,6 @@ MODULES = [
     "repro.codegen.emit",
     "repro.codegen.executor_gen",
     "repro.codegen.inspector_gen",
-    "repro.codegen.trace_gen",
     "repro.kernels.specs",
     "repro.kernels.data",
     "repro.kernels.datasets",
