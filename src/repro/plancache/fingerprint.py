@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -205,6 +205,32 @@ def inspector_fingerprint(steps, remap: str, on_stage_failure: str) -> str:
     return h.hexdigest()
 
 
+def stage_fingerprints(
+    steps, data, remap: str, on_stage_failure: str
+) -> List[str]:
+    """The stage-memo key of each stage: one chain over the step prefix.
+
+    Stage ``k``'s inspector walks the index arrays as steps ``0..k-1``
+    left them, so its output depends on the dataset, the failure policy
+    and steps ``0..k`` alone: ``fp[k+1] = combine(fp[k], step k)``.  The
+    remap policy only decides when the payload moves, so it joins the
+    chain at the first step whose declared ``traits.reads`` name the
+    payload — none of the built-in steps, every step that declares
+    nothing (:data:`~repro.transforms.base.CONSERVATIVE_TRAITS`).
+    """
+    fp = combine(
+        "stages", code_version_salt(), dataset_fingerprint(data), on_stage_failure
+    )
+    keys = []
+    for step in steps:
+        link = step_fingerprint(step)
+        if "payload" in step.traits.reads:
+            link = combine(link, "remap", remap)
+        fp = combine(fp, link)
+        keys.append(fp)
+    return keys
+
+
 def plan_fingerprint(plan) -> str:
     """Digest of a :class:`~repro.runtime.plan.CompositionPlan`."""
     h = _hasher()
@@ -250,6 +276,7 @@ __all__ = [
     "dataset_fingerprint",
     "inspector_fingerprint",
     "plan_fingerprint",
+    "stage_fingerprints",
     "step_fingerprint",
     "verification_fingerprint",
     "SALT_EXTRA",

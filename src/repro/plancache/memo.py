@@ -1,7 +1,28 @@
-"""Memoize composed-inspector runs end to end.
+"""Memoize composed-inspector runs: whole binds, and single stages.
 
-Serialization contract
-----------------------
+The plan cache holds two kinds of entry, both laid out here:
+
+* a **plan entry** — one whole bind, in the memory tier and on disk,
+  under the bind fingerprint (plan x dataset).  A hit rehydrates it and
+  runs no stage;
+* a **stage entry** — one stage's *inspector output* (its reordering or
+  tiling function, plus the touches its inspector charged), in the
+  memory tier only, under the stage fingerprint (dataset x failure
+  policy x step prefix; see
+  :func:`~repro.plancache.fingerprint.stage_fingerprints`).  A cold bind
+  offers each stage the entry of its prefix through a
+  :class:`StageMemo`: on a *replay* the step shell skips its inspector
+  and applies the stored function with the same mechanics a cold stage
+  runs (permutation check, index-array adjustment, payload move under
+  the bind's own remap policy, registration, charges, tiling guard), so
+  the replayed stage is bit-identical to a cold one.  Only a stage that
+  ran its inspector and finished ``ok`` is kept.  Stage entries never
+  go to disk (an artifact write costs more than most inspectors), share
+  the memory tier's byte budget and LRU order, and leave with
+  ``clear()``; their arrays are read-only.
+
+Plan-entry serialization contract
+---------------------------------
 
 An entry stores what its two readers read, each fact once.  A hit
 (:func:`entry_to_result`) reads the transformed ``left``/``right``,
@@ -164,6 +185,7 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
         report.cache = "hit"
         for stage in report.stages:
             stage.elapsed_s = 0.0  # nothing ran on this bind
+            stage.replayed = False
 
     return InspectorResult(
         transformed=transformed,
@@ -174,6 +196,78 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
         stage_functions=None,  # nothing ran on this bind
         report=report,
     )
+
+
+# ---------------------------------------------------------------------------
+# StageOutput <-> CacheEntry
+
+
+def _frozen(array) -> np.ndarray:
+    """``array`` narrowed as in a plan entry, never sharing memory with
+    it, and read-only: a caller writing it raises instead of changing
+    what later binds replay."""
+    stored = _narrowest(array)
+    if np.may_share_memory(stored, array):
+        stored = stored.copy()
+    stored.setflags(write=False)
+    return stored
+
+
+def output_to_entry(output) -> CacheEntry:
+    """Pack one stage's inspector output into a stage entry."""
+    function = output.function
+    meta = {"touches": [[phase, int(n)] for phase, n in output.touches]}
+    if isinstance(function, TilingFunction):
+        meta["num_tiles"] = int(function.num_tiles)
+        arrays = {
+            f"tile__{loop}": tiles for loop, tiles in enumerate(function.tiles)
+        }
+    else:
+        meta["name"] = function.name
+        arrays = {"sigma": function.array}
+    return CacheEntry(
+        meta=meta, arrays={key: _frozen(array) for key, array in arrays.items()}
+    )
+
+
+def entry_to_output(entry: CacheEntry):
+    """A stage entry's inspector output, in arrays of its own (``int64``)."""
+    from repro.runtime.inspector import StageOutput
+
+    meta = entry.meta
+    if "num_tiles" in meta:
+        tiles = [
+            entry.arrays[f"tile__{loop}"].astype(np.int64)
+            for loop in range(len(entry.arrays))
+        ]
+        function = TilingFunction(tiles, meta["num_tiles"])
+    else:
+        function = ReorderingFunction(
+            meta["name"], entry.arrays["sigma"].astype(np.int64)
+        )
+    return StageOutput(function, tuple(map(tuple, meta["touches"])))
+
+
+class StageMemo:
+    """One cold bind's view of the stage memo: stage ``index``'s output
+    lives under ``keys[index]`` in ``cache``'s memory tier."""
+
+    def __init__(self, cache: PlanCache, keys: List[str], steps):
+        self.cache = cache
+        self.keys = keys
+        self.names = _stage_names(steps)
+
+    def recall(self, index: int):
+        """The stage's memoised output, or ``None`` (run the inspector)."""
+        entry = self.cache.get_stage(self.keys[index])
+        if entry is None:
+            return None
+        self.cache.stats.record_replay(self.names[index])
+        return entry_to_output(entry)
+
+    def keep(self, index: int, output) -> None:
+        """Memoise the output of a stage that finished ``ok``."""
+        self.cache.put_stage(self.keys[index], output_to_entry(output))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +317,11 @@ def store(
 
 
 __all__ = [
+    "StageMemo",
+    "entry_to_output",
     "entry_to_result",
     "lookup",
+    "output_to_entry",
     "result_to_entry",
     "stage_function",
     "store",

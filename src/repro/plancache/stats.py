@@ -39,6 +39,10 @@ class CacheStats:
     verify_memo_hits: int = 0
     #: Inspector stages never executed because the whole bind hit.
     stages_skipped: int = 0
+    #: Stages of a cold bind that replayed an inspector output an earlier
+    #: bind of the same step prefix on the same dataset stored.  These
+    #: lookups are not whole-bind ``hits``/``misses``.
+    stages_replayed: int = 0
     #: Delta-binds that patched the parent epoch's arrays incrementally.
     delta_patched: int = 0
     #: Delta-binds that degraded to a full re-bind (drift past a per-step
@@ -47,9 +51,10 @@ class CacheStats:
     #: Of the fallbacks, how many were triggered by the mandatory
     #: post-patch numeric verification rejecting the patched bind.
     delta_verify_failures: int = 0
-    #: Per-stage (step-name) attribution of hits and misses.
+    #: Per-stage (step-name) attribution of hits, misses and replays.
     stage_hits: Dict[str, int] = field(default_factory=dict)
     stage_misses: Dict[str, int] = field(default_factory=dict)
+    stage_replays: Dict[str, int] = field(default_factory=dict)
 
     # -- recording -------------------------------------------------------------
 
@@ -67,6 +72,10 @@ class CacheStats:
         self.misses += 1
         for name in stage_names:
             self.stage_misses[name] = self.stage_misses.get(name, 0) + 1
+
+    def record_replay(self, stage_name: str) -> None:
+        self.stages_replayed += 1
+        self.stage_replays[stage_name] = self.stage_replays.get(stage_name, 0) + 1
 
     # -- derived ---------------------------------------------------------------
 
@@ -91,12 +100,14 @@ class CacheStats:
             "corrupt_quarantined": self.corrupt_quarantined,
             "verify_memo_hits": self.verify_memo_hits,
             "stages_skipped": self.stages_skipped,
+            "stages_replayed": self.stages_replayed,
             "delta_patched": self.delta_patched,
             "delta_fallbacks": self.delta_fallbacks,
             "delta_verify_failures": self.delta_verify_failures,
             "hit_rate": self.hit_rate,
             "stage_hits": dict(self.stage_hits),
             "stage_misses": dict(self.stage_misses),
+            "stage_replays": dict(self.stage_replays),
         }
 
     def describe(self) -> str:
@@ -109,6 +120,7 @@ class CacheStats:
             f"corrupt artifacts: {self.corrupt} "
             f"({self.corrupt_quarantined} quarantined)",
             f"  inspector stages skipped: {self.stages_skipped}  "
+            f"replayed: {self.stages_replayed}  "
             f"verifications memoized: {self.verify_memo_hits}",
         ]
         if self.delta_patched or self.delta_fallbacks:
@@ -117,10 +129,13 @@ class CacheStats:
                 f"{self.delta_fallbacks} fell back to full re-bind "
                 f"({self.delta_verify_failures} verification rejections)"
             )
-        for name in sorted(set(self.stage_hits) | set(self.stage_misses)):
+        for name in sorted(
+            {*self.stage_hits, *self.stage_misses, *self.stage_replays}
+        ):
             lines.append(
                 f"  stage {name}: {self.stage_hits.get(name, 0)} hits, "
-                f"{self.stage_misses.get(name, 0)} misses"
+                f"{self.stage_misses.get(name, 0)} misses, "
+                f"{self.stage_replays.get(name, 0)} replayed"
             )
         return "\n".join(lines)
 

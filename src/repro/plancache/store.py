@@ -430,8 +430,23 @@ class PlanCache:
             self.memory.discard(key)
             self._aux.pop(key, None)
 
+    # -- the stage memo --------------------------------------------------------
+
+    def get_stage(self, key: str) -> Optional[CacheEntry]:
+        """A stage's memoised inspector output; ``None`` if never kept."""
+        with self._lock:
+            return self.memory.get(key)
+
+    def put_stage(self, key: str, entry: CacheEntry) -> None:
+        """Keep a stage's inspector output in the memory tier, inside its
+        byte budget and LRU order.  Never on disk: writing an artifact
+        costs more than running most inspectors.  Not a ``store``."""
+        with self._lock:
+            self.memory.put(key, entry)
+
     def clear(self) -> int:
-        """Drop both tiers; returns the number of disk artifacts removed."""
+        """Drop both tiers, stage memo included; returns the number of
+        disk artifacts removed."""
         with self._lock:
             self.memory.clear()
             self._aux.clear()
@@ -457,7 +472,8 @@ class PlanCache:
     def describe(self) -> str:
         lines = [self.stats.describe()]
         lines.append(
-            f"  memory tier: {len(self.memory)} entries, "
+            f"  memory tier: {len(self.memory)} entries (plans and stage "
+            "outputs), "
             f"{self.memory.total_bytes} / {self.memory.budget_bytes} bytes"
         )
         lines.append(

@@ -18,6 +18,18 @@ The **data payload** remap policy is the experiment of Figure 16:
 Both policies produce identical executors; they differ only in inspector
 overhead, which the ``overhead`` breakdown records in element touches.
 
+Because each inspector reads only what the earlier steps left, stage
+``k``'s *inspector output* (its reordering or tiling function) depends
+on the dataset and steps ``0..k`` alone, not on the remap policy.  With
+a plan cache, :meth:`ComposedInspector.run` first looks up the whole
+bind (a *plan entry*: a hit runs no stage); on a miss every stage looks
+up the *stage entry* of its step prefix.  A stage that finds one
+*replays* it: :meth:`InspectorState.inspect` hands the stored function
+to the step shell instead of running the inspector, and the shell and
+the stage loop apply it with every mechanic a cold stage runs.  A stage
+that ran its inspector and finished ``ok`` stores its output.  Both
+entry kinds are laid out in :mod:`repro.plancache.memo`.
+
 The steps themselves are defined once, in the step table
 (:mod:`repro.runtime.steps`); their names are re-exported here.
 """
@@ -28,7 +40,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -139,6 +151,15 @@ def validate_tiling(state: "InspectorState", stage: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StageOutput:
+    """What one stage's inspector computed: the reordering or tiling
+    function, and the touches it charged, phase by phase."""
+
+    function: object  #: a ReorderingFunction or a TilingFunction
+    touches: Tuple[Tuple[str, int], ...]
+
+
 @dataclass
 class InspectorState:
     """Mutable state threaded through the composed inspector's steps."""
@@ -160,9 +181,43 @@ class InspectorState:
     #: (``cp0``, ``lg1``, ``theta4``, ...) — what the runtime verifier
     #: binds into the transformed relations.
     stage_functions: Dict[str, object] = field(default_factory=dict)
+    #: The current stage's memoised inspector output on a replay (set by
+    #: the stage loop), else ``None``.
+    replay: Optional[StageOutput] = None
+    #: The inspector output the current stage computed cold, which the
+    #: stage loop memoises once the stage finished ``ok``.
+    output: Optional[StageOutput] = None
 
     def charge(self, phase: str, touches: int) -> None:
         self.overhead[phase] = self.overhead.get(phase, 0) + int(touches)
+
+    def inspect(self, step: Step, inspector: Callable[[dict], object]):
+        """The current stage's inspector output.
+
+        On a replay it is :attr:`replay`'s function, and the touches the
+        inspector charged when it ran are charged again.  Otherwise
+        ``inspector(counter)`` runs, ``counter["touches"]`` is charged to
+        the stage, and the output is left in :attr:`output`.  The step
+        shells apply either with the same mechanics, so a replayed stage
+        is a cold one.
+        """
+        if self.replay is not None:
+            for phase, touches in self.replay.touches:
+                self.charge(phase, touches)
+            return self.replay.function
+        before = dict(self.overhead)
+        counter: Dict[str, int] = {}
+        function = inspector(counter)
+        self.charge(step.name, counter["touches"])
+        self.output = StageOutput(
+            function,
+            tuple(
+                (phase, touches - before.get(phase, 0))
+                for phase, touches in self.overhead.items()
+                if touches != before.get(phase)
+            ),
+        )
+        return function
 
     def register(self, prefix: str, value) -> str:
         name = f"{prefix}{self.current_index}"
@@ -388,6 +443,7 @@ class ComposedInspector:
         step: Step,
         report: PipelineReport,
         body: StageBody,
+        memo,
     ) -> None:
         """Run one stage transactionally under the failure policy."""
         state.current_index = index
@@ -396,6 +452,8 @@ class ComposedInspector:
         if self.on_stage_failure != "raise":
             snap = state.snapshot()
         start = time.perf_counter()
+        state.output = None
+        state.replay = memo.recall(index) if memo is not None else None
         try:
             step.check_preconditions(state)
             tiling_before = state.tiling
@@ -450,12 +508,16 @@ class ComposedInspector:
             )
             return
         elapsed = time.perf_counter() - start
+        replayed = state.replay is not None
         report.record(
             StageRecord(
                 index, step.name, STAGE_OK, elapsed,
                 touches=sum(state.overhead.values()) - touches_before,
+                replayed=replayed,
             )
         )
+        if memo is not None and not replayed and state.output is not None:
+            memo.keep(index, state.output)
 
     def run(
         self,
@@ -469,16 +531,23 @@ class ComposedInspector:
         under ``cache_key`` (computed from the steps, policies, code
         salt, and the dataset's content fingerprint when not supplied):
         a hit replays the realized index arrays against the live payload
-        and **no inspector stage executes**; a miss runs every stage and
-        persists the result.  Hit/miss/stage counters land in
-        ``cache.stats``.
+        and **no inspector stage executes**.  A miss runs every stage
+        through the cache's *stage memo*: stage ``k``'s inspector output
+        depends only on the dataset and steps ``0..k``, so a stage whose
+        step prefix an earlier bind of this dataset ran takes that
+        output and runs only the mechanics applying it (under this
+        bind's remap policy), and a stage that ran its inspector keeps
+        its output for later binds.  The finished result is persisted.
+        Hit/miss/replay counters land in ``cache.stats``.
         """
+        stages = None
         if cache is not None:
             from repro.plancache import memo
             from repro.plancache.fingerprint import (
                 combine,
                 dataset_fingerprint,
                 inspector_fingerprint,
+                stage_fingerprints,
             )
 
             if cache_key is None:
@@ -491,10 +560,15 @@ class ComposedInspector:
             hit = memo.lookup(cache, cache_key, data, self.steps)
             if hit is not None:
                 return hit
-        result = self.run_stages(data)
+            stages = memo.StageMemo(
+                cache,
+                stage_fingerprints(
+                    self.steps, data, self.remap, self.on_stage_failure
+                ),
+                self.steps,
+            )
+        result = self._stage_loop(data, run_step, stages)
         if cache is not None:
-            from repro.plancache import memo
-
             memo.store(cache, cache_key, result, self.steps)
         return result
 
@@ -507,6 +581,16 @@ class ComposedInspector:
         inspector by default; a delta-bind passes its patch rules.
         Either way each stage gets the same record, the same typed
         wrapping of a crash and the same tiling guard."""
+        return self._stage_loop(data, body, None)
+
+    def _stage_loop(
+        self, data: KernelData, body: StageBody, memo
+    ) -> InspectorResult:
+        """The one stage loop.  ``memo`` (a
+        :class:`~repro.plancache.memo.StageMemo`, from :meth:`run`'s cold
+        path only) offers each stage a memoised inspector output and
+        keeps the output of every stage that ran its inspector and
+        finished ``ok``."""
         working = data.copy()
         n = working.num_nodes
         state = InspectorState(
@@ -519,7 +603,7 @@ class ComposedInspector:
             policy=self.on_stage_failure,
         )
         for index, step in enumerate(self.steps):
-            self._run_stage(state, index, step, report, body)
+            self._run_stage(state, index, step, report, body, memo)
         state.finalize_payload()
 
         return InspectorResult(

@@ -31,6 +31,10 @@ class StageRecord:
     touches: int = 0
     error: Optional[str] = None  #: str() of the triggering error, if any
     error_type: Optional[str] = None
+    #: The stage took its inspector output from the plan cache's stage
+    #: memo (an earlier bind ran the same step prefix on this dataset)
+    #: and ran only the mechanics that apply it.
+    replayed: bool = False
 
     @property
     def degraded(self) -> bool:
@@ -45,6 +49,7 @@ class StageRecord:
             "touches": self.touches,
             "error": self.error,
             "error_type": self.error_type,
+            "replayed": self.replayed,
         }
 
     @classmethod
@@ -57,12 +62,14 @@ class StageRecord:
             touches=int(payload.get("touches", 0)),
             error=payload.get("error"),
             error_type=payload.get("error_type"),
+            replayed=bool(payload.get("replayed", False)),
         )
 
     def __str__(self) -> str:
         line = (
             f"stage {self.index} [{self.name}]: {self.status}"
-            f" ({self.elapsed_s * 1e3:.2f} ms, {self.touches} touches)"
+            f" ({self.elapsed_s * 1e3:.2f} ms, {self.touches} touches"
+            + (", replayed)" if self.replayed else ")")
         )
         if self.error:
             line += f" — {self.error_type}: {self.error}"
@@ -82,7 +89,7 @@ class PipelineReport:
     verified: Optional[bool] = None
     #: Plan-cache interaction of the bind that produced this report:
     #: ``None`` (no cache), ``"stored"`` (cold run, persisted), or
-    #: ``"hit"`` (stages replayed from cache — nothing ran).
+    #: ``"hit"`` (the whole bind came from cache — no stage ran).
     cache: Optional[str] = None
     #: Static-analysis summary of the plan that was bound (the
     #: :meth:`~repro.analysis.diagnostics.AnalysisReport.summary` dict),

@@ -293,16 +293,16 @@ class DataReorderStep(Step):
     its element touches to ``counter["touches"]``; the shell registers the
     result under ``symbol_prefix``, adjusts the index arrays, moves the
     payload per the remap policy, and plans ``R`` plus the node loops'
-    implied ``T``.
+    implied ``T``.  On a stage-memo replay (:meth:`InspectorState.inspect`)
+    :meth:`reorder` does not run and the shell applies the memoised
+    function instead.
     """
 
     def reorder(self, state: InspectorState, counter: dict) -> ReorderingFunction:
         raise NotImplementedError
 
     def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        sigma = self.reorder(state, counter)
-        state.charge(self.name, counter["touches"])
+        sigma = state.inspect(self, lambda counter: self.reorder(state, counter))
         state.register(self.symbol_prefix, sigma.array)
         state.apply_data_reordering(sigma, self.name)
 
@@ -457,7 +457,8 @@ class _InteractionReorderStep(Step):
     ``merge_key(data)``: each is a stable row sort, so a delta-bind
     merges the changed rows in (:data:`_ROW_MERGE`) by these per-row keys
     over ``data``'s index arrays (returned with whether both endpoints
-    feed them).
+    feed them).  A stage-memo replay skips ``reorder`` as in
+    :class:`DataReorderStep`.
     """
 
     symbol_domain = "inters"
@@ -467,9 +468,7 @@ class _InteractionReorderStep(Step):
         return self.name
 
     def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        delta = self.reorder(state, counter)
-        state.charge(self.name, counter["touches"])
+        delta = state.inspect(self, lambda counter: self.reorder(state, counter))
         state.register(self.name, delta.array)
         state.apply_iteration_reordering(
             state.data.interaction_loop_position(), delta, self.name
@@ -558,7 +557,8 @@ class BucketTilingStep(_InteractionReorderStep):
 
 class _TilingStep(Step):
     """Shared shell for sparse tilings grown over the dependence edges:
-    a subclass supplies ``tile(state, counter)``, the inspector, and
+    a subclass supplies ``tile(state, counter)``, the inspector (which a
+    stage-memo replay skips, as in :class:`DataReorderStep`), and
     ``_emit_tiling(w, kernel, sizes)``, its generated call."""
 
     symbol_prefix = "theta"
@@ -566,9 +566,7 @@ class _TilingStep(Step):
     params = (Param("seed_block_size", int, 128),)
 
     def run(self, state: InspectorState) -> None:
-        counter: Dict[str, int] = {}
-        tiling = self.tile(state, counter)
-        state.charge(self.name, counter["touches"])
+        tiling = state.inspect(self, lambda counter: self.tile(state, counter))
         state.register(self.symbol_prefix, [t.copy() for t in tiling.tiles])
         state.tiling = tiling
 
