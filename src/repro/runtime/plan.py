@@ -232,13 +232,18 @@ class CompositionPlan:
            warm bind replays the realized index arrays against the live
            payload and skips every inspector stage.
         3. If any stage degraded (or ``verify=True``), re-runs the
-           runtime verifier: the executor's output must be bit-identical
-           (within float tolerance) to the untransformed kernel.  A
+           runtime verifier: the transformed executor's output, pulled
+           back through ``sigma^-1``, must equal the untransformed
+           kernel's within the verifier's ``rtol``/``atol`` (1e-9 /
+           1e-12, ``numpy.isclose``), not bit for bit.  A
            mismatch raises :class:`~repro.errors.ExecutorFault` — a
-           degraded plan never silently corrupts.  Verification verdicts
-           are memoized by (plan, dataset-with-payload) fingerprint, so
-           repeatedly binding the same degraded plan pays the two
-           executor runs once.
+           degraded plan never silently corrupts.  The untransformed
+           kernel's output is a derived fact of ``data`` (per
+           ``num_steps`` and executor tier), so binding one dataset
+           under many plans runs it once; verdicts are memoized by
+           (plan, dataset-with-payload) fingerprint, so repeatedly
+           binding the same degraded plan runs the transformed executor
+           once.
 
         Returns the :class:`InspectorResult`; its ``report`` records
         validation findings, per-stage status, the verifier verdict, and

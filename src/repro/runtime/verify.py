@@ -6,8 +6,12 @@ specifications and the run-time index arrays:
 * :func:`verify_numeric_equivalence` — the end-to-end check: run the
   baseline executor and the transformed executor (relocated payload and
   adjusted index arrays) through the *untiled* executor, pull the
-  transformed result back through ``sigma^-1``, and compare.  It runs no
-  tile schedule, so a tiled bind's schedule is not exercised here:
+  transformed result back through ``sigma^-1``, and compare.  The
+  baseline's output is a derived fact of the dataset
+  (:meth:`~repro.kernels.data.KernelData.derived`, keyed by
+  ``num_steps`` and the executor tier), so binding one dataset under
+  many plans runs the untransformed kernel once.  It runs no tile
+  schedule, so a tiled bind's schedule is not exercised here:
   :func:`~repro.runtime.inspector.validate_tiling`, run once per tiling
   by the stage loop, is the only bind-time check of a tiling.
 * :func:`verify_dependences` — the framework check: bind the UFS of the
@@ -20,17 +24,35 @@ specifications and the run-time index arrays:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import BindError, ExecutorFault
 from repro.kernels.data import KernelData
+from repro.lowering.executor import resolve_executor_backend, sanitize_enabled
 from repro.presburger.evaluate import Environment
 from repro.presburger.ordering import lex_lt
 from repro.runtime.executor import run_numeric
 from repro.runtime.inspector import InspectorResult
 from repro.runtime.plan import CompositionPlan
+
+
+def _run_payload(data: KernelData, num_steps: int) -> Dict[str, np.ndarray]:
+    """The kernel's output payload over ``num_steps``, run on a copy of
+    ``data``'s payload and on its own ``left``/``right``, which the
+    executor only reads."""
+    payload = {name: array.copy() for name, array in data.arrays.items()}
+    return run_numeric(dataclasses.replace(data, arrays=payload), num_steps).arrays
+
+
+def _reference_payload(data: KernelData, num_steps: int) -> Dict[str, np.ndarray]:
+    """:func:`_run_payload` of the untransformed dataset, frozen."""
+    payload = _run_payload(data, num_steps)
+    for array in payload.values():
+        array.flags.writeable = False
+    return payload
 
 
 def verify_numeric_equivalence(
@@ -46,15 +68,25 @@ def verify_numeric_equivalence(
     whatever tiling ``result`` holds: this checks the data and iteration
     reorderings, not the tile schedule (see the module docstring).
 
+    The baseline's output payload is a derived fact of ``original``,
+    keyed by ``num_steps`` and the resolved executor tier (backend and
+    sanitizer), so it is computed once per dataset and deriving it
+    freezes ``original``'s arrays.  The transformed side runs on every
+    call, on a copy of ``result.transformed``'s payload.
+
     Raises :class:`~repro.errors.ExecutorFault` (an ``AssertionError``
     subclass) naming the offending array and the first mismatching
     positions; returns ``True`` otherwise.
     """
-    baseline = run_numeric(original.copy(), num_steps)
-    transformed = run_numeric(result.transformed.copy(), num_steps)
+    tier = (resolve_executor_backend(None, warn=False).backend, sanitize_enabled())
+    baseline = original.derived(
+        ("reference", num_steps, tier),
+        lambda: _reference_payload(original, num_steps),
+    )
+    transformed = _run_payload(result.transformed, num_steps)
     inv = result.sigma_nodes.inverse()
-    for name, expected in baseline.arrays.items():
-        actual = inv.apply_to_data(transformed.arrays[name])
+    for name, expected in baseline.items():
+        actual = inv.apply_to_data(transformed[name])
         close = np.isclose(actual, expected, rtol=rtol, atol=atol)
         if not close.all():
             worst = float(np.abs(actual - expected).max())
@@ -100,8 +132,9 @@ def verify_numeric_equivalence_memoized(
     the plan *and* the dataset including payload values (see
     :func:`repro.plancache.fingerprint.verification_fingerprint`).
     Binding the same degraded plan to the same dataset twice then runs
-    the two full executor passes only once.  With ``memo_key=None`` the
-    memo is bypassed entirely.  ``stats`` (a
+    the transformed executor pass only once (the reference pass is a
+    fact of the dataset, run once per dataset whatever the plan).  With
+    ``memo_key=None`` the memo is bypassed entirely.  ``stats`` (a
     :class:`~repro.plancache.stats.CacheStats`) counts memoized skips.
     """
     key = (memo_key, num_steps, rtol, atol)
@@ -113,8 +146,13 @@ def verify_numeric_equivalence_memoized(
         original, result, num_steps=num_steps, rtol=rtol, atol=atol
     )
     if memo_key is not None:
-        while len(_VERIFICATION_MEMO) >= _VERIFICATION_MEMO_LIMIT:
-            _VERIFICATION_MEMO.pop(next(iter(_VERIFICATION_MEMO)))
+        # Evict over a snapshot, tolerating a key another thread evicted
+        # first: iterating the live dict while another thread inserts, or
+        # popping a key it already popped, would raise.
+        excess = len(_VERIFICATION_MEMO) - _VERIFICATION_MEMO_LIMIT + 1
+        if excess > 0:
+            for oldest in list(_VERIFICATION_MEMO)[:excess]:
+                _VERIFICATION_MEMO.pop(oldest, None)
         _VERIFICATION_MEMO[key] = ok
     return ok
 

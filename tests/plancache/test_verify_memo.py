@@ -1,4 +1,8 @@
-"""Verification memo: repeated binds pay the two executor passes once."""
+"""Verification memo: repeated binds pay the transformed executor pass
+once, and eviction at the limit is safe under concurrent binds."""
+
+import sys
+import threading
 
 import pytest
 
@@ -89,3 +93,58 @@ def test_memo_bypassed_without_key(counted_verifier):
     verify_mod.verify_numeric_equivalence_memoized(data, result, memo_key=None)
     verify_mod.verify_numeric_equivalence_memoized(data, result, memo_key=None)
     assert len(counted_verifier) == 3
+
+
+class _EvictedUnderfoot(dict):
+    """A memo whose oldest key another service worker evicts between this
+    thread reading that key and popping it: the interleaving of two
+    threads that reach the limit together, forced in one thread."""
+
+    def __iter__(self):
+        keys = list(dict.__iter__(self))
+        if keys:
+            dict.pop(self, keys[0])
+        return iter(keys)
+
+
+def test_eviction_tolerates_a_key_another_thread_evicted(monkeypatch):
+    memo = _EvictedUnderfoot({("oldest",): True, ("newer",): True})
+    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO", memo)
+    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO_LIMIT", 2)
+    result = degraded_plan().bind(tiny_data("moldyn"))
+    assert result.report.verified
+    assert len(memo) == 2 and ("newer",) in memo
+
+
+def test_concurrent_eviction_stress(monkeypatch):
+    """Eight threads insert past a small limit with a short switch
+    interval; no insert raises, and the memo stays near its bound."""
+    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO", {})
+    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO_LIMIT", 4)
+    monkeypatch.setattr(
+        verify_mod, "verify_numeric_equivalence", lambda *args, **kwargs: True
+    )
+    errors = []
+
+    def insert(worker):
+        try:
+            for i in range(2000):
+                verify_mod.verify_numeric_equivalence_memoized(
+                    None, None, memo_key=f"{worker}/{i}"
+                )
+        except Exception as exc:  # collected: the assertion names it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=insert, args=(w,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(verify_mod._VERIFICATION_MEMO) <= 4 + len(threads)
