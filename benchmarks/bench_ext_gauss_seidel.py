@@ -21,9 +21,10 @@ from repro.transforms import (
     AccessMap,
     CSRGraph,
     block_partition,
+    check_tiling,
     full_sparse_tiling_sweeps,
     reverse_cuthill_mckee,
-    verify_sweep_tiling,
+    sweep_edges,
 )
 
 SWEEPS = 4
@@ -46,7 +47,12 @@ def run_experiment():
         tiling = full_sparse_tiling_sweeps(
             graph, SWEEPS, block_partition(ds.num_nodes, part)
         )
-        assert verify_sweep_tiling(tiling, graph)
+        check_tiling(
+            tiling,
+            [ds.num_nodes] * SWEEPS,
+            sweep_edges(graph, SWEEPS),
+            "gauss-seidel",
+        )
         base = emit_gs_trace(gs, SWEEPS)
         rcm = emit_gs_trace(renumbered, SWEEPS)
         fst = emit_gs_trace(renumbered, SWEEPS, tiling)

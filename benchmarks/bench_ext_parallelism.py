@@ -13,7 +13,13 @@ from benchmarks.conftest import save_and_print
 from repro.cachesim.machines import machine_by_name
 from repro.eval.compositions import fst_seed_block
 from repro.kernels import generate_dataset, make_kernel_data
-from repro.runtime.inspector import ComposedInspector, CPackStep, FullSparseTilingStep, LexGroupStep
+from repro.runtime.inspector import (
+    ComposedInspector,
+    CPackStep,
+    FullSparseTilingStep,
+    LexGroupStep,
+    dependence_edges,
+)
 from repro.transforms import tile_wavefronts, wavefront_schedule
 
 
@@ -39,15 +45,9 @@ def run_experiment():
             FullSparseTilingStep(fst_seed_block(data, machine)),
         ]
         result = ComposedInspector(steps).run(data)
-        d = result.transformed
-        jj = np.concatenate([j, j])
-        ends = np.concatenate([d.left, d.right])
-        p_j = d.interaction_loop_position()
-        edges = {}
-        for pos in d.node_loop_positions():
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            edges[pair] = (ends, jj) if pos < p_j else (jj, ends)
-        tile_sched = tile_wavefronts(result.tiling, edges)
+        tile_sched = tile_wavefronts(
+            result.tiling, dependence_edges(result.transformed)
+        )
 
         rows.append(
             {

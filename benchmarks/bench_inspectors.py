@@ -6,13 +6,12 @@ throughput of each reordering algorithm on a mol1-scale instance — the
 numbers a downstream user cares about when embedding the inspectors.
 """
 
-import numpy as np
 import pytest
 
 from repro.eval.compositions import composition_steps
 from repro.cachesim.machines import machine_by_name
 from repro.kernels import generate_dataset, make_kernel_data
-from repro.runtime.inspector import ComposedInspector
+from repro.runtime.inspector import ComposedInspector, dependence_edges
 from repro.transforms import (
     block_partition,
     cpack,
@@ -57,8 +56,6 @@ def test_bench_lexgroup(benchmark, access_map):
 
 def test_bench_fst(benchmark, moldyn_mol1):
     d = moldyn_mol1
-    j = np.arange(d.num_inter)
-    e01 = (np.concatenate([d.left, d.right]), np.concatenate([j, j]))
     seed = block_partition(d.num_inter, 256)
 
     tiling = benchmark(
@@ -66,7 +63,7 @@ def test_bench_fst(benchmark, moldyn_mol1):
         d.loop_sizes(),
         1,
         seed,
-        {(0, 1): e01},
+        {(0, 1): dependence_edges(d)[(0, 1)]},
         {(1, 2): (0, 1)},
     )
     assert tiling.num_tiles == int(seed.max()) + 1

@@ -99,13 +99,11 @@ def moldyn_inspector(num_nodes, num_inter, left, right, arrays):
 
     # --- phase 4: FullSparseTilingStep(seed_block_size=10, use_symmetry=True)
     _j = np.arange(num_inter, dtype=np.int64)
-    _ends = np.concatenate([left, right])
-    _jj = np.concatenate([_j, _j])
-    _edges = {(0, 1): (_ends, _jj), (1, 2): (_jj, _ends)}
+    _edges = {(0, 1): ((left, _j), (right, _j)), (1, 2): ((_j, left), (_j, right))}
     # full sparse tiling: seed the j loop, grow via dependences
     # section-6 optimization: the symmetric dependence sets share one traversal
     _seed = block_partition(num_inter, 10)
-    _tf = full_sparse_tiling([num_nodes, num_inter, num_nodes], 1, _seed, _edges)
+    _tf = full_sparse_tiling([num_nodes, num_inter, num_nodes], 1, _seed, {(0, 1): _edges[(0, 1)]}, symmetric_with={(1, 2): (0, 1)})
     tiling = [t.copy() for t in _tf.tiles]
     num_tiles = _tf.num_tiles
 

@@ -27,10 +27,10 @@ from repro.transforms import (
     AccessMap,
     CSRGraph,
     block_partition,
+    check_tiling,
     full_sparse_tiling_sweeps,
     reverse_cuthill_mckee,
-    tile_wavefronts,
-    verify_sweep_tiling,
+    sweep_edges,
 )
 
 
@@ -64,7 +64,9 @@ def main() -> None:
     tiling = full_sparse_tiling_sweeps(
         graph, sweeps, block_partition(ds.num_nodes, 512)
     )
-    assert verify_sweep_tiling(tiling, graph)
+    check_tiling(
+        tiling, [ds.num_nodes] * sweeps, sweep_edges(graph, sweeps), "sweeps"
+    )
     print(f"{tiling.num_tiles} tiles grown across {sweeps} sweeps (legal)")
 
     base = emit_gs_trace(gs, sweeps)
@@ -83,7 +85,6 @@ def main() -> None:
     # Inter-tile parallelism: sweep tiles form a chain-like DAG; the
     # between-loop tiling of moldyn-style kernels is where tile
     # wavefronts shine (see tests), but the API is the same.
-    j = np.arange(len(ds.left))
     print(
         "tile dependence wavefronts (Section 4 encoding) available via "
         "repro.transforms.tile_wavefronts"

@@ -25,6 +25,7 @@ from repro.runtime.inspector import (
     CPackStep,
     FullSparseTilingStep,
     LexGroupStep,
+    dependence_edges,
 )
 from repro.transforms import tile_wavefronts, wavefront_schedule
 
@@ -36,9 +37,9 @@ def main() -> None:
 
     # 1. Iteration-level wavefronts over the cross-loop dependences
     #    (i-loop iteration u feeds every interaction touching u).
-    j = np.arange(data.num_inter, dtype=np.int64)
-    src = np.concatenate([data.left, data.right])
-    dst = np.concatenate([j, j]) + data.num_nodes  # j iterations offset
+    i_to_j = dependence_edges(data)[(0, 1)]  # one edge set per access
+    src = np.concatenate([nodes for nodes, _ in i_to_j])
+    dst = np.concatenate([j for _, j in i_to_j]) + data.num_nodes  # j offset
     sched = wavefront_schedule(data.num_nodes + data.num_inter, src, dst)
     assert (sched.wave[src] < sched.wave[dst]).all()
     print(
@@ -55,11 +56,9 @@ def main() -> None:
         FullSparseTilingStep(fst_seed_block(data, machine)),
     ]
     result = ComposedInspector(steps).run(data)
-    d = result.transformed
-    jj = np.concatenate([j, j])
-    ends = np.concatenate([d.left, d.right])
-    edges = {(0, 1): (ends, jj), (1, 2): (jj, ends)}
-    tiles = tile_wavefronts(result.tiling, edges)
+    tiles = tile_wavefronts(
+        result.tiling, dependence_edges(result.transformed)
+    )
     print(
         f"sparse tiling: {result.tiling.num_tiles} tiles in "
         f"{tiles.num_waves} waves (avg {tiles.average_parallelism:.2f} "

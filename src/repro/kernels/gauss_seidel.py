@@ -30,7 +30,8 @@ import numpy as np
 from repro.cachesim.trace import AccessTrace, TraceBuilder
 from repro.kernels.datasets import Dataset
 from repro.lowering.schedule import tile_walk, walk_indices
-from repro.transforms.fst_sweeps import CSRGraph, SweepTiling
+from repro.transforms.fst import TilingFunction
+from repro.transforms.fst_sweeps import CSRGraph
 
 
 @dataclass
@@ -70,7 +71,7 @@ def make_gauss_seidel_data(dataset: Dataset, seed: int = 42) -> GaussSeidelData:
 def run_sweeps(
     data: GaussSeidelData,
     num_sweeps: int,
-    tiling: Optional[SweepTiling] = None,
+    tiling: Optional[TilingFunction] = None,
 ) -> GaussSeidelData:
     """Execute sweeps in place, sequentially or tile by tile.
 
@@ -94,7 +95,7 @@ def run_sweeps(
             for v in range(graph.num_nodes):
                 update(v)
     else:
-        if tiling.num_sweeps != num_sweeps:
+        if len(tiling.tiles) != num_sweeps:
             raise ValueError("tiling covers a different number of sweeps")
         for _t, _s, sweep_nodes in tile_walk(tiling.schedule()):
             for v in walk_indices(sweep_nodes):
@@ -105,7 +106,7 @@ def run_sweeps(
 def emit_gs_trace(
     data: GaussSeidelData,
     num_sweeps: int,
-    tiling: Optional[SweepTiling] = None,
+    tiling: Optional[TilingFunction] = None,
 ) -> AccessTrace:
     """The executor's address trace: per update, the unknown's record,
     its neighbors' records, and its rhs record."""
@@ -148,7 +149,7 @@ def emit_gs_trace(
         for _s in range(num_sweeps):
             emit_order(full)
     else:
-        if tiling.num_sweeps != num_sweeps:
+        if len(tiling.tiles) != num_sweeps:
             raise ValueError("tiling covers a different number of sweeps")
         for _t, _s, sweep_nodes in tile_walk(tiling.schedule()):
             emit_order(walk_indices(sweep_nodes))

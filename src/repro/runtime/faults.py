@@ -190,14 +190,14 @@ class _LyingSymmetryStep(FullSparseTilingStep):
         super().__init__(inner.seed_block_size, use_symmetry=True)
 
     def _edges(self, state: InspectorState):
-        edges, symmetric, p_j = super()._edges(state)
+        edges, symmetric = super()._edges(state)
         if edges and symmetric:
-            ((base_pair, base_oriented),) = edges.items()
+            ((base_pair, base_edge_sets),) = edges.items()
             for pair in symmetric:
                 # The lie: same orientation as the base pair, no swap.
-                edges[pair] = base_oriented
+                edges[pair] = base_edge_sets
             symmetric = {}
-        return edges, symmetric, p_j
+        return edges, symmetric
 
 
 # -- the injection proxy ------------------------------------------------------------

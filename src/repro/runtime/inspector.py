@@ -77,75 +77,15 @@ from repro.runtime.steps import (  # noqa: F401 - the step names re-export
     node_loop_positions,
 )
 from repro.transforms.base import ReorderingFunction, identity_reordering
-from repro.transforms.fst import TilingFunction
+from repro.transforms.fst import TilingFunction, check_tiling
 
 
 def validate_tiling(state: "InspectorState", stage: str) -> None:
-    """Bind-time guard on a freshly produced tiling function.
-
-    Checks shape (one tile id per iteration of every loop), range
-    (``0 <= tile < num_tiles``), and the atomic-tile dependence condition
-    ``theta(src) <= theta(dst)`` over the concrete edge sets.  Raises
-    :class:`~repro.errors.InspectorFault` naming the stage and the first
-    offending positions — the run-time discharge of the legality
-    obligations a dependence-inspecting transformation carries.
-    """
-    tiling = state.tiling
-    if tiling is None:
-        return
-    sizes = state.data.loop_sizes()
-    if len(tiling.tiles) != len(sizes):
-        raise InspectorFault(
-            f"tiling function covers {len(tiling.tiles)} loops, "
-            f"kernel has {len(sizes)}",
-            stage=stage,
-        )
-    for pos, (tiles, size) in enumerate(zip(tiling.tiles, sizes)):
-        if tiles is None or len(tiles) != size:
-            raise InspectorFault(
-                f"tiling of loop {pos} covers "
-                f"{0 if tiles is None else len(tiles)} iterations, "
-                f"expected {size}",
-                stage=stage,
-                hint="the tiling function was truncated or never grown "
-                "across this loop",
-            )
-        bad = (tiles < 0) | (tiles >= max(tiling.num_tiles, 1))
-        if bad.any():
-            positions = np.flatnonzero(bad)[:5].tolist()
-            raise InspectorFault(
-                f"tiling of loop {pos} assigns tiles outside "
-                f"[0, {tiling.num_tiles}) at",
-                stage=stage,
-                indices=positions,
-            )
-    # Iteration j of the interaction loop depends on nodes left[j] and
-    # right[j] of every node loop: each node loop's edges of
-    # dependence_edges (the left block, then the right) are two gathers.
-    data = state.data
-    p_j = data.interaction_loop_position()
-    theta_j = tiling.tiles[p_j]
-    for pos in data.node_loop_positions():
-        theta = tiling.tiles[pos]
-        at_left, at_right = theta[data.left], theta[data.right]
-        if pos < p_j:  # node loop first: its tiles must not come later
-            la, lb = pos, p_j
-            violated = np.concatenate([at_left > theta_j, at_right > theta_j])
-        else:
-            la, lb = p_j, pos
-            violated = np.concatenate([theta_j > at_left, theta_j > at_right])
-        if violated.any():
-            positions = np.flatnonzero(violated)[:5].tolist()
-            raise InspectorFault(
-                f"tiling violates {int(violated.sum())} "
-                f"(loop {la} -> loop {lb}) dependences "
-                "(source scheduled after destination) at edge",
-                stage=stage,
-                indices=positions,
-                hint="the inspector mis-grew the tiles — e.g. a "
-                "symmetric-dependence traversal with the wrong "
-                "orientation",
-            )
+    """Bind-time guard on a freshly produced tiling function: the one
+    legality check over the instance's :func:`dependence_edges`."""
+    if state.tiling is not None:
+        data = state.data
+        check_tiling(state.tiling, data.loop_sizes(), dependence_edges(data), stage)
 
 
 # ---------------------------------------------------------------------------

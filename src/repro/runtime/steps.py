@@ -54,6 +54,7 @@ from repro.transforms.base import (
     tile_insert_relation,
     tile_permute_relation,
 )
+from repro.transforms.fst import Edges, loop_iterations
 from repro.uniform.kernel import Kernel
 from repro.uniform.state import DataReordering, IterationReordering
 
@@ -61,37 +62,37 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.runtime.inspector import InspectorState
 
 
-def dependence_edges(data: KernelData) -> Dict[Tuple[int, int], Tuple]:
+def dependence_edges(data: KernelData) -> Edges:
     """The concrete cross-loop dependence edge sets of a kernel instance.
 
-    ``edges[(la, lb)] = (src, dst)``: iteration ``src`` of loop ``la``
-    must run no later than iteration ``dst`` of loop ``lb`` (atomic-tile
-    condition).  This is what sparse-tiling inspectors traverse and what
-    the bind-time tiling guard re-checks.
+    ``edges[(la, lb)]`` holds one ``(src, dst)`` edge set per access,
+    ``left`` then ``right``, each against one ``arange(num_inter)``:
+    iteration ``src`` of loop ``la`` must run no later than iteration
+    ``dst`` of loop ``lb`` (atomic-tile condition).  The one statement
+    of the kernel's dependence shape: sparse-tiling inspectors traverse
+    it and the bind-time tiling guard checks it.
     """
     p_j = data.interaction_loop_position()
-    j = np.arange(data.num_inter, dtype=np.int64)
-    endpoints = np.concatenate([data.left, data.right])
-    jj = np.concatenate([j, j])
-    edges: Dict[Tuple[int, int], Tuple] = {}
+    j = loop_iterations(data.num_inter)
+    edges = {}
     for pos in data.node_loop_positions():
-        pair = (pos, p_j) if pos < p_j else (p_j, pos)
-        edges[pair] = (endpoints, jj) if pos < p_j else (jj, endpoints)
+        if pos < p_j:
+            edges[(pos, p_j)] = ((data.left, j), (data.right, j))
+        else:
+            edges[(p_j, pos)] = ((j, data.left), (j, data.right))
     return edges
 
 
 def interaction_loop_pos(kernel: Kernel) -> int:
-    """Position of the loop subscripting through index arrays (UFS)."""
+    """Position of the loop over interactions (``Loop.domain``)."""
     for pos, loop in enumerate(kernel.loops):
-        for stmt in loop.statements:
-            if any(acc.index.uf_names() for acc in stmt.accesses):
-                return pos
+        if loop.domain == "inters":
+            return pos
     raise ValueError(f"kernel {kernel.name!r} has no interaction loop")
 
 
 def node_loop_positions(kernel: Kernel) -> List[int]:
-    p = interaction_loop_pos(kernel)
-    return [i for i in range(len(kernel.loops)) if i != p]
+    return [p for p, loop in enumerate(kernel.loops) if loop.domain == "nodes"]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +560,7 @@ class _TilingStep(Step):
     """Shared shell for sparse tilings grown over the dependence edges:
     a subclass supplies ``tile(state, counter)``, the inspector (which a
     stage-memo replay skips, as in :class:`DataReorderStep`), and
-    ``_emit_tiling(w, kernel, sizes)``, its generated call."""
+    ``_emit_tiling(w, kernel, sizes, pairs)``, its generated call."""
 
     symbol_prefix = "theta"
     symbol_domain = "tiles"
@@ -585,19 +586,18 @@ class _TilingStep(Step):
         # ``_edges`` as dependence_edges builds them.
         p_j = interaction_loop_pos(kernel)
         w.line("_j = np.arange(num_inter, dtype=np.int64)")
-        w.line("_ends = np.concatenate([left, right])")
-        w.line("_jj = np.concatenate([_j, _j])")
-        items = []
-        for pos in node_loop_positions(kernel):
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            oriented = "(_ends, _jj)" if pos < p_j else "(_jj, _ends)"
-            items.append(f"{pair}: {oriented}")
-        w.line("_edges = {" + ", ".join(items) + "}")
+        pairs = [
+            (pos, p_j) if pos < p_j else (p_j, pos)
+            for pos in node_loop_positions(kernel)
+        ]
+        sets = ("((_j, left), (_j, right))", "((left, _j), (right, _j))")
+        items = ", ".join(f"{pair}: {sets[pair[1] == p_j]}" for pair in pairs)
+        w.line("_edges = {" + items + "}")
         sizes = ", ".join(
             "num_inter" if pos == p_j else "num_nodes"
             for pos in range(len(kernel.loops))
         )
-        w.line(f"_tf = {self._emit_tiling(w, kernel, f'[{sizes}]')}")
+        w.line(f"_tf = {self._emit_tiling(w, kernel, f'[{sizes}]', pairs)}")
         w.line("tiling = [t.copy() for t in _tf.tiles]")
         w.line("num_tiles = _tf.num_tiles")
 
@@ -628,43 +628,51 @@ class FullSparseTilingStep(_TilingStep):
     )
     delta = DeltaRule(0.05, patch_recompute)
 
+    def _traversal(self, pairs):
+        """The pairs traversed, and the pairs mirroring the first's
+        traversal (``symmetric_with``) under ``use_symmetry``."""
+        pairs = list(pairs)
+        if not self.use_symmetry:
+            return pairs, {}
+        return pairs[:1], {pair: pairs[0] for pair in pairs[1:]}
+
     def _edges(self, state: InspectorState):
-        edges = {}
-        symmetric: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        base_pair = None
-        for pair, oriented in dependence_edges(state.data).items():
-            if base_pair is None or not self.use_symmetry:
-                edges[pair] = oriented
-                base_pair = pair
-                # Loading both endpoint arrays + seed traversal.
-                state.charge(self.name, 2 * len(oriented[0]))
-            else:
-                symmetric[pair] = base_pair
-        return edges, symmetric, state.data.interaction_loop_position()
+        edges = dependence_edges(state.data)
+        traversed, symmetric = self._traversal(edges)
+        edges = {pair: edges[pair] for pair in traversed}
+        for edge_sets in edges.values():
+            # Loading both endpoint arrays + seed traversal.
+            state.charge(self.name, sum(2 * len(s) for s, _ in edge_sets))
+        return edges, symmetric
 
     def tile(self, state, counter):
         data = state.data
         seed = block_partition(data.num_inter, self.seed_block_size)
-        edges, symmetric, p_j = self._edges(state)
+        edges, symmetric = self._edges(state)
         return full_sparse_tiling(
             data.loop_sizes(),
-            p_j,
+            data.interaction_loop_position(),
             seed,
             edges,
             symmetric_with=symmetric or None,
             counter=counter,
         )
 
-    def _emit_tiling(self, w, kernel, sizes):
+    def _emit_tiling(self, w, kernel, sizes, pairs):
         w.comment("full sparse tiling: seed the j loop, grow via dependences")
-        if self.use_symmetry:
+        traversed, symmetric = self._traversal(pairs)
+        if symmetric:
             w.comment(
                 "section-6 optimization: the symmetric dependence sets "
                 "share one traversal"
             )
         w.line(f"_seed = block_partition(num_inter, {self.seed_block_size})")
         p_j = interaction_loop_pos(kernel)
-        return f"full_sparse_tiling({sizes}, {p_j}, _seed, _edges)"
+        edges = "{" + ", ".join(f"{p}: _edges[{p}]" for p in traversed) + "}"
+        call = f"full_sparse_tiling({sizes}, {p_j}, _seed, {edges}"
+        if symmetric:
+            call += f", symmetric_with={symmetric}"
+        return call + ")"
 
 
 @register
@@ -680,13 +688,13 @@ class CacheBlockStep(_TilingStep):
 
     def tile(self, state, counter):
         edges = dependence_edges(state.data)
-        for src, _ in edges.values():
-            state.charge(self.name, 2 * len(src))
+        for edge_sets in edges.values():
+            state.charge(self.name, sum(2 * len(s) for s, _ in edge_sets))
         sizes = state.data.loop_sizes()
         seed = block_partition(sizes[0], self.seed_block_size)
         return cache_block_tiling(sizes, seed, edges, counter=counter)
 
-    def _emit_tiling(self, w, kernel, sizes):
+    def _emit_tiling(self, w, kernel, sizes, pairs):
         first = "num_inter" if interaction_loop_pos(kernel) == 0 else "num_nodes"
         w.line(f"_seed = block_partition({first}, {self.seed_block_size})")
         return f"cache_block_tiling({sizes}, _seed, _edges)"

@@ -1,8 +1,12 @@
 """Run-time legality and correctness verification.
 
-Two complementary checks close the loop between the compile-time
-specifications and the run-time index arrays:
+Three checks close the loop between the compile-time specifications
+and the run-time index arrays:
 
+* :func:`~repro.transforms.fst.check_tiling` — sparse tiling's legality
+  over the concrete dependence edge sets, the only bind-time check of a
+  tiling, run once per tiling by the stage loop
+  (:func:`~repro.runtime.inspector.validate_tiling`).
 * :func:`verify_numeric_equivalence` — the end-to-end check: run the
   baseline executor and the transformed executor (relocated payload and
   adjusted index arrays) through the *untiled* executor, pull the
@@ -10,16 +14,13 @@ specifications and the run-time index arrays:
   baseline's output is a derived fact of the dataset
   (:meth:`~repro.kernels.data.KernelData.derived`, keyed by
   ``num_steps`` and the executor tier), so binding one dataset under
-  many plans runs the untransformed kernel once.  It runs no tile
-  schedule, so a tiled bind's schedule is not exercised here:
-  :func:`~repro.runtime.inspector.validate_tiling`, run once per tiling
-  by the stage loop, is the only bind-time check of a tiling.
+  many plans runs the untransformed kernel once.
 * :func:`verify_dependences` — the framework check: bind the UFS of the
   final transformed dependence relations to the concrete index arrays and
   reordering functions, enumerate every dependence pair, and assert the
   source precedes the destination lexicographically.  This is the runtime
   discharge of the compile-time legality obligations (small inputs only —
-  enumeration is exponential in arity, which is fine for verification).
+  enumeration is exponential in arity; no bind runs it).
 """
 
 from __future__ import annotations

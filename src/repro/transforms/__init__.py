@@ -42,14 +42,13 @@ from repro.transforms.rcm import cuthill_mckee, reverse_cuthill_mckee
 from repro.transforms.lexgroup import lexgroup, lexsort
 from repro.transforms.bucket_tiling import bucket_tiling
 from repro.transforms.block_partition import block_partition
-from repro.transforms.fst import full_sparse_tiling
+from repro.transforms.fst import check_tiling, full_sparse_tiling
 from repro.transforms.cache_block import cache_block_tiling
 from repro.transforms.tilepack import tilepack
 from repro.transforms.fst_sweeps import (
     CSRGraph,
-    SweepTiling,
     full_sparse_tiling_sweeps,
-    verify_sweep_tiling,
+    sweep_edges,
 )
 from repro.transforms.parallel import (
     CyclicDependenceError,
@@ -79,12 +78,12 @@ __all__ = [
     "bucket_tiling",
     "block_partition",
     "full_sparse_tiling",
+    "check_tiling",
     "cache_block_tiling",
     "tilepack",
     "CSRGraph",
-    "SweepTiling",
     "full_sparse_tiling_sweeps",
-    "verify_sweep_tiling",
+    "sweep_edges",
     "CyclicDependenceError",
     "WavefrontSchedule",
     "wavefront_schedule",

@@ -10,17 +10,17 @@ remainder tile executed last (paper Section 2.3).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.transforms.fst import EdgeSet, TilingFunction, _normalize_edges
+from repro.transforms.fst import Edges, TilingFunction, _edge_list, _tiles_at
 
 
 def cache_block_tiling(
     loop_sizes: Sequence[int],
     seed_partition: np.ndarray,
-    edges: Mapping[Tuple[int, int], EdgeSet],
+    edges: Edges,
     counter: Optional[dict] = None,
 ) -> TilingFunction:
     """Seed the first loop and shrink tiles through later loops.
@@ -36,7 +36,7 @@ def cache_block_tiling(
     num_regular = int(seed_partition.max()) + 1 if len(seed_partition) else 0
     remainder = num_regular  # executed after every regular tile
 
-    resolved = {pair: _normalize_edges(e) for pair, e in edges.items()}
+    edge_list = _edge_list(edges)
 
     touches = 0
     tiles = [seed_partition.copy()]
@@ -46,10 +46,10 @@ def cache_block_tiling(
         # remainder predecessor) lands the iteration in the remainder.
         lo = np.full(loop_sizes[l], remainder + 1, dtype=np.int64)
         hi = np.full(loop_sizes[l], -1, dtype=np.int64)
-        for (la, lb), (src, dst) in resolved.items():
+        for la, lb, src, dst in edge_list:
             if lb != l or la >= l:
                 continue
-            pred_tiles = tiles[la][src]
+            pred_tiles = _tiles_at(tiles[la], src)
             touches += 2 * len(dst)
             np.minimum.at(lo, dst, pred_tiles)
             np.maximum.at(hi, dst, pred_tiles)

@@ -18,8 +18,10 @@ Full sparse tiling grows tiles *side by side*:
 Executing tiles in increasing id, and loops in program order within a
 tile, then respects every cross-loop dependence:
 ``tile(src) <= tile(dst)`` with program order breaking the tie inside a
-tile.  :func:`verify_tiling` checks exactly this invariant, and the
-runtime verifier re-checks the full lexicographic condition.
+tile.  :func:`check_tiling` checks exactly this invariant for every
+sparse tiling, and the runtime verifier re-checks the full
+lexicographic condition.  ``edges[(la, lb)]`` holds one ``(src, dst)``
+edge set per access (moldyn's ``(0, 1)``: ``((left, j), (right, j))``).
 
 The paper's Section 6 overhead reduction — when two dependence sets
 satisfy the same constraints, traverse only one — is expressed naturally
@@ -30,13 +32,16 @@ are symmetric, via ``symmetric_with``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import InspectorFault
 from repro.transforms.tile_schedule import TileSchedule
 
 EdgeSet = Tuple[np.ndarray, np.ndarray]
+Edges = Mapping[Tuple[int, int], Tuple[EdgeSet, ...]]
 
 
 @dataclass
@@ -44,14 +49,12 @@ class TilingFunction:
     """The run-time tiling function ``theta(loop, iteration) -> tile``.
 
     ``tiles[l][x]`` is the tile of iteration ``x`` of loop ``l``; the
-    executor runs ``for t: for l: for x in schedule[t][l]``.
+    executor runs ``for t: for l: for x in schedule[t][l]``.  A
+    Gauss--Seidel sweep is a loop too (:mod:`.fst_sweeps`).
     """
 
     tiles: List[np.ndarray]
     num_tiles: int
-
-    def __call__(self, loop: int, iteration: int) -> int:
-        return int(self.tiles[loop][iteration])
 
     def schedule(self) -> TileSchedule:
         """``schedule[t][l]``: iterations of loop ``l`` in tile ``t``,
@@ -82,20 +85,40 @@ class TilingFunction:
         self.tiles[loop] = remapped
 
 
-def _normalize_edges(edges: EdgeSet) -> Tuple[np.ndarray, np.ndarray]:
-    a, b = edges
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValueError("edge endpoint arrays must have equal length")
-    return a, b
+@lru_cache(maxsize=4)
+def loop_iterations(size: int) -> np.ndarray:
+    """``arange(size)``, read-only and shared: an edge set's side that
+    is every iteration of a loop, in order (:func:`_tiles_at`)."""
+    iterations = np.arange(size, dtype=np.int64)
+    iterations.flags.writeable = False
+    return iterations
+
+
+def _tiles_at(tiles: np.ndarray, iterations: np.ndarray) -> np.ndarray:
+    """``tiles[iterations]``; the whole loop is ``tiles``, no gather."""
+    n = len(tiles)
+    if len(iterations) == n and iterations is loop_iterations(n):
+        return tiles
+    return tiles[iterations]
+
+
+def _edge_list(edges: Edges) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """Every edge set as ``(la, lb, src, dst)``, ``int64``, pair by pair."""
+    flat = [
+        (la, lb, np.asarray(src, np.int64), np.asarray(dst, np.int64))
+        for (la, lb), edge_sets in edges.items()
+        for src, dst in edge_sets
+    ]
+    if any(src.ndim != 1 or src.shape != dst.shape for *_, src, dst in flat):
+        raise ValueError("an edge set is two equal-length 1-D arrays")
+    return flat
 
 
 def full_sparse_tiling(
     loop_sizes: Sequence[int],
     seed_loop: int,
     seed_partition: np.ndarray,
-    edges: Mapping[Tuple[int, int], EdgeSet],
+    edges: Edges,
     symmetric_with: Optional[Mapping[Tuple[int, int], Tuple[int, int]]] = None,
     counter: Optional[dict] = None,
 ) -> TilingFunction:
@@ -110,9 +133,10 @@ def full_sparse_tiling(
     seed_partition:
         Partition id per seed-loop iteration (dense ids from 0).
     edges:
-        Dependences between loops: ``edges[(la, lb)] = (src_iters,
-        dst_iters)`` with ``la < lb`` meaning iteration ``src`` of loop
-        ``la`` must run before iteration ``dst`` of loop ``lb``.
+        Dependences between loops: ``edges[(la, lb)]`` is one
+        ``(src_iters, dst_iters)`` edge set per access, with ``la < lb``
+        meaning iteration ``src`` of loop ``la`` must run before iteration
+        ``dst`` of loop ``lb``.
     symmetric_with:
         Overhead reduction (paper Section 6): map a loop pair to another
         pair whose edge set satisfies the same constraints; the inspector
@@ -130,9 +154,7 @@ def full_sparse_tiling(
         raise ValueError("seed partition size must match the seed loop size")
     num_tiles = int(seed_partition.max()) + 1 if len(seed_partition) else 0
 
-    resolved: Dict[Tuple[int, int], EdgeSet] = {}
-    for pair, e in edges.items():
-        resolved[pair] = _normalize_edges(e)
+    resolved: Dict[Tuple[int, int], Tuple[EdgeSet, ...]] = dict(edges)
     if symmetric_with:
         for pair, source_pair in symmetric_with.items():
             if source_pair not in resolved:
@@ -141,8 +163,12 @@ def full_sparse_tiling(
                 )
             # Reuse the (already loaded) arrays: the mirrored dependence
             # (j -> k) has sources where the original had sinks.
-            src, dst = resolved[source_pair]
-            resolved[pair] = (dst, src) if pair[0] == source_pair[1] else (src, dst)
+            mirrored = pair[0] == source_pair[1]
+            resolved[pair] = tuple(
+                (dst, src) if mirrored else (src, dst)
+                for src, dst in resolved[source_pair]
+            )
+    edge_list = _edge_list(resolved)
 
     touches = 0
     tiles: List[Optional[np.ndarray]] = [None] * num_loops
@@ -152,10 +178,10 @@ def full_sparse_tiling(
     for l in range(seed_loop - 1, -1, -1):
         grown = np.full(loop_sizes[l], num_tiles - 1, dtype=np.int64)
         constrained = np.zeros(loop_sizes[l], dtype=bool)
-        for (la, lb), (src, dst) in resolved.items():
+        for la, lb, src, dst in edge_list:
             if la != l or tiles[lb] is None:
                 continue
-            np.minimum.at(grown, src, tiles[lb][dst])
+            np.minimum.at(grown, src, _tiles_at(tiles[lb], dst))
             constrained[src] = True
             touches += 2 * len(src)
         grown[~constrained] = 0
@@ -164,10 +190,10 @@ def full_sparse_tiling(
     # Grow forward: loops after the seed, nearest first.
     for l in range(seed_loop + 1, num_loops):
         grown = np.zeros(loop_sizes[l], dtype=np.int64)
-        for (la, lb), (src, dst) in resolved.items():
+        for la, lb, src, dst in edge_list:
             if lb != l or tiles[la] is None:
                 continue
-            np.maximum.at(grown, dst, tiles[la][src])
+            np.maximum.at(grown, dst, _tiles_at(tiles[la], src))
             touches += 2 * len(dst)
         tiles[l] = grown
 
@@ -177,22 +203,57 @@ def full_sparse_tiling(
     return TilingFunction([t for t in tiles], num_tiles)
 
 
-def verify_tiling(
+def check_tiling(
     tiling: TilingFunction,
-    edges: Mapping[Tuple[int, int], EdgeSet],
-) -> bool:
-    """Check ``tile(src) <= tile(dst)`` for every cross-loop dependence.
-
-    Program order inside a tile handles the equal case (loops execute in
-    order within a tile), so ``<=`` is the full atomic-tile condition.
+    loop_sizes: Sequence[int],
+    edges: Edges,
+    stage: str,
+) -> None:
+    """Shape, tile range and ``tiles[la][src] <= tiles[lb][dst]`` over
+    edges that point forward in Figure 14's order (``la < lb``, or
+    ``la == lb`` and ``src < dst``): every sparse tiling's legality.
+    Raises :class:`~repro.errors.InspectorFault` naming ``stage`` and
+    the first offending positions, counted across a pair's edge sets.
     """
-    for (la, lb), (src, dst) in edges.items():
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if la < lb:
-            if not np.all(tiling.tiles[la][src] <= tiling.tiles[lb][dst]):
-                return False
-        else:
-            if not np.all(tiling.tiles[la][src] < tiling.tiles[lb][dst]):
-                return False
-    return True
+    if len(tiling.tiles) != len(loop_sizes):
+        raise InspectorFault(
+            f"tiling function covers {len(tiling.tiles)} loops, "
+            f"kernel has {len(loop_sizes)}",
+            stage=stage,
+        )
+    for pos, (tiles, size) in enumerate(zip(tiling.tiles, loop_sizes)):
+        if tiles is None or len(tiles) != size:
+            raise InspectorFault(
+                f"tiling of loop {pos} covers "
+                f"{0 if tiles is None else len(tiles)} iterations, "
+                f"expected {size}",
+                stage=stage,
+                hint="the tiling function was truncated or never grown "
+                "across this loop",
+            )
+        bad = (tiles < 0) | (tiles >= max(tiling.num_tiles, 1))
+        if bad.any():
+            positions = np.flatnonzero(bad)[:5].tolist()
+            raise InspectorFault(
+                f"tiling of loop {pos} assigns tiles outside "
+                f"[0, {tiling.num_tiles}) at",
+                stage=stage,
+                indices=positions,
+            )
+    for (la, lb), edge_sets in edges.items():
+        violated = [
+            _tiles_at(tiling.tiles[la], src) > _tiles_at(tiling.tiles[lb], dst)
+            for src, dst in edge_sets
+        ]
+        if not any(v.any() for v in violated):
+            continue
+        violated = np.concatenate(violated)
+        raise InspectorFault(
+            f"tiling violates {int(violated.sum())} "
+            f"(loop {la} -> loop {lb}) dependences "
+            "(source scheduled after destination) at edge",
+            stage=stage,
+            indices=np.flatnonzero(violated)[:5].tolist(),
+            hint="the inspector mis-grew the tiles — e.g. a "
+            "symmetric-dependence traversal with the wrong orientation",
+        )

@@ -26,18 +26,22 @@ backward and forward through the others.  Growth rules (mirroring
 Executing tiles in increasing id — and, inside a tile, sweeps in order
 and nodes in ascending order — then respects **every** dependence, so
 tiled Gauss--Seidel computes *bit-identical* results to the sequential
-sweep order (asserted in the test suite and by :func:`verify_sweep_tiling`).
+sweep order (asserted in the test suite).  A sweep is a loop: the tiling
+is a :class:`~repro.transforms.fst.TilingFunction`, and
+:func:`sweep_edges` states the dependences in the edge format every
+sparse tiling shares, so :func:`~repro.transforms.fst.check_tiling`
+checks it like any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
+from repro.transforms.fst import Edges, TilingFunction, loop_iterations
 from repro.transforms.sorting import group_by
-from repro.transforms.tile_schedule import TileSchedule
 
 
 @dataclass(frozen=True)
@@ -72,21 +76,23 @@ class CSRGraph:
         return CSRGraph(offsets, dst[order])
 
 
-@dataclass
-class SweepTiling:
-    """``tiles[s][v]`` = tile of node ``v`` in sweep ``s``."""
-
-    tiles: List[np.ndarray]
-    num_tiles: int
-
-    @property
-    def num_sweeps(self) -> int:
-        return len(self.tiles)
-
-    def schedule(self) -> TileSchedule:
-        """``schedule[t][s]``: nodes of sweep ``s`` in tile ``t``,
-        ascending — the executor order."""
-        return TileSchedule.from_tiling(self.tiles, self.num_tiles)
+def sweep_edges(graph: CSRGraph, num_sweeps: int) -> Edges:
+    """Gauss--Seidel's dependences as sweep-pair edge sets: within sweep
+    ``s``, ``u -> v`` for adjacent ``u < v`` (ascending node order inside
+    a tile breaks the tie); between sweeps, ``v@s -> w@s+1`` for ``w`` in
+    ``{v} ∪ adj(v)``, one edge set for ``v`` and one for its neighbours.
+    """
+    nodes = loop_iterations(graph.num_nodes)
+    rows = np.repeat(nodes, np.diff(graph.offsets))
+    forward = rows < graph.neighbors
+    within = ((rows[forward], graph.neighbors[forward]),)
+    across = ((nodes, nodes), (rows, graph.neighbors))
+    edges = {}
+    for s in range(num_sweeps):
+        edges[(s, s)] = within
+        if s + 1 < num_sweeps:
+            edges[(s, s + 1)] = across
+    return edges
 
 
 def full_sparse_tiling_sweeps(
@@ -95,8 +101,9 @@ def full_sparse_tiling_sweeps(
     seed_partition: np.ndarray,
     seed_sweep: Optional[int] = None,
     counter: Optional[dict] = None,
-) -> SweepTiling:
-    """Grow tiles from one sweep's seed partitioning through all sweeps."""
+) -> TilingFunction:
+    """Grow tiles from one sweep's seed partitioning through all sweeps:
+    ``tiles[s][v]`` is the tile of node ``v`` in sweep ``s``."""
     n = graph.num_nodes
     seed_partition = np.asarray(seed_partition, dtype=np.int64)
     if len(seed_partition) != n:
@@ -151,29 +158,4 @@ def full_sparse_tiling_sweeps(
     if counter is not None:
         counter["touches"] = counter.get("touches", 0) + touches
 
-    return SweepTiling([t for t in tiles], num_tiles)
-
-
-def verify_sweep_tiling(tiling: SweepTiling, graph: CSRGraph) -> bool:
-    """Check every Gauss--Seidel dependence against the tiling.
-
-    Within a sweep, ``u -> v`` for adjacent ``u < v`` requires
-    ``tile[s][u] <= tile[s][v]`` (ties resolved by ascending node order
-    inside the tile).  Between sweeps, ``v@s -> w@s+1`` for ``w`` adjacent
-    or equal requires ``tile[s][v] <= tile[s+1][w]``.
-    """
-    n = graph.num_nodes
-    for s, tiles_s in enumerate(tiling.tiles):
-        for v in range(n):
-            row = graph.row(v)
-            for w in row:
-                if v < w and tiles_s[v] > tiles_s[w]:
-                    return False
-            if s + 1 < tiling.num_sweeps:
-                nxt = tiling.tiles[s + 1]
-                if tiles_s[v] > nxt[v]:
-                    return False
-                for w in row:
-                    if tiles_s[v] > nxt[w]:
-                        return False
-    return True
+    return TilingFunction([t for t in tiles], num_tiles)

@@ -25,11 +25,11 @@ Two inspectors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.transforms.fst import EdgeSet, TilingFunction
+from repro.transforms.fst import Edges, TilingFunction, _edge_list, _tiles_at
 from repro.transforms.sorting import bounded_keys, distinct_edges, group_by
 from repro.transforms.tile_schedule import CSRLists
 
@@ -188,7 +188,7 @@ def wavefront_schedule(
 
 def tile_graph_edges(
     tiling: TilingFunction,
-    edges: Mapping[Tuple[int, int], EdgeSet],
+    edges: Edges,
     counter: Optional[dict] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The strict cross-tile dependence edges induced by ``edges``.
@@ -202,9 +202,9 @@ def tile_graph_edges(
     """
     src_parts = [np.empty(0, dtype=np.int64)]
     dst_parts = [np.empty(0, dtype=np.int64)]
-    for (la, lb), (src, dst) in edges.items():
-        t_src = tiling.tiles[la][np.asarray(src, dtype=np.int64)]
-        t_dst = tiling.tiles[lb][np.asarray(dst, dtype=np.int64)]
+    for la, lb, src, dst in _edge_list(edges):
+        t_src = _tiles_at(tiling.tiles[la], src)
+        t_dst = _tiles_at(tiling.tiles[lb], dst)
         strict = t_src != t_dst
         src_parts.append(t_src[strict])
         dst_parts.append(t_dst[strict])
@@ -220,7 +220,7 @@ def tile_graph_edges(
 
 def tile_wavefronts(
     tiling: TilingFunction,
-    edges: Mapping[Tuple[int, int], EdgeSet],
+    edges: Edges,
     counter: Optional[dict] = None,
 ) -> WavefrontSchedule:
     """Wavefronts of the inter-tile dependence graph.

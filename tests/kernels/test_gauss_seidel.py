@@ -17,10 +17,11 @@ from repro.kernels.gauss_seidel import (
     run_sweeps,
 )
 from repro.transforms import AccessMap, block_partition, reverse_cuthill_mckee
+from repro.transforms.fst import check_tiling
 from repro.transforms.fst_sweeps import (
     CSRGraph,
     full_sparse_tiling_sweeps,
-    verify_sweep_tiling,
+    sweep_edges,
 )
 
 
@@ -75,7 +76,12 @@ class TestTiledGS:
         tiling = full_sparse_tiling_sweeps(
             gs.graph, num_sweeps, block_partition(gs.num_nodes, block)
         )
-        assert verify_sweep_tiling(tiling, gs.graph)
+        check_tiling(
+            tiling,
+            [gs.num_nodes] * num_sweeps,
+            sweep_edges(gs.graph, num_sweeps),
+            "gauss-seidel",
+        )
         seq = run_sweeps(gs.copy(), num_sweeps)
         tiled = run_sweeps(gs.copy(), num_sweeps, tiling)
         assert np.array_equal(seq.x, tiled.x)  # exact, not allclose

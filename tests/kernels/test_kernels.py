@@ -13,7 +13,9 @@ from repro.kernels import (
     scramble_labels,
 )
 from repro.kernels.datasets import Dataset, _PAPER_SIZES
+from repro.kernels.specs import KERNEL_NAMES
 from repro.runtime import run_numeric
+from repro.runtime.steps import interaction_loop_pos, node_loop_positions
 from repro.uniform import ProgramState
 
 
@@ -141,6 +143,28 @@ class TestKernelData:
         ds = generate_dataset("mol1", scale=256)
         assert make_kernel_data("moldyn", ds).interaction_loop_position() == 1
         assert make_kernel_data("nbf", ds).interaction_loop_position() == 0
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_kernel_and_instance_find_the_same_loops(self, name):
+        """The step table's view (a ``Kernel``) and a bound instance's
+        view (``KernelData``) both read ``Loop.domain``, and on every spec
+        kernel the interaction loop is the one whose statements subscript
+        through an index array."""
+        kernel = kernel_by_name(name)
+        data = make_kernel_data(name, generate_dataset("mol1", scale=256))
+        p_j = interaction_loop_pos(kernel)
+        assert p_j == data.interaction_loop_position()
+        assert node_loop_positions(kernel) == data.node_loop_positions()
+        through_ufs = [
+            pos
+            for pos, loop in enumerate(kernel.loops)
+            if any(
+                acc.index.uf_names()
+                for stmt in loop.statements
+                for acc in stmt.accesses
+            )
+        ]
+        assert through_ufs == [p_j]
 
     def test_copy_is_deep(self):
         ds = generate_dataset("foil", scale=256)

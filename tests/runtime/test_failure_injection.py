@@ -14,6 +14,7 @@ from repro.kernels.datasets import Dataset
 from repro.kernels.specs import kernel_by_name
 from repro.runtime import CompositionPlan
 from repro.runtime.executor import ExecutionPlan, emit_trace
+from repro.errors import InspectorFault
 from repro.runtime.inspector import (
     ComposedInspector,
     CPackStep,
@@ -21,11 +22,11 @@ from repro.runtime.inspector import (
     InspectorState,
     LexGroupStep,
     Step,
+    dependence_edges,
 )
 from repro.runtime.verify import verify_dependences, verify_numeric_equivalence
 from repro.transforms.base import ReorderingFunction, identity_reordering
-from repro.transforms.fst import TilingFunction, verify_tiling
-from repro.transforms.fst_sweeps import SweepTiling, verify_sweep_tiling
+from repro.transforms.fst import TilingFunction, check_tiling
 
 
 def tiny(kernel_name="moldyn", n=24, m=60, seed=0):
@@ -102,18 +103,21 @@ class TestTilingGuards:
             [CPackStep(), LexGroupStep(), FullSparseTilingStep(8)]
         ).run(data)
         d = res.transformed
-        j = np.arange(d.num_inter)
-        e01 = (np.concatenate([d.left, d.right]), np.concatenate([j, j]))
-        edges = {(0, 1): e01, (1, 2): (e01[1], e01[0])}
-        assert verify_tiling(res.tiling, edges)
+        edges = dependence_edges(d)
+        check_tiling(res.tiling, d.loop_sizes(), edges, "fst")
         corrupted = TilingFunction(
             [t.copy() for t in res.tiling.tiles], res.tiling.num_tiles
         )
         corrupted.tiles[0][:] = res.tiling.num_tiles - 1  # i loop all-last
-        assert not verify_tiling(corrupted, edges)
+        with pytest.raises(InspectorFault, match="loop 0 -> loop 1"):
+            check_tiling(corrupted, d.loop_sizes(), edges, "fst")
 
     def test_corrupted_sweep_tiles_fail_verification(self):
-        from repro.transforms.fst_sweeps import CSRGraph, full_sparse_tiling_sweeps
+        from repro.transforms.fst_sweeps import (
+            CSRGraph,
+            full_sparse_tiling_sweeps,
+            sweep_edges,
+        )
         from repro.transforms import block_partition
 
         data = tiny()
@@ -121,10 +125,12 @@ class TestTilingGuards:
         tiling = full_sparse_tiling_sweeps(
             graph, 3, block_partition(data.num_nodes, 8)
         )
-        assert verify_sweep_tiling(tiling, graph)
-        bad = SweepTiling([t.copy() for t in tiling.tiles], tiling.num_tiles)
+        sizes, edges = [graph.num_nodes] * 3, sweep_edges(graph, 3)
+        check_tiling(tiling, sizes, edges, "sweeps")
+        bad = TilingFunction([t.copy() for t in tiling.tiles], tiling.num_tiles)
         bad.tiles[0][:] = tiling.num_tiles - 1
-        assert not verify_sweep_tiling(bad, graph)
+        with pytest.raises(InspectorFault, match="tiling violates"):
+            check_tiling(bad, sizes, edges, "sweeps")
 
 
 class TestExecutorGuards:

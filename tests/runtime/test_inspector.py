@@ -14,10 +14,11 @@ from repro.runtime.inspector import (
     LexSortStep,
     RCMStep,
     TilePackStep,
+    dependence_edges,
 )
 from repro.runtime.verify import verify_numeric_equivalence
 from repro.transforms.base import ReorderingFunction
-from repro.transforms.fst import verify_tiling
+from tests.transforms.tiling_oracle import verify_tiling
 
 
 def run_composition(data, steps, remap="once"):
@@ -92,22 +93,14 @@ class TestSparseTilingSteps:
         res = run_composition(
             moldyn_data, [CPackStep(), LexGroupStep(), FullSparseTilingStep(10)]
         )
-        d = res.transformed
-        j = np.arange(d.num_inter)
-        e01 = (np.concatenate([d.left, d.right]), np.concatenate([j, j]))
-        e12 = (e01[1], e01[0])
-        assert verify_tiling(res.tiling, {(0, 1): e01, (1, 2): e12})
+        assert verify_tiling(res.tiling, dependence_edges(res.transformed))
 
     def test_tilepack_keeps_tiling_legal(self, moldyn_data):
         res = run_composition(
             moldyn_data,
             [CPackStep(), LexGroupStep(), FullSparseTilingStep(10), TilePackStep()],
         )
-        d = res.transformed
-        j = np.arange(d.num_inter)
-        e01 = (np.concatenate([d.left, d.right]), np.concatenate([j, j]))
-        e12 = (e01[1], e01[0])
-        assert verify_tiling(res.tiling, {(0, 1): e01, (1, 2): e12})
+        assert verify_tiling(res.tiling, dependence_edges(res.transformed))
 
     @pytest.mark.parametrize("kernel", ["moldyn", "nbf", "irreg"])
     def test_tilepack_leaves_packed_loops_in_range_form(self, kernel, request):
@@ -146,10 +139,9 @@ class TestSparseTilingSteps:
         res = run_composition(
             irreg_data, [CPackStep(), LexGroupStep(), FullSparseTilingStep(10)]
         )
-        d = res.transformed
-        j = np.arange(d.num_inter)
-        e01 = (np.concatenate([j, j]), np.concatenate([d.left, d.right]))
-        assert verify_tiling(res.tiling, {(0, 1): e01})
+        edges = dependence_edges(res.transformed)
+        assert list(edges) == [(0, 1)]
+        assert verify_tiling(res.tiling, edges)
         assert verify_numeric_equivalence(irreg_data, res)
 
     def test_fst_symmetry_flag_equivalent(self, moldyn_data):

@@ -24,10 +24,11 @@ from repro.runtime.inspector import (
     LexSortStep,
     RCMStep,
     TilePackStep,
+    dependence_edges,
 )
 from repro.runtime.verify import verify_numeric_equivalence
 from repro.transforms.base import ReorderingFunction, identity_reordering
-from repro.transforms.fst import verify_tiling
+from tests.transforms.tiling_oracle import verify_tiling
 
 
 @st.composite
@@ -89,16 +90,7 @@ class TestRandomCompositions:
         assert result.tiling is not None
         assert verify_numeric_equivalence(data, result, num_steps=2)
         # the final tiling is legal against the final index arrays
-        d = result.transformed
-        j = np.arange(d.num_inter)
-        p_j = d.interaction_loop_position()
-        ends = np.concatenate([d.left, d.right])
-        jj = np.concatenate([j, j])
-        edges = {}
-        for pos in d.node_loop_positions():
-            pair = (pos, p_j) if pos < p_j else (p_j, pos)
-            edges[pair] = (ends, jj) if pos < p_j else (jj, ends)
-        assert verify_tiling(result.tiling, edges)
+        assert verify_tiling(result.tiling, dependence_edges(result.transformed))
 
     @given(kernel_instances(), step_lists())
     @settings(max_examples=30, deadline=None)

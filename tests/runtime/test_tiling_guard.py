@@ -1,14 +1,16 @@
 """The bind-time tiling guard (``runtime.inspector.validate_tiling``).
 
-The guard tests ``theta(src) <= theta(dst)`` with two gathers per node
-loop instead of building :func:`dependence_edges`.  Two layers pin that:
+The guard is :func:`repro.transforms.fst.check_tiling` over
+:func:`dependence_edges`' per-access edge sets: two gathers per edge
+set.  Two layers pin that:
 
 * the ``InspectorFault`` each tiling fault raises — message, violation
   count and first positions — recorded when the guard still walked the
   concatenated edge lists;
 * a Hypothesis property: on random small instances and random tilings
-  the guard passes exactly when :func:`repro.transforms.fst.verify_tiling`
-  over :func:`dependence_edges` does.
+  the guard passes exactly when the concatenated-edge oracle
+  (:func:`tests.transforms.tiling_oracle.verify_tiling`) over
+  :func:`dependence_edges` does.
 
 The stage loop guards a stage that assigns a tiling, once: the
 renumbering inside ``apply_data_reordering`` /
@@ -37,7 +39,8 @@ from repro.runtime.inspector import (
     validate_tiling,
 )
 from repro.transforms.base import ReorderingFunction, identity_reordering
-from repro.transforms.fst import TilingFunction, verify_tiling
+from repro.transforms.fst import TilingFunction
+from tests.transforms.tiling_oracle import verify_tiling
 
 from .conftest import tiny_dataset
 

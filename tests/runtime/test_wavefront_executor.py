@@ -19,6 +19,7 @@ from repro.runtime.inspector import (
     CPackStep,
     FullSparseTilingStep,
     LexGroupStep,
+    dependence_edges,
 )
 from repro.transforms import tile_wavefronts
 
@@ -33,15 +34,7 @@ def _tiled_case(kernel: str, dataset: str):
     ]
     result = ComposedInspector(steps).run(data)
     d = result.transformed
-    j = np.arange(d.num_inter, dtype=np.int64)
-    jj = np.concatenate([j, j])
-    ends = np.concatenate([d.left, d.right])
-    p_j = d.interaction_loop_position()
-    edges = {}
-    for pos in d.node_loop_positions():
-        pair = (pos, p_j) if pos < p_j else (p_j, pos)
-        edges[pair] = (ends, jj) if pos < p_j else (jj, ends)
-    waves = tile_wavefronts(result.tiling, edges)
+    waves = tile_wavefronts(result.tiling, dependence_edges(d))
     return d, result.tiling.schedule(), waves
 
 

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.errors import InspectorFault
 from repro.transforms import block_partition
+from repro.transforms.fst import TilingFunction, check_tiling
 from repro.transforms.fst_sweeps import (
     CSRGraph,
-    SweepTiling,
     full_sparse_tiling_sweeps,
-    verify_sweep_tiling,
+    sweep_edges,
 )
+
+
+def check_sweeps(tiling, graph):
+    """Gauss--Seidel's sweeps through the one legality check."""
+    sweeps = len(tiling.tiles)
+    check_tiling(
+        tiling, [graph.num_nodes] * sweeps, sweep_edges(graph, sweeps), "sweeps"
+    )
 
 
 def ring_graph(n):
@@ -66,8 +75,8 @@ class TestSweepTilingGrowth:
     def test_single_sweep(self):
         g = ring_graph(8)
         tiling = full_sparse_tiling_sweeps(g, 1, block_partition(8, 4))
-        assert tiling.num_sweeps == 1
-        assert verify_sweep_tiling(tiling, g)
+        assert len(tiling.tiles) == 1
+        check_sweeps(tiling, g)
 
     def test_invalid_args(self):
         g = ring_graph(4)
@@ -86,7 +95,7 @@ class TestSweepTilingGrowth:
             tiling = full_sparse_tiling_sweeps(
                 g, num_sweeps, block_partition(40, block)
             )
-            assert verify_sweep_tiling(tiling, g), (num_sweeps, block, seed)
+            check_sweeps(tiling, g)
 
     def test_schedule_partitions_each_sweep(self):
         g = random_graph(30, 90)
@@ -106,17 +115,32 @@ class TestSweepTilingGrowth:
 class TestVerifier:
     def test_detects_within_sweep_violation(self):
         g = ring_graph(6)
-        bad = SweepTiling([np.array([1, 0, 0, 0, 0, 0])], 2)
+        bad = TilingFunction([np.array([1, 0, 0, 0, 0, 0])], 2)
         # node 0 -> node 1 dependence (adjacent, 0 < 1): tile 1 > tile 0.
-        assert not verify_sweep_tiling(bad, g)
+        with pytest.raises(InspectorFault, match=r"\(loop 0 -> loop 0\)"):
+            check_sweeps(bad, g)
 
     def test_detects_cross_sweep_violation(self):
         g = ring_graph(4)
         good = np.zeros(4, dtype=np.int64)
-        bad = SweepTiling([good + 1, good], 2)  # sweep 0 after sweep 1
-        assert not verify_sweep_tiling(bad, g)
+        bad = TilingFunction([good + 1, good], 2)  # sweep 0 after sweep 1
+        with pytest.raises(InspectorFault, match=r"\(loop 0 -> loop 1\)"):
+            check_sweeps(bad, g)
 
     def test_accepts_single_tile(self):
         g = random_graph(20, 60)
-        one = SweepTiling([np.zeros(20, dtype=np.int64)] * 3, 1)
-        assert verify_sweep_tiling(one, g)
+        one = TilingFunction([np.zeros(20, dtype=np.int64)] * 3, 1)
+        check_sweeps(one, g)
+
+    def test_sweep_edges_point_forward(self):
+        """Within a sweep ``u < v``; across, ``v`` and its neighbours."""
+        g = ring_graph(5)
+        edges = sweep_edges(g, 2)
+        assert list(edges) == [(0, 0), (0, 1), (1, 1)]
+        (src, dst), = edges[(0, 0)]
+        assert (src < dst).all() and len(src) == g.num_edges
+        (same_src, same_dst), (src, dst) = edges[(0, 1)]
+        assert np.array_equal(same_src, same_dst)
+        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
+            (v, int(w)) for v in range(5) for w in g.row(v)
+        )

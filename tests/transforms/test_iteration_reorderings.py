@@ -15,7 +15,8 @@ from repro.transforms import (
     tilepack,
 )
 from repro.transforms.block_partition import num_partitions
-from repro.transforms.fst import TilingFunction, verify_tiling
+from repro.transforms.fst import TilingFunction
+from tests.transforms.tiling_oracle import verify_tiling
 
 
 def ring_edges(n):
@@ -105,8 +106,8 @@ class TestFullSparseTiling:
     def _moldyn_edges(self, n):
         left, right = ring_edges(n)
         j = np.arange(n)
-        ij = (np.concatenate([left, right]), np.concatenate([j, j]))
-        jk = (ij[1], ij[0])
+        ij = ((left, j), (right, j))
+        jk = ((j, left), (j, right))
         return ij, jk
 
     def test_tiles_respect_dependences(self):
@@ -164,21 +165,32 @@ class TestFullSparseTiling:
 
     def test_backward_growth_takes_min(self):
         # Loop 0 iteration 0 feeds seed iterations in tiles 0 and 1.
-        edges = {(0, 1): (np.array([0, 0]), np.array([0, 1]))}
+        edges = {(0, 1): ((np.array([0, 0]), np.array([0, 1])),)}
         seed = np.array([0, 1])
         tf = full_sparse_tiling([1, 2], 1, seed, edges)
         assert tf.tiles[0][0] == 0
 
     def test_forward_growth_takes_max(self):
-        edges = {(0, 1): (np.array([0, 1]), np.array([0, 0]))}
+        edges = {(0, 1): ((np.array([0, 1]), np.array([0, 0])),)}
         seed = np.array([0, 1])
         tf = full_sparse_tiling([2, 1], 0, seed, edges)
         assert tf.tiles[1][0] == 1
 
     def test_unconstrained_iterations_get_valid_tiles(self):
-        edges = {(0, 1): (np.array([0]), np.array([0]))}
+        edges = {(0, 1): ((np.array([0]), np.array([0])),)}
         tf = full_sparse_tiling([3, 3], 1, np.array([0, 0, 1]), edges)
         assert all(0 <= t < tf.num_tiles for t in tf.tiles[0])
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_a_bare_edge_pair_is_rejected(self, length):
+        """An edge map holds a tuple of edge sets per loop pair; one
+        bare ``(src, dst)`` pair is not a second accepted format."""
+        bare = {(0, 1): (np.arange(length), np.arange(length))}
+        seed = np.zeros(length, dtype=np.int64)
+        with pytest.raises(ValueError):
+            full_sparse_tiling([length, length], 1, seed, bare)
+        with pytest.raises(ValueError):
+            cache_block_tiling([length, length], seed, bare)
 
     def test_schedule_partitions_every_loop(self):
         n = 16
@@ -204,27 +216,27 @@ class TestCacheBlocking:
         n = 32
         left, right = ring_edges(n)
         j = np.arange(n)
-        e01 = (np.concatenate([left, right]), np.concatenate([j, j]))
-        e12 = (e01[1], e01[0])
+        e01 = ((left, j), (right, j))
+        e12 = ((j, left), (j, right))
         seed = block_partition(n, 8)
         tf = cache_block_tiling([n, n, n], seed, {(0, 1): e01, (1, 2): e12})
         assert verify_tiling(tf, {(0, 1): e01, (1, 2): e12})
 
     def test_remainder_tile_collects_conflicts(self):
         # Iteration 0 of loop 1 has predecessors in tiles 0 and 1.
-        edges = {(0, 1): (np.array([0, 1]), np.array([0, 0]))}
+        edges = {(0, 1): ((np.array([0, 1]), np.array([0, 0])),)}
         tf = cache_block_tiling([2, 1], np.array([0, 1]), edges)
         assert tf.tiles[1][0] == 2  # the remainder tile
         assert tf.num_tiles == 3
 
     def test_shrinking_keeps_agreeing_iterations(self):
-        edges = {(0, 1): (np.array([0, 1]), np.array([0, 1]))}
+        edges = {(0, 1): ((np.array([0, 1]), np.array([0, 1])),)}
         tf = cache_block_tiling([2, 2], np.array([0, 1]), edges)
         assert list(tf.tiles[1]) == [0, 1]
 
     def test_remainder_propagates(self):
-        e01 = {(0, 1): (np.array([0, 1]), np.array([0, 0])),
-               (1, 2): (np.array([0]), np.array([0]))}
+        e01 = {(0, 1): ((np.array([0, 1]), np.array([0, 0])),),
+               (1, 2): ((np.array([0]), np.array([0])),)}
         tf = cache_block_tiling([2, 1, 1], np.array([0, 1]), e01)
         assert tf.tiles[2][0] == 2  # remainder pred forces remainder
 

@@ -89,9 +89,7 @@ class TestTileWavefronts:
         left = np.arange(n)
         right = (np.arange(n) + 1) % n
         j = np.arange(n)
-        e01 = (np.concatenate([left, right]), np.concatenate([j, j]))
-        e12 = (e01[1], e01[0])
-        edges = {(0, 1): e01, (1, 2): e12}
+        edges = {(0, 1): ((left, j), (right, j)), (1, 2): ((j, left), (j, right))}
         tiling = full_sparse_tiling(
             [n, n, n], 1, block_partition(n, block), edges
         )
@@ -100,19 +98,19 @@ class TestTileWavefronts:
     def test_tile_graph_respected(self):
         tiling, edges = self._tiled_moldyn()
         sched = tile_wavefronts(tiling, edges)
-        for (la, lb), (src, dst) in edges.items():
-            ts = tiling.tiles[la][src]
-            td = tiling.tiles[lb][dst]
-            strict = ts != td
-            assert (sched.wave[ts[strict]] < sched.wave[td[strict]]).all()
+        for (la, lb), edge_sets in edges.items():
+            for src, dst in edge_sets:
+                ts = tiling.tiles[la][src]
+                td = tiling.tiles[lb][dst]
+                strict = ts != td
+                assert (sched.wave[ts[strict]] < sched.wave[td[strict]]).all()
 
     def test_independent_tiles_share_a_wave(self):
         # Two disconnected components -> their tiles can run concurrently.
         left = np.array([0, 1, 4, 5])
         right = np.array([1, 0, 5, 4])
         j = np.arange(4)
-        e01 = (np.concatenate([left, right]), np.concatenate([j, j]))
-        edges = {(0, 1): e01}
+        edges = {(0, 1): ((left, j), (right, j))}
         tiling = full_sparse_tiling(
             [8, 4], 1, np.array([0, 0, 1, 1]), edges
         )

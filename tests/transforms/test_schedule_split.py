@@ -1,8 +1,8 @@
 """Vectorized schedule construction: counting-sorted groups and tiles.
 
-``WavefrontSchedule.groups``, ``TilingFunction.schedule`` and
-``SweepTiling.schedule`` build their per-wave / per-tile index lists as
-one CSR (one stable counting sort, no scan per group) and hand it out as
+``WavefrontSchedule.groups`` and ``TilingFunction.schedule`` (a kernel's
+loops or Gauss--Seidel's sweeps) build their per-wave / per-tile index
+lists as one CSR (one stable counting sort, no scan per group) and hand it out as
 a read-only sequence of views; these tests pin the marshalled results to
 the obvious per-group definition, including the empty-group edge cases,
 the range/index rule, and the partition check hand-built lists pay.
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutorBoundsError, ValidationError
 from repro.transforms.fst import TilingFunction
-from repro.transforms.fst_sweeps import SweepTiling
 from repro.transforms.tile_schedule import CSRLists, TileSchedule
 from repro.transforms.parallel import (
     CyclicDependenceError,
@@ -227,7 +226,7 @@ def test_sweep_schedule_matches_per_tile_scan():
     rng = np.random.default_rng(3)
     tiles = [rng.integers(0, 5, size=40) for _ in range(3)]
     tiles[1] = np.sort(tiles[1])
-    sched = SweepTiling(tiles, num_tiles=6).schedule()  # tile 5 empty
+    sched = TilingFunction(tiles, num_tiles=6).schedule()  # tile 5 empty
     assert len(sched) == 6 and sched.is_range == (False, True, False)
     for t, tile in enumerate(sched):
         for s, labels in enumerate(tiles):

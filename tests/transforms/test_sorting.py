@@ -318,11 +318,12 @@ def ref_wavefront(num_iterations, src, dst):
 
 def ref_tile_graph_edges(tiling, edges):
     pairs = set()
-    for (la, lb), (src, dst) in edges.items():
-        t_src = tiling.tiles[la][np.asarray(src, dtype=np.int64)]
-        t_dst = tiling.tiles[lb][np.asarray(dst, dtype=np.int64)]
-        strict = t_src != t_dst
-        pairs.update(zip(t_src[strict].tolist(), t_dst[strict].tolist()))
+    for (la, lb), edge_sets in edges.items():
+        for src, dst in edge_sets:
+            t_src = tiling.tiles[la][np.asarray(src, dtype=np.int64)]
+            t_dst = tiling.tiles[lb][np.asarray(dst, dtype=np.int64)]
+            strict = t_src != t_dst
+            pairs.update(zip(t_src[strict].tolist(), t_dst[strict].tolist()))
     return pairs
 
 
