@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -70,6 +70,25 @@ def array_fingerprint(array: np.ndarray) -> str:
     h = _hasher()
     _update(h, array)
     return h.hexdigest()
+
+
+def index_digests(left, right, sigma) -> Dict[str, str]:
+    """Digests of a bind's served index state: the transformed
+    ``left``/``right`` and the total node data reordering ``sigma``."""
+    return {
+        "left": array_fingerprint(left),
+        "right": array_fingerprint(right),
+        "sigma": array_fingerprint(sigma),
+    }
+
+
+def payload_digests(arrays) -> Dict[str, str]:
+    """Digests of a bind's reordered payload arrays, ``payload:<name>``
+    in name order."""
+    return {
+        f"payload:{name}": array_fingerprint(arrays[name])
+        for name in sorted(arrays)
+    }
 
 
 def _module_sources() -> Iterable[bytes]:
@@ -274,7 +293,9 @@ __all__ = [
     "code_version_salt",
     "combine",
     "dataset_fingerprint",
+    "index_digests",
     "inspector_fingerprint",
+    "payload_digests",
     "plan_fingerprint",
     "stage_fingerprints",
     "step_fingerprint",

@@ -37,11 +37,28 @@ is stored at the narrowest signed integer width that holds its values
 and widened back to ``int64`` on rehydration.  The
 :class:`~repro.runtime.report.PipelineReport` rides in the JSON metadata.
 
+One codec rule holds for both entry kinds: every array is frozen
+(:func:`_frozen`: narrowed, never sharing memory with the result it came
+from, read-only; the disk tier loads its arrays read-only too), so a
+write into an entry raises ``ValueError`` instead of changing what later
+binds serve.
+
 The node *payload* is deliberately **not** stored: a hit re-applies the
 cached ``sigma`` to the live payload (one vectorized gather per array),
 so a cached plan binds correctly to any payload values over the same
 index arrays — and the rehydrated executor state is bit-identical to
 what the cold inspectors would have produced.
+
+A hit's response digests (``InspectorResult.digests``, the names of
+``service.result_digests``) are facts, derived once and never hashed
+per request: the ``left``/``right``/``sigma`` digests, over the widened
+``int64`` arrays a hit serves, are a fact of the entry
+(:meth:`~repro.plancache.store.CacheEntry.digests`); the payload digests
+are a fact of the live dataset under the entry's ``sigma``
+(``KernelData.derived(("served-payload-digests", <sigma digest>))``).
+Neither is persisted: not in the metadata, not on disk, so an entry
+loaded from disk derives its own.  A cold or patched bind has no such
+facts; its ``digests`` is ``None`` and its response hashes its arrays.
 
 Safety: rehydration re-checks shape agreement against the live dataset
 and re-validates ``sigma`` as a permutation; any inconsistency demotes
@@ -55,6 +72,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.kernels.data import KernelData
+from repro.plancache.fingerprint import index_digests, payload_digests
 from repro.plancache.store import CacheEntry, PlanCache
 from repro.runtime.report import PipelineReport
 from repro.transforms.base import ReorderingFunction
@@ -77,6 +95,17 @@ def _narrowest(array) -> np.ndarray:
         if info.min <= low and high <= info.max:
             return array.astype(width)
     return array.astype(np.int64, copy=False)
+
+
+def _frozen(array) -> np.ndarray:
+    """``array`` at its narrowest width, never sharing memory with it,
+    and read-only: a caller writing it raises instead of changing what
+    later binds serve or replay, or a digest derived from it."""
+    stored = _narrowest(array)
+    if np.may_share_memory(stored, array):
+        stored = stored.copy()
+    stored.setflags(write=False)
+    return stored
 
 
 def stage_function(entry: CacheEntry, name: str) -> Optional[np.ndarray]:
@@ -119,8 +148,7 @@ def result_to_entry(result, steps) -> CacheEntry:
         "report": report.to_dict() if report is not None else None,
     }
     return CacheEntry(
-        meta=meta,
-        arrays={key: _narrowest(array) for key, array in arrays.items()},
+        meta=meta, arrays={key: _frozen(array) for key, array in arrays.items()}
     )
 
 
@@ -187,6 +215,13 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
             stage.elapsed_s = 0.0  # nothing ran on this bind
             stage.replayed = False
 
+    # The served state's digests are facts: the index part of the entry,
+    # the payload part of the live dataset under this sigma.
+    index = entry.digests(lambda: index_digests(left, right, sigma.array))
+    payload = data.derived(
+        ("served-payload-digests", index["sigma"]),
+        lambda: payload_digests(transformed.arrays),
+    )
     return InspectorResult(
         transformed=transformed,
         sigma_nodes=sigma,
@@ -195,22 +230,12 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
         data_moves=int(meta["data_moves"]),
         stage_functions=None,  # nothing ran on this bind
         report=report,
+        digests={**index, **payload},
     )
 
 
 # ---------------------------------------------------------------------------
 # StageOutput <-> CacheEntry
-
-
-def _frozen(array) -> np.ndarray:
-    """``array`` narrowed as in a plan entry, never sharing memory with
-    it, and read-only: a caller writing it raises instead of changing
-    what later binds replay."""
-    stored = _narrowest(array)
-    if np.may_share_memory(stored, array):
-        stored = stored.copy()
-    stored.setflags(write=False)
-    return stored
 
 
 def output_to_entry(output) -> CacheEntry:

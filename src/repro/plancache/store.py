@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -98,10 +98,27 @@ def resolve_cache_dir(directory=None) -> Path:
 
 @dataclass
 class CacheEntry:
-    """One stored plan: JSON-able metadata + named index arrays."""
+    """One stored plan: JSON-able metadata + named index arrays.
+
+    The arrays are read-only, so what is derived from them is a fact of
+    the entry: :meth:`digests` computes it once and keeps it here, never
+    in ``meta`` and never on disk (an entry loaded from disk derives its
+    own)."""
 
     meta: dict
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
+    _digests: Optional[Dict[str, str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def digests(self, compute: Callable[[], Dict[str, str]]) -> Dict[str, str]:
+        """The digests of what a hit serves from this entry, computed by
+        ``compute`` at most once.  ``compute`` reads nothing but the
+        entry's arrays, so two threads that derive them at once may both
+        compute, and either result is the fact."""
+        if self._digests is None:
+            self._digests = compute()
+        return self._digests
 
     @property
     def nbytes(self) -> int:
@@ -197,6 +214,8 @@ class DiskStore(FileStore):
                 arrays = {
                     name: npz[name] for name in npz.files if name != "__meta__"
                 }
+                for array in arrays.values():
+                    array.setflags(write=False)
         except FileNotFoundError:
             # Never stored — or a concurrent peer evicted or cleared it
             # under us.  A plain miss either way, not corruption.

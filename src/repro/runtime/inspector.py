@@ -85,7 +85,13 @@ def validate_tiling(state: "InspectorState", stage: str) -> None:
     legality check over the instance's :func:`dependence_edges`."""
     if state.tiling is not None:
         data = state.data
-        check_tiling(state.tiling, data.loop_sizes(), dependence_edges(data), stage)
+        check_tiling(
+            state.tiling,
+            data.loop_sizes(),
+            dependence_edges(data),
+            stage,
+            node_loops=data.node_loop_positions(),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +313,10 @@ class InspectorResult:
     stage_functions: Optional[Dict[str, object]]
     #: Per-stage status/timings/fallbacks of the run that produced this.
     report: Optional[PipelineReport] = None
+    #: The executor state's content digests as bound (the names of
+    #: ``service.result_digests``), when they are facts the bind already
+    #: held: set on a plan-cache hit, ``None`` on a cold or patched run.
+    digests: Optional[Dict[str, str]] = None
 
     @cached_property
     def plan(self) -> ExecutionPlan:

@@ -692,12 +692,21 @@ class CacheBlockStep(_TilingStep):
             state.charge(self.name, sum(2 * len(s) for s, _ in edge_sets))
         sizes = state.data.loop_sizes()
         seed = block_partition(sizes[0], self.seed_block_size)
-        return cache_block_tiling(sizes, seed, edges, counter=counter)
+        return cache_block_tiling(
+            sizes,
+            seed,
+            edges,
+            counter=counter,
+            node_loops=state.data.node_loop_positions(),
+        )
 
     def _emit_tiling(self, w, kernel, sizes, pairs):
         first = "num_inter" if interaction_loop_pos(kernel) == 0 else "num_nodes"
         w.line(f"_seed = block_partition({first}, {self.seed_block_size})")
-        return f"cache_block_tiling({sizes}, _seed, _edges)"
+        return (
+            f"cache_block_tiling({sizes}, _seed, _edges, "
+            f"node_loops={node_loop_positions(kernel)})"
+        )
 
 
 @register

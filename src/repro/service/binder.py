@@ -21,10 +21,16 @@ def result_body(result, bind_ms: float, **provenance) -> dict:
     """What one finished bind answers with: the SHA-256 content digests
     (the bit-identity contract), the pipeline report and cache
     provenance, and the binder's own provenance (shard, generation…).
-    JSON-able and picklable — fleet workers send it over their pipe."""
+    JSON-able and picklable — fleet workers send it over their pipe.
+
+    A plan-cache hit's digests are facts of its entry and dataset
+    (``result.digests``), so only a cold or patched bind hashes here."""
     report = result.report
+    digests = result.digests
+    if digests is None:
+        digests = result_digests(result)
     return {
-        "fingerprints": result_digests(result),
+        "fingerprints": digests,
         "cache": report.cache if report is not None else None,
         "overhead": dict(result.overhead),
         "data_moves": result.data_moves,

@@ -278,7 +278,11 @@ class FleetService(ServiceCore):
     def _start_worker(self, index: int, generation: int):
         ctx = mp_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        heartbeat = ctx.Value("d", time.monotonic())
+        # Lock-free: one writer (the worker's heartbeat thread) making one
+        # aligned 8-byte store.  A process-shared lock here would stay
+        # held forever by a worker SIGKILLed mid-store, and every later
+        # read in the parent (health, the liveness monitor) would block.
+        heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         options = {
             "cache_dir": self.config.cache_dir,
             "chaos": (

@@ -243,20 +243,20 @@ def result_digests(result) -> Dict[str, str]:
 
     Covers the transformed ``left``/``right`` index arrays, the total
     data reordering ``sigma``, and every reordered payload array —
-    digest equality here is bit-identity of the executor state.
+    digest equality here is bit-identity of the executor state.  Hashes
+    ``result``'s arrays as they are now, so it follows an executor run
+    in place on ``result.transformed``; a response reads the digests a
+    plan-cache hit already holds (``result.digests``) instead.
     """
-    from repro.plancache.fingerprint import array_fingerprint
+    from repro.plancache.fingerprint import index_digests, payload_digests
 
-    digests = {
-        "left": array_fingerprint(result.transformed.left),
-        "right": array_fingerprint(result.transformed.right),
-        "sigma": array_fingerprint(result.sigma_nodes.array),
+    transformed = result.transformed
+    return {
+        **index_digests(
+            transformed.left, transformed.right, result.sigma_nodes.array
+        ),
+        **payload_digests(transformed.arrays),
     }
-    for name in sorted(result.transformed.arrays):
-        digests[f"payload:{name}"] = array_fingerprint(
-            result.transformed.arrays[name]
-        )
-    return digests
 
 
 __all__ = [

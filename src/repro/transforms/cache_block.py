@@ -22,12 +22,17 @@ def cache_block_tiling(
     seed_partition: np.ndarray,
     edges: Edges,
     counter: Optional[dict] = None,
+    node_loops: Sequence[int] = (),
 ) -> TilingFunction:
     """Seed the first loop and shrink tiles through later loops.
 
     Parameters mirror :func:`repro.transforms.fst.full_sparse_tiling`
-    except the seed is always loop 0.  Returns a :class:`TilingFunction`
-    whose last tile id is the remainder tile.
+    except the seed is always loop 0.  ``node_loops`` are the kernel's
+    node loops: iteration ``n`` of one is also a predecessor of
+    iteration ``n`` of the next (:func:`~repro.transforms.fst.node_loop_edges`,
+    read directly, charged no touches), so a node no interaction touches
+    stays in its earlier node loop's tile instead of tile 0.  Returns a
+    :class:`TilingFunction` whose last tile id is the remainder tile.
     """
     num_loops = len(loop_sizes)
     seed_partition = np.asarray(seed_partition, dtype=np.int64)
@@ -53,6 +58,10 @@ def cache_block_tiling(
             touches += 2 * len(dst)
             np.minimum.at(lo, dst, pred_tiles)
             np.maximum.at(hi, dst, pred_tiles)
+        for la, lb in zip(node_loops, node_loops[1:]):
+            if lb == l:
+                np.minimum(lo, tiles[la], out=lo)
+                np.maximum(hi, tiles[la], out=hi)
         agreed = np.where(lo == hi, lo, remainder)
         agreed[hi == -1] = 0  # unconstrained iterations: first tile
         tiles.append(agreed.astype(np.int64))

@@ -203,17 +203,39 @@ def full_sparse_tiling(
     return TilingFunction([t for t in tiles], num_tiles)
 
 
+def node_loop_edges(size: int, node_loops: Sequence[int]) -> Edges:
+    """``tiles[la][n] <= tiles[lb][n]`` for each pair of consecutive
+    ``node_loops`` (loops over one space of ``size`` iterations; by
+    transitivity, every pair): a later node loop's iteration ``n``
+    writes what an earlier one's read (moldyn's ``d(S1->S4:vx)``,
+    ``Li(n)`` reads ``vx[n]`` before ``Lk(n)`` writes it).
+
+    Check-only: no inspector traverses these edge sets.  Through a node
+    that some interaction touches they follow from the interaction edges;
+    for an untouched node nothing else constrains the pair.  Both sides
+    are the shared :func:`loop_iterations`, so checking them gathers
+    nothing."""
+    iterations = loop_iterations(size)
+    return {
+        (la, lb): ((iterations, iterations),)
+        for la, lb in zip(node_loops, node_loops[1:])
+    }
+
+
 def check_tiling(
     tiling: TilingFunction,
     loop_sizes: Sequence[int],
     edges: Edges,
     stage: str,
+    node_loops: Sequence[int] = (),
 ) -> None:
     """Shape, tile range and ``tiles[la][src] <= tiles[lb][dst]`` over
     edges that point forward in Figure 14's order (``la < lb``, or
     ``la == lb`` and ``src < dst``): every sparse tiling's legality.
-    Raises :class:`~repro.errors.InspectorFault` naming ``stage`` and
-    the first offending positions, counted across a pair's edge sets.
+    ``node_loops`` adds the check-only :func:`node_loop_edges`, after
+    ``edges``.  Raises :class:`~repro.errors.InspectorFault` naming
+    ``stage`` and the first offending positions, counted across a pair's
+    edge sets.
     """
     if len(tiling.tiles) != len(loop_sizes):
         raise InspectorFault(
@@ -240,7 +262,11 @@ def check_tiling(
                 stage=stage,
                 indices=positions,
             )
-    for (la, lb), edge_sets in edges.items():
+    checked = list(edges.items())
+    if node_loops:
+        size = loop_sizes[node_loops[0]]
+        checked += node_loop_edges(size, node_loops).items()
+    for (la, lb), edge_sets in checked:
         violated = [
             _tiles_at(tiling.tiles[la], src) > _tiles_at(tiling.tiles[lb], dst)
             for src, dst in edge_sets

@@ -10,7 +10,8 @@ set.  Two layers pin that:
 * a Hypothesis property: on random small instances and random tilings
   the guard passes exactly when the concatenated-edge oracle
   (:func:`tests.transforms.tiling_oracle.verify_tiling`) over
-  :func:`dependence_edges` does.
+  :func:`dependence_edges` and the check-only node-loop pair
+  (:func:`~repro.transforms.fst.node_loop_edges`) does.
 
 The stage loop guards a stage that assigns a tiling, once: the
 renumbering inside ``apply_data_reordering`` /
@@ -39,7 +40,7 @@ from repro.runtime.inspector import (
     validate_tiling,
 )
 from repro.transforms.base import ReorderingFunction, identity_reordering
-from repro.transforms.fst import TilingFunction
+from repro.transforms.fst import TilingFunction, node_loop_edges
 from tests.transforms.tiling_oracle import verify_tiling
 
 from .conftest import tiny_dataset
@@ -108,6 +109,15 @@ def test_fault_report_is_pinned(dataset, kernel, fault):
     assert (str(info.value), info.value.indices) == expected
 
 
+def every_dependence(data):
+    """The edge sets the guard checks: the inspectors' and the node-loop
+    pair that holds for a node no interaction touches."""
+    return {
+        **dependence_edges(data),
+        **node_loop_edges(data.num_nodes, data.node_loop_positions()),
+    }
+
+
 @st.composite
 def tiled_instances(draw):
     kernel = draw(st.sampled_from(["moldyn", "nbf", "irreg"]))
@@ -147,7 +157,7 @@ def tiled_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_guard_verdict_equals_verify_tiling(instance):
     data, tiling = instance
-    legal = verify_tiling(tiling, dependence_edges(data))
+    legal = verify_tiling(tiling, every_dependence(data))
     state = SimpleNamespace(data=data, tiling=tiling)
     if legal:
         validate_tiling(state, "0:fst")
@@ -161,7 +171,7 @@ def test_guard_verdict_equals_verify_tiling(instance):
 
 
 def _legal(data, tiling):
-    return verify_tiling(tiling, dependence_edges(data))
+    return verify_tiling(tiling, every_dependence(data))
 
 
 @given(tiled_instances(), st.lists(st.booleans(), min_size=1, max_size=4), st.data())

@@ -363,6 +363,34 @@ class TestDrainFleet:
         fleet.drain(deadline_s=2.0)
         assert not fleet.health()["ok"]
 
+    def test_health_returns_after_a_worker_is_sigkilled(self, tmp_path):
+        """Regression: ``drain``/``close`` SIGKILL workers, and a worker
+        killed while holding a locked heartbeat cell left every later
+        read of it in the parent (``health()``, the liveness monitor)
+        blocked forever.  The cell has no lock to hold; reads after a
+        kill return within a bound."""
+        fleet = FleetService(fleet_config(tmp_path, shards=1)).start()
+        try:
+            handle = fleet.supervisor.handles[0]
+            assert not hasattr(handle.heartbeat, "get_lock")
+            fleet.bind(make_request())
+            handle.process.kill()
+            handle.process.join(timeout=5.0)
+            outcome = {}
+
+            def read():
+                outcome["health"] = fleet.health()
+                outcome["age"] = handle.heartbeat_age()
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            reader.join(timeout=5.0)
+            assert not reader.is_alive(), "a heartbeat read blocked"
+            assert isinstance(outcome["health"], dict)
+            assert outcome["age"] is not None and outcome["age"] >= 0.0
+        finally:
+            fleet.stop(drain=False)
+
 
 class TestAccountingInvariantProperty:
     @settings(
