@@ -5,15 +5,15 @@ a *phase table plus its driver*, the C analogue of
 :mod:`repro.lowering.schedule`'s Python side.  (An untiled executor is
 this unit under the trivial schedule — one tile, every loop in range
 form — not another unit; see :mod:`repro.lowering.executor`.)  Per
-kernel loop its phase bodies — node ``apply``, interaction ``gather`` +
-``commit`` — are rendered exactly once, as functions of ``(context,
-tile)``; a program that still holds a scalar loop is refused before any
-source is written (:func:`~repro.lowering.ir.require_batched`).  The
-*tile loop* over them is :func:`~repro.lowering.schedule.tile_walk`
-in C: per tile in ascending id, per loop, each phase of the tile — the
-gather, then every commit pass.  ``run_tiled`` takes, after the operands
-(data arrays, ``left``, ``right``, ``num_nodes``, ``num_inter``,
-``num_steps``),
+kernel loop its phase body — node ``apply``, interaction ``inters`` (the
+gather fused into the first commit pass, then the other commit passes)
+— is rendered exactly once, as a function of ``(context, tile)``; a
+program that still holds a scalar loop, or whose payload reads an array
+its commits write, is refused before any source is written.  The *tile
+loop* over them is :func:`~repro.lowering.schedule.tile_walk` in C: per
+tile in ascending id, each loop's phase in program order.
+``run_tiled`` takes, after the operands (data arrays, ``left``,
+``right``, ``num_nodes``, ``num_inter``, ``num_steps``),
 
 - per loop ``p`` the marshalled tile schedule (``iters_p``
   concatenated iterations + ``off_p`` tile offsets, ``num_tiles + 1``
@@ -32,10 +32,16 @@ operation sequence* ``numpy`` performs, not from tolerances:
 * a vectorized node update ``x += e`` is per-element
   ``x[i] = x[i] + e[i]`` in index order;
 * ``np.add.at(a, idx, g)`` is per-element ``a[idx[j]] += g[j]`` in
-  ``j`` order, one full pass per commit — which is exactly what the
-  fissioned gather/commit phases below do (payload materialized into
-  ``scratch`` at the global CSR position first, then one commit pass
-  per statement).
+  ``j`` order, one full pass per commit.  The first pass also gathers:
+  per iteration it evaluates the payload once, stores it into
+  ``scratch`` at the global CSR position and adds it into the first
+  commit's array; every later commit pass reads ``scratch``.  Sharing
+  the pass moves only the payload's loads, and the payload reads no
+  array a commit writes (checked before emission), so each reduced
+  array still receives the same additions in the same ``j`` order.
+  The second commit is not fused too: a node that is both a ``left``
+  and a ``right`` endpoint would then receive the two commits'
+  additions interleaved, not array by array.
 
 Float constants are emitted with Python ``repr`` (shortest round-trip
 decimal); C's correctly-rounded parse recovers the identical binary64.
@@ -48,6 +54,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.codegen.emit import SourceWriter
+from repro.errors import LegalityError
 from repro.lowering.ir import (
     BinOp,
     Const,
@@ -56,13 +63,16 @@ from repro.lowering.ir import (
     LoopIR,
     Neg,
     Program,
+    expr_loads,
     require_batched,
 )
 
 #: Bumped whenever emitted code changes shape; part of the artifact key.
 #: c-5: one loop order — tiles in ascending id — behind ``run_tiled``;
 #: no tile-grouping parameters (a stale ``c-4`` object has another ABI).
-EMITTER_VERSION = "c-5"
+#: c-6: the gather shares the first commit's pass (same ABI, one pass
+#: fewer per interaction loop).
+EMITTER_VERSION = "c-6"
 
 #: Appended to the artifact key when the sanitizer guard is emitted, so
 #: guarded and unguarded shared objects never collide in the cache.
@@ -232,72 +242,102 @@ def _emit_guard_scans(w: SourceWriter, program: Program) -> None:
 _TILE_FN = "static inline __attribute__((always_inline)) void"
 
 
-def _emit_phases(w: SourceWriter, program: Program) -> List[List[str]]:
-    """The phase table in C: per kernel loop its phase bodies, each a
-    function of ``(context, tile)`` rendered once through
-    :func:`_tile_iters`.  Returns, per loop, the function names in the
-    order a tile runs them (``apply``, or ``gather`` then ``commit`` —
-    one commit function runs every commit pass of its tile)."""
-    table: List[List[str]] = []
+def _require_pure_payloads(program: Program) -> None:
+    """Refuse a fissioned loop whose payload loads an array one of its
+    commits writes, before any source is written: the fused first pass
+    evaluates the payload after earlier iterations' first-commit
+    additions, which such a payload would read.  The fission pass never
+    builds one; a hand-built program can."""
+    for loop in program.loops:
+        gc = loop.fissioned
+        if gc is None:
+            continue
+        written = {commit.array for commit in gc.commits}
+        clash = sorted(
+            {load.array for load in expr_loads(gc.payload)} & written
+        )
+        if clash:
+            raise LegalityError(
+                f"executor {program.kernel_name!r}: loop {loop.label!r}'s "
+                f"payload reads {clash}, which its commits write; the "
+                "gather cannot share a commit's pass",
+                stage="lowering",
+            )
+
+
+def _inters_bodies(
+    w: SourceWriter, loop: LoopIR
+) -> List[Callable[[str], None]]:
+    """An interaction loop's passes: the gather fused into the first
+    commit (the payload evaluated once into ``_g``, kept in ``scratch``
+    for the later passes), then one pass per further commit."""
+    ivar = loop.index_var
+    gc = loop.fissioned
+    payload = _render(gc.payload, ivar, _idx_via(ivar))
+    first, *rest = gc.commits
+
+    # The payload is keyed by the global CSR position, so one buffer
+    # holds every tile's slots.
+    def fused(k: str) -> None:
+        w.line(f"double _g = {payload};")
+        w.line(f"scratch[{k}] = _g;")
+        w.line(_commit_stmt(first, ivar, "_g"))
+
+    return [fused] + [
+        lambda k, commit=commit: w.line(
+            _commit_stmt(commit, ivar, f"scratch[{k}]")
+        )
+        for commit in rest
+    ]
+
+
+def _emit_phases(w: SourceWriter, program: Program) -> List[str]:
+    """The phase table in C: per kernel loop one phase function of
+    ``(context, tile)`` whose passes are each rendered once through
+    :func:`_tile_iters` — a node loop's ``apply``, an interaction loop's
+    ``inters`` (see :func:`_inters_bodies`).  Returns the function
+    names in loop order."""
+    table: List[str] = []
     for pos, loop in enumerate(program.loops):
         ivar = loop.index_var
         if loop.domain == "nodes":
-            phases = {"apply": [lambda k: _emit_node_body(w, loop, ivar)]}
+            phase = "apply"
+            bodies = [lambda k: _emit_node_body(w, loop, ivar)]
         else:
-            gc = loop.fissioned
-            payload = _render(gc.payload, ivar, _idx_via(ivar))
-            # The payload is keyed by the global CSR position, so one
-            # buffer holds every tile's slots.
-            phases = {
-                "gather": [lambda k: w.line(f"scratch[{k}] = {payload};")],
-                "commit": [
-                    lambda k, commit=commit: w.line(
-                        _commit_stmt(commit, ivar, f"scratch[{k}]")
-                    )
-                    for commit in gc.commits
-                ],
-            }
-        names = []
-        for phase, bodies in phases.items():
-            names.append(f"_{phase}_{pos}")
-            w.line(f"/* {loop.label} ({loop.domain}) {phase} */")
-            with w.block(
-                f"{_TILE_FN} {names[-1]}(const _ctx_t *c, int64_t _t) {{"
-            ):
-                # Local aliases so the bodies read as plain loops over the
-                # arrays.  Not every phase touches every array; the casts
-                # silence -Wunused.
-                for name in program.data_arrays:
-                    w.line(f"double *{name} = c->{name};")
-                w.line("const int64_t *left = c->left;")
-                w.line("const int64_t *right = c->right;")
-                w.line("double *scratch = c->scratch;")
-                w.line(f"const int64_t *iters{pos} = c->iters{pos};")
-                w.line(f"const int64_t *off{pos} = c->off{pos};")
-                voids = " ".join(f"(void){n};" for n in program.data_arrays)
-                w.line(f"{voids} (void)left; (void)right; (void)scratch;")
-                for body in bodies:
-                    _tile_iters(w, pos, ivar, body)
-            w.line("}")
-            w.line()
-        table.append(names)
+            phase = "inters"
+            bodies = _inters_bodies(w, loop)
+        name = f"_{phase}_{pos}"
+        w.line(f"/* {loop.label} ({loop.domain}) */")
+        with w.block(f"{_TILE_FN} {name}(const _ctx_t *c, int64_t _t) {{"):
+            # Local aliases so the bodies read as plain loops over the
+            # arrays.  Not every phase touches every array; the casts
+            # silence -Wunused.
+            for array in program.data_arrays:
+                w.line(f"double *{array} = c->{array};")
+            w.line("const int64_t *left = c->left;")
+            w.line("const int64_t *right = c->right;")
+            w.line("double *scratch = c->scratch;")
+            w.line(f"const int64_t *iters{pos} = c->iters{pos};")
+            w.line(f"const int64_t *off{pos} = c->off{pos};")
+            voids = " ".join(f"(void){n};" for n in program.data_arrays)
+            w.line(f"{voids} (void)left; (void)right; (void)scratch;")
+            for body in bodies:
+                _tile_iters(w, pos, ivar, body)
+        w.line("}")
+        w.line()
+        table.append(name)
     return table
 
 
-def _emit_step(
-    w: SourceWriter, program: Program, table: List[List[str]]
-) -> None:
-    """One time step of the tile loop: per tile in ascending id, per
-    loop, each phase of the tile — a tile's gather precedes its commit
-    passes, and its loops run in program order."""
+def _emit_step(w: SourceWriter, table: List[str]) -> None:
+    """One time step of the tile loop: per tile in ascending id, each
+    loop's phase function in program order."""
     with w.block(
         "static void _step(const _ctx_t *c, int64_t num_tiles) {"
     ):
         with w.block("for (int64_t _t = 0; _t < num_tiles; ++_t) {"):
-            for loop, names in zip(program.loops, table):
-                w.line(f"/* {loop.label} ({loop.domain}) */")
-                for name in names:
-                    w.line(f"{name}(c, _t);")
+            for name in table:
+                w.line(f"{name}(c, _t);")
         w.line("}")
     w.line("}")
 
@@ -313,9 +353,11 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     ``left``/``right``.  On the first violation it records
     (guard code, position, value, bound) in ``err`` and returns before
     any data array is touched; the compute body is unchanged, so valid
-    datasets stay bit-identical.  A program with a scalar loop is a
+    datasets stay bit-identical.  A program with a scalar loop, or with
+    a payload that reads an array its commits write, is a
     :class:`~repro.errors.LegalityError`."""
     require_batched(program)
+    _require_pure_payloads(program)
     w = SourceWriter()
     w.line(f"/* Tiled C executor for '{program.kernel_name}' "
            "(generated by repro.lowering; do not edit). */")
@@ -335,7 +377,7 @@ def emit_c_tiled(program: Program, sanitize: bool = False) -> str:
     w.line("} _ctx_t;")
     w.line()
     table = _emit_phases(w, program)
-    _emit_step(w, program, table)
+    _emit_step(w, table)
     w.line()
     params = operands + ["int64_t num_tiles", "double *scratch"]
     if sanitize:

@@ -36,6 +36,7 @@ from repro.runtime.inspector import (
 )
 from repro.runtime.planspec import load_plan_spec
 from repro.transforms import tile_wavefronts
+from repro.transforms.tile_schedule import TileSchedule
 from tests.kernels.oracle import run_oracle
 
 pytestmark = pytest.mark.compiled
@@ -101,6 +102,46 @@ def test_backends_bit_identical_property(
     for backend in COMPILED_BACKENDS:
         got = run_numeric(base.copy(), num_steps=num_steps, backend=backend)
         _assert_identical(ref, got, (kernel, backend, seed))
+
+
+@settings(
+    deadline=None,
+    max_examples=20,
+    suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+    ],
+)
+@given(
+    kernel=st.sampled_from(KERNELS),
+    num_nodes=st.integers(min_value=4, max_value=80),
+    num_inter=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_tiles=st.integers(min_value=1, max_value=6),
+    sorted_labels=st.lists(st.booleans(), min_size=3, max_size=3),
+    num_steps=st.integers(min_value=1, max_value=3),
+)
+def test_tiled_backends_bit_identical_property(
+    kernel, num_nodes, num_inter, seed, num_tiles, sorted_labels, num_steps
+):
+    """The tiled property: random per-loop tile labels make the schedule
+    (sorted labels give a loop in range form, shuffled ones index form),
+    and every tier, guarded or not, reproduces the oracle's tile run bit
+    for bit."""
+    base = _random_data(kernel, num_nodes, num_inter, seed)
+    rng = np.random.default_rng(seed)
+    labels = []
+    for extent, ascending in zip(base.loop_sizes(), sorted_labels):
+        loop_tiles = rng.integers(0, num_tiles, extent)
+        labels.append(np.sort(loop_tiles) if ascending else loop_tiles)
+    schedule = TileSchedule.from_tiling(labels, num_tiles)
+    ref = run_oracle(base.copy(), schedule, num_steps=num_steps)
+    for backend in TIERS:
+        for sanitize in (False, True):
+            got = run_numeric_wavefront(
+                base.copy(), schedule, None, num_steps=num_steps,
+                backend=backend, sanitize=sanitize,
+            )
+            _assert_identical(ref, got, (kernel, backend, sanitize, seed))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -337,6 +337,27 @@ def test_scalar_loop_is_refused_before_emission(emit, sanitize):
         emit(_scalar_program(), sanitize=sanitize)
 
 
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_c_refuses_a_payload_that_reads_a_committed_array(sanitize):
+    """The C tier fuses the gather into the first commit's pass, which is
+    legal only because the payload reads no array a commit writes.  The
+    fission pass establishes that; ``emit_c_tiled`` checks it again, so
+    a hand-built ``GatherCommit`` whose commit writes the payload's ``x``
+    is refused before any source is written."""
+    program = _rewritten("moldyn").program
+    loops = []
+    for loop in program.loops:
+        if loop.fissioned is not None:
+            gc = loop.fissioned
+            first = replace(gc.commits[0], array="x")
+            gc = replace(gc, commits=(first,) + gc.commits[1:])
+            loop = replace(loop, fissioned=gc)
+        loops.append(loop)
+    planted = replace(program, loops=tuple(loops))
+    with pytest.raises(LegalityError, match=r"'Lj'.* reads \['x'\]"):
+        emit_c.emit_c_tiled(planted, sanitize=sanitize)
+
+
 @pytest.mark.parametrize(
     "backend", ["numpy", pytest.param("c", marks=pytest.mark.skipif(
         not HAVE_CC, reason="no C toolchain"
