@@ -253,16 +253,17 @@ def delta_bind(
     if parent_entry is None:
         return fallback("parent bind is not cached", parent_epoch)
 
+    # Deriving the parent's aux (when it is not cached) and advancing it
+    # are the patch's own work, charged together before stage 0.
+    aux_counter: Dict[str, int] = {}
     parent_aux = cache.get_aux(parent_key)
     if parent_aux is None:
-        aux_counter: Dict[str, int] = {}
         parent_aux = EpochAux.from_data(parent_data, counter=aux_counter)
         # Store it back: later deltas off the same parent (retries, a
         # replayed stream) should not recompute the first-touch keys.
         cache.put_aux(parent_key, parent_aux)
 
     keep_rows, old_to_new = delta.compaction_map(parent_data.num_inter)
-    aux_counter: Dict[str, int] = {}
     try:
         child_aux, affected = parent_aux.advanced(
             delta,
@@ -284,13 +285,11 @@ def delta_bind(
         result = plan.build_inspector().run_stages(child_data, body=ctx.patch)
     except ReproError as exc:
         return fallback(f"{type(exc).__name__}: {exc}", parent_epoch)
-    # Advancing the aux is the patch's own work, charged before stage 0.
     result.overhead = {
         "delta_aux": int(aux_counter.get("touches", 0)),
         **result.overhead,
     }
     result.report.plan_name = plan.name
-    result.report.cache = "delta"
 
     # Mandatory re-verification: a patched bind is never trusted on the
     # rules' legality arguments alone.
@@ -310,6 +309,7 @@ def delta_bind(
 
     meta = _epoch_meta(parent_key, parent_epoch, delta, "patched", drift)
     memo.store(cache, child_key, result, plan.steps, extra_meta=meta)
+    result.report.cache = "delta"  # store() labelled it "stored"
     cache.put_aux(child_key, child_aux)
     stats.delta_patched += 1
     result.delta_info = {"mode": "patched", **meta}

@@ -17,7 +17,6 @@ across the tiers.
 from repro.lowering.executor import (
     DEFAULT_EXECUTOR_BACKEND,
     EXECUTOR_BACKENDS,
-    EXECUTOR_LADDER,
     CompiledExecutor,
     artifact_key,
     clear_executor_memo,
@@ -31,7 +30,6 @@ from repro.lowering.passes import LoweringRewriter
 __all__ = [
     "DEFAULT_EXECUTOR_BACKEND",
     "EXECUTOR_BACKENDS",
-    "EXECUTOR_LADDER",
     "CompiledExecutor",
     "LoweringRewriter",
     "Program",

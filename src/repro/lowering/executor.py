@@ -35,10 +35,10 @@ marshalled and fully checked on each call.
 Every tier has one driver and one loop order, the paper's Figure 14:
 tiles in ascending id, and inside a tile each loop in program order.
 
-Selection follows the shared policy of :func:`repro.backends.resolve`
-(argument > ``REPRO_EXECUTOR_BACKEND`` > default ``numpy``); asking
-for ``c`` on a machine without a toolchain degrades to ``numpy`` with a
-single :class:`~repro.backends.BackendFallbackWarning`.
+Selection is :func:`resolve_executor_backend` (argument >
+``REPRO_EXECUTOR_BACKEND`` > default ``numpy``); asking for ``c`` on a
+machine without a toolchain degrades to ``numpy`` with a single
+:class:`~repro.backends.BackendFallbackWarning` per process.
 
 Compiled artifacts (the generated ``.py`` source, the ``.c`` source,
 and the built ``.so``) are content-addressed in the plan cache's
@@ -55,11 +55,11 @@ signature and the same floating-point behavior per backend.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import hashlib
 import json
 import numbers
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,9 +79,6 @@ EXECUTOR_BACKENDS = ("auto", "numpy", "c")
 #: Default backend: needs no toolchain.
 DEFAULT_EXECUTOR_BACKEND = "numpy"
 
-#: Best-first ladder for ``auto`` resolution and unavailability walks.
-EXECUTOR_LADDER = ("c", "numpy")
-
 #: Keepalive: the deleted hand-written tier's name, which the frozen
 #: end-to-end harness still asks for; it resolves to ``numpy``.
 LIBRARY_ALIAS = "library"
@@ -95,25 +92,64 @@ def sanitize_enabled(sanitize: Optional[bool] = None) -> bool:
     return bool(sanitize)
 
 
+#: Set once this process has warned that ``c`` fell back to ``numpy``.
+_FALLBACK_WARNED = threading.Event()
+_FALLBACK_LOCK = threading.Lock()
+
+
+def reset_fallback_announcements() -> None:
+    """Forget that the fallback was already warned about (test hook)."""
+    _FALLBACK_WARNED.clear()
+
+
 def resolve_executor_backend(
     backend: Optional[str] = None, warn: bool = True
 ) -> backends.Resolution:
-    """Resolve the executor backend selector (shared policy; the ``c``
-    rung is gated on a live C toolchain, and :data:`LIBRARY_ALIAS`
-    resolves to ``numpy``)."""
-    resolution = backends.resolve(
-        backend,
-        subsystem="executor",
-        choices=EXECUTOR_BACKENDS + (LIBRARY_ALIAS,),
-        setting=backends.EXECUTOR_BACKEND,
-        default=DEFAULT_EXECUTOR_BACKEND,
-        ladder=EXECUTOR_LADDER,
-        available={"c": toolchain.have_toolchain},
-        warn=warn,
-    )
-    if resolution.backend == LIBRARY_ALIAS:
-        return dataclasses.replace(resolution, backend="numpy")
-    return resolution
+    """Resolve the executor backend selector to the backend that runs.
+
+    * precedence — the argument beats ``REPRO_EXECUTOR_BACKEND`` beats
+      ``numpy``; an absent (or ``"auto"``) argument defers to the
+      variable;
+    * ``auto`` is the best available backend, picked silently: ``c``
+      with a live C toolchain, else ``numpy``;
+    * :data:`LIBRARY_ALIAS` resolves to ``numpy``;
+    * an unknown name raises :class:`~repro.errors.ValidationError`
+      naming the choices (a typo never silently defaults);
+    * ``c`` without a toolchain falls back to ``numpy`` with one
+      :class:`~repro.backends.BackendFallbackWarning` per process
+      (none with ``warn=False``) — never an error.
+    """
+    requested, source = backend, "argument"
+    if requested in (None, "", "auto"):
+        env_value = backends.read(backends.EXECUTOR_BACKEND)
+        if env_value:
+            requested, source = env_value, "env"
+        elif requested != "auto":
+            requested, source = DEFAULT_EXECUTOR_BACKEND, "default"
+    choices = EXECUTOR_BACKENDS + (LIBRARY_ALIAS,)
+    if requested not in choices:
+        raise ValidationError(
+            f"unknown executor backend {requested!r}; choose from {choices}"
+        )
+    resolved, fallbacks = "numpy", ()
+    if requested in ("auto", "c"):
+        ok, reason = toolchain.have_toolchain()
+        if ok:
+            resolved = "c"
+        elif requested == "c":
+            fallbacks = (("c", "numpy", reason),)
+            with _FALLBACK_LOCK:
+                first = warn and not _FALLBACK_WARNED.is_set()
+                if first:
+                    _FALLBACK_WARNED.set()
+            if first:
+                warnings.warn(
+                    f"executor backend 'c' unavailable ({reason}); "
+                    "falling back to 'numpy'",
+                    backends.BackendFallbackWarning,
+                    stacklevel=2,
+                )
+    return backends.Resolution(resolved, source, requested, fallbacks)
 
 
 def artifact_key(program: Program, emitter: str) -> str:
@@ -551,13 +587,13 @@ def executor_backend_report() -> dict:
 __all__ = [
     "DEFAULT_EXECUTOR_BACKEND",
     "EXECUTOR_BACKENDS",
-    "EXECUTOR_LADDER",
     "LIBRARY_ALIAS",
     "CompiledExecutor",
     "artifact_key",
     "clear_executor_memo",
     "compile_executor",
     "executor_backend_report",
+    "reset_fallback_announcements",
     "resolve_executor_backend",
     "sanitize_enabled",
 ]

@@ -4,10 +4,13 @@ The ROADMAP's serving layer: a thread-safe front door that lets many
 concurrent clients submit bind/inspect requests (plan spec + dataset
 handle) against shared datasets.  There is **one front end**
 (:mod:`repro.service.core`: preparation, single-flight, admission,
-epochs, deadlines, responses, stats) and **two binders** — where a
-flight binds is the only thing the two services disagree about:
+epochs, deadlines, responses, stats) and **one binder class**
+(:class:`~repro.service.binder.LocalBinder`: dataset handles per epoch,
+then a bind or a delta-bind), used in three places — where a flight
+binds is the only thing the two services disagree about:
 :class:`PlanService` binds in-thread off a parked queue,
-:class:`FleetService` on supervised worker processes.  Both give
+:class:`FleetService` on supervised worker processes, each with its own
+binder, and in-thread when every shard is dark.  Both give
 
 * **single-flight coalescing** — N concurrent identical requests cost
   one inspector run (keyed by the plan cache's content fingerprint);

@@ -1,10 +1,10 @@
-"""The in-thread binder: dataset handles + one ``CompositionPlan`` bind.
+"""The one binder: dataset handles + one ``CompositionPlan`` bind.
 
-:class:`LocalBinder` is where a flight binds when it binds in this
-process: :class:`~repro.service.server.PlanService` always, and
-:class:`~repro.service.fleet.FleetService` when every shard is dark.
-:func:`result_body` is the one shape a finished bind is reported in,
-whichever process ran it.
+:class:`LocalBinder` is where every flight binds, in three places:
+:class:`~repro.service.server.PlanService`'s worker threads, each
+:class:`~repro.service.fleet.FleetService` shard process, and the
+fleet's own process when every shard is dark.  :func:`result_body` is
+the one shape a finished bind is reported in, whichever process ran it.
 """
 
 from __future__ import annotations
@@ -109,46 +109,40 @@ class LocalBinder:
             data = self._handles[handle + (epoch,)]
             return data, dataset_fingerprint(data)
 
-    def bind(self, flight) -> dict:
-        """One inspector run for one flight; returns its body and leaves
-        the live result on ``flight.result``.
+    def bind(self, request, plan, epoch: int = 0, chain=(), **provenance):
+        """One inspector run for one request; returns ``(result,
+        body)`` — the live result and its :func:`result_body`, which
+        carries ``provenance`` (a shard's id and generation).
 
-        An epoch'd flight takes the incremental delta-bind path against
+        An epoch'd bind takes the incremental delta-bind path against
         its parent epoch.  It falls back to a cold bind where that path
         is not defined: epoch 0 has no parent; the engine patches a
         *cached* parent bind, so without a cache there is nothing to
         patch; and a request that pins ``verify`` keeps the cold path
         (the patched path decides verification itself — it always
-        re-verifies).
+        re-verifies).  ``bind_ms`` times the bind alone.
         """
-        request = flight.request
-        data, _ = self.resolve(
-            flight.kernel, request.dataset, request.scale, flight.epoch,
-            flight.chain,
-        )
+        handle = (plan.kernel.name, request.dataset, int(request.scale))
+        data, _ = self.resolve(*handle, epoch, chain)
         parent = None
-        if flight.epoch and self.cache is not None and request.verify is None:
-            parent = self._parents.get(
-                (flight.kernel, request.dataset, request.scale, flight.epoch)
-            )
+        if epoch and self.cache is not None and request.verify is None:
+            parent = self._parents.get(handle + (epoch,))
         start = time.monotonic()
         if parent is not None:
             parent_data, delta = parent
-            result = flight.plan.rebind(
+            result = plan.rebind(
                 parent_data, delta, cache=self.cache,
                 num_steps=request.num_steps, child_data=data,
             )
             info = getattr(result, "delta_info", None) or {}
             self.telemetry.counter(f"delta_{info.get('mode', 'unknown')}").add()
         else:
-            result = flight.plan.bind(
+            result = plan.bind(
                 data, num_steps=request.num_steps, verify=request.verify,
                 cache=self.cache,
             )
-        flight.result = result
-        return result_body(
-            result, (time.monotonic() - start) * 1e3, epoch=flight.epoch
-        )
+        bind_ms = (time.monotonic() - start) * 1e3
+        return result, result_body(result, bind_ms, epoch=epoch, **provenance)
 
 
 __all__ = ["LocalBinder", "result_body"]

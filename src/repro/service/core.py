@@ -24,20 +24,20 @@ pipeline; exactly one stage of it is pluggable::
        ▼                    ▼
     await(deadline) <── flight resolves ──> BindResponse / typed error
 
-The two services are this class plus a binder:
+The two services are this class plus a dispatch; both bind on
+:class:`~repro.service.binder.LocalBinder`:
 
 * :class:`~repro.service.server.PlanService` parks admitted flights on a
   queue that worker threads drain, and binds in-thread against its
-  :class:`~repro.plancache.PlanCache`
-  (:class:`~repro.service.binder.LocalBinder`);
+  :class:`~repro.plancache.PlanCache`;
 * :class:`~repro.service.fleet.FleetService` has the lead caller run the
   flight, and binds on a supervised worker process picked by a
-  consistent-hash ring (breaker + retry + backoff live there); with
-  every shard dark it calls the same ``LocalBinder``.
+  consistent-hash ring (breaker + retry + backoff live there), each
+  worker on its own ``LocalBinder``; with every shard dark it calls one
+  in this process.
 
 What a binder supplies is small and named in one place: the flight
-key's dataset identity (:meth:`_dataset_identity`), whether pinned reads
-of older epochs are served (:attr:`PINNED_READS`), the admission backlog
+key's dataset identity (:meth:`_dataset_identity`), the admission backlog
 (:meth:`_backlog_locked`), the two epoch hooks, its ``stats``/``health``
 blocks, and :meth:`_bind_flight` itself.
 
@@ -131,9 +131,6 @@ class ServiceCore:
 
     #: Noun for messages and the ``stage`` of typed errors.
     NAME = "service"
-    #: Does a request pinned to an older epoch read that epoch (the
-    #: binder retains every version), or the newest one (it keeps one)?
-    PINNED_READS = False
 
     def __init__(
         self, config, telemetry: Optional[Telemetry], coalesce: bool = True
@@ -306,17 +303,15 @@ class ServiceCore:
         """(epoch to serve, stale?) for one request against one handle.
 
         ``None`` and up-to-date requests serve the newest epoch; an
-        older explicit epoch is a pinned read of the retained version
-        where the binder retains versions (:attr:`PINNED_READS`) and the
-        newest epoch where it does not; a request *ahead* of the
-        published epoch is served stale from the newest epoch when the
-        gap fits ``max_staleness`` (the degrade-to-stale twin of
-        ``on_deadline='degrade'``) and rejected past it.
+        older explicit epoch is a pinned read of that version (the
+        binder retains every epoch it materialized); a request *ahead*
+        of the published epoch is served stale from the newest epoch
+        when the gap fits ``max_staleness`` (the degrade-to-stale twin
+        of ``on_deadline='degrade'``) and rejected past it.
         """
         requested = request.epoch
         if requested is None or requested <= current:
-            pinned = self.PINNED_READS and requested is not None
-            return (requested if pinned else current), False
+            return (current if requested is None else requested), False
         gap = requested - current
         if gap <= request.max_staleness:
             return current, True

@@ -16,7 +16,7 @@ The binder (one admitted flight, run by its lead caller)::
        circuit breaker S closed/half-open? ──no──> next shard
                         │yes          (all dark: the in-thread
                         ▼               binder, in this process)
-           worker process S: PlanCache bind
+           worker process S: LocalBinder bind
            (shared DiskStore L2 — a respawned
             worker warm-starts from disk)
                         │
@@ -31,16 +31,20 @@ The binder (one admitted flight, run by its lead caller)::
 There is no parked queue: the lead caller's thread runs the flight, so
 ``queue_depth`` bounds the flights *running* and there is nothing to
 shed.  The flight key names the dataset (``dataset/scale/epoch``)
-instead of hashing it, so the parent never materializes a dataset; each
-shard keeps only the newest epoch, so a read pinned to an older one is
-served from the newest.
+instead of hashing it, so the parent never materializes a dataset.
+
+There is one binder class, used in three places: each shard binds on
+its own :class:`~repro.service.binder.LocalBinder` over its own plan
+cache, :class:`~repro.service.server.PlanService` binds on one in its
+worker threads, and when every shard is dark the flight binds on one in
+this process — accepted requests are never dropped because the fleet
+died.  So a shard keeps every epoch it materialized (a pinned read is
+exact) and binds an epoch'd flight on the delta path, as the
+single-process service does.
 
 The supervisor (:mod:`repro.service.supervisor`) restarts crashed and
 wedged workers under a per-shard restart budget; a shard past its budget
-goes *dark* (breaker latched open) and the ring routes around it.  When
-every shard is dark the flight binds on the same
-:class:`~repro.service.binder.LocalBinder` the single-process service
-uses — accepted requests are never dropped because the fleet died.
+goes *dark* (breaker latched open) and the ring routes around it.
 
 Responses carry the same SHA-256 content digests as the single-process
 service: a request recovered across a worker SIGKILL must produce
@@ -57,7 +61,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import repro.errors as errors_module
 from repro.errors import (
@@ -67,7 +71,7 @@ from repro.errors import (
     ValidationError,
     WorkerCrashError,
 )
-from repro.service.binder import LocalBinder, result_body
+from repro.service.binder import LocalBinder
 from repro.service.chaos import CacheCorruptor, ChaosPlan
 from repro.service.core import ServiceCore, _Flight, counted
 from repro.service.supervisor import (
@@ -402,12 +406,7 @@ class FleetService(ServiceCore):
             payload = {
                 "op": "bind",
                 "seq": sequence,
-                "request_id": request.request_id,
-                "spec": request.spec,
-                "dataset": request.dataset,
-                "scale": request.scale,
-                "num_steps": request.num_steps,
-                "verify": request.verify,
+                "request": request,
                 "epoch": flight.epoch,
                 # Carry the delta chain so a respawned (epoch-0) worker
                 # self-heals by replaying what it missed — no catch-up
@@ -488,7 +487,9 @@ class FleetService(ServiceCore):
             )
         self.telemetry.counter("fallback_binds").add()
         flight.tags.update(shard=None, fallback=True)
-        return self._local_binder().bind(flight)
+        return self._local_binder().bind(
+            flight.request, flight.plan, flight.epoch, flight.chain
+        )[1]
 
     # -- epochs / warmup -------------------------------------------------------
 
@@ -590,15 +591,13 @@ def _rebuild_error(body: dict) -> ReproError:
 def _fleet_worker_main(index, generation, conn, heartbeat, options):
     """One shard: heartbeat thread + serial bind loop over the pipe.
 
-    The worker's plan cache is memory-LRU over the *shared* DiskStore
-    directory (when configured) — the crash-consistent L2 that lets a
-    respawned generation warm-start instead of re-running inspectors its
-    predecessor already paid for.
+    Every op goes through the shard's one
+    :class:`~repro.service.binder.LocalBinder`, whose plan cache is
+    memory-LRU over the *shared* DiskStore directory (when configured) —
+    the crash-consistent L2 that lets a respawned generation warm-start
+    instead of re-running inspectors its predecessor already paid for.
     """
-    from repro.kernels.data import make_kernel_data
-    from repro.kernels.datasets import generate_dataset
     from repro.plancache import PlanCache
-    from repro.plancache.fingerprint import dataset_fingerprint
     from repro.runtime.planspec import plan_from_spec
     from repro.service.chaos import ChaosPlan, WorkerChaos
 
@@ -623,44 +622,11 @@ def _fleet_worker_main(index, generation, conn, heartbeat, options):
     ).start()
 
     cache_dir = options.get("cache_dir")
-    cache = (
-        PlanCache(directory=cache_dir)
-        if cache_dir
-        else PlanCache(use_disk=False)
+    binder = LocalBinder(
+        PlanCache(directory=cache_dir) if cache_dir
+        else PlanCache(use_disk=False),
+        Telemetry(),
     )
-    handles: Dict[Tuple[str, str, int], object] = {}  # epoch-0 base
-    #: (kernel, dataset, scale) -> (epoch, data): the one advanced
-    #: version this shard holds; older epochs replay from the base.
-    epoch_state: Dict[Tuple[str, str, int], Tuple[int, object]] = {}
-
-    def _handle(
-        kernel: str, dataset: str, scale: int, epoch: int = 0, chain=None
-    ):
-        key = (kernel, dataset, int(scale))
-        base = handles.get(key)
-        if base is None:
-            base = make_kernel_data(
-                kernel, generate_dataset(dataset, scale=scale)
-            )
-            handles[key] = base
-        if not epoch:
-            return base
-        current, data = epoch_state.get(key, (0, base))
-        if current == epoch:
-            return data
-        chain = chain if chain is not None else []
-        if len(chain) < epoch:
-            raise ValidationError(
-                f"epoch {epoch} requested but the dispatch carried only "
-                f"{len(chain)} delta(s)",
-                stage="fleet",
-            )
-        if current > epoch:
-            current, data = 0, base  # older pinned epoch: replay fresh
-        for delta in chain[current:epoch]:
-            data = delta.apply(data)
-        epoch_state[key] = (epoch, data)
-        return data
 
     while True:
         try:
@@ -673,19 +639,16 @@ def _fleet_worker_main(index, generation, conn, heartbeat, options):
         op = message.get("op")
         try:
             if op == "preload":
-                data = _handle(
+                _, fingerprint = binder.resolve(
                     message["kernel"], message["dataset"], message["scale"]
                 )
-                reply = ("ok", {"fingerprint": dataset_fingerprint(data)})
+                reply = ("ok", {"fingerprint": fingerprint})
             elif op == "epoch":
                 # Cross-shard invalidation: catch this shard up to the
                 # published epoch by replaying the delta chain.
-                data = _handle(
-                    message["kernel"],
-                    message["dataset"],
-                    message["scale"],
-                    message["epoch"],
-                    message.get("chain"),
+                binder.resolve(
+                    message["kernel"], message["dataset"], message["scale"],
+                    message["epoch"], message["chain"],
                 )
                 reply = ("ok", {"epoch": message["epoch"], "shard": index})
             elif op == "ping":
@@ -693,31 +656,12 @@ def _fleet_worker_main(index, generation, conn, heartbeat, options):
             elif op == "bind":
                 if chaos is not None:
                     chaos.before_bind(sequence)
-                start = time.monotonic()
-                plan = plan_from_spec(message["spec"])
-                data = _handle(
-                    plan.kernel.name,
-                    message["dataset"],
-                    message["scale"],
-                    message.get("epoch", 0),
-                    message.get("chain"),
+                request = message["request"]
+                _, body = binder.bind(
+                    request, plan_from_spec(request.spec), message["epoch"],
+                    message["chain"], shard=index, generation=generation,
                 )
-                result = plan.bind(
-                    data,
-                    num_steps=message["num_steps"],
-                    verify=message["verify"],
-                    cache=cache,
-                )
-                reply = (
-                    "ok",
-                    result_body(
-                        result,
-                        (time.monotonic() - start) * 1e3,
-                        shard=index,
-                        generation=generation,
-                        epoch=message.get("epoch", 0),
-                    ),
-                )
+                reply = ("ok", body)
             else:
                 reply = (
                     "error",

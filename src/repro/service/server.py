@@ -116,8 +116,6 @@ class PlanService(ServiceCore):
             response = svc.bind(BindRequest(spec=spec, dataset="mol1"))
     """
 
-    PINNED_READS = True
-
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
@@ -135,7 +133,10 @@ class PlanService(ServiceCore):
     # -- the binder: in-thread, against the service's cache --------------------
 
     def _bind_flight(self, flight: _Flight) -> dict:
-        return self._local.bind(flight)
+        flight.result, body = self._local.bind(
+            flight.request, flight.plan, flight.epoch, flight.chain
+        )
+        return body
 
     def _dataset_identity(self, kernel, request, epoch, chain) -> str:
         """Content fingerprint: two handles with equal bytes coalesce."""

@@ -150,15 +150,7 @@ class ReorderingFunction:
 
     def is_permutation(self) -> bool:
         """True when the array is a bijection on [0, n)."""
-        n = len(self.array)
-        if n == 0:
-            return True
-        seen = np.zeros(n, dtype=bool)
-        inside = (self.array >= 0) & (self.array < n)
-        if not inside.all():
-            return False
-        seen[self.array] = True
-        return bool(seen.all())
+        return self.permutation_defects()[0] is None
 
     def permutation_defects(self, limit: int = 5):
         """Why the array fails to be a bijection on [0, n).

@@ -24,7 +24,11 @@ from repro.kernels import generate_dataset, make_kernel_data
 from repro.kernels.data import make_kernel_data as _mk
 from repro.kernels.datasets import Dataset
 from repro.lowering import toolchain
-from repro.lowering.executor import clear_executor_memo, compile_executor
+from repro.lowering.executor import (
+    clear_executor_memo,
+    compile_executor,
+    reset_fallback_announcements,
+)
 from repro.runtime.executor import run_numeric, run_numeric_wavefront
 from repro.runtime.inspector import (
     ComposedInspector,
@@ -267,10 +271,8 @@ def test_every_example_plan_spec_identity(spec_path, backend):
 def test_no_compiler_fallback_is_bit_identical(kernel, monkeypatch):
     """Requesting the C backend on a toolchain-less machine must run the
     numpy backend — same bits, one warning, never an error."""
-    from repro import backends as backends_mod
-
     monkeypatch.setattr(toolchain, "find_compiler", lambda: None)
-    backends_mod.reset_fallback_announcements()
+    reset_fallback_announcements()
     base = make_kernel_data(kernel, generate_dataset("mol1", scale=64))
     ref = run_oracle(base.copy(), num_steps=2)
     with warnings.catch_warnings(record=True) as caught:
@@ -282,7 +284,7 @@ def test_no_compiler_fallback_is_bit_identical(kernel, monkeypatch):
         w for w in caught if issubclass(w.category, BackendFallbackWarning)
     ]
     assert len(fallback) == 1
-    backends_mod.reset_fallback_announcements()
+    reset_fallback_announcements()
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")

@@ -222,6 +222,39 @@ class TestEpochChain:
         assert result.total_touches > 0  # touch accounting rode along
 
 
+    def test_patched_bind_is_labelled_delta(self):
+        plan = _plan()
+        cache = _cache()
+        data = tiny_data()
+        plan.bind(data, cache=cache)
+        result = plan.rebind(data, small_delta(data, seed=38), cache=cache)
+        assert result.delta_info["mode"] == "patched"
+        assert result.report.cache == "delta"
+
+    def test_cold_parent_aux_is_charged_to_delta_aux(self):
+        """Deriving the parent's aux when it is not cached costs
+        ``2 * num_inter + num_nodes`` touches, and they reach
+        ``overhead["delta_aux"]`` on top of advancing it."""
+        from repro.incremental import EpochAux
+
+        data = tiny_data()
+        delta = small_delta(data, seed=39)
+        charged = []
+        for warm in (False, True):
+            plan = _plan()
+            cache = _cache()
+            plan.bind(data, cache=cache)
+            if warm:
+                cache.put_aux(
+                    bind_fingerprint(plan, data), EpochAux.from_data(data)
+                )
+            result = plan.rebind(data, delta, cache=cache)
+            assert result.delta_info["mode"] == "patched"
+            charged.append(result.overhead["delta_aux"])
+        cold, warm = charged
+        assert cold - warm == 2 * data.num_inter + data.num_nodes
+
+
 class TestMidDeltaFailure:
     def test_snapshot_restore_roundtrip_mid_delta(self, monkeypatch):
         """A stage patch that fails mid-flight can roll the inspector

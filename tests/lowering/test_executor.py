@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import backends
 from repro.backends import BackendFallbackWarning
 from repro.errors import CacheError, LegalityError, ValidationError
 from repro.kernels import generate_dataset, make_kernel_data
@@ -24,6 +23,7 @@ from repro.lowering.executor import (
     clear_executor_memo,
     compile_executor,
     executor_backend_report,
+    reset_fallback_announcements,
     resolve_executor_backend,
 )
 from repro.lowering.ir import lower_kernel, replace
@@ -38,12 +38,12 @@ HAVE_CC = toolchain.have_toolchain()[0]
 
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch, tmp_path):
-    backends.reset_fallback_announcements()
+    reset_fallback_announcements()
     clear_executor_memo()
     monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
     monkeypatch.setenv("REPRO_PLANCACHE_DIR", str(tmp_path / "cache"))
     yield
-    backends.reset_fallback_announcements()
+    reset_fallback_announcements()
     clear_executor_memo()
 
 
@@ -108,7 +108,7 @@ class TestNoToolchainFallback:
             first = resolve_executor_backend("c")
             again = resolve_executor_backend("c")
         assert first.backend == "numpy" and again.backend == "numpy"
-        assert first.degraded
+        assert first.degraded and first.fallbacks[0][:2] == ("c", "numpy")
         fallback_warnings = [
             w for w in caught if issubclass(w.category, BackendFallbackWarning)
         ]

@@ -144,3 +144,52 @@ class TestFleetEpochs(StalenessContract, OnFleetService):
         assert stats["counters"].get("epochs_advanced", 0) == 1
         assert stats["counters"].get("stale_served", 0) == 1
         assert stats["accounting_ok"]
+
+
+class TestShardDeltaPath:
+    """A shard binds through the same ``LocalBinder`` as ``PlanService``:
+    an epoch'd bind takes the delta path, and the shard keeps every epoch
+    it materialized, so a pinned read stays exact."""
+
+    SPEC = {
+        "kernel": "moldyn",
+        "name": "shard-delta",
+        "steps": [{"type": "cpack"}, {"type": "fst", "seed_block_size": 32}],
+    }
+
+    def test_epoch_bind_on_a_shard_is_patched(self, tmp_path):
+        from repro.kernels.data import make_kernel_data
+        from repro.kernels.datasets import generate_dataset
+        from repro.runtime.planspec import plan_from_spec
+        from repro.service import result_digests
+        from repro.service.fleet import FleetConfig, FleetService
+
+        plan = plan_from_spec(dict(self.SPEC))
+        parent = make_kernel_data(
+            plan.kernel.name, generate_dataset("mol1", scale=SCALE)
+        )
+        delta = make_drift_delta(
+            parent, edge_rate=0.02, move_rate=0.02, seed=1
+        )
+        truths = [
+            result_digests(plan_from_spec(dict(self.SPEC)).bind(data))
+            for data in (parent, delta.apply(parent))
+        ]
+        config = FleetConfig(
+            shards=1, queue_depth=4, cache_dir=str(tmp_path / "fleet")
+        )
+        with FleetService(config) as fleet:
+            first = fleet.bind(make_request(self.SPEC, epoch=0))
+            assert first.status == "ok", first.error
+            assert first.fingerprints == truths[0]
+            assert fleet.advance_epoch("moldyn", "mol1", SCALE, delta) == 1
+
+            child = fleet.bind(make_request(self.SPEC, epoch=1))
+            assert child.status == "ok", child.error
+            assert child.cache == "delta"
+            assert child.fingerprints == truths[1]
+
+            pinned = fleet.bind(make_request(self.SPEC, epoch=0))
+            assert pinned.status == "ok", pinned.error
+            assert pinned.epoch == 0 and not pinned.stale
+            assert pinned.fingerprints == truths[0]

@@ -1,116 +1,57 @@
-"""The settings table and the shared backend-resolution policy."""
+"""The settings table, and the executor-selection rules that
+``tests/lowering/test_executor.py::TestResolution`` /
+``TestNoToolchainFallback`` do not already check."""
 
 import warnings
 
 import pytest
 
 from repro import backends
-from repro.backends import BackendFallbackWarning, Setting, resolve
+from repro.backends import BackendFallbackWarning, Setting
 from repro.errors import ValidationError
+from repro.lowering import toolchain
+from repro.lowering.executor import (
+    reset_fallback_announcements,
+    resolve_executor_backend,
+)
 
 DEMO = Setting("REPRO_DEMO_BACKEND", str, None, "demo selector")
 
 
 @pytest.fixture(autouse=True)
 def _fresh_announcements():
-    backends.reset_fallback_announcements()
+    reset_fallback_announcements()
     yield
-    backends.reset_fallback_announcements()
-
-
-def _resolve(requested=None, env=None, monkeypatch=None, **kw):
-    kw.setdefault("subsystem", "demo")
-    kw.setdefault("choices", ("auto", "fast", "slow"))
-    kw.setdefault("setting", DEMO)
-    kw.setdefault("default", "slow")
-    kw.setdefault("ladder", ("fast", "slow"))
-    if monkeypatch is not None:
-        if env is None:
-            monkeypatch.delenv("REPRO_DEMO_BACKEND", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_DEMO_BACKEND", env)
-    return resolve(requested, **kw)
+    reset_fallback_announcements()
 
 
 class TestPrecedence:
     def test_argument_beats_env(self, monkeypatch):
-        res = _resolve("fast", env="slow", monkeypatch=monkeypatch)
-        assert res.backend == "fast" and res.source == "argument"
-
-    def test_env_beats_default(self, monkeypatch):
-        res = _resolve(None, env="fast", monkeypatch=monkeypatch)
-        assert res.backend == "fast" and res.source == "env"
-
-    def test_default_when_nothing_set(self, monkeypatch):
-        res = _resolve(None, monkeypatch=monkeypatch)
-        assert res.backend == "slow" and res.source == "default"
+        monkeypatch.setenv(backends.EXECUTOR_BACKEND.name, "c")
+        res = resolve_executor_backend("numpy")
+        assert res.backend == "numpy" and res.source == "argument"
 
     def test_explicit_auto_defers_to_env(self, monkeypatch):
-        res = _resolve("auto", env="slow", monkeypatch=monkeypatch)
-        assert res.backend == "slow" and res.source == "env"
-
-    def test_auto_resolves_to_best_available(self, monkeypatch):
-        res = _resolve("auto", monkeypatch=monkeypatch, default="auto")
-        assert res.backend == "fast"
-
-    def test_unknown_name_raises(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown demo backend"):
-            _resolve("warp", monkeypatch=monkeypatch)
+        monkeypatch.setenv(backends.EXECUTOR_BACKEND.name, "numpy")
+        res = resolve_executor_backend("auto")
+        assert res.backend == "numpy" and res.source == "env"
 
     def test_unknown_env_value_raises(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown demo backend"):
-            _resolve(None, env="warp", monkeypatch=monkeypatch)
+        monkeypatch.setenv(backends.EXECUTOR_BACKEND.name, "warp")
+        with pytest.raises(ValidationError, match="unknown executor backend"):
+            resolve_executor_backend()
 
 
 class TestFallback:
-    def _probe_down(self):
-        return {"fast": lambda: (False, "no turbo fan")}
-
-    def test_unavailable_backend_walks_the_ladder(self, monkeypatch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = _resolve(
-                "fast", monkeypatch=monkeypatch, available=self._probe_down()
-            )
-        assert res.backend == "slow"
-        assert res.degraded
-        assert res.fallbacks == (("fast", "slow", "no turbo fan"),)
-        assert [w.category for w in caught] == [BackendFallbackWarning]
-        assert "no turbo fan" in str(caught[0].message)
-
-    def test_fallback_warns_exactly_once_per_process(self, monkeypatch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                _resolve(
-                    "fast",
-                    monkeypatch=monkeypatch,
-                    available=self._probe_down(),
-                )
-        assert len(caught) == 1
-
-    def test_auto_skips_unavailable_rungs_silently(self, monkeypatch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = _resolve(
-                "auto",
-                monkeypatch=monkeypatch,
-                default="auto",
-                available=self._probe_down(),
-            )
-        assert res.backend == "slow"
-        assert not res.degraded and not caught
-
     def test_warn_false_suppresses_the_warning(self, monkeypatch):
+        monkeypatch.setattr(toolchain, "find_compiler", lambda: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = _resolve(
-                "fast",
-                monkeypatch=monkeypatch,
-                available=self._probe_down(),
-                warn=False,
-            )
-        assert res.backend == "slow" and not caught
+            res = resolve_executor_backend("c", warn=False)
+        assert res.backend == "numpy" and res.degraded
+        assert not [
+            w for w in caught if issubclass(w.category, BackendFallbackWarning)
+        ]
 
 
 class TestSettings:
