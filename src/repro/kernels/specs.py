@@ -27,6 +27,8 @@ carries the per-array share, and a record's bytes are their sum.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.presburger.terms import AffineExpr, var
 from repro.uniform.kernel import (
     DataArraySpec,
@@ -188,15 +190,26 @@ _BUILDERS = {
 KERNEL_NAMES = tuple(_BUILDERS)
 
 
+#: The one built kernel of each name, built on first request.
+_KERNELS: Dict[str, Kernel] = {}
+
+
 def kernel_by_name(name: str) -> Kernel:
-    """Build a benchmark kernel IR by name ('moldyn', 'nbf', 'irreg')."""
+    """The benchmark kernel IR named ``name`` ('moldyn', 'nbf', 'irreg').
+
+    One immutable :class:`~repro.uniform.kernel.Kernel` per name: the IR
+    is built on the first request and every later one shares it."""
     from repro.errors import BindError
 
+    kernel = _KERNELS.get(name)
+    if kernel is not None:
+        return kernel
     try:
-        return _BUILDERS[name]()
+        builder = _BUILDERS[name]
     except KeyError:
         raise BindError(
             f"unknown kernel {name!r}",
             stage="kernel_by_name",
             hint=f"choose from {sorted(_BUILDERS)}",
         ) from None
+    return _KERNELS.setdefault(name, builder())

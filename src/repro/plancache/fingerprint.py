@@ -163,12 +163,13 @@ def dataset_fingerprint(data, include_payload: bool = False) -> str:
     on payload), not by the inspector cache (inspectors do not).
 
     Each digest is a derived fact of the instance
-    (:meth:`~repro.kernels.data.KernelData.derived`): a delta-bind hashes
-    the same multi-megabyte index arrays for the bind key and again for
-    the verification memo key, and a served handle is hashed on every
-    request, but each instance is hashed once.  Deriving it freezes the
-    instance's arrays, so an in-place write raises instead of leaving a
-    stale digest behind.
+    (:meth:`~repro.kernels.data.KernelData.derived`): a served handle is
+    hashed on every request, but each instance is hashed once.  Both
+    digests continue one derived hash state over everything but the
+    payload (:func:`_structure_hash`), so a delta-bind's verification
+    memo key does not hash again the multi-megabyte index arrays its
+    bind key hashed.  Deriving a digest freezes the instance's arrays,
+    so an in-place write raises instead of leaving a stale digest behind.
     """
     return data.derived(
         ("fingerprint", include_payload),
@@ -177,6 +178,18 @@ def dataset_fingerprint(data, include_payload: bool = False) -> str:
 
 
 def _dataset_digest(data, include_payload: bool) -> str:
+    h = data.derived("structure-hash", lambda: _structure_hash(data)).copy()
+    for name in sorted(data.arrays):
+        _update(h, "payload-name", name)
+        if include_payload:
+            _update(h, data.arrays[name])
+    return h.hexdigest()
+
+
+def _structure_hash(data) -> "hashlib._Hash":
+    """The hash state after the extents, loop structure, record layout
+    and index arrays: the common prefix of both dataset digests, which
+    each continues on a copy."""
     h = _hasher()
     _update(
         h,
@@ -188,11 +201,7 @@ def _dataset_digest(data, include_payload: bool) -> str:
     for loop in data.loops:
         _update(h, "loop", loop.label, loop.domain)
     _update(h, "left", data.left, "right", data.right)
-    for name in sorted(data.arrays):
-        _update(h, "payload-name", name)
-        if include_payload:
-            _update(h, data.arrays[name])
-    return h.hexdigest()
+    return h
 
 
 def step_fingerprint(step) -> str:
@@ -214,11 +223,14 @@ def step_fingerprint(step) -> str:
     return h.hexdigest()
 
 
-def inspector_fingerprint(steps, remap: str, on_stage_failure: str) -> str:
-    """Digest of a composed inspector: steps + policies + code salt."""
+def inspector_fingerprint(
+    steps, remap: str, on_stage_failure: str, salt: Optional[str] = None
+) -> str:
+    """Digest of a composed inspector: steps + policies + code salt
+    (``salt``, when the caller already read :func:`code_version_salt`)."""
     h = _hasher()
     _update(h, "remap", remap, "on_stage_failure", on_stage_failure)
-    _update(h, "salt", code_version_salt())
+    _update(h, "salt", code_version_salt() if salt is None else salt)
     for step in steps:
         _update(h, step_fingerprint(step))
     return h.hexdigest()
@@ -251,12 +263,21 @@ def stage_fingerprints(
 
 
 def plan_fingerprint(plan) -> str:
-    """Digest of a :class:`~repro.runtime.plan.CompositionPlan`."""
+    """Digest of a :class:`~repro.runtime.plan.CompositionPlan`,
+    memoised on the plan per code-version salt
+    (:meth:`~repro.runtime.plan.CompositionPlan.fingerprint`)."""
+    return plan.fingerprint()
+
+
+def plan_digest(plan, salt: str) -> str:
+    """Hash ``plan``'s kernel, steps and policies under ``salt``."""
     h = _hasher()
     _update(h, "kernel", plan.kernel.name)
     _update(
         h,
-        inspector_fingerprint(plan.steps, plan.remap, plan.on_stage_failure),
+        inspector_fingerprint(
+            plan.steps, plan.remap, plan.on_stage_failure, salt
+        ),
     )
     return h.hexdigest()
 
@@ -296,6 +317,7 @@ __all__ = [
     "index_digests",
     "inspector_fingerprint",
     "payload_digests",
+    "plan_digest",
     "plan_fingerprint",
     "stage_fingerprints",
     "step_fingerprint",

@@ -34,8 +34,9 @@ reorderings' stage functions (``sf__lg1``, ...) through
 the verifiers read the other stage functions (``cp0``, ``theta2``, ...):
 a hit ran no stage, so its ``stage_functions`` is ``None``.  Each array
 is stored at the narrowest signed integer width that holds its values
-and widened back to ``int64`` on rehydration.  The
-:class:`~repro.runtime.report.PipelineReport` rides in the JSON metadata.
+and widened back to ``int64`` when the hit's executor state is built.
+The :class:`~repro.runtime.report.PipelineReport` rides in the JSON
+metadata.
 
 One codec rule holds for both entry kinds: every array is frozen
 (:func:`_frozen`: narrowed, never sharing memory with the result it came
@@ -49,6 +50,15 @@ so a cached plan binds correctly to any payload values over the same
 index arrays — and the rehydrated executor state is bit-identical to
 what the cold inspectors would have produced.
 
+A hit builds that executor state — ``transformed`` (the widened
+``left``/``right`` and the gathered payload) and ``tiling`` (the widened
+``tile__*``) — on the result's first read of either, once, under the
+result's lock (:class:`~repro.runtime.inspector.InspectorResult`).  A
+response reads only digests, the report and ``overhead``, so a repeated
+hit that nothing executes copies no array.  Every check still runs
+before the hit answers; ``tests/plancache/test_lazy_hit_guard.py``
+holds the widening and the gather inside the builder.
+
 A hit's response digests (``InspectorResult.digests``, the names of
 ``service.result_digests``) are facts, derived once and never hashed
 per request: the ``left``/``right``/``sigma`` digests, over the widened
@@ -57,12 +67,16 @@ per request: the ``left``/``right``/``sigma`` digests, over the widened
 are a fact of the live dataset under the entry's ``sigma``
 (``KernelData.derived(("served-payload-digests", <sigma digest>))``).
 Neither is persisted: not in the metadata, not on disk, so an entry
-loaded from disk derives its own.  A cold or patched bind has no such
-facts; its ``digests`` is ``None`` and its response hashes its arrays.
+loaded from disk derives its own.  The hit that first derives one builds
+the executor state to hash it; later hits build nothing.  A cold or
+patched bind has no such facts; its ``digests`` is ``None`` and its
+response hashes its arrays.
 
-Safety: rehydration re-checks shape agreement against the live dataset
-and re-validates ``sigma`` as a permutation; any inconsistency demotes
-the entry to a *safe miss* (inspectors re-run), never a wrong reuse.
+Safety: rehydration checks, eagerly and before any read, the entry's
+kernel and extents against the live dataset, ``sigma``'s length and that
+it is a permutation, and the lengths of the stored ``left``/``right``
+and ``tile__*``; any inconsistency demotes the entry to a *safe miss*
+(inspectors re-run), never a wrong reuse.
 """
 
 from __future__ import annotations
@@ -159,8 +173,12 @@ def result_to_entry(result, steps) -> CacheEntry:
 def entry_to_result(entry: CacheEntry, data: KernelData):
     """Rehydrate a cached plan against the *live* dataset payload.
 
+    Every check runs here, before the hit answers: the entry's kernel
+    and extents against the live dataset, ``sigma`` as a permutation of
+    the node space, and the lengths of the stored index and tile arrays.
     Raises on any inconsistency (the caller treats that as a corrupt
-    entry and falls back to a cold run).
+    entry and falls back to a cold run).  The executor state is built
+    by the nested ``executor_state`` on the result's first read of it.
     """
     from repro.runtime.inspector import InspectorResult
 
@@ -177,32 +195,42 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
         raise ValueError("cached sigma length mismatch")
     sigma.require_permutation(stage="plancache")
 
-    left = entry.arrays["left"].astype(np.int64, copy=True)
-    right = entry.arrays["right"].astype(np.int64, copy=True)
-    if len(left) != data.num_inter or len(right) != data.num_inter:
+    arrays = entry.arrays
+    if (
+        len(arrays["left"]) != data.num_inter
+        or len(arrays["right"]) != data.num_inter
+    ):
         raise ValueError("cached index-array length mismatch")
+    num_tiles = meta["num_tiles"]
+    tile_keys = [f"tile__{loop}" for loop in range(len(data.loops))]
+    if num_tiles is not None and [
+        len(arrays[key]) for key in tile_keys
+    ] != data.loop_sizes():
+        raise ValueError("cached tiling length mismatch")
 
-    transformed = KernelData(
-        kernel_name=meta["kernel_name"],
-        dataset_name=meta["dataset_name"],
-        num_nodes=data.num_nodes,
-        left=left,
-        right=right,
-        # Replay the total data reordering on the *live* payload — the
-        # composed inspectors' payload moves collapse to one gather.
-        arrays={
-            name: sigma.apply_to_data(array)
-            for name, array in data.arrays.items()
-        },
-    )
-
-    tiling = None
-    if meta["num_tiles"] is not None:
-        tiles = [
-            entry.arrays[f"tile__{loop}"].astype(np.int64, copy=True)
-            for loop in range(len(transformed.loops))
-        ]
-        tiling = TilingFunction(tiles, int(meta["num_tiles"]))
+    def executor_state():
+        """The transformed dataset and tiling, in ``int64`` arrays of the
+        result's own: the stored arrays widened, and the total data
+        reordering replayed on the *live* payload — the composed
+        inspectors' payload moves collapse to one gather per array."""
+        transformed = KernelData(
+            kernel_name=meta["kernel_name"],
+            dataset_name=meta["dataset_name"],
+            num_nodes=data.num_nodes,
+            left=arrays["left"].astype(np.int64),
+            right=arrays["right"].astype(np.int64),
+            arrays={
+                name: sigma.apply_to_data(array)
+                for name, array in data.arrays.items()
+            },
+        )
+        tiling = None
+        if num_tiles is not None:
+            tiling = TilingFunction(
+                [arrays[key].astype(np.int64) for key in tile_keys],
+                int(num_tiles),
+            )
+        return transformed, tiling
 
     report = (
         PipelineReport.from_dict(meta["report"])
@@ -215,23 +243,28 @@ def entry_to_result(entry: CacheEntry, data: KernelData):
             stage.elapsed_s = 0.0  # nothing ran on this bind
             stage.replayed = False
 
-    # The served state's digests are facts: the index part of the entry,
-    # the payload part of the live dataset under this sigma.
-    index = entry.digests(lambda: index_digests(left, right, sigma.array))
-    payload = data.derived(
-        ("served-payload-digests", index["sigma"]),
-        lambda: payload_digests(transformed.arrays),
-    )
-    return InspectorResult(
-        transformed=transformed,
+    result = InspectorResult(
         sigma_nodes=sigma,
-        tiling=tiling,
         overhead=dict(meta["overhead"]),
         data_moves=int(meta["data_moves"]),
         stage_functions=None,  # nothing ran on this bind
         report=report,
-        digests={**index, **payload},
+        executor_state=executor_state,
     )
+    # The served state's digests are facts: the index part of the entry,
+    # the payload part of the live dataset under this sigma.  Only the
+    # hit that first derives one reads the executor state for it.
+    index = entry.digests(
+        lambda: index_digests(
+            result.transformed.left, result.transformed.right, sigma.array
+        )
+    )
+    payload = data.derived(
+        ("served-payload-digests", index["sigma"]),
+        lambda: payload_digests(result.transformed.arrays),
+    )
+    result.digests = {**index, **payload}
+    return result
 
 
 # ---------------------------------------------------------------------------

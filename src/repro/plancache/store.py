@@ -113,9 +113,9 @@ class CacheEntry:
 
     def digests(self, compute: Callable[[], Dict[str, str]]) -> Dict[str, str]:
         """The digests of what a hit serves from this entry, computed by
-        ``compute`` at most once.  ``compute`` reads nothing but the
-        entry's arrays, so two threads that derive them at once may both
-        compute, and either result is the fact."""
+        ``compute`` at most once.  ``compute`` hashes what the entry's
+        arrays alone determine, so two threads that derive them at once
+        may both compute, and either result is the fact."""
         if self._digests is None:
             self._digests = compute()
         return self._digests

@@ -36,6 +36,7 @@ The steps themselves are defined once, in the step table
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -296,27 +297,86 @@ class InspectorState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InspectorResult:
-    """Everything the composed inspector produced."""
+#: Builds a plan-cache hit's executor state: ``(transformed, tiling)``.
+ExecutorStateBuilder = Callable[[], Tuple[KernelData, Optional[TilingFunction]]]
 
-    transformed: KernelData
-    #: The total node data reordering, which is also every node loop's
-    #: iteration reordering.  The interaction loop's is the composition
-    #: of the iteration reorderings' stage functions.
-    sigma_nodes: ReorderingFunction
-    tiling: Optional[TilingFunction]
-    overhead: Dict[str, int]
-    data_moves: int
-    #: Per-stage reordering functions keyed by symbolic UFS name;
-    #: ``None`` on a plan-cache hit, where no stage ran.
-    stage_functions: Optional[Dict[str, object]]
-    #: Per-stage status/timings/fallbacks of the run that produced this.
-    report: Optional[PipelineReport] = None
-    #: The executor state's content digests as bound (the names of
-    #: ``service.result_digests``), when they are facts the bind already
-    #: held: set on a plan-cache hit, ``None`` on a cold or patched run.
-    digests: Optional[Dict[str, str]] = None
+
+class InspectorResult:
+    """Everything the composed inspector produced.
+
+    The *executor state* is :attr:`transformed` (the reordered index
+    arrays and payload) and :attr:`tiling`: what an executor runs on.  A
+    cold or patched run holds it and hands it over.  A plan-cache hit
+    holds the checked entry instead, and ``executor_state`` builds both
+    on the first read of either (or of :attr:`plan`), once, under a
+    lock: a bind whose response reads only :attr:`digests`,
+    :attr:`report` and :attr:`overhead` builds neither.  Both attributes
+    stay assignable.
+    """
+
+    def __init__(
+        self,
+        *,
+        sigma_nodes: ReorderingFunction,
+        overhead: Dict[str, int],
+        data_moves: int,
+        stage_functions: Optional[Dict[str, object]],
+        transformed: Optional[KernelData] = None,
+        tiling: Optional[TilingFunction] = None,
+        report: Optional[PipelineReport] = None,
+        digests: Optional[Dict[str, str]] = None,
+        executor_state: Optional[ExecutorStateBuilder] = None,
+    ):
+        #: The total node data reordering, which is also every node
+        #: loop's iteration reordering.  The interaction loop's is the
+        #: composition of the iteration reorderings' stage functions.
+        self.sigma_nodes = sigma_nodes
+        self.overhead = overhead
+        self.data_moves = data_moves
+        #: Per-stage reordering functions keyed by symbolic UFS name;
+        #: ``None`` on a plan-cache hit, where no stage ran.
+        self.stage_functions = stage_functions
+        #: Per-stage status/timings/fallbacks of the run that produced this.
+        self.report = report
+        #: The executor state's content digests as bound (the names of
+        #: ``service.result_digests``), when they are facts the bind
+        #: already held: set on a plan-cache hit, ``None`` on a cold or
+        #: patched run.
+        self.digests = digests
+        self._transformed = transformed
+        self._tiling = tiling
+        self._executor_state = executor_state
+        self._lock = threading.Lock() if executor_state is not None else None
+
+    def _materialize(self) -> None:
+        """Build a hit's executor state if no read has yet."""
+        if self._executor_state is not None:
+            with self._lock:
+                if self._executor_state is not None:
+                    self._transformed, self._tiling = self._executor_state()
+                    self._executor_state = None
+
+    @property
+    def transformed(self) -> KernelData:
+        """The transformed index arrays and reordered payload."""
+        self._materialize()
+        return self._transformed
+
+    @transformed.setter
+    def transformed(self, value: KernelData) -> None:
+        self._materialize()
+        self._transformed = value
+
+    @property
+    def tiling(self) -> Optional[TilingFunction]:
+        """The tiling function, or ``None`` when no stage tiled."""
+        self._materialize()
+        return self._tiling
+
+    @tiling.setter
+    def tiling(self, value: Optional[TilingFunction]) -> None:
+        self._materialize()
+        self._tiling = value
 
     @cached_property
     def plan(self) -> ExecutionPlan:
@@ -481,7 +541,8 @@ class ComposedInspector:
         under ``cache_key`` (computed from the steps, policies, code
         salt, and the dataset's content fingerprint when not supplied):
         a hit replays the realized index arrays against the live payload
-        and **no inspector stage executes**.  A miss runs every stage
+        when its executor state is first read, and **no inspector stage
+        executes**.  A miss runs every stage
         through the cache's *stage memo*: stage ``k``'s inspector output
         depends only on the dataset and steps ``0..k``, so a stage whose
         step prefix an earlier bind of this dataset ran takes that

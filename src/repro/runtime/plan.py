@@ -22,7 +22,7 @@ A plan is the full story of one composition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ExecutorFault, LegalityError, ValidationError
 from repro.runtime.inspector import (
@@ -99,6 +99,21 @@ class CompositionPlan:
         self._planned: Optional[List[PlannedTransformation]] = None
         self._final_state: Optional[ProgramState] = None
         self._analysis = None  # last AnalysisReport from analyze()
+        #: ``(code-version salt, digest)`` of the last :meth:`fingerprint`.
+        self._fingerprint: Optional[Tuple[str, str]] = None
+
+    def fingerprint(self) -> str:
+        """This plan's content digest (kernel, steps, policies and the
+        code-version salt), hashed once per salt: a request keys its
+        flight and its bind with one hash of the steps, and a salt that
+        moves (an executor backend flipped mid-process) hashes anew."""
+        from repro.plancache.fingerprint import code_version_salt, plan_digest
+
+        salt = code_version_salt()
+        memo = self._fingerprint
+        if memo is None or memo[0] != salt:
+            memo = self._fingerprint = (salt, plan_digest(self, salt))
+        return memo[1]
 
     # -- compile-time side --------------------------------------------------------
 

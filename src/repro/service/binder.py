@@ -24,14 +24,19 @@ def result_body(result, bind_ms: float, **provenance) -> dict:
     JSON-able and picklable — fleet workers send it over their pipe.
 
     A plan-cache hit's digests are facts of its entry and dataset
-    (``result.digests``), so only a cold or patched bind hashes here."""
+    (``result.digests``), so only a cold or patched bind hashes here.
+    ``delta_mode`` is the delta-bind path an epoch'd bind took
+    (``patched``/``fallback``/``hit``; ``None`` off that path), which
+    the service that dispatched the bind counts."""
     report = result.report
     digests = result.digests
     if digests is None:
         digests = result_digests(result)
+    delta_info = getattr(result, "delta_info", None) or {}
     return {
         "fingerprints": digests,
         "cache": report.cache if report is not None else None,
+        "delta_mode": delta_info.get("mode"),
         "overhead": dict(result.overhead),
         "data_moves": result.data_moves,
         "report": report.to_dict() if report is not None else None,
@@ -43,9 +48,8 @@ def result_body(result, bind_ms: float, **provenance) -> dict:
 class LocalBinder:
     """Memoized dataset handles, per epoch, and binds against one cache."""
 
-    def __init__(self, cache, telemetry):
+    def __init__(self, cache):
         self.cache = cache
-        self.telemetry = telemetry
         #: (kernel, dataset, scale, epoch) -> KernelData.  Epoch 0 is the
         #: generated dataset; every higher epoch that was materialized is
         #: retained, which keeps pinned reads exact.
@@ -134,8 +138,6 @@ class LocalBinder:
                 parent_data, delta, cache=self.cache,
                 num_steps=request.num_steps, child_data=data,
             )
-            info = getattr(result, "delta_info", None) or {}
-            self.telemetry.counter(f"delta_{info.get('mode', 'unknown')}").add()
         else:
             result = plan.bind(
                 data, num_steps=request.num_steps, verify=request.verify,

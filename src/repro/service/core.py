@@ -481,6 +481,9 @@ class ServiceCore:
                 (telemetry.now() - start) * 1e3
             )
             telemetry.counter("binds_executed").add()
+            # Counted here, whichever process bound the flight.
+            if flight.body.get("delta_mode") is not None:
+                telemetry.counter(f"delta_{flight.body['delta_mode']}").add()
         except BaseException as exc:  # noqa: BLE001 - resolved, not leaked
             flight.error = exc
             telemetry.counter("bind_failures").add()

@@ -472,7 +472,7 @@ class FleetService(ServiceCore):
                     from repro.plancache import PlanCache
 
                     cache = PlanCache(directory=self.config.cache_dir)
-                self._local = LocalBinder(cache, self.telemetry)
+                self._local = LocalBinder(cache)
             return self._local
 
     def _fallback_bind(self, flight: _Flight) -> dict:
@@ -624,8 +624,7 @@ def _fleet_worker_main(index, generation, conn, heartbeat, options):
     cache_dir = options.get("cache_dir")
     binder = LocalBinder(
         PlanCache(directory=cache_dir) if cache_dir
-        else PlanCache(use_disk=False),
-        Telemetry(),
+        else PlanCache(use_disk=False)
     )
 
     while True:

@@ -125,7 +125,7 @@ class PlanService(ServiceCore):
         config = config if config is not None else ServiceConfig()
         super().__init__(config, telemetry, coalesce=config.coalesce)
         self.cache = cache
-        self._local = LocalBinder(cache, self.telemetry)
+        self._local = LocalBinder(cache)
         self._work_ready = threading.Condition(self._lock)
         self._queue: "deque[_Flight]" = deque()
         self._threads: List[threading.Thread] = []

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.presburger.terms import AffineExpr, ExprLike, coerce_expr
 
@@ -162,6 +163,10 @@ class Kernel:
         Specs of the index arrays appearing as UFS in subscripts.
     outer_var / outer_extent:
         The time-stepping loop (``None`` for a single-sweep kernel).
+
+    A kernel is immutable once built (read-only mappings, no attribute
+    rebinding), so one instance per benchmark name
+    (:func:`~repro.kernels.specs.kernel_by_name`) is shared by every plan.
     """
 
     def __init__(
@@ -177,15 +182,24 @@ class Kernel:
         self.loops: Tuple[Loop, ...] = tuple(loops)
         if not self.loops:
             raise ValueError("kernel needs at least one loop")
-        self.data_arrays: Dict[str, DataArraySpec] = {
-            spec.name: spec for spec in data_arrays
-        }
-        self.index_arrays: Dict[str, IndexArraySpec] = {
-            spec.name: spec for spec in index_arrays
-        }
+        self.data_arrays: Mapping[str, DataArraySpec] = MappingProxyType(
+            {spec.name: spec for spec in data_arrays}
+        )
+        self.index_arrays: Mapping[str, IndexArraySpec] = MappingProxyType(
+            {spec.name: spec for spec in index_arrays}
+        )
         self.outer_var = outer_var
         self.outer_extent = outer_extent
         self._validate()
+        self._sealed = True
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_sealed", False):
+            raise AttributeError(f"kernel {self.name!r} is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"kernel {self.name!r} is immutable")
 
     # -- validation --------------------------------------------------------------
 

@@ -31,6 +31,21 @@ class TestSpecs:
         with pytest.raises(KeyError):
             kernel_by_name("spmv")
 
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_one_kernel_per_name(self, name):
+        """The IR is built once per name and shared by every plan."""
+        assert kernel_by_name(name) is kernel_by_name(name)
+
+    def test_a_shared_kernel_is_immutable(self):
+        kernel = kernel_by_name("moldyn")
+        with pytest.raises(AttributeError, match="immutable"):
+            kernel.name = "other"
+        with pytest.raises(AttributeError, match="immutable"):
+            del kernel.loops
+        with pytest.raises(TypeError):
+            kernel.data_arrays["extra"] = kernel.data_arrays["x"]
+        assert kernel.name == "moldyn" and "extra" not in kernel.data_arrays
+
     def test_moldyn_has_three_loops(self):
         assert len(kernel_by_name("moldyn").loops) == 3
 

@@ -120,6 +120,52 @@ class TestStepAndPlanFingerprint:
         b = CompositionPlan(kernel_by_name("irreg"), steps)
         assert fp.plan_fingerprint(a) != fp.plan_fingerprint(b)
 
+    def test_plan_fingerprint_is_hashed_once_per_salt(self, monkeypatch):
+        plan = CompositionPlan(kernel_by_name("moldyn"), [CPackStep()])
+        digests = []
+        original = fp.plan_digest
+
+        def counting(plan, salt):
+            digests.append(salt)
+            return original(plan, salt)
+
+        monkeypatch.setattr(fp, "plan_digest", counting)
+        first = fp.plan_fingerprint(plan)
+        data = tiny_data(seed=5)
+        fp.bind_fingerprint(plan, data)
+        fp.verification_fingerprint(plan, data, 2)
+        assert fp.plan_fingerprint(plan) == first
+        assert len(digests) == 1
+        monkeypatch.setattr(fp, "SALT_EXTRA", "simulated-code-change")
+        assert fp.plan_fingerprint(plan) != first
+        assert fp.plan_fingerprint(plan) != first
+        assert len(digests) == 2
+        monkeypatch.setattr(fp, "SALT_EXTRA", "")
+        assert fp.plan_fingerprint(plan) == first
+        assert len(digests) == 3
+
+    def test_a_request_hashes_its_plan_once(self, monkeypatch):
+        """The flight key and the bind key share the parsed plan's
+        fingerprint: one hash of the steps per served request."""
+        from repro.plancache import PlanCache
+        from repro.service import PlanService, ServiceConfig
+
+        from tests.service.conftest import make_request
+
+        digests = []
+        original = fp.plan_digest
+        monkeypatch.setattr(
+            fp, "plan_digest",
+            lambda plan, salt: digests.append(salt) or original(plan, salt),
+        )
+        cache = PlanCache(use_disk=False)
+        with PlanService(ServiceConfig(workers=1), cache=cache) as service:
+            assert service.bind(make_request()).cache == "stored"
+            digests.clear()
+            for count in range(1, 4):
+                assert service.bind(make_request()).cache == "hit"
+                assert len(digests) == count
+
     def test_bind_fingerprint_combines(self):
         plan = CompositionPlan(kernel_by_name("moldyn"), [CPackStep()])
         data = tiny_data(seed=5)
@@ -163,6 +209,25 @@ class TestExecutorBackendSalt:
         assert c_salt != numpy_salt
         monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
         assert fp.code_version_salt() == default
+
+    def test_a_backend_flip_moves_a_plans_fingerprint(self, monkeypatch):
+        """The plan memoises its fingerprint per salt, so flipping the
+        backend on the same plan object still moves its key."""
+        from repro.lowering import toolchain
+
+        if not toolchain.have_toolchain()[0]:
+            pytest.skip("c degrades to the default tier without a toolchain")
+        plan = CompositionPlan(kernel_by_name("moldyn"), [CPackStep()])
+        monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
+        numpy_key = fp.plan_fingerprint(plan)
+        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "c")
+        c_key = fp.plan_fingerprint(plan)
+        assert c_key != numpy_key
+        assert c_key == fp.plan_fingerprint(
+            CompositionPlan(kernel_by_name("moldyn"), [CPackStep()])
+        )
+        monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
+        assert fp.plan_fingerprint(plan) == numpy_key
 
     def test_c_salt_includes_the_toolchain_fingerprint(self, monkeypatch):
         from repro.lowering import toolchain

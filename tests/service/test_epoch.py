@@ -193,3 +193,36 @@ class TestShardDeltaPath:
             assert pinned.status == "ok", pinned.error
             assert pinned.epoch == 0 and not pinned.stale
             assert pinned.fingerprints == truths[0]
+
+    @pytest.mark.parametrize("service", ["plan", "fleet"])
+    def test_the_service_counts_the_delta_mode(self, tmp_path, service):
+        """The delta mode rides back in the bind body, and the service
+        that dispatched the bind counts it: a shard's delta-bind reaches
+        ``FleetService.stats()`` as ``PlanService``'s does."""
+        from repro.kernels.data import make_kernel_data
+        from repro.kernels.datasets import generate_dataset
+        from repro.service.fleet import FleetConfig, FleetService
+
+        parent = make_kernel_data(
+            "moldyn", generate_dataset("mol1", scale=SCALE)
+        )
+        delta = make_drift_delta(
+            parent, edge_rate=0.02, move_rate=0.02, seed=1
+        )
+        if service == "plan":
+            svc = PlanService(
+                ServiceConfig(workers=1), cache=PlanCache(use_disk=False)
+            )
+        else:
+            svc = FleetService(
+                FleetConfig(shards=1, cache_dir=str(tmp_path / "fleet"))
+            )
+        with svc:
+            assert svc.bind(make_request(self.SPEC, epoch=0)).status == "ok"
+            svc.advance_epoch("moldyn", "mol1", SCALE, delta)
+            child = svc.bind(make_request(self.SPEC, epoch=1))
+            assert child.status == "ok", child.error
+            assert child.cache == "delta"
+            counters = svc.stats()["counters"]
+        assert counters.get("delta_patched") == 1
+        assert "delta_fallback" not in counters
