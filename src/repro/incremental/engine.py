@@ -170,11 +170,8 @@ def delta_bind(
     scoped to ``child_data``'s own cache key.
     """
     from repro.plancache import memo
-    from repro.plancache.fingerprint import (
-        bind_fingerprint,
-        verification_fingerprint,
-    )
-    from repro.runtime.verify import verify_numeric_equivalence_memoized
+    from repro.plancache.fingerprint import bind_fingerprint
+    from repro.runtime.verify import verify_bind
 
     if cache is None:
         raise ValidationError(
@@ -292,14 +289,16 @@ def delta_bind(
     result.report.plan_name = plan.name
 
     # Mandatory re-verification: a patched bind is never trusted on the
-    # rules' legality arguments alone.
-    memo_key = verification_fingerprint(plan, child_data, num_steps)
+    # rules' legality arguments alone, nor on a verdict about another
+    # result for the same dataset: the verdict names this patch.
+    meta = _epoch_meta(parent_key, parent_epoch, delta, "patched", drift)
     try:
-        verify_numeric_equivalence_memoized(
+        verify_bind(
+            plan,
             child_data,
             result,
+            ("patched", parent_key, meta["delta_fingerprint"]),
             num_steps=num_steps,
-            memo_key=memo_key,
             stats=stats,
         )
     except AssertionError as exc:
@@ -307,7 +306,6 @@ def delta_bind(
         return fallback(f"patched bind failed verification: {exc}", parent_epoch)
     result.report.verified = True
 
-    meta = _epoch_meta(parent_key, parent_epoch, delta, "patched", drift)
     memo.store(cache, child_key, result, plan.steps, extra_meta=meta)
     result.report.cache = "delta"  # store() labelled it "stored"
     cache.put_aux(child_key, child_aux)

@@ -40,7 +40,6 @@ from repro.plancache.fingerprint import (
     inspector_fingerprint,
     plan_fingerprint,
     step_fingerprint,
-    verification_fingerprint,
 )
 from repro.plancache.stats import CacheStats
 from repro.plancache.store import (
@@ -71,5 +70,4 @@ __all__ = [
     "plan_fingerprint",
     "resolve_cache_dir",
     "step_fingerprint",
-    "verification_fingerprint",
 ]

@@ -154,42 +154,21 @@ def code_version_salt() -> str:
     return h.hexdigest()
 
 
-def dataset_fingerprint(data, include_payload: bool = False) -> str:
+def dataset_fingerprint(data) -> str:
     """Digest of a :class:`~repro.kernels.data.KernelData` instance.
 
-    Covers the index arrays, extents, dtypes, loop structure, and record
-    layout.  With ``include_payload`` the node payload *values* are mixed
-    in too — required by the verification memo (executor output depends
-    on payload), not by the inspector cache (inspectors do not).
-
-    Each digest is a derived fact of the instance
+    Covers the index arrays, extents, dtypes, loop structure, record
+    layout and the payload arrays' names, not their values: inspectors
+    never read the payload.  A derived fact of the instance
     (:meth:`~repro.kernels.data.KernelData.derived`): a served handle is
-    hashed on every request, but each instance is hashed once.  Both
-    digests continue one derived hash state over everything but the
-    payload (:func:`_structure_hash`), so a delta-bind's verification
-    memo key does not hash again the multi-megabyte index arrays its
-    bind key hashed.  Deriving a digest freezes the instance's arrays,
-    so an in-place write raises instead of leaving a stale digest behind.
+    hashed on every request, but each instance is hashed once.  Deriving
+    it freezes the instance's arrays, so an in-place write raises
+    instead of leaving a stale digest behind.
     """
-    return data.derived(
-        ("fingerprint", include_payload),
-        lambda: _dataset_digest(data, include_payload),
-    )
+    return data.derived("fingerprint", lambda: _dataset_digest(data))
 
 
-def _dataset_digest(data, include_payload: bool) -> str:
-    h = data.derived("structure-hash", lambda: _structure_hash(data)).copy()
-    for name in sorted(data.arrays):
-        _update(h, "payload-name", name)
-        if include_payload:
-            _update(h, data.arrays[name])
-    return h.hexdigest()
-
-
-def _structure_hash(data) -> "hashlib._Hash":
-    """The hash state after the extents, loop structure, record layout
-    and index arrays: the common prefix of both dataset digests, which
-    each continues on a copy."""
+def _dataset_digest(data) -> str:
     h = _hasher()
     _update(
         h,
@@ -201,7 +180,9 @@ def _structure_hash(data) -> "hashlib._Hash":
     for loop in data.loops:
         _update(h, "loop", loop.label, loop.domain)
     _update(h, "left", data.left, "right", data.right)
-    return h
+    for name in sorted(data.arrays):
+        _update(h, "payload-name", name)
+    return h.hexdigest()
 
 
 def step_fingerprint(step) -> str:
@@ -294,20 +275,6 @@ def bind_fingerprint(plan, data) -> str:
     return combine(plan_fingerprint(plan), dataset_fingerprint(data))
 
 
-def verification_fingerprint(plan, data, num_steps: int) -> str:
-    """Memo key for the numeric verifier — payload-sensitive.
-
-    The verifier compares actual executor *outputs*, which depend on the
-    payload values, so — unlike the inspector cache key — this digest
-    includes them.
-    """
-    return combine(
-        plan_fingerprint(plan),
-        dataset_fingerprint(data, include_payload=True),
-        str(num_steps),
-    )
-
-
 __all__ = [
     "array_fingerprint",
     "bind_fingerprint",
@@ -321,6 +288,5 @@ __all__ = [
     "plan_fingerprint",
     "stage_fingerprints",
     "step_fingerprint",
-    "verification_fingerprint",
     "SALT_EXTRA",
 ]

@@ -3,9 +3,9 @@
 One :class:`CacheStats` instance rides along with each
 :class:`~repro.plancache.store.PlanCache`; every tier and every
 integration point (``CompositionPlan.bind``, ``ComposedInspector.run``,
-the verification memo) increments it.  ``python -m repro cache stats``
-prints it; the amortization benchmark serializes it into
-``BENCH_plancache.json``.
+a bind that reuses a verification verdict) increments it.
+``python -m repro cache stats`` prints it; the amortization benchmark
+serializes it into ``BENCH_plancache.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ class CacheStats:
     #: ``quarantine/`` sibling (with a reason file) instead of unlinked —
     #: chaos-injected corruption stays observable, not a silent cold miss.
     corrupt_quarantined: int = 0
-    #: Numeric verifications skipped thanks to the verification memo.
+    #: Numeric verifications skipped because the dataset already held
+    #: the verdict (:func:`~repro.runtime.verify.verify_bind`).
     verify_memo_hits: int = 0
     #: Inspector stages never executed because the whole bind hit.
     stages_skipped: int = 0

@@ -63,9 +63,9 @@ from repro.runtime.validate import (
 )
 from repro.runtime.verify import (
     clear_verification_memo,
+    verify_bind,
     verify_dependences,
     verify_numeric_equivalence,
-    verify_numeric_equivalence_memoized,
 )
 
 __all__ = [
@@ -91,7 +91,7 @@ __all__ = [
     "make_step",
     "plan_from_spec",
     "verify_numeric_equivalence",
-    "verify_numeric_equivalence_memoized",
+    "verify_bind",
     "clear_verification_memo",
     "verify_dependences",
     "FAILURE_POLICIES",

@@ -255,16 +255,17 @@ class CompositionPlan:
            degraded plan never silently corrupts.  The untransformed
            kernel's output is a derived fact of ``data`` (per
            ``num_steps`` and executor tier), so binding one dataset
-           under many plans runs it once; verdicts are memoized by
-           (plan, dataset-with-payload) fingerprint, so repeatedly
-           binding the same degraded plan runs the transformed executor
-           once.
+           under many plans runs it once.  The verdict is a derived
+           fact of ``data`` too, keyed by this plan, ``num_steps``, the
+           tier and what made the result (a cold run or a hit), so
+           repeatedly binding the same degraded plan runs the
+           transformed executor once.
 
         Returns the :class:`InspectorResult`; its ``report`` records
         validation findings, per-stage status, the verifier verdict, and
         the cache interaction (``hit``/``stored``).
         """
-        from repro.runtime.verify import verify_numeric_equivalence_memoized
+        from repro.runtime.verify import verify_bind
 
         validation_report = validate_kernel_data(data, policy=self.validation)
         validation_report.raise_if_failed(stage="bind")
@@ -285,15 +286,13 @@ class CompositionPlan:
 
         should_verify = verify if verify is not None else report.degraded
         if should_verify:
-            from repro.plancache.fingerprint import verification_fingerprint
-
-            memo_key = verification_fingerprint(self, data, num_steps)
             try:
-                verify_numeric_equivalence_memoized(
+                verify_bind(
+                    self,
                     data,
                     result,
+                    "bind",
                     num_steps=num_steps,
-                    memo_key=memo_key,
                     stats=cache.stats if cache is not None else None,
                 )
             except AssertionError as exc:

@@ -14,7 +14,11 @@ and the run-time index arrays:
   baseline's output is a derived fact of the dataset
   (:meth:`~repro.kernels.data.KernelData.derived`, keyed by
   ``num_steps`` and the executor tier), so binding one dataset under
-  many plans runs the untransformed kernel once.
+  many plans runs the untransformed kernel once.  A bind's verdict is a
+  derived fact of the dataset too (:func:`verify_bind`), keyed by the
+  plan and by what made the judged result (a cold run or hit, or one
+  delta-bind patch), so rebinding a degraded plan runs the transformed
+  kernel once.
 * :func:`verify_dependences` — the framework check: bind the UFS of the
   final transformed dependence relations to the concrete index arrays and
   reordering functions, enumerate every dependence pair, and assert the
@@ -26,6 +30,7 @@ and the run-time index arrays:
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Dict, Optional
 
 import numpy as np
@@ -38,6 +43,12 @@ from repro.presburger.ordering import lex_lt
 from repro.runtime.executor import run_numeric
 from repro.runtime.inspector import InspectorResult
 from repro.runtime.plan import CompositionPlan
+
+
+def _executor_tier() -> tuple:
+    """The resolved executor backend and sanitizer switch: the tier a
+    reference run and a verdict were computed on."""
+    return (resolve_executor_backend(None, warn=False).backend, sanitize_enabled())
 
 
 def _run_payload(data: KernelData, num_steps: int) -> Dict[str, np.ndarray]:
@@ -79,9 +90,8 @@ def verify_numeric_equivalence(
     subclass) naming the offending array and the first mismatching
     positions; returns ``True`` otherwise.
     """
-    tier = (resolve_executor_backend(None, warn=False).backend, sanitize_enabled())
     baseline = original.derived(
-        ("reference", num_steps, tier),
+        ("reference", num_steps, _executor_tier()),
         lambda: _reference_payload(original, num_steps),
     )
     transformed = _run_payload(result.transformed, num_steps)
@@ -102,60 +112,76 @@ def verify_numeric_equivalence(
     return True
 
 
-#: Successful verification verdicts keyed by
-#: (verification fingerprint, num_steps, rtol, atol).  Only successes are
-#: memoized — a failing verification raises and must re-run to re-raise
-#: with fresh diagnostics.  Bounded FIFO so long-lived processes cannot
-#: grow it without limit.
-_VERIFICATION_MEMO: Dict[tuple, bool] = {}
-_VERIFICATION_MEMO_LIMIT = 4096
+#: Bumped by :func:`clear_verification_memo`; part of every verdict's
+#: key, so a verdict recorded before a clear is never read again.
+_generation = 0
+#: Verdicts recorded since the last clear.
+_recorded = 0
+#: Guards both counters against concurrent binds.
+_counters = threading.Lock()
 
 
 def clear_verification_memo() -> int:
-    """Drop every memoized verification verdict; returns how many."""
-    count = len(_VERIFICATION_MEMO)
-    _VERIFICATION_MEMO.clear()
+    """Retire every recorded verdict, so the next verification of any
+    dataset runs the executor again; returns how many verdicts were
+    recorded since the last clear."""
+    global _generation, _recorded
+    with _counters:
+        count, _recorded = _recorded, 0
+        _generation += 1
     return count
 
 
-def verify_numeric_equivalence_memoized(
-    original: KernelData,
+def verify_bind(
+    plan: CompositionPlan,
+    data: KernelData,
     result: InspectorResult,
+    made_by,
     num_steps: int = 2,
+    stats=None,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    memo_key: Optional[str] = None,
-    stats=None,
 ) -> bool:
-    """:func:`verify_numeric_equivalence`, memoized by content.
+    """:func:`verify_numeric_equivalence` of a bind, its verdict a fact
+    of the dataset it judged.
 
-    ``memo_key`` must fingerprint everything the verdict depends on —
-    the plan *and* the dataset including payload values (see
-    :func:`repro.plancache.fingerprint.verification_fingerprint`).
-    Binding the same degraded plan to the same dataset twice then runs
-    the transformed executor pass only once (the reference pass is a
-    fact of the dataset, run once per dataset whatever the plan).  With
-    ``memo_key=None`` the memo is bypassed entirely.  ``stats`` (a
-    :class:`~repro.plancache.stats.CacheStats`) counts memoized skips.
+    The verdict is ``data.derived(("verdict", generation, plan
+    fingerprint, made_by, num_steps, tier, rtol, atol), ...)``, where
+    ``made_by`` names what produced ``result``: ``"bind"`` for a cold
+    run or a plan-cache hit (a hit serves what the cold bind stored),
+    ``("patched", parent key, delta fingerprint)`` for a delta-bind's
+    patch.  Binding the same degraded plan to the same dataset twice
+    runs the transformed executor once, and a patch is never answered by
+    a verdict on another kind of result.  Only successes are kept: a
+    failing check raises out of the fact's computation, which stores
+    nothing.  A dataset that is not a :class:`KernelData` is verified
+    on every call.  ``stats`` (a
+    :class:`~repro.plancache.stats.CacheStats`) counts reused verdicts.
     """
-    key = (memo_key, num_steps, rtol, atol)
-    if memo_key is not None and _VERIFICATION_MEMO.get(key):
-        if stats is not None:
-            stats.verify_memo_hits += 1
+    if not isinstance(data, KernelData):
+        return verify_numeric_equivalence(
+            data, result, num_steps=num_steps, rtol=rtol, atol=atol
+        )
+    recorded = []
+
+    def check() -> bool:
+        global _recorded
+        verify_numeric_equivalence(
+            data, result, num_steps=num_steps, rtol=rtol, atol=atol
+        )
+        recorded.append(True)
+        with _counters:
+            _recorded += 1
         return True
-    ok = verify_numeric_equivalence(
-        original, result, num_steps=num_steps, rtol=rtol, atol=atol
+
+    key = (
+        "verdict", _generation, plan.fingerprint(), made_by,
+        num_steps, _executor_tier(), rtol, atol,
     )
-    if memo_key is not None:
-        # Evict over a snapshot, tolerating a key another thread evicted
-        # first: iterating the live dict while another thread inserts, or
-        # popping a key it already popped, would raise.
-        excess = len(_VERIFICATION_MEMO) - _VERIFICATION_MEMO_LIMIT + 1
-        if excess > 0:
-            for oldest in list(_VERIFICATION_MEMO)[:excess]:
-                _VERIFICATION_MEMO.pop(oldest, None)
-        _VERIFICATION_MEMO[key] = ok
-    return ok
+    data.derived(key, check)
+    if not recorded and stats is not None:
+        stats.verify_memo_hits += 1
+    return True
 
 
 def _bind_environment(

@@ -94,9 +94,7 @@ class TestFallbacks:
         def always_fails(*args, **kwargs):
             raise AssertionError("injected verification mismatch")
 
-        monkeypatch.setattr(
-            verify_mod, "verify_numeric_equivalence_memoized", always_fails
-        )
+        monkeypatch.setattr(verify_mod, "verify_numeric_equivalence", always_fails)
         data = tiny_data()
         plan = _plan()
         cache = _cache()
@@ -253,6 +251,81 @@ class TestEpochChain:
             charged.append(result.overhead["delta_aux"])
         cold, warm = charged
         assert cold - warm == 2 * data.num_inter + data.num_nodes
+
+
+def _mol1_stream():
+    """moldyn mol1@16 under ``cpack+fst`` and one 2% drift epoch."""
+    from repro.cachesim.machines import machine_by_name
+    from repro.eval.compositions import composition_steps
+    from repro.kernels import generate_dataset, make_kernel_data
+    from repro.runtime.faults import make_drift_delta
+
+    data = make_kernel_data("moldyn", generate_dataset("mol1", scale=16))
+    steps = composition_steps("cpack+fst", data, machine_by_name("pentium4"))
+    plan = _plan(steps, name="cpack+fst")
+    delta = make_drift_delta(data, edge_rate=0.02, move_rate=0.01, seed=5)
+    return plan, data, delta, delta.apply(data)
+
+
+@pytest.fixture
+def verifier_runs(monkeypatch):
+    """Counts the numeric verifier's runs."""
+    import repro.runtime.verify as verify_mod
+
+    runs = []
+    real = verify_mod.verify_numeric_equivalence
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "verify_numeric_equivalence", counting)
+    return runs
+
+
+class TestVerdict:
+    def test_a_cold_verdict_does_not_answer_a_patch(self, monkeypatch):
+        """A patch that moves 50 entries of ``x`` fails its mandatory
+        re-verification even when a cold bind of the same child, through
+        another cache, already left a verdict on the child."""
+        from repro.runtime.inspector import ComposedInspector
+
+        plan, data, delta, child = _mol1_stream()
+        real = ComposedInspector.run_stages
+
+        def planted(self, *args, **kwargs):
+            result = real(self, *args, **kwargs)
+            transformed = result.transformed.copy()
+            transformed.arrays["x"][:50] += 1.0
+            result.transformed = transformed
+            return result
+
+        monkeypatch.setattr(ComposedInspector, "run_stages", planted)
+        cache = _cache()
+        plan.bind(data, cache=cache)
+        assert plan.bind(child, cache=_cache(), verify=True).report.verified
+        result = plan.rebind(data, delta, cache=cache, child_data=child)
+        assert result.delta_info["mode"] == "fallback"
+        assert "failed verification" in result.delta_info["reason"]
+        assert cache.stats.delta_verify_failures == 1
+        assert cache.stats.verify_memo_hits == 0
+        assert_bit_identical(result, plan.bind(child.copy()))
+
+    def test_a_repeated_patch_reuses_its_verdict(self, verifier_runs):
+        """The same child rebound from the same parent with the same
+        delta is the same patch: its verdict is read, not re-run."""
+        plan, data, delta, child = _mol1_stream()
+        cache = _cache()
+        plan.bind(data, cache=cache)
+        first = plan.rebind(data, delta, cache=cache, child_data=child)
+        cache.discard(bind_fingerprint(plan, child))
+        second = plan.rebind(data, delta, cache=cache, child_data=child)
+        for result in (first, second):
+            assert result.delta_info["mode"] == "patched"
+            assert result.report.verified is True
+        assert len(verifier_runs) == 1
+        assert cache.stats.verify_memo_hits == 1
+        assert_bit_identical(second, first)
 
 
 class TestMidDeltaFailure:

@@ -10,7 +10,12 @@ An AST guard: outside :mod:`repro.kernels.data`, no module under
   one bolted on from outside is a memo its owner cannot invalidate
   (dunder markers on function objects, ``fn.__generated_source__``,
   are neither);
-* no ``getattr`` of a name ending in ``_memo``.
+* no ``getattr`` of a name ending in ``_memo``;
+* no module-level container store: a module-level name bound to an
+  empty ``dict``, ``list``, ``set`` or ``OrderedDict``, filled at run
+  time, is a process-wide memo beside the instance it describes (the
+  verification verdicts lived in one until they became facts of the
+  dataset they judged).  Such a finding is keyed by the name it binds.
 
 Each :data:`ALLOWED` entry says why it is not such a fact, an unused
 allowance fails, and the list may only shrink.
@@ -30,17 +35,74 @@ ALLOWED = {
         "the fault-injection proxy forwards its own attribute writes to "
         "the step it wraps, so the step sees what it would have set"
     ),
+    ("kernels/specs.py", "_KERNELS", "module-container"): (
+        "one immutable Kernel IR per kernel name: a fact of the kernel's "
+        "source, the same for every dataset"
+    ),
+    ("lowering/executor.py", "_MEMO", "module-container"): (
+        "compiled executors keyed by kernel, backend and code: a program "
+        "is bound to arrays per call and keeps none of them"
+    ),
+    ("lowering/toolchain.py", "_VERSION_CACHE", "module-container"): (
+        "the version string of each compiler on the host, read once"
+    ),
+    ("runtime/steps.py", "_BY_NAME", "module-container"): (
+        "the step table: stage name -> step class, filled at import by "
+        "@register"
+    ),
+    ("runtime/steps.py", "_BY_SPEC_TYPE", "module-container"): (
+        "the step table: plan-spec type -> step class, filled at import "
+        "by @register"
+    ),
 }
+
+#: Constructors whose no-argument call builds an empty container.
+CONTAINERS = ("dict", "list", "set", "OrderedDict")
 
 
 def _is_self(node):
     return isinstance(node, ast.Name) and node.id == "self"
 
 
-def fact_attachments(path):
-    """``(function, finding, line)`` for every foreign attachment."""
-    tree = ast.parse(path.read_text())
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, (ast.List, ast.Set)):
+        return not node.elts
+    if isinstance(node, ast.Call) and not (node.args or node.keywords):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None
+        )
+        return name in CONTAINERS
+    return False
+
+
+def module_containers(tree):
+    """``(name, "module-container", line)`` for every module-level name
+    bound to an empty container."""
     found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_empty_container(value):
+            found += [
+                (target.id, "module-container", node.lineno)
+                for target in targets
+                if isinstance(target, ast.Name)
+            ]
+    return found
+
+
+def fact_attachments(path):
+    """``(function, finding, line)`` for every foreign attachment, and
+    ``(name, finding, line)`` for every module-level container."""
+    tree = ast.parse(path.read_text())
+    found = module_containers(tree)
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -83,14 +145,15 @@ def _all_attachments():
 
 def test_no_module_attaches_a_fact_outside_kernel_data():
     offenders = [
-        f"{module}:{line} {function}() {finding}"
+        f"{module}:{line} {function}: {finding}"
         for module, function, finding, line in _all_attachments()
         if (module, function, finding) not in ALLOWED
     ]
     assert not offenders, (
-        "a fact attached to a foreign object — derive it through "
-        "KernelData.derived (it freezes what it read and forgets on "
-        "reassignment), or pass it to the owner's constructor:\n"
+        "a fact attached to a foreign object or kept in a module-level "
+        "container — derive it through KernelData.derived (it freezes "
+        "what it read and forgets on reassignment), or pass it to the "
+        "owner's constructor:\n"
         + "\n".join(offenders)
     )
 
@@ -114,8 +177,20 @@ def test_guard_sees_planted_attachments(tmp_path):
         "    def __init__(self):\n"
         "        self._memo = {}\n"
         "        setattr(self, 'x', 1)\n"
+        "_VERDICTS: Dict[tuple, bool] = {}\n"
+        "_SEEN = set()\n"
+        "_ORDER = collections.OrderedDict()\n"
+        "_A = _B = []\n"
+        "TABLE = {'moldyn': 1}\n"
+        "NAMES = dict(a=1)\n"
+        "_generation = 0\n"
     )
     assert [(fn, kind) for fn, kind, _ in fact_attachments(planted)] == [
+        ("_VERDICTS", "module-container"),
+        ("_SEEN", "module-container"),
+        ("_ORDER", "module-container"),
+        ("_A", "module-container"),
+        ("_B", "module-container"),
         ("fingerprint", "getattr-memo"),
         ("fingerprint", "private-store"),
         ("fingerprint", "setattr"),

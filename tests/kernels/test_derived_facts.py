@@ -20,6 +20,7 @@ from repro.kernels import generate_dataset, make_kernel_data
 from repro.lowering import toolchain
 from repro.lowering.executor import clear_executor_memo, compile_executor
 from repro.plancache import PlanCache, dataset_fingerprint
+from repro.plancache.fingerprint import payload_digests
 from repro.runtime import plan_from_spec, run_numeric, validate_kernel_data
 from repro.transforms.tile_schedule import trivial_schedule
 
@@ -69,11 +70,17 @@ class TestMemo:
 
     def test_a_changed_payload_dict_re_derives(self):
         data = _data()
-        before = dataset_fingerprint(data, include_payload=True)
+
+        def digests():
+            return data.derived("payload", lambda: payload_digests(data.arrays))
+
+        before = digests()
         data.arrays = {name: v + 1.0 for name, v in data.arrays.items()}
-        assert dataset_fingerprint(data, include_payload=True) != before
+        assert digests() != before
+        after = digests()
         data.arrays["x"] = data.arrays["x"] * 2.0
-        assert dataset_fingerprint(data, include_payload=True) != before
+        assert digests() != after
+        assert not data.arrays["x"].flags.writeable
 
     def test_copy_is_writable_and_has_no_facts(self):
         data = _data()

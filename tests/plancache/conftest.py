@@ -45,7 +45,8 @@ def memory_cache():
 
 @pytest.fixture(autouse=True)
 def _fresh_verification_memo():
-    """The verification memo is process-global: isolate every test."""
+    """Retire every recorded verdict around each test, so a verdict
+    from one test never answers another's."""
     clear_verification_memo()
     yield
     clear_verification_memo()

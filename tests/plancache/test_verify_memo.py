@@ -1,5 +1,6 @@
-"""Verification memo: repeated binds pay the transformed executor pass
-once, and eviction at the limit is safe under concurrent binds."""
+"""Verification verdicts are facts of the dataset they judged: repeated
+binds pay the transformed executor pass once, and a clear retires every
+verdict."""
 
 import sys
 import threading
@@ -86,56 +87,59 @@ def test_clear_resets_the_memo(counted_verifier):
     assert len(counted_verifier) == 2
 
 
-def test_memo_bypassed_without_key(counted_verifier):
+def test_a_dataset_that_is_not_kernel_data_is_verified_every_call(
+    counted_verifier,
+):
+    class Proxy:
+        def __init__(self, data):
+            self.data = data
+
+        def __getattr__(self, name):
+            return getattr(self.data, name)
+
     data = tiny_data("moldyn")
     plan = degraded_plan()
     result = plan.bind(data)
-    verify_mod.verify_numeric_equivalence_memoized(data, result, memo_key=None)
-    verify_mod.verify_numeric_equivalence_memoized(data, result, memo_key=None)
+    proxy = Proxy(data)
+    verify_mod.verify_bind(plan, proxy, result, "bind")
+    verify_mod.verify_bind(plan, proxy, result, "bind")
     assert len(counted_verifier) == 3
 
 
-class _EvictedUnderfoot(dict):
-    """A memo whose oldest key another service worker evicts between this
-    thread reading that key and popping it: the interleaving of two
-    threads that reach the limit together, forced in one thread."""
-
-    def __iter__(self):
-        keys = list(dict.__iter__(self))
-        if keys:
-            dict.pop(self, keys[0])
-        return iter(keys)
-
-
-def test_eviction_tolerates_a_key_another_thread_evicted(monkeypatch):
-    memo = _EvictedUnderfoot({("oldest",): True, ("newer",): True})
-    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO", memo)
-    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO_LIMIT", 2)
-    result = degraded_plan().bind(tiny_data("moldyn"))
-    assert result.report.verified
-    assert len(memo) == 2 and ("newer",) in memo
+def test_a_verdict_is_kept_per_plan_and_per_maker(counted_verifier):
+    data = tiny_data("moldyn")
+    plan = degraded_plan()
+    result = plan.bind(data)
+    other = CompositionPlan(
+        kernel_by_name("moldyn"), [TilePackStep()], on_stage_failure="skip"
+    )
+    verify_mod.verify_bind(other, data, result, "bind")
+    verify_mod.verify_bind(plan, data, result, ("patched", "parent", "delta"))
+    verify_mod.verify_bind(plan, data, result, "bind")
+    assert len(counted_verifier) == 3
+    assert clear_verification_memo() == 3
 
 
-def test_concurrent_eviction_stress(monkeypatch):
-    """Eight threads insert past a small limit with a short switch
-    interval; no insert raises, and the memo stays near its bound."""
-    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO", {})
-    monkeypatch.setattr(verify_mod, "_VERIFICATION_MEMO_LIMIT", 4)
+def test_concurrent_verdicts_are_all_counted(monkeypatch):
+    """Eight threads record distinct verdicts on one dataset with a short
+    switch interval; the clear counts every one of them."""
     monkeypatch.setattr(
         verify_mod, "verify_numeric_equivalence", lambda *args, **kwargs: True
     )
+    data = tiny_data("moldyn")
+    plan = degraded_plan()
+    result = plan.bind(data)
+    clear_verification_memo()
     errors = []
 
-    def insert(worker):
+    def record(worker):
         try:
-            for i in range(2000):
-                verify_mod.verify_numeric_equivalence_memoized(
-                    None, None, memo_key=f"{worker}/{i}"
-                )
+            for i in range(500):
+                verify_mod.verify_bind(plan, data, result, (worker, i))
         except Exception as exc:  # collected: the assertion names it
             errors.append(exc)
 
-    threads = [threading.Thread(target=insert, args=(w,)) for w in range(8)]
+    threads = [threading.Thread(target=record, args=(w,)) for w in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -147,4 +151,4 @@ def test_concurrent_eviction_stress(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(verify_mod._VERIFICATION_MEMO) <= 4 + len(threads)
+    assert clear_verification_memo() == 8 * 500

@@ -28,8 +28,8 @@ from repro.runtime.faults import CORRUPTORS
 from repro.runtime.inspector import ComposedInspector
 from repro.runtime.verify import (
     clear_verification_memo,
+    verify_bind,
     verify_numeric_equivalence,
-    verify_numeric_equivalence_memoized,
 )
 
 pytestmark = pytest.mark.compiled
@@ -218,12 +218,14 @@ class TestCorruptedResult:
         result = _corrupt(_bind(data))
         expected = _two_sided_indices(data, result)
         assert expected
+        # A plan no bind of ``data`` was verified under: no verdict to read.
+        plan = CompositionPlan(kernel_by_name("moldyn"), [LexGroupStep()])
         for _ in range(3):
             with pytest.raises(ExecutorFault) as exc:
                 verify_numeric_equivalence(data, result)
             assert exc.value.indices == expected
             with pytest.raises(ExecutorFault) as exc:
-                verify_numeric_equivalence_memoized(data, result, memo_key="k")
+                verify_bind(plan, data, result, "bind")
             assert exc.value.indices == expected
 
     def test_every_bind_raises(self, monkeypatch):
