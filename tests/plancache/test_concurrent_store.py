@@ -9,6 +9,7 @@ directory, and every surviving artifact readable and self-consistent.
 
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -121,16 +122,23 @@ class TestThreadStress:
         for key in KEYS:
             cache.put(key, entry_for(key))
         stop = threading.Event()
-        errors = []
+        errors, seen = [], {"disk": 0, "miss": 0}
 
         def reader():
             while not stop.is_set():
                 for key in KEYS:
                     try:
-                        cache.get(key)
+                        got = cache.get(key)
                     except BaseException as exc:  # noqa: BLE001
                         errors.append(repr(exc))
                         return
+                    if got is None:
+                        seen["miss"] += 1
+                    elif got.meta["tier"] == "disk":
+                        seen["disk"] += 1
+                # Yield once per sweep: a reader that re-takes the cache
+                # lock at once starves the woken writer for seconds.
+                time.sleep(0)
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -142,6 +150,8 @@ class TestThreadStress:
         thread.join()
         assert errors == []
         assert cache.stats.corrupt == 0
+        # The race ran: the reader read the disk tier and missed.
+        assert seen["disk"] >= 1 and seen["miss"] >= 1, seen
 
 
 class TestProcessStress:

@@ -1,14 +1,12 @@
-"""The one file store under the cache directory: its four primitives, the
-layout it must keep serving, and the guard that keeps it the only one.
+"""The one file store under the cache directory: its four primitives and
+the layout it must keep serving.
 
 Plans, compiled executors and proofs are codecs over
-:mod:`repro.plancache.filestore`.  A rename, a temp file, an unlink, an
-rmdir or a directory walk anywhere else under ``plancache/`` or
-``lowering/`` is a second commit path or a second scan growing back —
-checked on the syntax tree, like the inspectors' sort guard.
+:mod:`repro.plancache.filestore`; that no other module under
+``plancache/`` or ``lowering/`` commits, unlinks or walks a directory is
+the ``file_store`` row of ``tests/architecture/rules.py``.
 """
 
-import ast
 import json
 import os
 from pathlib import Path
@@ -16,98 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro
 from repro.errors import CacheError
 from repro.plancache import CacheEntry, DiskStore, PlanCache
 from repro.plancache.artifacts import ArtifactStore
 from repro.plancache.filestore import FileStore, evict, remove
 
 pytestmark = pytest.mark.plancache
-
-SRC = Path(repro.__file__).parent
-
-#: attribute name of a guarded call -> the ``filestore`` functions that
-#: may make it (the writability probe unlinks its own probe).
-GUARDED_CALLS = {
-    "replace": ("move",),
-    "rename": (),
-    "mkstemp": (),
-    "unlink": ("remove", "writable"),
-    "rmdir": ("remove",),
-    "scandir": ("entries",),
-    "glob": (),
-    "iterdir": (),
-    "listdir": (),
-    "walk": (),
-}
-
-
-def _file_calls(path):
-    """``(enclosing function, attribute name, line)`` of every guarded
-    call written ``x.f(...)`` — ``os.replace``, ``path.unlink`` alike."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in GUARDED_CALLS
-            # ``str.replace`` takes two arguments and is everywhere.
-            and not (node.func.attr == "replace" and _is_text_replace(node))
-        ):
-            found.append((function, node.func.attr, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(path.read_text()), "<module>")
-    return found
-
-
-def _is_text_replace(call):
-    owner = call.func.value
-    return not (isinstance(owner, ast.Name) and owner.id == "os")
-
-
-def test_file_operations_live_in_the_file_store_only():
-    offenders = []
-    for package in ("plancache", "lowering"):
-        for path in sorted((SRC / package).glob("*.py")):
-            for function, call, line in _file_calls(path):
-                if (
-                    path.name != "filestore.py"
-                    or function not in GUARDED_CALLS[call]
-                ):
-                    offenders.append(
-                        f"{package}/{path.name}:{line} {function}() "
-                        f"calls {call}"
-                    )
-    assert not offenders, (
-        "a commit, an unlink or a directory walk outside "
-        "repro.plancache.filestore — store it through FileStore:\n"
-        + "\n".join(offenders)
-    )
-
-
-def test_guard_sees_a_planted_commit(tmp_path):
-    planted = tmp_path / "planted.py"
-    planted.write_text(
-        "import os, tempfile\n"
-        "def put(path, text):\n"
-        "    fd, tmp = tempfile.mkstemp(dir=path.parent)\n"
-        "    os.replace(tmp, path)\n"
-        "    return text.replace('a', 'b')\n"
-        "def clear(root):\n"
-        "    for p in root.iterdir():\n"
-        "        p.unlink()\n"
-    )
-    assert [(fn, call) for fn, call, _ in _file_calls(planted)] == [
-        ("put", "mkstemp"),
-        ("put", "replace"),
-        ("clear", "iterdir"),
-        ("clear", "unlink"),
-    ]
 
 
 class TestCommit:

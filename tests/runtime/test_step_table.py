@@ -1,25 +1,13 @@
-"""The step table is the one definition of every reordering step.
-
-Two halves:
-
-* an AST guard: outside :mod:`repro.runtime.steps`, no module under
-  ``src/repro`` switches on a step — no ``isinstance`` against a step
-  class, no comparison or membership test against a step-name literal,
-  no dict literal keyed by step names.  Each :data:`ALLOWED` entry says
-  why it is not such a switch, and an unused allowance fails;
-* a toy ``reverse`` data reordering registered in one place, which must
-  then work everywhere a built-in step does.
+"""The step table is the one definition of every reordering step: a toy
+``reverse`` data reordering registered in one place must then work
+everywhere a built-in step does.  That nothing outside the table switches
+on a step is the ``step_switch`` row of ``tests/architecture/rules.py``.
 """
-
-import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro.errors import BindError, ValidationError
-from repro.runtime import steps as step_table
 from repro.runtime.steps import (
     STEP_TYPES,
     CPackStep,
@@ -31,128 +19,6 @@ from repro.runtime.steps import (
     unregister,
 )
 from repro.transforms.base import ReorderingFunction, TransformTraits
-
-SRC = Path(repro.__file__).parent
-TABLE = "runtime/steps.py"
-
-#: Every step class the table module defines, shells included.
-STEP_CLASSES = {
-    name
-    for name, obj in vars(step_table).items()
-    if isinstance(obj, type) and issubclass(obj, Step)
-}
-
-#: Stage names and spec types of every registered step.
-STEP_NAMES = {cls.name for cls in registered()} | set(STEP_TYPES)
-
-#: ``(module, function, finding)`` -> why it is not a step switch.
-ALLOWED = {
-    ("eval/compositions.py", "<module>", "dict"): (
-        "keys are the paper's composition names (Figure 6 labels such as "
-        "'cpack' and 'cpack+fst'), which name step lists, not steps"
-    ),
-}
-
-
-def _names(node):
-    """Identifiers a class operand refers to (``X``, ``m.X``, tuples)."""
-    if isinstance(node, ast.Tuple):
-        return {name for elt in node.elts for name in _names(elt)}
-    if isinstance(node, ast.Name):
-        return {node.id}
-    if isinstance(node, ast.Attribute):
-        return {node.attr}
-    return set()
-
-
-def _literals(node):
-    """String constants an operand spells (one, or a tuple/list/set)."""
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return {value for elt in node.elts for value in _literals(elt)}
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return {node.value}
-    return set()
-
-
-def step_switches(path):
-    """``(function, finding, line)`` for every step switch in ``path``."""
-    tree = ast.parse(path.read_text())
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-            and _names(node.args[1]) & STEP_CLASSES
-        ):
-            found.append((function, "isinstance", node.lineno))
-        if isinstance(node, ast.Compare) and any(
-            _literals(operand) & STEP_NAMES
-            for operand in [node.left, *node.comparators]
-        ):
-            found.append((function, "compare", node.lineno))
-        if isinstance(node, ast.Dict) and any(
-            key is not None and _literals(key) & STEP_NAMES for key in node.keys
-        ):
-            found.append((function, "dict", node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, "<module>")
-    return found
-
-
-def _all_switches():
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        if module == TABLE:
-            continue
-        for function, finding, line in step_switches(path):
-            yield module, function, finding, line
-
-
-class TestGuard:
-    def test_no_module_switches_on_a_step(self):
-        offenders = [
-            f"{module}:{line} {function}() {finding}"
-            for module, function, finding, line in _all_switches()
-            if (module, function, finding) not in ALLOWED
-        ]
-        assert not offenders, (
-            "a step switch outside the step table — read the step's "
-            "definition (traits, params, delta, emit) instead, or add an "
-            "ALLOWED entry saying why it is not a switch:\n"
-            + "\n".join(offenders)
-        )
-
-    def test_every_allowance_is_in_use(self):
-        """An entry whose finding is gone is deleted, not kept for later."""
-        used = {(m, f, k) for m, f, k, _ in _all_switches()}
-        assert set(ALLOWED) <= used
-
-    def test_guard_sees_planted_switches(self, tmp_path):
-        planted = tmp_path / "planted.py"
-        planted.write_text(
-            "TABLE = {'lexgroup': 1}\n"
-            "def f(step):\n"
-            "    if isinstance(step, (CPackStep, m.GPartStep)):\n"
-            "        return step.name == 'cpack'\n"
-            "    return step.name in ('lg', 'ls') or step.kind == 'data'\n"
-        )
-        assert [(fn, kind) for fn, kind, _ in step_switches(planted)] == [
-            ("<module>", "dict"),
-            ("f", "isinstance"),
-            ("f", "compare"),
-            ("f", "compare"),
-        ]
-
-
-# ---------------------------------------------------------------------------
-# A toy step, defined in one place.
 
 
 class ReverseStep(DataReorderStep):
